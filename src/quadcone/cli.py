@@ -30,6 +30,9 @@ import numpy as np
 
 from . import __version__
 from .decider import (
+    JUMP_IDENTITY_TOL,
+    JUMP_RATIO_BOUND,
+    SUPPORT_TOL_REL,
     Verdict,
     VerificationFailed,
     _disc_points,
@@ -41,6 +44,7 @@ from .decider import (
 from .fixtures import FIXTURES
 from .normalform import DegeneracyReport, NormalFormResult, NormalFormType, classify2, render_cone
 from .quadform import (
+    ZERO_EIG_REL,
     ConeError,
     NonHomogeneous,
     NonReal,
@@ -250,8 +254,8 @@ def _base_report(command: str, args, spec: ConeSpec | None) -> dict:
         "seed": getattr(args, "seed", None),
         "samples": getattr(args, "samples", None),
         "tolerances": {
-            "support_rel": 1e-12,
-            "eigenvalue_zero_rel": 1e-9,
+            "support_rel": SUPPORT_TOL_REL,
+            "eigenvalue_zero_rel": ZERO_EIG_REL,
             "classification_residual_rel": 1e-8,
         },
         "timings": {},
@@ -385,7 +389,7 @@ def cmd_verify(args) -> int:
                             [eps, z[0].real, z[0].imag, z[1].real, z[1].imag, float(r)]
                         )
         else:
-            support_tol = (args.tol_overrides or {}).get("support_rel", 1e-12)
+            support_tol = (args.tol_overrides or {}).get("support_rel", SUPPORT_TOL_REL)
             rep = verify_support(
                 spec.cone, verdict.witness, samples=args.samples, seed=args.seed,
                 tol_rel=support_tol,
@@ -479,11 +483,11 @@ def cmd_jump_demo(args) -> int:
         "identity_residual": rep.identity_residual,
         "continuity_ratio": rep.continuity_ratio,
         "points_checked": rep.points_checked,
-        "identity_tolerance": 1e-12,
-        "ratio_bound": 10.0,
+        "identity_tolerance": JUMP_IDENTITY_TOL,
+        "ratio_bound": JUMP_RATIO_BOUND,
     }
     report["timings"]["total_s"] = time.perf_counter() - t0
-    ok = rep.identity_residual <= 1e-12 and rep.continuity_ratio <= 10.0
+    ok = rep.identity_residual <= JUMP_IDENTITY_TOL and rep.continuity_ratio <= JUMP_RATIO_BOUND
     return _emit(report, EXIT_OK if ok else EXIT_VERIFICATION)
 
 

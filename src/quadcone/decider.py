@@ -181,8 +181,10 @@ def verify_discs(
     """Check strict sign margins on D_eps and the touching of the limit disc.
 
     min_margin is the minimum of side * rho over all eps > 0 in the grid;
-    touch_residual the minimum of side * rho over limit-disc samples with
-    |z| >= 1e-3.  Both must come out positive, and rho(0) must vanish.
+    touch_residual the minimum of side * rho over limit-disc samples w with
+    |w| >= 1e-3 * fam.radius in the family's own frame, so the filter does
+    not depend on the scale of the transform into cone coordinates.  Both
+    must come out positive, and rho(0) must vanish.
     """
     if len(eps_grid) == 0:
         raise ConeError("eps_grid must be nonempty")
@@ -209,8 +211,7 @@ def verify_discs(
 
     W0 = _disc_points(fam, 0.0, samples, rng)
     Z0 = fam.map_points(W0)
-    norms = np.linalg.norm(Z0, axis=1)
-    keep = norms >= 1e-3
+    keep = np.linalg.norm(W0, axis=1) >= 1e-3 * fam.radius
     touch = fam.side * evaluate_many(cone, Z0[keep])
     checked += int(np.sum(keep))
     if len(touch) == 0:

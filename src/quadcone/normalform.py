@@ -151,7 +151,7 @@ def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> Qua
         raise ConeError("sign must be +1 or -1")
     S = sign * lam * (T.T @ cone.S @ T)
     H = sign * lam * (T.conj().T @ cone.H @ T)
-    return QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
+    return QuadraticCone._symmetrized(S, H)
 
 
 def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, QuadraticCone]:
@@ -206,7 +206,7 @@ class _Chain:
         self.T = self.T @ M
 
     def push_scale(self, c: float):
-        self.cone = QuadraticCone(c * self.cone.S, c * self.cone.H)
+        self.cone = QuadraticCone._symmetrized(c * self.cone.S, c * self.cone.H)
         self.lam *= c
 
     def push_negate(self):

@@ -83,7 +83,7 @@ class QuadraticCone:
     SYM_REL * norm raises NotSymmetric instead of being silently absorbed.
     """
 
-    __slots__ = ("n", "S", "H")
+    __slots__ = ("n", "S", "H", "_scale")
 
     def __init__(self, S, H):
         S = np.array(S, dtype=complex)
@@ -99,13 +99,30 @@ class QuadraticCone:
             raise NotSymmetric("S is not symmetric within tolerance")
         if mat_norm(H - H.conj().T) > SYM_REL * max(h_scale, 1e-300):
             raise NotSymmetric("H is not hermitian within tolerance")
+        self._store(S, H)
+
+    @classmethod
+    def _symmetrized(cls, S, H) -> "QuadraticCone":
+        """Cone from internally computed square complex S and H of equal size.
+
+        Applies the constructor's exact 0.5 (X + X^T) / 0.5 (X + X^H)
+        symmetrization and skips its tolerance checks.  For congruences and
+        scalings of a valid cone the asymmetry is rounding only, and the
+        result equals QuadraticCone(0.5 (S + S^T), 0.5 (H + H^H)) exactly.
+        """
+        cone = object.__new__(cls)
+        cone._store(S, H)
+        return cone
+
+    def _store(self, S, H):
         S = 0.5 * (S + S.T)
         H = 0.5 * (H + H.conj().T)
         S.setflags(write=False)
         H.setflags(write=False)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", S.shape[0])
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "H", H)
+        object.__setattr__(self, "_scale", None)
 
     def __setattr__(self, *a):  # immutability, safe to share across threads
         raise AttributeError("QuadraticCone is immutable")
@@ -120,11 +137,16 @@ class QuadraticCone:
 
     @property
     def scale(self) -> float:
-        """Coefficient magnitude ||S|| + ||H||, the natural error scale."""
-        return mat_norm(self.S) + mat_norm(self.H)
+        """Coefficient magnitude ||S|| + ||H|| (spectral), the natural error scale.
+
+        Computed on first use and kept; concurrent first uses store the same value.
+        """
+        if self._scale is None:
+            object.__setattr__(self, "_scale", mat_norm(self.S) + mat_norm(self.H))
+        return self._scale
 
     def negated(self) -> "QuadraticCone":
-        return QuadraticCone(-self.S, -self.H)
+        return QuadraticCone._symmetrized(-self.S, -self.H)
 
 
 def evaluate(cone: QuadraticCone, z) -> float:
@@ -242,70 +264,84 @@ def canonical_sign(cone: QuadraticCone) -> tuple[QuadraticCone, int]:
     return cone, +1
 
 
-def sample_cone(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> list[ConeSample]:
-    """Deterministic points on the cone found along random real 2-plane sections.
-
-    Draws real directions u, v, solves the real quadratic rho(u + t v) = 0
-    for t, keeps real roots and rescales each point into |z| <= radius (the
-    cone is homogeneous, so rescaling stays on it).  The generator is
-    numpy's default PCG64 seeded with `seed`; accept/reject decisions are
-    reproducible across platforms at fixed numpy versions.
-    """
+def _sample(cone: QuadraticCone, seed: int, count: int, radius: float):
+    """Cone points as a (count, n) array and their |rho| residuals; see sample_cone."""
     if count < 1:
         raise ConeError("count must be >= 1")
     if radius <= 0:
         raise ConeError("radius must be positive")
     rng = np.random.default_rng(seed)
     n = cone.n
-    out: list[ConeSample] = []
     batch = max(count, 256)
     max_batches = 64
-
-    def rho_many(Z):
-        return evaluate_many(cone, Z)
-
+    scale = max(cone.scale, 1.0)
+    points, residuals = [], []
+    found = 0
     for _ in range(max_batches):
         U = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
         V = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
         scales = rng.uniform(0.05, 1.0, size=2 * batch)
-        a = rho_many(V)
-        c = rho_many(U)
-        b = rho_many(U + V) - a - c  # real polarization term
+        a = evaluate_many(cone, V)
+        c = evaluate_many(cone, U)
+        b = evaluate_many(cone, U + V) - a - c  # real polarization term
         disc = b * b - 4.0 * a * c
-        for i in range(batch):
-            if disc[i] < 0:
-                continue
-            sq = np.sqrt(disc[i])
+        # Roots t of a t^2 + b t + c = 0, column k = root k of the row's
+        # equation; masked-out entries may hold inf or nan.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt(disc)
             # stable quadratic roots; handle the nearly-linear case
-            if abs(a[i]) < 1e-14 * (abs(b[i]) + abs(c[i]) + 1e-300):
-                roots = [-c[i] / b[i]] if abs(b[i]) > 0 else []
-            else:
-                qq = -0.5 * (b[i] + np.copysign(sq, b[i]))
-                roots = [qq / a[i]]
-                if abs(qq) > 0:
-                    roots.append(c[i] / qq)
-            for k, t in enumerate(roots):
-                p = U[i] + t * V[i]
-                norm = np.linalg.norm(p)
-                if norm < 1e-9:
-                    continue
-                p = p * (radius * scales[(2 * i + k) % (2 * batch)] / norm)
-                # one Newton polish along V to keep the residual at rounding level
-                dv = V[i] * (radius / max(np.linalg.norm(V[i]), 1e-300))
-                r0 = evaluate(cone, p)
-                g = evaluate(cone, p + 1e-7 * dv) - r0
-                if abs(g) > 1e-300:
-                    p = p - (r0 * 1e-7 / g) * dv
-                res = abs(evaluate(cone, p))
-                if res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(p) ** 2 * max(cone.scale, 1.0):
-                    out.append(ConeSample(point=p, residual=res))
-                    if len(out) == count:
-                        return out
+            linear = np.abs(a) < 1e-14 * (np.abs(b) + np.abs(c) + 1e-300)
+            qq = -0.5 * (b + np.copysign(sq, b))
+            roots = np.column_stack([np.where(linear, -c / b, qq / a), c / qq])
+        real = ~(disc < 0)
+        valid = np.column_stack(
+            [real & (~linear | (np.abs(b) > 0)), real & ~linear & (np.abs(qq) > 0)]
+        )
+        i, k = np.nonzero(valid)  # row-major: by direction, then by root
+        P = U[i] + roots[i, k][:, None] * V[i]
+        norm = np.linalg.norm(P, axis=1)
+        far = ~(norm < 1e-9)
+        i, k, P, norm = i[far], k[far], P[far], norm[far]
+        P = P * (radius * scales[2 * i + k] / norm)[:, None]
+        # one Newton polish along V to keep the residual at rounding level
+        dv = V[i] * (radius / np.maximum(np.linalg.norm(V[i], axis=1), 1e-300))[:, None]
+        r0 = evaluate_many(cone, P)
+        g = evaluate_many(cone, P + 1e-7 * dv) - r0
+        step = np.abs(g) > 1e-300
+        P[step] = P[step] - (r0[step] * 1e-7 / g[step])[:, None] * dv[step]
+        res = np.abs(evaluate_many(cone, P))
+        ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
+        points.append(P[ok])
+        residuals.append(res[ok])
+        found += len(residuals[-1])
+        if found >= count:
+            return np.concatenate(points)[:count], np.concatenate(residuals)[:count]
     raise InsufficientSamples(
-        f"found {len(out)} of {count} requested cone points; rho may be (semi)definite"
+        f"found {found} of {count} requested cone points; rho may be (semi)definite"
     )
 
 
+def sample_cone(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> list[ConeSample]:
+    """Deterministic points on the cone found along random real 2-plane sections.
+
+    Draws real directions u, v, solves the real quadratic rho(u + t v) = 0
+    for t, keeps real roots and rescales each point into |z| <= radius (the
+    cone is homogeneous, so rescaling stays on it), then applies one Newton
+    step along v.  A point is returned only if its residual |rho(p)| is at
+    most SAMPLE_RESIDUAL_REL * |p|^2 * max(scale, 1).
+
+    Reproducibility: the generator is numpy's default PCG64 seeded with
+    `seed`.  Each batch of max(count, 256) directions makes the same draws
+    in the same order (U, then V, then the rescale factors), and candidates
+    are taken in the order direction, then root, until `count` are found
+    or 64 batches are spent.  Each batch is processed as arrays, so points
+    equal those of the equivalent per-point loop up to rounding, not
+    bitwise.  Results are reproducible at fixed numpy versions.
+    """
+    points, residuals = _sample(cone, seed, count, radius)
+    return [ConeSample(point=p, residual=float(r)) for p, r in zip(points, residuals)]
+
+
 def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
-    """Convenience wrapper returning the sample points as an (m, n) array."""
-    return np.array([s.point for s in sample_cone(cone, seed, count, radius)])
+    """The points of sample_cone as a (count, n) array, without per-point objects."""
+    return _sample(cone, seed, count, radius)[0]

@@ -91,7 +91,7 @@ def restrict(cone: QuadraticCone, slc: Slice) -> QuadraticCone:
         raise DegenerateBasis(f"basis must be {cone.n} x 2")
     S = B.T @ cone.S @ B
     H = B.conj().T @ cone.H @ B
-    return QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
+    return QuadraticCone._symmetrized(S, H)
 
 
 def check_extension_criterion(S) -> bool:

@@ -273,15 +273,17 @@ def test_cmd_atlas_cross_check_decide(capsys):
 
 
 def test_determinism_modulo_timings(capsys):
-    def run():
-        code, report = run_cli(
-            capsys, ["verify", "--fixture", "m11_2", "--samples", "1500", "--seed", "11"]
-        )
+    def run(argv):
+        code, report = run_cli(capsys, argv)
         assert code == EXIT_OK
         report.pop("timings")
         return json.dumps(report, sort_keys=True)
 
-    assert run() == run()
+    for argv in (
+        ["verify", "--fixture", "m11_2", "--samples", "1500", "--seed", "11"],
+        ["jump-demo", "--seed", "5"],
+    ):
+        assert run(argv) == run(argv)
 
 
 def test_every_fixture_through_the_cli(capsys):

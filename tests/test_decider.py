@@ -154,6 +154,28 @@ def test_verify_discs_strict(ntype):
     assert rep.origin_value == 0.0
 
 
+@pytest.mark.parametrize("k", [-6, 0, 6, 12])
+@pytest.mark.parametrize(
+    "ntype",
+    [
+        NormalFormType("M20", a=2.0, b=0.5),
+        NormalFormType("M10_1", a=0.5),
+        NormalFormType("M11_1", a=2.0, b=0.5),
+        NormalFormType("M11_1", a=2.0, b=1.5),
+    ],
+)
+def test_verify_discs_at_any_input_scale(ntype, k):
+    # the limit-disc filter works in the family's frame, so the check does
+    # not run out of samples when the transform into cone coordinates is tiny
+    T = np.array([[1.0 + 0.5j, -0.3], [0.2j, 0.8 - 0.4j]])
+    cone = apply_change(render_cone(ntype), T, lam=10.0**k)
+    v = decide2(classify2(cone), cone)
+    assert v.outcome == "one_sided"
+    rep = verify_discs(cone, v.discs, eps_grid=EPS_GRID, samples=2000, seed=1)
+    assert rep.min_margin > 0
+    assert rep.touch_residual > 0
+
+
 def test_verify_discs_analytic_floor_m20():
     # on the level variety the defining function equals eps + |z1|^2 + |z2|^2
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcone.quadform import (
+    SAMPLE_RESIDUAL_REL,
     InsufficientSamples,
     NotSymmetric,
     QuadraticCone,
@@ -18,10 +19,13 @@ from quadcone.quadform import (
     evaluate_many,
     hermitian_signature,
     real_form_matrix,
+    mat_norm,
     real_signature,
     sample_cone,
+    sample_points,
 )
-from quadcone.normalform import apply_change
+from quadcone.normalform import _Chain, apply_change
+from quadcone.slicer import Slice, restrict
 from quadcone.reduction import E_HERM
 
 
@@ -77,6 +81,33 @@ def test_decompose_render_round_trip():
 def test_constructor_rejects_asymmetry():
     with pytest.raises(NotSymmetric):
         QuadraticCone(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(NotSymmetric):
+        QuadraticCone(np.zeros((2, 2)), np.array([[1.0, 1j], [1j, 0.0]]))
+
+
+def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
+    rng = np.random.default_rng(17)
+    cone = random_cone(rng, n=3, scale=3.0)
+    T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    chain = _Chain(cone)
+    chain.push_scale(0.37)
+
+    def checked(S, H):
+        return QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
+
+    cases = [
+        (apply_change(cone, T, lam=2.5, sign=-1),
+         checked(-2.5 * (T.T @ cone.S @ T), -2.5 * (T.conj().T @ cone.H @ T))),
+        (restrict(cone, Slice(B, "test")), checked(B.T @ cone.S @ B, B.conj().T @ cone.H @ B)),
+        (cone.negated(), checked(-cone.S, -cone.H)),
+        (chain.cone, checked(0.37 * cone.S, 0.37 * cone.H)),
+    ]
+    for built, reference in cases:
+        assert np.array_equal(built.S, built.S.T)
+        assert np.array_equal(built.H, built.H.conj().T)
+        assert built == reference
+        assert built.scale == mat_norm(built.S) + mat_norm(built.H)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -229,6 +260,72 @@ def test_sample_cone_deterministic():
     a = sample_cone(cone, seed=7, count=50)
     b = sample_cone(cone, seed=7, count=50)
     assert all(np.array_equal(x.point, y.point) for x, y in zip(a, b))
+
+
+def _reference_sample_points(cone, seed, count, radius=1.0):
+    """The per-point loop that sample_cone batches, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    n = cone.n
+    out = []
+    batch = max(count, 256)
+    for _ in range(64):
+        U = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
+        V = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
+        scales = rng.uniform(0.05, 1.0, size=2 * batch)
+        a = evaluate_many(cone, V)
+        c = evaluate_many(cone, U)
+        b = evaluate_many(cone, U + V) - a - c
+        disc = b * b - 4.0 * a * c
+        for i in range(batch):
+            if disc[i] < 0:
+                continue
+            sq = np.sqrt(disc[i])
+            if abs(a[i]) < 1e-14 * (abs(b[i]) + abs(c[i]) + 1e-300):
+                roots = [-c[i] / b[i]] if abs(b[i]) > 0 else []
+            else:
+                qq = -0.5 * (b[i] + np.copysign(sq, b[i]))
+                roots = [qq / a[i]]
+                if abs(qq) > 0:
+                    roots.append(c[i] / qq)
+            for k, t in enumerate(roots):
+                p = U[i] + t * V[i]
+                norm = np.linalg.norm(p)
+                if norm < 1e-9:
+                    continue
+                p = p * (radius * scales[(2 * i + k) % (2 * batch)] / norm)
+                dv = V[i] * (radius / max(np.linalg.norm(V[i]), 1e-300))
+                r0 = evaluate(cone, p)
+                g = evaluate(cone, p + 1e-7 * dv) - r0
+                if abs(g) > 1e-300:
+                    p = p - (r0 * 1e-7 / g) * dv
+                res = abs(evaluate(cone, p))
+                if res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(p) ** 2 * max(cone.scale, 1.0):
+                    out.append(p)
+                    if len(out) == count:
+                        return np.array(out)
+    raise InsufficientSamples(f"found {len(out)} of {count} requested cone points")
+
+
+def _reference_cones():
+    yield example_m()
+    yield QuadraticCone(np.eye(2, dtype=complex), np.zeros((2, 2)))
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 4, 5, 2, 3):
+        yield random_cone(rng, n=n, scale=float(rng.uniform(0.5, 5.0)))
+
+
+@pytest.mark.parametrize("seed,count,radius", [(0, 300, 1.0), (3, 200, 2.5), (8, 40, 1e-3)])
+def test_sample_points_match_per_point_reference(seed, count, radius):
+    for cone in _reference_cones():
+        ref = _reference_sample_points(cone, seed, count, radius)
+        pts = sample_points(cone, seed, count, radius)
+        assert pts.shape == ref.shape == (count, cone.n)
+        assert np.max(np.abs(pts - ref)) <= 1e-11 * radius
+        res = np.abs(evaluate_many(cone, pts))
+        bound = SAMPLE_RESIDUAL_REL * np.linalg.norm(pts, axis=1) ** 2 * max(cone.scale, 1.0)
+        assert np.all(res <= bound)
+        samples = sample_cone(cone, seed, count, radius)
+        assert np.array_equal(np.array([s.point for s in samples]), pts)
 
 
 def test_sample_cone_point_cone_fails():
