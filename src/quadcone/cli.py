@@ -442,7 +442,9 @@ def cmd_slice(args) -> int:
         }
         report["timings"]["total_s"] = time.perf_counter() - t0
         return _emit(report, EXIT_DEGENERATE)
-    res = find_good_slice(
+    # a certified two-sided shape has no one-sided slice: skip the search
+    form = classify_two_sided_nd(spec.cone)
+    res = None if form.certified else find_good_slice(
         spec.cone, budget=args.budget, seed=args.seed, samples=max(args.samples // 5, 500)
     )
     if res is not None:
@@ -459,7 +461,6 @@ def cmd_slice(args) -> int:
         }
         report["timings"]["total_s"] = time.perf_counter() - t0
         return _emit(report, EXIT_OK)
-    form = classify_two_sided_nd(spec.cone)
     report["slice"] = None
     report["two_sided_form"] = {
         "kind": form.kind,

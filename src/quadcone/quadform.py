@@ -238,8 +238,8 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
 def hermitian_signature(cone: QuadraticCone, tol: float | None = None) -> HermitianSignature:
     """Eigenvalue counts of H above/below +-tol (default 1e-9 * ||H||)."""
     w = np.linalg.eigvalsh(cone.H)
-    if tol is None:
-        tol = ZERO_EIG_REL * max(mat_norm(cone.H), 1e-300)
+    if tol is None:  # the spectral norm of a hermitian matrix is max |eigenvalue|
+        tol = ZERO_EIG_REL * max(np.abs(w).max(), 1e-300)
     return HermitianSignature(int(np.sum(w > tol)), int(np.sum(w < -tol)))
 
 
@@ -247,8 +247,8 @@ def real_signature(cone: QuadraticCone, tol: float | None = None) -> RealSignatu
     """Inertia of the real form of rho on R^(2n)."""
     G = real_form_matrix(cone)
     w = np.linalg.eigvalsh(G)
-    if tol is None:
-        tol = ZERO_EIG_REL * max(mat_norm(G), 1e-300)
+    if tol is None:  # the spectral norm of a symmetric matrix is max |eigenvalue|
+        tol = ZERO_EIG_REL * max(np.abs(w).max(), 1e-300)
     return RealSignature(int(np.sum(w > tol)), int(np.sum(w < -tol)))
 
 

@@ -53,8 +53,13 @@ class Slice:
     def __post_init__(self):
         B = np.asarray(self.basis, dtype=complex)
         object.__setattr__(self, "basis", B)
-        gram = B.conj().T @ B
-        if abs(np.linalg.det(gram)) < GRAM_DET_MIN * max(mat_norm(gram), 1e-300):
+        norms = np.linalg.norm(B, axis=0)
+        if not np.all(norms > 0):
+            raise DegenerateBasis("slice basis is numerically dependent")
+        U = B / norms
+        # the unit columns' Gram determinant is the Hadamard ratio det G / prod G_ii:
+        # in [0, 1] whatever the scale of the basis
+        if abs(np.linalg.det(U.conj().T @ U)) < GRAM_DET_MIN:
             raise DegenerateBasis("slice basis is numerically dependent")
 
 
@@ -82,6 +87,8 @@ class TwoSidedForm:
     transform: np.ndarray | None = None
     fit_residual: float = float("nan")
     detail: str = ""
+    # True when the shape proves two-sided support, so no slice can be one-sided
+    certified: bool = False
 
 
 def restrict(cone: QuadraticCone, slc: Slice) -> QuadraticCone:
@@ -606,7 +613,9 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     cone Re(z1^2 + ... + zk^2) with k > 2, and the bilinear-factor shape
     Re((z2 + conj(z3)) z1).  Every recognized form is re-verified pointwise
     before being returned; anything else comes back as "unknown" rather
-    than a guess.
+    than a guess.  ts1, ts2 and a product whose C^2 factor decides two-sided
+    (supporting lines verified on the factor) are `certified`: such a cone
+    has two-sided support, so it has no one-sided slice to search for.
     """
     if cone.n < 3:
         raise ConeError("classify_two_sided_nd expects n >= 3")
@@ -628,10 +637,12 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
             base = Zw @ Bc.T
             resid = float(np.max(np.abs(evaluate_many(cone, full) - evaluate_many(cone, base))))
             if resid <= FIT_VERIFY_REL * scale * float(np.max(np.linalg.norm(full, axis=1) ** 2)):
-                inner = classify2(restrict(cone, Slice(Bc, "product factor")))
+                factor = restrict(cone, Slice(Bc, "product factor"))
+                inner = classify2(factor)
                 return TwoSidedForm(
                     kind="product", inner=inner, transform=Bc, fit_residual=resid,
                     detail="rho is independent of an (n-2)-dimensional complex factor",
+                    certified=_factor_two_sided(inner, factor),
                 )
 
     if mat_norm(cone.H) <= 1e-10 * scale:
@@ -653,13 +664,23 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
             if resid <= FIT_VERIFY_REL * scale * 10:
                 return TwoSidedForm(
                     kind="ts1", k=k, transform=Tn, fit_residual=resid,
-                    detail=f"purely harmonic with rank {k} >= 3",
+                    detail=f"purely harmonic with rank {k} >= 3", certified=True,
                 )
 
     form = _ts2_fit(cone)
     if form is not None:
         return form
     return TwoSidedForm(kind="unknown", detail="no verified two-sided shape matched")
+
+
+def _factor_two_sided(inner: NormalFormResult | DegeneracyReport, factor: QuadraticCone) -> bool:
+    """Whether a product's C^2 factor has two-sided support, with its supporting lines verified."""
+    if not isinstance(inner, NormalFormResult):
+        return False
+    try:
+        return decide2(inner, factor).outcome == "two_sided"
+    except VerificationFailed:
+        return False
 
 
 def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
@@ -698,6 +719,7 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
             return TwoSidedForm(
                 kind="ts2", transform=forms.T, fit_residual=resid,
                 detail="rho = Re((lambda + conj(mu)) alpha) with independent linear forms",
+                certified=True,
             )
     return None
 

@@ -31,6 +31,24 @@ def run_cli(capsys, argv):
     return code, json.loads(out)
 
 
+def run_slice_stdin(capsys, S, H, argv):
+    """`slice -` on the cone (S, H), fed as a JSON spec on stdin."""
+    import io, sys
+
+    n = S.shape[0]
+    spec = {
+        "n": n,
+        "S": [[{"re": S[i, j].real, "im": S[i, j].imag} for j in range(n)] for i in range(n)],
+        "H": [[{"re": H[i, j].real, "im": H[i, j].imag} for j in range(n)] for i in range(n)],
+    }
+    old = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(spec))
+    try:
+        return run_cli(capsys, ["slice", "-", *argv])
+    finally:
+        sys.stdin = old
+
+
 # --- parsing ------------------------------------------------------------------
 
 
@@ -172,6 +190,52 @@ def test_cmd_slice_two_sided_forms(capsys):
     assert report["two_sided_form"]["k"] == 3
 
 
+@pytest.mark.parametrize(
+    "fixture, kind, k, inner_tag",
+    [("product_example_m", "product", None, "M11_1"), ("ts1_k3", "ts1", 3, None), ("ts2", "ts2", None, None)],
+)
+def test_cmd_slice_skips_the_search_on_certified_two_sided_shapes(
+    capsys, monkeypatch, fixture, kind, k, inner_tag
+):
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_good_slice called on a certified two-sided cone")
+
+    monkeypatch.setattr("quadcone.cli.find_good_slice", no_search)
+    code, report = run_cli(capsys, ["slice", "--fixture", fixture])
+    assert code == EXIT_OK
+    assert report["slice"] is None
+    form = report["two_sided_form"]
+    assert form["kind"] == kind and form["k"] == k
+    assert form.get("inner", {}).get("normal_form", {}).get("tag") == inner_tag
+
+
+@pytest.mark.parametrize(
+    "tag, S2, H2",
+    [
+        ("M11_1", np.diag([0.5, 1.0 / 3.0]), np.diag([1.0, -1.0])),
+        ("M11_2", np.diag([1.0 + 1.0j, 1.0 - 1.0j]), np.array([[0.0, 0.5j], [-0.5j, 0.0]])),
+        ("M11_3", np.diag([1.0, 0.0]), np.array([[0.0, 0.5j], [-0.5j, 0.0]])),
+    ],
+)
+def test_cmd_slice_large_scale_two_sided_product_gets_no_slice(capsys, tag, S2, H2):
+    # a two-sided C^2 factor times an inert z3, under a fixed GL(3,C) change at
+    # scale 1e7: the slice search alone accepts a slice here whose restricted
+    # cone is rounding noise, as a one-sided slice
+    rng = np.random.default_rng(1)
+    while True:
+        T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        if np.linalg.cond(T) <= 8.0:
+            break
+    S0 = np.zeros((3, 3), dtype=complex)
+    H0 = np.zeros((3, 3), dtype=complex)
+    S0[:2, :2], H0[:2, :2] = S2, H2
+    code, report = run_slice_stdin(capsys, 1e7 * T.T @ S0 @ T, 1e7 * T.conj().T @ H0 @ T, [])
+    assert code == EXIT_OK
+    assert report["slice"] is None
+    assert report["two_sided_form"]["kind"] == "product"
+    assert report["two_sided_form"]["inner"]["normal_form"]["tag"] == tag
+
+
 def test_cmd_slice_unknown_exit_code(capsys):
     # near-dependent bilinear-factor data sitting in the conditioning gap
     # between the product-kernel and fit-independence thresholds: the cone is
@@ -183,19 +247,7 @@ def test_cmd_slice_unknown_exit_code(capsys):
     m = np.array([1.0, 0, delta])
     S = 0.5 * (np.outer(a, l) + np.outer(l, a))
     H = 0.5 * (np.outer(m.conj(), a) + np.outer(a.conj(), m))
-    spec = {
-        "n": 3,
-        "S": [[{"re": S[i, j].real, "im": S[i, j].imag} for j in range(3)] for i in range(3)],
-        "H": [[{"re": H[i, j].real, "im": H[i, j].imag} for j in range(3)] for i in range(3)],
-    }
-    import io, sys
-
-    old = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(spec))
-    try:
-        code, report = run_cli(capsys, ["slice", "-", "--budget", "12", "--samples", "400"])
-    finally:
-        sys.stdin = old
+    code, report = run_slice_stdin(capsys, S, H, ["--budget", "12", "--samples", "400"])
     assert code == EXIT_UNRESOLVED
     assert report["two_sided_form"]["kind"] == "unknown"
 

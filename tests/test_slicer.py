@@ -115,8 +115,13 @@ def test_restrict_functoriality():
 
 
 def test_restrict_rejects_dependent_basis():
-    with pytest.raises(DegenerateBasis):
-        Slice(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), "bad")
+    # the Gram check is dimensionless: the verdict on a basis does not depend on its scale
+    for scale in (1e-20, 1.0, 1e20):
+        with pytest.raises(DegenerateBasis):
+            Slice(scale * np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), "bad")
+        with pytest.raises(DegenerateBasis):
+            Slice(scale * np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), "zero column")
+        Slice(scale * np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]]), "independent")
 
 
 # --- check_extension_criterion -----------------------------------------------------------------
@@ -173,6 +178,16 @@ def test_find_good_slice_fixtures(name):
         samples=4000,
         seed=1,
     )
+    assert rep.min_margin > 0 and rep.touch_residual > 0
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+@pytest.mark.parametrize("name", ["slice_pi2_axis", "slice_oneone_r_independent"])
+def test_find_good_slice_at_extreme_scales(name, scale):
+    cone = fx.FIXTURES[name]()
+    res = find_good_slice(QuadraticCone(scale * cone.S, scale * cone.H), seed=0, samples=1200)
+    assert res is not None, name
+    rep = verify_discs(res.restricted, res.verdict.discs, eps_grid=(1e-3, 1e-2, 1e-1), samples=4000, seed=1)
     assert rep.min_margin > 0 and rep.touch_residual > 0
 
 
@@ -278,20 +293,27 @@ def test_reduce_linear_terms_requires_oneone():
 
 def test_two_sided_product():
     form = classify_two_sided_nd(fx.product_example_m())
-    assert form.kind == "product"
+    assert form.kind == "product" and form.certified
     assert form.inner.tag == "M11_1"
     A, B = form.inner.ntype.params()
     assert A == pytest.approx(0.5, abs=1e-8) and B == pytest.approx(1 / 3, abs=1e-8)
 
 
+def test_two_sided_product_with_one_sided_factor_is_not_certified():
+    # rho does not depend on z3, but its C^2 factor is one-sided (a slice exists)
+    form = classify_two_sided_nd(fx.slice_oneone_r0_onesided())
+    assert form.kind == "product" and not form.certified
+    assert find_good_slice(fx.slice_oneone_r0_onesided(), seed=0, samples=600) is not None
+
+
 def test_two_sided_ts1():
     form = classify_two_sided_nd(fx.ts1_k3())
-    assert form.kind == "ts1" and form.k == 3
+    assert form.kind == "ts1" and form.k == 3 and form.certified
 
 
 def test_two_sided_ts2():
     form = classify_two_sided_nd(fx.ts2())
-    assert form.kind == "ts2"
+    assert form.kind == "ts2" and form.certified
     assert form.fit_residual <= 1e-10
 
 
@@ -311,13 +333,23 @@ def test_two_sided_forms_transformed():
         moved = apply_change(cone, random_gl(rng, 3), 2.0, 1)
         form = classify_two_sided_nd(moved)
         assert form.kind == kind, (make.__name__, form.kind, form.detail)
+        assert form.certified, make.__name__
 
 
 def test_two_sided_unknown_is_sound():
     # a one-sided cone must never be claimed product/ts1/ts2
     cone = fx.slice_pi2_axis()
     form = classify_two_sided_nd(cone)
-    assert form.kind == "unknown"
+    assert form.kind == "unknown" and not form.certified
+
+
+@pytest.mark.parametrize("name", sorted(n for n, make in fx.FIXTURES.items() if make().n >= 3))
+def test_no_fixture_is_certified_two_sided_and_has_a_one_sided_slice(name):
+    cone = fx.FIXTURES[name]()
+    form = classify_two_sided_nd(cone)
+    assert form.certified == (name in ("product_example_m", "ts1_k3", "ts2")), (name, form.kind)
+    if form.certified:
+        assert find_good_slice(cone, seed=0, samples=600) is None
 
 
 def test_high_dimensional_products_and_harmonic_ranks():
