@@ -253,15 +253,7 @@ def test_cmd_slice_unknown_exit_code(capsys):
 
 
 def test_cmd_slice_degenerate_precheck(capsys):
-    spec = {"n": 3, "S": [[{}] * 3] * 3, "H": [[{"re": 1 if i == j else 0} for j in range(3)] for i in range(3)]}
-    import io, sys
-
-    old = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(spec))
-    try:
-        code, report = run_cli(capsys, ["slice", "-"])
-    finally:
-        sys.stdin = old
+    code, report = run_slice_stdin(capsys, np.zeros((3, 3)), np.eye(3), [])
     assert code == EXIT_DEGENERATE
     assert report["classification"]["degenerate"]["reason"] == "PointCone"
 
