@@ -15,13 +15,16 @@ Input schema (UTF-8 JSON), either coefficient matrices or a polynomial:
 Matrix entries are {"re": r, "im": i} objects (missing keys are 0) or bare
 numbers.  Polynomial variables are x1..xn, y1..yn; every monomial must
 have total degree two and a real coefficient.  Symmetrization is applied
-to S/H and the adjustment magnitude echoed in the report.
+to S/H and the adjustment magnitude echoed in the report; a non-finite
+entry, given or produced by symmetrization, is a schema error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -62,6 +65,9 @@ EXIT_SCHEMA = 4
 EXIT_UNRESOLVED = 5
 
 DEFAULT_EPS = (1e-3, 1e-2, 1e-1)
+DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+# the only tolerance a caller may override: verify_support's support_rel
+TOL_OVERRIDE_KEYS = ("support_rel",)
 
 
 class SchemaError(ConeError):
@@ -106,6 +112,13 @@ def _parse_matrix(data, n: int, path: str) -> np.ndarray:
     return M
 
 
+def _require_finite(M: np.ndarray, path: str) -> None:
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        i, j = bad[0]
+        raise SchemaError(f"{path}[{i}][{j}]", "entry is not finite after symmetrization")
+
+
 def parse_spec(text: str) -> ConeSpec:
     """Validate a JSON cone spec and build the cone, symmetrizing S and H."""
     try:
@@ -143,6 +156,8 @@ def parse_spec(text: str) -> ConeSpec:
                 coeff = c.real
             if not isinstance(coeff, (int, float)):
                 raise SchemaError(f"{path}.coeff", "must be a real number")
+            if not math.isfinite(coeff):
+                raise SchemaError(f"{path}.coeff", "must be finite")
             if len(vars_) != 2:
                 raise NonHomogeneous(f"{path}: monomial degree {len(vars_)}, expected 2")
             terms.append((tuple(vars_), float(coeff)))
@@ -162,10 +177,12 @@ def parse_spec(text: str) -> ConeSpec:
     h_adj = float(np.linalg.norm(H - H.conj().T) / 2)
     S = 0.5 * (S + S.T)
     H = 0.5 * (H + H.conj().T)
-    try:
-        cone = QuadraticCone(S, H)
-    except ConeError as exc:
-        raise SchemaError("$", str(exc)) from exc
+    _require_finite(S, "S")
+    _require_finite(H, "H")
+    # S and H are exactly symmetric / hermitian now, so the checked
+    # constructor's tests cannot fail; _symmetrized repeats the same
+    # symmetrization, which keeps the cone bitwise equal to that constructor's
+    cone = QuadraticCone._symmetrized(S, H)
     return ConeSpec(n=n, cone=cone, source=data, s_adjustment=s_adj, h_adjustment=h_adj)
 
 
@@ -555,16 +572,19 @@ def _parse_eps(text: str):
         vals = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise SchemaError("--eps", f"bad float list: {text!r}") from exc
-    if not vals or any(v <= 0 for v in vals):
-        raise SchemaError("--eps", "all entries must be positive")
+    if not vals or not all(0 < v < math.inf for v in vals):
+        raise SchemaError("--eps", "all entries must be positive and finite")
     return vals
 
 
 def _parse_grid(text: str):
     try:
-        return [float(x) for x in text.split(",")]
+        vals = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise SchemaError("--grid", f"bad float list: {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise SchemaError("--grid", "all entries must be finite")
+    return vals
 
 
 def _parse_overrides(text: str) -> dict:
@@ -575,11 +595,21 @@ def _parse_overrides(text: str) -> dict:
         if "=" not in item:
             raise SchemaError("--tol-overrides", f"expected key=value, got {item!r}")
         k, v = item.split("=", 1)
+        if k not in TOL_OVERRIDE_KEYS:
+            raise SchemaError(
+                "--tol-overrides", f"unknown key {k!r}, supported: {', '.join(TOL_OVERRIDE_KEYS)}"
+            )
         try:
             out[k] = float(v)
         except ValueError as exc:
             raise SchemaError("--tol-overrides", f"bad value for {k}: {v!r}") from exc
     return out
+
+
+# Options given as text, converted after parse_args: a SchemaError raised by a
+# type= callback would be turned into argparse's usage error (exit 2) instead
+# of the JSON schema error (exit 4).  Defaults are already converted.
+_OPTION_PARSERS = {"eps": _parse_eps, "grid": _parse_grid, "tol_overrides": _parse_overrides}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in cone by name")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--tol-overrides", type=_parse_overrides, default=None)
+        p.add_argument("--tol-overrides", default=None)
 
     p = sub.add_parser("classify", help="normal form of a cone in C^2")
     common(p)
@@ -607,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify disc/support witnesses numerically")
     common(p)
-    p.add_argument("--eps", type=_parse_eps, default=DEFAULT_EPS)
+    p.add_argument("--eps", default=DEFAULT_EPS)
     p.add_argument("--csv", default=None, help="dump sampled points to CSV")
     p.set_defaults(func=cmd_verify)
 
@@ -623,21 +653,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="sweep a normal-form row and tabulate verdicts")
     common(p, needs_input=False)
     p.add_argument("--tag", required=True, choices=["M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1"])
-    p.add_argument("--grid", type=_parse_grid, default=[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
+    p.add_argument("--grid", default=DEFAULT_GRID)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_atlas)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built on first use, then kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = _parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-    except SchemaError as exc:
-        print(json.dumps({"error": {"kind": "schema", "message": str(exc)}}, indent=2))
-        return EXIT_SCHEMA
-    try:
+        for name, parse in _OPTION_PARSERS.items():
+            value = getattr(args, name, None)
+            if isinstance(value, str):
+                setattr(args, name, parse(value))
         return args.func(args)
     except (SchemaError, NonReal, NonHomogeneous) as exc:
         print(json.dumps({"error": {"kind": "schema", "message": str(exc)}}, indent=2))

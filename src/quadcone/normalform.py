@@ -12,6 +12,7 @@ a union of two real hyperplanes) get a structured report instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,24 +118,31 @@ class DegeneracyReport:
 
 
 def render_cone(ntype: NormalFormType) -> QuadraticCone:
-    """The table's defining function for a given type, as a cone."""
+    """The table's defining function for a given type, as a cone.
+
+    Every table form is symmetric / hermitian by construction, so it skips
+    the checked constructor; both matrices are complex, as that constructor
+    would have made them.
+    """
     tag = ntype.tag
     if tag == "M20":
-        return QuadraticCone(np.diag([ntype.a, ntype.b]).astype(complex), np.eye(2))
-    if tag == "M11_1":
-        return QuadraticCone(np.diag([ntype.a, ntype.b]).astype(complex), np.diag([1.0, -1.0]))
-    if tag == "M11_2":
+        S, H = np.diag([ntype.a, ntype.b]), np.eye(2)
+    elif tag == "M11_1":
+        S, H = np.diag([ntype.a, ntype.b]), np.diag([1.0, -1.0])
+    elif tag == "M11_2":
         a = complex(ntype.a)
-        return QuadraticCone(np.diag([a, np.conj(a)]), E_HERM)
-    if tag == "M11_3":
-        return QuadraticCone(np.diag([1.0, 0.0]).astype(complex), E_HERM)
-    if tag == "M10_1":
-        return QuadraticCone(np.diag([ntype.a, 1.0]).astype(complex), np.diag([1.0, 0.0]))
-    if tag == "M10_2":
-        return QuadraticCone(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex), np.diag([1.0, 0.0]))
-    if tag == "M00_1":
-        return QuadraticCone(np.eye(2, dtype=complex), np.zeros((2, 2)))
-    raise ConeError(tag)
+        S, H = np.diag([a, np.conj(a)]), E_HERM
+    elif tag == "M11_3":
+        S, H = np.diag([1.0, 0.0]), E_HERM
+    elif tag == "M10_1":
+        S, H = np.diag([ntype.a, 1.0]), np.diag([1.0, 0.0])
+    elif tag == "M10_2":
+        S, H = np.array([[0.0, 0.5], [0.5, 0.0]]), np.diag([1.0, 0.0])
+    elif tag == "M00_1":
+        S, H = np.eye(2), np.zeros((2, 2))
+    else:
+        raise ConeError(tag)
+    return QuadraticCone._symmetrized(S.astype(complex), H.astype(complex))
 
 
 def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> QuadraticCone:
@@ -214,12 +222,16 @@ class _Chain:
         self.sign = -self.sign
 
 
+@functools.cache
 def _unit_sphere_samples(n: int, count: int = 64) -> np.ndarray:
+    """Fixed-seed residual probes: computed once per (n, count), returned read-only."""
     rng = np.random.default_rng(987654321)
     Z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     Z /= np.linalg.norm(Z, axis=1)[:, None]
     eye = np.eye(n, dtype=complex)
-    return np.vstack([Z, eye, 1j * eye])
+    Z = np.vstack([Z, eye, 1j * eye])
+    Z.setflags(write=False)
+    return Z
 
 
 def _finish(chain: _Chain, ntype: NormalFormType, margins: dict[str, float]) -> NormalFormResult:

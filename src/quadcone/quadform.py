@@ -80,7 +80,8 @@ class QuadraticCone:
     """Immutable value object holding the (S, H) coefficient pair.
 
     S is symmetrized and H hermitized on construction; an asymmetry beyond
-    SYM_REL * norm raises NotSymmetric instead of being silently absorbed.
+    SYM_REL * norm raises NotSymmetric instead of being silently absorbed,
+    and a non-finite entry raises ConeError.
     """
 
     __slots__ = ("n", "S", "H", "_scale")
@@ -93,6 +94,8 @@ class QuadraticCone:
         n = S.shape[0]
         if n < 2:
             raise ConeError("dimension must be at least 2")
+        if not (np.isfinite(S).all() and np.isfinite(H).all()):
+            raise ConeError("S and H must have finite entries")
         s_scale = mat_norm(S)
         h_scale = mat_norm(H)
         if mat_norm(S - S.T) > SYM_REL * max(s_scale, 1e-300):
@@ -188,6 +191,8 @@ def decompose_real_form(G) -> QuadraticCone:
     G must be a real symmetric 2n x 2n matrix in x_1..x_n, y_1..y_n order.
     """
     G = np.asarray(G)
+    if not np.isfinite(G).all():
+        raise ConeError("real-form matrix has non-finite entries")
     if np.iscomplexobj(G) and mat_norm(G.imag) > SYM_REL * max(mat_norm(G), 1e-300):
         raise NonReal("real-form matrix has non-real entries")
     G = np.asarray(G.real, dtype=float)

@@ -17,7 +17,7 @@ from quadcone.cli import (
     parse_spec,
     spec_to_json,
 )
-from quadcone.quadform import NonHomogeneous, NonReal
+from quadcone.quadform import NonHomogeneous, NonReal, QuadraticCone
 
 EXAMPLE_M = (
     '{"n":2,"S":[[{"re":0.5},{}],[{},{"re":0.3333333333}]],'
@@ -31,22 +31,27 @@ def run_cli(capsys, argv):
     return code, json.loads(out)
 
 
-def run_slice_stdin(capsys, S, H, argv):
-    """`slice -` on the cone (S, H), fed as a JSON spec on stdin."""
+def run_cli_stdin(capsys, text, argv):
+    """The CLI on argv with `text` on stdin."""
     import io, sys
 
+    old = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        return run_cli(capsys, argv)
+    finally:
+        sys.stdin = old
+
+
+def run_slice_stdin(capsys, S, H, argv):
+    """`slice -` on the cone (S, H), fed as a JSON spec on stdin."""
     n = S.shape[0]
     spec = {
         "n": n,
         "S": [[{"re": S[i, j].real, "im": S[i, j].imag} for j in range(n)] for i in range(n)],
         "H": [[{"re": H[i, j].real, "im": H[i, j].imag} for j in range(n)] for i in range(n)],
     }
-    old = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(spec))
-    try:
-        return run_cli(capsys, ["slice", "-", *argv])
-    finally:
-        sys.stdin = old
+    return run_cli_stdin(capsys, json.dumps(spec), ["slice", "-", *argv])
 
 
 # --- parsing ------------------------------------------------------------------
@@ -102,6 +107,71 @@ def test_parse_errors_have_paths():
         parse_spec('{"n":2,"poly":[{"vars":["x1"],"coeff":1}]}')
     with pytest.raises(NonReal):
         parse_spec('{"n":2,"poly":[{"vars":["x1","x1"],"coeff":{"re":1,"im":2}}]}')
+
+
+def test_parse_spec_cone_equals_the_checked_constructor():
+    # parse_spec builds its cone without the constructor's checks; the bits
+    # are those of the checked constructor on the symmetrized matrices,
+    # signed zeros included
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        S[0, 1] = S[1, 0] = complex(-0.0, -1.0)
+        H[0, 1], H[1, 0] = complex(-0.0, -2.0), complex(-0.0, 2.0)
+        H[0, 0] = complex(-0.0, -0.0)
+        text = json.dumps({
+            "n": n,
+            "S": [[{"re": z.real, "im": z.imag} for z in row] for row in S],
+            "H": [[{"re": z.real, "im": z.imag} for z in row] for row in H],
+        })
+        checked = QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
+        cone = parse_spec(text).cone
+        assert cone == checked
+        assert np.array_equal(np.signbit(cone.S.real), np.signbit(checked.S.real))
+        assert np.array_equal(np.signbit(cone.H.real), np.signbit(checked.H.real))
+        assert np.array_equal(np.signbit(cone.H.imag), np.signbit(checked.H.imag))
+
+
+@pytest.mark.parametrize(
+    "S, H, path",
+    [
+        ('[[{"re": NaN}, 0], [0, 1]]', "[[1, 0], [0, -1]]", r"S\[0\]\[0\]"),
+        ('[[1, {"im": Infinity}], [0, 1]]', "[[1, 0], [0, -1]]", r"S\[0\]\[1\]"),
+        ("[[1, 0], [0, 1]]", "[[1, 0], [-Infinity, -1]]", r"H\[0\]\[1\]"),
+        # finite entries whose symmetrization overflows
+        ("[[1, 1e308], [1e308, 1]]", "[[1, 0], [0, -1]]", r"S\[0\]\[1\]"),
+        ("[[1, 0], [0, 1]]", "[[1.7e308, 0], [0, -1]]", r"H\[0\]\[0\]"),
+    ],
+)
+def test_parse_rejects_non_finite_matrices(capsys, S, H, path):
+    text = f'{{"n": 2, "S": {S}, "H": {H}}}'
+    with pytest.raises(SchemaError, match=path):
+        parse_spec(text)
+    code, report = run_cli_stdin(capsys, text, ["decide", "-"])
+    assert code == EXIT_SCHEMA
+    assert report["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "terms, path",
+    [
+        ('[{"vars": ["x1", "x1"], "coeff": NaN}]', r"poly\[0\]\.coeff"),
+        ('[{"vars": ["x1", "y2"], "coeff": {"re": -Infinity}}]', r"poly\[0\]\.coeff"),
+        # finite coefficients whose decomposition overflows
+        ('[{"vars": ["x1", "x1"], "coeff": 1.7e308}, {"vars": ["y1", "y1"], "coeff": -1.7e308}]',
+         "poly"),
+        ('[{"vars": ["x1", "x1"], "coeff": 1.7e308}, {"vars": ["x1", "x1"], "coeff": 1.7e308},'
+         ' {"vars": ["x1", "x1"], "coeff": 1.7e308}]', "poly"),
+    ],
+)
+def test_parse_rejects_non_finite_polynomials(capsys, terms, path):
+    text = f'{{"n": 2, "poly": {terms}}}'
+    with pytest.raises(SchemaError, match=path):
+        parse_spec(text)
+    code, report = run_cli_stdin(capsys, text, ["classify", "-"])
+    assert code == EXIT_SCHEMA
+    assert report["error"]["kind"] == "schema"
 
 
 # --- commands and exit codes ----------------------------------------------------
@@ -278,6 +348,89 @@ def test_cmd_verify_tol_override_echoed(capsys):
     )
     assert code == EXIT_OK
     assert report["tolerances"]["overrides"] == {"support_rel": 1e-10}
+
+
+def assert_schema_exit(capsys, argv, option):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert captured.err == ""  # no argparse usage text
+    report = json.loads(captured.out)
+    assert report["error"]["kind"] == "schema"
+    assert report["error"]["message"].startswith(option + ":")
+    return report
+
+
+@pytest.mark.parametrize("value", ["-1", "0,0.1", "x", "", "1e-2,nan", "inf"])
+def test_bad_eps_exits_schema(capsys, value):
+    assert_schema_exit(capsys, ["verify", "--fixture", "example_m", "--eps", value], "--eps")
+
+
+@pytest.mark.parametrize("value", ["support_rel", "support_rel=x", "support_rel=1e-9,=2"])
+def test_bad_tol_overrides_exits_schema(capsys, value):
+    assert_schema_exit(
+        capsys, ["decide", "--fixture", "example_m", "--tol-overrides", value], "--tol-overrides"
+    )
+
+
+@pytest.mark.parametrize("value", ["a,b", "0.5,", "nan", "0.5,-inf"])
+def test_bad_grid_exits_schema(capsys, value):
+    assert_schema_exit(capsys, ["atlas", "--tag", "M20", "--grid", value], "--grid")
+
+
+def test_tol_overrides_rejects_unknown_keys(capsys):
+    # support_rel is the only tolerance verify enforces; any other key would
+    # be echoed under tolerances.overrides and then ignored
+    for cmd in ("decide", "verify"):
+        report = assert_schema_exit(
+            capsys,
+            [cmd, "--fixture", "example_m", "--tol-overrides", "eigenvalue_zero_rel=0.5"],
+            "--tol-overrides",
+        )
+        assert "eigenvalue_zero_rel" in report["error"]["message"]
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    import quadcone.cli as cli
+
+    sequence = [
+        ["verify", "--fixture", "m20", "--samples", "500", "--eps", "50"],
+        ["verify", "--fixture", "m20", "--samples", "500"],
+        ["atlas", "--tag", "M11_1", "--grid", "0.5,1.0,1.5"],
+        ["atlas", "--tag", "M11_1"],
+        ["slice", "--fixture", "slice_pi2_axis", "--samples", "600", "--budget", "8"],
+        ["slice", "--fixture", "slice_pi2_axis", "--samples", "600"],
+    ]
+
+    def report(argv):
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        out.pop("timings")
+        return code, out
+
+    fresh = {}
+    for argv in sequence:
+        cli._parser.cache_clear()  # a freshly built parser for this call alone
+        fresh[tuple(argv)] = report(argv)
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        for argv in sequence:
+            for _ in range(2):
+                assert report(argv) == fresh[tuple(argv)], argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) <= 1
+    assert fresh[tuple(sequence[0])][0] == cli.EXIT_VERIFICATION
+    assert fresh[tuple(sequence[3])][1]["atlas"]["grid"] == list(cli.DEFAULT_GRID)
 
 
 def test_cmd_jump_demo(capsys):

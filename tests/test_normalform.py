@@ -80,6 +80,40 @@ def test_render_matches_table():
     np.testing.assert_allclose(c.S, [[0, 0.5], [0.5, 0]])
 
 
+def test_render_cone_equals_the_checked_constructor():
+    # render_cone skips the constructor's checks; its cones are the same bits
+    table = {
+        "M20": (np.diag([2.5, 0.5]), np.eye(2)),
+        "M11_1": (np.diag([0.75, 0.25]), np.diag([1.0, -1.0])),
+        "M11_2": (np.diag([1 + 2j, 1 - 2j]), E_HERM),
+        "M11_3": (np.diag([1.0, 0.0]), E_HERM),
+        "M10_1": (np.diag([0.3, 1.0]), np.diag([1.0, 0.0])),
+        "M10_2": (np.array([[0.0, 0.5], [0.5, 0.0]]), np.diag([1.0, 0.0])),
+        "M00_1": (np.eye(2), np.zeros((2, 2))),
+    }
+    types = {"M20": dict(a=2.5, b=0.5), "M11_1": dict(a=0.75, b=0.25), "M11_2": dict(a=1 + 2j),
+             "M10_1": dict(a=0.3)}
+    for tag in TAGS:
+        cone = render_cone(NormalFormType(tag, **types.get(tag, {})))
+        assert cone.S.dtype == cone.H.dtype == complex
+        assert cone == QuadraticCone(*table[tag])
+
+
+def test_unit_sphere_samples_are_computed_once_and_read_only():
+    from quadcone.normalform import _unit_sphere_samples
+
+    Z = _unit_sphere_samples(2)
+    assert _unit_sphere_samples(2) is Z
+    assert not Z.flags.writeable
+    with pytest.raises(ValueError):
+        Z[0, 0] = 0.0
+    rng = np.random.default_rng(987654321)
+    W = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    assert np.array_equal(Z, np.vstack([W, np.eye(2), 1j * np.eye(2)]))
+    assert _unit_sphere_samples(3).shape == (70, 3)
+
+
 # --- apply_change ------------------------------------------------------------
 
 

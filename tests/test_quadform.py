@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quadcone.quadform import (
     SAMPLE_RESIDUAL_REL,
+    ConeError,
     InsufficientSamples,
     NotSymmetric,
     QuadraticCone,
@@ -83,6 +84,20 @@ def test_constructor_rejects_asymmetry():
         QuadraticCone(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(NotSymmetric):
         QuadraticCone(np.zeros((2, 2)), np.array([[1.0, 1j], [1j, 0.0]]))
+
+
+def test_constructor_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        S = np.eye(2, dtype=complex)
+        S[0, 1] = S[1, 0] = bad
+        with pytest.raises(ConeError, match="finite"):
+            QuadraticCone(S, np.eye(2))
+        with pytest.raises(ConeError, match="finite"):
+            QuadraticCone(np.eye(2), np.diag([1.0, bad]))
+    G = np.eye(4)
+    G[1, 2] = G[2, 1] = np.nan
+    with pytest.raises(ConeError, match="finite"):
+        decompose_real_form(G)
 
 
 def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
