@@ -45,7 +45,14 @@ from .decider import (
     verify_support,
 )
 from .fixtures import FIXTURES
-from .normalform import DegeneracyReport, NormalFormResult, NormalFormType, classify2, render_cone
+from .normalform import (
+    RESIDUAL_REL,
+    DegeneracyReport,
+    NormalFormResult,
+    NormalFormType,
+    classify2,
+    render_cone,
+)
 from .quadform import (
     ZERO_EIG_REL,
     ConeError,
@@ -273,7 +280,7 @@ def _base_report(command: str, args, spec: ConeSpec | None) -> dict:
         "tolerances": {
             "support_rel": SUPPORT_TOL_REL,
             "eigenvalue_zero_rel": ZERO_EIG_REL,
-            "classification_residual_rel": 1e-8,
+            "classification_residual_rel": RESIDUAL_REL,
         },
         "timings": {},
     }
@@ -606,10 +613,31 @@ def _parse_overrides(text: str) -> dict:
     return out
 
 
+def _count_parser(option: str):
+    """Parser of a count option: an integer >= 1."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise SchemaError(option, f"not an integer: {text!r}") from exc
+        if value < 1:
+            raise SchemaError(option, f"must be at least 1, got {value}")
+        return value
+
+    return parse
+
+
 # Options given as text, converted after parse_args: a SchemaError raised by a
 # type= callback would be turned into argparse's usage error (exit 2) instead
 # of the JSON schema error (exit 4).  Defaults are already converted.
-_OPTION_PARSERS = {"eps": _parse_eps, "grid": _parse_grid, "tol_overrides": _parse_overrides}
+_OPTION_PARSERS = {
+    "eps": _parse_eps,
+    "grid": _parse_grid,
+    "tol_overrides": _parse_overrides,
+    "samples": _count_parser("--samples"),
+    "budget": _count_parser("--budget"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -624,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", default=None, help="spec path or - for stdin")
             p.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in cone by name")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=10_000)
+        p.add_argument("--samples", default=10_000)
         p.add_argument("--tol-overrides", default=None)
 
     p = sub.add_parser("classify", help="normal form of a cone in C^2")
@@ -643,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slice", help="find a deciding 2-dimensional slice, n >= 3")
     common(p)
-    p.add_argument("--budget", type=int, default=256)
+    p.add_argument("--budget", default=256)
     p.set_defaults(func=cmd_slice)
 
     p = sub.add_parser("jump-demo", help="jump decomposition on the motivating cone")

@@ -16,7 +16,7 @@ import numpy as np
 from .normalform import DegeneracyReport, NormalFormResult, NormalFormType
 from .quadform import ConeError, QuadraticCone, evaluate, evaluate_many, sample_points
 
-SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * ||rho||
+SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
 EQUAL_PARAM_TOL = 1e-9
 A_ONE_BOUNDARY_TOL = 1e-9
 JUMP_IDENTITY_TOL = 1e-12
@@ -249,7 +249,7 @@ def verify_support(
 ) -> SupportReport:
     """Check A^+ within the closure of {rho >= 0} and A^- within {rho <= 0}.
 
-    Margins are normalized by |z|^2 * (||S|| + ||H||); the tolerance is the
+    Margins are normalized by |z|^2 * (||S||_F + ||H||_F); the tolerance is the
     tol_rel band around zero (default 1e-12), so witnesses lying inside the
     cone itself (the non-minimal case) pass both checks.
     """

@@ -43,6 +43,7 @@ RESIDUAL_REL = 1e-8
 PARAM_TOL = 1e-6
 CERT_TOL = 1e-8
 LOW_CONFIDENCE_FACTOR = 10.0
+CHANGE_HADAMARD_MIN = 1e-12  # |det T| / prod |t_j| at or below this: T is singular
 
 
 class SingularMatrix(ConeError):
@@ -145,13 +146,27 @@ def render_cone(ntype: NormalFormType) -> QuadraticCone:
     return QuadraticCone._symmetrized(S.astype(complex), H.astype(complex))
 
 
+def _hadamard_ratio(T: np.ndarray) -> float:
+    """|det T| / prod |t_j|, the |det| of T with unit columns.
+
+    In [0, 1] and 0 iff T is singular, whatever the scale of T or of single
+    columns.  Each column is divided by its largest entry before its norm is
+    taken, so no column norm overflows or underflows.
+    """
+    big = np.abs(T).max(axis=0)
+    if not big.all():
+        return 0.0
+    U = T / big
+    return abs(np.linalg.det(U / np.linalg.norm(U, axis=0)))
+
+
 def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> QuadraticCone:
     """Pull rho back through z -> T z and rescale: the congruence action.
 
     evaluate(result, z) == sign * lam * evaluate(cone, T @ z) identically.
     """
     T = np.asarray(T, dtype=complex)
-    if abs(np.linalg.det(T)) <= 1e-12 * max(mat_norm(T) ** 2, 1e-300):
+    if not _hadamard_ratio(T) > CHANGE_HADAMARD_MIN:
         raise SingularMatrix("change of variables is numerically singular")
     if lam <= 0:
         raise ConeError("lambda must be positive")
@@ -419,19 +434,25 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
 
 def _classify_sig10(chain: _Chain, margins) -> NormalFormResult | DegeneracyReport:
     S1 = chain.cone.S
-    ns = mat_norm(S1)
     A0, B0, C0 = S1[0, 0], S1[0, 1], S1[1, 1]
-    thr = 1e-9 * max(ns, 1e-300)
-    margins["m10_c"] = abs(C0) / thr
-    if abs(C0) > thr:
+    # normalize_hermitian scales the first column of T to 1/sqrt(w1) and
+    # leaves the kernel column at unit length.  The zero tests compare B and
+    # C in the frame whose columns have equal length (kernel column scaled by
+    # t): there the rounding of both is relative to one norm at every scale.
+    col0, col1 = np.linalg.norm(chain.T, axis=0)
+    t = float(col0 / col1)
+    Bt, Ct = B0 * t, C0 * (t * t)
+    thr = 1e-9 * max(mat_norm(np.array([[A0, Bt], [Bt, Ct]])), 1e-300)
+    margins["m10_c"] = abs(Ct) / thr
+    if abs(Ct) > thr:
         alpha = A0 - B0 * B0 / C0
         rC = np.sqrt(C0)
         theta1 = 0.5 * np.angle(alpha) if abs(alpha) > 0 else 0.0
         W = np.array([[np.exp(1j * theta1), 0.0], [B0 / rC, rC]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
         return _finish(chain, NormalFormType("M10_1", a=float(abs(alpha))), margins)
-    margins["m10_b"] = abs(B0) / thr
-    if abs(B0) > thr:
+    margins["m10_b"] = abs(Bt) / thr
+    if abs(Bt) > thr:
         W = np.array([[1.0, 0.0], [A0, 2.0 * B0]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
         return _finish(chain, NormalFormType("M10_2"), margins)
@@ -453,7 +474,7 @@ def _classify_sig10(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
 def _classify_sig00(chain: _Chain, margins) -> NormalFormResult | DegeneracyReport:
     tak = takagi2(chain.cone.S)
     d1, d2 = tak.d
-    if d1 <= 1e-14:
+    if d1 <= 0.0:  # rho = 0 is caught by classify2's precheck; a guard, scale-free
         return DegeneracyReport("DimensionDeficient", "rho is identically zero")
     margins["m00_rank"] = d2 / (1e-9 * d1)
     if d2 <= 1e-9 * d1:

@@ -8,6 +8,7 @@ in the package works on this representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,17 @@ class InsufficientSamples(ConeError):
 
 
 def mat_norm(m) -> float:
-    """Spectral norm, guarded for the zero matrix."""
-    m = np.asarray(m)
-    if m.size == 0 or not np.any(m):
+    """Frobenius norm, guarded for the zero matrix.
+
+    The entries are divided by the largest |entry| before squaring, so
+    entries anywhere in 1e-300..1e300 neither overflow nor underflow.
+    """
+    a = np.abs(np.asarray(m))
+    big = float(a.max(initial=0.0))
+    if not big:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    a = a / big
+    return big * math.sqrt(np.vdot(a, a))
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,7 @@ class QuadraticCone:
     and a non-finite entry raises ConeError.
     """
 
-    __slots__ = ("n", "S", "H", "_scale")
+    __slots__ = ("n", "S", "H", "_scale", "_hsig", "_rsig")
 
     def __init__(self, S, H):
         S = np.array(S, dtype=complex)
@@ -126,6 +133,9 @@ class QuadraticCone:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "_scale", None)
+        # default-tolerance signatures, kept by hermitian_signature / real_signature
+        object.__setattr__(self, "_hsig", None)
+        object.__setattr__(self, "_rsig", None)
 
     def __setattr__(self, *a):  # immutability, safe to share across threads
         raise AttributeError("QuadraticCone is immutable")
@@ -140,7 +150,7 @@ class QuadraticCone:
 
     @property
     def scale(self) -> float:
-        """Coefficient magnitude ||S|| + ||H|| (spectral), the natural error scale.
+        """Coefficient magnitude ||S||_F + ||H||_F (Frobenius), the natural error scale.
 
         Computed on first use and kept; concurrent first uses store the same value.
         """
@@ -149,7 +159,14 @@ class QuadraticCone:
         return self._scale
 
     def negated(self) -> "QuadraticCone":
-        return QuadraticCone._symmetrized(-self.S, -self.H)
+        """The cone of -rho; it inherits the scale and the swapped signatures."""
+        neg = QuadraticCone._symmetrized(-self.S, -self.H)
+        object.__setattr__(neg, "_scale", self._scale)
+        if self._hsig is not None:
+            object.__setattr__(neg, "_hsig", HermitianSignature(self._hsig.nu, self._hsig.pi))
+        if self._rsig is not None:
+            object.__setattr__(neg, "_rsig", RealSignature(self._rsig.q, self._rsig.p))
+        return neg
 
 
 def evaluate(cone: QuadraticCone, z) -> float:
@@ -240,21 +257,39 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
     return decompose_real_form(G)
 
 
-def hermitian_signature(cone: QuadraticCone, tol: float | None = None) -> HermitianSignature:
-    """Eigenvalue counts of H above/below +-tol (default 1e-9 * ||H||)."""
-    w = np.linalg.eigvalsh(cone.H)
-    if tol is None:  # the spectral norm of a hermitian matrix is max |eigenvalue|
+def _inertia(w: np.ndarray, tol: float | None) -> tuple[int, int]:
+    """Counts of the eigenvalues w above +tol and below -tol.
+
+    The default tol is ZERO_EIG_REL * max |w|, relative to the matrix's
+    spectral norm (which its eigenvalues give for free), not to the
+    Frobenius mat_norm used for every other tolerance scale.
+    """
+    if tol is None:
         tol = ZERO_EIG_REL * max(np.abs(w).max(), 1e-300)
-    return HermitianSignature(int(np.sum(w > tol)), int(np.sum(w < -tol)))
+    return int(np.sum(w > tol)), int(np.sum(w < -tol))
+
+
+def hermitian_signature(cone: QuadraticCone, tol: float | None = None) -> HermitianSignature:
+    """Eigenvalue counts of H above/below +-tol (default 1e-9 * max |eigenvalue|).
+
+    The default-tolerance result is computed once per cone and kept.
+    """
+    if tol is None and cone._hsig is not None:
+        return cone._hsig
+    sig = HermitianSignature(*_inertia(np.linalg.eigvalsh(cone.H), tol))
+    if tol is None:
+        object.__setattr__(cone, "_hsig", sig)
+    return sig
 
 
 def real_signature(cone: QuadraticCone, tol: float | None = None) -> RealSignature:
-    """Inertia of the real form of rho on R^(2n)."""
-    G = real_form_matrix(cone)
-    w = np.linalg.eigvalsh(G)
-    if tol is None:  # the spectral norm of a symmetric matrix is max |eigenvalue|
-        tol = ZERO_EIG_REL * max(np.abs(w).max(), 1e-300)
-    return RealSignature(int(np.sum(w > tol)), int(np.sum(w < -tol)))
+    """Inertia of the real form of rho on R^(2n), the default kept as for hermitian_signature."""
+    if tol is None and cone._rsig is not None:
+        return cone._rsig
+    sig = RealSignature(*_inertia(np.linalg.eigvalsh(real_form_matrix(cone)), tol))
+    if tol is None:
+        object.__setattr__(cone, "_rsig", sig)
+    return sig
 
 
 def canonical_sign(cone: QuadraticCone) -> tuple[QuadraticCone, int]:

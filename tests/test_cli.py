@@ -378,6 +378,33 @@ def test_bad_grid_exits_schema(capsys, value):
     assert_schema_exit(capsys, ["atlas", "--tag", "M20", "--grid", value], "--grid")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--fixture", "example_m"],
+        ["decide", "--fixture", "example_m"],
+        ["slice", "--fixture", "ts2"],
+        ["jump-demo"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("value", ["0", "-5", "x", "1.5", ""])
+def test_bad_samples_exits_schema(capsys, argv, value):
+    assert_schema_exit(capsys, [*argv, "--samples", value], "--samples")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x", "2.0"])
+def test_bad_budget_exits_schema(capsys, value):
+    assert_schema_exit(capsys, ["slice", "--fixture", "ts2", "--budget", value], "--budget")
+
+
+def test_count_options_accept_one(capsys):
+    code, report = run_cli(capsys, ["decide", "--fixture", "m20", "--samples", "1"])
+    assert code == EXIT_OK and report["samples"] == 1
+    code, report = run_cli(capsys, ["slice", "--fixture", "slice_pi2_axis", "--budget", "1"])
+    assert code == EXIT_OK
+
+
 def test_tol_overrides_rejects_unknown_keys(capsys):
     # support_rel is the only tolerance verify enforces; any other key would
     # be echoed under tolerances.overrides and then ignored

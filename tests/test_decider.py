@@ -245,6 +245,46 @@ def test_verify_support_wrong_angle_fails():
                        samples=500, seed=8)
 
 
+def test_classify_and_decide_compute_no_svd(monkeypatch):
+    # tolerance scales are Frobenius norms; an SVD here would be a spectral
+    # norm (np.linalg.norm(M, 2) calls the module-internal svd) or a stray
+    # explicit one
+    import numpy.linalg._linalg as linalg_impl
+
+    forms = [
+        NormalFormType("M20", a=2.0, b=0.5),
+        NormalFormType("M11_1", a=0.5, b=1.0 / 3.0),
+        NormalFormType("M11_2", a=1.0 + 1.0j),
+        NormalFormType("M11_3"),
+        NormalFormType("M10_1", a=0.7),
+        NormalFormType("M10_2"),
+        NormalFormType("M00_1"),
+    ]
+    rng = np.random.default_rng(101)
+    changes = [np.eye(2)] + [random_gl2(rng) for _ in range(3)]  # draws use cond(): SVDs
+
+    calls = []
+    svd = linalg_impl.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_impl, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    np.linalg.norm(np.eye(2), 2)
+    assert calls, "the spectral norm must be counted"
+    calls.clear()
+    for ntype in forms:
+        for T in changes:
+            for sign in (1, -1):
+                cone = apply_change(render_cone(ntype), T, lam=2.0, sign=sign)
+                res = classify2(cone)
+                assert isinstance(res, NormalFormResult) and res.tag == ntype.tag
+                decide2(res, cone)
+    assert calls == []
+
+
 def test_nonminimal_witnesses_inside_cone():
     for tag in ("M11_3", "M10_2", "M00_1"):
         cone = render_cone(NormalFormType(tag))

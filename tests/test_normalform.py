@@ -151,6 +151,36 @@ def test_apply_change_rejects_singular():
         apply_change(example_m(), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("c", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_apply_change_accepts_scaled_identity(n, c):
+    # the singularity test is dimensionless: c * I is as regular as I at every n
+    cone = QuadraticCone(np.eye(n), np.eye(n))
+    out = apply_change(cone, c * np.eye(n))
+    np.testing.assert_allclose(out.H, c * c * np.eye(n), rtol=1e-15)
+
+
+def test_apply_change_accepts_unbalanced_columns():
+    out = apply_change(example_m(), np.diag([1e-10, 1e10]))
+    np.testing.assert_allclose(np.diag(out.H).real, [1e-20, -1e20], rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        [[1.0, 2.0], [3.0, 6.0]],
+        [[1e-8, 1e8], [2e-8, 2e8]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[1.0, 1.0j, 0.0], [2.0, 2.0j, 0.0], [0.0, 0.0, 1.0]],
+    ],
+)
+def test_apply_change_rejects_parallel_or_zero_columns(T):
+    T = np.array(T, dtype=complex)
+    n = T.shape[0]
+    with pytest.raises(SingularMatrix):
+        apply_change(QuadraticCone(np.eye(n), np.eye(n)), T)
+
+
 # --- normalize_hermitian ------------------------------------------------------
 
 
@@ -265,6 +295,38 @@ def test_unclassified_boundary_stratum():
     for t in (0.3, 0.8 + 0.1j):
         z = np.array([t, -t])
         assert abs(evaluate(cone, z)) <= 1e-12 * abs(t) ** 2 * cone.scale
+
+
+# --- scale invariance ----------------------------------------------------------
+
+# fixed GL(2,C) changes, condition numbers about 2.4 and 6.2
+FIXED_GL2 = (
+    np.array([[1.3 + 0.2j, -0.4 + 0.7j], [0.5 - 0.1j, 0.9 + 0.3j]]),
+    np.array([[0.2 - 1.1j, 0.8 + 0.0j], [1.0 + 0.4j, -0.6 + 0.5j]]),
+)
+
+
+@pytest.mark.parametrize("k", [-150, -100, -20, 0, 20, 100, 150])
+def test_m00_1_classifies_at_every_scale(k):
+    # the sig (0,0) branch has no absolute threshold: rho = 0 is caught by
+    # classify2's real-signature precheck at any scale
+    for T in FIXED_GL2:
+        res = classify2(apply_change(render_cone(NormalFormType("M00_1")), T, lam=10.0**k))
+        assert isinstance(res, NormalFormResult) and res.tag == "M00_1", (k, res)
+
+
+@pytest.mark.parametrize("ntype", [NormalFormType("M10_1", a=0.7), NormalFormType("M10_2")])
+@pytest.mark.parametrize("k", [-20, -16, -13, 0, 13, 16, 19, 20])
+def test_m10_classifies_across_the_census_scales(ntype, k):
+    # normalize_hermitian leaves the kernel column at unit length; the B = 0
+    # and C = 0 tests must not read the resulting column imbalance as a
+    # nonzero C (M10_2 reported as M10_1) or as B = C = 0 (a degeneracy)
+    for T in FIXED_GL2:
+        for sign in (1, -1):
+            cone = apply_change(render_cone(ntype), T, lam=10.0**k, sign=sign)
+            res = classify2(cone)
+            assert isinstance(res, NormalFormResult) and res.tag == ntype.tag, (k, sign, res)
+            assert res.ntype.params() == pytest.approx(ntype.params(), rel=1e-6)
 
 
 # --- idempotence and round trips ----------------------------------------------

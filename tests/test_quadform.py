@@ -230,6 +230,66 @@ def test_signature_congruence_invariance():
         assert real_signature(moved).as_tuple() == real_signature(cone).as_tuple()
 
 
+def test_default_signatures_are_cached_and_equal_a_fresh_computation():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 5):
+        for _ in range(10):
+            cone = random_cone(rng, n=n, scale=float(10.0 ** rng.uniform(-8, 8)))
+            neg = cone.negated()
+            for c in (cone, neg):
+                fresh = QuadraticCone._symmetrized(c.S.copy(), c.H.copy())
+                assert hermitian_signature(c) == hermitian_signature(fresh)
+                assert real_signature(c) == real_signature(fresh)
+                assert hermitian_signature(c) is hermitian_signature(c)  # kept on the cone
+                assert real_signature(c) is real_signature(c)
+            assert hermitian_signature(neg).as_tuple() == hermitian_signature(cone).as_tuple()[::-1]
+            assert real_signature(neg).as_tuple() == real_signature(cone).as_tuple()[::-1]
+
+
+def test_negated_inherits_the_swapped_signatures_and_the_scale():
+    cone = QuadraticCone(np.diag([0.1, 0.2]).astype(complex), np.diag([3.0, 2.0]))
+    assert hermitian_signature(cone).as_tuple() == (2, 0)
+    assert real_signature(cone).as_tuple() == (4, 0)
+    scale = cone.scale
+    neg = cone.negated()
+    # handed over, not recomputed: a negated cone computes no eigenvalues
+    assert neg._hsig.as_tuple() == (0, 2) and neg._rsig.as_tuple() == (0, 4)
+    assert neg._scale == scale
+    assert neg.negated()._hsig == cone._hsig
+
+
+def test_explicit_signature_tol_bypasses_the_cache():
+    cone = QuadraticCone(np.zeros((2, 2)), np.diag([1.0, 1e-6]))
+    assert hermitian_signature(cone).as_tuple() == (2, 0)
+    assert hermitian_signature(cone, tol=1e-3).as_tuple() == (1, 0)
+    assert real_signature(cone, tol=1e-3).as_tuple() == (2, 0)
+    # the explicit tolerance left the default-tolerance results alone
+    assert hermitian_signature(cone).as_tuple() == (2, 0)
+    assert real_signature(cone).as_tuple() == (4, 0)
+
+
+# --- norms -------------------------------------------------------------------
+
+
+def test_mat_norm_is_frobenius():
+    rng = np.random.default_rng(4)
+    for shape in ((2, 2), (3, 3), (4, 2)):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert mat_norm(M) == pytest.approx(np.sqrt(np.sum(np.abs(M) ** 2)), rel=1e-14)
+    assert mat_norm(np.zeros((3, 3))) == 0.0
+    assert mat_norm(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("k", [-300, -200, 0, 200, 300])
+def test_mat_norm_neither_overflows_nor_underflows(k):
+    M = 10.0**k * np.array([[1.0 + 2.0j, 3.0], [3.0, -4.0 + 1.0j]])
+    got = mat_norm(M)
+    assert np.isfinite(got) and got > 0.0
+    assert got == pytest.approx(10.0**k * np.sqrt(40.0), rel=1e-14)
+    cone = QuadraticCone(M + M.T, 10.0**k * np.eye(2))
+    assert np.isfinite(cone.scale) and cone.scale > 0.0
+
+
 # --- canonical sign ----------------------------------------------------------
 
 
