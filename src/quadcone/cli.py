@@ -414,10 +414,7 @@ def cmd_verify(args) -> int:
                         )
         else:
             support_tol = (args.tol_overrides or {}).get("support_rel", SUPPORT_TOL_REL)
-            rep = verify_support(
-                spec.cone, verdict.witness, samples=args.samples, seed=args.seed,
-                tol_rel=support_tol,
-            )
+            rep = verify_support(spec.cone, verdict.witness, tol_rel=support_tol)
             report["verification"] = {
                 "plus_min": rep.plus_min,
                 "minus_max": rep.minus_max,

@@ -5,6 +5,11 @@ extendability, witnessed by a family of analytic discs D_eps that stay in
 one side and touch the cone only at 0 in the limit, or two-sided support,
 witnessed by a pair of complex lines inside the closures of the two sides
 (possibly both inside the cone itself when it is non-minimal).
+
+The disc families are checked on seeded samples.  The supporting lines are
+checked exactly: on a line z = t v, rho = Re(t^2 v^T S v) + |t|^2 v^H H v,
+so rho / |z|^2 ranges over v^H H v -/+ |v^T S v| (for |v| = 1), and its two
+extremal points are evaluated directly.
 """
 
 from __future__ import annotations
@@ -240,42 +245,48 @@ def _germ_points(germ: LinearGerm, count: int, rng) -> np.ndarray:
     return np.outer(t, germ.span)
 
 
+def _line_extremes(cone: QuadraticCone, spans: np.ndarray) -> np.ndarray:
+    """Rows t v at the maximum and then the minimum of rho / |z|^2, per row v of spans.
+
+    With a = v^T S v: t = e^(-i arg(a)/2) gives t^2 a = |a|, i t gives -|a|.
+    """
+    a = np.einsum("ij,jk,ik->i", spans, cone.S, spans)
+    t = np.exp(-0.5j * np.angle(a))
+    return np.stack([t[:, None] * spans, 1j * t[:, None] * spans], axis=1).reshape(-1, cone.n)
+
+
 def verify_support(
     cone: QuadraticCone,
     witness: SupportWitness,
-    samples: int = 10_000,
-    seed: int = 0,
     tol_rel: float = SUPPORT_TOL_REL,
 ) -> SupportReport:
     """Check A^+ within the closure of {rho >= 0} and A^- within {rho <= 0}.
 
-    Margins are normalized by |z|^2 * (||S||_F + ||H||_F); the tolerance is the
-    tol_rel band around zero (default 1e-12), so witnesses lying inside the
-    cone itself (the non-minimal case) pass both checks.
+    Exact: rho is evaluated at the maximum and the minimum point of each
+    line (module docstring), normalized by |z|^2 * (||S||_F + ||H||_F).  The
+    tolerance is the tol_rel band around zero (default 1e-12), so witnesses
+    inside the cone itself (the non-minimal case) pass, and a non-minimal
+    witness must keep |rho| within it.  A failure carries its worst point as `z`.
     """
-    rng = np.random.default_rng(seed)
     scale = max(cone.scale, 1e-300)
-    Zp = _germ_points(witness.aplus, samples, rng)
-    Zm = _germ_points(witness.aminus, samples, rng)
-    vp = evaluate_many(cone, Zp) / (np.linalg.norm(Zp, axis=1) ** 2 * scale)
-    vm = evaluate_many(cone, Zm) / (np.linalg.norm(Zm, axis=1) ** 2 * scale)
-    plus_min = float(np.min(vp))
-    minus_max = float(np.max(vm))
+    Z = _line_extremes(cone, np.array([witness.aplus.span, witness.aminus.span]))
+    vals = evaluate_many(cone, Z) / (np.linalg.norm(Z, axis=1) ** 2 * scale)
+    _, plus_min, minus_max, _ = vals
     if plus_min < -tol_rel:
-        j = int(np.argmin(vp))
         raise VerificationFailed(
-            f"A+ witness {witness.aplus.label} dips below the cone (rho={vp[j]:.3e})", z=Zp[j]
+            f"A+ witness {witness.aplus.label} dips below the cone (rho={plus_min:.3e})", z=Z[1]
         )
     if minus_max > tol_rel:
-        j = int(np.argmax(vm))
         raise VerificationFailed(
-            f"A- witness {witness.aminus.label} rises above the cone (rho={vm[j]:.3e})", z=Zm[j]
+            f"A- witness {witness.aminus.label} rises above the cone (rho={minus_max:.3e})", z=Z[2]
         )
     if witness.kind == "nonminimal":
-        worst = max(float(np.max(np.abs(vp))), float(np.max(np.abs(vm))))
-        if worst > tol_rel:
-            raise VerificationFailed(f"non-minimal witness leaves the cone (|rho| = {worst:.3e})")
-    return SupportReport(plus_min=plus_min, minus_max=minus_max, points_checked=2 * samples)
+        j = int(np.argmax(np.abs(vals)))
+        if abs(vals[j]) > tol_rel:
+            raise VerificationFailed(
+                f"non-minimal witness leaves the cone (|rho| = {abs(vals[j]):.3e})", z=Z[j]
+            )
+    return SupportReport(float(plus_min), float(minus_max), points_checked=len(Z))
 
 
 def _germ(coeffs, label: str) -> LinearGerm:
@@ -341,35 +352,40 @@ def _pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness
 def decide2(
     r: NormalFormResult | DegeneracyReport,
     cone: QuadraticCone | None = None,
-    check_samples: int = 512,
 ) -> Verdict:
     """Top-level verdict for a classified cone in C^2.
 
     One-sided types get their disc family, two-sided types their pair of
     supporting lines; both are expressed in the coordinates of the cone the
     classification came from (through r.T, with r.sign folding the side).
-    Witnesses are spot-verified at construction when `cone` is provided.
+    A classification whose residual exceeds its bound (RESIDUAL_REL times
+    the scale of the rendered normal form) raises VerificationFailed.  When
+    `cone` is provided, supporting lines are verified exactly at
+    construction (verify_support).
     """
     if isinstance(r, DegeneracyReport):
         return Verdict(outcome="degenerate", degeneracy=r)
-    tag = r.tag
-    note = ""
-    if tag in ("M20", "M10_1"):
+    if r.residual > r.residual_bound:
+        raise VerificationFailed(
+            f"{r.tag} classification residual {r.residual:.3e} exceeds {r.residual_bound:.3e}"
+        )
+    try:
         fam = build_disc_family(r.ntype)
+    except NotOneSided:
+        pass
+    else:
         fam = replace(fam, transform=r.T, side=fam.side * r.sign)
         return Verdict(outcome="one_sided", side=fam.side, discs=fam)
-    if tag == "M11_1":
-        A, B = r.ntype.params()
-        equal = abs(A - B) <= EQUAL_PARAM_TOL * max(1.0, A)
-        if not equal and A > 1.0 + A_ONE_BOUNDARY_TOL:
-            fam = build_disc_family(r.ntype)
-            fam = replace(fam, transform=r.T, side=fam.side * r.sign)
-            return Verdict(outcome="one_sided", side=fam.side, discs=fam)
-        if not equal and abs(A - 1.0) <= A_ONE_BOUNDARY_TOL:
+    witness = _normal_frame_witness(r.ntype)
+    note = ""
+    # M11_1 gets here with A <= 1 + A_ONE_BOUNDARY_TOL, or with A = B (the non-minimal witness)
+    if r.tag == "M11_1" and witness.kind == "proper":
+        A, _ = r.ntype.params()
+        if abs(A - 1.0) <= A_ONE_BOUNDARY_TOL:
             note = "A = 1 boundary: two-sided clause applies (supporting lines verified)"
-    witness = _pull_back_witness(_normal_frame_witness(r.ntype), r)
+    witness = _pull_back_witness(witness, r)
     if cone is not None:
-        verify_support(cone, witness, samples=check_samples, seed=0)
+        verify_support(cone, witness)
     return Verdict(outcome="two_sided", witness=witness, note=note)
 
 

@@ -106,6 +106,9 @@ class NormalFormResult:
     residual: float
     low_confidence: bool = False
     boundary_margin: float = float("inf")
+    # RESIDUAL_REL * scale of the rendered normal form, set by classify2;
+    # decide2 rejects a larger residual.  A hand-built result has no bound.
+    residual_bound: float = float("inf")
 
     @property
     def tag(self) -> str:
@@ -249,6 +252,20 @@ def _unit_sphere_samples(n: int, count: int = 64) -> np.ndarray:
     return Z
 
 
+def _zero_test(margins: dict[str, float], key: str, value, thr: float) -> bool:
+    """Whether |value| <= thr, recording the margin on the side taken.
+
+    |value| / thr when nonzero, thr / |value| (inf at an exact 0) when zero.
+    """
+    value = abs(value)
+    zero = value <= thr
+    if zero:
+        margins[key] = thr / value if value > 0 else float("inf")
+    else:
+        margins[key] = value / thr
+    return zero
+
+
 def _finish(chain: _Chain, ntype: NormalFormType, margins: dict[str, float]) -> NormalFormResult:
     target = render_cone(ntype)
     Z = _unit_sphere_samples(2)
@@ -262,6 +279,7 @@ def _finish(chain: _Chain, ntype: NormalFormType, margins: dict[str, float]) -> 
         residual=residual,
         low_confidence=bool(margin < LOW_CONFIDENCE_FACTOR),
         boundary_margin=margin,
+        residual_bound=RESIDUAL_REL * target.scale,
     )
 
 
@@ -372,20 +390,14 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
         return _finish(chain, NormalFormType("M11_1", a=0.0, b=0.0), margins)
 
     detS = complex(np.linalg.det(S1))
-    margins["m11_det_s"] = abs(detS) / (DETS_ZERO_REL * ns**2)
-    if abs(detS) > DETS_ZERO_REL * ns**2:
+    if not _zero_test(margins, "m11_det_s", detS, DETS_ZERO_REL * ns**2):
         theta = -0.25 * np.angle(detS)
         chain.push_T(np.exp(1j * theta) * np.eye(2))  # det S becomes |det S| > 0
         P = chain.cone.S.real
         dp = float(np.linalg.det(P))
-        thr = DETP_ZERO_REL * ns**2
-        margins["m11_det_p"] = abs(dp) / thr
-        if dp > thr:
-            return _case_m11_2(chain, margins)
-        if dp < -thr:
-            return _case_m11_1(chain, margins)
-        margins["m11_p_zero"] = mat_norm(P) / (P_ZERO_REL * ns)
-        if mat_norm(P) <= P_ZERO_REL * ns:
+        if not _zero_test(margins, "m11_det_p", dp, DETP_ZERO_REL * ns**2):
+            return _case_m11_2(chain, margins) if dp > 0 else _case_m11_1(chain, margins)
+        if _zero_test(margins, "m11_p_zero", mat_norm(P), P_ZERO_REL * ns):
             return _case_m11_1_equal(chain, margins)
         # det S > 0 with det P = 0 but P != 0: rank-one P.  No table row has
         # these invariants (det P and rank P are frame-invariants here), and
@@ -410,8 +422,7 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
     u, v = w.real, w.imag
     d = u[0] * v[1] - u[1] * v[0]
     wn2 = float(np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
-    margins["m11_rank1_area"] = abs(d) / (1e-10 * wn2)
-    if abs(d) > 1e-10 * wn2:
+    if not _zero_test(margins, "m11_rank1_area", d, 1e-10 * wn2):
         # det P = -d^2 < 0 and det Q = det P - Re(det S) <= 0: the generic
         # indefinite-P machinery applies and lands on M11_1 with one
         # vanishing coefficient; snap it and re-measure the residual
@@ -428,6 +439,7 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
             residual=residual,
             low_confidence=res.low_confidence,
             boundary_margin=res.boundary_margin,
+            residual_bound=RESIDUAL_REL * target.scale,
         )
     return _case_m11_3(chain, margins, w)
 
@@ -443,16 +455,14 @@ def _classify_sig10(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
     t = float(col0 / col1)
     Bt, Ct = B0 * t, C0 * (t * t)
     thr = 1e-9 * max(mat_norm(np.array([[A0, Bt], [Bt, Ct]])), 1e-300)
-    margins["m10_c"] = abs(Ct) / thr
-    if abs(Ct) > thr:
+    if not _zero_test(margins, "m10_c", Ct, thr):
         alpha = A0 - B0 * B0 / C0
         rC = np.sqrt(C0)
         theta1 = 0.5 * np.angle(alpha) if abs(alpha) > 0 else 0.0
         W = np.array([[np.exp(1j * theta1), 0.0], [B0 / rC, rC]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
         return _finish(chain, NormalFormType("M10_1", a=float(abs(alpha))), margins)
-    margins["m10_b"] = abs(Bt) / thr
-    if abs(Bt) > thr:
+    if not _zero_test(margins, "m10_b", Bt, thr):
         W = np.array([[1.0, 0.0], [A0, 2.0 * B0]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
         return _finish(chain, NormalFormType("M10_2"), margins)
@@ -476,8 +486,7 @@ def _classify_sig00(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
     d1, d2 = tak.d
     if d1 <= 0.0:  # rho = 0 is caught by classify2's precheck; a guard, scale-free
         return DegeneracyReport("DimensionDeficient", "rho is identically zero")
-    margins["m00_rank"] = d2 / (1e-9 * d1)
-    if d2 <= 1e-9 * d1:
+    if _zero_test(margins, "m00_rank", d2, 1e-9 * d1):
         return DegeneracyReport(
             "Reducible", "harmonic part has rank one: Re(c z^2) factors into real linear forms"
         )

@@ -442,7 +442,10 @@ def _try_slice(
         verdict = Verdict(outcome="one_sided", side=side, discs=fam,
                           note="definite slice: discs avoid the cone entirely")
     else:
-        verdict = decide2(cls)
+        try:
+            verdict = decide2(cls)
+        except VerificationFailed:  # the classification residual is out of bounds
+            return None
         if verdict.outcome != "one_sided":
             return None
         fam = verdict.discs

@@ -70,7 +70,7 @@ def test_criterion_1_motivating_fixture():
     assert verdict.outcome == "two_sided"
     labels = {verdict.witness.aplus.label, verdict.witness.aminus.label}
     assert labels == {"{z2 = 0}", "{z1 = 0}"}
-    rep = verify_support(cone, verdict.witness, samples=10_000, seed=0)
+    rep = verify_support(cone, verdict.witness)
     assert rep.plus_min >= 0 and rep.minus_max <= 0
     _report(1, "example cone classifies to M11_1(0.5, 1/3) and is two-sided",
             time.perf_counter() - t0, 1.0)
@@ -223,14 +223,14 @@ def test_criterion_5_two_sided_witnesses():
         cone = render_cone(ntype)
         verdict = decide2(classify2(cone), cone)
         assert verdict.outcome == "two_sided", ntype
-        rep = verify_support(cone, verdict.witness, samples=10_000, seed=5)
+        rep = verify_support(cone, verdict.witness)
         assert rep.plus_min >= -1e-12 and rep.minus_max <= 1e-12
         swapped = SupportWitness(
             aplus=verdict.witness.aminus, aminus=verdict.witness.aplus, kind="proper"
         )
         if verdict.witness.kind == "proper":
             with pytest.raises(VerificationFailed):
-                verify_support(cone, swapped, samples=2000, seed=5)
+                verify_support(cone, swapped)
         else:
             # corrupt a non-minimal witness by tilting the line off the cone
             from quadcone.decider import LinearGerm
@@ -239,10 +239,7 @@ def test_criterion_5_two_sided_witnesses():
             bad_span /= np.linalg.norm(bad_span)
             bad = LinearGerm(coeffs=verdict.witness.aplus.coeffs, span=bad_span, label="bad")
             with pytest.raises(VerificationFailed):
-                verify_support(
-                    cone, SupportWitness(aplus=bad, aminus=bad, kind="nonminimal"),
-                    samples=2000, seed=5,
-                )
+                verify_support(cone, SupportWitness(aplus=bad, aminus=bad, kind="nonminimal"))
     _report(5, "support/containment witnesses verified; corrupted ones rejected",
             time.perf_counter() - t0, 10.0)
 

@@ -538,3 +538,56 @@ def test_fixture_files_match_builtins(tmp_path, capsys):
         cone = FIXTURES[name]()
         np.testing.assert_allclose(spec.cone.S, cone.S, atol=1e-15)
         np.testing.assert_allclose(spec.cone.H, cone.H, atol=1e-15)
+
+
+# --- exact supporting lines, residual gate, margins ---------------------------
+
+
+def test_cmd_verify_two_sided_reports_the_exact_line_extremes(capsys):
+    code, report = run_cli(capsys, ["verify", "--fixture", "example_m"])
+    assert code == EXIT_OK
+    ver = report["verification"]
+    assert ver["points_checked"] == 4
+    # example_m: S = diag(1/2, 1/3), H = diag(1, -1), witness lines on the axes;
+    # rho / |z|^2 is 1 -/+ 1/2 on {z2 = 0} and -1 -/+ 1/3 on {z1 = 0}
+    scale = np.sqrt(0.25 + 1.0 / 9.0) + np.sqrt(2.0)
+    assert ver["plus_min"] == pytest.approx((1.0 - 0.5) / scale, rel=1e-14)
+    assert ver["minus_max"] == pytest.approx((-1.0 + 1.0 / 3.0) / scale, rel=1e-14)
+
+
+@pytest.mark.parametrize("samples, rows", [(300, 300), (1000, 512)])
+def test_cmd_verify_two_sided_csv_rows_per_line(tmp_path, capsys, samples, rows):
+    csv_path = tmp_path / "pts.csv"
+    code, report = run_cli(
+        capsys,
+        ["verify", "--fixture", "m11_2", "--samples", str(samples), "--csv", str(csv_path)],
+    )
+    assert code == EXIT_OK
+    assert report["verification"]["points_checked"] == 4
+    lines = csv_path.read_text().strip().splitlines()
+    assert len(lines) == 1 + 2 * rows
+
+
+def test_cmd_decide_exits_verification_on_a_residual_beyond_its_bound(capsys, monkeypatch):
+    from dataclasses import replace
+
+    import quadcone.cli as cli
+    from quadcone.cli import EXIT_VERIFICATION
+
+    classify = cli.classify2
+
+    def off_bound(cone):
+        res = classify(cone)
+        return replace(res, residual=2.0 * res.residual_bound)
+
+    monkeypatch.setattr(cli, "classify2", off_bound)
+    code, report = run_cli(capsys, ["decide", "--fixture", "example_m"])
+    assert code == EXIT_VERIFICATION
+    assert report["error"]["kind"] == "verification"
+
+
+@pytest.mark.parametrize("fixture", ["m10_2", "m11_3"])
+def test_exact_table_forms_are_not_low_confidence(capsys, fixture):
+    code, report = run_cli(capsys, ["classify", "--fixture", fixture])
+    assert code == EXIT_OK
+    assert report["classification"]["low_confidence"] is False

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadcone.decider import (
     DiscFamily,
@@ -205,7 +207,7 @@ def test_verify_discs_empty_grid_rejected():
 def test_verify_support_example_m():
     cone = example_m_cone()
     v = decide2(classify2(cone), cone)
-    rep = verify_support(cone, v.witness, samples=4000, seed=5)
+    rep = verify_support(cone, v.witness)
     # rho(z1, 0) = Re(z1^2)/2 + |z1|^2 >= |z1|^2 / 2 on the plus side
     assert rep.plus_min >= 0
     assert rep.minus_max <= 0
@@ -215,7 +217,7 @@ def test_verify_support_m11_2_lines():
     for a in (1.0, 1 + 1j):
         cone = render_cone(NormalFormType("M11_2", a=a))
         v = decide2(classify2(cone), cone)
-        rep = verify_support(cone, v.witness, samples=4000, seed=6)
+        rep = verify_support(cone, v.witness)
         # strict opposite signs -|z1|^2 sin(lam_j) away from the origin
         assert rep.plus_min > 0
         assert rep.minus_max < 0
@@ -230,7 +232,7 @@ def test_verify_support_swapped_fails():
     v = decide2(classify2(cone), cone)
     swapped = SupportWitness(aplus=v.witness.aminus, aminus=v.witness.aplus, kind="proper")
     with pytest.raises(VerificationFailed):
-        verify_support(cone, swapped, samples=1000, seed=7)
+        verify_support(cone, swapped)
 
 
 def test_verify_support_wrong_angle_fails():
@@ -241,8 +243,7 @@ def test_verify_support_wrong_angle_fails():
     span = np.array([1.0, np.exp(1j * bad_lam)]) / np.sqrt(2)
     germ = LinearGerm(coeffs=np.array([np.exp(1j * bad_lam), -1.0]), span=span, label="bad")
     with pytest.raises(VerificationFailed):
-        verify_support(cone, SupportWitness(aplus=germ, aminus=germ, kind="proper"),
-                       samples=500, seed=8)
+        verify_support(cone, SupportWitness(aplus=germ, aminus=germ, kind="proper"))
 
 
 def test_classify_and_decide_compute_no_svd(monkeypatch):
@@ -290,7 +291,7 @@ def test_nonminimal_witnesses_inside_cone():
         cone = render_cone(NormalFormType(tag))
         v = decide2(classify2(cone), cone)
         assert v.witness.kind == "nonminimal"
-        rep = verify_support(cone, v.witness, samples=2000, seed=9)
+        rep = verify_support(cone, v.witness)
         assert abs(rep.plus_min) <= 1e-12 and abs(rep.minus_max) <= 1e-12
 
 
@@ -303,10 +304,10 @@ def test_witness_pull_back_margins():
     moved = apply_change(cone, T, 1.0, 1)
     res = classify2(moved)
     v = decide2(res, moved)
-    rep = verify_support(moved, v.witness, samples=3000, seed=10)
+    rep = verify_support(moved, v.witness)
     normal = render_cone(res.ntype)
     v_norm = decide2(synth_result(res.ntype), normal)
-    rep_norm = verify_support(normal, v_norm.witness, samples=3000, seed=10)
+    rep_norm = verify_support(normal, v_norm.witness)
     # both margins are sign-definite the same way; normalized magnitudes are
     # comparable up to the conditioning of T
     assert rep.plus_min >= -1e-12 and rep_norm.plus_min >= -1e-12
@@ -384,3 +385,129 @@ def test_jump_off_cone_points_rejected_by_sampler():
     cone = example_m_cone()
     for s in sample_cone(cone, seed=3, count=100):
         assert s.residual <= 1e-10 * np.linalg.norm(s.point) ** 2
+
+
+# --- exact supporting-line checks and the residual gate -------------------------
+
+TWO_SIDED_FORMS = [
+    NormalFormType("M11_1", a=0.5, b=1.0 / 3.0),
+    NormalFormType("M11_1", a=1.0, b=0.25),
+    NormalFormType("M11_1", a=0.7, b=0.7),
+    NormalFormType("M11_2", a=1.0),
+    NormalFormType("M11_2", a=1.0 + 1.0j),
+    NormalFormType("M11_2", a=0.5 + 2.0j),
+    NormalFormType("M11_3"),
+    NormalFormType("M10_2"),
+    NormalFormType("M00_1"),
+]
+ROUNDING = 1e-14  # rounding of a normalized value of rho, which lies in [-1, 1]
+
+
+def _normalized(cone, Z):
+    return evaluate_many(cone, Z) / (np.linalg.norm(Z, axis=1) ** 2 * cone.scale)
+
+
+def _closed_form(cone, v):
+    """(v^H H v - |v^T S v|, v^H H v + |v^T S v|) / (|v|^2 scale): the range on the line."""
+    a = abs(v @ cone.S @ v)
+    h = (v.conj() @ cone.H @ v).real
+    return np.array([h - a, h + a]) / (np.linalg.norm(v) ** 2 * cone.scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(TWO_SIDED_FORMS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-20.0, max_value=20.0),
+    st.sampled_from([1, -1]),
+)
+def test_support_margins_are_the_exact_extremes(ntype, seed, u, sign):
+    from quadcone.decider import _germ_points
+
+    rng = np.random.default_rng(seed)
+    cone = apply_change(render_cone(ntype), random_gl2(rng, max_cond=8.0), lam=10.0**u, sign=sign)
+    res = classify2(cone)
+    assert isinstance(res, NormalFormResult) and res.tag == ntype.tag
+    v = decide2(res, cone)
+    rep = verify_support(cone, v.witness)
+    assert rep.points_checked == 4
+    vp = _normalized(cone, _germ_points(v.witness.aplus, 10_000, rng))
+    vm = _normalized(cone, _germ_points(v.witness.aminus, 10_000, rng))
+    assert rep.plus_min <= vp.min() + ROUNDING
+    assert rep.minus_max >= vm.max() - ROUNDING
+    assert rep.plus_min == pytest.approx(_closed_form(cone, v.witness.aplus.span)[0], abs=ROUNDING)
+    assert rep.minus_max == pytest.approx(_closed_form(cone, v.witness.aminus.span)[1], abs=ROUNDING)
+
+
+def test_decide_and_verify_support_evaluate_at_most_four_points_per_witness(monkeypatch):
+    import quadcone.decider as decider
+
+    rng = np.random.default_rng(211)
+    changes = [np.eye(2)] + [random_gl2(rng) for _ in range(3)]
+    forms = TWO_SIDED_FORMS + [NormalFormType("M20", a=2.0, b=0.5), NormalFormType("M10_1", a=0.7)]
+    points = []
+    evaluate_rows = decider.evaluate_many
+
+    def counting_evaluate_many(cone, Z):
+        points.append(len(Z))
+        return evaluate_rows(cone, Z)
+
+    monkeypatch.setattr(decider, "evaluate_many", counting_evaluate_many)
+    for ntype in forms:
+        for T in changes:
+            for sign in (1, -1):
+                cone = apply_change(render_cone(ntype), T, lam=2.0, sign=sign)
+                res = classify2(cone)
+                points.clear()
+                v = decide2(res, cone)
+                witnesses = 1 if v.outcome == "two_sided" else 0
+                assert sum(points) <= 4 * witnesses, (ntype, points)
+                if witnesses:
+                    points.clear()
+                    verify_support(cone, v.witness)
+                    assert sum(points) <= 4, (ntype, points)
+
+
+def test_swapped_witness_fails_at_the_argmin():
+    from quadcone.decider import SupportWitness, _germ_points
+
+    cone = apply_change(example_m_cone(), random_gl2(np.random.default_rng(5)), lam=3.0, sign=1)
+    v = decide2(classify2(cone), cone)
+    swapped = SupportWitness(aplus=v.witness.aminus, aminus=v.witness.aplus, kind="proper")
+    with pytest.raises(VerificationFailed) as exc:
+        verify_support(cone, swapped)
+    z = exc.value.z
+    value = float(_normalized(cone, z[None, :])[0])
+    assert f"rho={value:.3e}" in str(exc.value)
+    assert value == pytest.approx(_closed_form(cone, swapped.aplus.span)[0], abs=ROUNDING)
+    sampled = _normalized(cone, _germ_points(swapped.aplus, 10_000, np.random.default_rng(6)))
+    assert value <= sampled.min() + ROUNDING
+
+
+def _nudged(res, cone):
+    """res with T moved by 1e-6, and the residual that T really has."""
+    from dataclasses import replace
+
+    from quadcone.normalform import _unit_sphere_samples
+
+    T = res.T @ np.diag([1.0 + 1e-6, 1.0])
+    Z = _unit_sphere_samples(2)
+    moved = evaluate_many(apply_change(cone, T, res.lam, res.sign), Z)
+    residual = float(np.max(np.abs(moved - evaluate_many(render_cone(res.ntype), Z))))
+    return replace(res, T=T, residual=residual)
+
+
+@pytest.mark.parametrize(
+    "ntype",
+    [NormalFormType("M20", a=2.0, b=0.5), NormalFormType("M11_1", a=0.5, b=1.0 / 3.0),
+     NormalFormType("M11_2", a=1.0 + 1.0j), NormalFormType("M00_1")],
+)
+def test_decide_rejects_a_residual_beyond_its_bound(ntype):
+    cone = apply_change(render_cone(ntype), random_gl2(np.random.default_rng(17)), lam=1e3, sign=-1)
+    res = classify2(cone)
+    assert res.residual <= res.residual_bound
+    decide2(res, cone)
+    bad = _nudged(res, cone)
+    assert bad.residual > bad.residual_bound
+    with pytest.raises(VerificationFailed, match="residual"):
+        decide2(bad, cone)

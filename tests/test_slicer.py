@@ -399,3 +399,28 @@ def test_slice_result_hermitian_frames():
     res = find_good_slice(cone, budget=64, seed=0, samples=800)
     got = hermitian_signature(res.restricted)
     assert got.as_tuple() == (1, 1)
+
+
+def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatch):
+    from dataclasses import replace
+
+    import quadcone.slicer as slicer
+    from quadcone.normalform import _unit_sphere_samples, render_cone
+
+    cone = fx.slice_pi2_axis()
+    slc = Slice(np.eye(3, 2, dtype=complex), "axis")
+    assert _try_slice(cone, slc, samples=800, eps_grid=(1e-2, 1e-1), seed=0) is not None
+    classify = slicer.classify2
+
+    def nudged(restricted):
+        # T moved by 1e-6, with the residual that T really has
+        res = classify(restricted)
+        T = res.T @ np.diag([1.0 + 1e-6, 1.0])
+        Z = _unit_sphere_samples(2)
+        moved = evaluate_many(apply_change(restricted, T, res.lam, res.sign), Z)
+        residual = float(np.max(np.abs(moved - evaluate_many(render_cone(res.ntype), Z))))
+        assert residual > res.residual_bound
+        return replace(res, T=T, residual=residual)
+
+    monkeypatch.setattr(slicer, "classify2", nudged)
+    assert _try_slice(cone, slc, samples=800, eps_grid=(1e-2, 1e-1), seed=0) is None
