@@ -22,6 +22,7 @@ entry, given or produced by symmetrization, is a schema error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -39,6 +40,7 @@ from .decider import (
     Verdict,
     VerificationFailed,
     _disc_points,
+    _germ_points,
     decide2,
     jump_demo,
     verify_discs,
@@ -51,6 +53,7 @@ from .normalform import (
     NormalFormResult,
     NormalFormType,
     classify2,
+    real_degeneracy,
     render_cone,
 )
 from .quadform import (
@@ -60,6 +63,7 @@ from .quadform import (
     NonReal,
     QuadraticCone,
     decompose_poly,
+    evaluate_many,
     hermitian_signature,
     real_signature,
 )
@@ -321,10 +325,9 @@ def _emit(report: dict, code: int) -> int:
 def _load_spec(args) -> ConeSpec:
     if args.fixture:
         cone = FIXTURES[args.fixture]()
-        spec = ConeSpec(
+        return ConeSpec(
             n=cone.n, cone=cone, source={"fixture": args.fixture}, s_adjustment=0.0, h_adjustment=0.0
         )
-        return spec
     if args.input == "-" or args.input is None:
         text = sys.stdin.read()
     else:
@@ -333,66 +336,64 @@ def _load_spec(args) -> ConeSpec:
     return parse_spec(text)
 
 
-def cmd_classify(args) -> int:
+def _done(report: dict, t0: float, code: int) -> int:
+    report["timings"]["total_s"] = time.perf_counter() - t0
+    return _emit(report, code)
+
+
+def _classified(command: str, args):
+    """The shared start of classify, decide and verify: (t0, spec, report, classification).
+
+    The classification is None, and the report carries the error, when the
+    cone is not in C^2.
+    """
     t0 = time.perf_counter()
     spec = _load_spec(args)
-    report = _base_report("classify", args, spec)
+    report = _base_report(command, args, spec)
     if spec.n != 2:
-        report["error"] = "classify handles n = 2; use the slice command for n >= 3"
-        return _emit(report, EXIT_SCHEMA)
+        report["error"] = f"{command} handles n = 2; use the slice command for n >= 3"
+        return t0, spec, report, None
     res = classify2(spec.cone)
     report["classification"] = _classification_json(res)
-    report["timings"]["total_s"] = time.perf_counter() - t0
-    if isinstance(res, DegeneracyReport):
-        return _emit(report, EXIT_DEGENERATE)
-    return _emit(report, EXIT_OK)
+    return t0, spec, report, res
+
+
+def cmd_classify(args) -> int:
+    t0, _, report, res = _classified("classify", args)
+    if res is None:
+        return _emit(report, EXIT_SCHEMA)
+    return _done(report, t0, EXIT_DEGENERATE if isinstance(res, DegeneracyReport) else EXIT_OK)
 
 
 def cmd_decide(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load_spec(args)
-    report = _base_report("decide", args, spec)
-    if spec.n != 2:
-        report["error"] = "decide handles n = 2; use the slice command for n >= 3"
+    t0, spec, report, res = _classified("decide", args)
+    if res is None:
         return _emit(report, EXIT_SCHEMA)
-    res = classify2(spec.cone)
-    report["classification"] = _classification_json(res)
-    verdict = decide2(res, spec.cone if isinstance(res, NormalFormResult) else None)
+    verdict = decide2(res, spec.cone)
     report["verdict"] = _verdict_json(verdict)
-    report["timings"]["total_s"] = time.perf_counter() - t0
-    if verdict.outcome == "degenerate":
-        return _emit(report, EXIT_DEGENERATE)
-    return _emit(report, EXIT_OK)
+    return _done(report, t0, EXIT_DEGENERATE if verdict.outcome == "degenerate" else EXIT_OK)
 
 
-def _write_csv(path: str, rows: list) -> None:
-    import csv
-
+def _write_csv(path: str, header: list, rows: list) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["eps", "re_z1", "im_z1", "re_z2", "im_z2", "rho"])
+        w.writerow(header)
         w.writerows(rows)
 
 
 def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load_spec(args)
-    report = _base_report("verify", args, spec)
-    if spec.n != 2:
-        report["error"] = "verify handles n = 2; use the slice command for n >= 3"
+    t0, spec, report, res = _classified("verify", args)
+    if res is None:
         return _emit(report, EXIT_SCHEMA)
-    res = classify2(spec.cone)
-    report["classification"] = _classification_json(res)
     if isinstance(res, DegeneracyReport):
-        return _emit(report, EXIT_DEGENERATE)
-    verdict = decide2(res, spec.cone)
+        return _done(report, t0, EXIT_DEGENERATE)
+    # the supporting lines are checked below, at the caller's support_rel
+    verdict = decide2(res)
     report["verdict"] = _verdict_json(verdict)
-    eps_grid = args.eps
-    csv_rows = []
     try:
         if verdict.outcome == "one_sided":
             rep = verify_discs(
-                spec.cone, verdict.discs, eps_grid=eps_grid, samples=args.samples, seed=args.seed
+                spec.cone, verdict.discs, eps_grid=args.eps, samples=args.samples, seed=args.seed
             )
             report["verification"] = {
                 "min_margin": rep.min_margin,
@@ -400,18 +401,6 @@ def cmd_verify(args) -> int:
                 "origin_value": rep.origin_value,
                 "points_checked": rep.points_checked,
             }
-            if args.csv:
-                rng = np.random.default_rng(args.seed)
-                from .quadform import evaluate_many
-
-                for eps in list(eps_grid) + [0.0]:
-                    W = _disc_points(verdict.discs, float(eps), min(args.samples, 512), rng)
-                    Z = verdict.discs.map_points(W)
-                    vals = evaluate_many(spec.cone, Z)
-                    for z, r in zip(Z, vals):
-                        csv_rows.append(
-                            [eps, z[0].real, z[0].imag, z[1].real, z[1].imag, float(r)]
-                        )
         else:
             support_tol = (args.tol_overrides or {}).get("support_rel", SUPPORT_TOL_REL)
             rep = verify_support(spec.cone, verdict.witness, tol_rel=support_tol)
@@ -420,27 +409,29 @@ def cmd_verify(args) -> int:
                 "minus_max": rep.minus_max,
                 "points_checked": rep.points_checked,
             }
-            if args.csv:
-                from .decider import _germ_points
-                from .quadform import evaluate_many
-
-                rng = np.random.default_rng(args.seed)
-                for germ in (verdict.witness.aplus, verdict.witness.aminus):
-                    Z = _germ_points(germ, min(args.samples, 512), rng)
-                    vals = evaluate_many(spec.cone, Z)
-                    for z, r in zip(Z, vals):
-                        csv_rows.append(
-                            [0.0, z[0].real, z[0].imag, z[1].real, z[1].imag, float(r)]
-                        )
     except VerificationFailed as exc:
         report["verification"] = {"failed": str(exc)}
-        report["timings"]["total_s"] = time.perf_counter() - t0
-        return _emit(report, EXIT_VERIFICATION)
+        return _done(report, t0, EXIT_VERIFICATION)
     if args.csv:
-        _write_csv(args.csv, csv_rows)
+        # (eps, points) batches: seeded disc points per eps and at the boundary
+        # eps = 0, or seeded points on each supporting line
+        rng = np.random.default_rng(args.seed)
+        count = min(args.samples, 512)
+        if verdict.outcome == "one_sided":
+            fam = verdict.discs
+            batches = [(eps, fam.map_points(_disc_points(fam, float(eps), count, rng)))
+                       for eps in (*args.eps, 0.0)]
+        else:
+            batches = [(0.0, _germ_points(germ, count, rng))
+                       for germ in (verdict.witness.aplus, verdict.witness.aminus)]
+        rows = [
+            [eps, z[0].real, z[0].imag, z[1].real, z[1].imag, float(r)]
+            for eps, Z in batches
+            for z, r in zip(Z, evaluate_many(spec.cone, Z))
+        ]
+        _write_csv(args.csv, ["eps", "re_z1", "im_z1", "re_z2", "im_z2", "rho"], rows)
         report["csv"] = args.csv
-    report["timings"]["total_s"] = time.perf_counter() - t0
-    return _emit(report, EXIT_OK)
+    return _done(report, t0, EXIT_OK)
 
 
 def cmd_slice(args) -> int:
@@ -450,19 +441,10 @@ def cmd_slice(args) -> int:
     if spec.n < 3:
         report["error"] = "slice handles n >= 3; use classify/decide for n = 2"
         return _emit(report, EXIT_SCHEMA)
-    rs = real_signature(spec.cone)
-    if min(rs.p, rs.q) == 0 or (rs.p, rs.q) == (1, 1):
-        reason = "PointCone" if max(rs.p, rs.q) == 2 * spec.n else (
-            "Reducible" if (rs.p, rs.q) == (1, 1) else "DimensionDeficient"
-        )
-        report["classification"] = {
-            "degenerate": {
-                "reason": reason,
-                "detail": f"real signature {(rs.p, rs.q)}: not a two-sided hypersurface",
-            }
-        }
-        report["timings"]["total_s"] = time.perf_counter() - t0
-        return _emit(report, EXIT_DEGENERATE)
+    degenerate = real_degeneracy(spec.cone)
+    if degenerate is not None:
+        report["classification"] = _classification_json(degenerate)
+        return _done(report, t0, EXIT_DEGENERATE)
     # a certified two-sided shape has no one-sided slice: skip the search
     form = classify_two_sided_nd(spec.cone)
     res = None if form.certified else find_good_slice(
@@ -480,8 +462,7 @@ def cmd_slice(args) -> int:
                 "touch_residual": res.disc_report.touch_residual,
             },
         }
-        report["timings"]["total_s"] = time.perf_counter() - t0
-        return _emit(report, EXIT_OK)
+        return _done(report, t0, EXIT_OK)
     report["slice"] = None
     report["two_sided_form"] = {
         "kind": form.kind,
@@ -491,10 +472,7 @@ def cmd_slice(args) -> int:
     }
     if form.inner is not None:
         report["two_sided_form"]["inner"] = _classification_json(form.inner)
-    report["timings"]["total_s"] = time.perf_counter() - t0
-    if form.kind == "unknown":
-        return _emit(report, EXIT_UNRESOLVED)
-    return _emit(report, EXIT_OK)
+    return _done(report, t0, EXIT_UNRESOLVED if form.kind == "unknown" else EXIT_OK)
 
 
 def cmd_jump_demo(args) -> int:
@@ -508,9 +486,8 @@ def cmd_jump_demo(args) -> int:
         "identity_tolerance": JUMP_IDENTITY_TOL,
         "ratio_bound": JUMP_RATIO_BOUND,
     }
-    report["timings"]["total_s"] = time.perf_counter() - t0
     ok = rep.identity_residual <= JUMP_IDENTITY_TOL and rep.continuity_ratio <= JUMP_RATIO_BOUND
-    return _emit(report, EXIT_OK if ok else EXIT_VERIFICATION)
+    return _done(report, t0, EXIT_OK if ok else EXIT_VERIFICATION)
 
 
 def _atlas_types(tag: str, grid: list) -> list:
@@ -551,44 +528,30 @@ def cmd_atlas(args) -> int:
             row["witness_kind"] = verdict.witness.kind
         rows.append(row)
     report["atlas"] = {"tag": args.tag, "grid": grid, "cells": rows}
-    report["timings"]["total_s"] = time.perf_counter() - t0
     if args.csv:
-        import csv
-
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tag", "params", "outcome", "side_or_kind"])
-            for row in rows:
-                w.writerow(
-                    [
-                        args.tag,
-                        json.dumps(row["params"], sort_keys=True),
-                        row["outcome"],
-                        row.get("side", row.get("witness_kind")),
-                    ]
-                )
+        cells = [
+            [args.tag, json.dumps(row["params"], sort_keys=True), row["outcome"],
+             row.get("side", row.get("witness_kind"))]
+            for row in rows
+        ]
+        _write_csv(args.csv, ["tag", "params", "outcome", "side_or_kind"], cells)
         report["csv"] = args.csv
-    return _emit(report, EXIT_OK)
+    return _done(report, t0, EXIT_OK)
 
 
-def _parse_eps(text: str):
-    try:
-        vals = tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise SchemaError("--eps", f"bad float list: {text!r}") from exc
-    if not vals or not all(0 < v < math.inf for v in vals):
-        raise SchemaError("--eps", "all entries must be positive and finite")
-    return vals
+def _float_list_parser(option: str, ok, requirement: str):
+    """Parser of a comma-separated float list option whose entries all pass ok."""
 
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(float(x) for x in text.split(","))
+        except ValueError as exc:
+            raise SchemaError(option, f"bad float list: {text!r}") from exc
+        if not all(map(ok, vals)):
+            raise SchemaError(option, f"all entries must be {requirement}")
+        return vals
 
-def _parse_grid(text: str):
-    try:
-        vals = tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise SchemaError("--grid", f"bad float list: {text!r}") from exc
-    if not all(map(math.isfinite, vals)):
-        raise SchemaError("--grid", "all entries must be finite")
-    return vals
+    return parse
 
 
 def _parse_overrides(text: str) -> dict:
@@ -629,8 +592,8 @@ def _count_parser(option: str):
 # type= callback would be turned into argparse's usage error (exit 2) instead
 # of the JSON schema error (exit 4).  Defaults are already converted.
 _OPTION_PARSERS = {
-    "eps": _parse_eps,
-    "grid": _parse_grid,
+    "eps": _float_list_parser("--eps", lambda v: 0 < v < math.inf, "positive and finite"),
+    "grid": _float_list_parser("--grid", math.isfinite, "finite"),
     "tol_overrides": _parse_overrides,
     "samples": _count_parser("--samples"),
     "budget": _count_parser("--budget"),

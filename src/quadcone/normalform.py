@@ -427,20 +427,7 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
         # indefinite-P machinery applies and lands on M11_1 with one
         # vanishing coefficient; snap it and re-measure the residual
         res = _case_m11_1(chain, margins)
-        snapped = NormalFormType("M11_1", a=res.ntype.params()[0], b=0.0)
-        target = render_cone(snapped)
-        Z = _unit_sphere_samples(2)
-        residual = float(np.max(np.abs(evaluate_many(chain.cone, Z) - evaluate_many(target, Z))))
-        return NormalFormResult(
-            ntype=snapped,
-            T=res.T,
-            lam=res.lam,
-            sign=res.sign,
-            residual=residual,
-            low_confidence=res.low_confidence,
-            boundary_margin=res.boundary_margin,
-            residual_bound=RESIDUAL_REL * target.scale,
-        )
+        return _finish(chain, NormalFormType("M11_1", a=res.ntype.params()[0], b=0.0), margins)
     return _case_m11_3(chain, margins, w)
 
 
@@ -496,16 +483,16 @@ def _classify_sig00(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
     return _finish(chain, NormalFormType("M00_1"), margins)
 
 
-def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
-    """Classify a cone in C^2, returning its normal form or a degeneracy report."""
-    if cone.n != 2:
-        raise ConeError("classify2 handles n = 2 only")
-    cone0, flip = canonical_sign(cone)
+def real_degeneracy(cone: QuadraticCone) -> DegeneracyReport | None:
+    """The degeneracy the real signature (p, q) of rho shows, in any C^n; None if none.
 
-    rsig = real_signature(cone0)
+    Definite rho (max(p, q) = 2n) renders {0}, semidefinite rho a real
+    subspace, and real signature (1,1) a product of two real linear forms.
+    """
+    rsig = real_signature(cone)
     p, q = rsig.p, rsig.q
     if min(p, q) == 0:
-        if max(p, q) == 4:
+        if max(p, q) == 2 * cone.n:
             return DegeneracyReport("PointCone", "rho is definite: the rendered set is {0}")
         return DegeneracyReport(
             "DimensionDeficient",
@@ -516,6 +503,17 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
         return DegeneracyReport(
             "Reducible", "real signature (1,1): rho is a product of two real linear forms"
         )
+    return None
+
+
+def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
+    """Classify a cone in C^2, returning its normal form or a degeneracy report."""
+    if cone.n != 2:
+        raise ConeError("classify2 handles n = 2 only")
+    cone0, flip = canonical_sign(cone)
+    degenerate = real_degeneracy(cone0)
+    if degenerate is not None:
+        return degenerate
 
     chain = _Chain(cone)
     if flip < 0:

@@ -18,10 +18,8 @@ from .quadform import ConeError, NotSymmetric, mat_norm
 # Hermitian matrix of the form Im(z1 * conj(z2)).
 E_HERM = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
 
-TAKAGI_RESIDUAL_REL = 1e-10
 SL2_DET_ZERO_REL = 1e-9  # |det P| <= this * ||P||^2 routes to the rank-1 branch
 SO11_DET_POS_REL = 1e-9  # det Q above this * ||Q||^2 is rejected
-SO11_DIAG_REL = 1e-8
 PRESERVER_REL = 1e-10
 
 

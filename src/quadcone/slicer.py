@@ -2,13 +2,24 @@
 
 A two-dimensional complex subspace L with M able to be decided inside L
 settles the extension question for M itself: a one-sided disc family in L
-is a one-sided disc family in C^n.  The structured candidate generator
-generates the constructive subspace choices (axis slices,
-shears z_j = alpha * z_k, explicit dual-direction slices for the linear
-coupling cases), every candidate is validated end to end, and a seeded
-randomized search backstops conditioning failures.  Cones with two-sided
-support are classified separately into product / harmonic-rank /
-bilinear-factor forms, each re-verified pointwise before being reported.
+is a one-sided disc family in C^n.  The structured candidates follow the
+case analysis on the hermitian signature (pi, nu):
+
+- pi >= 2: the axis slice, then shears z_j = alpha z1, alpha z2 whose
+  restricted det S stays away from 1;
+- (1, 1), in the Im(z1 conj(z2)) frame: with a z' quadratic part, line
+  slices through its support; otherwise the rank of the linear coupling of
+  (z1, z2) to z' decides: none (product), independent z1 and z2 couplings,
+  a z1- or z2-only coupling (dual slices z3 = a z1 + b z2), or a common
+  coupling with ratio c, real (reduced to the z1 case) or complex (shears
+  z3 = alpha z2 passing the extension criterion, see _extension_margin);
+- (1, 0): slices through the support of the z' quadratic part;
+- (0, 0): none, a harmonic-only cone has two-sided support.
+
+Every candidate is validated end to end, and a seeded randomized search
+backstops conditioning failures.  Cones with two-sided support are
+classified separately into product / harmonic-rank / bilinear-factor
+forms, each re-verified pointwise before being reported.
 """
 
 from __future__ import annotations
@@ -41,10 +52,6 @@ class DegenerateBasis(ConeError):
     pass
 
 
-class QNotZero(ConeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Slice:
     basis: np.ndarray  # n x 2, columns span L
@@ -73,13 +80,6 @@ class SliceResult:
 
 
 @dataclass(frozen=True)
-class LinearTermsReduction:
-    case: str  # "R0" | "R_z1z3" | "R_z2z3" | "R_cz1z3_z2z3" | "R_z1z3_z2z4"
-    c: complex | None
-    zprime_change: np.ndarray  # (n-2) x (n-2), new z' coordinates as columns
-
-
-@dataclass(frozen=True)
 class TwoSidedForm:
     kind: str  # "product" | "ts1" | "ts2" | "unknown"
     inner: NormalFormResult | DegeneracyReport | None = None
@@ -101,24 +101,14 @@ def restrict(cone: QuadraticCone, slc: Slice) -> QuadraticCone:
     return QuadraticCone._symmetrized(S, H)
 
 
-def check_extension_criterion(S) -> bool:
-    """Extension criterion for Im(z1 conj(z2))-frame harmonic data.
-
-    True iff |det S| >= 1/4 (within 1e-9) and, after the quarter-phase
-    rotation making det S positive real, det Re(S) < -1e-12.
-    """
-    S = np.asarray(S, dtype=complex)
-    d = complex(np.linalg.det(S))
-    if abs(d) < 1e-12:
-        return False
-    St = np.exp(-0.5j * np.angle(d)) * S
-    if abs(np.linalg.det(St).imag) > 1e-9 * max(abs(d), 1.0):
-        return False
-    return abs(d) >= 0.25 - 1e-9 and np.linalg.det(St.real) < -1e-12
-
-
 def _extension_margin(S) -> float:
-    """How robustly check_extension_criterion holds; <= 0 when it fails."""
+    """How robustly the extension criterion holds for Im(z1 conj(z2))-frame harmonic data S.
+
+    The criterion: |det S| >= 1/4 and, after the quarter-phase rotation
+    S' = exp(-i arg(det S) / 2) S making det S' positive real, det Re(S') < 0.
+    The margin is min(|det S| - 1/4, -det Re(S')): positive when the
+    criterion holds, <= 0 when it fails, and -1 when |det S| < 1e-12.
+    """
     S = np.asarray(S, dtype=complex)
     d = complex(np.linalg.det(S))
     if abs(d) < 1e-12:
@@ -143,12 +133,13 @@ def _hermitian_frame(cone: QuadraticCone):
     return np.column_stack(cols).astype(complex), flags
 
 
-def _alpha_grid(max_pow: int = 20, phases: int = 16):
-    """Deterministic alpha scan: moduli 2^0, 2^1, 2^-1, ..., 16 phases each."""
+def _alpha_grid(phase_order=range(16)):
+    """Deterministic alpha scan: moduli 2^0, 2^1, 2^-1, ..., 2^-20, each with
+    the phases exp(2 pi i k / 16) taken in phase_order."""
     powers = [0]
-    for k in range(1, max_pow + 1):
+    for k in range(1, 21):
         powers.extend([k, -k])
-    phase_vals = [np.exp(2j * np.pi * k / phases) for k in range(phases)]
+    phase_vals = [np.exp(2j * np.pi * k / 16) for k in phase_order]
     for p in powers:
         m = 2.0**p
         for ph in phase_vals:
@@ -184,34 +175,34 @@ def _pi2_candidates(cone0: QuadraticCone):
         if coupled <= 1e-13 * max(mat_norm(S1), 1e-300) and flags[j] == 0:
             continue
         for al in _alpha_grid():
-            herm2 = 1.0 + flags[j] * abs(al) ** 2
-            if herm2 > 1e-6:
-                # z_j = al * z2 shear
-                s_star = np.array(
-                    [
-                        [S1[0, 0], S1[0, 1] + al * S1[0, j]],
-                        [S1[0, 1] + al * S1[0, j], S1[1, 1] + 2 * al * S1[1, j] + al * al * S1[j, j]],
-                    ]
+            # both shears give the slice the hermitian weight 1 + flags[j] |al|^2
+            herm = 1.0 + flags[j] * abs(al) ** 2
+            if herm <= 1e-6:
+                continue
+            # z_j = al * z2 shear
+            s_star = np.array(
+                [
+                    [S1[0, 0], S1[0, 1] + al * S1[0, j]],
+                    [S1[0, 1] + al * S1[0, j], S1[1, 1] + 2 * al * S1[1, j] + al * al * S1[j, j]],
+                ]
+            )
+            if abs(abs(np.linalg.det(s_star) / herm) - 1.0) >= DET_ONE_MARGIN:
+                yield Slice(
+                    np.column_stack([W[:, 0], W[:, 1] + al * W[:, j]]),
+                    f"shear slice z{j + 1} = a z2, a = {al:.6g}",
                 )
-                if abs(abs(np.linalg.det(s_star) / herm2) - 1.0) >= DET_ONE_MARGIN:
-                    yield Slice(
-                        np.column_stack([W[:, 0], W[:, 1] + al * W[:, j]]),
-                        f"shear slice z{j + 1} = a z2, a = {al:.6g}",
-                    )
-            herm1 = 1.0 + flags[j] * abs(al) ** 2
-            if herm1 > 1e-6:
-                # z_j = al * z1 shear
-                s_star = np.array(
-                    [
-                        [S1[0, 0] + 2 * al * S1[0, j] + al * al * S1[j, j], S1[0, 1] + al * S1[1, j]],
-                        [S1[0, 1] + al * S1[1, j], S1[1, 1]],
-                    ]
+            # z_j = al * z1 shear
+            s_star = np.array(
+                [
+                    [S1[0, 0] + 2 * al * S1[0, j] + al * al * S1[j, j], S1[0, 1] + al * S1[1, j]],
+                    [S1[0, 1] + al * S1[1, j], S1[1, 1]],
+                ]
+            )
+            if abs(abs(np.linalg.det(s_star) / herm) - 1.0) >= DET_ONE_MARGIN:
+                yield Slice(
+                    np.column_stack([W[:, 0] + al * W[:, j], W[:, 1]]),
+                    f"shear slice z{j + 1} = a z1, a = {al:.6g}",
                 )
-                if abs(abs(np.linalg.det(s_star) / herm1) - 1.0) >= DET_ONE_MARGIN:
-                    yield Slice(
-                        np.column_stack([W[:, 0] + al * W[:, j], W[:, 1]]),
-                        f"shear slice z{j + 1} = a z1, a = {al:.6g}",
-                    )
 
 
 def _oneone_frame(cone0: QuadraticCone):
@@ -240,35 +231,33 @@ def _dual_vectors(L: np.ndarray):
     return sol[:, 0], sol[:, 1]
 
 
-def _explicit_pair_slices(n, W, A, B, C, v3, orient: str):
-    """The determinant-2 slice choices for a z1 (or z2) linear coupling.
+def _dual_coeffs(A, B, C):
+    """alpha, beta of the determinant-2 dual slice z3 = alpha z1 + beta z2.
+
+    For harmonic block [[A, B], [B, C]] coupled through 2 z1 z3, usable when
+    C != 0; the z2 coupling is the same formula with A and C exchanged.
+    """
+    if abs(C.real) <= 1e-12 * max(abs(C), 1.0):
+        return -(A + C) / 2.0, -B + np.sqrt(abs(C) ** 2 + 2.0)
+    return -(A + np.conj(C)) / 2.0, -B + 1j * np.sqrt(abs(C) ** 2 + 2.0)
+
+
+def _explicit_pair_slice(n, W, A, B, C, v3, orient: str) -> Slice:
+    """The determinant-2 slice choice for a z1 (or z2) linear coupling.
 
     orient "first": coupling 2 z1 z3, usable when C != 0;
     orient "second": coupling 2 z2 z3, usable when A != 0.
     """
-    out = []
     v3e = _embed_zprime(n, v3)
     if orient == "first":
-        if abs(C.real) <= 1e-12 * max(abs(C), 1.0):
-            alpha = -(A + C) / 2.0
-            beta = -B + np.sqrt(abs(C) ** 2 + 2.0)
-        else:
-            alpha = -(A + np.conj(C)) / 2.0
-            beta = -B + 1j * np.sqrt(abs(C) ** 2 + 2.0)
+        alpha, beta = _dual_coeffs(A, B, C)
         b1 = W @ (_embed2(n, [1.0, 0.0]) + alpha * v3e)
         b2 = W @ (_embed2(n, [0.0, 1.0]) + beta * v3e)
-        out.append(Slice(np.column_stack([b1, b2]), "dual slice z3 = a z1 + b z2"))
-    else:
-        if abs(A.real) <= 1e-12 * max(abs(A), 1.0):
-            alpha = -(C + A) / 2.0
-            beta = -B + np.sqrt(abs(A) ** 2 + 2.0)
-        else:
-            alpha = -(C + np.conj(A)) / 2.0
-            beta = -B + 1j * np.sqrt(abs(A) ** 2 + 2.0)
-        b1 = W @ (_embed2(n, [1.0, 0.0]) + beta * v3e)
-        b2 = W @ (_embed2(n, [0.0, 1.0]) + alpha * v3e)
-        out.append(Slice(np.column_stack([b1, b2]), "dual slice z3 = a z2 + b z1"))
-    return out
+        return Slice(np.column_stack([b1, b2]), "dual slice z3 = a z1 + b z2")
+    alpha, beta = _dual_coeffs(C, B, A)
+    b1 = W @ (_embed2(n, [1.0, 0.0]) + beta * v3e)
+    b2 = W @ (_embed2(n, [0.0, 1.0]) + alpha * v3e)
+    return Slice(np.column_stack([b1, b2]), "dual slice z3 = a z2 + b z1")
 
 
 def _oneone_candidates(cone0: QuadraticCone):
@@ -303,9 +292,9 @@ def _oneone_candidates(cone0: QuadraticCone):
     if lrank == 2:
         v3, v4 = _dual_vectors(L)
         if abs(C) > 1e-10 * scale:
-            yield from _explicit_pair_slices(n, W, A, B, C, v3, "first")
+            yield _explicit_pair_slice(n, W, A, B, C, v3, "first")
         if abs(A) > 1e-10 * scale:
-            yield from _explicit_pair_slices(n, W, A, B, C, v4, "second")
+            yield _explicit_pair_slice(n, W, A, B, C, v4, "second")
         if abs(A) <= 1e-10 * scale and abs(C) <= 1e-10 * scale:
             # both quadratic coefficients vanish: the explicit two-direction slice
             c1 = _embed2(n, [1.0, 0.0]) + 0.5 * _embed_zprime(n, v3) + (-B / 2 + 1j) * _embed_zprime(n, v4)
@@ -324,11 +313,11 @@ def _oneone_candidates(cone0: QuadraticCone):
     if abs(c2) <= 1e-10 * big:
         # coupling through z1 only
         if abs(C) > 1e-10 * scale:
-            yield from _explicit_pair_slices(n, W, A, B, C, v_m / c1, "first")
+            yield _explicit_pair_slice(n, W, A, B, C, v_m / c1, "first")
         return
     if abs(c1) <= 1e-10 * big:
         if abs(A) > 1e-10 * scale:
-            yield from _explicit_pair_slices(n, W, A, B, C, v_m / c2, "second")
+            yield _explicit_pair_slice(n, W, A, B, C, v_m / c2, "second")
         return
 
     c = c1 / c2
@@ -341,12 +330,7 @@ def _oneone_candidates(cone0: QuadraticCone):
         Ag, Bg, Cg = Sg[0, 0], Sg[0, 1], Sg[1, 1]
         if abs(Cg) > 1e-10 * scale:
             v3e = _embed_zprime(n, v3)
-            if abs(Cg.real) <= 1e-12 * max(abs(Cg), 1.0):
-                alpha = -(Ag + Cg) / 2.0
-                beta = -Bg + np.sqrt(abs(Cg) ** 2 + 2.0)
-            else:
-                alpha = -(Ag + np.conj(Cg)) / 2.0
-                beta = -Bg + 1j * np.sqrt(abs(Cg) ** 2 + 2.0)
+            alpha, beta = _dual_coeffs(Ag, Bg, Cg)
             b1 = W @ (_embed2(n, G[:, 0]) + alpha * v3e)
             b2 = W @ (_embed2(n, G[:, 1]) + beta * v3e)
             yield Slice(np.column_stack([b1, b2]), "dual slice after real-ratio reduction")
@@ -359,19 +343,13 @@ def _oneone_candidates(cone0: QuadraticCone):
         range(16),
         key=lambda k: 0 if np.sin(2 * np.pi * k / 16 + np.angle(c) - argA) * sin_c < 0 else 1,
     )
-    powers = [0]
-    for k in range(1, 21):
-        powers.extend([k, -k])
     v3e = _embed_zprime(n, v3)
-    for p in powers:
-        mmod = 2.0**p
-        for k in phase_order:
-            al = mmod * np.exp(2j * np.pi * k / 16)
-            s_star = St + al * T_coupling  # coupling normalized through v3
-            if _extension_margin(s_star) >= EXTENSION_MARGIN:
-                b1 = W @ _embed2(n, [1.0, 0.0])
-                b2 = W @ (_embed2(n, [0.0, 1.0]) + al * v3e)
-                yield Slice(np.column_stack([b1, b2]), f"line slice z3 = a z2, a = {al:.6g}")
+    for al in _alpha_grid(phase_order):
+        s_star = St + al * T_coupling  # coupling normalized through v3
+        if _extension_margin(s_star) >= EXTENSION_MARGIN:
+            b1 = W @ _embed2(n, [1.0, 0.0])
+            b2 = W @ (_embed2(n, [0.0, 1.0]) + al * v3e)
+            yield Slice(np.column_stack([b1, b2]), f"line slice z3 = a z2, a = {al:.6g}")
 
 
 def _quadratic_support_probes(Qp: np.ndarray):
@@ -499,68 +477,6 @@ def find_good_slice(
         if res is not None:
             return res
     return None
-
-
-def reduce_linear_terms(cone: QuadraticCone) -> LinearTermsReduction:
-    """Normalize the linear z' couplings of a (1,1) cone with no z' quadratic.
-
-    Returns which of the five coupling shapes applies, the coupling ratio c
-    for the dependent case, and a z' coordinate change whose first columns
-    realize the named coordinates (z3, and z4 when independent).
-    """
-    if hermitian_signature(cone).as_tuple() != (1, 1):
-        raise ConeError("reduce_linear_terms expects hermitian signature (1,1)")
-    n = cone.n
-    _, S1 = _oneone_frame(cone)
-    scale = max(mat_norm(S1), 1e-300)
-    L = S1[:2, 2:]
-    Qp = S1[2:, 2:]
-    if mat_norm(Qp) > Q_ZERO_REL * scale:
-        raise QNotZero("quadratic z' part is not zero")
-    m = n - 2
-    sv = np.linalg.svd(L, compute_uv=False) if L.size else np.array([0.0])
-    lrank = int(np.sum(sv > 1e-10 * max(scale, 1.0)))
-    if lrank == 0:
-        return LinearTermsReduction(case="R0", c=None, zprime_change=np.eye(m, dtype=complex))
-
-    def completed(cols):
-        Mx = np.zeros((m, m), dtype=complex)
-        k = len(cols)
-        for i, c_ in enumerate(cols):
-            Mx[:, i] = c_
-        # complete with an orthonormal basis of the complement
-        q, _ = np.linalg.qr(np.column_stack(cols))
-        proj = np.eye(m) - q @ q.conj().T
-        extra = []
-        for i in range(m):
-            e = proj[:, i]
-            if np.linalg.norm(e) > 1e-8:
-                e = e / np.linalg.norm(e)
-                extra.append(e)
-                proj = proj - np.outer(e, e.conj())
-            if len(cols) + len(extra) == m:
-                break
-        for i, c_ in enumerate(extra):
-            Mx[:, k + i] = c_
-        return Mx
-
-    if lrank == 2:
-        v3, v4 = _dual_vectors(L)
-        return LinearTermsReduction(case="R_z1z3_z2z4", c=None, zprime_change=completed([v3, v4]))
-    _, _, vh = np.linalg.svd(L)
-    mrow = vh[0]
-    denom = mrow @ mrow.conj()
-    c1 = (L[0] @ mrow.conj()) / denom
-    c2 = (L[1] @ mrow.conj()) / denom
-    v_m = mrow.conj() / denom
-    big = max(abs(c1), abs(c2))
-    if abs(c2) <= 1e-10 * big:
-        return LinearTermsReduction(case="R_z1z3", c=None, zprime_change=completed([v_m / c1]))
-    if abs(c1) <= 1e-10 * big:
-        return LinearTermsReduction(case="R_z2z3", c=None, zprime_change=completed([v_m / c2]))
-    return LinearTermsReduction(
-        case="R_cz1z3_z2z3", c=complex(c1 / c2), zprime_change=completed([v_m / c2])
-    )
 
 
 def _lagrange_diagonalize(S: np.ndarray, tol_rel: float = 1e-10):

@@ -591,3 +591,99 @@ def test_exact_table_forms_are_not_low_confidence(capsys, fixture):
     code, report = run_cli(capsys, ["classify", "--fixture", fixture])
     assert code == EXIT_OK
     assert report["classification"]["low_confidence"] is False
+
+
+# --- verify's own supporting-line check, degenerate slices, traced names -------
+
+# M11_1 with A = 1 + 5e-10: inside decide2's A = 1 boundary band, so it gets
+# the two-sided witness, but the line {z2 = 0} dips to (1 - A) / scale
+A_ONE_BAND = '{"n": 2, "S": [[1.0000000005, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}'
+
+
+def test_cmd_verify_checks_the_supporting_lines_at_its_support_rel(capsys):
+    from quadcone.cli import EXIT_VERIFICATION
+
+    argv = ["verify", "-", "--tol-overrides", "support_rel=1e-9"]
+    code, report = run_cli_stdin(capsys, A_ONE_BAND, argv)
+    assert code == EXIT_OK
+    assert report["verdict"]["outcome"] == "two_sided"
+    scale = np.sqrt(1.0000000005**2 + 0.25) + np.sqrt(2.0)
+    assert report["verification"]["plus_min"] == pytest.approx(-5e-10 / scale, rel=1e-5)
+    # at the default support_rel the failure is the full report, not a bare error
+    code, report = run_cli_stdin(capsys, A_ONE_BAND, ["verify", "-"])
+    assert code == EXIT_VERIFICATION
+    assert report["classification"]["normal_form"]["tag"] == "M11_1"
+    assert report["verdict"]["outcome"] == "two_sided"
+    assert "dips below the cone" in report["verification"]["failed"]
+
+
+def test_cmd_verify_evaluates_each_supporting_line_once(capsys, monkeypatch):
+    import quadcone.decider as decider
+
+    points = []
+    evaluate_rows = decider.evaluate_many
+
+    def counting_evaluate_many(cone, Z):
+        points.append(len(Z))
+        return evaluate_rows(cone, Z)
+
+    monkeypatch.setattr(decider, "evaluate_many", counting_evaluate_many)
+    code, report = run_cli(capsys, ["verify", "--fixture", "example_m"])
+    assert code == EXIT_OK
+    assert sum(points) == report["verification"]["points_checked"] == 4
+
+
+@pytest.mark.parametrize(
+    "S, H, reason",
+    [
+        (np.zeros((3, 3)), np.eye(3), "PointCone"),
+        (np.zeros((3, 3)), -np.diag([1.0, 2.0, 1.0]), "PointCone"),
+        (np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]), "DimensionDeficient"),
+        (np.zeros((3, 3)), np.zeros((3, 3)), "DimensionDeficient"),
+        (np.diag([1.0, 0.0, 0.0]), np.zeros((3, 3)), "Reducible"),
+    ],
+)
+def test_cmd_slice_degenerate_reports_carry_the_classify2_detail(capsys, S, H, reason):
+    from quadcone.normalform import real_degeneracy
+
+    code, report = run_slice_stdin(capsys, S, H, [])
+    assert code == EXIT_DEGENERATE
+    expected = real_degeneracy(QuadraticCone(S, H))
+    assert expected.reason == reason
+    assert report["classification"]["degenerate"] == {
+        "reason": reason, "detail": expected.detail
+    }
+
+
+def test_traced_layer_names_record_spans_through_main(capsys):
+    import importlib.util
+    import pathlib
+
+    import quadcone.cli as cli
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in (
+            ["decide", "--fixture", "example_m"],
+            ["verify", "--fixture", "example_m"],
+            ["slice", "--fixture", "slice_pi2_axis", "--budget", "8", "--samples", "2500"],
+        ):
+            assert cli.main(argv) == EXIT_OK, argv
+            capsys.readouterr()
+    finally:
+        tracer.uninstall()
+    names = {s[tracing.NAME] for s in tracer.spans}
+    for name in (
+        "normalform.classify2",
+        "decider.decide2",
+        "decider.verify_support",
+        "slicer.classify_two_sided_nd",
+        "slicer.find_good_slice",
+    ):
+        assert name in names, name
+    assert cli.main.__module__ == "quadcone.cli" and not hasattr(cli.main, "__wrapped__")

@@ -15,6 +15,7 @@ from quadcone.normalform import (
     classify2,
     normalize_hermitian,
     oneone_frame_invariants,
+    real_degeneracy,
     render_cone,
     uniqueness_certificate,
 )
@@ -435,3 +436,27 @@ def test_sign_consistency_at_balanced_signature():
         r_neg = classify2(moved.negated())
         assert uniqueness_certificate(r_pos, r_neg)
         assert r_pos.sign == -r_neg.sign
+
+
+@pytest.mark.parametrize(
+    "S, H",
+    [
+        (np.zeros((2, 2)), np.eye(2)),
+        (np.diag([0.5, 0.2]), np.eye(2)),
+        (np.diag([0.5, 0.0]), np.diag([1.0, 0.0])),
+        (np.diag([1.0, 0.0]), np.zeros((2, 2))),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.zeros((2, 2)), -np.eye(2)),
+    ],
+)
+def test_real_degeneracy_is_classify2s_precheck(S, H):
+    cone = QuadraticCone(np.asarray(S, dtype=complex), H)
+    report = real_degeneracy(cone)
+    assert report is not None and classify2(cone) == report
+
+
+def test_real_degeneracy_none_on_hypersurfaces():
+    for n in (2, 3, 5):
+        H = np.diag([1.0, -1.0] + [1.0] * (n - 2))
+        assert real_degeneracy(QuadraticCone(np.zeros((n, n)), H)) is None
+    assert real_degeneracy(render_cone(NormalFormType("M11_1", a=0.5, b=0.25))) is None
