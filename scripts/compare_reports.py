@@ -1,0 +1,154 @@
+"""Compare the CLI reports of two source trees, input by input.
+
+    python3 scripts/compare_reports.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  Each
+tree runs in a subprocess of its own over the same inputs:
+
+- every fixture: `classify`, `decide` and `verify` when n = 2, `slice` when
+  n >= 3;
+- `atlas` for each of the seven tags;
+- every seed-1 op of the three workloads in `perfbench/workloads.py`, in
+  its `U_RANGE` and its `CENSUS_U_RANGE`.
+
+The workload inputs come from this checkout's `perfbench/workloads.py`,
+which uses numpy only, so both trees see the same specs.  Prints every
+input whose exit code or report differs, apart from the report's
+`timings`, with the differing fields, then a count per input group.  Exits
+1 on any difference, 0 when every report and exit code is the same.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
+MAX_FIELDS = 8  # differing fields printed per input
+
+
+def _workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def inputs(fixtures: dict):
+    """(name, argv, stdin text or None) of every compared CLI call, in a fixed order."""
+    for name in sorted(fixtures):
+        commands = ("classify", "decide", "verify") if fixtures[name]().n == 2 else ("slice",)
+        for command in commands:
+            yield f"fixture/{name}/{command}", [command, "--fixture", name], None
+    for tag in TAGS:
+        yield f"atlas/{tag}", ["atlas", "--tag", tag], None
+    wl = _workloads()
+    for range_name, u_range in (("timed", wl.U_RANGE), ("census", wl.CENSUS_U_RANGE)):
+        for workload, make in wl.WORKLOADS.items():
+            for k, op in enumerate(make(1, u_range)):
+                yield f"{workload}/{range_name}/{k}/{op.kind}", list(op.argv), op.spec
+
+
+def run_tree(src: str) -> None:
+    """Print one JSON line per input: its name, exit code and report without `timings`."""
+    sys.path.insert(0, src)
+    import quadcone.cli
+    from quadcone.fixtures import FIXTURES
+
+    if not os.path.abspath(quadcone.cli.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise RuntimeError(f"imported quadcone from {quadcone.cli.__file__}, not from {src}")
+    for name, argv, text in inputs(FIXTURES):
+        out = io.StringIO()
+        saved = sys.stdin
+        sys.stdin = io.StringIO(text or "")
+        try:
+            with contextlib.redirect_stdout(out):
+                code = quadcone.cli.main(argv)
+        except Exception as exc:  # an escaped exception is a result to compare
+            code, out = None, io.StringIO(json.dumps({"exception": repr(exc)}))
+        finally:
+            sys.stdin = saved
+        try:
+            report = json.loads(out.getvalue())
+        except json.JSONDecodeError:
+            report = {"unparsed": out.getvalue()}
+        if isinstance(report, dict):
+            report.pop("timings", None)
+        print(json.dumps({"name": name, "code": code, "report": report}, sort_keys=True))
+
+
+def _collect(src: str) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--run", src]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"running the tree {src} failed")
+    rows = (json.loads(line) for line in proc.stdout.splitlines())
+    return {row["name"]: row for row in rows}
+
+
+def _diff(a, b, path: str = ""):
+    """Paths (dotted) at which two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                yield sub, a.get(key, "<absent>"), b.get(key, "<absent>")
+            else:
+                yield from _diff(a[key], b[key], sub)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _diff(x, y, f"{path}[{i}]")
+    elif json.dumps(a) != json.dumps(b):
+        yield path, a, b
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent_src", nargs="?")
+    ap.add_argument("change_src", nargs="?")
+    ap.add_argument("--run", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.run:
+        run_tree(args.run)
+        return 0
+    if not (args.parent_src and args.change_src):
+        ap.error("give PARENT_SRC and CHANGE_SRC")
+    parent, change = _collect(args.parent_src), _collect(args.change_src)
+    if list(parent) != list(change):
+        print("the two trees ran different inputs")
+        return 1
+    total, differ = Counter(), Counter()
+    for name, p in parent.items():
+        c = change[name]
+        group = name.split("/")[0] + "/" + name.split("/")[-1]
+        total[group] += 1
+        fields = list(_diff(p["report"], c["report"]))
+        if p["code"] == c["code"] and not fields:
+            continue
+        differ[group] += 1
+        print(f"{name}: exit {p['code']} -> {c['code']}")
+        for path, x, y in fields[:MAX_FIELDS]:
+            print(f"  {path}: {json.dumps(x)[:200]} -> {json.dumps(y)[:200]}")
+        if len(fields) > MAX_FIELDS:
+            print(f"  ... {len(fields) - MAX_FIELDS} more fields")
+    print()
+    for group in sorted(total):
+        print(f"{group}: {total[group] - differ[group]} of {total[group]} identical")
+    print(f"all: {sum(total.values()) - sum(differ.values())} of {sum(total.values())} identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -387,10 +387,10 @@ def cmd_verify(args) -> int:
         return _emit(report, EXIT_SCHEMA)
     if isinstance(res, DegeneracyReport):
         return _done(report, t0, EXIT_DEGENERATE)
-    # the supporting lines are checked below, at the caller's support_rel
-    verdict = decide2(res)
-    report["verdict"] = _verdict_json(verdict)
     try:
+        # the supporting lines are checked below, at the caller's support_rel
+        verdict = decide2(res)
+        report["verdict"] = _verdict_json(verdict)
         if verdict.outcome == "one_sided":
             rep = verify_discs(
                 spec.cone, verdict.discs, eps_grid=args.eps, samples=args.samples, seed=args.seed
@@ -398,7 +398,6 @@ def cmd_verify(args) -> int:
             report["verification"] = {
                 "min_margin": rep.min_margin,
                 "touch_residual": rep.touch_residual,
-                "origin_value": rep.origin_value,
                 "points_checked": rep.points_checked,
             }
         else:

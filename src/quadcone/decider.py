@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fixtures import example_m
 from .normalform import DegeneracyReport, NormalFormResult, NormalFormType
-from .quadform import ConeError, QuadraticCone, evaluate, evaluate_many, sample_points
+from .quadform import ConeError, QuadraticCone, evaluate_many, sample_points
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
 EQUAL_PARAM_TOL = 1e-9
@@ -95,7 +96,6 @@ class Verdict:
 class DiscReport:
     min_margin: float
     touch_residual: float
-    origin_value: float
     points_checked: int
 
 
@@ -189,7 +189,7 @@ def verify_discs(
     touch_residual the minimum of side * rho over limit-disc samples w with
     |w| >= 1e-3 * fam.radius in the family's own frame, so the filter does
     not depend on the scale of the transform into cone coordinates.  Both
-    must come out positive, and rho(0) must vanish.
+    must come out positive.
     """
     if len(eps_grid) == 0:
         raise ConeError("eps_grid must be nonempty")
@@ -228,13 +228,9 @@ def verify_discs(
             eps=0.0,
             z=Z0[keep][j],
         )
-    origin = abs(evaluate(cone, np.zeros(cone.n)))
-    if origin > 1e-14 * max(cone.scale, 1.0):
-        raise VerificationFailed(f"rho(0) = {origin} != 0")
     return DiscReport(
         min_margin=min_margin,
         touch_residual=float(touch[j]),
-        origin_value=origin,
         points_checked=checked,
     )
 
@@ -382,16 +378,11 @@ def decide2(
     if r.tag == "M11_1" and witness.kind == "proper":
         A, _ = r.ntype.params()
         if abs(A - 1.0) <= A_ONE_BOUNDARY_TOL:
-            note = "A = 1 boundary: two-sided clause applies (supporting lines verified)"
+            note = "A = 1 boundary: two-sided clause applies"
     witness = _pull_back_witness(witness, r)
     if cone is not None:
         verify_support(cone, witness)
     return Verdict(outcome="two_sided", witness=witness, note=note)
-
-
-def example_m_cone() -> QuadraticCone:
-    """The motivating cone Re(z1^2/2 + z2^2/3) + |z1|^2 - |z2|^2 = 0."""
-    return QuadraticCone(np.diag([0.5, 1.0 / 3.0]), np.diag([1.0, -1.0]))
 
 
 def jump_demo(seed: int = 0, samples: int = 10_000) -> JumpReport:
@@ -403,7 +394,7 @@ def jump_demo(seed: int = 0, samples: int = 10_000) -> JumpReport:
     ratio max |f| / |z| stays bounded because |z1| and |z2| are comparable
     on the cone.
     """
-    cone = example_m_cone()
+    cone = example_m()
     Z = sample_points(cone, seed=seed, count=samples, radius=1.0)
     z1, z2 = Z[:, 0], Z[:, 1]
     safe = np.minimum(np.abs(z1), np.abs(z2)) >= 1e-2

@@ -8,6 +8,10 @@ variables z = T z*, a positive scale and a sign such that
 
 Degenerate inputs (the rendered set is a point, a lower-dimensional set, or
 a union of two real hyperplanes) get a structured report instead.
+
+normalize_hermitian puts the hermitian (Levi) part of a cone in any C^n in
+its canonical position.  classify2 starts from that frame, and the slicer
+builds its two-dimensional candidate slices in the same frame.
 """
 
 from __future__ import annotations
@@ -181,37 +185,43 @@ def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> Qua
 
 
 def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, QuadraticCone]:
-    """T0 pulling the hermitian part back to its signature's canonical matrix.
+    """W with W^* H W canonical, and the cone pulled back through W, in any C^n.
 
-    Targets: I2 for (2,0), the matrix of Im(z1 conj(z2)) for (1,1),
-    diag(1,0) for (1,0) and 0 for (0,0).  Signatures with nu > pi are not
-    canonical; flip the sign of rho first.
+    The canonical matrix is diag(1, ..., 1, -1, ..., -1, 0, ..., 0) with the
+    counts of hermitian_signature, or Im(z1 conj(z2)) + 0 for signature
+    (1,1).  W comes from one eigh(H): the positive eigenvectors by
+    descending eigenvalue (equal ones in eigh's order), then the negative
+    ones from the most negative, each divided by sqrt(|eigenvalue|), then
+    the kernel at unit length; for (1,1) the first two columns are composed
+    with CHOFVAR / 2.  W = I when H is within 1e-12 (relative) of its
+    canonical matrix and n = 2 or the signature is (1,1), so such inputs
+    keep their own coordinates; in C^n, n >= 3, a diagonal H of another
+    signature keeps eigh's order of equal eigenvalues, which the slicer's
+    candidate bases follow.  Signatures with nu > pi are not canonical;
+    flip the sign of rho first.
     """
-    sig = hermitian_signature(cone).as_tuple()
-    targets = {
-        (2, 0): np.eye(2, dtype=complex),
-        (1, 1): E_HERM,
-        (1, 0): np.diag([1.0, 0.0]).astype(complex),
-        (0, 0): np.zeros((2, 2), dtype=complex),
-    }
-    if sig not in targets:
+    n = cone.n
+    pi, nu = hermitian_signature(cone).as_tuple()
+    if nu > pi:
         raise UnsupportedSignature(
-            f"hermitian signature {sig} is not canonical; negate the cone first"
+            f"hermitian signature {(pi, nu)} is not canonical; negate the cone first"
         )
-    if mat_norm(cone.H - targets[sig]) <= 1e-12 * max(mat_norm(cone.H), 1e-300):
-        T0 = np.eye(2, dtype=complex)
-        return T0, cone
-    w, V = np.linalg.eigh(cone.H)  # ascending
-    if sig == (2, 0):
-        T0 = V[:, ::-1] / np.sqrt(w[::-1])
-    elif sig == (1, 1):
-        T1 = np.column_stack([V[:, 1] / np.sqrt(w[1]), V[:, 0] / np.sqrt(-w[0])])
-        T0 = T1 @ (0.5 * CHOFVAR)
-    elif sig == (1, 0):
-        T0 = np.column_stack([V[:, 1] / np.sqrt(w[1]), V[:, 0]])
+    target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
+    if (pi, nu) == (1, 1):
+        target[:2, :2] = E_HERM
+    canonical = mat_norm(cone.H - target) <= 1e-12 * max(mat_norm(cone.H), 1e-300)
+    if canonical and (n == 2 or (pi, nu) == (1, 1)):
+        W = np.eye(n, dtype=complex)
     else:
-        T0 = np.eye(2, dtype=complex)
-    return T0, apply_change(cone, T0)
+        w, V = np.linalg.eigh(cone.H)  # ascending: nu negative, the kernel, pi positive
+        order = np.concatenate([n - pi + np.argsort(-w[n - pi :], kind="stable"), np.arange(n - pi)])
+        root = np.sqrt(np.abs(w[order]))
+        root[pi + nu :] = 1.0
+        # C-contiguous: the rounding of the products with W depends on its layout
+        W = np.ascontiguousarray(V[:, order] / root)
+        if (pi, nu) == (1, 1):
+            W[:, :2] = W[:, :2] @ (0.5 * CHOFVAR)
+    return W, apply_change(cone, W)
 
 
 class _Chain:
@@ -220,11 +230,11 @@ class _Chain:
     Invariant: sign * lam * rho_original(T z) == rho_current(z).
     """
 
-    def __init__(self, cone: QuadraticCone):
+    def __init__(self, cone: QuadraticCone, T: np.ndarray | None = None, sign: int = 1):
         self.cone = cone
-        self.T = np.eye(cone.n, dtype=complex)
+        self.T = np.eye(cone.n, dtype=complex) if T is None else T
         self.lam = 1.0
-        self.sign = 1
+        self.sign = sign
 
     def push_T(self, M):
         M = np.asarray(M, dtype=complex)
@@ -515,15 +525,11 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
     if degenerate is not None:
         return degenerate
 
-    chain = _Chain(cone)
-    if flip < 0:
-        chain.push_negate()
     margins: dict[str, float] = {}
     sig = hermitian_signature(cone0).as_tuple()
     try:
-        if sig in ((2, 0), (1, 1), (1, 0)):
-            T0, _ = normalize_hermitian(cone0)
-            chain.push_T(T0)
+        T0, cone1 = normalize_hermitian(cone0)
+        chain = _Chain(cone1, T0, flip)
         if sig == (2, 0):
             return _classify_sig20(chain, margins)
         if sig == (1, 1):

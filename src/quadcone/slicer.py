@@ -2,8 +2,10 @@
 
 A two-dimensional complex subspace L with M able to be decided inside L
 settles the extension question for M itself: a one-sided disc family in L
-is a one-sided disc family in C^n.  The structured candidates follow the
-case analysis on the hermitian signature (pi, nu):
+is a one-sided disc family in C^n.  The structured candidates are built in
+the hermitian frame of normalform.normalize_hermitian, the one classify2
+starts from, and follow the case analysis on the hermitian signature
+(pi, nu):
 
 - pi >= 2: the axis slice, then shears z_j = alpha z1, alpha z2 whose
   restricted det S stays away from 1;
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decider import DiscFamily, DiscReport, Verdict, VerificationFailed, decide2, verify_discs
-from .normalform import CHOFVAR, DegeneracyReport, NormalFormResult, classify2
+from .normalform import CHOFVAR, DegeneracyReport, NormalFormResult, classify2, normalize_hermitian
 from .quadform import (
     ConeError,
     QuadraticCone,
@@ -117,22 +119,6 @@ def _extension_margin(S) -> float:
     return min(abs(d) - 0.25, -np.linalg.det(St.real))
 
 
-def _hermitian_frame(cone: QuadraticCone):
-    """W and flags with W* H W = diag(flags), flags sorted +1s, -1s, 0s."""
-    w, V = np.linalg.eigh(cone.H)
-    tol = 1e-9 * max(mat_norm(cone.H), 1e-300)
-    pos = [i for i in range(len(w)) if w[i] > tol]
-    neg = [i for i in range(len(w)) if w[i] < -tol]
-    ker = [i for i in range(len(w)) if abs(w[i]) <= tol]
-    pos.sort(key=lambda i: -w[i])
-    neg.sort(key=lambda i: w[i])
-    cols = [V[:, i] / np.sqrt(w[i]) for i in pos]
-    cols += [V[:, i] / np.sqrt(-w[i]) for i in neg]
-    cols += [V[:, i] for i in ker]
-    flags = [1] * len(pos) + [-1] * len(neg) + [0] * len(ker)
-    return np.column_stack(cols).astype(complex), flags
-
-
 def _alpha_grid(phase_order=range(16)):
     """Deterministic alpha scan: moduli 2^0, 2^1, 2^-1, ..., 2^-20, each with
     the phases exp(2 pi i k / 16) taken in phase_order."""
@@ -161,9 +147,10 @@ def _embed_zprime(n: int, v) -> np.ndarray:
 def _pi2_candidates(cone0: QuadraticCone):
     """Axis slice plus det-criterion-filtered shears, hermitian part (pi>=2)."""
     n = cone0.n
-    W, flags = _hermitian_frame(cone0)
-    S1 = W.T @ cone0.S @ W
-    S1 = 0.5 * (S1 + S1.T)
+    W, cone1 = normalize_hermitian(cone0)
+    S1 = cone1.S
+    pi, nu = hermitian_signature(cone0).as_tuple()
+    flags = [1] * pi + [-1] * nu + [0] * (n - pi - nu)  # W^* H W = diag(flags)
     tak = takagi2(S1[:2, :2])
     U = np.eye(n, dtype=complex)
     U[:2, :2] = tak.u
@@ -205,26 +192,6 @@ def _pi2_candidates(cone0: QuadraticCone):
                 )
 
 
-def _oneone_frame(cone0: QuadraticCone):
-    """Frame with hermitian part Im(z1 conj(z2)) + 0 and the harmonic blocks.
-
-    Inputs already presented in that frame keep their own coordinates, so
-    the reported coupling shapes match the presentation.
-    """
-    n = cone0.n
-    target = np.zeros((n, n), dtype=complex)
-    target[0, 1], target[1, 0] = 0.5j, -0.5j
-    if mat_norm(cone0.H - target) <= 1e-12 * max(mat_norm(cone0.H), 1e-300):
-        return np.eye(n, dtype=complex), np.array(cone0.S)
-    W1, _ = _hermitian_frame(cone0)  # diag(1, -1, 0, ...)
-    M = np.eye(n, dtype=complex)
-    M[:2, :2] = 0.5 * CHOFVAR
-    W = W1 @ M
-    S1 = W.T @ cone0.S @ W
-    S1 = 0.5 * (S1 + S1.T)
-    return W, S1
-
-
 def _dual_vectors(L: np.ndarray):
     """v3, v4 with L @ v_i = e_i for the bilinear functionals in L's rows."""
     sol, *_ = np.linalg.lstsq(L, np.eye(2, dtype=complex), rcond=None)
@@ -262,7 +229,8 @@ def _explicit_pair_slice(n, W, A, B, C, v3, orient: str) -> Slice:
 
 def _oneone_candidates(cone0: QuadraticCone):
     n = cone0.n
-    W, S1 = _oneone_frame(cone0)
+    W, cone1 = normalize_hermitian(cone0)
+    S1 = cone1.S
     scale = max(mat_norm(S1), 1e-300)
     St = S1[:2, :2]
     L = S1[:2, 2:]
@@ -375,9 +343,8 @@ def _quadratic_support_probes(Qp: np.ndarray):
 
 def _onezero_candidates(cone0: QuadraticCone):
     n = cone0.n
-    W, _ = _hermitian_frame(cone0)
-    S1 = W.T @ cone0.S @ W
-    S1 = 0.5 * (S1 + S1.T)
+    W, cone1 = normalize_hermitian(cone0)
+    S1 = cone1.S
     Qp = S1[1:, 1:]
     if mat_norm(Qp) <= Q_ZERO_REL * max(mat_norm(S1), 1e-300):
         return  # {z1 = 0} lies inside the cone: non-minimal

@@ -586,6 +586,26 @@ def test_cmd_decide_exits_verification_on_a_residual_beyond_its_bound(capsys, mo
     assert report["error"]["kind"] == "verification"
 
 
+def test_cmd_verify_reports_a_residual_beyond_its_bound_in_full(capsys, monkeypatch):
+    from dataclasses import replace
+
+    import quadcone.cli as cli
+    from quadcone.cli import EXIT_VERIFICATION
+
+    classify = cli.classify2
+
+    def off_bound(cone):
+        res = classify(cone)
+        return replace(res, residual=2.0 * res.residual_bound)
+
+    monkeypatch.setattr(cli, "classify2", off_bound)
+    code, report = run_cli(capsys, ["verify", "--fixture", "example_m"])
+    assert code == EXIT_VERIFICATION
+    assert report["classification"]["normal_form"]["tag"] == "M11_1"
+    assert "exceeds" in report["verification"]["failed"]
+    assert "verdict" not in report
+
+
 @pytest.mark.parametrize("fixture", ["m10_2", "m11_3"])
 def test_exact_table_forms_are_not_low_confidence(capsys, fixture):
     code, report = run_cli(capsys, ["classify", "--fixture", fixture])

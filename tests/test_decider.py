@@ -13,11 +13,11 @@ from quadcone.decider import (
     VerificationFailed,
     build_disc_family,
     decide2,
-    example_m_cone,
     jump_demo,
     verify_discs,
     verify_support,
 )
+from quadcone.fixtures import example_m as example_m_cone
 from quadcone.normalform import (
     DegeneracyReport,
     NormalFormResult,
@@ -121,6 +121,18 @@ def test_m11_boundary_a_equals_one():
     assert "A = 1 boundary" in v.note
 
 
+def test_m11_boundary_band_note_claims_no_check():
+    # A = 1 + 5e-10 is in the A = 1 band: two-sided witness, but {z2 = 0}
+    # dips to (1 - A) / scale, so the lines fail their check
+    cone = QuadraticCone(np.diag([1.0000000005, 0.5]), np.diag([1.0, -1.0]))
+    res = classify2(cone)
+    v = decide2(res)
+    assert v.outcome == "two_sided"
+    assert v.note == "A = 1 boundary: two-sided clause applies"
+    with pytest.raises(VerificationFailed, match="dips below the cone"):
+        decide2(res, cone)
+
+
 # --- disc families -------------------------------------------------------------
 
 
@@ -153,7 +165,6 @@ def test_verify_discs_strict(ntype):
     rep = verify_discs(cone, v.discs, eps_grid=EPS_GRID, samples=4000, seed=2)
     assert rep.min_margin > 0
     assert rep.touch_residual > 0
-    assert rep.origin_value == 0.0
 
 
 @pytest.mark.parametrize("k", [-6, 0, 6, 12])

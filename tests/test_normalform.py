@@ -199,6 +199,35 @@ def test_normalize_hermitian_targets():
     np.testing.assert_allclose(cone1.H, np.diag([1.0, 0.0]), atol=1e-12)
 
 
+def _canonical_signatures(n):
+    """Every (pi, nu) with pi >= nu and pi + nu <= n: with a kernel and without."""
+    return [(pi, nu) for pi in range(n + 1) for nu in range(min(pi, n - pi) + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_normalize_hermitian_frames_every_canonical_signature(n):
+    rng = np.random.default_rng(40 + n)
+    for pi, nu in _canonical_signatures(n):
+        flags = np.array([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu))
+        target = np.diag(flags).astype(complex)
+        if (pi, nu) == (1, 1):
+            target[:2, :2] = E_HERM
+        # a unitary times scales in [0.5, 2]: eigenvalues spread, condition <= 4
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        T = Q @ np.diag(rng.uniform(0.5, 2.0, n))
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for H in (target, np.diag(flags), T.conj().T @ np.diag(flags) @ T):
+            cone = QuadraticCone(A + A.T, 0.5 * (H + H.conj().T))
+            W, cone1 = normalize_hermitian(cone)
+            np.testing.assert_allclose(W.conj().T @ cone.H @ W, target, atol=1e-12, err_msg=f"{(pi, nu)}")
+            assert cone1 == apply_change(cone, W)
+
+
+def test_normalize_hermitian_rejects_nu_above_pi():
+    with pytest.raises(ConeError, match="not canonical"):
+        normalize_hermitian(QuadraticCone(np.zeros((3, 3)), np.diag([1.0, -1.0, -1.0])))
+
+
 def test_chofvar_maps_frames():
     np.testing.assert_allclose(
         CHOFVAR.conj().T @ E_HERM @ CHOFVAR, np.diag([1.0, -1.0]), atol=1e-14

@@ -7,7 +7,7 @@ import pytest
 
 from quadcone import fixtures as fx
 from quadcone.decider import verify_discs
-from quadcone.normalform import DegeneracyReport, apply_change, classify2
+from quadcone.normalform import DegeneracyReport, apply_change, classify2, normalize_hermitian
 from quadcone.quadform import QuadraticCone, evaluate_many, hermitian_signature
 from quadcone.slicer import (
     EXTENSION_MARGIN,
@@ -411,3 +411,15 @@ def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatc
 
     monkeypatch.setattr(slicer, "classify2", nudged)
     assert _try_slice(cone, slc, samples=800, eps_grid=(1e-2, 1e-1), seed=0) is None
+
+
+def test_slicer_frame_flags_follow_the_hermitian_signature():
+    # -2e-9 lies between 1e-9 * ||H||_2 = 1e-9 and 1e-9 * ||H||_F = 3e-9: the
+    # signature counts it negative, so the frame and the shears must as well
+    H = np.diag([1.0] * 9 + [-2e-9])
+    cone = QuadraticCone(np.diag([2.0, 1.0] + [0.0] * 8), H)
+    assert hermitian_signature(cone).as_tuple() == (9, 1)
+    _, cone1 = normalize_hermitian(cone)
+    np.testing.assert_allclose(cone1.H, np.diag([1.0] * 9 + [-1.0]), atol=1e-12)
+    # z10 has no harmonic coupling: only a nonzero flag makes its shears candidates
+    assert any("z10 = a" in slc.description for slc in _pi2_candidates(cone))
