@@ -140,26 +140,25 @@ def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: floa
     polar samples of the other; degenerate leading coefficients fall back to
     the linear root.
     """
-    first = abs(c[0, 0]) >= abs(c[1, 1])
-    a = c[0, 0] if first else c[1, 1]
+    j = 0 if abs(c[0, 0]) >= abs(c[1, 1]) else 1  # the column solved for
+    a = c[j, j]
     m = count
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, m))
     free = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, m))
     b = 2.0 * c[0, 1] * free
-    cc = (c[1, 1] if first else c[0, 0]) * free**2 - eps
-    pts = []
+    cc = c[1 - j, 1 - j] * free**2 - eps
     if abs(a) > 1e-14:
         sq = np.sqrt(b * b - 4.0 * a * cc)
-        for root in ((-b + sq) / (2 * a), (-b - sq) / (2 * a)):
-            W = np.column_stack([root, free] if first else [free, root])
-            pts.append(W)
+        W = np.empty((2, m, 2), dtype=complex)  # the + root's rows, then the - root's
+        W[:, :, 1 - j] = free
+        W[0, :, j] = (-b + sq) / (2 * a)
+        W[1, :, j] = (-b - sq) / (2 * a)
+        W = W.reshape(2 * m, 2)
     else:
         mask = np.abs(b) > 1e-14
-        root = np.zeros_like(free)
-        root[mask] = -cc[mask] / b[mask]
-        W = np.column_stack([root, free] if first else [free, root])
-        pts.append(W[mask])
-    W = np.vstack(pts)
+        W = np.empty((int(mask.sum()), 2), dtype=complex)
+        W[:, 1 - j] = free[mask]
+        W[:, j] = -cc[mask] / b[mask]
     keep = np.linalg.norm(W, axis=1) <= radius
     return W[keep]
 

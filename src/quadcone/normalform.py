@@ -230,9 +230,9 @@ class _Chain:
     Invariant: sign * lam * rho_original(T z) == rho_current(z).
     """
 
-    def __init__(self, cone: QuadraticCone, T: np.ndarray | None = None, sign: int = 1):
+    def __init__(self, cone: QuadraticCone, T: np.ndarray, sign: int):
         self.cone = cone
-        self.T = np.eye(cone.n, dtype=complex) if T is None else T
+        self.T = T
         self.lam = 1.0
         self.sign = sign
 

@@ -91,7 +91,7 @@ class QuadraticCone:
     and a non-finite entry raises ConeError.
     """
 
-    __slots__ = ("n", "S", "H", "_scale", "_hsig", "_rsig")
+    __slots__ = ("n", "S", "H", "_scale", "_hsig", "_rsig", "_G")
 
     def __init__(self, S, H):
         S = np.array(S, dtype=complex)
@@ -136,6 +136,8 @@ class QuadraticCone:
         # default-tolerance signatures, kept by hermitian_signature / real_signature
         object.__setattr__(self, "_hsig", None)
         object.__setattr__(self, "_rsig", None)
+        # interleaved real form, kept by _interleaved_form
+        object.__setattr__(self, "_G", None)
 
     def __setattr__(self, *a):  # immutability, safe to share across threads
         raise AttributeError("QuadraticCone is immutable")
@@ -166,40 +168,74 @@ class QuadraticCone:
             object.__setattr__(neg, "_hsig", HermitianSignature(self._hsig.nu, self._hsig.pi))
         if self._rsig is not None:
             object.__setattr__(neg, "_rsig", RealSignature(self._rsig.q, self._rsig.p))
+        if self._G is not None:
+            G = -self._G
+            G.setflags(write=False)
+            object.__setattr__(neg, "_G", G)
         return neg
 
 
+# Row t of _FORM_BLOCK: what part t (Sr, Si, Hr, Hi) of the entries S[j, k] =
+# Sr + i Si and H[j, k] = Hr + i Hi adds to the 2 x 2 block of the real form at
+# (j, k), read row by row (x_j x_k, x_j y_k, y_j x_k, y_j y_k).  That block is
+# [[Hr + Sr, -(Hi + Si)], [Hi - Si, Hr - Sr]].  Each entry adds two parts, so
+# the product with it is exact up to the sign of zeros.
+_FORM_BLOCK = np.array(
+    [[1.0, 0.0, 0.0, -1.0], [0.0, -1.0, -1.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]]
+)
+_FORM_BLOCK.setflags(write=False)
+
+
+def _interleaved_form(cone: QuadraticCone) -> np.ndarray:
+    """rho's real form G in the order x_1, y_1, x_2, y_2, ... (z_j = x_j + i y_j), kept read-only.
+
+    That is the order of the float64 view of complex points, so rho(z) =
+    x^T G x with x = z.view(float64).  G is exactly symmetric, since S is
+    symmetric and H hermitian bitwise.
+    """
+    if cone._G is None:
+        n = cone.n
+        # (n, n, 4): Sr, Si, Hr, Hi of each entry (j, k)
+        parts = np.concatenate([M.view(np.float64).reshape(n, n, 2) for M in (cone.S, cone.H)], axis=2)
+        G = (parts @ _FORM_BLOCK).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+        G.setflags(write=False)
+        object.__setattr__(cone, "_G", G)
+    return cone._G
+
+
 def evaluate(cone: QuadraticCone, z) -> float:
-    """rho(z) = Re(z^T S z) + conj(z)^T H z at a single point."""
-    z = np.asarray(z, dtype=complex)
-    return float((z @ cone.S @ z).real + (z.conj() @ cone.H @ z).real)
+    """rho(z) = Re(z^T S z) + conj(z)^T H z at a single point, through evaluate_many."""
+    return float(evaluate_many(cone, np.reshape(z, (1, -1)))[0])
 
 
 def evaluate_many(cone: QuadraticCone, Z) -> np.ndarray:
-    """Vectorized rho over rows of Z (shape (m, n))."""
-    Z = np.asarray(Z, dtype=complex)
-    harm = np.einsum("ij,jk,ik->i", Z, cone.S, Z)
-    herm = np.einsum("ij,jk,ik->i", Z.conj(), cone.H, Z)
-    return harm.real + herm.real
+    """rho over the rows of Z (shape (m, n)), as x^T G x per row.
+
+    x is the float64 view (Re z_1, Im z_1, Re z_2, ...) of a row and G the
+    cone's real form in that order (real_form_matrix, permuted), built once
+    per cone, so each call is one real (m, 2n) x (2n, 2n) product.  Every
+    evaluation of rho in the package goes through here.  A row agrees with
+    Re(z^T S z) + conj(z)^T H z up to rounding of order n * 2^-52 *
+    cone.scale * |z|^2.  Z may be any array-like of complex or real numbers
+    with n columns; it is copied only when it is not a C-contiguous
+    complex128 array.
+    """
+    X = np.ascontiguousarray(Z, dtype=complex).view(np.float64)
+    return np.einsum("ij,ij->i", X @ _interleaved_form(cone), X)
 
 
 def real_form_matrix(cone: QuadraticCone) -> np.ndarray:
     """The 2n x 2n real symmetric matrix G with rho = (x,y)^T G (x,y).
 
-    Coordinates are ordered x_1..x_n, y_1..y_n.  With S = Sr + i*Si and
-    H = Hr + i*Hi the identity is
+    Coordinates are ordered x_1..x_n, y_1..y_n.  With S = Sr+i*Si and
+    H = Hr+i*Hi the identity is
 
         rho = x^T (Sr+Hr) x + y^T (Hr-Sr) y - 2 x^T (Si+Hi) y.
+
+    A writable copy of the kept form of evaluate_many, reordered.
     """
-    Sr, Si = cone.S.real, cone.S.imag
-    Hr, Hi = cone.H.real, cone.H.imag
-    n = cone.n
-    G = np.zeros((2 * n, 2 * n))
-    G[:n, :n] = Sr + Hr
-    G[n:, n:] = Hr - Sr
-    G[:n, n:] = -(Si + Hi)
-    G[n:, :n] = G[:n, n:].T
-    return G
+    order = np.arange(2 * cone.n).reshape(cone.n, 2).T.ravel()  # 0, 2, ..., then 1, 3, ...
+    return _interleaved_form(cone)[np.ix_(order, order)]
 
 
 def decompose_real_form(G) -> QuadraticCone:
@@ -286,7 +322,7 @@ def real_signature(cone: QuadraticCone, tol: float | None = None) -> RealSignatu
     """Inertia of the real form of rho on R^(2n), the default kept as for hermitian_signature."""
     if tol is None and cone._rsig is not None:
         return cone._rsig
-    sig = RealSignature(*_inertia(np.linalg.eigvalsh(real_form_matrix(cone)), tol))
+    sig = RealSignature(*_inertia(np.linalg.eigvalsh(_interleaved_form(cone)), tol))
     if tol is None:
         object.__setattr__(cone, "_rsig", sig)
     return sig
@@ -342,13 +378,14 @@ def _sample(cone: QuadraticCone, seed: int, count: int, radius: float):
         norm = np.linalg.norm(P, axis=1)
         far = ~(norm < 1e-9)
         i, k, P, norm = i[far], k[far], P[far], norm[far]
-        P = P * (radius * scales[2 * i + k] / norm)[:, None]
+        P *= (radius * scales[2 * i + k] / norm)[:, None]
         # one Newton polish along V to keep the residual at rounding level
-        dv = V[i] * (radius / np.maximum(np.linalg.norm(V[i], axis=1), 1e-300))[:, None]
+        vnorm = np.maximum(np.linalg.norm(V, axis=1), 1e-300)
+        dv = V[i] * (radius / vnorm[i])[:, None]
         r0 = evaluate_many(cone, P)
         g = evaluate_many(cone, P + 1e-7 * dv) - r0
-        step = np.abs(g) > 1e-300
-        P[step] = P[step] - (r0[step] * 1e-7 / g[step])[:, None] * dv[step]
+        step = np.divide(r0 * 1e-7, g, out=np.zeros_like(g), where=np.abs(g) > 1e-300)
+        P -= step[:, None] * dv
         res = np.abs(evaluate_many(cone, P))
         ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
         points.append(P[ok])
@@ -374,9 +411,10 @@ def sample_cone(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0)
     `seed`.  Each batch of max(count, 256) directions makes the same draws
     in the same order (U, then V, then the rescale factors), and candidates
     are taken in the order direction, then root, until `count` are found
-    or 64 batches are spent.  Each batch is processed as arrays, so points
-    equal those of the equivalent per-point loop up to rounding, not
-    bitwise.  Results are reproducible at fixed numpy versions.
+    or 64 batches are spent.  Each batch is processed as arrays, with rho
+    evaluated by evaluate_many's real matrix product, so points equal those
+    of the equivalent per-point loop up to rounding, not bitwise.  Results
+    are reproducible at fixed numpy and BLAS builds.
     """
     points, residuals = _sample(cone, seed, count, radius)
     return [ConeSample(point=p, residual=float(r)) for p, r in zip(points, residuals)]

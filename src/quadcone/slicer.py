@@ -370,6 +370,10 @@ def _try_slice(
 ) -> SliceResult | None:
     try:
         restricted = restrict(cone, slc)
+        # a restricted cone of rounding size (an inert plane, say) shows no side:
+        # its disc margins would be measured against rounding noise
+        if restricted.scale <= Q_ZERO_REL * cone.scale * mat_norm(slc.basis) ** 2:
+            return None
         cls = classify2(restricted)
     except (DegenerateBasis, ConeError):
         return None

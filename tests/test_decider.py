@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadcone.quadform as quadform
+from quadcone.cli import DEFAULT_EPS
 from quadcone.decider import (
     DiscFamily,
     NotOneSided,
@@ -26,7 +30,8 @@ from quadcone.normalform import (
     classify2,
     render_cone,
 )
-from quadcone.quadform import QuadraticCone, evaluate_many
+from quadcone.quadform import QuadraticCone, evaluate_many, sample_points
+from quadcone.slicer import find_good_slice
 
 EPS_GRID = (1e-3, 1e-2, 1e-1)
 
@@ -522,3 +527,48 @@ def test_decide_rejects_a_residual_beyond_its_bound(ntype):
     assert bad.residual > bad.residual_bound
     with pytest.raises(VerificationFailed, match="residual"):
         decide2(bad, cone)
+
+
+# --- point-count pins ------------------------------------------------------------
+
+# points_checked of each one-sided family, at the CLI's `verify` defaults and at
+# find_good_slice's; the point sets may move at rounding level, never in size
+ONE_SIDED_POINT_COUNTS = [
+    (NormalFormType("M20", a=2.0, b=0.5), "level_set", 64188, 9528),
+    (NormalFormType("M10_1", a=0.5), "level_set", 53346, 7902),
+    (NormalFormType("M11_1", a=2.0, b=0.5), "affine_line", 40000, 6000),
+    (NormalFormType("M11_1", a=3.0, b=2.0), "level_set", 48208, 7184),
+]
+
+
+@pytest.mark.parametrize("ntype, kind, cli_count, slice_count", ONE_SIDED_POINT_COUNTS)
+def test_verify_discs_pins_its_point_counts(ntype, kind, cli_count, slice_count):
+    cone, fam = render_cone(ntype), build_disc_family(ntype)
+    assert fam.kind == kind
+    rep = verify_discs(cone, fam, eps_grid=DEFAULT_EPS, samples=10_000, seed=0)
+    assert rep.points_checked == cli_count
+    slice_defaults = inspect.signature(find_good_slice).parameters
+    rep = verify_discs(
+        cone,
+        fam,
+        eps_grid=slice_defaults["eps_grid"].default,
+        samples=slice_defaults["samples"].default,
+        seed=slice_defaults["seed"].default,
+    )
+    assert rep.points_checked == slice_count
+
+
+@pytest.mark.parametrize("seed, candidates", [(0, 16040), (1, 16040), (2, 15976)])
+def test_sample_points_pins_its_point_and_direction_counts(monkeypatch, seed, candidates):
+    # one batch of 10k directions, three evaluations of it, then three of the
+    # candidate points it gives: a change in the draws or the filters shows here
+    rows = []
+    evaluate_rows = quadform.evaluate_many
+
+    def counting(cone, Z):
+        rows.append(len(Z))
+        return evaluate_rows(cone, Z)
+
+    monkeypatch.setattr(quadform, "evaluate_many", counting)
+    assert len(sample_points(example_m_cone(), seed, 10_000)) == 10_000
+    assert rows == [10_000] * 3 + [candidates] * 3

@@ -24,6 +24,7 @@ from quadcone.quadform import (
     real_signature,
     sample_cone,
     sample_points,
+    _interleaved_form,
 )
 from quadcone.normalform import _Chain, apply_change
 from quadcone.slicer import Slice, restrict
@@ -105,7 +106,7 @@ def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
     cone = random_cone(rng, n=3, scale=3.0)
     T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     B = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    chain = _Chain(cone)
+    chain = _Chain(cone, np.eye(3, dtype=complex), 1)
     chain.push_scale(0.37)
 
     def checked(S, H):
@@ -157,6 +158,84 @@ def test_evaluate_is_real_on_samples():
     # the hermitian quadratic is real by construction of H
     assert np.max(np.abs(herm.imag)) <= 1e-12 * cone.scale * np.max(np.abs(herm) + 1)
     assert np.allclose(evaluate_many(cone, Z), harm.real + herm.real)
+
+
+def _reference_rho(cone, Z):
+    """The complex einsum pair that evaluate_many's real kernel replaced."""
+    harm = np.einsum("ij,jk,ik->i", Z, cone.S, Z)
+    herm = np.einsum("ij,jk,ik->i", Z.conj(), cone.H, Z)
+    return harm.real + herm.real
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=-150, max_value=150),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_evaluate_many_agrees_with_the_einsum_reference(n, k, seed):
+    rng = np.random.default_rng(seed)
+    cone = random_cone(rng, n=n, scale=10.0**k)
+    Z = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+    got, ref = evaluate_many(cone, Z), _reference_rho(cone, Z)
+    bound = 64 * 2.0**-52 * cone.scale * np.linalg.norm(Z, axis=1) ** 2
+    assert np.all(np.abs(got - ref) <= bound)
+    assert evaluate(cone, Z[0]) == evaluate_many(cone, Z[:1])[0]
+
+
+def test_evaluate_many_accepts_every_input_layout():
+    rng = np.random.default_rng(31)
+    cone = random_cone(rng, n=3)
+    Z = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+    R = rng.standard_normal((5, 3))
+    cases = [
+        (Z[:4, :3].tolist(), Z[:4, :3]),
+        (R, R.astype(complex)),
+        (np.asfortranarray(Z[:, :3]), Z[:, :3]),
+        (Z[::2, 1::2], Z[::2, 1::2].copy()),
+        (Z[:1, :3], Z[:1, :3]),
+        (np.zeros((0, 3), dtype=complex), np.zeros((0, 3), dtype=complex)),
+    ]
+    for layout, Zc in cases:
+        got = evaluate_many(cone, layout)
+        assert got.shape == (len(Zc),)
+        assert np.array_equal(got, evaluate_many(cone, np.ascontiguousarray(Zc)))
+        bound = 64 * 2.0**-52 * cone.scale * np.linalg.norm(Zc, axis=1) ** 2
+        assert np.all(np.abs(got - _reference_rho(cone, Zc)) <= bound)
+
+
+def test_interleaved_form_is_kept_read_only_in_view_order():
+    rng = np.random.default_rng(32)
+    cone = random_cone(rng, n=3)
+    G = _interleaved_form(cone)
+    assert _interleaved_form(cone) is G
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
+    Sr, Si, Hr, Hi = cone.S.real, cone.S.imag, cone.H.real, cone.H.imag
+    xy = np.block([[Sr + Hr, -(Si + Hi)], [-(Si + Hi).T, Hr - Sr]])  # x1..x3, y1..y3
+    order = [0, 3, 1, 4, 2, 5]  # x1, y1, x2, y2, x3, y3
+    assert np.array_equal(G, xy[np.ix_(order, order)])
+    assert np.array_equal(real_form_matrix(cone), xy)
+    neg = cone.negated()
+    with pytest.raises(ValueError):
+        neg._G[0, 0] = 1.0
+
+
+def test_negated_and_internally_built_cones_evaluate_like_fresh_ones():
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 5):
+        cone = random_cone(rng, n=n, scale=float(10.0 ** rng.uniform(-8, 8)))
+        Z = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+        evaluate_many(cone, Z)  # computes the form, so that negated() hands it over
+        neg = cone.negated()
+        assert neg._G is not None
+        fresh = QuadraticCone(-cone.S, -cone.H)
+        assert np.array_equal(evaluate_many(neg, Z), evaluate_many(fresh, Z))
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        built = QuadraticCone._symmetrized(S, H)
+        fresh = QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
+        assert np.array_equal(evaluate_many(built, Z), evaluate_many(fresh, Z))
 
 
 # --- signatures --------------------------------------------------------------

@@ -413,6 +413,21 @@ def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatc
     assert _try_slice(cone, slc, samples=800, eps_grid=(1e-2, 1e-1), seed=0) is None
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_try_slice_rejects_a_restricted_cone_of_rounding_size(scale):
+    # example M plus an inert C^2, moved by a GL(4, C) change T: on the inert
+    # plane inv(T)[:, 2:4] the restricted cone is rounding noise (about 1e-17
+    # relative) and must not pass as a one-sided slice
+    S = scale * np.diag([0.5, 1.0 / 3.0, 0.0, 0.0])
+    cone = QuadraticCone(S, scale * np.diag([1.0, -1.0, 0.0, 0.0]))
+    for s in range(40):
+        rng = np.random.default_rng(s)
+        T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        slc = Slice(np.linalg.inv(T)[:, 2:4], "inert plane")
+        moved = apply_change(cone, T)
+        assert _try_slice(moved, slc, samples=2000, eps_grid=(1e-2, 1e-1), seed=0) is None
+
+
 def test_slicer_frame_flags_follow_the_hermitian_signature():
     # -2e-9 lies between 1e-9 * ||H||_2 = 1e-9 and 1e-9 * ||H||_F = 3e-9: the
     # signature counts it negative, so the frame and the shears must as well
