@@ -14,8 +14,10 @@ tree runs in a subprocess of its own over the same inputs:
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Prints every
 input whose exit code or report differs, apart from the report's
-`timings`, with the differing fields, then a count per input group.  Exits
-1 on any difference, 0 when every report and exit code is the same.
+`timings`, with the differing fields, then a count per input group and a
+tally of the differing inputs by field path (list indices as `[]`) and by
+exit-code transition.  Exits 1 on any difference, 0 when every report and
+exit code is the same.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -129,7 +132,7 @@ def main(argv=None) -> int:
     if list(parent) != list(change):
         print("the two trees ran different inputs")
         return 1
-    total, differ = Counter(), Counter()
+    total, differ, paths, exits = Counter(), Counter(), Counter(), Counter()
     for name, p in parent.items():
         c = change[name]
         group = name.split("/")[0] + "/" + name.split("/")[-1]
@@ -138,6 +141,8 @@ def main(argv=None) -> int:
         if p["code"] == c["code"] and not fields:
             continue
         differ[group] += 1
+        exits[f"exit {p['code']} -> {c['code']}"] += 1
+        paths.update({re.sub(r"\[\d+\]", "[]", path) for path, _, _ in fields})
         print(f"{name}: exit {p['code']} -> {c['code']}")
         for path, x, y in fields[:MAX_FIELDS]:
             print(f"  {path}: {json.dumps(x)[:200]} -> {json.dumps(y)[:200]}")
@@ -147,6 +152,10 @@ def main(argv=None) -> int:
     for group in sorted(total):
         print(f"{group}: {total[group] - differ[group]} of {total[group]} identical")
     print(f"all: {sum(total.values()) - sum(differ.values())} of {sum(total.values())} identical")
+    for title, tally in (("field path", paths), ("exit code", exits)):
+        print(f"\ndiffering inputs by {title}:")
+        for key, count in sorted(tally.items()):
+            print(f"  {key}: {count}")
     return 1 if differ else 0
 
 

@@ -16,7 +16,6 @@ builds its two-dimensional candidate slices in the same frame.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .quadform import (
     ConeError,
     QuadraticCone,
     canonical_sign,
-    evaluate_many,
+    form_distance,
     hermitian_signature,
     mat_norm,
     real_signature,
@@ -225,41 +224,32 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, QuadraticCone]
 
 
 class _Chain:
-    """Accumulates (T, lam, sign) while carrying the transformed cone along.
+    """Accumulates (T, lam, sign) while carrying the transformed harmonic part S along.
 
-    Invariant: sign * lam * rho_original(T z) == rho_current(z).
+    Invariant: S is the harmonic part of sign * lam * rho_original(T z).  No
+    step reads the hermitian part, and no step builds a cone: _finish pulls
+    the input back through the composed T once.
     """
 
-    def __init__(self, cone: QuadraticCone, T: np.ndarray, sign: int):
-        self.cone = cone
+    def __init__(self, S: np.ndarray, T: np.ndarray, sign: int):
+        self.S = S
         self.T = T
         self.lam = 1.0
         self.sign = sign
 
     def push_T(self, M):
         M = np.asarray(M, dtype=complex)
-        self.cone = apply_change(self.cone, M)
+        S = M.T @ self.S @ M
+        self.S = 0.5 * (S + S.T)
         self.T = self.T @ M
 
     def push_scale(self, c: float):
-        self.cone = QuadraticCone._symmetrized(c * self.cone.S, c * self.cone.H)
+        self.S = c * self.S
         self.lam *= c
 
     def push_negate(self):
-        self.cone = self.cone.negated()
+        self.S = -self.S
         self.sign = -self.sign
-
-
-@functools.cache
-def _unit_sphere_samples(n: int, count: int = 64) -> np.ndarray:
-    """Fixed-seed residual probes: computed once per (n, count), returned read-only."""
-    rng = np.random.default_rng(987654321)
-    Z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    Z /= np.linalg.norm(Z, axis=1)[:, None]
-    eye = np.eye(n, dtype=complex)
-    Z = np.vstack([Z, eye, 1j * eye])
-    Z.setflags(write=False)
-    return Z
 
 
 def _zero_test(margins: dict[str, float], key: str, value, thr: float) -> bool:
@@ -276,17 +266,24 @@ def _zero_test(margins: dict[str, float], key: str, value, thr: float) -> bool:
     return zero
 
 
-def _finish(chain: _Chain, ntype: NormalFormType, margins: dict[str, float]) -> NormalFormResult:
+def _finish(
+    cone: QuadraticCone, chain: _Chain, ntype: NormalFormType, margins: dict[str, float]
+) -> NormalFormResult:
+    """The result for the reported (T, lam, sign), with its exact residual.
+
+    The input cone is pulled back through the composed T once, which is its
+    one singularity test, and the residual is the largest |difference| of
+    that pullback and the normal form on |z| = 1.
+    """
     target = render_cone(ntype)
-    Z = _unit_sphere_samples(2)
-    residual = float(np.max(np.abs(evaluate_many(chain.cone, Z) - evaluate_many(target, Z))))
+    final = apply_change(cone, chain.T, chain.lam, chain.sign)
     margin = float(min(margins.values())) if margins else float("inf")
     return NormalFormResult(
         ntype=ntype,
         T=chain.T,
         lam=chain.lam,
         sign=chain.sign,
-        residual=residual,
+        residual=form_distance(final, target),
         low_confidence=bool(margin < LOW_CONFIDENCE_FACTOR),
         boundary_margin=margin,
         residual_bound=RESIDUAL_REL * target.scale,
@@ -299,7 +296,7 @@ def _diag_phase_fix(chain: _Chain) -> None:
     Valid in the diag(1,-1) (or any diagonal) hermitian frame: diagonal
     phase matrices are congruence-trivial on the hermitian part.
     """
-    S = chain.cone.S
+    S = chain.S
     eps = np.exp(-0.5j * np.angle(np.diag(S)))
     # angle(0) = 0, so zero coefficients are untouched
     chain.push_T(np.diag(eps))
@@ -309,8 +306,8 @@ _SWAP_NEG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # z1 <-> z2
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # SO(2): swaps diagonal entries
 
 
-def _classify_sig20(chain: _Chain, margins) -> NormalFormResult | DegeneracyReport:
-    tak = takagi2(chain.cone.S)
+def _classify_sig20(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
+    tak = takagi2(chain.S)
     chain.push_T(tak.u)
     A, B = tak.d
     margins["m20_dimension"] = abs(A - 1.0) / M20_BOUNDARY_TOL
@@ -320,16 +317,16 @@ def _classify_sig20(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
             f"hermitian signature (2,0) with largest harmonic coefficient A={A:.12g} <= 1: "
             "the rendered set has real dimension < 3",
         )
-    return _finish(chain, NormalFormType("M20", a=A, b=B), margins)
+    return NormalFormType("M20", a=A, b=B)
 
 
-def _case_m11_2(chain: _Chain, margins) -> NormalFormResult:
+def _case_m11_2(chain: _Chain) -> NormalFormType:
     """det P > 0: reduce to Re(A z1^2 + conj(A) z2^2) + Im(z1 conj(z2))."""
-    P = chain.cone.S.real
+    P = chain.S.real
     g, canon = sl2_reduce_sym(P)
     chain.push_T(g)
     s = 1.0 if canon[0, 0] > 0 else -1.0
-    lam_q, K = np.linalg.eigh(chain.cone.S.imag)  # ascending
+    _, K = np.linalg.eigh(chain.S.imag)  # ascending
     if np.linalg.det(K) < 0:
         K = K.copy()
         K[:, 1] = -K[:, 1]
@@ -338,77 +335,79 @@ def _case_m11_2(chain: _Chain, margins) -> NormalFormResult:
     if s < 0:
         chain.push_T(1j * np.eye(2))  # flips S; hermitian part untouched
         chain.push_T(_ROT90)  # restore Im >= 0 in the first slot
-    S = chain.cone.S
+    S = chain.S
     a = 0.5 * (S[0, 0] + np.conj(S[1, 1]))
     a = complex(max(a.real, 1e-300), max(a.imag, 0.0))
-    return _finish(chain, NormalFormType("M11_2", a=a), margins)
+    return NormalFormType("M11_2", a=a)
 
 
-def _case_m11_1(chain: _Chain, margins) -> NormalFormResult:
-    """det P < 0 (det S >= 0): reduce to Re(A z1^2 + B z2^2) + |z1|^2 - |z2|^2."""
-    P = chain.cone.S.real
+def _case_m11_1(chain: _Chain) -> tuple[float, float]:
+    """det P < 0 (det S >= 0): reduce to Re(A z1^2 + B z2^2) + |z1|^2 - |z2|^2; returns (A, B)."""
+    P = chain.S.real
     g, _ = sl2_reduce_sym(P)
     chain.push_T(g)
-    k_el, _ = so11_zero_diag(chain.cone.S.imag)
+    k_el, _ = so11_zero_diag(chain.S.imag)
     chain.push_T(k_el.matrix)
     chain.push_T(CHOFVAR)  # hermitian part becomes |z1|^2 - |z2|^2
     _diag_phase_fix(chain)
-    S = chain.cone.S
+    S = chain.S
     A, B = float(S[0, 0].real), float(S[1, 1].real)
     if B > A:
         chain.push_T(_SWAP_NEG)
         chain.push_negate()
         _diag_phase_fix(chain)
-        S = chain.cone.S
+        S = chain.S
         A, B = float(S[0, 0].real), float(S[1, 1].real)
-    A, B = max(A, 0.0), min(max(B, 0.0), max(A, 0.0))
-    return _finish(chain, NormalFormType("M11_1", a=A, b=B), margins)
+    return max(A, 0.0), min(max(B, 0.0), max(A, 0.0))
 
 
-def _case_m11_1_equal(chain: _Chain, margins) -> NormalFormResult:
+def _case_m11_1_equal(chain: _Chain) -> NormalFormType:
     """det P ~ 0 with P ~ 0: the A = B stratum of type M11_1."""
-    Q = chain.cone.S.imag
+    Q = chain.S.imag
     g, _ = sl2_reduce_sym(Q)
     chain.push_T(g)
     chain.push_T(CHOFVAR)
     _diag_phase_fix(chain)
-    S = chain.cone.S
+    S = chain.S
     A = 0.5 * (abs(S[0, 0]) + abs(S[1, 1]))
     # force the exact stratum; deviations land in the residual
-    return _finish(chain, NormalFormType("M11_1", a=float(A), b=float(A)), margins)
+    return NormalFormType("M11_1", a=float(A), b=float(A))
 
 
-def _case_m11_3(chain: _Chain, margins, w: np.ndarray) -> NormalFormResult:
+def _case_m11_3(chain: _Chain, w: np.ndarray) -> NormalFormType:
     """Rank-one S = w w^T with w parallel to a real direction: type M11_3."""
     j = int(np.argmax(np.abs(w)))
     u0 = np.real(w * np.exp(-1j * np.angle(w[j])))
     u0 = u0 / np.linalg.norm(u0)
     R = np.array([[u0[0], u0[1]], [-u0[1], u0[0]]])  # R @ u0 = e1
     chain.push_T(R.T.astype(complex))
-    a = chain.cone.S[0, 0]
+    a = chain.S[0, 0]
     sigma = 1.0 / np.sqrt(a)
     chain.push_T(np.diag([sigma, 1.0 / np.conj(sigma)]))  # preserves Im(z1 conj(z2))
-    return _finish(chain, NormalFormType("M11_3"), margins)
+    return NormalFormType("M11_3")
 
 
-def _classify_sig11(chain: _Chain, margins) -> NormalFormResult | DegeneracyReport:
-    S1 = chain.cone.S
+def _classify_sig11(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
+    S1 = chain.S
     ns = mat_norm(S1)
     if ns <= 1e-12:
         # S = 0 against the unit-scale hermitian frame: Im(z1 conj(z2)) alone
         chain.push_T(CHOFVAR)
-        return _finish(chain, NormalFormType("M11_1", a=0.0, b=0.0), margins)
+        return NormalFormType("M11_1", a=0.0, b=0.0)
 
     detS = complex(np.linalg.det(S1))
     if not _zero_test(margins, "m11_det_s", detS, DETS_ZERO_REL * ns**2):
         theta = -0.25 * np.angle(detS)
         chain.push_T(np.exp(1j * theta) * np.eye(2))  # det S becomes |det S| > 0
-        P = chain.cone.S.real
+        P = chain.S.real
         dp = float(np.linalg.det(P))
         if not _zero_test(margins, "m11_det_p", dp, DETP_ZERO_REL * ns**2):
-            return _case_m11_2(chain, margins) if dp > 0 else _case_m11_1(chain, margins)
+            if dp > 0:
+                return _case_m11_2(chain)
+            A, B = _case_m11_1(chain)
+            return NormalFormType("M11_1", a=A, b=B)
         if _zero_test(margins, "m11_p_zero", mat_norm(P), P_ZERO_REL * ns):
-            return _case_m11_1_equal(chain, margins)
+            return _case_m11_1_equal(chain)
         # det S > 0 with det P = 0 but P != 0: rank-one P.  No table row has
         # these invariants (det P and rank P are frame-invariants here), and
         # the SO(1,1) diagonal-zeroing step is unsolvable on this stratum.
@@ -435,14 +434,14 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
     if not _zero_test(margins, "m11_rank1_area", d, 1e-10 * wn2):
         # det P = -d^2 < 0 and det Q = det P - Re(det S) <= 0: the generic
         # indefinite-P machinery applies and lands on M11_1 with one
-        # vanishing coefficient; snap it and re-measure the residual
-        res = _case_m11_1(chain, margins)
-        return _finish(chain, NormalFormType("M11_1", a=res.ntype.params()[0], b=0.0), margins)
-    return _case_m11_3(chain, margins, w)
+        # vanishing coefficient; snap it
+        A, _ = _case_m11_1(chain)
+        return NormalFormType("M11_1", a=A, b=0.0)
+    return _case_m11_3(chain, w)
 
 
-def _classify_sig10(chain: _Chain, margins) -> NormalFormResult | DegeneracyReport:
-    S1 = chain.cone.S
+def _classify_sig10(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
+    S1 = chain.S
     A0, B0, C0 = S1[0, 0], S1[0, 1], S1[1, 1]
     # normalize_hermitian scales the first column of T to 1/sqrt(w1) and
     # leaves the kernel column at unit length.  The zero tests compare B and
@@ -458,11 +457,11 @@ def _classify_sig10(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
         theta1 = 0.5 * np.angle(alpha) if abs(alpha) > 0 else 0.0
         W = np.array([[np.exp(1j * theta1), 0.0], [B0 / rC, rC]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
-        return _finish(chain, NormalFormType("M10_1", a=float(abs(alpha))), margins)
+        return NormalFormType("M10_1", a=float(abs(alpha)))
     if not _zero_test(margins, "m10_b", Bt, thr):
         W = np.array([[1.0, 0.0], [A0, 2.0 * B0]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
-        return _finish(chain, NormalFormType("M10_2"), margins)
+        return NormalFormType("M10_2")
     absA = abs(A0)
     margins["m10_a_boundary"] = abs(absA - 1.0) / 1e-9
     if absA <= 1.0 + 1e-9:
@@ -478,8 +477,8 @@ def _classify_sig10(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
     )
 
 
-def _classify_sig00(chain: _Chain, margins) -> NormalFormResult | DegeneracyReport:
-    tak = takagi2(chain.cone.S)
+def _classify_sig00(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
+    tak = takagi2(chain.S)
     d1, d2 = tak.d
     if d1 <= 0.0:  # rho = 0 is caught by classify2's precheck; a guard, scale-free
         return DegeneracyReport("DimensionDeficient", "rho is identically zero")
@@ -490,7 +489,12 @@ def _classify_sig00(chain: _Chain, margins) -> NormalFormResult | DegeneracyRepo
     chain.push_scale(1.0 / d1)
     chain.push_T(tak.u)
     chain.push_T(np.diag([1.0, np.sqrt(d1 / d2)]).astype(complex))
-    return _finish(chain, NormalFormType("M00_1"), margins)
+    return NormalFormType("M00_1")
+
+
+_BY_SIGNATURE = {
+    (2, 0): _classify_sig20, (1, 1): _classify_sig11, (1, 0): _classify_sig10, (0, 0): _classify_sig00
+}
 
 
 def real_degeneracy(cone: QuadraticCone) -> DegeneracyReport | None:
@@ -526,18 +530,15 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
         return degenerate
 
     margins: dict[str, float] = {}
-    sig = hermitian_signature(cone0).as_tuple()
+    # canonical_sign leaves pi >= nu, so n = 2 has these four signatures
+    reduce = _BY_SIGNATURE[hermitian_signature(cone0).as_tuple()]
     try:
         T0, cone1 = normalize_hermitian(cone0)
-        chain = _Chain(cone1, T0, flip)
-        if sig == (2, 0):
-            return _classify_sig20(chain, margins)
-        if sig == (1, 1):
-            return _classify_sig11(chain, margins)
-        if sig == (1, 0):
-            return _classify_sig10(chain, margins)
-        if sig == (0, 0):
-            return _classify_sig00(chain, margins)
+        chain = _Chain(cone1.S, T0, flip)
+        ntype = reduce(chain, margins)
+        if isinstance(ntype, DegeneracyReport):
+            return ntype
+        return _finish(cone, chain, ntype, margins)
     except (SingularMatrix, So11Unreachable, ZeroMatrix, np.linalg.LinAlgError) as exc:
         # a reduction step passed the scale-invariant routing thresholds but
         # turned out numerically unusable at this input
@@ -545,7 +546,6 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
             "UnclassifiedBoundary",
             f"ill-conditioned reduction near a case boundary: {exc}",
         )
-    raise UnsupportedSignature(f"unexpected hermitian signature {sig}")  # pragma: no cover
 
 
 def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, float]:

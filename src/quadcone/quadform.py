@@ -224,6 +224,17 @@ def evaluate_many(cone: QuadraticCone, Z) -> np.ndarray:
     return np.einsum("ij,ij->i", X @ _interleaved_form(cone), X)
 
 
+def form_distance(a: QuadraticCone, b: QuadraticCone) -> float:
+    """max over |z| = 1 of |rho_a(z) - rho_b(z)|, exactly, for cones in the same C^n.
+
+    |z| = 1 is |x| = 1 for the float64 view x of z, so the maximum is the
+    spectral norm of the difference of the two real forms: one eigvalsh.
+    """
+    if a.n != b.n:
+        raise ConeError(f"cones in C^{a.n} and C^{b.n} have no distance")
+    return float(np.abs(np.linalg.eigvalsh(_interleaved_form(a) - _interleaved_form(b))).max())
+
+
 def real_form_matrix(cone: QuadraticCone) -> np.ndarray:
     """The 2n x 2n real symmetric matrix G with rho = (x,y)^T G (x,y).
 

@@ -21,7 +21,7 @@ starts from, and follow the case analysis on the hermitian signature
 Every candidate is validated end to end, and a seeded randomized search
 backstops conditioning failures.  Cones with two-sided support are
 classified separately into product / harmonic-rank / bilinear-factor
-forms, each re-verified pointwise before being reported.
+forms, each verified exactly before being reported.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .quadform import (
     ConeError,
     QuadraticCone,
     canonical_sign,
-    evaluate_many,
+    form_distance,
     hermitian_signature,
     mat_norm,
     real_signature,
@@ -487,25 +487,20 @@ def _lagrange_diagonalize(S: np.ndarray, tol_rel: float = 1e-10):
     return T, np.diag(A).copy()
 
 
-def _verify_pointwise(cone: QuadraticCone, model, seed: int = 5, count: int = 256) -> float:
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((count, cone.n)) + 1j * rng.standard_normal((count, cone.n))
-    Z /= np.linalg.norm(Z, axis=1)[:, None]
-    vals = evaluate_many(cone, Z)
-    return float(np.max(np.abs(vals - model(Z))))
-
-
 def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     """Recognize the two-sided normal shapes in C^n, n >= 3.
 
     Detects, in order: a product with an inert C^(n-2) factor (joint kernel
     of the coefficient pair has complex dimension n-2), a purely harmonic
     cone Re(z1^2 + ... + zk^2) with k > 2, and the bilinear-factor shape
-    Re((z2 + conj(z3)) z1).  Every recognized form is re-verified pointwise
-    before being returned; anything else comes back as "unknown" rather
-    than a guess.  ts1, ts2 and a product whose C^2 factor decides two-sided
-    (supporting lines verified on the factor) are `certified`: such a cone
-    has two-sided support, so it has no one-sided slice to search for.
+    Re((z2 + conj(z3)) z1).  Every recognized form is verified exactly
+    before being returned: its model rho, as a cone, lies within
+    FIT_VERIFY_REL (times 10 for ts1 and ts2) of the cone's scale in
+    form_distance, which is the fit_residual.  Anything else comes back as
+    "unknown" rather than a guess.  ts1, ts2 and a product whose C^2 factor
+    decides two-sided (supporting lines verified on the factor) are
+    `certified`: such a cone has two-sided support, so it has no one-sided
+    slice to search for.
     """
     if cone.n < 3:
         raise ConeError("classify_two_sided_nd expects n >= 3")
@@ -515,25 +510,20 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     stacked = np.vstack([cone.S, cone.H])
     sv = np.linalg.svd(stacked, compute_uv=False)
     kdim = int(np.sum(sv <= 1e-9 * max(sv[0], 1e-300)))
-    if kdim >= n - 2 and sv[0] > 0:
+    if kdim == n - 2:
         _, _, vh = np.linalg.svd(stacked)
-        Bc = vh[: n - kdim].conj().T
-        Kb = vh[n - kdim :].conj().T
-        if Bc.shape[1] == 2:
-            rng = np.random.default_rng(3)
-            Zw = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
-            Zu = rng.standard_normal((128, n - 2)) + 1j * rng.standard_normal((128, n - 2))
-            full = Zw @ Bc.T + Zu @ Kb.T
-            base = Zw @ Bc.T
-            resid = float(np.max(np.abs(evaluate_many(cone, full) - evaluate_many(cone, base))))
-            if resid <= FIT_VERIFY_REL * scale * float(np.max(np.linalg.norm(full, axis=1) ** 2)):
-                factor = restrict(cone, Slice(Bc, "product factor"))
-                inner = classify2(factor)
-                return TwoSidedForm(
-                    kind="product", inner=inner, transform=Bc, fit_residual=resid,
-                    detail="rho is independent of an (n-2)-dimensional complex factor",
-                    certified=_factor_two_sided(inner, factor),
-                )
+        Bc = vh[:2].conj().T  # orthonormal, so rho_factor(Bc^H z) = rho(Bc Bc^H z)
+        factor = restrict(cone, Slice(Bc, "product factor"))
+        P = Bc.conj().T
+        model = QuadraticCone._symmetrized(P.T @ factor.S @ P, P.conj().T @ factor.H @ P)
+        resid = form_distance(cone, model)
+        if resid <= FIT_VERIFY_REL * scale:
+            inner = classify2(factor)
+            return TwoSidedForm(
+                kind="product", inner=inner, transform=Bc, fit_residual=resid,
+                detail="rho is independent of an (n-2)-dimensional complex factor",
+                certified=_factor_two_sided(inner, factor),
+            )
 
     if mat_norm(cone.H) <= 1e-10 * scale:
         T, d = _lagrange_diagonalize(cone.S)
@@ -545,12 +535,9 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
             Tn = T.copy()
             for i in range(k):
                 Tn[:, i] = T[:, i] / np.sqrt(d[i])
-
-            def model(Z, Tn=Tn, k=k):
-                Wc = Z @ np.linalg.inv(Tn).T
-                return np.sum(Wc[:, :k] ** 2, axis=1).real
-
-            resid = _verify_pointwise(cone, model)
+            Ti = np.linalg.inv(Tn)[:k]  # model rho = Re(sum of (Ti z)_i^2)
+            model = QuadraticCone._symmetrized(Ti.T @ Ti, np.zeros((n, n), dtype=complex))
+            resid = form_distance(cone, model)
             if resid <= FIT_VERIFY_REL * scale * 10:
                 return TwoSidedForm(
                     kind="ts1", k=k, transform=Tn, fit_residual=resid,
@@ -575,7 +562,6 @@ def _factor_two_sided(inner: NormalFormResult | DegeneracyReport, factor: Quadra
 
 def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
     """Fit rho = Re((lambda(z) + conj(mu(z))) alpha(z)) with independent forms."""
-    n = cone.n
     scale = max(cone.scale, 1e-300)
     if hermitian_signature(cone).as_tuple() != (1, 1):
         return None
@@ -600,11 +586,9 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
         fs = np.linalg.svd(forms, compute_uv=False)
         if fs[-1] <= 1e-8 * fs[0]:
             continue
-
-        def model(Z, a=a, l=l, m=m):
-            return np.real((Z @ l + np.conj(Z @ m)) * (Z @ a))
-
-        resid = _verify_pointwise(cone, model)
+        # Re((l.z) (a.z)) + Re(conj(m.z) (a.z)), as a cone
+        model = QuadraticCone._symmetrized(np.outer(l, a), np.outer(np.conj(m), a))
+        resid = form_distance(cone, model)
         if resid <= FIT_VERIFY_REL * scale * 10:
             return TwoSidedForm(
                 kind="ts2", transform=forms.T, fit_residual=resid,

@@ -30,7 +30,7 @@ from quadcone.normalform import (
     classify2,
     render_cone,
 )
-from quadcone.quadform import QuadraticCone, evaluate_many, sample_points
+from quadcone.quadform import QuadraticCone, evaluate_many, form_distance, sample_points
 from quadcone.slicer import find_good_slice
 
 EPS_GRID = (1e-3, 1e-2, 1e-1)
@@ -504,12 +504,8 @@ def _nudged(res, cone):
     """res with T moved by 1e-6, and the residual that T really has."""
     from dataclasses import replace
 
-    from quadcone.normalform import _unit_sphere_samples
-
     T = res.T @ np.diag([1.0 + 1e-6, 1.0])
-    Z = _unit_sphere_samples(2)
-    moved = evaluate_many(apply_change(cone, T, res.lam, res.sign), Z)
-    residual = float(np.max(np.abs(moved - evaluate_many(render_cone(res.ntype), Z))))
+    residual = form_distance(apply_change(cone, T, res.lam, res.sign), render_cone(res.ntype))
     return replace(res, T=T, residual=residual)
 
 

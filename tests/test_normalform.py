@@ -100,21 +100,6 @@ def test_render_cone_equals_the_checked_constructor():
         assert cone == QuadraticCone(*table[tag])
 
 
-def test_unit_sphere_samples_are_computed_once_and_read_only():
-    from quadcone.normalform import _unit_sphere_samples
-
-    Z = _unit_sphere_samples(2)
-    assert _unit_sphere_samples(2) is Z
-    assert not Z.flags.writeable
-    with pytest.raises(ValueError):
-        Z[0, 0] = 0.0
-    rng = np.random.default_rng(987654321)
-    W = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-    W /= np.linalg.norm(W, axis=1)[:, None]
-    assert np.array_equal(Z, np.vstack([W, np.eye(2), 1j * np.eye(2)]))
-    assert _unit_sphere_samples(3).shape == (70, 3)
-
-
 # --- apply_change ------------------------------------------------------------
 
 
@@ -357,6 +342,46 @@ def test_m10_classifies_across_the_census_scales(ntype, k):
             res = classify2(cone)
             assert isinstance(res, NormalFormResult) and res.tag == ntype.tag, (k, sign, res)
             assert res.ntype.params() == pytest.approx(ntype.params(), rel=1e-6)
+
+
+TABLE_ROWS = (
+    NormalFormType("M20", a=2.0, b=0.5), NormalFormType("M11_1", a=0.5, b=1.0 / 3.0),
+    NormalFormType("M11_2", a=1.0 + 1.0j), NormalFormType("M11_3"), NormalFormType("M10_1", a=0.7),
+    NormalFormType("M10_2"), NormalFormType("M00_1"),
+)
+SCAN_GL2 = tuple(random_gl2(np.random.default_rng(s)) for s in range(5))
+SCAN_EXPONENTS = range(-300, 301, 10)
+
+
+def _scan_failures(ntype, exponents):
+    """(k, change index, result) of every scaled input that misses its tag or residual bound."""
+    failures = []
+    for k in exponents:
+        for i, T in enumerate(SCAN_GL2):
+            res = classify2(apply_change(render_cone(ntype), T, lam=10.0**k))
+            if not (isinstance(res, NormalFormResult) and res.tag == ntype.tag
+                    and res.residual <= res.residual_bound):
+                failures.append((k, i, res))
+    return failures
+
+
+@pytest.mark.parametrize("ntype", TABLE_ROWS, ids=lambda t: t.tag)
+def test_table_rows_classify_within_their_residual_bound_over_1e300(ntype):
+    # the composed T is tested for singularity once: the (1,0) steps whose own
+    # inverses have nearly parallel columns at small and large scales used to
+    # make M10_1 and M10_2 UnclassifiedBoundary
+    exponents = [k for k in SCAN_EXPONENTS if ntype.tag != "M00_1" or abs(k) < 160]
+    assert _scan_failures(ntype, exponents) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="takagi2 forms conj(S) @ S, which overflows or underflows beyond about 1e+-155 "
+    "(the takagi2 FOUND line of CHANGES.md)",
+)
+def test_m00_1_classifies_within_its_residual_bound_beyond_1e160():
+    exponents = [k for k in SCAN_EXPONENTS if abs(k) >= 160]
+    assert _scan_failures(NormalFormType("M00_1"), exponents) == []
 
 
 # --- idempotence and round trips ----------------------------------------------

@@ -18,6 +18,7 @@ from quadcone.quadform import (
     decompose_real_form,
     evaluate,
     evaluate_many,
+    form_distance,
     hermitian_signature,
     real_form_matrix,
     mat_norm,
@@ -26,7 +27,7 @@ from quadcone.quadform import (
     sample_points,
     _interleaved_form,
 )
-from quadcone.normalform import _Chain, apply_change
+from quadcone.normalform import NormalFormType, apply_change, render_cone
 from quadcone.slicer import Slice, restrict
 from quadcone.reduction import E_HERM
 
@@ -106,8 +107,6 @@ def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
     cone = random_cone(rng, n=3, scale=3.0)
     T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     B = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    chain = _Chain(cone, np.eye(3, dtype=complex), 1)
-    chain.push_scale(0.37)
 
     def checked(S, H):
         return QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
@@ -117,7 +116,6 @@ def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
          checked(-2.5 * (T.T @ cone.S @ T), -2.5 * (T.conj().T @ cone.H @ T))),
         (restrict(cone, Slice(B, "test")), checked(B.T @ cone.S @ B, B.conj().T @ cone.H @ B)),
         (cone.negated(), checked(-cone.S, -cone.H)),
-        (chain.cone, checked(0.37 * cone.S, 0.37 * cone.H)),
     ]
     for built, reference in cases:
         assert np.array_equal(built.S, built.S.T)
@@ -236,6 +234,31 @@ def test_negated_and_internally_built_cones_evaluate_like_fresh_ones():
         built = QuadraticCone._symmetrized(S, H)
         fresh = QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
         assert np.array_equal(evaluate_many(built, Z), evaluate_many(fresh, Z))
+
+
+def test_form_distance_of_two_m20_forms_is_their_coefficient_gap():
+    # Re(0.1 z2^2) has largest |value| 0.1 on |z| = 1
+    a = render_cone(NormalFormType("M20", a=2.0, b=0.5))
+    b = render_cone(NormalFormType("M20", a=2.0, b=0.4))
+    assert form_distance(a, b) == pytest.approx(0.1, rel=1e-14)
+    assert form_distance(a, a) == 0.0
+    with pytest.raises(ConeError):
+        form_distance(a, random_cone(np.random.default_rng(0), n=3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_form_distance_is_symmetric_and_bounds_every_sampled_difference(n):
+    rng = np.random.default_rng(40 + n)
+    a, b = random_cone(rng, n=n), random_cone(rng, n=n, scale=1e-3)
+    dist = form_distance(a, b)
+    assert form_distance(b, a) == pytest.approx(dist, rel=1e-14)
+    assert form_distance(b, b) == 0.0
+    Z = rng.standard_normal((10_000, n)) + 1j * rng.standard_normal((10_000, n))
+    Z /= np.linalg.norm(Z, axis=1)[:, None]
+    sampled = np.abs(evaluate_many(a, Z) - evaluate_many(b, Z)).max()
+    assert sampled <= dist * (1.0 + 1e-12)
+    # the maximum is attained: sampling comes close to it in low dimension
+    assert sampled >= 0.5 * dist
 
 
 # --- signatures --------------------------------------------------------------
