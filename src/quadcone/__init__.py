@@ -2,7 +2,6 @@
 
 from .quadform import (
     ConeError,
-    ConeSample,
     HermitianSignature,
     InsufficientSamples,
     NonHomogeneous,
@@ -17,16 +16,12 @@ from .quadform import (
     hermitian_signature,
     real_form_matrix,
     real_signature,
-    sample_cone,
     sample_points,
 )
 from .reduction import (
     E_HERM,
-    DetInvariants,
-    So11Element,
     TakagiFactorization,
     factor_preserver,
-    det_invariants,
     sl2_reduce_sym,
     so11_zero_diag,
     takagi2,
@@ -40,7 +35,6 @@ from .normalform import (
     classify2,
     normalize_hermitian,
     render_cone,
-    uniqueness_certificate,
 )
 
 __version__ = "0.1.0"

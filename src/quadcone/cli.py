@@ -303,22 +303,8 @@ def _base_report(command: str, args, spec: ConeSpec | None) -> dict:
     return report
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return _c2j(complex(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(report: dict, code: int) -> int:
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 
@@ -661,15 +647,12 @@ def main(argv=None) -> int:
             if isinstance(value, str):
                 setattr(args, name, parse(value))
         return args.func(args)
-    except (SchemaError, NonReal, NonHomogeneous) as exc:
+    except (SchemaError, NonReal, NonHomogeneous, FileNotFoundError) as exc:
         print(json.dumps({"error": {"kind": "schema", "message": str(exc)}}, indent=2))
         return EXIT_SCHEMA
     except VerificationFailed as exc:
         print(json.dumps({"error": {"kind": "verification", "message": str(exc)}}, indent=2))
         return EXIT_VERIFICATION
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": {"kind": "schema", "message": str(exc)}}, indent=2))
-        return EXIT_SCHEMA
     except ConeError as exc:
         print(json.dumps({"error": {"kind": "cone", "message": str(exc)}}, indent=2))
         return EXIT_DEGENERATE

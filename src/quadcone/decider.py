@@ -32,10 +32,6 @@ JUMP_IDENTITY_TOL = 1e-12
 JUMP_RATIO_BOUND = 10.0
 
 
-class NotOneSided(ConeError):
-    pass
-
-
 class VerificationFailed(ConeError):
     def __init__(self, message: str, eps: float | None = None, z=None):
         super().__init__(message)
@@ -113,8 +109,8 @@ class JumpReport:
     points_checked: int
 
 
-def build_disc_family(ntype: NormalFormType) -> DiscFamily:
-    """The explicit disc family of a one-sided type, in its own coordinates."""
+def build_disc_family(ntype: NormalFormType) -> DiscFamily | None:
+    """The explicit disc family of a one-sided type, in its own coordinates; None if two-sided."""
     tag = ntype.tag
     if tag == "M20":
         A, B = ntype.params()
@@ -125,12 +121,12 @@ def build_disc_family(ntype: NormalFormType) -> DiscFamily:
     if tag == "M11_1":
         A, B = ntype.params()
         if abs(A - B) <= EQUAL_PARAM_TOL * max(1.0, A) or A <= 1.0 + A_ONE_BOUNDARY_TOL:
-            raise NotOneSided(f"M11_1 with A={A}, B={B} is two-sided")
+            return None
         if B < 1.0:
             return DiscFamily(kind="affine_line", side=-1, shift=1j)
         # 1 <= B < A: the level variety A z1^2 + B z2^2 = -eps stays below the cone
         return DiscFamily(kind="level_set", side=-1, c=-np.diag([A, B]).astype(complex))
-    raise NotOneSided(f"{tag} is a two-sided type")
+    return None
 
 
 def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: float) -> np.ndarray:
@@ -163,6 +159,14 @@ def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: floa
     return W[keep]
 
 
+def _check_finite(vals: np.ndarray, Z: np.ndarray, what: str, eps: float | None = None) -> None:
+    """Raise VerificationFailed at the first point of Z whose checked value is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise VerificationFailed(f"{what}: rho is not finite at a checked point", eps=eps, z=Z[j])
+
+
 def _disc_points(fam: DiscFamily, eps: float, count: int, rng) -> np.ndarray:
     if fam.kind == "level_set":
         return _solve_level_points(fam.c, eps, count, rng, fam.radius)
@@ -188,7 +192,7 @@ def verify_discs(
     touch_residual the minimum of side * rho over limit-disc samples w with
     |w| >= 1e-3 * fam.radius in the family's own frame, so the filter does
     not depend on the scale of the transform into cone coordinates.  Both
-    must come out positive.
+    must come out positive, and every checked value finite.
     """
     if len(eps_grid) == 0:
         raise ConeError("eps_grid must be nonempty")
@@ -203,6 +207,7 @@ def verify_discs(
             raise VerificationFailed(f"no disc points found at eps={eps}", eps=eps)
         Z = fam.map_points(W)
         vals = fam.side * evaluate_many(cone, Z)
+        _check_finite(vals, Z, f"disc at eps={eps}", eps=eps)
         checked += len(Z)
         j = int(np.argmin(vals))
         if vals[j] <= 0:
@@ -217,6 +222,7 @@ def verify_discs(
     Z0 = fam.map_points(W0)
     keep = np.linalg.norm(W0, axis=1) >= 1e-3 * fam.radius
     touch = fam.side * evaluate_many(cone, Z0[keep])
+    _check_finite(touch, Z0[keep], "limit disc", eps=0.0)
     checked += int(np.sum(keep))
     if len(touch) == 0:
         raise VerificationFailed("limit disc produced no samples away from 0", eps=0.0)
@@ -261,11 +267,13 @@ def verify_support(
     line (module docstring), normalized by |z|^2 * (||S||_F + ||H||_F).  The
     tolerance is the tol_rel band around zero (default 1e-12), so witnesses
     inside the cone itself (the non-minimal case) pass, and a non-minimal
-    witness must keep |rho| within it.  A failure carries its worst point as `z`.
+    witness must keep |rho| within it.  A non-finite value fails as well.  A
+    failure carries its worst point as `z`.
     """
     scale = max(cone.scale, 1e-300)
     Z = _line_extremes(cone, np.array([witness.aplus.span, witness.aminus.span]))
     vals = evaluate_many(cone, Z) / (np.linalg.norm(Z, axis=1) ** 2 * scale)
+    _check_finite(vals, Z, "supporting lines")
     _, plus_min, minus_max, _ = vals
     if plus_min < -tol_rel:
         raise VerificationFailed(
@@ -364,11 +372,8 @@ def decide2(
         raise VerificationFailed(
             f"{r.tag} classification residual {r.residual:.3e} exceeds {r.residual_bound:.3e}"
         )
-    try:
-        fam = build_disc_family(r.ntype)
-    except NotOneSided:
-        pass
-    else:
+    fam = build_disc_family(r.ntype)
+    if fam is not None:
         fam = replace(fam, transform=r.T, side=fam.side * r.sign)
         return Verdict(outcome="one_sided", side=fam.side, discs=fam)
     witness = _normal_frame_witness(r.ntype)

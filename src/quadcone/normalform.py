@@ -43,8 +43,6 @@ DETP_ZERO_REL = 1e-9  # |det P| threshold for the case split on sign(det P)
 P_ZERO_REL = 1e-6  # ||P|| below this * ||S|| counts as P = 0 in the det P = 0 case
 M20_BOUNDARY_TOL = 1e-9  # A <= 1 + tol is dimension-deficient for type M20
 RESIDUAL_REL = 1e-8
-PARAM_TOL = 1e-6
-CERT_TOL = 1e-8
 LOW_CONFIDENCE_FACTOR = 10.0
 CHANGE_HADAMARD_MIN = 1e-12  # |det T| / prod |t_j| at or below this: T is singular
 
@@ -183,8 +181,8 @@ def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> Qua
     return QuadraticCone._symmetrized(S, H)
 
 
-def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, QuadraticCone]:
-    """W with W^* H W canonical, and the cone pulled back through W, in any C^n.
+def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
+    """(W, S1): W with W^* H W canonical, and S1 the harmonic part pulled back through W.
 
     The canonical matrix is diag(1, ..., 1, -1, ..., -1, 0, ..., 0) with the
     counts of hermitian_signature, or Im(z1 conj(z2)) + 0 for signature
@@ -198,6 +196,9 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, QuadraticCone]
     signature keeps eigh's order of equal eigenvalues, which the slicer's
     candidate bases follow.  Signatures with nu > pi are not canonical;
     flip the sign of rho first.
+
+    S1 = 0.5 (X + X^T) with X = W^T S W is bitwise the harmonic part of
+    apply_change(cone, W); W's columns are orthogonal, so it is nonsingular.
     """
     n = cone.n
     pi, nu = hermitian_signature(cone).as_tuple()
@@ -220,7 +221,8 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, QuadraticCone]
         W = np.ascontiguousarray(V[:, order] / root)
         if (pi, nu) == (1, 1):
             W[:, :2] = W[:, :2] @ (0.5 * CHOFVAR)
-    return W, apply_change(cone, W)
+    X = W.T @ cone.S @ W
+    return W, 0.5 * (X + X.T)
 
 
 class _Chain:
@@ -346,8 +348,8 @@ def _case_m11_1(chain: _Chain) -> tuple[float, float]:
     P = chain.S.real
     g, _ = sl2_reduce_sym(P)
     chain.push_T(g)
-    k_el, _ = so11_zero_diag(chain.S.imag)
-    chain.push_T(k_el.matrix)
+    k, _ = so11_zero_diag(chain.S.imag)
+    chain.push_T(k)
     chain.push_T(CHOFVAR)  # hermitian part becomes |z1|^2 - |z2|^2
     _diag_phase_fix(chain)
     S = chain.S
@@ -533,8 +535,8 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
     # canonical_sign leaves pi >= nu, so n = 2 has these four signatures
     reduce = _BY_SIGNATURE[hermitian_signature(cone0).as_tuple()]
     try:
-        T0, cone1 = normalize_hermitian(cone0)
-        chain = _Chain(cone1.S, T0, flip)
+        T0, S1 = normalize_hermitian(cone0)
+        chain = _Chain(S1, T0, flip)
         ntype = reduce(chain, margins)
         if isinstance(ntype, DegeneracyReport):
             return ntype
@@ -551,7 +553,8 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
 def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, float]:
     """(det S, det P, det Q) of the type's representative in the Im(z1 conj(z2)) frame.
 
-    Only meaningful for the (1,1) tags; used as a uniqueness certificate.
+    Only meaningful for the (1,1) tags, where it is the same for every
+    presentation of one cone.
     """
     if ntype.tag == "M11_1":
         A, B = ntype.params()
@@ -563,26 +566,3 @@ def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, floa
         return (0.0 + 0.0j, 0.0, 0.0)
     raise ConeError(f"{ntype.tag} is not a (1,1) type")
 
-
-def uniqueness_certificate(
-    r1: NormalFormResult, r2: NormalFormResult, param_tol: float = PARAM_TOL, cert_tol: float = CERT_TOL
-) -> bool:
-    """True iff two classifications agree: same tag, parameters within tolerance.
-
-    For the (1,1) tags with det S != 0 the determinant invariants of the
-    Im(z1 conj(z2))-frame representatives are cross-checked as well.
-    """
-    if r1.tag != r2.tag:
-        return False
-    p1, p2 = r1.ntype.params(), r2.ntype.params()
-    for a, b in zip(p1, p2):
-        if abs(a - b) > param_tol * max(1.0, abs(a), abs(b)):
-            return False
-    if r1.tag in ("M11_1", "M11_2"):
-        c1 = oneone_frame_invariants(r1.ntype)
-        c2 = oneone_frame_invariants(r2.ntype)
-        if abs(c1[0]) > 1e-6 or abs(c2[0]) > 1e-6:
-            for a, b in zip(c1, c2):
-                if abs(a - b) > cert_tol * max(1.0, abs(a), abs(b)):
-                    return False
-    return True

@@ -17,7 +17,7 @@ import numpy as np
 ZERO_EIG_REL = 1e-9
 # Relative symmetry / hermiticity tolerance for constructor validation.
 SYM_REL = 1e-12
-# Residual bound for points produced by sample_cone, relative to |z|^2.
+# Residual bound for points produced by sample_points, relative to |z|^2.
 SAMPLE_RESIDUAL_REL = 1e-10
 
 
@@ -38,7 +38,7 @@ class NotSymmetric(ConeError):
 
 
 class InsufficientSamples(ConeError):
-    """sample_cone could not find enough real points within its budget."""
+    """sample_points could not find enough real points within its budget."""
 
 
 def mat_norm(m) -> float:
@@ -75,12 +75,6 @@ class RealSignature:
 
     def as_tuple(self):
         return (self.p, self.q)
-
-
-@dataclass(frozen=True)
-class ConeSample:
-    point: np.ndarray
-    residual: float
 
 
 class QuadraticCone:
@@ -351,8 +345,24 @@ def canonical_sign(cone: QuadraticCone) -> tuple[QuadraticCone, int]:
     return cone, +1
 
 
-def _sample(cone: QuadraticCone, seed: int, count: int, radius: float):
-    """Cone points as a (count, n) array and their |rho| residuals; see sample_cone."""
+def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
+    """Deterministic points on the cone as a (count, n) array, from random real 2-plane sections.
+
+    Draws real directions u, v, solves the real quadratic rho(u + t v) = 0
+    for t, keeps real roots and rescales each point into |z| <= radius (the
+    cone is homogeneous, so rescaling stays on it), then applies one Newton
+    step along v.  A point is returned only if its residual |rho(p)| is at
+    most SAMPLE_RESIDUAL_REL * |p|^2 * max(scale, 1).
+
+    Reproducibility: the generator is numpy's default PCG64 seeded with
+    `seed`.  Each batch of max(count, 256) directions makes the same draws
+    in the same order (U, then V, then the rescale factors), and candidates
+    are taken in the order direction, then root, until `count` are found
+    or 64 batches are spent.  Each batch is processed as arrays, with rho
+    evaluated by evaluate_many's real matrix product, so points equal those
+    of the equivalent per-point loop up to rounding, not bitwise.  Results
+    are reproducible at fixed numpy and BLAS builds.
+    """
     if count < 1:
         raise ConeError("count must be >= 1")
     if radius <= 0:
@@ -362,7 +372,7 @@ def _sample(cone: QuadraticCone, seed: int, count: int, radius: float):
     batch = max(count, 256)
     max_batches = 64
     scale = max(cone.scale, 1.0)
-    points, residuals = [], []
+    points = []
     found = 0
     for _ in range(max_batches):
         U = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
@@ -400,37 +410,10 @@ def _sample(cone: QuadraticCone, seed: int, count: int, radius: float):
         res = np.abs(evaluate_many(cone, P))
         ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
         points.append(P[ok])
-        residuals.append(res[ok])
-        found += len(residuals[-1])
+        found += len(points[-1])
         if found >= count:
-            return np.concatenate(points)[:count], np.concatenate(residuals)[:count]
+            return np.concatenate(points)[:count]
     raise InsufficientSamples(
         f"found {found} of {count} requested cone points; rho may be (semi)definite"
     )
 
-
-def sample_cone(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> list[ConeSample]:
-    """Deterministic points on the cone found along random real 2-plane sections.
-
-    Draws real directions u, v, solves the real quadratic rho(u + t v) = 0
-    for t, keeps real roots and rescales each point into |z| <= radius (the
-    cone is homogeneous, so rescaling stays on it), then applies one Newton
-    step along v.  A point is returned only if its residual |rho(p)| is at
-    most SAMPLE_RESIDUAL_REL * |p|^2 * max(scale, 1).
-
-    Reproducibility: the generator is numpy's default PCG64 seeded with
-    `seed`.  Each batch of max(count, 256) directions makes the same draws
-    in the same order (U, then V, then the rescale factors), and candidates
-    are taken in the order direction, then root, until `count` are found
-    or 64 batches are spent.  Each batch is processed as arrays, with rho
-    evaluated by evaluate_many's real matrix product, so points equal those
-    of the equivalent per-point loop up to rounding, not bitwise.  Results
-    are reproducible at fixed numpy and BLAS builds.
-    """
-    points, residuals = _sample(cone, seed, count, radius)
-    return [ConeSample(point=p, residual=float(r)) for p, r in zip(points, residuals)]
-
-
-def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
-    """The points of sample_cone as a (count, n) array, without per-point objects."""
-    return _sample(cone, seed, count, radius)[0]

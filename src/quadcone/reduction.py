@@ -3,8 +3,7 @@
 Contents: Takagi factorization of a complex symmetric 2x2 matrix, SL(2,R)
 congruence reduction of a real symmetric matrix to its canonical form,
 SO(1,1) congruence zeroing a diagonal entry of an indefinite real symmetric
-matrix, factorization of linear maps preserving Im(z1 * conj(z2)), and the
-determinant invariants used as uniqueness certificates.
+matrix, and factorization of linear maps preserving Im(z1 * conj(z2)).
 """
 
 from __future__ import annotations
@@ -48,19 +47,6 @@ class So11Unreachable(ConeError):
 class TakagiFactorization:
     u: np.ndarray
     d: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class So11Element:
-    tau: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class DetInvariants:
-    det_s: complex
-    det_p: float
-    det_q: float
 
 
 def takagi2(S) -> TakagiFactorization:
@@ -168,8 +154,8 @@ def _positive_roots_quadratic(a: float, b: float, c: float, tiny: float) -> list
     return [u for u in roots if u > tiny]
 
 
-def so11_zero_diag(Q) -> tuple[So11Element, np.ndarray]:
-    """k = phi(tau) in SO(1,1) such that k^T Q k has a zero diagonal entry.
+def so11_zero_diag(Q) -> tuple[np.ndarray, np.ndarray]:
+    """(k, k^T Q k) for k = phi(tau) in SO(1,1) such that k^T Q k has a zero diagonal entry.
 
     With sigma = tau + 1/tau and delta = tau - 1/tau, the transformed
     diagonal entries are quadratics in u = tau^2:
@@ -205,8 +191,7 @@ def so11_zero_diag(Q) -> tuple[So11Element, np.ndarray]:
     tau = min(candidates, key=lambda t: abs(np.log(t)))
     sigma, delta = tau + 1.0 / tau, tau - 1.0 / tau
     k = 0.5 * np.array([[sigma, delta], [delta, sigma]])
-    Qp = k.T @ Q @ k
-    return So11Element(tau=float(tau), matrix=k), Qp
+    return k, k.T @ Q @ k
 
 
 def factor_preserver(k) -> tuple[float, np.ndarray]:
@@ -229,19 +214,3 @@ def factor_preserver(k) -> tuple[float, np.ndarray]:
         raise NotPreserver("factorization did not produce a real matrix")
     return float(theta), np.real(g)
 
-
-def det_invariants(S) -> DetInvariants:
-    """det S together with det of the real and imaginary parts of S.
-
-    These satisfy det S = det P - det Q + i(q11 p22 + p11 q22 - 2 q12 p12)
-    and are preserved, for presentations with det S > 0 over the same
-    hermitian part, by every allowed change of frame, which makes them
-    usable as uniqueness certificates.
-    """
-    S = np.asarray(S, dtype=complex)
-    P, Q = S.real, S.imag
-    return DetInvariants(
-        det_s=complex(np.linalg.det(S)),
-        det_p=float(np.linalg.det(P)),
-        det_q=float(np.linalg.det(Q)),
-    )

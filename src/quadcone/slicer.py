@@ -86,7 +86,6 @@ class TwoSidedForm:
     kind: str  # "product" | "ts1" | "ts2" | "unknown"
     inner: NormalFormResult | DegeneracyReport | None = None
     k: int | None = None
-    transform: np.ndarray | None = None
     fit_residual: float = float("nan")
     detail: str = ""
     # True when the shape proves two-sided support, so no slice can be one-sided
@@ -147,8 +146,7 @@ def _embed_zprime(n: int, v) -> np.ndarray:
 def _pi2_candidates(cone0: QuadraticCone):
     """Axis slice plus det-criterion-filtered shears, hermitian part (pi>=2)."""
     n = cone0.n
-    W, cone1 = normalize_hermitian(cone0)
-    S1 = cone1.S
+    W, S1 = normalize_hermitian(cone0)
     pi, nu = hermitian_signature(cone0).as_tuple()
     flags = [1] * pi + [-1] * nu + [0] * (n - pi - nu)  # W^* H W = diag(flags)
     tak = takagi2(S1[:2, :2])
@@ -229,8 +227,7 @@ def _explicit_pair_slice(n, W, A, B, C, v3, orient: str) -> Slice:
 
 def _oneone_candidates(cone0: QuadraticCone):
     n = cone0.n
-    W, cone1 = normalize_hermitian(cone0)
-    S1 = cone1.S
+    W, S1 = normalize_hermitian(cone0)
     scale = max(mat_norm(S1), 1e-300)
     St = S1[:2, :2]
     L = S1[:2, 2:]
@@ -343,8 +340,7 @@ def _quadratic_support_probes(Qp: np.ndarray):
 
 def _onezero_candidates(cone0: QuadraticCone):
     n = cone0.n
-    W, cone1 = normalize_hermitian(cone0)
-    S1 = cone1.S
+    W, S1 = normalize_hermitian(cone0)
     Qp = S1[1:, 1:]
     if mat_norm(Qp) <= Q_ZERO_REL * max(mat_norm(S1), 1e-300):
         return  # {z1 = 0} lies inside the cone: non-minimal
@@ -508,10 +504,9 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     scale = max(cone.scale, 1e-300)
 
     stacked = np.vstack([cone.S, cone.H])
-    sv = np.linalg.svd(stacked, compute_uv=False)
+    _, sv, vh = np.linalg.svd(stacked)
     kdim = int(np.sum(sv <= 1e-9 * max(sv[0], 1e-300)))
     if kdim == n - 2:
-        _, _, vh = np.linalg.svd(stacked)
         Bc = vh[:2].conj().T  # orthonormal, so rho_factor(Bc^H z) = rho(Bc Bc^H z)
         factor = restrict(cone, Slice(Bc, "product factor"))
         P = Bc.conj().T
@@ -520,7 +515,7 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
         if resid <= FIT_VERIFY_REL * scale:
             inner = classify2(factor)
             return TwoSidedForm(
-                kind="product", inner=inner, transform=Bc, fit_residual=resid,
+                kind="product", inner=inner, fit_residual=resid,
                 detail="rho is independent of an (n-2)-dimensional complex factor",
                 certified=_factor_two_sided(inner, factor),
             )
@@ -540,7 +535,7 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
             resid = form_distance(cone, model)
             if resid <= FIT_VERIFY_REL * scale * 10:
                 return TwoSidedForm(
-                    kind="ts1", k=k, transform=Tn, fit_residual=resid,
+                    kind="ts1", k=k, fit_residual=resid,
                     detail=f"purely harmonic with rank {k} >= 3", certified=True,
                 )
 
@@ -591,7 +586,7 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
         resid = form_distance(cone, model)
         if resid <= FIT_VERIFY_REL * scale * 10:
             return TwoSidedForm(
-                kind="ts2", transform=forms.T, fit_residual=resid,
+                kind="ts2", fit_residual=resid,
                 detail="rho = Re((lambda + conj(mu)) alpha) with independent linear forms",
                 certified=True,
             )

@@ -7,6 +7,7 @@ lines and timings.  Every tolerance is pinned here, not configurable.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +357,17 @@ def test_acceptance_runtime_sampling():
     pts = sample_points(example_m_cone(), seed=9, count=10_000)
     assert len(pts) == 10_000
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_readme_library_example_runs_as_documented():
+    # the README's "Library example" block, run as written, gives what its comments say
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    exec(block, ns)
+    assert ns["result"].tag == "M11_1"
+    assert ns["result"].ntype.params() == pytest.approx((0.5, 1 / 3), abs=1e-8)
+    verdict = ns["verdict"]
+    assert verdict.outcome == "two_sided"
+    assert {verdict.witness.aplus.label, verdict.witness.aminus.label} == {"{z2 = 0}", "{z1 = 0}"}
+    assert ns["report"].points_checked == 4

@@ -13,7 +13,6 @@ import quadcone.quadform as quadform
 from quadcone.cli import DEFAULT_EPS
 from quadcone.decider import (
     DiscFamily,
-    NotOneSided,
     VerificationFailed,
     build_disc_family,
     decide2,
@@ -149,10 +148,8 @@ def test_build_disc_family_shapes():
     fam = build_disc_family(NormalFormType("M10_1", a=0.0))
     assert fam.kind == "level_set"
     np.testing.assert_allclose(fam.c, np.diag([0.0, 1.0]))
-    with pytest.raises(NotOneSided):
-        build_disc_family(NormalFormType("M11_2", a=1.0))
-    with pytest.raises(NotOneSided):
-        build_disc_family(NormalFormType("M11_1", a=0.5, b=0.25))
+    assert build_disc_family(NormalFormType("M11_2", a=1.0)) is None
+    assert build_disc_family(NormalFormType("M11_1", a=0.5, b=0.25)) is None
 
 
 @pytest.mark.parametrize(
@@ -210,6 +207,17 @@ def test_verify_discs_wrong_side_fails():
         verify_discs(cone, bad, eps_grid=EPS_GRID, samples=500, seed=4)
 
 
+def test_verify_discs_rejects_a_non_finite_transform():
+    # NaN compares false with 0: without a finiteness check such a family would pass
+    fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
+    bad = DiscFamily(kind=fam.kind, side=fam.side, c=fam.c, transform=np.diag([np.nan, 1.0]))
+    cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
+    with pytest.raises(VerificationFailed, match="not finite") as info:
+        verify_discs(cone, bad, eps_grid=EPS_GRID, samples=500, seed=4)
+    assert info.value.eps == EPS_GRID[0]
+    assert np.isnan(info.value.z[0])
+
+
 def test_verify_discs_empty_grid_rejected():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
     fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
@@ -249,6 +257,17 @@ def test_verify_support_swapped_fails():
     swapped = SupportWitness(aplus=v.witness.aminus, aminus=v.witness.aplus, kind="proper")
     with pytest.raises(VerificationFailed):
         verify_support(cone, swapped)
+
+
+def test_verify_support_rejects_a_non_finite_span():
+    from quadcone.decider import LinearGerm, SupportWitness
+
+    cone = example_m_cone()
+    v = decide2(classify2(cone), cone)
+    germ = LinearGerm(coeffs=np.array([1.0, 0.0]), span=np.array([np.nan, 1.0]), label="nan")
+    with pytest.raises(VerificationFailed, match="not finite") as info:
+        verify_support(cone, SupportWitness(aplus=germ, aminus=v.witness.aminus, kind="proper"))
+    assert np.isnan(info.value.z).all()
 
 
 def test_verify_support_wrong_angle_fails():
@@ -396,11 +415,9 @@ def test_jump_continuity_ratio_bounded():
 
 def test_jump_off_cone_points_rejected_by_sampler():
     # the sampler never returns points with |rho| above its residual bound
-    from quadcone.quadform import sample_cone
-
     cone = example_m_cone()
-    for s in sample_cone(cone, seed=3, count=100):
-        assert s.residual <= 1e-10 * np.linalg.norm(s.point) ** 2
+    pts = sample_points(cone, seed=3, count=100)
+    assert np.all(np.abs(evaluate_many(cone, pts)) <= 1e-10 * np.linalg.norm(pts, axis=1) ** 2)
 
 
 # --- exact supporting-line checks and the residual gate -------------------------

@@ -34,8 +34,8 @@ def test_so11_congruence_preserves_determinant(p, q, r):
     nq = np.linalg.norm(Q, 2)
     if nq < 1e-3 or p * r - q * q > -1e-3 * nq**2:
         return  # outside the operation's domain or too close to its boundary
-    el, Qp = so11_zero_diag(Q)
-    assert abs(np.linalg.det(el.matrix) - 1.0) <= 1e-12 * 10
+    k, Qp = so11_zero_diag(Q)
+    assert abs(np.linalg.det(k) - 1.0) <= 1e-12 * 10
     assert abs(np.linalg.det(Qp) - np.linalg.det(Q)) <= 1e-10 * nq**2
     assert min(abs(Qp[0, 0]), abs(Qp[1, 1])) <= 1e-8 * nq
 

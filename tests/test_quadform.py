@@ -23,7 +23,6 @@ from quadcone.quadform import (
     real_form_matrix,
     mat_norm,
     real_signature,
-    sample_cone,
     sample_points,
     _interleaved_form,
 )
@@ -416,16 +415,15 @@ def test_canonical_sign_keeps_balanced_and_positive():
 
 def test_sample_cone_on_harmonic_cone():
     cone = QuadraticCone(np.eye(2, dtype=complex), np.zeros((2, 2)))
-    samples = sample_cone(cone, seed=5, count=200)
-    for s in samples:
-        assert s.residual <= 1e-10 * np.linalg.norm(s.point) ** 2 * max(cone.scale, 1.0)
+    pts = sample_points(cone, seed=5, count=200)
+    res = np.abs(evaluate_many(cone, pts))
+    assert np.all(res <= 1e-10 * np.linalg.norm(pts, axis=1) ** 2 * max(cone.scale, 1.0))
 
 
 def test_sample_cone_example_m_seed42():
     cone = example_m()
-    samples = sample_cone(cone, seed=42, count=1000)
-    assert len(samples) == 1000
-    pts = np.array([s.point for s in samples])
+    pts = sample_points(cone, seed=42, count=1000)
+    assert pts.shape == (1000, 2)
     res = np.abs(evaluate_many(cone, pts))
     norms = np.linalg.norm(pts, axis=1)
     assert np.all(res <= 1e-10 * norms**2)
@@ -434,13 +432,13 @@ def test_sample_cone_example_m_seed42():
 
 def test_sample_cone_deterministic():
     cone = example_m()
-    a = sample_cone(cone, seed=7, count=50)
-    b = sample_cone(cone, seed=7, count=50)
-    assert all(np.array_equal(x.point, y.point) for x, y in zip(a, b))
+    a = sample_points(cone, seed=7, count=50)
+    b = sample_points(cone, seed=7, count=50)
+    assert np.array_equal(a, b)
 
 
 def _reference_sample_points(cone, seed, count, radius=1.0):
-    """The per-point loop that sample_cone batches, kept as its reference."""
+    """The per-point loop that sample_points batches, kept as its reference."""
     rng = np.random.default_rng(seed)
     n = cone.n
     out = []
@@ -501,14 +499,12 @@ def test_sample_points_match_per_point_reference(seed, count, radius):
         res = np.abs(evaluate_many(cone, pts))
         bound = SAMPLE_RESIDUAL_REL * np.linalg.norm(pts, axis=1) ** 2 * max(cone.scale, 1.0)
         assert np.all(res <= bound)
-        samples = sample_cone(cone, seed, count, radius)
-        assert np.array_equal(np.array([s.point for s in samples]), pts)
 
 
 def test_sample_cone_point_cone_fails():
     cone = QuadraticCone(np.zeros((2, 2)), np.eye(2))
     with pytest.raises(InsufficientSamples):
-        sample_cone(cone, seed=0, count=10)
+        sample_points(cone, seed=0, count=10)
 
 
 def test_defining_function_side_invariance():

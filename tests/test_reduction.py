@@ -15,7 +15,6 @@ from quadcone.reduction import (
     So11Unreachable,
     ZeroMatrix,
     factor_preserver,
-    det_invariants,
     sl2_reduce_sym,
     so11_zero_diag,
     takagi2,
@@ -159,8 +158,8 @@ def _so11_scan_oracle(Q, taus=None):
 
 
 def test_so11_already_zero():
-    el, Qp = so11_zero_diag(np.diag([0.0, 5.0]))
-    assert el.tau == pytest.approx(1.0)
+    k, Qp = so11_zero_diag(np.diag([0.0, 5.0]))
+    np.testing.assert_allclose(k, np.eye(2), atol=1e-6)  # tau = 1
     np.testing.assert_allclose(Qp, np.diag([0.0, 5.0]), atol=1e-12)
 
 
@@ -168,18 +167,17 @@ def test_so11_mixed_signature_vs_scan_oracle():
     Q = np.array([[2.0, 0.0], [0.0, -1.0]])
     # dense-scan oracle confirms a diagonal zero exists along tau > 0
     assert _so11_scan_oracle(Q) <= 1e-3
-    el, Qp = so11_zero_diag(Q)
+    k, Qp = so11_zero_diag(Q)
     assert min(abs(Qp[0, 0]), abs(Qp[1, 1])) <= 1e-8 * np.linalg.norm(Q, 2)
     assert np.linalg.det(Qp) == pytest.approx(-2.0, abs=1e-10)
-    np.testing.assert_allclose(el.matrix.T @ np.diag([1.0, -1.0]) @ el.matrix,
-                               np.diag([1.0, -1.0]), atol=1e-12)
-    assert np.linalg.det(el.matrix) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(k.T @ np.diag([1.0, -1.0]) @ k, np.diag([1.0, -1.0]), atol=1e-12)
+    assert np.linalg.det(k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_so11_antidiagonal_tau_one():
     Q = np.array([[0.0, 3.0], [3.0, 0.0]])
-    el, Qp = so11_zero_diag(Q)
-    assert el.tau == pytest.approx(1.0)
+    k, Qp = so11_zero_diag(Q)
+    np.testing.assert_allclose(k, np.eye(2), atol=1e-6)  # tau = 1
     assert abs(Qp[0, 0]) <= 1e-12 and abs(Qp[1, 1]) <= 1e-12
 
 
@@ -204,7 +202,7 @@ def test_so11_random_indefinite():
         if np.linalg.det(Q) > 0:
             continue
         done += 1
-        el, Qp = so11_zero_diag(Q)
+        _, Qp = so11_zero_diag(Q)
         nq = np.linalg.norm(Q, 2)
         assert min(abs(Qp[0, 0]), abs(Qp[1, 1])) <= 1e-8 * nq
         assert abs(np.linalg.det(Qp) - np.linalg.det(Q)) <= 1e-10 * nq**2
@@ -242,46 +240,6 @@ def test_factor_preserver_round_trip():
         np.testing.assert_allclose(np.exp(1j * theta) * g, k, atol=1e-10)
         assert min(abs((theta - th0) % np.pi), abs(np.pi - (theta - th0) % np.pi)) <= 1e-10
         assert np.linalg.norm(g - g0) <= 1e-9 or np.linalg.norm(g + g0) <= 1e-9
-
-
-# --- determinant invariants ------------------------------------------------------
-
-
-def test_det_invariants_conjugate_pair():
-    A = 3 + 4j
-    inv = det_invariants(np.diag([A, np.conj(A)]))
-    assert inv.det_s == pytest.approx(25.0)
-    assert inv.det_p == pytest.approx(9.0)
-    assert inv.det_q == pytest.approx(-16.0)
-
-
-def test_det_invariants_zero():
-    inv = det_invariants(np.zeros((2, 2)))
-    assert (inv.det_s, inv.det_p, inv.det_q) == (0, 0, 0)
-
-
-def test_det_invariants_identity():
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        S = random_sym_c(rng)
-        P, Q = S.real, S.imag
-        inv = det_invariants(S)
-        cross = Q[0, 0] * P[1, 1] + P[0, 0] * Q[1, 1] - 2 * Q[0, 1] * P[0, 1]
-        assert inv.det_s == pytest.approx(complex(inv.det_p - inv.det_q, cross), abs=1e-12)
-
-
-def test_det_invariants_under_preservers():
-    # the full preserver action S -> e^(2 i theta) g^T S g with e^(4 i theta)=1
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        S = random_sym_c(rng)
-        g = random_sl2(rng)
-        phase = rng.choice([1.0, -1.0])
-        S2 = phase * (g.T @ S @ g)
-        i1, i2 = det_invariants(S), det_invariants(S2)
-        assert abs(abs(i1.det_s) - abs(i2.det_s)) <= 1e-10 * (1 + abs(i1.det_s))
-        assert i1.det_p == pytest.approx(i2.det_p, abs=1e-10 * (1 + abs(i1.det_p)))
-        assert i1.det_q == pytest.approx(i2.det_q, abs=1e-10 * (1 + abs(i1.det_q)))
 
 
 def test_preserver_definition_matches_e_herm():
