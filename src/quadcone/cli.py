@@ -378,9 +378,7 @@ def cmd_verify(args) -> int:
         verdict = decide2(res)
         report["verdict"] = _verdict_json(verdict)
         if verdict.outcome == "one_sided":
-            rep = verify_discs(
-                spec.cone, verdict.discs, eps_grid=args.eps, samples=args.samples, seed=args.seed
-            )
+            rep = verify_discs(spec.cone, verdict.discs, eps_grid=args.eps)
             report["verification"] = {
                 "min_margin": rep.min_margin,
                 "touch_residual": rep.touch_residual,
@@ -432,9 +430,7 @@ def cmd_slice(args) -> int:
         return _done(report, t0, EXIT_DEGENERATE)
     # a certified two-sided shape has no one-sided slice: skip the search
     form = classify_two_sided_nd(spec.cone)
-    res = None if form.certified else find_good_slice(
-        spec.cone, budget=args.budget, seed=args.seed, samples=max(args.samples // 5, 500)
-    )
+    res = None if form.certified else find_good_slice(spec.cone, budget=args.budget, seed=args.seed)
     if res is not None:
         report["slice"] = {
             "description": res.slice.description,

@@ -6,10 +6,12 @@ one side and touch the cone only at 0 in the limit, or two-sided support,
 witnessed by a pair of complex lines inside the closures of the two sides
 (possibly both inside the cone itself when it is non-minimal).
 
-The disc families are checked on seeded samples.  The supporting lines are
-checked exactly: on a line z = t v, rho = Re(t^2 v^T S v) + |t|^2 v^H H v,
-so rho / |z|^2 ranges over v^H H v -/+ |v^T S v| (for |v| = 1), and its two
-extremal points are evaluated directly.
+Both are checked exactly, without samples.  On a line z = t v, rho =
+Re(t^2 v^T S v) + |t|^2 v^H H v, so rho / |z|^2 ranges over v^H H v -/+
+|v^T S v| (for |v| = 1), and its two extremal points are evaluated
+directly; this checks the supporting lines and the lines that make up a
+limit disc.  A disc D_eps gets a closed-form lower bound on side * rho (see
+verify_discs), and rho is evaluated at the point that attains it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fixtures import example_m
-from .normalform import DegeneracyReport, NormalFormResult, NormalFormType
-from .quadform import ConeError, QuadraticCone, evaluate_many, sample_points
+from .normalform import DegeneracyReport, NormalFormResult, NormalFormType, render_cone
+from .quadform import (
+    ConeError,
+    QuadraticCone,
+    evaluate_many,
+    form_distance,
+    mat_norm,
+    real_form_matrix,
+    sample_points,
+)
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
 EQUAL_PARAM_TOL = 1e-9
@@ -30,6 +40,20 @@ JUMP_IDENTITY_TOL = 1e-12
 # demonstration.  The ratio is scale-invariant; sampling 3*10^5 points over
 # six seeds gives sup ~= 1.7124, so 10 certifies continuity with headroom.
 JUMP_RATIO_BOUND = 10.0
+# Rounding allowance of a disc certificate, per unit of n * lam * m and per unit
+# |w|^2 (verify_discs), m the Frobenius norm of |T|^T (|S| + |H|) |T|, which
+# bounds each entry's sum of absolute products in the pullback T^T S T,
+# T^H H T (at most scale * |T|_F^2).  With u = 2^-53, forming the pullback (two
+# n-term complex products per entry, Higham's gamma_(2n+7)), subtracting two
+# real forms and taking their eigenvalues (backward stable, about 2u) and
+# evaluating rho at a computed point z = T w (two dot products of length 2n,
+# gamma_(4n+1), plus the rounding of T w, 8u) stay below
+# sqrt(2) (6n + 18) u <= 11 n * 2^-52 for n >= 2, a real form's Frobenius norm
+# being at most sqrt(2) times its pair's; 16 leaves room for the eigenvalue
+# solver's constant.
+CERT_ROUNDING = 16 * 2.0**-52
+# The side of each one-sided normal form in its own frame: discs stay where side * rho_normal > 0.
+NORMAL_SIDE = {"M20": +1, "M10_1": +1, "M11_1": -1}
 
 
 class VerificationFailed(ConeError):
@@ -41,12 +65,16 @@ class VerificationFailed(ConeError):
 
 @dataclass(frozen=True)
 class DiscFamily:
-    """Family D_eps in a 2-dimensional frame, mapped into cone coordinates.
+    """Family D_eps in a 2-dimensional frame, mapped into cone coordinates by `transform` (n x 2).
 
     kind "level_set": D_eps = {w : w^T c w = eps, |w| <= radius};
     kind "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}.
     `side` is the expected sign of rho on D_eps for eps > 0, in the
-    coordinates of the cone the family is verified against.
+    coordinates of the cone the family is verified against.  A family of a
+    normal form carries it as `model`, with the lam of the classification
+    (NORMAL_SIDE[tag] * side * lam * rho(transform w) is then rho_model(w)
+    up to the classification's residual); a family without a model is a
+    level set certified from the cone's real form alone.
     """
 
     kind: str
@@ -55,6 +83,8 @@ class DiscFamily:
     shift: complex = 1j
     transform: np.ndarray | None = None
     radius: float = 1.0
+    model: NormalFormType | None = None
+    lam: float = 1.0
 
     def map_points(self, W: np.ndarray) -> np.ndarray:
         if self.transform is None:
@@ -112,20 +142,21 @@ class JumpReport:
 def build_disc_family(ntype: NormalFormType) -> DiscFamily | None:
     """The explicit disc family of a one-sided type, in its own coordinates; None if two-sided."""
     tag = ntype.tag
+    side = NORMAL_SIDE.get(tag)
     if tag == "M20":
         A, B = ntype.params()
-        return DiscFamily(kind="level_set", side=+1, c=np.diag([A, B]).astype(complex))
+        return DiscFamily(kind="level_set", side=side, c=np.diag([A, B]).astype(complex), model=ntype)
     if tag == "M10_1":
         (A,) = ntype.params()
-        return DiscFamily(kind="level_set", side=+1, c=np.diag([A, 1.0]).astype(complex))
+        return DiscFamily(kind="level_set", side=side, c=np.diag([A, 1.0]).astype(complex), model=ntype)
     if tag == "M11_1":
         A, B = ntype.params()
         if abs(A - B) <= EQUAL_PARAM_TOL * max(1.0, A) or A <= 1.0 + A_ONE_BOUNDARY_TOL:
             return None
         if B < 1.0:
-            return DiscFamily(kind="affine_line", side=-1, shift=1j)
+            return DiscFamily(kind="affine_line", side=side, shift=1j, model=ntype)
         # 1 <= B < A: the level variety A z1^2 + B z2^2 = -eps stays below the cone
-        return DiscFamily(kind="level_set", side=-1, c=-np.diag([A, B]).astype(complex))
+        return DiscFamily(kind="level_set", side=side, c=-np.diag([A, B]).astype(complex), model=ntype)
     return None
 
 
@@ -179,64 +210,195 @@ def _disc_points(fam: DiscFamily, eps: float, count: int, rng) -> np.ndarray:
     raise ConeError(f"unknown disc family kind {fam.kind!r}")
 
 
+def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, np.ndarray]:
+    """min of q - d |w|^2 over D_eps and |w| <= radius, q = NORMAL_SIDE * rho_model, with its point.
+
+    The point attains the minimum when d = 0 (for M10_1 when eps <= radius^2).
+    On each family q has a closed form:
+    - M20 (c = diag(A, B), A > 1, B <= A): q = eps + |w|^2 and |w|^2 >= eps / A;
+    - M10_1 (c = diag(A, 1)): q = eps + |w1|^2, so the perturbation costs at
+      most d radius^2;
+    - M11_1 level set (c = -diag(A, B), 1 <= B < A): q = eps - |w1|^2 + |w2|^2
+      and A |w1|^2 = |eps + B w2^2| <= eps + B |w2|^2;
+    - M11_1 affine line w1 = shift eps (B < 1): q = (-Re(A shift^2) -
+      |shift|^2) eps^2 - Re(B w2^2) + |w2|^2, and -Re(B w2^2) >= -B |w2|^2.
+    """
+    r2 = fam.radius**2
+    if fam.kind == "affine_line":
+        A, B = fam.model.params()
+        s = complex(fam.shift)
+        w1 = s * eps
+        free = (1.0 - B - d) * (r2 - abs(w1) ** 2)
+        return (-(A * s * s).real - (1.0 + d) * abs(s) ** 2) * eps**2 + min(0.0, free), np.array([w1, 0.0])
+    tag = fam.model.tag
+    if tag == "M20":
+        A, _ = fam.model.params()
+        return eps + (1.0 - d) * (eps / A if d <= 1.0 else r2), np.array([np.sqrt(eps / A), 0.0])
+    if tag == "M10_1":
+        return eps - d * r2, np.array([0.0, np.sqrt(eps)])
+    A, B = fam.model.params()
+    free = (1.0 - d - (1.0 + d) * B / A) * r2
+    return eps * (1.0 - (1.0 + d) / A) + min(0.0, free), np.array([1j * np.sqrt(eps / A), 0.0])
+
+
+def _multiplier_minima(P: QuadraticCone, fam: DiscFamily, eps_grid, guard: float, sigma: float):
+    """Lower bounds on rho_P over each level set D_eps = {w^T c w = eps, |w| <= radius}, with points.
+
+    For every real mu, rho_P(w) >= mu Re(w^T c w) + l_mu |w|^2 with l_mu =
+    lambda_min(G - mu J), G and J the real forms of rho_P and Re(w^T c w).
+    On D_eps, |w|^2 lies in [eps / sigma, radius^2] (sigma = sigma_max(c)), so
+    mu eps + min(l_mu eps / sigma, l_mu radius^2) bounds rho_P there for any
+    mu.  mu = 0 is the eigenvalue bound; for l_mu >= 0 the bound grows with
+    mu up to the largest mu with G - mu J >= 0, a real eigenvalue of J^-1 G,
+    so the candidates are 0 and the real parts of those eigenvalues.  Each
+    l_mu is lowered by the rounding allowance guard + CERT_ROUNDING * n *
+    |mu| sigma.  The point comes from the eigenvector of l_mu, scaled onto
+    the level set, or else from the larger diagonal entry of c.
+    """
+    c = np.asarray(fam.c, dtype=complex)
+    G = real_form_matrix(P)
+    J = real_form_matrix(QuadraticCone._symmetrized(c, np.zeros_like(c)))
+    mus = np.zeros(1)
+    if abs(np.linalg.det(c)) > 0:
+        mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(J, G)).real)
+    ells, vecs = np.linalg.eigh(G - mus[:, None, None] * J)
+    ells = ells[:, 0] - guard - CERT_ROUNDING * P.n * np.abs(mus) * sigma
+    r2 = fam.radius**2
+    out = []
+    for eps in eps_grid:
+        bounds = mus * eps + np.minimum(ells * eps / sigma, ells * r2)
+        k = int(np.argmax(bounds))
+        w0 = vecs[k, :2, 0] + 1j * vecs[k, 2:, 0]
+        if w0 @ c @ w0 == 0:
+            w0 = np.eye(2)[int(np.argmax(np.abs(np.diag(c))))]
+        out.append((float(bounds[k]), np.sqrt(eps / (w0 @ c @ w0)) * w0))
+    return out
+
+
+def _limit_lines(fam: DiscFamily) -> np.ndarray:
+    """Unit rows spanning the complex lines whose union is the limit disc D_0, in the family frame."""
+    if fam.kind == "affine_line":
+        return np.array([[0.0, 1.0]], dtype=complex)
+    (a, b), (_, d) = np.asarray(fam.c, dtype=complex)
+    if d != 0:
+        # w = (d, x) with x^2 + 2 b x + a d = 0
+        root = np.sqrt(b * b - a * d)
+        rows = [[d, -b + root]] + ([[d, -b - root]] if root != 0 else [])
+    elif b != 0:
+        rows = [[0.0, 1.0], [1.0, -a / (2 * b)]]
+    elif a != 0:
+        rows = [[0.0, 1.0]]
+    else:
+        raise ConeError("a level-set family needs c != 0")
+    L = np.array(rows, dtype=complex)
+    return L / np.linalg.norm(L, axis=1)[:, None]
+
+
 def verify_discs(
     cone: QuadraticCone,
     fam: DiscFamily,
     eps_grid=(1e-3, 1e-2, 1e-1),
-    samples: int = 10_000,
-    seed: int = 0,
 ) -> DiscReport:
-    """Check strict sign margins on D_eps and the touching of the limit disc.
+    """Certify side * rho > 0 on each D_eps of the grid and on the limit disc, without samples.
 
-    min_margin is the minimum of side * rho over all eps > 0 in the grid;
-    touch_residual the minimum of side * rho over limit-disc samples w with
-    |w| >= 1e-3 * fam.radius in the family's own frame, so the filter does
-    not depend on the scale of the transform into cone coordinates.  Both
-    must come out positive, and every checked value finite.
+    min_margin is the smallest, over eps in the grid, certified lower bound on
+    side * rho over D_eps: for a normal-form family the closed form of
+    _normal_minimum, evaluated after pulling the cone back through the
+    family's transform T (the pullback P = sign * lam * rho(T w) differs from
+    the model by at most delta |w|^2, delta its form_distance to the model, so
+    the bound is the minimum of the model with delta |w|^2 subtracted,
+    divided by lam); for a family without a model the multiplier bound of
+    _multiplier_minima.  touch_residual is the exact minimum of side * rho
+    over the limit disc D_0 (eps = 0) with |w| >= 1e-3 * fam.radius in the
+    family's own frame: D_0 is one or two complex lines, and on each line
+    side * rho / |w|^2 is smallest at the point _line_extremes gives.  Every
+    bound is lowered by the rounding allowance CERT_ROUNDING * n * lam *
+    |(|T|^T (|S| + |H|) |T|)|_F per unit |w|^2, in the pullback's units.  T
+    may map into a cone in C^n, n >= 3 (a slice basis composed with the
+    change of variables), so the allowance is that of the input, not of a
+    restriction computed from it.
+
+    Each bound comes with the point that attains it (or, for a multiplier
+    bound, the eigenvector's point on D_eps); rho is evaluated there, the
+    value must be finite and at least the bound, and points_checked counts
+    these points.  Both bounds must be positive.  D_eps empty within the
+    radius (eps > sigma_max(c) radius^2 for a level set) fails as well.
     """
     if len(eps_grid) == 0:
         raise ConeError("eps_grid must be nonempty")
-    rng = np.random.default_rng(seed)
-    min_margin = np.inf
-    checked = 0
+    if not all(eps > 0 for eps in eps_grid):
+        raise ConeError("eps grid entries must be positive")
+    if not fam.lam > 0:
+        raise ConeError("lam must be positive")
+    frame = fam.map_points(np.eye(2, dtype=complex))
+    _check_finite(evaluate_many(cone, frame), frame, "disc family frame")
+    T = np.eye(2, dtype=complex) if fam.transform is None else np.asarray(fam.transform, dtype=complex)
+    k = fam.lam * fam.side * (1 if fam.model is None else NORMAL_SIDE[fam.model.tag])
+    P = QuadraticCone._symmetrized(k * (T.T @ cone.S @ T), k * (T.conj().T @ cone.H @ T))
+    guard = CERT_ROUNDING * cone.n * fam.lam * mat_norm(abs(T).T @ (abs(cone.S) + abs(cone.H)) @ abs(T))
+    if fam.kind == "level_set":
+        sigma = float(np.linalg.norm(fam.c, 2))
+        reach = sigma * fam.radius**2
+    else:
+        reach = fam.radius / abs(fam.shift)
     for eps in eps_grid:
-        if eps <= 0:
-            raise ConeError("eps grid entries must be positive")
-        W = _disc_points(fam, float(eps), samples, rng)
-        if len(W) == 0:
+        if eps > reach:
             raise VerificationFailed(f"no disc points found at eps={eps}", eps=eps)
-        Z = fam.map_points(W)
-        vals = fam.side * evaluate_many(cone, Z)
-        _check_finite(vals, Z, f"disc at eps={eps}", eps=eps)
-        checked += len(Z)
-        j = int(np.argmin(vals))
-        if vals[j] <= 0:
-            raise VerificationFailed(
-                f"disc at eps={eps} leaves the claimed side (rho*side={vals[j]:.3e})",
-                eps=eps,
-                z=Z[j],
-            )
-        min_margin = min(min_margin, float(vals[j]))
+    if fam.model is not None:
+        d = form_distance(P, render_cone(fam.model)) + guard
+        minima = [_normal_minimum(fam, float(eps), d) for eps in eps_grid]
+    elif fam.kind == "level_set":
+        minima = _multiplier_minima(P, fam, [float(eps) for eps in eps_grid], guard, sigma)
+    else:
+        raise ConeError("an affine-line family needs its normal-form model")
 
-    W0 = _disc_points(fam, 0.0, samples, rng)
-    Z0 = fam.map_points(W0)
-    keep = np.linalg.norm(W0, axis=1) >= 1e-3 * fam.radius
-    touch = fam.side * evaluate_many(cone, Z0[keep])
-    _check_finite(touch, Z0[keep], "limit disc", eps=0.0)
-    checked += int(np.sum(keep))
-    if len(touch) == 0:
-        raise VerificationFailed("limit disc produced no samples away from 0", eps=0.0)
-    j = int(np.argmin(touch))
-    if touch[j] <= 0:
+    min_margin = np.inf
+    for eps, (bound, w) in zip(eps_grid, minima):
+        bound /= fam.lam
+        z = fam.map_points(w[None, :])
+        val = fam.side * evaluate_many(cone, z)
+        _check_finite(val, z, f"disc at eps={eps}", eps=eps)
+        if not bound <= val[0]:
+            raise VerificationFailed(
+                f"disc at eps={eps}: certified bound {bound:.3e} exceeds rho*side={val[0]:.3e} at its point",
+                eps=eps,
+                z=z[0],
+            )
+        if bound <= 0:
+            raise VerificationFailed(
+                f"disc at eps={eps} is not certified on the claimed side (bound on rho*side={bound:.3e})",
+                eps=eps,
+                z=z[0],
+            )
+        min_margin = min(min_margin, bound)
+
+    U = _limit_lines(fam)
+    # the minimum of side * rho / |w|^2 on each line is at its maximum point for side < 0
+    Z = _line_extremes(cone, fam.map_points(U))[1 if fam.side > 0 else 0 :: 2]
+    kappa = fam.side * evaluate_many(cone, Z) - guard / fam.lam
+    radius = np.where(kappa >= 0, 1e-3, 1.0) * fam.radius
+    Z = Z * radius[:, None]
+    touch = fam.side * evaluate_many(cone, Z)
+    _check_finite(touch, Z, "limit disc", eps=0.0)
+    bounds = kappa * radius**2
+    j = int(np.argmin(bounds - touch))
+    if bounds[j] > touch[j]:
         raise VerificationFailed(
-            f"limit disc touches the cone away from 0 (rho*side={touch[j]:.3e})",
+            f"limit disc: certified bound {bounds[j]:.3e} exceeds rho*side={touch[j]:.3e} at its point",
             eps=0.0,
-            z=Z0[keep][j],
+            z=Z[j],
+        )
+    j = int(np.argmin(bounds))
+    if bounds[j] <= 0:
+        raise VerificationFailed(
+            f"limit disc touches the cone away from 0 (bound on rho*side={bounds[j]:.3e})",
+            eps=0.0,
+            z=Z[j],
         )
     return DiscReport(
-        min_margin=min_margin,
-        touch_residual=float(touch[j]),
-        points_checked=checked,
+        min_margin=float(min_margin),
+        touch_residual=float(bounds[j]),
+        points_checked=len(eps_grid) + len(Z),
     )
 
 
@@ -374,7 +536,7 @@ def decide2(
         )
     fam = build_disc_family(r.ntype)
     if fam is not None:
-        fam = replace(fam, transform=r.T, side=fam.side * r.sign)
+        fam = replace(fam, transform=r.T, side=fam.side * r.sign, lam=r.lam)
         return Verdict(outcome="one_sided", side=fam.side, discs=fam)
     witness = _normal_frame_witness(r.ntype)
     note = ""

@@ -345,6 +345,25 @@ def canonical_sign(cone: QuadraticCone) -> tuple[QuadraticCone, int]:
     return cone, +1
 
 
+def _real_roots(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows i, root numbers k and values t of the real roots of a t^2 + b t + c = 0.
+
+    Row-major: by row, then root.  The stable quadratic formula, with the
+    linear root where a is negligible.
+    """
+    disc = b * b - 4.0 * a * c
+    # column k = root k of the row's equation; masked-out entries may hold inf or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(disc)
+        linear = np.abs(a) < 1e-14 * (np.abs(b) + np.abs(c) + 1e-300)
+        qq = -0.5 * (b + np.copysign(sq, b))
+        roots = np.column_stack([np.where(linear, -c / b, qq / a), c / qq])
+    real = ~(disc < 0)
+    valid = np.column_stack([real & (~linear | (np.abs(b) > 0)), real & ~linear & (np.abs(qq) > 0)])
+    i, k = np.nonzero(valid)
+    return i, k, roots[i, k]
+
+
 def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
     """Deterministic points on the cone as a (count, n) array, from random real 2-plane sections.
 
@@ -375,44 +394,44 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
     points = []
     found = 0
     for _ in range(max_batches):
-        U = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
-        V = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
+        U, V = np.empty((2, batch, n), dtype=complex)
+        for W in (U, V):  # x + i y from two draws, as x + 1j * y would give
+            W.real = rng.standard_normal((batch, n))
+            W.imag = rng.standard_normal((batch, n))
         scales = rng.uniform(0.05, 1.0, size=2 * batch)
         a = evaluate_many(cone, V)
         c = evaluate_many(cone, U)
-        b = evaluate_many(cone, U + V) - a - c  # real polarization term
-        disc = b * b - 4.0 * a * c
-        # Roots t of a t^2 + b t + c = 0, column k = root k of the row's
-        # equation; masked-out entries may hold inf or nan.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = np.sqrt(disc)
-            # stable quadratic roots; handle the nearly-linear case
-            linear = np.abs(a) < 1e-14 * (np.abs(b) + np.abs(c) + 1e-300)
-            qq = -0.5 * (b + np.copysign(sq, b))
-            roots = np.column_stack([np.where(linear, -c / b, qq / a), c / qq])
-        real = ~(disc < 0)
-        valid = np.column_stack(
-            [real & (~linear | (np.abs(b) > 0)), real & ~linear & (np.abs(qq) > 0)]
-        )
-        i, k = np.nonzero(valid)  # row-major: by direction, then by root
-        P = U[i] + roots[i, k][:, None] * V[i]
+        # b, the real polarization term: rho(u + t v) = a t^2 + b t + c
+        i, k, t = _real_roots(a, evaluate_many(cone, U + V) - a - c, c)
+        # full-size arrays are made in place and dropped once used, so the
+        # heap reuses their pages instead of faulting in new ones
+        P = t[:, None] * V[i]
+        P += U[i]
+        del U, a, c
         norm = np.linalg.norm(P, axis=1)
         far = ~(norm < 1e-9)
-        i, k, P, norm = i[far], k[far], P[far], norm[far]
+        if not far.all():
+            i, k, P, norm = i[far], k[far], P[far], norm[far]
         P *= (radius * scales[2 * i + k] / norm)[:, None]
         # one Newton polish along V to keep the residual at rounding level
         vnorm = np.maximum(np.linalg.norm(V, axis=1), 1e-300)
         dv = V[i] * (radius / vnorm[i])[:, None]
+        del V
         r0 = evaluate_many(cone, P)
-        g = evaluate_many(cone, P + 1e-7 * dv) - r0
+        probe = dv * 1e-7
+        probe += P
+        g = evaluate_many(cone, probe) - r0
+        del probe
         step = np.divide(r0 * 1e-7, g, out=np.zeros_like(g), where=np.abs(g) > 1e-300)
-        P -= step[:, None] * dv
+        dv *= step[:, None]
+        P -= dv
+        del dv
         res = np.abs(evaluate_many(cone, P))
         ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
-        points.append(P[ok])
+        points.append(P if ok.all() else P[ok])
         found += len(points[-1])
         if found >= count:
-            return np.concatenate(points)[:count]
+            return (points[0] if len(points) == 1 else np.concatenate(points))[:count]
     raise InsufficientSamples(
         f"found {found} of {count} requested cone points; rho may be (semi)definite"
     )

@@ -26,7 +26,7 @@ forms, each verified exactly before being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -361,9 +361,7 @@ def _structured_candidates(cone0: QuadraticCone):
     # (0, 0): a harmonic-only cone has two-sided support; no candidates
 
 
-def _try_slice(
-    cone: QuadraticCone, slc: Slice, samples: int, eps_grid, seed: int
-) -> SliceResult | None:
+def _try_slice(cone: QuadraticCone, slc: Slice, eps_grid) -> SliceResult | None:
     try:
         restricted = restrict(cone, slc)
         # a restricted cone of rounding size (an inert plane, say) shows no side:
@@ -394,8 +392,10 @@ def _try_slice(
         if verdict.outcome != "one_sided":
             return None
         fam = verdict.discs
+    # certified on the input itself: the family's frame maps through the basis
+    T = slc.basis if fam.transform is None else slc.basis @ fam.transform
     try:
-        report = verify_discs(restricted, fam, eps_grid=eps_grid, samples=samples, seed=seed)
+        report = verify_discs(cone, replace(fam, transform=T), eps_grid=eps_grid)
     except VerificationFailed:
         return None
     return SliceResult(
@@ -407,16 +407,18 @@ def find_good_slice(
     cone: QuadraticCone,
     budget: int = 256,
     seed: int = 0,
-    samples: int = 2000,
     eps_grid=(1e-2, 1e-1),
 ) -> SliceResult | None:
     """First two-dimensional slice whose restricted cone is one-sided.
 
     Structured candidates (driven by the hermitian signature) come first in
     a deterministic order; remaining budget goes to seeded random
-    subspaces.  Every returned slice has passed disc verification on the
-    restricted cone.  None means no one-sided slice was found, which for a
-    valid cone points at two-sided support (see classify_two_sided_nd).
+    subspaces.  Every returned slice has passed disc verification: the
+    family of the restricted cone, mapped through the slice basis, gets
+    verify_discs' certified bounds on the input cone itself, so a family
+    that meets the cone away from 0, or whose margins are below the input's
+    rounding, is rejected.  None means no one-sided slice was found, which
+    for a valid cone points at two-sided support (see classify_two_sided_nd).
     """
     if cone.n < 3:
         raise ConeError("find_good_slice expects n >= 3")
@@ -428,7 +430,7 @@ def find_good_slice(
         if spent >= budget:
             return None
         spent += 1
-        res = _try_slice(cone, slc, samples, eps_grid, seed)
+        res = _try_slice(cone, slc, eps_grid)
         if res is not None:
             return res
     rng = np.random.default_rng(seed)
@@ -440,7 +442,7 @@ def find_good_slice(
             slc = Slice(basis, "random subspace")
         except DegenerateBasis:
             continue
-        res = _try_slice(cone, slc, samples, eps_grid, seed)
+        res = _try_slice(cone, slc, eps_grid)
         if res is not None:
             return res
     return None

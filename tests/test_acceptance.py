@@ -200,9 +200,7 @@ def test_criterion_4_disc_verification():
         cone = render_cone(ntype)
         verdict = decide2(classify2(cone), cone)
         assert verdict.outcome == "one_sided"
-        rep = verify_discs(
-            cone, verdict.discs, eps_grid=(1e-3, 1e-2, 1e-1), samples=10_000, seed=4
-        )
+        rep = verify_discs(cone, verdict.discs, eps_grid=(1e-3, 1e-2, 1e-1))
         assert rep.min_margin > 0, ntype
         assert rep.touch_residual > 0, ntype
     _report(4, "strict disc margins for the four one-sided representatives",
@@ -279,11 +277,9 @@ def test_criterion_7_slicer_suite():
     ]
     for name in one_sided:
         cone = fx.FIXTURES[name]()
-        res = find_good_slice(cone, budget=256, seed=0, samples=2000)
+        res = find_good_slice(cone, budget=256, seed=0)
         assert res is not None, name
-        rep = verify_discs(
-            res.restricted, res.verdict.discs, eps_grid=(1e-2, 1e-1), samples=2000, seed=1
-        )
+        rep = verify_discs(res.restricted, res.verdict.discs, eps_grid=(1e-2, 1e-1))
         assert rep.min_margin > 0 and rep.touch_residual > 0, name
     # the independent-coupling fixture uses the documented slice with
     # det S* = 3 and det P = -1

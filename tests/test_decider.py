@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quadcone.cli import DEFAULT_EPS
 from quadcone.decider import (
     DiscFamily,
     VerificationFailed,
+    _disc_points,
     build_disc_family,
     decide2,
     jump_demo,
@@ -164,7 +166,7 @@ def test_build_disc_family_shapes():
 def test_verify_discs_strict(ntype):
     cone = render_cone(ntype)
     v = decide2(classify2(cone), cone)
-    rep = verify_discs(cone, v.discs, eps_grid=EPS_GRID, samples=4000, seed=2)
+    rep = verify_discs(cone, v.discs, eps_grid=EPS_GRID)
     assert rep.min_margin > 0
     assert rep.touch_residual > 0
 
@@ -186,7 +188,7 @@ def test_verify_discs_at_any_input_scale(ntype, k):
     cone = apply_change(render_cone(ntype), T, lam=10.0**k)
     v = decide2(classify2(cone), cone)
     assert v.outcome == "one_sided"
-    rep = verify_discs(cone, v.discs, eps_grid=EPS_GRID, samples=2000, seed=1)
+    rep = verify_discs(cone, v.discs, eps_grid=EPS_GRID)
     assert rep.min_margin > 0
     assert rep.touch_residual > 0
 
@@ -195,7 +197,7 @@ def test_verify_discs_analytic_floor_m20():
     # on the level variety the defining function equals eps + |z1|^2 + |z2|^2
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
     fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
-    rep = verify_discs(cone, fam, eps_grid=EPS_GRID, samples=4000, seed=3)
+    rep = verify_discs(cone, fam, eps_grid=EPS_GRID)
     assert rep.min_margin >= min(EPS_GRID)
 
 
@@ -204,7 +206,7 @@ def test_verify_discs_wrong_side_fails():
     fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
     bad = DiscFamily(kind=fam.kind, side=-fam.side, c=fam.c, transform=fam.transform)
     with pytest.raises(VerificationFailed):
-        verify_discs(cone, bad, eps_grid=EPS_GRID, samples=500, seed=4)
+        verify_discs(cone, bad, eps_grid=EPS_GRID)
 
 
 def test_verify_discs_rejects_a_non_finite_transform():
@@ -213,8 +215,9 @@ def test_verify_discs_rejects_a_non_finite_transform():
     bad = DiscFamily(kind=fam.kind, side=fam.side, c=fam.c, transform=np.diag([np.nan, 1.0]))
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
     with pytest.raises(VerificationFailed, match="not finite") as info:
-        verify_discs(cone, bad, eps_grid=EPS_GRID, samples=500, seed=4)
-    assert info.value.eps == EPS_GRID[0]
+        verify_discs(cone, bad, eps_grid=EPS_GRID)
+    # the family's frame is checked before any disc: the failure names no eps
+    assert info.value.eps is None
     assert np.isnan(info.value.z[0])
 
 
@@ -222,7 +225,98 @@ def test_verify_discs_empty_grid_rejected():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
     fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
     with pytest.raises(Exception):
-        verify_discs(cone, fam, eps_grid=(), samples=100, seed=0)
+        verify_discs(cone, fam, eps_grid=())
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, -0.9, 0.3 + 0.4j])
+def test_verify_discs_rejects_a_definite_slice_family_that_meets_the_cone(s):
+    # side * rho = Re(s w1^2) + |w1|^2 >= 0 vanishes on {w1 = 0}, which meets
+    # D_eps = {w1^2 + w2^2 = eps} at (0, +-sqrt(eps)): no sample lands there
+    cone = QuadraticCone(np.diag([s, 0.0]), np.diag([1.0, 0.0]))
+    fam = DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex))
+    with pytest.raises(VerificationFailed, match="not certified"):
+        verify_discs(cone, fam, eps_grid=(1e-2, 1e-1))
+
+
+def test_verify_discs_certifies_a_semidefinite_slice_exactly():
+    # rho = |w|^2 + Re(w1^2 + w2^2) vanishes on i R^2, which misses D_eps: on
+    # D_eps rho = |w|^2 + eps >= 2 eps, with equality on the real points, and on
+    # the limit disc rho = |w|^2 >= (1e-3)^2
+    cone = QuadraticCone(np.eye(2), np.eye(2))
+    fam = DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex))
+    rep = verify_discs(cone, fam, eps_grid=(1e-2, 1e-1))
+    assert rep.min_margin == pytest.approx(2e-2, rel=1e-12)
+    assert rep.touch_residual == pytest.approx(1e-6, rel=1e-12)
+
+
+DISC_KINDS = ("M20", "M10_1", "M11_1 level set", "M11_1 affine line", "point", "semidefinite")
+
+
+def _oracle_case(kind: str, rng, lam: float, sign: int):
+    """A cone with a one-sided disc family of the given kind, moved by a random GL(2,C) change.
+
+    Normal forms go through classify2 and decide2, parameters kept clear of
+    the strata's boundaries.  The definite-slice families (c = I, no model)
+    certify rho0 = w^H H0 w + Re(w^T S0 w): definite ("point", sigma_max(S0)
+    < lambda_min(H0)) or semidefinite (H0 = I, S0 = diag(1, b), zero on i R x 0).
+    """
+    M = random_gl2(rng)
+    if kind in ("point", "semidefinite"):
+        if kind == "point":
+            X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            H0 = X @ X.conj().T + np.eye(2)
+            S0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            S0 = S0 + S0.T
+            S0 *= 0.9 * np.linalg.eigvalsh(H0)[0] / np.linalg.norm(S0, 2)
+        else:
+            H0, S0 = np.eye(2), np.diag([1.0, rng.uniform(0.0, 0.9)])
+        cone = apply_change(QuadraticCone(S0, H0), np.linalg.inv(M), lam, sign)
+        return cone, DiscFamily(kind="level_set", side=sign, c=np.eye(2, dtype=complex), transform=M)
+    if kind == "M20":
+        A = rng.uniform(1.2, 4.0)
+        ntype = NormalFormType("M20", a=A, b=A * rng.uniform(0.0, 0.9))
+    elif kind == "M10_1":
+        ntype = NormalFormType("M10_1", a=rng.uniform(0.1, 3.0))
+    elif kind == "M11_1 level set":
+        A = rng.uniform(1.5, 4.0)
+        ntype = NormalFormType("M11_1", a=A, b=rng.uniform(1.1, A - 0.3))
+    else:
+        A = rng.uniform(1.25, 4.0)
+        ntype = NormalFormType("M11_1", a=A, b=rng.uniform(0.0, 0.9))
+    cone = apply_change(render_cone(ntype), np.linalg.inv(M), lam, sign)
+    fam = decide2(classify2(cone), cone).discs
+    assert fam.model.tag == ntype.tag and fam.kind == build_disc_family(ntype).kind
+    return cone, fam
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(DISC_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    u=st.floats(-3.0, 3.0),
+    sign=st.sampled_from((-1, 1)),
+)
+def test_certified_disc_bounds_hold_against_the_sampler(kind, seed, u, sign):
+    rng = np.random.default_rng(seed)
+    cone, fam = _oracle_case(kind, rng, 10.0**u, sign)
+
+    def sampled_min(family, eps):
+        W = _disc_points(family, eps, 2000, rng)
+        if eps == 0.0:
+            W = W[np.linalg.norm(W, axis=1) >= 1e-3 * family.radius]
+        return (fam.side * evaluate_many(cone, fam.map_points(W))).min()
+
+    for eps in EPS_GRID:
+        rep = verify_discs(cone, fam, eps_grid=(eps,))
+        assert rep.min_margin <= sampled_min(fam, eps)
+        assert rep.touch_residual <= sampled_min(fam, 0.0)
+        if fam.model is not None:
+            # sampled within twice the smallest |w| on D_eps, near the minimum
+            if fam.kind == "level_set":
+                near = 2.0 * np.sqrt(eps / np.linalg.norm(fam.c, 2))
+            else:
+                near = 2.0 * abs(fam.shift) * eps
+            assert rep.min_margin >= 0.5 * sampled_min(replace(fam, radius=near), eps)
 
 
 # --- support witnesses ----------------------------------------------------------
@@ -350,9 +444,10 @@ def test_witness_pull_back_margins():
 
 
 def test_disc_margin_scaling_exact():
-    # the family is sampled in its own frame, so verifying in the original
-    # coordinates and in normal-form coordinates uses identical points; the
-    # margins then differ exactly by the positive scale lambda
+    # the bounds are taken in the family's own frame, so the original
+    # coordinates (the closed form through the classification) and the
+    # normal-form coordinates (the multiplier bound of a family without a
+    # model) give margins that differ by the positive scale lambda
     rng = np.random.default_rng(137)
     ntype = NormalFormType("M20", a=3.0, b=1.0)
     base = render_cone(ntype)
@@ -361,9 +456,9 @@ def test_disc_margin_scaling_exact():
     moved = apply_change(base, T, lam, 1)
     res = classify2(moved)
     v = decide2(res, moved)
-    rep_orig = verify_discs(moved, v.discs, eps_grid=(1e-2,), samples=2000, seed=21)
+    rep_orig = verify_discs(moved, v.discs, eps_grid=(1e-2,))
     fam_norm = DiscFamily(kind=v.discs.kind, side=+1, c=v.discs.c, shift=v.discs.shift)
-    rep_norm = verify_discs(base, fam_norm, eps_grid=(1e-2,), samples=2000, seed=21)
+    rep_norm = verify_discs(base, fam_norm, eps_grid=(1e-2,))
     assert rep_orig.min_margin * res.lam == pytest.approx(rep_norm.min_margin, abs=1e-10)
     assert rep_orig.touch_residual * res.lam == pytest.approx(rep_norm.touch_residual, abs=1e-10)
 
@@ -393,7 +488,7 @@ def test_disc_side_follows_sign():
     assert res.sign == -1
     v = decide2(res, moved)
     assert v.outcome == "one_sided" and v.side == -1
-    rep = verify_discs(moved, v.discs, eps_grid=EPS_GRID, samples=3000, seed=11)
+    rep = verify_discs(moved, v.discs, eps_grid=EPS_GRID)
     assert rep.min_margin > 0
 
 
@@ -544,31 +639,29 @@ def test_decide_rejects_a_residual_beyond_its_bound(ntype):
 
 # --- point-count pins ------------------------------------------------------------
 
-# points_checked of each one-sided family, at the CLI's `verify` defaults and at
-# find_good_slice's; the point sets may move at rounding level, never in size
+# Per one-sided family: the sampler's point counts for 10k draws at each eps of
+# the CLI's `verify` grid and then at the limit disc (eps = 0), drawn in that
+# order from one generator seeded with 0 (`verify --csv` and the tests' oracle
+# draw this way), and the certified check's points_checked on the CLI's grid and
+# on find_good_slice's: one attaining point per eps, one per line of the limit
+# disc.  The sampled point sets may move at rounding level, never in size.
 ONE_SIDED_POINT_COUNTS = [
-    (NormalFormType("M20", a=2.0, b=0.5), "level_set", 64188, 9528),
-    (NormalFormType("M10_1", a=0.5), "level_set", 53346, 7902),
-    (NormalFormType("M11_1", a=2.0, b=0.5), "affine_line", 40000, 6000),
-    (NormalFormType("M11_1", a=3.0, b=2.0), "level_set", 48208, 7184),
+    (NormalFormType("M20", a=2.0, b=0.5), "level_set", [15962, 16052, 15930, 16244], 5, 4),
+    (NormalFormType("M10_1", a=0.5), "level_set", [13302, 13420, 13166, 13458], 5, 4),
+    (NormalFormType("M11_1", a=2.0, b=0.5), "affine_line", [10000] * 4, 4, 3),
+    (NormalFormType("M11_1", a=3.0, b=2.0), "level_set", [12038, 12094, 11936, 12140], 5, 4),
 ]
 
 
-@pytest.mark.parametrize("ntype, kind, cli_count, slice_count", ONE_SIDED_POINT_COUNTS)
-def test_verify_discs_pins_its_point_counts(ntype, kind, cli_count, slice_count):
+@pytest.mark.parametrize("ntype, kind, sampled, cli_count, slice_count", ONE_SIDED_POINT_COUNTS)
+def test_verify_discs_pins_its_point_counts(ntype, kind, sampled, cli_count, slice_count):
     cone, fam = render_cone(ntype), build_disc_family(ntype)
     assert fam.kind == kind
-    rep = verify_discs(cone, fam, eps_grid=DEFAULT_EPS, samples=10_000, seed=0)
-    assert rep.points_checked == cli_count
-    slice_defaults = inspect.signature(find_good_slice).parameters
-    rep = verify_discs(
-        cone,
-        fam,
-        eps_grid=slice_defaults["eps_grid"].default,
-        samples=slice_defaults["samples"].default,
-        seed=slice_defaults["seed"].default,
-    )
-    assert rep.points_checked == slice_count
+    rng = np.random.default_rng(0)
+    assert [len(_disc_points(fam, float(eps), 10_000, rng)) for eps in (*DEFAULT_EPS, 0.0)] == sampled
+    assert verify_discs(cone, fam, eps_grid=DEFAULT_EPS).points_checked == cli_count
+    slice_grid = inspect.signature(find_good_slice).parameters["eps_grid"].default
+    assert verify_discs(cone, fam, eps_grid=slice_grid).points_checked == slice_count
 
 
 @pytest.mark.parametrize("seed, candidates", [(0, 16040), (1, 16040), (2, 15976)])

@@ -78,7 +78,7 @@ def test_verification_failure_carries_location():
 
     bad = replace(fam, side=-1)
     with pytest.raises(VerificationFailed) as exc:
-        verify_discs(cone, bad, eps_grid=(1e-2,), samples=200, seed=0)
+        verify_discs(cone, bad, eps_grid=(1e-2,))
     assert exc.value.eps == pytest.approx(1e-2)
     assert exc.value.z is not None and exc.value.z.shape == (2,)
 
