@@ -551,19 +551,21 @@ def _parse_overrides(text: str) -> dict:
             out[k] = float(v)
         except ValueError as exc:
             raise SchemaError("--tol-overrides", f"bad value for {k}: {v!r}") from exc
+        if not 0 <= out[k] < math.inf:
+            raise SchemaError("--tol-overrides", f"{k} must be finite and >= 0, got {v!r}")
     return out
 
 
-def _count_parser(option: str):
-    """Parser of a count option: an integer >= 1."""
+def _int_parser(option: str, least: int):
+    """Parser of an integer option whose value is at least least."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as exc:
             raise SchemaError(option, f"not an integer: {text!r}") from exc
-        if value < 1:
-            raise SchemaError(option, f"must be at least 1, got {value}")
+        if value < least:
+            raise SchemaError(option, f"must be at least {least}, got {value}")
         return value
 
     return parse
@@ -576,8 +578,9 @@ _OPTION_PARSERS = {
     "eps": _float_list_parser("--eps", lambda v: 0 < v < math.inf, "positive and finite"),
     "grid": _float_list_parser("--grid", math.isfinite, "finite"),
     "tol_overrides": _parse_overrides,
-    "samples": _count_parser("--samples"),
-    "budget": _count_parser("--budget"),
+    "samples": _int_parser("--samples", 1),
+    "budget": _int_parser("--budget", 1),
+    "seed": _int_parser("--seed", 0),
 }
 
 
@@ -592,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", nargs="?", default=None, help="spec path or - for stdin")
             p.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in cone by name")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", default=0)
         p.add_argument("--samples", default=10_000)
         p.add_argument("--tol-overrides", default=None)
 

@@ -448,50 +448,19 @@ def find_good_slice(
     return None
 
 
-def _lagrange_diagonalize(S: np.ndarray, tol_rel: float = 1e-10):
-    """T invertible with T^T S T diagonal (complex congruence), pivoted."""
-    n = S.shape[0]
-    A = np.array(S, dtype=complex)
-    T = np.eye(n, dtype=complex)
-    norm0 = max(mat_norm(S), 1e-300)
-    for i in range(n):
-        sub = A[i:, i:]
-        dlead = np.abs(np.diag(sub))
-        if dlead.max(initial=0.0) <= tol_rel * norm0:
-            off = np.abs(sub)
-            if off.max(initial=0.0) <= tol_rel * norm0:
-                break
-            r, c_ = divmod(int(np.argmax(off)), sub.shape[1])
-            r, c_ = r + i, c_ + i
-            E = np.eye(n, dtype=complex)
-            E[c_, r] = 1.0  # column r += column c_: creates a diagonal pivot
-            A = E.T @ A @ E
-            T = T @ E
-            sub = A[i:, i:]
-            dlead = np.abs(np.diag(sub))
-        j = i + int(np.argmax(dlead))
-        if j != i:
-            E = np.eye(n, dtype=complex)
-            E[:, [i, j]] = E[:, [j, i]]
-            A = E.T @ A @ E
-            T = T @ E
-        piv = A[i, i]
-        if abs(piv) <= tol_rel * norm0:
-            break
-        E = np.eye(n, dtype=complex)
-        E[i, i + 1 :] = -A[i, i + 1 :] / piv
-        A = E.T @ A @ E
-        T = T @ E
-    return T, np.diag(A).copy()
-
-
 def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     """Recognize the two-sided normal shapes in C^n, n >= 3.
 
     Detects, in order: a product with an inert C^(n-2) factor (joint kernel
     of the coefficient pair has complex dimension n-2), a purely harmonic
     cone Re(z1^2 + ... + zk^2) with k > 2, and the bilinear-factor shape
-    Re((z2 + conj(z3)) z1).  Every recognized form is verified exactly
+    Re((z2 + conj(z3)) z1).  The product and ts1 read one SVD of the
+    stacked pair [S; H]: the product's factor is spanned by its top two
+    right singular vectors, and ts1's model is the rank-k part S V V^H of
+    S, V the top k = n - (kernel dimension) of them.  ts2 (_ts2_fit) writes
+    S = U2 M U2^T over the range U2 of S, splits M into two Takagi terms,
+    and solves H = (conj(m) a^T + conj(a) m^T) / 2 for m in closed form.
+    Every recognized form is verified exactly
     before being returned: its model rho, as a cone, lies within
     FIT_VERIFY_REL (times 10 for ts1 and ts2) of the cone's scale in
     form_distance, which is the fit_residual.  Anything else comes back as
@@ -522,24 +491,16 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
                 certified=_factor_two_sided(inner, factor),
             )
 
-    if mat_norm(cone.H) <= 1e-10 * scale:
-        T, d = _lagrange_diagonalize(cone.S)
-        k = int(np.sum(np.abs(d) > 1e-10 * max(np.abs(d).max(initial=0.0), 1e-300)))
-        if k > 2:
-            order = np.argsort(-np.abs(d))
-            T = T[:, order]
-            d = d[order]
-            Tn = T.copy()
-            for i in range(k):
-                Tn[:, i] = T[:, i] / np.sqrt(d[i])
-            Ti = np.linalg.inv(Tn)[:k]  # model rho = Re(sum of (Ti z)_i^2)
-            model = QuadraticCone._symmetrized(Ti.T @ Ti, np.zeros((n, n), dtype=complex))
-            resid = form_distance(cone, model)
-            if resid <= FIT_VERIFY_REL * scale * 10:
-                return TwoSidedForm(
-                    kind="ts1", k=k, fit_residual=resid,
-                    detail=f"purely harmonic with rank {k} >= 3", certified=True,
-                )
+    k = n - kdim
+    if k > 2 and mat_norm(cone.H) <= 1e-10 * scale:
+        V = vh[:k].conj().T  # orthonormal, spans the complement of the joint kernel
+        model = QuadraticCone._symmetrized(cone.S @ V @ V.conj().T, np.zeros((n, n), dtype=complex))
+        resid = form_distance(cone, model)
+        if resid <= FIT_VERIFY_REL * scale * 10:
+            return TwoSidedForm(
+                kind="ts1", k=k, fit_residual=resid,
+                detail=f"purely harmonic with rank {k} >= 3", certified=True,
+            )
 
     form = _ts2_fit(cone)
     if form is not None:
@@ -564,21 +525,23 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
         return None
     if real_signature(cone).as_tuple() != (2, 2):
         return None
-    s_sv = np.linalg.svd(cone.S, compute_uv=False)
+    U, s_sv, _ = np.linalg.svd(cone.S)
     if int(np.sum(s_sv > 1e-9 * max(s_sv[0], 1e-300))) != 2:
         return None
-    T, d = _lagrange_diagonalize(cone.S)
-    order = np.argsort(-np.abs(d))
-    T, d = T[:, order], d[order]
-    Tin = np.linalg.inv(T)
-    u1, u2 = Tin[0], Tin[1]
-    r1, r2 = np.sqrt(d[0]), np.sqrt(d[1])
-    cand_a = r1 * u1 + 1j * r2 * u2
-    cand_l = r1 * u1 - 1j * r2 * u2
+    # S = U2 M U2^T on its range; takagi2 squares its argument, hence M / sigma_1
+    U2 = U[:, :2]
+    tk = takagi2(U2.conj().T @ cone.S @ U2.conj() / s_sv[0])
+    W = U2 @ tk.u.conj()  # S = d_1 W_1 W_1^T + d_2 W_2 W_2^T
+    r1, r2 = np.sqrt(s_sv[0] * np.array(tk.d))
+    cand_a = r1 * W[:, 0] + 1j * r2 * W[:, 1]
+    cand_l = r1 * W[:, 0] - 1j * r2 * W[:, 1]
     for a, l in ((cand_a, cand_l), (cand_l, cand_a)):
-        m = _solve_hermitian_factor(cone.H, a)
-        if m is None:
-            continue
+        # H = (conj(m) a^T + conj(a) m^T) / 2 fixes m up to m + i t a, which
+        # leaves rho unchanged: with v = conj(a) / |a|^2, a^T v = 1 and this m
+        # is the one with Im(m^T v) = 0
+        v = a.conj() / np.vdot(a, a).real
+        Hv = cone.H @ v
+        m = np.conj(2 * Hv - v * (a @ Hv))
         forms = np.vstack([a, l, m])
         fs = np.linalg.svd(forms, compute_uv=False)
         if fs[-1] <= 1e-8 * fs[0]:
@@ -593,34 +556,3 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
                 certified=True,
             )
     return None
-
-
-def _solve_hermitian_factor(H: np.ndarray, a: np.ndarray) -> np.ndarray | None:
-    """m with H = (conj(m) a^T + conj(a) m^T) / 2, or None if inconsistent."""
-    n = H.shape[0]
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            # H_ij = (conj(m_i) a_j + conj(a_i) m_j) / 2, unknowns Re m, Im m
-            row_re = np.zeros(2 * n)
-            row_im = np.zeros(2 * n)
-            # conj(m_i) a_j / 2
-            row_re[i] += 0.5 * a[j].real
-            row_im[i] += 0.5 * a[j].imag
-            row_re[n + i] += 0.5 * a[j].imag
-            row_im[n + i] += -0.5 * a[j].real
-            # conj(a_i) m_j / 2
-            row_re[j] += 0.5 * a[i].real
-            row_im[j] += -0.5 * a[i].imag
-            row_re[n + j] += 0.5 * a[i].imag
-            row_im[n + j] += 0.5 * a[i].real
-            rows.extend([row_re, row_im])
-            rhs.extend([H[i, j].real, H[i, j].imag])
-    A = np.array(rows)
-    b = np.array(rhs)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = np.linalg.norm(A @ x - b)
-    if resid > 1e-8 * max(np.linalg.norm(b), 1.0):
-        return None
-    return x[:n] + 1j * x[n:]

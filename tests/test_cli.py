@@ -366,7 +366,11 @@ def test_bad_eps_exits_schema(capsys, value):
     assert_schema_exit(capsys, ["verify", "--fixture", "example_m", "--eps", value], "--eps")
 
 
-@pytest.mark.parametrize("value", ["support_rel", "support_rel=x", "support_rel=1e-9,=2"])
+@pytest.mark.parametrize(
+    "value",
+    ["support_rel", "support_rel=x", "support_rel=1e-9,=2",
+     "support_rel=nan", "support_rel=inf", "support_rel=-1"],
+)
 def test_bad_tol_overrides_exits_schema(capsys, value):
     assert_schema_exit(
         capsys, ["decide", "--fixture", "example_m", "--tol-overrides", value], "--tol-overrides"
@@ -396,6 +400,23 @@ def test_bad_samples_exits_schema(capsys, argv, value):
 @pytest.mark.parametrize("value", ["0", "-1", "x", "2.0"])
 def test_bad_budget_exits_schema(capsys, value):
     assert_schema_exit(capsys, ["slice", "--fixture", "ts2", "--budget", value], "--budget")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--fixture", "example_m"],
+        ["verify", "--fixture", "example_m", "--csv", "unused.csv"],
+        ["slice", "--fixture", "ts2"],
+        ["jump-demo"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("value", ["-1", "x", "1.5", ""])
+def test_bad_seed_exits_schema(capsys, tmp_path, monkeypatch, argv, value):
+    monkeypatch.chdir(tmp_path)  # a parsed seed would let verify write its CSV here
+    assert_schema_exit(capsys, [*argv, "--seed", value], "--seed")
+    assert not (tmp_path / "unused.csv").exists()
 
 
 def test_count_options_accept_one(capsys):

@@ -360,6 +360,31 @@ def test_high_dimensional_products_and_harmonic_ranks():
         assert find_good_slice(moved, budget=48, seed=k) is None
         form = classify_two_sided_nd(moved)
         assert form.kind == "ts1" and form.k == k
+    for n in (4, 5):
+        # Re((z2 + conj(z3)) z1), padded
+        S = np.zeros((n, n), dtype=complex)
+        H = np.zeros((n, n), dtype=complex)
+        S[0, 1] = S[1, 0] = 0.5
+        H[0, 2] = H[2, 0] = 0.5
+        moved = apply_change(QuadraticCone(S, H), random_gl(rng, n), 0.7, -1)
+        assert find_good_slice(moved, budget=48, seed=n) is None
+        form = classify_two_sided_nd(moved)
+        assert form.kind == "ts2" and form.certified
+
+
+@pytest.mark.parametrize(
+    "make, kind, k", [(fx.product_example_m, "product", None), (fx.ts1_k3, "ts1", 3), (fx.ts2, "ts2", None)]
+)
+def test_two_sided_forms_are_recognized_at_every_scale(make, kind, k):
+    # the ts2 fit hands takagi2 its 2 x 2 block divided by the largest
+    # singular value: takagi2 squares its argument, which overflows or
+    # underflows beyond about 1e+-160
+    rng = np.random.default_rng(229)
+    for _ in range(5):
+        T = random_gl(rng, 3)
+        for e in range(-300, 301, 10):
+            form = classify_two_sided_nd(apply_change(make(), T, 10.0**e, 1))
+            assert (form.kind, form.k, form.certified) == (kind, k, True), (e, form.detail)
 
 
 def test_high_dimensional_random_cones_slice():
