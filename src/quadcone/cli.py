@@ -430,7 +430,7 @@ def cmd_slice(args) -> int:
         return _done(report, t0, EXIT_DEGENERATE)
     # a certified two-sided shape has no one-sided slice: skip the search
     form = classify_two_sided_nd(spec.cone)
-    res = None if form.certified else find_good_slice(spec.cone, budget=args.budget, seed=args.seed)
+    res = None if form.certified else find_good_slice(spec.cone, budget=args.budget)
     if res is not None:
         report["slice"] = {
             "description": res.slice.description,

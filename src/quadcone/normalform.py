@@ -189,8 +189,10 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     (1,1).  W comes from one eigh(H): the positive eigenvectors by
     descending eigenvalue (equal ones in eigh's order), then the negative
     ones from the most negative, each divided by sqrt(|eigenvalue|), then
-    the kernel at unit length; for (1,1) the first two columns are composed
-    with CHOFVAR / 2.  W = I when H is within 1e-12 (relative) of its
+    the kernel divided by sqrt(max |eigenvalue|) (unit length when H = 0),
+    so every column scales like 1/sqrt(lambda) under rho -> lambda rho and S1
+    does not depend on the cone's scale; for (1,1) the first two columns are
+    composed with CHOFVAR / 2.  W = I when H is within 1e-12 (relative) of its
     canonical matrix and n = 2 or the signature is (1,1), so such inputs
     keep their own coordinates; in C^n, n >= 3, a diagonal H of another
     signature keeps eigh's order of equal eigenvalues, which the slicer's
@@ -216,7 +218,7 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
         w, V = np.linalg.eigh(cone.H)  # ascending: nu negative, the kernel, pi positive
         order = np.concatenate([n - pi + np.argsort(-w[n - pi :], kind="stable"), np.arange(n - pi)])
         root = np.sqrt(np.abs(w[order]))
-        root[pi + nu :] = 1.0
+        root[pi + nu :] = np.sqrt(np.max(np.abs(w))) or 1.0
         # C-contiguous: the rounding of the products with W depends on its layout
         W = np.ascontiguousarray(V[:, order] / root)
         if (pi, nu) == (1, 1):
@@ -445,22 +447,15 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
 def _classify_sig10(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
     S1 = chain.S
     A0, B0, C0 = S1[0, 0], S1[0, 1], S1[1, 1]
-    # normalize_hermitian scales the first column of T to 1/sqrt(w1) and
-    # leaves the kernel column at unit length.  The zero tests compare B and
-    # C in the frame whose columns have equal length (kernel column scaled by
-    # t): there the rounding of both is relative to one norm at every scale.
-    col0, col1 = np.linalg.norm(chain.T, axis=0)
-    t = float(col0 / col1)
-    Bt, Ct = B0 * t, C0 * (t * t)
-    thr = 1e-9 * max(mat_norm(np.array([[A0, Bt], [Bt, Ct]])), 1e-300)
-    if not _zero_test(margins, "m10_c", Ct, thr):
+    thr = 1e-9 * max(mat_norm(S1), 1e-300)
+    if not _zero_test(margins, "m10_c", C0, thr):
         alpha = A0 - B0 * B0 / C0
         rC = np.sqrt(C0)
         theta1 = 0.5 * np.angle(alpha) if abs(alpha) > 0 else 0.0
         W = np.array([[np.exp(1j * theta1), 0.0], [B0 / rC, rC]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
         return NormalFormType("M10_1", a=float(abs(alpha)))
-    if not _zero_test(margins, "m10_b", Bt, thr):
+    if not _zero_test(margins, "m10_b", B0, thr):
         W = np.array([[1.0, 0.0], [A0, 2.0 * B0]], dtype=complex)
         chain.push_T(np.linalg.inv(W))
         return NormalFormType("M10_2")

@@ -8,6 +8,7 @@ matrix, and factorization of linear maps preserving Im(z1 * conj(z2)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,11 @@ def takagi2(S) -> TakagiFactorization:
     S = 0.5 * (S + S.T)
     if ns == 0.0:
         return TakagiFactorization(u=np.eye(2, dtype=complex), d=(0.0, 0.0))
+    # an exact power of two brings ||S|| into [0.5, 1), so conj(S) S neither
+    # overflows nor underflows; d is scaled back at the end
+    e = math.frexp(ns)[1]
+    S = S * math.ldexp(1.0, -e)
+    ns = math.ldexp(ns, -e)
 
     B = S.conj() @ S  # hermitian PSD; eigenvalues are squared singular values
     w, V = np.linalg.eigh(B)
@@ -89,7 +95,7 @@ def takagi2(S) -> TakagiFactorization:
     if d[0] < d[1]:
         U = U[:, ::-1]
         d = d[::-1]
-    return TakagiFactorization(u=U, d=(float(d[0]), float(d[1])))
+    return TakagiFactorization(u=U, d=(math.ldexp(float(d[0]), e), math.ldexp(float(d[1]), e)))
 
 
 def sl2_reduce_sym(P) -> tuple[np.ndarray, np.ndarray]:

@@ -277,7 +277,7 @@ def test_criterion_7_slicer_suite():
     ]
     for name in one_sided:
         cone = fx.FIXTURES[name]()
-        res = find_good_slice(cone, budget=256, seed=0)
+        res = find_good_slice(cone, budget=256)
         assert res is not None, name
         rep = verify_discs(res.restricted, res.verdict.discs, eps_grid=(1e-2, 1e-1))
         assert rep.min_margin > 0 and rep.touch_residual > 0, name

@@ -696,6 +696,27 @@ def test_cmd_slice_degenerate_reports_carry_the_classify2_detail(capsys, S, H, r
     }
 
 
+@pytest.mark.parametrize("seed, op", [(14, 86), (37, 115), (63, 61), (70, 35), (95, 35)])
+def test_cmd_slice_timed_real_ratio_inputs_get_a_structured_slice(capsys, monkeypatch, seed, op):
+    # one-sided nd_slice inputs whose common coupling has a real ratio far
+    # from 1: the reduction to a z1 coupling must keep the slice basis well
+    # conditioned, or the search ends with exit 2 ("numerically dependent")
+    import importlib.util
+    import pathlib
+    import sys
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    case = workloads.nd_slice(seed)[op]
+    assert case.truth["outcome"] == "one_sided"
+    code, report = run_cli_stdin(capsys, case.spec, list(case.argv))
+    assert code == EXIT_OK, report
+    assert report["slice"]["description"] == "dual slice after real-ratio reduction"
+
+
 def test_traced_layer_names_record_spans_through_main(capsys):
     import importlib.util
     import pathlib

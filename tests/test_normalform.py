@@ -333,9 +333,8 @@ def test_m00_1_classifies_at_every_scale(k):
 @pytest.mark.parametrize("ntype", [NormalFormType("M10_1", a=0.7), NormalFormType("M10_2")])
 @pytest.mark.parametrize("k", [-20, -16, -13, 0, 13, 16, 19, 20])
 def test_m10_classifies_across_the_census_scales(ntype, k):
-    # normalize_hermitian leaves the kernel column at unit length; the B = 0
-    # and C = 0 tests must not read the resulting column imbalance as a
-    # nonzero C (M10_2 reported as M10_1) or as B = C = 0 (a degeneracy)
+    # the B = 0 and C = 0 tests hold at the census scales: M10_2 must not come
+    # back as M10_1 (a nonzero C) or as B = C = 0 (a degeneracy)
     for T in FIXED_GL2:
         for sign in (1, -1):
             cone = apply_change(render_cone(ntype), T, lam=10.0**k, sign=sign)
@@ -374,11 +373,6 @@ def test_table_rows_classify_within_their_residual_bound_over_1e300(ntype):
     assert _scan_failures(ntype, exponents) == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="takagi2 forms conj(S) @ S, which overflows or underflows beyond about 1e+-155 "
-    "(the takagi2 FOUND line of CHANGES.md)",
-)
 def test_m00_1_classifies_within_its_residual_bound_beyond_1e160():
     exponents = [k for k in SCAN_EXPONENTS if abs(k) >= 160]
     assert _scan_failures(NormalFormType("M00_1"), exponents) == []
