@@ -12,12 +12,16 @@ tree runs in a subprocess of its own over the same inputs:
   its `U_RANGE` and its `CENSUS_U_RANGE`.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
-which uses numpy only, so both trees see the same specs.  Prints every
-input whose exit code or report differs, apart from the report's
-`timings`, with the differing fields, then a count per input group and a
-tally of the differing inputs by field path (list indices as `[]`) and by
-exit-code transition.  Exits 1 on any difference, 0 when every report and
-exit code is the same.
+which uses numpy only, so both trees see the same specs.  Each input is
+compared twice, apart from the report's `timings` values: as parsed JSON,
+and as the raw stdout text, so that a change of spacing, escaping or float
+spelling (`1e-05` vs `1e-5`) shows even where the parsed values agree.
+Prints every input whose exit code, report or raw text differs, with the
+differing fields or the first differing line, then a count per input group,
+the inputs whose raw text alone differs, and a tally of the differing
+inputs by field path (list indices as `[]`) and by exit-code transition.
+Exits 1 on any difference, 0 when every report, raw text and exit code is
+the same.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 MAX_FIELDS = 8  # differing fields printed per input
+TIMINGS = re.compile(r'("timings": \{)([^{}]*)(\})')
+TIMING_VALUE = re.compile(r'(": )[^,\n]+')
 
 
 def _workloads():
@@ -81,13 +87,20 @@ def run_tree(src: str) -> None:
             code, out = None, io.StringIO(json.dumps({"exception": repr(exc)}))
         finally:
             sys.stdin = saved
+        raw = out.getvalue()
         try:
-            report = json.loads(out.getvalue())
+            report = json.loads(raw)
         except json.JSONDecodeError:
-            report = {"unparsed": out.getvalue()}
+            report = {"unparsed": raw}
         if isinstance(report, dict):
             report.pop("timings", None)
-        print(json.dumps({"name": name, "code": code, "report": report}, sort_keys=True))
+        row = {"name": name, "code": code, "report": report, "raw": _mask_timings(raw)}
+        print(json.dumps(row, sort_keys=True))
+
+
+def _mask_timings(raw: str) -> str:
+    """raw with each value of its (flat) `timings` object replaced by `#`."""
+    return TIMINGS.sub(lambda m: m[1] + TIMING_VALUE.sub(r"\1#", m[2]) + m[3], raw)
 
 
 def _collect(src: str) -> dict:
@@ -117,6 +130,14 @@ def _diff(a, b, path: str = ""):
         yield path, a, b
 
 
+def _first_differing_line(a: str, b: str) -> str:
+    a_lines, b_lines = a.splitlines(), b.splitlines()
+    for x, y in zip(a_lines, b_lines):
+        if x != y:
+            return f"{x[:200]!r} -> {y[:200]!r}"
+    return f"{len(a_lines)} -> {len(b_lines)} lines"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent_src", nargs="?")
@@ -132,13 +153,18 @@ def main(argv=None) -> int:
     if list(parent) != list(change):
         print("the two trees ran different inputs")
         return 1
-    total, differ, paths, exits = Counter(), Counter(), Counter(), Counter()
+    total, differ, raw_only, paths, exits = Counter(), Counter(), Counter(), Counter(), Counter()
     for name, p in parent.items():
         c = change[name]
         group = name.split("/")[0] + "/" + name.split("/")[-1]
         total[group] += 1
         fields = list(_diff(p["report"], c["report"]))
         if p["code"] == c["code"] and not fields:
+            if p["raw"] != c["raw"]:
+                differ[group] += 1
+                raw_only[group] += 1
+                print(f"{name}: raw text only")
+                print(f"  {_first_differing_line(p['raw'], c['raw'])}")
             continue
         differ[group] += 1
         exits[f"exit {p['code']} -> {c['code']}"] += 1
@@ -152,6 +178,10 @@ def main(argv=None) -> int:
     for group in sorted(total):
         print(f"{group}: {total[group] - differ[group]} of {total[group]} identical")
     print(f"all: {sum(total.values()) - sum(differ.values())} of {sum(total.values())} identical")
+    print("\ninputs whose raw text alone differs (parsed report and exit code the same):")
+    for group in sorted(raw_only):
+        print(f"  {group}: {raw_only[group]}")
+    print(f"  all: {sum(raw_only.values())}")
     for title, tally in (("field path", paths), ("exit code", exits)):
         print(f"\ndiffering inputs by {title}:")
         for key, count in sorted(tally.items()):

@@ -96,31 +96,42 @@ class ConeSpec:
     h_adjustment: float
 
 
-def _entry_to_complex(v, path: str) -> complex:
+def _entry_to_complex(v, path: str, *index: int) -> complex:
+    """v as a complex; an error names path[i][j] for the given indices.
+
+    The path is formatted only when an error is raised: valid entries are the
+    common case, and a matrix has n^2 of them.
+    """
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, dict):
-        extra = set(v) - {"re", "im"}
-        if extra:
-            raise SchemaError(path, f"unknown keys {sorted(extra)}")
+        # a key other than re and im: cheaper to count than to collect
+        if len(v) > ("re" in v) + ("im" in v):
+            extra = set(v) - {"re", "im"}
+            raise SchemaError(_indexed(path, index), f"unknown keys {sorted(extra)}")
         re = v.get("re", 0.0)
         im = v.get("im", 0.0)
         if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise SchemaError(path, "re/im must be numbers")
+            raise SchemaError(_indexed(path, index), "re/im must be numbers")
         return complex(re, im)
-    raise SchemaError(path, f"expected number or {{re, im}} object, got {type(v).__name__}")
+    raise SchemaError(
+        _indexed(path, index), f"expected number or {{re, im}} object, got {type(v).__name__}"
+    )
+
+
+def _indexed(path: str, index) -> str:
+    return path + "".join(f"[{k}]" for k in index)
 
 
 def _parse_matrix(data, n: int, path: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != n:
         raise SchemaError(path, f"expected {n} rows")
-    M = np.zeros((n, n), dtype=complex)
+    rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{path}[{i}]", f"expected {n} entries")
-        for j, v in enumerate(row):
-            M[i, j] = _entry_to_complex(v, f"{path}[{i}][{j}]")
-    return M
+        rows.append([_entry_to_complex(v, path, i, j) for j, v in enumerate(row)])
+    return np.array(rows, dtype=complex)
 
 
 def _require_finite(M: np.ndarray, path: str) -> None:
@@ -197,13 +208,14 @@ def parse_spec(text: str) -> ConeSpec:
     return ConeSpec(n=n, cone=cone, source=data, s_adjustment=s_adj, h_adjustment=h_adj)
 
 
-def _c2j(z: complex):
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
+def _c2j(z) -> dict:
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
 
 
 def _mat2j(M) -> list:
-    M = np.asarray(M)
-    return [[_c2j(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
+    return [[{"re": z.real, "im": z.imag} for z in row]
+            for row in np.asarray(M, dtype=complex).tolist()]
 
 
 def spec_to_json(spec: ConeSpec) -> dict:
@@ -303,8 +315,93 @@ def _base_report(command: str, args, spec: ConeSpec | None) -> dict:
     return report
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity or -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_text(v) -> str:
+    """json's text of a scalar, subclasses of float, str and int included."""
+    if isinstance(v, float):
+        return _float_text(v)
+    if isinstance(v, str):
+        return _encode_str(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+_CONTAINERS = (dict, list, tuple)  # json writes a tuple as a list
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append to out the text of o as json.dumps(o, indent=2, sort_keys=True) spells it.
+
+    nl is the newline and indent of o's own line.  Dict keys must be strings.
+    """
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        if len(o) == 2 and type(o.get("re")) is float and type(o.get("im")) is float:
+            # a complex number, the most common leaf of a report
+            out.append(f'{{{inner}"im": {_float_text(o["im"])},{inner}"re": {_float_text(o["re"])}{nl}}}')
+            return
+        sep = "{"
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            v = o[k]
+            if isinstance(v, _CONTAINERS):
+                out.append(f"{sep}{inner}{_encode_str(k)}: ")
+                _write(v, inner, out)
+            else:
+                out.append(f"{sep}{inner}{_encode_str(k)}: {_scalar_text(v)}")
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(o, _CONTAINERS):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "["
+        for v in o:
+            if isinstance(v, _CONTAINERS):
+                out.append(sep + inner)
+                _write(v, inner, out)
+            else:
+                out.append(f"{sep}{inner}{_scalar_text(v)}")
+            sep = ","
+        out.append(nl + "]")
+    else:
+        out.append(_scalar_text(o))
+
+
+def report_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, without its pure-Python encoder."""
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
 def _emit(report: dict, code: int) -> int:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(report_text(report))
     return code
 
 
@@ -647,13 +744,13 @@ def main(argv=None) -> int:
                 setattr(args, name, parse(value))
         return args.func(args)
     except (SchemaError, NonReal, NonHomogeneous, FileNotFoundError) as exc:
-        print(json.dumps({"error": {"kind": "schema", "message": str(exc)}}, indent=2))
+        print(report_text({"error": {"kind": "schema", "message": str(exc)}}))
         return EXIT_SCHEMA
     except VerificationFailed as exc:
-        print(json.dumps({"error": {"kind": "verification", "message": str(exc)}}, indent=2))
+        print(report_text({"error": {"kind": "verification", "message": str(exc)}}))
         return EXIT_VERIFICATION
     except ConeError as exc:
-        print(json.dumps({"error": {"kind": "cone", "message": str(exc)}}, indent=2))
+        print(report_text({"error": {"kind": "cone", "message": str(exc)}}))
         return EXIT_DEGENERATE
 
 

@@ -18,14 +18,16 @@ starts from, and follow the case analysis on the hermitian signature
 - (1, 0): slices through the support of the z' quadratic part;
 - (0, 0): none, a harmonic-only cone has two-sided support.
 
-Every candidate is validated end to end; the search is deterministic and
-tries nothing beyond these families.  Cones with two-sided support are
-classified separately into product / harmonic-rank / bilinear-factor
-forms, each verified exactly before being reported.
+Every candidate is validated end to end, and one whose basis is numerically
+dependent is skipped; the search is deterministic and tries nothing beyond
+these families.  Cones with two-sided support are classified separately
+into product / harmonic-rank / bilinear-factor forms, each verified
+exactly before being reported.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -144,6 +146,26 @@ def _embed_zprime(n: int, v) -> np.ndarray:
     return out
 
 
+def _slices(family):
+    """A candidate family that yields (basis, description) pairs, as a generator of Slices.
+
+    A pair whose basis fails Slice's Gram test is skipped: one dependent
+    candidate rules out itself, not the rest of the search.
+    """
+
+    @functools.wraps(family)
+    def slices(cone0: QuadraticCone):
+        for basis, description in family(cone0):
+            try:
+                slc = Slice(basis, description)
+            except DegenerateBasis:
+                continue
+            yield slc
+
+    return slices
+
+
+@_slices
 def _pi2_candidates(cone0: QuadraticCone):
     """Axis slice plus det-criterion-filtered shears, hermitian part (pi>=2)."""
     n = cone0.n
@@ -155,7 +177,7 @@ def _pi2_candidates(cone0: QuadraticCone):
     U[:2, :2] = tak.u
     W = W @ U
     S1 = U.T @ S1 @ U
-    yield Slice(W[:, :2], "axis slice z_j = 0, j = 3..n")
+    yield W[:, :2], "axis slice z_j = 0, j = 3..n"
     for j in range(2, n):
         coupled = max(abs(S1[0, j]), abs(S1[1, j]), abs(S1[j, j]))
         if coupled <= 1e-13 * max(mat_norm(S1), 1e-300) and flags[j] == 0:
@@ -173,7 +195,7 @@ def _pi2_candidates(cone0: QuadraticCone):
                 ]
             )
             if abs(abs(np.linalg.det(s_star) / herm) - 1.0) >= DET_ONE_MARGIN:
-                yield Slice(
+                yield (
                     np.column_stack([W[:, 0], W[:, 1] + al * W[:, j]]),
                     f"shear slice z{j + 1} = a z2, a = {al:.6g}",
                 )
@@ -185,7 +207,7 @@ def _pi2_candidates(cone0: QuadraticCone):
                 ]
             )
             if abs(abs(np.linalg.det(s_star) / herm) - 1.0) >= DET_ONE_MARGIN:
-                yield Slice(
+                yield (
                     np.column_stack([W[:, 0] + al * W[:, j], W[:, 1]]),
                     f"shear slice z{j + 1} = a z1, a = {al:.6g}",
                 )
@@ -208,7 +230,7 @@ def _dual_coeffs(A, B, C):
     return -(A + np.conj(C)) / 2.0, -B + 1j * np.sqrt(abs(C) ** 2 + 2.0)
 
 
-def _explicit_pair_slice(n, W, A, B, C, v3, orient: str) -> Slice:
+def _explicit_pair_slice(n, W, A, B, C, v3, orient: str) -> tuple:
     """The determinant-2 slice choice for a z1 (or z2) linear coupling.
 
     orient "first": coupling 2 z1 z3, usable when C != 0;
@@ -219,13 +241,14 @@ def _explicit_pair_slice(n, W, A, B, C, v3, orient: str) -> Slice:
         alpha, beta = _dual_coeffs(A, B, C)
         b1 = W @ (_embed2(n, [1.0, 0.0]) + alpha * v3e)
         b2 = W @ (_embed2(n, [0.0, 1.0]) + beta * v3e)
-        return Slice(np.column_stack([b1, b2]), "dual slice z3 = a z1 + b z2")
+        return np.column_stack([b1, b2]), "dual slice z3 = a z1 + b z2"
     alpha, beta = _dual_coeffs(C, B, A)
     b1 = W @ (_embed2(n, [1.0, 0.0]) + beta * v3e)
     b2 = W @ (_embed2(n, [0.0, 1.0]) + alpha * v3e)
-    return Slice(np.column_stack([b1, b2]), "dual slice z3 = a z2 + b z1")
+    return np.column_stack([b1, b2]), "dual slice z3 = a z2 + b z1"
 
 
+@_slices
 def _oneone_candidates(cone0: QuadraticCone):
     n = cone0.n
     W, S1 = normalize_hermitian(cone0)
@@ -245,13 +268,13 @@ def _oneone_candidates(cone0: QuadraticCone):
             for al in (0.0, 0.5, 2.0, -0.5, -2.0, 0.5j, 2j, -0.5j, -2j, 0.25, 4.0):
                 b1 = Wd @ (_embed2(n, [1.0, al]))
                 b2 = Wd @ ve
-                yield Slice(np.column_stack([b1, b2]), f"line slice z2 = a z1, a = {al:.4g}")
+                yield np.column_stack([b1, b2]), f"line slice z2 = a z1, a = {al:.4g}"
         return
 
     sv = np.linalg.svd(L, compute_uv=False) if L.size else np.array([0.0])
     lrank = int(np.sum(sv > 1e-10 * max(scale, 1.0)))
     if lrank == 0:
-        yield Slice(W[:, :2], "axis slice z_j = 0, j = 3..n (product)")
+        yield W[:, :2], "axis slice z_j = 0, j = 3..n (product)"
         return
 
     A, B, C = St[0, 0], St[0, 1], St[1, 1]
@@ -265,7 +288,7 @@ def _oneone_candidates(cone0: QuadraticCone):
             # both quadratic coefficients vanish: the explicit two-direction slice
             c1 = _embed2(n, [1.0, 0.0]) + 0.5 * _embed_zprime(n, v3) + (-B / 2 + 1j) * _embed_zprime(n, v4)
             c2 = _embed2(n, [0.0, 1.0]) + (-B / 2 + 1j) * _embed_zprime(n, v3) - 0.5 * _embed_zprime(n, v4)
-            yield Slice(np.column_stack([W @ c1, W @ c2]), "independent-coupling slice")
+            yield np.column_stack([W @ c1, W @ c2]), "independent-coupling slice"
         return
 
     # rank one: l1 = c1 * m, l2 = c2 * m for a common functional m
@@ -301,7 +324,7 @@ def _oneone_candidates(cone0: QuadraticCone):
             alpha, beta = _dual_coeffs(Ag, Bg, Cg)
             b1 = W @ (_embed2(n, G[:, 0]) + alpha * v3e)
             b2 = W @ (_embed2(n, G[:, 1]) + beta * v3e)
-            yield Slice(np.column_stack([b1, b2]), "dual slice after real-ratio reduction")
+            yield np.column_stack([b1, b2]), "dual slice after real-ratio reduction"
         return
     # complex ratio: scan z3 = al * z2 slices, filtered by the extension criterion
     T_coupling = np.array([[0.0, c], [c, 2.0]], dtype=complex)
@@ -317,7 +340,7 @@ def _oneone_candidates(cone0: QuadraticCone):
         if _extension_margin(s_star) >= EXTENSION_MARGIN:
             b1 = W @ _embed2(n, [1.0, 0.0])
             b2 = W @ (_embed2(n, [0.0, 1.0]) + al * v3e)
-            yield Slice(np.column_stack([b1, b2]), f"line slice z3 = a z2, a = {al:.6g}")
+            yield np.column_stack([b1, b2]), f"line slice z3 = a z2, a = {al:.6g}"
 
 
 def _quadratic_support_probes(Qp: np.ndarray):
@@ -341,6 +364,7 @@ def _quadratic_support_probes(Qp: np.ndarray):
     return probes[:8] if probes else []
 
 
+@_slices
 def _onezero_candidates(cone0: QuadraticCone):
     n = cone0.n
     W, S1 = normalize_hermitian(cone0)
@@ -350,7 +374,7 @@ def _onezero_candidates(cone0: QuadraticCone):
     for v in _quadratic_support_probes(Qp):
         ve = np.zeros(n, dtype=complex)
         ve[1:] = v
-        yield Slice(np.column_stack([W[:, 0], W @ ve]), "quadratic-support slice")
+        yield np.column_stack([W[:, 0], W @ ve]), "quadratic-support slice"
 
 
 def _structured_candidates(cone0: QuadraticCone):
@@ -414,7 +438,8 @@ def find_good_slice(
     """First two-dimensional slice whose restricted cone is one-sided.
 
     The candidates are the structured ones (driven by the hermitian
-    signature), in a deterministic order; budget caps how many are tried.
+    signature), in a deterministic order; budget caps how many are tried,
+    not counting those skipped for a dependent basis.
     Every returned slice has passed disc verification: the family of the
     restricted cone, mapped through the slice basis, gets verify_discs'
     certified bounds on the input cone itself, so a family that meets the

@@ -1,0 +1,117 @@
+"""The CLI's report writer spells every report as json.dumps(indent=2, sort_keys=True) does."""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadcone import cli
+from quadcone.fixtures import FIXTURES
+
+TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _cli_argvs():
+    for name in sorted(FIXTURES):
+        commands = ("classify", "decide", "verify") if FIXTURES[name]().n == 2 else ("slice",)
+        for command in commands:
+            yield [command, "--fixture", name]
+    for tag in TAGS:
+        yield ["atlas", "--tag", tag]
+
+
+@pytest.mark.parametrize("argv", list(_cli_argvs()), ids=" ".join)
+def test_cli_reports_are_spelled_as_json_spells_them(monkeypatch, capsys, argv):
+    written, write = [], cli.report_text
+
+    def recording(obj):
+        written.append(obj)
+        return write(obj)
+
+    monkeypatch.setattr(cli, "report_text", recording)
+    cli.main(argv)
+    (report,) = written
+    assert capsys.readouterr().out == reference(report) + "\n"
+
+
+def test_error_reports_are_spelled_as_json_spells_them(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 2, "poly": "\\u00e9"}'))
+    assert cli.main(["decide", "-"]) == cli.EXIT_SCHEMA
+    out = capsys.readouterr().out
+    assert out == reference(json.loads(out)) + "\n"
+
+
+class SubFloat(float):
+    def __repr__(self):
+        return "not json"
+
+
+class SubInt(int):
+    def __repr__(self):
+        return "not json"
+
+
+class SubStr(str):
+    pass
+
+
+TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\r\té €\U0001f600'), st.characters()),
+    max_size=6,
+)
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1.7e308, -1.7e308, 1e-5, 1e16, math.nan, math.inf, -math.inf]),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    FLOATS,
+    FLOATS.map(np.float64),
+    FLOATS.map(SubFloat),
+    st.integers().map(SubInt),
+    TEXT,
+    TEXT.map(SubStr),
+    # complex leaves, and dicts that only look like one
+    st.fixed_dictionaries({"re": FLOATS, "im": FLOATS}),
+    st.fixed_dictionaries({"re": st.one_of(st.integers(), st.booleans(), FLOATS), "im": FLOATS}),
+    st.fixed_dictionaries({"re": FLOATS, "im": FLOATS, "x": st.integers()}),
+    st.sampled_from([{"re": 1, "im": 2.0}, {"re": 1.0, "im": 2.0, "x": 0}, {"re": 1.0}, {"im": True, "re": 0.5}]),
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES)
+def test_writer_matches_json_on_json_like_trees(tree):
+    assert cli.report_text(tree) == reference(tree)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [object(), {"a": [1, object()]}, {"a": {1, 2}}, [np.int64(1)], {"re": 1.0, "im": 1j}, {1: 2.0}],
+    ids=["object", "nested object", "set", "numpy int", "complex value", "int key"],
+)
+def test_unsupported_values_raise_type_error(obj):
+    with pytest.raises(TypeError):
+        cli.report_text(obj)

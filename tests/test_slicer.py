@@ -532,3 +532,38 @@ def test_slicer_frame_flags_follow_the_hermitian_signature():
     np.testing.assert_allclose(W.conj().T @ cone.H @ W, np.diag([1.0] * 9 + [-1.0]), atol=1e-12)
     # z10 has no harmonic coupling: only a nonzero flag makes its shears candidates
     assert any("z10 = a" in slc.description for slc in _pi2_candidates(cone))
+
+
+@pytest.mark.parametrize(
+    "family, name",
+    [
+        ("_pi2_candidates", "slice_pi2_axis"),
+        ("_oneone_candidates", "slice_oneone_r_z1z3"),
+        ("_onezero_candidates", "slice_onezero_l0"),
+    ],
+)
+def test_a_dependent_candidate_basis_is_skipped(monkeypatch, family, name):
+    # a family that yields a dependent basis first still reaches its winner:
+    # the dependent candidate is skipped, and the search goes on
+    from itertools import chain
+
+    from quadcone import slicer
+
+    cone = fx.FIXTURES[name]()
+    want = find_good_slice(cone)
+    assert want is not None, name
+    raw = getattr(slicer, family).__wrapped__
+    dependent = np.ones((cone.n, 2), dtype=complex)
+    calls = []
+
+    def with_dependent_first(cone0):
+        calls.append(cone0)
+        return chain([(dependent, "dependent")], raw(cone0))
+
+    monkeypatch.setattr(slicer, family, slicer._slices(with_dependent_first))
+    got = find_good_slice(cone)
+    assert calls, f"{name} does not reach {family}"
+    assert got is not None, name
+    assert got.slice.description == want.slice.description
+    np.testing.assert_array_equal(got.slice.basis, want.slice.basis)
+    assert got.disc_report == want.disc_report
