@@ -9,19 +9,23 @@ tree runs in a subprocess of its own over the same inputs:
   n >= 3;
 - `atlas` for each of the seven tags;
 - every seed-1 op of the three workloads in `perfbench/workloads.py`, in
-  its `U_RANGE` and its `CENSUS_U_RANGE`.
+  its `U_RANGE` and its `CENSUS_U_RANGE`;
+- the inputs of EXTRA: a polynomial spec, an M11_1 spec inside decide2's
+  A = 1 band whose supporting line dips below the cone, specs with JSON
+  booleans in place of numbers, and `--tol-overrides` on `decide`.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Each input is
 compared twice, apart from the report's `timings` values: as parsed JSON,
 and as the raw stdout text, so that a change of spacing, escaping or float
 spelling (`1e-05` vs `1e-5`) shows even where the parsed values agree.
-Prints every input whose exit code, report or raw text differs, with the
-differing fields or the first differing line, then a count per input group,
-the inputs whose raw text alone differs, and a tally of the differing
-inputs by field path (list indices as `[]`) and by exit-code transition.
-Exits 1 on any difference, 0 when every report, raw text and exit code is
-the same.
+An argparse exit (`SystemExit`) is a result as well: its code and its
+stderr text are compared.  Prints every input whose exit code, report or
+raw text differs, with the differing fields or the first differing line,
+then a count per input group, the inputs whose raw text alone differs, and
+a tally of the differing inputs by field path (list indices as `[]`) and by
+exit-code transition.  Exits 1 on any difference, 0 when every report, raw
+text and exit code is the same.
 """
 
 from __future__ import annotations
@@ -42,6 +46,27 @@ TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 MAX_FIELDS = 8  # differing fields printed per input
 TIMINGS = re.compile(r'("timings": \{)([^{}]*)(\})')
 TIMING_VALUE = re.compile(r'(": )[^,\n]+')
+# M11_1 with A = 1 + 5e-10: two-sided by decide2's A = 1 band, and the line
+# {z2 = 0} dips below the cone by 5e-10, relative
+A_ONE_BAND = '{"n": 2, "S": [[1.0000000005, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}'
+POLY = (
+    '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.5}, {"vars": ["y1", "y1"], "coeff": 0.5},'
+    ' {"vars": ["x2", "x2"], "coeff": -0.6}, {"vars": ["y2", "y2"], "coeff": -1.4},'
+    ' {"vars": ["x1", "y2"], "coeff": {"re": 0.25}}]}'
+)
+BOOL_ENTRY = '{"n":2,"S":[[true,{"re":false}],[{},{"re":0.5}]],"H":[[1,0],[0,-1]]}'
+BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
+EXTRA = (
+    ("poly/classify", ["classify", "-"], POLY),
+    ("poly/decide", ["decide", "-"], POLY),
+    ("poly/verify", ["verify", "-"], POLY),
+    ("a_one_band/decide", ["decide", "-"], A_ONE_BAND),
+    ("a_one_band/verify", ["verify", "-"], A_ONE_BAND),
+    ("a_one_band/verify_support_rel", ["verify", "-", "--tol-overrides", "support_rel=1e-9"], A_ONE_BAND),
+    ("bool_entry/classify", ["classify", "-"], BOOL_ENTRY),
+    ("bool_coeff/classify", ["classify", "-"], BOOL_COEFF),
+    ("tol_overrides/decide", ["decide", "--fixture", "example_m", "--tol-overrides", "support_rel=1e-9"], None),
+)
 
 
 def _workloads():
@@ -66,6 +91,8 @@ def inputs(fixtures: dict):
         for workload, make in wl.WORKLOADS.items():
             for k, op in enumerate(make(1, u_range)):
                 yield f"{workload}/{range_name}/{k}/{op.kind}", list(op.argv), op.spec
+    for name, argv, text in EXTRA:
+        yield f"extra/{name}", argv, text
 
 
 def run_tree(src: str) -> None:
@@ -77,12 +104,14 @@ def run_tree(src: str) -> None:
     if not os.path.abspath(quadcone.cli.__file__).startswith(os.path.abspath(src) + os.sep):
         raise RuntimeError(f"imported quadcone from {quadcone.cli.__file__}, not from {src}")
     for name, argv, text in inputs(FIXTURES):
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         saved = sys.stdin
         sys.stdin = io.StringIO(text or "")
         try:
-            with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = quadcone.cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error, a result to compare
+            code, out = exc.code, io.StringIO(json.dumps({"system_exit": err.getvalue()}))
         except Exception as exc:  # an escaped exception is a result to compare
             code, out = None, io.StringIO(json.dumps({"exception": repr(exc)}))
         finally:

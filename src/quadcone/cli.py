@@ -79,19 +79,18 @@ DEFAULT_EPS = (1e-3, 1e-2, 1e-1)
 DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 # the only tolerance a caller may override: verify_support's support_rel
 TOL_OVERRIDE_KEYS = ("support_rel",)
+# exact types, since a JSON true or false parses to bool, a subclass of int
+_NUMBER_TYPES = (int, float)
 
 
 class SchemaError(ConeError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 @dataclass(frozen=True)
 class ConeSpec:
-    n: int
     cone: QuadraticCone
-    source: dict
     s_adjustment: float
     h_adjustment: float
 
@@ -102,7 +101,7 @@ def _entry_to_complex(v, path: str, *index: int) -> complex:
     The path is formatted only when an error is raised: valid entries are the
     common case, and a matrix has n^2 of them.
     """
-    if isinstance(v, (int, float)):
+    if type(v) in _NUMBER_TYPES:
         return complex(v)
     if isinstance(v, dict):
         # a key other than re and im: cheaper to count than to collect
@@ -111,7 +110,7 @@ def _entry_to_complex(v, path: str, *index: int) -> complex:
             raise SchemaError(_indexed(path, index), f"unknown keys {sorted(extra)}")
         re = v.get("re", 0.0)
         im = v.get("im", 0.0)
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
             raise SchemaError(_indexed(path, index), "re/im must be numbers")
         return complex(re, im)
     raise SchemaError(
@@ -176,7 +175,7 @@ def parse_spec(text: str) -> ConeSpec:
                 if c.imag != 0:
                     raise NonReal(f"{path}.coeff: polynomial coefficients must be real")
                 coeff = c.real
-            if not isinstance(coeff, (int, float)):
+            if type(coeff) not in _NUMBER_TYPES:
                 raise SchemaError(f"{path}.coeff", "must be a real number")
             if not math.isfinite(coeff):
                 raise SchemaError(f"{path}.coeff", "must be finite")
@@ -185,11 +184,9 @@ def parse_spec(text: str) -> ConeSpec:
             terms.append((tuple(vars_), float(coeff)))
         try:
             cone = decompose_poly(n, terms)
-        except (NonReal, NonHomogeneous):
-            raise
         except ConeError as exc:
             raise SchemaError("poly", str(exc)) from exc
-        return ConeSpec(n=n, cone=cone, source=data, s_adjustment=0.0, h_adjustment=0.0)
+        return ConeSpec(cone=cone, s_adjustment=0.0, h_adjustment=0.0)
 
     if "S" not in data or "H" not in data:
         raise SchemaError("$", "need S and H matrices (or poly)")
@@ -205,7 +202,7 @@ def parse_spec(text: str) -> ConeSpec:
     # constructor's tests cannot fail; _symmetrized repeats the same
     # symmetrization, which keeps the cone bitwise equal to that constructor's
     cone = QuadraticCone._symmetrized(S, H)
-    return ConeSpec(n=n, cone=cone, source=data, s_adjustment=s_adj, h_adjustment=h_adj)
+    return ConeSpec(cone=cone, s_adjustment=s_adj, h_adjustment=h_adj)
 
 
 def _c2j(z) -> dict:
@@ -219,7 +216,7 @@ def _mat2j(M) -> list:
 
 
 def spec_to_json(spec: ConeSpec) -> dict:
-    return {"n": spec.n, "S": _mat2j(spec.cone.S), "H": _mat2j(spec.cone.H)}
+    return {"n": spec.cone.n, "S": _mat2j(spec.cone.S), "H": _mat2j(spec.cone.H)}
 
 
 def _ntype_json(ntype: NormalFormType) -> dict:
@@ -407,10 +404,7 @@ def _emit(report: dict, code: int) -> int:
 
 def _load_spec(args) -> ConeSpec:
     if args.fixture:
-        cone = FIXTURES[args.fixture]()
-        return ConeSpec(
-            n=cone.n, cone=cone, source={"fixture": args.fixture}, s_adjustment=0.0, h_adjustment=0.0
-        )
+        return ConeSpec(cone=FIXTURES[args.fixture](), s_adjustment=0.0, h_adjustment=0.0)
     if args.input == "-" or args.input is None:
         text = sys.stdin.read()
     else:
@@ -433,7 +427,7 @@ def _classified(command: str, args):
     t0 = time.perf_counter()
     spec = _load_spec(args)
     report = _base_report(command, args, spec)
-    if spec.n != 2:
+    if spec.cone.n != 2:
         report["error"] = f"{command} handles n = 2; use the slice command for n >= 3"
         return t0, spec, report, None
     res = classify2(spec.cone)
@@ -452,7 +446,11 @@ def cmd_decide(args) -> int:
     t0, spec, report, res = _classified("decide", args)
     if res is None:
         return _emit(report, EXIT_SCHEMA)
-    verdict = decide2(res, spec.cone)
+    try:
+        verdict = decide2(res, spec.cone)
+    except VerificationFailed as exc:
+        report["verification"] = {"failed": str(exc)}
+        return _done(report, t0, EXIT_VERIFICATION)
     report["verdict"] = _verdict_json(verdict)
     return _done(report, t0, EXIT_DEGENERATE if verdict.outcome == "degenerate" else EXIT_OK)
 
@@ -518,7 +516,7 @@ def cmd_slice(args) -> int:
     t0 = time.perf_counter()
     spec = _load_spec(args)
     report = _base_report("slice", args, spec)
-    if spec.n < 3:
+    if spec.cone.n < 3:
         report["error"] = "slice handles n >= 3; use classify/decide for n = 2"
         return _emit(report, EXIT_SCHEMA)
     degenerate = real_degeneracy(spec.cone)
@@ -694,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in cone by name")
         p.add_argument("--seed", default=0)
         p.add_argument("--samples", default=10_000)
-        p.add_argument("--tol-overrides", default=None)
 
     p = sub.add_parser("classify", help="normal form of a cone in C^2")
     common(p)
@@ -707,6 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify disc/support witnesses numerically")
     common(p)
     p.add_argument("--eps", default=DEFAULT_EPS)
+    p.add_argument("--tol-overrides", default=None)
     p.add_argument("--csv", default=None, help="dump sampled points to CSV")
     p.set_defaults(func=cmd_verify)
 

@@ -17,6 +17,7 @@ verify_discs), and rho is evaluated at the point that attains it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class DiscFamily:
     """Family D_eps in a 2-dimensional frame, mapped into cone coordinates by `transform` (n x 2).
 
     kind "level_set": D_eps = {w : w^T c w = eps, |w| <= radius};
-    kind "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}.
+    kind "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}, shift = i.
     `side` is the expected sign of rho on D_eps for eps > 0, in the
     coordinates of the cone the family is verified against.  A family of a
     normal form carries it as `model`, with the lam of the classification
@@ -80,11 +81,11 @@ class DiscFamily:
     kind: str
     side: int
     c: np.ndarray | None = None
-    shift: complex = 1j
     transform: np.ndarray | None = None
     radius: float = 1.0
     model: NormalFormType | None = None
     lam: float = 1.0
+    shift: ClassVar[complex] = 1j
 
     def map_points(self, W: np.ndarray) -> np.ndarray:
         if self.transform is None:
@@ -111,11 +112,14 @@ class SupportWitness:
 @dataclass(frozen=True)
 class Verdict:
     outcome: str  # "one_sided" | "two_sided" | "degenerate"
-    side: int | None = None
     discs: DiscFamily | None = None
     witness: SupportWitness | None = None
     degeneracy: DegeneracyReport | None = None
     note: str = ""
+
+    @property
+    def side(self) -> int | None:
+        return None if self.discs is None else self.discs.side
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def build_disc_family(ntype: NormalFormType) -> DiscFamily | None:
         if abs(A - B) <= EQUAL_PARAM_TOL * max(1.0, A) or A <= 1.0 + A_ONE_BOUNDARY_TOL:
             return None
         if B < 1.0:
-            return DiscFamily(kind="affine_line", side=side, shift=1j, model=ntype)
+            return DiscFamily(kind="affine_line", side=side, model=ntype)
         # 1 <= B < A: the level variety A z1^2 + B z2^2 = -eps stays below the cone
         return DiscFamily(kind="level_set", side=side, c=-np.diag([A, B]).astype(complex), model=ntype)
     return None
@@ -537,7 +541,7 @@ def decide2(
     fam = build_disc_family(r.ntype)
     if fam is not None:
         fam = replace(fam, transform=r.T, side=fam.side * r.sign, lam=r.lam)
-        return Verdict(outcome="one_sided", side=fam.side, discs=fam)
+        return Verdict(outcome="one_sided", discs=fam)
     witness = _normal_frame_witness(r.ntype)
     note = ""
     # M11_1 gets here with A <= 1 + A_ONE_BOUNDARY_TOL, or with A = B (the non-minimal witness)

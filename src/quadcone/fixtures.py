@@ -112,9 +112,9 @@ def slice_oneone_r_dependent_real() -> QuadraticCone:
     return QuadraticCone(S, _oneone_h(3))
 
 
-def slice_oneone_r_independent(B: float = 0.7) -> QuadraticCone:
+def slice_oneone_r_independent() -> QuadraticCone:
     """n=4, (1,1), q=0, independent couplings z1 z3 + z2 z4 with no square terms."""
-    S = _sym(4, {(0, 1): 2.0 * B, (0, 2): 2.0, (1, 3): 2.0})
+    S = _sym(4, {(0, 1): 1.4, (0, 2): 2.0, (1, 3): 2.0})
     return QuadraticCone(S, _oneone_h(4))
 
 

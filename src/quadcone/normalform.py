@@ -16,6 +16,7 @@ builds its two-dimensional candidate slices in the same frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,6 @@ class NormalFormResult:
     lam: float
     sign: int
     residual: float
-    low_confidence: bool = False
     boundary_margin: float = float("inf")
     # RESIDUAL_REL * scale of the rendered normal form, set by classify2;
     # decide2 rejects a larger residual.  A hand-built result has no bound.
@@ -114,6 +114,10 @@ class NormalFormResult:
     @property
     def tag(self) -> str:
         return self.ntype.tag
+
+    @property
+    def low_confidence(self) -> bool:
+        return bool(self.boundary_margin < LOW_CONFIDENCE_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -192,12 +196,12 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     the kernel divided by sqrt(max |eigenvalue|) (unit length when H = 0),
     so every column scales like 1/sqrt(lambda) under rho -> lambda rho and S1
     does not depend on the cone's scale; for (1,1) the first two columns are
-    composed with CHOFVAR / 2.  W = I when H is within 1e-12 (relative) of its
-    canonical matrix and n = 2 or the signature is (1,1), so such inputs
-    keep their own coordinates; in C^n, n >= 3, a diagonal H of another
-    signature keeps eigh's order of equal eigenvalues, which the slicer's
-    candidate bases follow.  Signatures with nu > pi are not canonical;
-    flip the sign of rho first.
+    composed with CHOFVAR / 2.  W = I / sqrt(c) when H is within 1e-12
+    (relative) of c times its canonical matrix, c the power of four nearest
+    its norm, and n = 2 or the signature is (1,1): such inputs keep their
+    own coordinates up to a power of two.  In C^n, n >= 3, a diagonal H of
+    another signature keeps eigh's order of equal eigenvalues, which the
+    slicer's candidate bases follow.  Flip the sign of rho first when nu > pi.
 
     S1 = 0.5 (X + X^T) with X = W^T S W is bitwise the harmonic part of
     apply_change(cone, W); W's columns are orthogonal, so it is nonsingular.
@@ -211,9 +215,13 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
     if (pi, nu) == (1, 1):
         target[:2, :2] = E_HERM
-    canonical = mat_norm(cone.H - target) <= 1e-12 * max(mat_norm(cone.H), 1e-300)
+    h = mat_norm(cone.H)
+    # r = 1 / sqrt(c), c the power of four nearest h (where W = r I applies, the
+    # target's norm is within 4^(1/4) of 1); scalings by powers of two are exact
+    r = math.ldexp(1.0, -round(math.log2(h) / 2)) if h else 1.0
+    canonical = mat_norm(r * (r * cone.H) - target) <= 1e-12 * max(r * r * h, 1e-300)
     if canonical and (n == 2 or (pi, nu) == (1, 1)):
-        W = np.eye(n, dtype=complex)
+        W = r * np.eye(n, dtype=complex)
     else:
         w, V = np.linalg.eigh(cone.H)  # ascending: nu negative, the kernel, pi positive
         order = np.concatenate([n - pi + np.argsort(-w[n - pi :], kind="stable"), np.arange(n - pi)])
@@ -288,7 +296,6 @@ def _finish(
         lam=chain.lam,
         sign=chain.sign,
         residual=form_distance(final, target),
-        low_confidence=bool(margin < LOW_CONFIDENCE_FACTOR),
         boundary_margin=margin,
         residual_bound=RESIDUAL_REL * target.scale,
     )

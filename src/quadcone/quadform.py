@@ -127,7 +127,7 @@ class QuadraticCone:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "_scale", None)
-        # default-tolerance signatures, kept by hermitian_signature / real_signature
+        # signatures, kept by hermitian_signature / real_signature
         object.__setattr__(self, "_hsig", None)
         object.__setattr__(self, "_rsig", None)
         # interleaved real form, kept by _interleaved_form
@@ -298,39 +298,30 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
     return decompose_real_form(G)
 
 
-def _inertia(w: np.ndarray, tol: float | None) -> tuple[int, int]:
+def _inertia(w: np.ndarray) -> tuple[int, int]:
     """Counts of the eigenvalues w above +tol and below -tol.
 
-    The default tol is ZERO_EIG_REL * max |w|, relative to the matrix's
-    spectral norm (which its eigenvalues give for free), not to the
-    Frobenius mat_norm used for every other tolerance scale.
+    tol is ZERO_EIG_REL * max |w|, relative to the matrix's spectral norm
+    (which its eigenvalues give for free), not to the Frobenius mat_norm
+    used for every other tolerance scale.
     """
-    if tol is None:
-        tol = ZERO_EIG_REL * max(np.abs(w).max(), 1e-300)
+    tol = ZERO_EIG_REL * max(np.abs(w).max(), 1e-300)
     return int(np.sum(w > tol)), int(np.sum(w < -tol))
 
 
-def hermitian_signature(cone: QuadraticCone, tol: float | None = None) -> HermitianSignature:
-    """Eigenvalue counts of H above/below +-tol (default 1e-9 * max |eigenvalue|).
-
-    The default-tolerance result is computed once per cone and kept.
-    """
-    if tol is None and cone._hsig is not None:
-        return cone._hsig
-    sig = HermitianSignature(*_inertia(np.linalg.eigvalsh(cone.H), tol))
-    if tol is None:
-        object.__setattr__(cone, "_hsig", sig)
-    return sig
+def hermitian_signature(cone: QuadraticCone) -> HermitianSignature:
+    """Eigenvalue counts of H above/below +-1e-9 * max |eigenvalue|, computed once and kept."""
+    if cone._hsig is None:
+        object.__setattr__(cone, "_hsig", HermitianSignature(*_inertia(np.linalg.eigvalsh(cone.H))))
+    return cone._hsig
 
 
-def real_signature(cone: QuadraticCone, tol: float | None = None) -> RealSignature:
-    """Inertia of the real form of rho on R^(2n), the default kept as for hermitian_signature."""
-    if tol is None and cone._rsig is not None:
-        return cone._rsig
-    sig = RealSignature(*_inertia(np.linalg.eigvalsh(_interleaved_form(cone)), tol))
-    if tol is None:
-        object.__setattr__(cone, "_rsig", sig)
-    return sig
+def real_signature(cone: QuadraticCone) -> RealSignature:
+    """Inertia of the real form of rho on R^(2n), kept as for hermitian_signature."""
+    if cone._rsig is None:
+        w = np.linalg.eigvalsh(_interleaved_form(cone))
+        object.__setattr__(cone, "_rsig", RealSignature(*_inertia(w)))
+    return cone._rsig
 
 
 def canonical_sign(cone: QuadraticCone) -> tuple[QuadraticCone, int]:

@@ -51,6 +51,8 @@ Q_ZERO_REL = 1e-10
 DET_ONE_MARGIN = 1e-3  # acceptance margin for the | |det S'| - 1 | criterion
 EXTENSION_MARGIN = 1e-3
 FIT_VERIFY_REL = 1e-10
+# the eps of the D_eps on which a candidate slice's disc family is certified
+SLICE_EPS_GRID = (1e-2, 1e-1)
 
 
 class DegenerateBasis(ConeError):
@@ -388,7 +390,7 @@ def _structured_candidates(cone0: QuadraticCone):
     # (0, 0): a harmonic-only cone has two-sided support; no candidates
 
 
-def _try_slice(cone: QuadraticCone, slc: Slice, eps_grid) -> SliceResult | None:
+def _try_slice(cone: QuadraticCone, slc: Slice) -> SliceResult | None:
     try:
         restricted = restrict(cone, slc)
         # a restricted cone of rounding size (an inert plane, say) shows no side:
@@ -409,7 +411,7 @@ def _try_slice(cone: QuadraticCone, slc: Slice, eps_grid) -> SliceResult | None:
         else:
             return None
         fam = DiscFamily(kind="level_set", side=side, c=np.eye(2, dtype=complex))
-        verdict = Verdict(outcome="one_sided", side=side, discs=fam,
+        verdict = Verdict(outcome="one_sided", discs=fam,
                           note="definite slice: discs avoid the cone entirely")
     else:
         try:
@@ -422,7 +424,7 @@ def _try_slice(cone: QuadraticCone, slc: Slice, eps_grid) -> SliceResult | None:
     # certified on the input itself: the family's frame maps through the basis
     T = slc.basis if fam.transform is None else slc.basis @ fam.transform
     try:
-        report = verify_discs(cone, replace(fam, transform=T), eps_grid=eps_grid)
+        report = verify_discs(cone, replace(fam, transform=T), eps_grid=SLICE_EPS_GRID)
     except VerificationFailed:
         return None
     return SliceResult(
@@ -430,11 +432,7 @@ def _try_slice(cone: QuadraticCone, slc: Slice, eps_grid) -> SliceResult | None:
     )
 
 
-def find_good_slice(
-    cone: QuadraticCone,
-    budget: int = 256,
-    eps_grid=(1e-2, 1e-1),
-) -> SliceResult | None:
+def find_good_slice(cone: QuadraticCone, budget: int = 256) -> SliceResult | None:
     """First two-dimensional slice whose restricted cone is one-sided.
 
     The candidates are the structured ones (driven by the hermitian
@@ -442,9 +440,9 @@ def find_good_slice(
     not counting those skipped for a dependent basis.
     Every returned slice has passed disc verification: the family of the
     restricted cone, mapped through the slice basis, gets verify_discs'
-    certified bounds on the input cone itself, so a family that meets the
-    cone away from 0, or whose margins are below the input's rounding, is
-    rejected.  None means no one-sided slice was found, which for a valid
+    certified bounds at SLICE_EPS_GRID on the input cone itself, so a family
+    that meets the cone away from 0, or whose margins are below the input's
+    rounding, is rejected.  None means no one-sided slice was found, which for a valid
     cone points at two-sided support (see classify_two_sided_nd).
     """
     if cone.n < 3:
@@ -453,7 +451,7 @@ def find_good_slice(
         raise ConeError("budget must be >= 1")
     cone0, _ = canonical_sign(cone)
     for slc in islice(_structured_candidates(cone0), budget):
-        res = _try_slice(cone, slc, eps_grid)
+        res = _try_slice(cone, slc)
         if res is not None:
             return res
     return None

@@ -286,7 +286,7 @@ def test_criterion_7_slicer_suite():
     from quadcone.slicer import _oneone_candidates, restrict
     from quadcone.quadform import canonical_sign
 
-    cone0, _ = canonical_sign(fx.slice_oneone_r_independent(B=0.7))
+    cone0, _ = canonical_sign(fx.slice_oneone_r_independent())
     first = next(iter(_oneone_candidates(cone0)))
     got = restrict(cone0, first)
     assert abs(np.linalg.det(got.S) - 3.0) <= 1e-9

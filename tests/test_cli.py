@@ -59,7 +59,7 @@ def run_slice_stdin(capsys, S, H, argv):
 
 def test_parse_example_m():
     spec = parse_spec(EXAMPLE_M)
-    assert spec.n == 2
+    assert spec.cone.n == 2
     np.testing.assert_allclose(spec.cone.S, np.diag([0.5, 0.3333333333]))
     np.testing.assert_allclose(spec.cone.H, np.diag([1.0, -1.0]))
     assert spec.s_adjustment == 0.0
@@ -167,6 +167,25 @@ def test_parse_rejects_non_finite_matrices(capsys, S, H, path):
 )
 def test_parse_rejects_non_finite_polynomials(capsys, terms, path):
     text = f'{{"n": 2, "poly": {terms}}}'
+    with pytest.raises(SchemaError, match=path):
+        parse_spec(text)
+    code, report = run_cli_stdin(capsys, text, ["classify", "-"])
+    assert code == EXIT_SCHEMA
+    assert report["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"n":2,"S":[[true,{"re":false}],[{},{"re":0.5}]],"H":[[1,0],[0,-1]]}', r"S\[0\]\[0\]"),
+        ('{"n":2,"S":[[1,0],[0,0.5]],"H":[[1,{"im":true}],[0,-1]]}', r"H\[0\]\[1\]"),
+        ('{"n":2,"poly":[{"vars":["x1","x1"],"coeff":true}]}', r"poly\[0\]\.coeff"),
+        ('{"n":2,"poly":[{"vars":["x1","y1"],"coeff":{"re":false}}]}', r"poly\[0\]\.coeff"),
+    ],
+    ids=["entry", "im", "coeff", "coeff_re"],
+)
+def test_parse_rejects_booleans_as_numbers(capsys, text, path):
+    # JSON true and false parse to bool, a subclass of int; they are not numbers
     with pytest.raises(SchemaError, match=path):
         parse_spec(text)
     code, report = run_cli_stdin(capsys, text, ["classify", "-"])
@@ -373,7 +392,7 @@ def test_bad_eps_exits_schema(capsys, value):
 )
 def test_bad_tol_overrides_exits_schema(capsys, value):
     assert_schema_exit(
-        capsys, ["decide", "--fixture", "example_m", "--tol-overrides", value], "--tol-overrides"
+        capsys, ["verify", "--fixture", "example_m", "--tol-overrides", value], "--tol-overrides"
     )
 
 
@@ -426,16 +445,36 @@ def test_count_options_accept_one(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--fixture", "example_m"],
+        ["decide", "--fixture", "example_m"],
+        ["slice", "--fixture", "ts2"],
+        ["jump-demo"],
+        ["atlas", "--tag", "M20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_verify_takes_tol_overrides(capsys, argv):
+    # verify's line check is the one place a support_rel override is enforced
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol-overrides", "support_rel=1e-9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol-overrides" in captured.err
+
+
 def test_tol_overrides_rejects_unknown_keys(capsys):
     # support_rel is the only tolerance verify enforces; any other key would
     # be echoed under tolerances.overrides and then ignored
-    for cmd in ("decide", "verify"):
-        report = assert_schema_exit(
-            capsys,
-            [cmd, "--fixture", "example_m", "--tol-overrides", "eigenvalue_zero_rel=0.5"],
-            "--tol-overrides",
-        )
-        assert "eigenvalue_zero_rel" in report["error"]["message"]
+    report = assert_schema_exit(
+        capsys,
+        ["verify", "--fixture", "example_m", "--tol-overrides", "eigenvalue_zero_rel=0.5"],
+        "--tol-overrides",
+    )
+    assert "eigenvalue_zero_rel" in report["error"]["message"]
 
 
 def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
@@ -589,7 +628,8 @@ def test_cmd_verify_two_sided_csv_rows_per_line(tmp_path, capsys, samples, rows)
     assert len(lines) == 1 + 2 * rows
 
 
-def test_cmd_decide_exits_verification_on_a_residual_beyond_its_bound(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["decide", "verify"])
+def test_a_residual_beyond_its_bound_is_reported_in_full(capsys, monkeypatch, command):
     from dataclasses import replace
 
     import quadcone.cli as cli
@@ -602,25 +642,7 @@ def test_cmd_decide_exits_verification_on_a_residual_beyond_its_bound(capsys, mo
         return replace(res, residual=2.0 * res.residual_bound)
 
     monkeypatch.setattr(cli, "classify2", off_bound)
-    code, report = run_cli(capsys, ["decide", "--fixture", "example_m"])
-    assert code == EXIT_VERIFICATION
-    assert report["error"]["kind"] == "verification"
-
-
-def test_cmd_verify_reports_a_residual_beyond_its_bound_in_full(capsys, monkeypatch):
-    from dataclasses import replace
-
-    import quadcone.cli as cli
-    from quadcone.cli import EXIT_VERIFICATION
-
-    classify = cli.classify2
-
-    def off_bound(cone):
-        res = classify(cone)
-        return replace(res, residual=2.0 * res.residual_bound)
-
-    monkeypatch.setattr(cli, "classify2", off_bound)
-    code, report = run_cli(capsys, ["verify", "--fixture", "example_m"])
+    code, report = run_cli(capsys, [command, "--fixture", "example_m"])
     assert code == EXIT_VERIFICATION
     assert report["classification"]["normal_form"]["tag"] == "M11_1"
     assert "exceeds" in report["verification"]["failed"]
@@ -656,6 +678,17 @@ def test_cmd_verify_checks_the_supporting_lines_at_its_support_rel(capsys):
     assert report["classification"]["normal_form"]["tag"] == "M11_1"
     assert report["verdict"]["outcome"] == "two_sided"
     assert "dips below the cone" in report["verification"]["failed"]
+
+
+def test_cmd_decide_reports_a_failed_line_check_in_full(capsys):
+    from quadcone.cli import EXIT_VERIFICATION
+
+    code, report = run_cli_stdin(capsys, A_ONE_BAND, ["decide", "-"])
+    assert code == EXIT_VERIFICATION
+    assert "error" not in report
+    assert report["classification"]["normal_form"]["tag"] == "M11_1"
+    assert "dips below the cone" in report["verification"]["failed"]
+    assert "verdict" not in report
 
 
 def test_cmd_verify_evaluates_each_supporting_line_once(capsys, monkeypatch):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from quadcone.normalform import (
     render_cone,
 )
 from quadcone.quadform import QuadraticCone, evaluate_many, form_distance, sample_points
-from quadcone.slicer import find_good_slice
+from quadcone.slicer import SLICE_EPS_GRID
 
 EPS_GRID = (1e-3, 1e-2, 1e-1)
 
@@ -457,7 +456,7 @@ def test_disc_margin_scaling_exact():
     res = classify2(moved)
     v = decide2(res, moved)
     rep_orig = verify_discs(moved, v.discs, eps_grid=(1e-2,))
-    fam_norm = DiscFamily(kind=v.discs.kind, side=+1, c=v.discs.c, shift=v.discs.shift)
+    fam_norm = DiscFamily(kind=v.discs.kind, side=+1, c=v.discs.c)
     rep_norm = verify_discs(base, fam_norm, eps_grid=(1e-2,))
     assert rep_orig.min_margin * res.lam == pytest.approx(rep_norm.min_margin, abs=1e-10)
     assert rep_orig.touch_residual * res.lam == pytest.approx(rep_norm.touch_residual, abs=1e-10)
@@ -643,8 +642,8 @@ def test_decide_rejects_a_residual_beyond_its_bound(ntype):
 # the CLI's `verify` grid and then at the limit disc (eps = 0), drawn in that
 # order from one generator seeded with 0 (`verify --csv` and the tests' oracle
 # draw this way), and the certified check's points_checked on the CLI's grid and
-# on find_good_slice's: one attaining point per eps, one per line of the limit
-# disc.  The sampled point sets may move at rounding level, never in size.
+# on find_good_slice's SLICE_EPS_GRID: one attaining point per eps, one per line
+# of the limit disc.  The sampled point sets may move at rounding level, never in size.
 ONE_SIDED_POINT_COUNTS = [
     (NormalFormType("M20", a=2.0, b=0.5), "level_set", [15962, 16052, 15930, 16244], 5, 4),
     (NormalFormType("M10_1", a=0.5), "level_set", [13302, 13420, 13166, 13458], 5, 4),
@@ -660,8 +659,7 @@ def test_verify_discs_pins_its_point_counts(ntype, kind, sampled, cli_count, sli
     rng = np.random.default_rng(0)
     assert [len(_disc_points(fam, float(eps), 10_000, rng)) for eps in (*DEFAULT_EPS, 0.0)] == sampled
     assert verify_discs(cone, fam, eps_grid=DEFAULT_EPS).points_checked == cli_count
-    slice_grid = inspect.signature(find_good_slice).parameters["eps_grid"].default
-    assert verify_discs(cone, fam, eps_grid=slice_grid).points_checked == slice_count
+    assert verify_discs(cone, fam, eps_grid=SLICE_EPS_GRID).points_checked == slice_count
 
 
 @pytest.mark.parametrize("seed, candidates", [(0, 16040), (1, 16040), (2, 15976)])

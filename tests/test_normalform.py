@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
+from quadcone.cli import parse_spec
+from quadcone.fixtures import FIXTURES
 from quadcone.normalform import (
     CHOFVAR,
     DegeneracyReport,
@@ -328,6 +334,38 @@ def test_m00_1_classifies_at_every_scale(k):
     for T in FIXED_GL2:
         res = classify2(apply_change(render_cone(NormalFormType("M00_1")), T, lam=10.0**k))
         assert isinstance(res, NormalFormResult) and res.tag == "M00_1", (k, res)
+
+
+def _planar_decide_cones(monkeypatch) -> list:
+    """The cones of the benchmark's planar_decide workload at seed 1, read from its generator."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    return [parse_spec(op.spec).cone for op in workloads.planar_decide(1)]
+
+
+def test_classify2_moves_T_exactly_under_power_of_two_scalings(monkeypatch):
+    # rho -> 2^-k rho with k even: T takes the factor 2^(k/2), bitwise, and
+    # lambda, sign and parameters stay as they are; M00_1 keeps T and moves
+    # the scale into lambda.  Each input gets k = +-2, +-300 and one more even
+    # k in between, so that the inputs together cover the range
+    cones = [make() for make in FIXTURES.values()]
+    cones = [cone for cone in cones if cone.n == 2] + _planar_decide_cones(monkeypatch)
+    broken = []
+    for i, cone in enumerate(cones):
+        base = classify2(cone)
+        for k in (2, -2, 300, -300, (-1) ** i * (4 + 2 * (37 * i % 148))):
+            got = classify2(QuadraticCone(2.0**-k * cone.S, 2.0**-k * cone.H))
+            if base.tag == "M00_1":
+                T, lam = base.T, 2.0**k * base.lam
+            else:
+                T, lam = 2.0 ** (k // 2) * base.T, base.lam
+            if not (np.array_equal(got.T, T) and got.lam == lam
+                    and got.sign == base.sign and got.ntype == base.ntype):
+                broken.append((i, base.tag, k))
+    assert len(cones) == 260 and not broken
 
 
 @pytest.mark.parametrize("ntype", [NormalFormType("M10_1", a=0.7), NormalFormType("M10_2")])

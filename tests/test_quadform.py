@@ -359,16 +359,6 @@ def test_negated_inherits_the_swapped_signatures_and_the_scale():
     assert neg.negated()._hsig == cone._hsig
 
 
-def test_explicit_signature_tol_bypasses_the_cache():
-    cone = QuadraticCone(np.zeros((2, 2)), np.diag([1.0, 1e-6]))
-    assert hermitian_signature(cone).as_tuple() == (2, 0)
-    assert hermitian_signature(cone, tol=1e-3).as_tuple() == (1, 0)
-    assert real_signature(cone, tol=1e-3).as_tuple() == (2, 0)
-    # the explicit tolerance left the default-tolerance results alone
-    assert hermitian_signature(cone).as_tuple() == (2, 0)
-    assert real_signature(cone).as_tuple() == (4, 0)
-
-
 # --- norms -------------------------------------------------------------------
 
 

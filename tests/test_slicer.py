@@ -246,7 +246,7 @@ def test_independent_coupling_slice_values():
     from quadcone.slicer import _oneone_candidates
     from quadcone.quadform import canonical_sign
 
-    cone = fx.slice_oneone_r_independent(B=0.7)
+    cone = fx.slice_oneone_r_independent()
     cone0, _ = canonical_sign(cone)
     cands = list(_oneone_candidates(cone0))
     assert cands, "generator produced no candidates"
@@ -292,7 +292,7 @@ def test_pi2_shear_candidates_verify_without_axis():
                 slc = next(gen)
             except StopIteration:
                 break
-            res = _try_slice(cone, slc, eps_grid=(1e-2, 1e-1))
+            res = _try_slice(cone, slc)
             if res is not None:
                 found = True
                 break
@@ -453,7 +453,7 @@ def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatc
 
     cone = fx.slice_pi2_axis()
     slc = Slice(np.eye(3, 2, dtype=complex), "axis")
-    assert _try_slice(cone, slc, eps_grid=(1e-2, 1e-1)) is not None
+    assert _try_slice(cone, slc) is not None
     classify = slicer.classify2
 
     def nudged(restricted):
@@ -465,7 +465,7 @@ def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatc
         return replace(res, T=T, residual=residual)
 
     monkeypatch.setattr(slicer, "classify2", nudged)
-    assert _try_slice(cone, slc, eps_grid=(1e-2, 1e-1)) is None
+    assert _try_slice(cone, slc) is None
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -480,7 +480,7 @@ def test_try_slice_rejects_a_restricted_cone_of_rounding_size(scale):
         T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         slc = Slice(np.linalg.inv(T)[:, 2:4], "inert plane")
         moved = apply_change(cone, T)
-        assert _try_slice(moved, slc, eps_grid=(1e-2, 1e-1)) is None
+        assert _try_slice(moved, slc) is None
 
 
 def test_try_slice_rejects_a_slice_whose_hermitian_part_is_rounding_noise():
@@ -494,7 +494,7 @@ def test_try_slice_rejects_a_slice_whose_hermitian_part_is_rounding_noise():
         rng = np.random.default_rng(s)
         T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         slc = Slice(np.linalg.inv(T)[:, :2], "noise plane")
-        assert _try_slice(apply_change(cone, T), slc, eps_grid=(1e-2, 1e-1)) is None
+        assert _try_slice(apply_change(cone, T), slc) is None
 
 
 @pytest.mark.parametrize(
