@@ -11,8 +11,9 @@ tree runs in a subprocess of its own over the same inputs:
 - every seed-1 op of the three workloads in `perfbench/workloads.py`, in
   its `U_RANGE` and its `CENSUS_U_RANGE`;
 - the inputs of EXTRA: a polynomial spec, an M11_1 spec inside decide2's
-  A = 1 band whose supporting line dips below the cone, specs with JSON
-  booleans in place of numbers, and `--tol-overrides` on `decide`.
+  A = 1 band whose supporting line dips below the cone, an `atlas` grid
+  with such a cell, specs with JSON booleans in place of numbers, and
+  `--tol-overrides` on `decide`.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Each input is
@@ -63,6 +64,7 @@ EXTRA = (
     ("a_one_band/decide", ["decide", "-"], A_ONE_BAND),
     ("a_one_band/verify", ["verify", "-"], A_ONE_BAND),
     ("a_one_band/verify_support_rel", ["verify", "-", "--tol-overrides", "support_rel=1e-9"], A_ONE_BAND),
+    ("a_one_band/atlas", ["atlas", "--tag", "M11_1", "--grid", "1.0000000005,0.5"], None),
     ("bool_entry/classify", ["classify", "-"], BOOL_ENTRY),
     ("bool_coeff/classify", ["classify", "-"], BOOL_COEFF),
     ("tol_overrides/decide", ["decide", "--fixture", "example_m", "--tol-overrides", "support_rel=1e-9"], None),

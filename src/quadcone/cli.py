@@ -2,7 +2,8 @@
 
 Sub-commands: classify, decide, verify, slice, jump-demo, atlas.  Exit
 codes: 0 success, 2 degenerate input, 3 verification failure, 4 schema
-error, 5 no one-sided slice found and the two-sided form is unknown.
+or usage error, 5 no one-sided slice found and the two-sided form is
+unknown.
 
 Input schema (UTF-8 JSON), either coefficient matrices or a polynomial:
 
@@ -49,6 +50,7 @@ from .decider import (
 from .fixtures import FIXTURES
 from .normalform import (
     RESIDUAL_REL,
+    TAGS,
     DegeneracyReport,
     NormalFormResult,
     NormalFormType,
@@ -221,13 +223,8 @@ def spec_to_json(spec: ConeSpec) -> dict:
 
 def _ntype_json(ntype: NormalFormType) -> dict:
     out = {"tag": ntype.tag}
-    params = ntype.params()
-    if ntype.tag in ("M20", "M11_1"):
-        out["A"], out["B"] = params
-    elif ntype.tag == "M11_2":
-        out["A"] = _c2j(params[0])
-    elif ntype.tag == "M10_1":
-        out["A"] = params[0]
+    for name, p in zip("AB", ntype.params()):
+        out[name] = _c2j(p) if isinstance(p, complex) else p
     return out
 
 
@@ -596,13 +593,18 @@ def cmd_atlas(args) -> int:
         res = NormalFormResult(
             ntype=ntype, T=np.eye(2, dtype=complex), lam=1.0, sign=1, residual=0.0
         )
-        verdict = decide2(res, render_cone(ntype))
-        row = {"params": _ntype_json(ntype), "outcome": verdict.outcome}
+        row = {"params": _ntype_json(ntype)}
+        rows.append(row)
+        try:
+            verdict = decide2(res, render_cone(ntype))
+        except VerificationFailed as exc:  # one cell's supporting line fails, not the table
+            row.update(outcome="verification_failed", failed=str(exc))
+            continue
+        row["outcome"] = verdict.outcome
         if verdict.outcome == "one_sided":
             row["side"] = verdict.side
         else:
             row["witness_kind"] = verdict.witness.kind
-        rows.append(row)
     report["atlas"] = {"tag": args.tag, "grid": grid, "cells": rows}
     if args.csv:
         cells = [
@@ -612,7 +614,8 @@ def cmd_atlas(args) -> int:
         ]
         _write_csv(args.csv, ["tag", "params", "outcome", "side_or_kind"], cells)
         report["csv"] = args.csv
-    return _done(report, t0, EXIT_OK)
+    failed = any(row["outcome"] == "verification_failed" for row in rows)
+    return _done(report, t0, EXIT_VERIFICATION if failed else EXIT_OK)
 
 
 def _float_list_parser(option: str, ok, requirement: str):
@@ -666,9 +669,9 @@ def _int_parser(option: str, least: int):
     return parse
 
 
-# Options given as text, converted after parse_args: a SchemaError raised by a
-# type= callback would be turned into argparse's usage error (exit 2) instead
-# of the JSON schema error (exit 4).  Defaults are already converted.
+# Options given as text, converted after parse_args: argparse would replace the
+# message of a SchemaError raised by a type= callback with its own "invalid
+# value" text.  Defaults are already converted.
 _OPTION_PARSERS = {
     "eps": _float_list_parser("--eps", lambda v: 0 < v < math.inf, "positive and finite"),
     "grid": _float_list_parser("--grid", math.isfinite, "finite"),
@@ -679,8 +682,18 @@ _OPTION_PARSERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error raised as a SchemaError (exit 4), not exit 2.
+
+    Exit 2 is a degenerate cone.  The sub-command parsers share this class.
+    """
+
+    def error(self, message):
+        raise SchemaError(self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadcone",
         description="Classify quadratic cones, decide extension sides, verify witnesses.",
     )
@@ -719,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", help="sweep a normal-form row and tabulate verdicts")
     common(p, needs_input=False)
-    p.add_argument("--tag", required=True, choices=["M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1"])
+    p.add_argument("--tag", required=True, choices=TAGS)
     p.add_argument("--grid", default=DEFAULT_GRID)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_atlas)
@@ -734,8 +747,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         for name, parse in _OPTION_PARSERS.items():
             value = getattr(args, name, None)
             if isinstance(value, str):

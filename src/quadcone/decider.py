@@ -143,27 +143,6 @@ class JumpReport:
     points_checked: int
 
 
-def build_disc_family(ntype: NormalFormType) -> DiscFamily | None:
-    """The explicit disc family of a one-sided type, in its own coordinates; None if two-sided."""
-    tag = ntype.tag
-    side = NORMAL_SIDE.get(tag)
-    if tag == "M20":
-        A, B = ntype.params()
-        return DiscFamily(kind="level_set", side=side, c=np.diag([A, B]).astype(complex), model=ntype)
-    if tag == "M10_1":
-        (A,) = ntype.params()
-        return DiscFamily(kind="level_set", side=side, c=np.diag([A, 1.0]).astype(complex), model=ntype)
-    if tag == "M11_1":
-        A, B = ntype.params()
-        if abs(A - B) <= EQUAL_PARAM_TOL * max(1.0, A) or A <= 1.0 + A_ONE_BOUNDARY_TOL:
-            return None
-        if B < 1.0:
-            return DiscFamily(kind="affine_line", side=side, model=ntype)
-        # 1 <= B < A: the level variety A z1^2 + B z2^2 = -eps stays below the cone
-        return DiscFamily(kind="level_set", side=side, c=-np.diag([A, B]).astype(complex), model=ntype)
-    return None
-
-
 def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: float) -> np.ndarray:
     """Points on {w^T c w = eps} with |w| <= radius, via a quadratic solve.
 
@@ -298,11 +277,7 @@ def _limit_lines(fam: DiscFamily) -> np.ndarray:
     return L / np.linalg.norm(L, axis=1)[:, None]
 
 
-def verify_discs(
-    cone: QuadraticCone,
-    fam: DiscFamily,
-    eps_grid=(1e-3, 1e-2, 1e-1),
-) -> DiscReport:
+def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     """Certify side * rho > 0 on each D_eps of the grid and on the limit disc, without samples.
 
     min_margin is the smallest, over eps in the grid, certified lower bound on
@@ -477,37 +452,56 @@ def _pull_back_germ(germ: LinearGerm, T: np.ndarray) -> LinearGerm:
     )
 
 
-def _normal_frame_witness(ntype: NormalFormType) -> SupportWitness:
+def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
+    """The verdict of a normal form in its own coordinates.
+
+    A one-sided type gets its explicit disc family, a two-sided type its
+    pair of supporting lines (one line inside the cone when it is
+    non-minimal).  M11_1 is two-sided when A = B (non-minimal) or A <= 1,
+    within EQUAL_PARAM_TOL and A_ONE_BOUNDARY_TOL; the A = 1 band carries
+    a note.
+    """
     tag = ntype.tag
+    params = ntype.params()
+
+    def discs(kind: str, c: np.ndarray | None = None) -> Verdict:
+        fam = DiscFamily(kind=kind, side=NORMAL_SIDE[tag], c=c, model=ntype)
+        return Verdict(outcome="one_sided", discs=fam)
+
+    def lines(aplus: LinearGerm, aminus: LinearGerm, kind: str, note: str = "") -> Verdict:
+        return Verdict(outcome="two_sided", witness=SupportWitness(aplus, aminus, kind), note=note)
+
+    if tag == "M20":
+        A, B = params
+        return discs("level_set", np.diag([A, B]).astype(complex))
+    if tag == "M10_1":
+        (A,) = params
+        return discs("level_set", np.diag([A, 1.0]).astype(complex))
     if tag == "M11_1":
-        A, B = ntype.params()
+        A, B = params
         if abs(A - B) <= EQUAL_PARAM_TOL * max(1.0, A):
             line = _germ([1j, -1.0], "{z2 = i z1}")  # rho vanishes identically here
-            return SupportWitness(aplus=line, aminus=line, kind="nonminimal")
-        return SupportWitness(
-            aplus=_germ([0.0, 1.0], "{z2 = 0}"),
-            aminus=_germ([1.0, 0.0], "{z1 = 0}"),
-            kind="proper",
-        )
+            return lines(line, line, "nonminimal")
+        if A > 1.0 + A_ONE_BOUNDARY_TOL:
+            if B < 1.0:
+                return discs("affine_line")
+            # 1 <= B < A: the level variety A z1^2 + B z2^2 = -eps stays below the cone
+            return discs("level_set", -np.diag([A, B]).astype(complex))
+        note = "A = 1 boundary: two-sided clause applies" if abs(A - 1.0) <= A_ONE_BOUNDARY_TOL else ""
+        return lines(_germ([0.0, 1.0], "{z2 = 0}"), _germ([1.0, 0.0], "{z1 = 0}"), "proper", note)
     if tag == "M11_2":
-        (a,) = ntype.params()
+        (a,) = params
         lam1 = np.pi / 2 + np.angle(a)  # solves e^(2 i lam) = -a / conj(a)
         lam2 = lam1 + np.pi
         g1 = _germ([np.exp(1j * lam1), -1.0], f"{{z2 = e^(i{lam1:.6f}) z1}}")
         g2 = _germ([np.exp(1j * lam2), -1.0], f"{{z2 = e^(i{lam2:.6f}) z1}}")
         # rho on the line with angle lam is -|z1|^2 sin(lam)
-        return SupportWitness(
-            aplus=g2 if np.sin(lam1) > 0 else g1,
-            aminus=g1 if np.sin(lam1) > 0 else g2,
-            kind="proper",
-        )
+        return lines(g2, g1, "proper") if np.sin(lam1) > 0 else lines(g1, g2, "proper")
     if tag in ("M11_3", "M10_2"):
         line = _germ([1.0, 0.0], "{z1 = 0}")
-        return SupportWitness(aplus=line, aminus=line, kind="nonminimal")
-    if tag == "M00_1":
-        line = _germ([1j, -1.0], "{z2 = i z1}")
-        return SupportWitness(aplus=line, aminus=line, kind="nonminimal")
-    raise ConeError(f"{tag} is not a two-sided type")
+        return lines(line, line, "nonminimal")
+    line = _germ([1j, -1.0], "{z2 = i z1}")  # M00_1, the last of normalform.TAGS
+    return lines(line, line, "nonminimal")
 
 
 def _pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness:
@@ -538,21 +532,14 @@ def decide2(
         raise VerificationFailed(
             f"{r.tag} classification residual {r.residual:.3e} exceeds {r.residual_bound:.3e}"
         )
-    fam = build_disc_family(r.ntype)
-    if fam is not None:
-        fam = replace(fam, transform=r.T, side=fam.side * r.sign, lam=r.lam)
+    v = normal_frame_verdict(r.ntype)
+    if v.discs is not None:
+        fam = replace(v.discs, transform=r.T, side=v.discs.side * r.sign, lam=r.lam)
         return Verdict(outcome="one_sided", discs=fam)
-    witness = _normal_frame_witness(r.ntype)
-    note = ""
-    # M11_1 gets here with A <= 1 + A_ONE_BOUNDARY_TOL, or with A = B (the non-minimal witness)
-    if r.tag == "M11_1" and witness.kind == "proper":
-        A, _ = r.ntype.params()
-        if abs(A - 1.0) <= A_ONE_BOUNDARY_TOL:
-            note = "A = 1 boundary: two-sided clause applies"
-    witness = _pull_back_witness(witness, r)
+    witness = _pull_back_witness(v.witness, r)
     if cone is not None:
         verify_support(cone, witness)
-    return Verdict(outcome="two_sided", witness=witness, note=note)
+    return Verdict(outcome="two_sided", witness=witness, note=v.note)
 
 
 def jump_demo(seed: int = 0, samples: int = 10_000) -> JumpReport:

@@ -189,65 +189,20 @@ def _pi2_candidates(cone0: QuadraticCone):
             herm = 1.0 + flags[j] * abs(al) ** 2
             if herm <= 1e-6:
                 continue
-            # z_j = al * z2 shear
-            s_star = np.array(
-                [
-                    [S1[0, 0], S1[0, 1] + al * S1[0, j]],
-                    [S1[0, 1] + al * S1[0, j], S1[1, 1] + 2 * al * S1[1, j] + al * al * S1[j, j]],
-                ]
-            )
-            if abs(abs(np.linalg.det(s_star) / herm) - 1.0) >= DET_ONE_MARGIN:
-                yield (
-                    np.column_stack([W[:, 0], W[:, 1] + al * W[:, j]]),
-                    f"shear slice z{j + 1} = a z2, a = {al:.6g}",
-                )
-            # z_j = al * z1 shear
-            s_star = np.array(
-                [
-                    [S1[0, 0] + 2 * al * S1[0, j] + al * al * S1[j, j], S1[0, 1] + al * S1[1, j]],
-                    [S1[0, 1] + al * S1[1, j], S1[1, 1]],
-                ]
-            )
-            if abs(abs(np.linalg.det(s_star) / herm) - 1.0) >= DET_ONE_MARGIN:
-                yield (
-                    np.column_stack([W[:, 0] + al * W[:, j], W[:, 1]]),
-                    f"shear slice z{j + 1} = a z1, a = {al:.6g}",
-                )
+            for i in (1, 0):  # the shear z_j = al z2, then z_j = al z1
+                s_star = S1[:2, :2].copy()
+                s_star[i, i] = S1[i, i] + 2 * al * S1[i, j] + al * al * S1[j, j]
+                s_star[0, 1] = s_star[1, 0] = S1[0, 1] + al * S1[1 - i, j]
+                if abs(abs(np.linalg.det(s_star) / herm) - 1.0) >= DET_ONE_MARGIN:
+                    basis = W[:, :2].copy()
+                    basis[:, i] += al * W[:, j]
+                    yield basis, f"shear slice z{j + 1} = a z{i + 1}, a = {al:.6g}"
 
 
 def _dual_vectors(L: np.ndarray):
     """v3, v4 with L @ v_i = e_i for the bilinear functionals in L's rows."""
     sol, *_ = np.linalg.lstsq(L, np.eye(2, dtype=complex), rcond=None)
     return sol[:, 0], sol[:, 1]
-
-
-def _dual_coeffs(A, B, C):
-    """alpha, beta of the determinant-2 dual slice z3 = alpha z1 + beta z2.
-
-    For harmonic block [[A, B], [B, C]] coupled through 2 z1 z3, usable when
-    C != 0; the z2 coupling is the same formula with A and C exchanged.
-    """
-    if abs(C.real) <= 1e-12 * max(abs(C), 1.0):
-        return -(A + C) / 2.0, -B + np.sqrt(abs(C) ** 2 + 2.0)
-    return -(A + np.conj(C)) / 2.0, -B + 1j * np.sqrt(abs(C) ** 2 + 2.0)
-
-
-def _explicit_pair_slice(n, W, A, B, C, v3, orient: str) -> tuple:
-    """The determinant-2 slice choice for a z1 (or z2) linear coupling.
-
-    orient "first": coupling 2 z1 z3, usable when C != 0;
-    orient "second": coupling 2 z2 z3, usable when A != 0.
-    """
-    v3e = _embed_zprime(n, v3)
-    if orient == "first":
-        alpha, beta = _dual_coeffs(A, B, C)
-        b1 = W @ (_embed2(n, [1.0, 0.0]) + alpha * v3e)
-        b2 = W @ (_embed2(n, [0.0, 1.0]) + beta * v3e)
-        return np.column_stack([b1, b2]), "dual slice z3 = a z1 + b z2"
-    alpha, beta = _dual_coeffs(C, B, A)
-    b1 = W @ (_embed2(n, [1.0, 0.0]) + beta * v3e)
-    b2 = W @ (_embed2(n, [0.0, 1.0]) + alpha * v3e)
-    return np.column_stack([b1, b2]), "dual slice z3 = a z2 + b z1"
 
 
 @_slices
@@ -273,6 +228,22 @@ def _oneone_candidates(cone0: QuadraticCone):
                 yield np.column_stack([b1, b2]), f"line slice z2 = a z1, a = {al:.4g}"
         return
 
+    def dual(G, Sg, k, v, description):
+        # the determinant-2 dual slice z3 = alpha w_k + beta w_(1-k), z3 along the z'
+        # direction v, of a coupling 2 w_k z3 to the harmonic block Sg in the frame
+        # z = G w; usable when the other diagonal entry of Sg is not 0
+        a, b, c = Sg[k, k], Sg[0, 1], Sg[1 - k, 1 - k]
+        if abs(c) <= 1e-10 * scale:
+            return
+        if abs(c.real) <= 1e-12 * max(abs(c), 1.0):
+            alpha, beta = -(a + c) / 2.0, -b + np.sqrt(abs(c) ** 2 + 2.0)
+        else:
+            alpha, beta = -(a + np.conj(c)) / 2.0, -b + 1j * np.sqrt(abs(c) ** 2 + 2.0)
+        coef = [beta, beta]
+        coef[k] = alpha
+        ve = _embed_zprime(n, v)
+        yield np.column_stack([W @ (_embed2(n, G[:, i]) + coef[i] * ve) for i in (0, 1)]), description
+
     sv = np.linalg.svd(L, compute_uv=False) if L.size else np.array([0.0])
     lrank = int(np.sum(sv > 1e-10 * max(scale, 1.0)))
     if lrank == 0:
@@ -280,12 +251,11 @@ def _oneone_candidates(cone0: QuadraticCone):
         return
 
     A, B, C = St[0, 0], St[0, 1], St[1, 1]
+    I2 = np.eye(2)
     if lrank == 2:
         v3, v4 = _dual_vectors(L)
-        if abs(C) > 1e-10 * scale:
-            yield _explicit_pair_slice(n, W, A, B, C, v3, "first")
-        if abs(A) > 1e-10 * scale:
-            yield _explicit_pair_slice(n, W, A, B, C, v4, "second")
+        yield from dual(I2, St, 0, v3, "dual slice z3 = a z1 + b z2")
+        yield from dual(I2, St, 1, v4, "dual slice z3 = a z2 + b z1")
         if abs(A) <= 1e-10 * scale and abs(C) <= 1e-10 * scale:
             # both quadratic coefficients vanish: the explicit two-direction slice
             c1 = _embed2(n, [1.0, 0.0]) + 0.5 * _embed_zprime(n, v3) + (-B / 2 + 1j) * _embed_zprime(n, v4)
@@ -303,12 +273,10 @@ def _oneone_candidates(cone0: QuadraticCone):
     big = max(abs(c1), abs(c2))
     if abs(c2) <= 1e-10 * big:
         # coupling through z1 only
-        if abs(C) > 1e-10 * scale:
-            yield _explicit_pair_slice(n, W, A, B, C, v_m / c1, "first")
+        yield from dual(I2, St, 0, v_m / c1, "dual slice z3 = a z1 + b z2")
         return
     if abs(c1) <= 1e-10 * big:
-        if abs(A) > 1e-10 * scale:
-            yield _explicit_pair_slice(n, W, A, B, C, v_m / c2, "second")
+        yield from dual(I2, St, 1, v_m / c2, "dual slice z3 = a z2 + b z1")
         return
 
     c = c1 / c2
@@ -319,14 +287,7 @@ def _oneone_candidates(cone0: QuadraticCone):
         cr = c.real
         h = np.hypot(cr, 1.0)
         G = np.array([[cr, -1.0], [1.0, cr]], dtype=complex) / h
-        Sg = G.T @ St @ G
-        Ag, Bg, Cg = Sg[0, 0], Sg[0, 1], Sg[1, 1]
-        if abs(Cg) > 1e-10 * scale:
-            v3e = _embed_zprime(n, v3 / h)
-            alpha, beta = _dual_coeffs(Ag, Bg, Cg)
-            b1 = W @ (_embed2(n, G[:, 0]) + alpha * v3e)
-            b2 = W @ (_embed2(n, G[:, 1]) + beta * v3e)
-            yield np.column_stack([b1, b2]), "dual slice after real-ratio reduction"
+        yield from dual(G, G.T @ St @ G, 0, v3 / h, "dual slice after real-ratio reduction")
         return
     # complex ratio: scan z3 = al * z2 slices, filtered by the extension criterion
     T_coupling = np.array([[0.0, c], [c, 2.0]], dtype=complex)

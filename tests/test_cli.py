@@ -457,13 +457,10 @@ def test_count_options_accept_one(capsys):
     ids=lambda argv: argv[0],
 )
 def test_only_verify_takes_tol_overrides(capsys, argv):
-    # verify's line check is the one place a support_rel override is enforced
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--tol-overrides", "support_rel=1e-9"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --tol-overrides" in captured.err
+    # verify's line check is the one place a support_rel override is enforced;
+    # the usage error exits 4, not 2, the code of a degenerate cone
+    report = assert_schema_exit(capsys, [*argv, "--tol-overrides", "support_rel=1e-9"], "quadcone")
+    assert "unrecognized arguments: --tol-overrides" in report["error"]["message"]
 
 
 def test_tol_overrides_rejects_unknown_keys(capsys):
@@ -554,6 +551,39 @@ def test_cmd_atlas_cross_check_decide(capsys):
         res = classify2(cone)
         verdict = decide2(res, cone)
         assert verdict.outcome == cell["outcome"], cell
+
+
+def test_cmd_atlas_reports_a_failed_cell_in_the_full_table(capsys):
+    # A = 1 + 5e-10 lies in decide2's A = 1 band: the line {z2 = 0} of the
+    # (A, 0.5) cell dips below the cone, and the other cells stay in the table
+    from quadcone.cli import EXIT_VERIFICATION
+
+    code, report = run_cli(capsys, ["atlas", "--tag", "M11_1", "--grid", "1.0000000005,0.5"])
+    assert code == EXIT_VERIFICATION
+    cells = report["atlas"]["cells"]
+    assert [(c["params"]["A"], c["params"]["B"], c["outcome"]) for c in cells] == [
+        (1.0000000005, 1.0000000005, "two_sided"),
+        (1.0000000005, 0.5, "verification_failed"),
+        (0.5, 0.5, "two_sided"),
+    ]
+    assert cells[1]["failed"].startswith("A+ witness {z2 = 0} dips below the cone")
+
+
+@pytest.mark.parametrize(
+    "argv, prog",
+    [([], "quadcone"), (["frob"], "quadcone"), (["atlas"], "quadcone atlas"),
+     (["atlas", "--tag", "M99"], "quadcone atlas"), (["decide", "--fixture", "nope"], "quadcone decide")],
+)
+def test_usage_errors_exit_schema(capsys, argv, prog):
+    # exit 2 is a degenerate cone; a usage error is a schema error
+    assert_schema_exit(capsys, argv, prog)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quadcone decide")
 
 
 def test_determinism_modulo_timings(capsys):

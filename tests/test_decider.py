@@ -15,9 +15,9 @@ from quadcone.decider import (
     DiscFamily,
     VerificationFailed,
     _disc_points,
-    build_disc_family,
     decide2,
     jump_demo,
+    normal_frame_verdict,
     verify_discs,
     verify_support,
 )
@@ -141,16 +141,16 @@ def test_m11_boundary_band_note_claims_no_check():
 # --- disc families -------------------------------------------------------------
 
 
-def test_build_disc_family_shapes():
-    fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
+def test_normal_frame_verdict_disc_shapes():
+    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
     assert fam.kind == "level_set" and fam.side == +1
-    fam = build_disc_family(NormalFormType("M11_1", a=2.0, b=0.0))
+    fam = normal_frame_verdict(NormalFormType("M11_1", a=2.0, b=0.0)).discs
     assert fam.kind == "affine_line" and fam.side == -1 and fam.shift == 1j
-    fam = build_disc_family(NormalFormType("M10_1", a=0.0))
+    fam = normal_frame_verdict(NormalFormType("M10_1", a=0.0)).discs
     assert fam.kind == "level_set"
     np.testing.assert_allclose(fam.c, np.diag([0.0, 1.0]))
-    assert build_disc_family(NormalFormType("M11_2", a=1.0)) is None
-    assert build_disc_family(NormalFormType("M11_1", a=0.5, b=0.25)) is None
+    assert normal_frame_verdict(NormalFormType("M11_2", a=1.0)).discs is None
+    assert normal_frame_verdict(NormalFormType("M11_1", a=0.5, b=0.25)).discs is None
 
 
 @pytest.mark.parametrize(
@@ -195,14 +195,14 @@ def test_verify_discs_at_any_input_scale(ntype, k):
 def test_verify_discs_analytic_floor_m20():
     # on the level variety the defining function equals eps + |z1|^2 + |z2|^2
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
-    fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
+    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
     rep = verify_discs(cone, fam, eps_grid=EPS_GRID)
     assert rep.min_margin >= min(EPS_GRID)
 
 
 def test_verify_discs_wrong_side_fails():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
-    fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
+    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
     bad = DiscFamily(kind=fam.kind, side=-fam.side, c=fam.c, transform=fam.transform)
     with pytest.raises(VerificationFailed):
         verify_discs(cone, bad, eps_grid=EPS_GRID)
@@ -210,7 +210,7 @@ def test_verify_discs_wrong_side_fails():
 
 def test_verify_discs_rejects_a_non_finite_transform():
     # NaN compares false with 0: without a finiteness check such a family would pass
-    fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
+    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
     bad = DiscFamily(kind=fam.kind, side=fam.side, c=fam.c, transform=np.diag([np.nan, 1.0]))
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
     with pytest.raises(VerificationFailed, match="not finite") as info:
@@ -222,7 +222,7 @@ def test_verify_discs_rejects_a_non_finite_transform():
 
 def test_verify_discs_empty_grid_rejected():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
-    fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.0))
+    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
     with pytest.raises(Exception):
         verify_discs(cone, fam, eps_grid=())
 
@@ -284,7 +284,7 @@ def _oracle_case(kind: str, rng, lam: float, sign: int):
         ntype = NormalFormType("M11_1", a=A, b=rng.uniform(0.0, 0.9))
     cone = apply_change(render_cone(ntype), np.linalg.inv(M), lam, sign)
     fam = decide2(classify2(cone), cone).discs
-    assert fam.model.tag == ntype.tag and fam.kind == build_disc_family(ntype).kind
+    assert fam.model.tag == ntype.tag and fam.kind == normal_frame_verdict(ntype).discs.kind
     return cone, fam
 
 
@@ -654,7 +654,7 @@ ONE_SIDED_POINT_COUNTS = [
 
 @pytest.mark.parametrize("ntype, kind, sampled, cli_count, slice_count", ONE_SIDED_POINT_COUNTS)
 def test_verify_discs_pins_its_point_counts(ntype, kind, sampled, cli_count, slice_count):
-    cone, fam = render_cone(ntype), build_disc_family(ntype)
+    cone, fam = render_cone(ntype), normal_frame_verdict(ntype).discs
     assert fam.kind == kind
     rng = np.random.default_rng(0)
     assert [len(_disc_points(fam, float(eps), 10_000, rng)) for eps in (*DEFAULT_EPS, 0.0)] == sampled

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcone.decider import VerificationFailed, build_disc_family, decide2, verify_discs
+from quadcone.decider import VerificationFailed, decide2, normal_frame_verdict, verify_discs
 from quadcone.normalform import NormalFormType, apply_change, classify2, render_cone
 from quadcone.quadform import QuadraticCone, decompose_real_form, real_form_matrix
 from quadcone.reduction import so11_zero_diag
@@ -73,7 +73,7 @@ def test_m11_2_verdict_always_two_sided(re, im):
 
 def test_verification_failure_carries_location():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.5))
-    fam = build_disc_family(NormalFormType("M20", a=2.0, b=0.5))
+    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.5)).discs
     from dataclasses import replace
 
     bad = replace(fam, side=-1)
