@@ -12,8 +12,10 @@ tree runs in a subprocess of its own over the same inputs:
   its `U_RANGE` and its `CENSUS_U_RANGE`;
 - the inputs of EXTRA: a polynomial spec, an M11_1 spec inside decide2's
   A = 1 band whose supporting line dips below the cone, an `atlas` grid
-  with such a cell, specs with JSON booleans in place of numbers, and
-  `--tol-overrides` on `decide`.
+  with such a cell, specs with JSON booleans in place of numbers,
+  `--tol-overrides` on `decide`, `--fixture` given with an input path,
+  fixtures of the wrong dimension for `classify`, `decide`, `verify` and
+  `slice`, and a degenerate cone under `verify`.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Each input is
@@ -43,7 +45,6 @@ import sys
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 MAX_FIELDS = 8  # differing fields printed per input
 TIMINGS = re.compile(r'("timings": \{)([^{}]*)(\})')
 TIMING_VALUE = re.compile(r'(": )[^,\n]+')
@@ -56,6 +57,7 @@ POLY = (
     ' {"vars": ["x1", "y2"], "coeff": {"re": 0.25}}]}'
 )
 BOOL_ENTRY = '{"n":2,"S":[[true,{"re":false}],[{},{"re":0.5}]],"H":[[1,0],[0,-1]]}'
+DEGENERATE = '{"n": 2, "S": [[0, 0], [0, 0]], "H": [[1, 0], [0, 1]]}'  # definite: a point cone
 BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
 EXTRA = (
     ("poly/classify", ["classify", "-"], POLY),
@@ -68,6 +70,12 @@ EXTRA = (
     ("bool_entry/classify", ["classify", "-"], BOOL_ENTRY),
     ("bool_coeff/classify", ["classify", "-"], BOOL_COEFF),
     ("tol_overrides/decide", ["decide", "--fixture", "example_m", "--tol-overrides", "support_rel=1e-9"], None),
+    ("fixture_and_input/decide", ["decide", "--fixture", "m20", "does_not_exist.json"], None),
+    ("n_mismatch/classify", ["classify", "--fixture", "slice_pi2_axis"], None),
+    ("n_mismatch/decide", ["decide", "--fixture", "slice_pi2_axis"], None),
+    ("n_mismatch/verify", ["verify", "--fixture", "slice_pi2_axis"], None),
+    ("n_mismatch/slice", ["slice", "--fixture", "m20"], None),
+    ("degenerate/verify", ["verify", "-"], DEGENERATE),
 )
 
 
@@ -80,13 +88,13 @@ def _workloads():
     return module
 
 
-def inputs(fixtures: dict):
+def inputs(fixtures: dict, tags: tuple):
     """(name, argv, stdin text or None) of every compared CLI call, in a fixed order."""
     for name in sorted(fixtures):
         commands = ("classify", "decide", "verify") if fixtures[name]().n == 2 else ("slice",)
         for command in commands:
             yield f"fixture/{name}/{command}", [command, "--fixture", name], None
-    for tag in TAGS:
+    for tag in tags:
         yield f"atlas/{tag}", ["atlas", "--tag", tag], None
     wl = _workloads()
     for range_name, u_range in (("timed", wl.U_RANGE), ("census", wl.CENSUS_U_RANGE)):
@@ -102,10 +110,11 @@ def run_tree(src: str) -> None:
     sys.path.insert(0, src)
     import quadcone.cli
     from quadcone.fixtures import FIXTURES
+    from quadcone.normalform import TAGS
 
     if not os.path.abspath(quadcone.cli.__file__).startswith(os.path.abspath(src) + os.sep):
         raise RuntimeError(f"imported quadcone from {quadcone.cli.__file__}, not from {src}")
-    for name, argv, text in inputs(FIXTURES):
+    for name, argv, text in inputs(FIXTURES, TAGS):
         out, err = io.StringIO(), io.StringIO()
         saved = sys.stdin
         sys.stdin = io.StringIO(text or "")

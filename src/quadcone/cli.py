@@ -401,6 +401,8 @@ def _emit(report: dict, code: int) -> int:
 
 def _load_spec(args) -> ConeSpec:
     if args.fixture:
+        if args.input is not None:
+            raise SchemaError("--fixture", f"takes no input path, got {args.input!r}")
         return ConeSpec(cone=FIXTURES[args.fixture](), s_adjustment=0.0, h_adjustment=0.0)
     if args.input == "-" or args.input is None:
         text = sys.stdin.read()

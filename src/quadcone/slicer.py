@@ -27,7 +27,6 @@ exactly before being reported.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -97,11 +96,10 @@ class TwoSidedForm:
     certified: bool = False
 
 
-def restrict(cone: QuadraticCone, slc: Slice) -> QuadraticCone:
-    """The cone M intersected with span(basis), as a cone in C^2."""
-    B = slc.basis
-    if B.shape != (cone.n, 2):
-        raise DegenerateBasis(f"basis must be {cone.n} x 2")
+def restrict(cone: QuadraticCone, B: np.ndarray) -> QuadraticCone:
+    """The cone M pulled back through an n x m basis B, a cone in C^m (M on span(B))."""
+    if B.ndim != 2 or B.shape[0] != cone.n:
+        raise ConeError(f"basis must be {cone.n} x m, got {B.shape}")
     S = B.T @ cone.S @ B
     H = B.conj().T @ cone.H @ B
     return QuadraticCone._symmetrized(S, H)
@@ -148,31 +146,9 @@ def _embed_zprime(n: int, v) -> np.ndarray:
     return out
 
 
-def _slices(family):
-    """A candidate family that yields (basis, description) pairs, as a generator of Slices.
-
-    A pair whose basis fails Slice's Gram test is skipped: one dependent
-    candidate rules out itself, not the rest of the search.
-    """
-
-    @functools.wraps(family)
-    def slices(cone0: QuadraticCone):
-        for basis, description in family(cone0):
-            try:
-                slc = Slice(basis, description)
-            except DegenerateBasis:
-                continue
-            yield slc
-
-    return slices
-
-
-@_slices
-def _pi2_candidates(cone0: QuadraticCone):
+def _pi2_candidates(W: np.ndarray, S1: np.ndarray, pi: int, nu: int):
     """Axis slice plus det-criterion-filtered shears, hermitian part (pi>=2)."""
-    n = cone0.n
-    W, S1 = normalize_hermitian(cone0)
-    pi, nu = hermitian_signature(cone0).as_tuple()
+    n = len(W)
     flags = [1] * pi + [-1] * nu + [0] * (n - pi - nu)  # W^* H W = diag(flags)
     tak = takagi2(S1[:2, :2])
     U = np.eye(n, dtype=complex)
@@ -205,10 +181,8 @@ def _dual_vectors(L: np.ndarray):
     return sol[:, 0], sol[:, 1]
 
 
-@_slices
-def _oneone_candidates(cone0: QuadraticCone):
-    n = cone0.n
-    W, S1 = normalize_hermitian(cone0)
+def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
+    n = len(W)
     scale = max(mat_norm(S1), 1e-300)
     St = S1[:2, :2]
     L = S1[:2, 2:]
@@ -327,10 +301,8 @@ def _quadratic_support_probes(Qp: np.ndarray):
     return probes[:8] if probes else []
 
 
-@_slices
-def _onezero_candidates(cone0: QuadraticCone):
-    n = cone0.n
-    W, S1 = normalize_hermitian(cone0)
+def _onezero_candidates(W: np.ndarray, S1: np.ndarray):
+    n = len(W)
     Qp = S1[1:, 1:]
     if mat_norm(Qp) <= Q_ZERO_REL * max(mat_norm(S1), 1e-300):
         return  # {z1 = 0} lies inside the cone: non-minimal
@@ -341,25 +313,37 @@ def _onezero_candidates(cone0: QuadraticCone):
 
 
 def _structured_candidates(cone0: QuadraticCone):
-    sig = hermitian_signature(cone0)
-    if sig.pi >= 2:
-        yield from _pi2_candidates(cone0)
-    elif (sig.pi, sig.nu) == (1, 1):
-        yield from _oneone_candidates(cone0)
-    elif (sig.pi, sig.nu) == (1, 0):
-        yield from _onezero_candidates(cone0)
-    # (0, 0): a harmonic-only cone has two-sided support; no candidates
+    """cone0's candidate Slices (pi >= nu), from the family its hermitian signature picks.
+
+    A family yields (basis, description) pairs in the frame of normalize_hermitian;
+    a dependent basis is skipped, not the rest of the search.
+    """
+    pi, nu = hermitian_signature(cone0).as_tuple()
+    if pi == 0:
+        return  # (0, 0): a harmonic-only cone has two-sided support; no candidates
+    W, S1 = normalize_hermitian(cone0)
+    if pi >= 2:
+        pairs = _pi2_candidates(W, S1, pi, nu)
+    elif nu == 1:
+        pairs = _oneone_candidates(W, S1)
+    else:
+        pairs = _onezero_candidates(W, S1)
+    for basis, description in pairs:
+        try:
+            yield Slice(basis, description)
+        except DegenerateBasis:
+            continue
 
 
 def _try_slice(cone: QuadraticCone, slc: Slice) -> SliceResult | None:
     try:
-        restricted = restrict(cone, slc)
+        restricted = restrict(cone, slc.basis)
         # a restricted cone of rounding size (an inert plane, say) shows no side:
         # its disc margins would be measured against rounding noise
         if restricted.scale <= Q_ZERO_REL * cone.scale * mat_norm(slc.basis) ** 2:
             return None
         cls = classify2(restricted)
-    except (DegenerateBasis, ConeError):
+    except ConeError:
         return None
     if isinstance(cls, DegeneracyReport):
         if cls.reason not in ("PointCone", "DimensionDeficient"):
@@ -449,9 +433,8 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     kdim = int(np.sum(sv <= 1e-9 * max(sv[0], 1e-300)))
     if kdim == n - 2:
         Bc = vh[:2].conj().T  # orthonormal, so rho_factor(Bc^H z) = rho(Bc Bc^H z)
-        factor = restrict(cone, Slice(Bc, "product factor"))
-        P = Bc.conj().T
-        model = QuadraticCone._symmetrized(P.T @ factor.S @ P, P.conj().T @ factor.H @ P)
+        factor = restrict(cone, Bc)
+        model = restrict(factor, Bc.conj().T)
         resid = form_distance(cone, model)
         if resid <= FIT_VERIFY_REL * scale:
             inner = classify2(factor)
@@ -480,8 +463,6 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
 
 def _factor_two_sided(inner: NormalFormResult | DegeneracyReport, factor: QuadraticCone) -> bool:
     """Whether a product's C^2 factor has two-sided support, with its supporting lines verified."""
-    if not isinstance(inner, NormalFormResult):
-        return False
     try:
         return decide2(inner, factor).outcome == "two_sided"
     except VerificationFailed:

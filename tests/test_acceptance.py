@@ -23,6 +23,7 @@ from quadcone.decider import (
 )
 from quadcone.fixtures import example_m as example_m_cone
 from quadcone.normalform import (
+    TAGS,
     NormalFormType,
     apply_change,
     classify2,
@@ -44,8 +45,6 @@ from quadcone.reduction import (
     takagi2,
 )
 from quadcone.slicer import classify_two_sided_nd, find_good_slice
-
-TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 
 
 def _report(num, label, elapsed, limit):
@@ -283,11 +282,12 @@ def test_criterion_7_slicer_suite():
         assert rep.min_margin > 0 and rep.touch_residual > 0, name
     # the independent-coupling fixture uses the documented slice with
     # det S* = 3 and det P = -1
+    from quadcone.normalform import normalize_hermitian
     from quadcone.slicer import _oneone_candidates, restrict
     from quadcone.quadform import canonical_sign
 
     cone0, _ = canonical_sign(fx.slice_oneone_r_independent())
-    first = next(iter(_oneone_candidates(cone0)))
+    first, _ = next(iter(_oneone_candidates(*normalize_hermitian(cone0))))
     got = restrict(cone0, first)
     assert abs(np.linalg.det(got.S) - 3.0) <= 1e-9
     assert abs(np.linalg.det(got.S.real) + 1.0) <= 1e-9

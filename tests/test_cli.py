@@ -227,6 +227,17 @@ def test_cmd_classify_zero_cone_exit_degenerate(capsys):
     assert report["classification"]["degenerate"]["reason"] == "DimensionDeficient"
 
 
+def test_cmd_decide_zero_harmonic_part_is_m11_1_at_the_origin(capsys):
+    # rho = Im(z1 conj(z2)): S = 0 against the hermitian frame is M11_1 with
+    # A = B = 0, which contains complex lines and is two-sided
+    spec = '{"n":2,"S":[[0,0],[0,0]],"H":[[0,{"re":0,"im":0.5}],[{"re":0,"im":-0.5},0]]}'
+    code, report = run_cli_stdin(capsys, spec, ["decide", "-"])
+    assert code == EXIT_OK
+    assert report["classification"]["normal_form"] == {"tag": "M11_1", "A": 0.0, "B": 0.0}
+    assert report["verdict"]["outcome"] == "two_sided"
+    assert report["verdict"]["witness"]["kind"] == "nonminimal"
+
+
 def test_cmd_classify_schema_error(capsys):
     import io, sys
 
@@ -246,6 +257,36 @@ def test_cmd_verify_fixture(capsys):
     )
     assert code == EXIT_OK
     assert report["verification"]["min_margin"] > 0
+
+
+def test_cmd_verify_degenerate_exit_code(capsys):
+    spec = '{"n": 2, "S": [[0, 0], [0, 0]], "H": [[1, 0], [0, 1]]}'
+    code, report = run_cli_stdin(capsys, spec, ["verify", "-"])
+    assert code == EXIT_DEGENERATE
+    assert report["classification"]["degenerate"]["reason"] == "PointCone"
+    assert "verdict" not in report and "verification" not in report
+
+
+@pytest.mark.parametrize(
+    "command, fixture, error",
+    [
+        ("classify", "slice_pi2_axis", "classify handles n = 2; use the slice command for n >= 3"),
+        ("decide", "slice_pi2_axis", "decide handles n = 2; use the slice command for n >= 3"),
+        ("verify", "slice_pi2_axis", "verify handles n = 2; use the slice command for n >= 3"),
+        ("slice", "m20", "slice handles n >= 3; use classify/decide for n = 2"),
+    ],
+)
+def test_a_cone_of_the_wrong_dimension_exits_schema(capsys, command, fixture, error):
+    code, report = run_cli(capsys, [command, "--fixture", fixture])
+    assert code == EXIT_SCHEMA
+    assert report["error"] == error
+    assert "classification" not in report and "slice" not in report
+
+
+@pytest.mark.parametrize("path", ["does_not_exist.json", "-"])
+def test_fixture_with_an_input_path_exits_schema(capsys, path):
+    report = assert_schema_exit(capsys, ["decide", "--fixture", "m20", path], "--fixture")
+    assert repr(path) in report["error"]["message"]
 
 
 def test_cmd_verify_csv(tmp_path, capsys):
@@ -532,6 +573,23 @@ def test_cmd_atlas_matches_decision_table(capsys):
         a, b = cell["params"]["A"], cell["params"]["B"]
         expect_two = (b <= a <= 1.0) or (a == b)
         assert (cell["outcome"] == "two_sided") == expect_two, cell
+
+
+def test_cmd_atlas_csv_has_one_row_per_cell(tmp_path, capsys):
+    import csv
+
+    csv_path = tmp_path / "atlas.csv"
+    argv = ["atlas", "--tag", "M11_1", "--grid", "0.5,1.5", "--csv", str(csv_path)]
+    code, report = run_cli(capsys, argv)
+    assert code == EXIT_OK and report["csv"] == str(csv_path)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["tag", "params", "outcome", "side_or_kind"]
+    cells = report["atlas"]["cells"]
+    assert len(rows) == len(cells) == 3
+    for row, cell in zip(rows, cells):
+        assert row[0] == "M11_1" and json.loads(row[1]) == cell["params"]
+        assert row[2:] == [cell["outcome"], str(cell.get("side", cell.get("witness_kind")))]
 
 
 def test_cmd_atlas_cross_check_decide(capsys):

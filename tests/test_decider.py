@@ -23,6 +23,7 @@ from quadcone.decider import (
 )
 from quadcone.fixtures import example_m as example_m_cone
 from quadcone.normalform import (
+    TAGS,
     DegeneracyReport,
     NormalFormResult,
     NormalFormType,
@@ -96,7 +97,7 @@ def test_verdict_table_bijection():
     rng = np.random.default_rng(61)
     cases = []
     for _ in range(200):
-        tag = rng.choice(["M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1"])
+        tag = rng.choice(TAGS)
         if tag == "M20":
             A = rng.uniform(1.01, 4)
             ntype = NormalFormType(tag, a=A, b=rng.uniform(0, A))

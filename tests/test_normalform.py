@@ -27,6 +27,8 @@ from quadcone.normalform import (
 from quadcone.quadform import ConeError, QuadraticCone, evaluate, evaluate_many
 from quadcone.reduction import E_HERM
 
+# the one literal copy of the table's tags: the other tests and scripts read
+# normalform.TAGS, and the TAGS.index seeds below rely on this order
 TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 
 
@@ -76,6 +78,12 @@ def test_type_ranges_enforced():
         NormalFormType("M10_1", a=-0.5)
     with pytest.raises(ConeError):
         NormalFormType("M00_1", a=1.0)
+
+
+def test_tags_are_pinned():
+    from quadcone import normalform
+
+    assert normalform.TAGS == TAGS
 
 
 def test_render_matches_table():

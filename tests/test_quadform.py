@@ -113,7 +113,7 @@ def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
     cases = [
         (apply_change(cone, T, lam=2.5, sign=-1),
          checked(-2.5 * (T.T @ cone.S @ T), -2.5 * (T.conj().T @ cone.H @ T))),
-        (restrict(cone, Slice(B, "test")), checked(B.T @ cone.S @ B, B.conj().T @ cone.H @ B)),
+        (restrict(cone, B), checked(B.T @ cone.S @ B, B.conj().T @ cone.H @ B)),
         (cone.negated(), checked(-cone.S, -cone.H)),
     ]
     for built, reference in cases:

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from quadcone import cli
 from quadcone.fixtures import FIXTURES
-
-TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
+from quadcone.normalform import TAGS
 
 
 def reference(obj) -> str:

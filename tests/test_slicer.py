@@ -18,6 +18,7 @@ from quadcone.normalform import (
     render_cone,
 )
 from quadcone.quadform import (
+    ConeError,
     QuadraticCone,
     canonical_sign,
     evaluate_many,
@@ -32,6 +33,7 @@ from quadcone.slicer import (
     find_good_slice,
     restrict,
     _extension_margin,
+    _onezero_candidates,
     _pi2_candidates,
     _structured_candidates,
     _try_slice,
@@ -74,7 +76,7 @@ def test_restrict_axis_recovers_example_m():
     H = np.diag([1.0, -1.0, 1.0])
     cone = QuadraticCone(S, H)
     basis = np.eye(3, dtype=complex)[:, :2]
-    got = restrict(cone, Slice(basis, "axis"))
+    got = restrict(cone, basis)
     np.testing.assert_allclose(got.S, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
     np.testing.assert_allclose(got.H, np.diag([1.0, -1.0]), atol=1e-14)
 
@@ -93,7 +95,7 @@ def test_restrict_shear_coefficients():
     H = np.diag([1.0, 1.0, eps3])
     cone = QuadraticCone(S, H)
     basis = np.column_stack([np.array([1, 0, 0]), np.array([0, 1, al])]).astype(complex)
-    got = restrict(cone, Slice(basis, "shear"))
+    got = restrict(cone, basis)
     assert got.S[1, 1] == pytest.approx(1 + al * a23 + al**2 * b)
     assert got.H[1, 1] == pytest.approx(1 + eps3 * al**2)
     assert got.S[0, 1] == pytest.approx(c * al / 2)
@@ -107,8 +109,7 @@ def test_restrict_pointwise_identity():
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         cone = QuadraticCone((A + A.T) / 2, (B + B.conj().T) / 2)
         basis = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        slc = Slice(basis, "random")
-        got = restrict(cone, slc)
+        got = restrict(cone, basis)
         W = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
         np.testing.assert_allclose(
             evaluate_many(got, W),
@@ -125,8 +126,8 @@ def test_restrict_functoriality():
     cone = QuadraticCone((A + A.T) / 2, np.eye(n))
     B = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     M = random_gl(rng, 2)
-    once = restrict(cone, Slice(B @ M, "composed"))
-    twice = apply_change(restrict(cone, Slice(B, "outer")), M)
+    once = restrict(cone, B @ M)
+    twice = apply_change(restrict(cone, B), M)
     np.testing.assert_allclose(once.S, twice.S, atol=1e-10 * cone.scale)
     np.testing.assert_allclose(once.H, twice.H, atol=1e-10 * cone.scale)
 
@@ -139,6 +140,28 @@ def test_restrict_rejects_dependent_basis():
         with pytest.raises(DegenerateBasis):
             Slice(scale * np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), "zero column")
         Slice(scale * np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]]), "independent")
+
+
+def test_restrict_takes_any_number_of_columns():
+    # an n x m basis pulls the cone back to C^m, a hyperplane basis (m = n - 1) included
+    rng = np.random.default_rng(89)
+    n = 5
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    cone = QuadraticCone((A + A.T) / 2, (B + B.conj().T) / 2)
+    for m in range(1, n + 1):
+        basis = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        got = restrict(cone, basis)
+        assert got.n == m
+        W = rng.standard_normal((50, m)) + 1j * rng.standard_normal((50, m))
+        np.testing.assert_allclose(
+            evaluate_many(got, W),
+            evaluate_many(cone, W @ basis.T),
+            atol=1e-9 * cone.scale * np.max(np.linalg.norm(W @ basis.T, axis=1)) ** 2,
+        )
+    for bad in (np.eye(n + 1, 2), np.eye(n - 1, 2), np.ones(n)):
+        with pytest.raises(ConeError, match="basis must be"):
+            restrict(cone, bad)
 
 
 # --- the extension criterion (_extension_margin) ------------------------------------------------
@@ -257,9 +280,9 @@ def test_independent_coupling_slice_values():
 
     cone = fx.slice_oneone_r_independent()
     cone0, _ = canonical_sign(cone)
-    cands = list(_oneone_candidates(cone0))
+    cands = list(_oneone_candidates(*normalize_hermitian(cone0)))
     assert cands, "generator produced no candidates"
-    got = restrict(cone, cands[0])
+    got = restrict(cone, cands[0][0])
     d = np.linalg.det(got.S)
     assert d == pytest.approx(3.0, abs=1e-9)
     assert np.linalg.det(got.S.real) == pytest.approx(-1.0, abs=1e-9)
@@ -277,9 +300,9 @@ def test_dual_slices_have_determinant_two(name):
     from quadcone.reduction import E_HERM
 
     cone0, _ = canonical_sign(fx.FIXTURES[name]())
-    slc = next(_oneone_candidates(cone0))
-    assert slc.description.startswith("dual slice"), slc.description
-    got = restrict(cone0, slc)
+    basis, description = next(_oneone_candidates(*normalize_hermitian(cone0)))
+    assert description.startswith("dual slice"), description
+    got = restrict(cone0, basis)
     np.testing.assert_allclose(got.H, E_HERM, atol=1e-12)
     assert np.linalg.det(got.S) == pytest.approx(2.0, abs=1e-9)
     assert _extension_margin(got.S) > 0
@@ -293,7 +316,7 @@ def test_pi2_shear_candidates_verify_without_axis():
     for make in (fx.slice_pi2_shear_a, fx.slice_pi2_shear_c, fx.slice_pi2_shear_b):
         cone = make()
         cone0, _ = canonical_sign(cone)
-        gen = _pi2_candidates(cone0)
+        gen = _structured_candidates(cone0)  # the pi >= 2 family
         next(gen)  # drop the axis candidate
         found = False
         for _ in range(40):
@@ -332,6 +355,24 @@ def test_two_sided_product_with_one_sided_factor_is_not_certified():
     form = classify_two_sided_nd(fx.slice_oneone_r0_onesided())
     assert form.kind == "product" and not form.certified
     assert find_good_slice(fx.slice_oneone_r0_onesided()) is not None
+
+
+def test_two_sided_product_with_a_degenerate_factor_is_not_certified():
+    # rho = |z1|^2 + |z2|^2 does not depend on z3, and its C^2 factor is definite
+    form = classify_two_sided_nd(QuadraticCone(np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])))
+    assert form.kind == "product" and not form.certified
+    assert isinstance(form.inner, DegeneracyReport) and form.inner.reason == "PointCone"
+
+
+def test_two_sided_product_whose_factor_fails_its_line_check_is_not_certified():
+    # M11_1 with A = 1 + 5e-10 lies in decide2's A = 1 band, so it decides
+    # two-sided, but its supporting line {z2 = 0} dips below the cone
+    S, H = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    base = render_cone(NormalFormType("M11_1", a=1.0 + 5e-10, b=0.5))
+    S[:2, :2], H[:2, :2] = base.S, base.H
+    form = classify_two_sided_nd(QuadraticCone(S, H))
+    assert form.kind == "product" and not form.certified
+    assert form.inner.tag == "M11_1"
 
 
 def test_two_sided_ts1():
@@ -477,6 +518,26 @@ def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatc
     assert _try_slice(cone, slc) is None
 
 
+@pytest.mark.parametrize("outcome", ["raises", "reducible"])
+def test_try_slice_rejects_a_restricted_cone_that_does_not_classify(monkeypatch, outcome):
+    # the axis plane of |z|^2 is a definite slice; a classification that
+    # raises, or a degeneracy other than a point cone or a dimension
+    # deficiency, rejects it whatever the real signature of the plane
+    import quadcone.slicer as slicer
+
+    cone = QuadraticCone(np.zeros((3, 3)), np.eye(3))
+    slc = Slice(np.eye(3, 2, dtype=complex), "axis")
+    assert _try_slice(cone, slc) is not None
+
+    def classify(restricted):
+        if outcome == "raises":
+            raise ConeError("not classified")
+        return DegeneracyReport("Reducible", "rho factors into two real linear forms")
+
+    monkeypatch.setattr(slicer, "classify2", classify)
+    assert _try_slice(cone, slc) is None
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_try_slice_rejects_a_restricted_cone_of_rounding_size(scale):
     # example M plus an inert C^2, moved by a GL(4, C) change T: on the inert
@@ -540,7 +601,20 @@ def test_slicer_frame_flags_follow_the_hermitian_signature():
     W, _ = normalize_hermitian(cone)
     np.testing.assert_allclose(W.conj().T @ cone.H @ W, np.diag([1.0] * 9 + [-1.0]), atol=1e-12)
     # z10 has no harmonic coupling: only a nonzero flag makes its shears candidates
-    assert any("z10 = a" in slc.description for slc in _pi2_candidates(cone))
+    pairs = _pi2_candidates(*normalize_hermitian(cone), 9, 1)
+    assert any("z10 = a" in description for _, description in pairs)
+
+
+@pytest.mark.parametrize("s22", [0.0, 1e-12])
+def test_onezero_cone_containing_a_coordinate_plane_has_no_candidates(s22):
+    # hermitian signature (1,0) with the z' block of S below Q_ZERO_REL of S:
+    # {z1 = 0} lies in the cone (up to rounding), which is non-minimal, so no
+    # slice through the support of that block is tried
+    S = np.array([[1.0, 0.5, 0.0], [0.5, s22, 0.0], [0.0, 0.0, 0.0]])
+    cone = QuadraticCone(S, np.diag([1.0, 0.0, 0.0]))
+    assert hermitian_signature(cone).as_tuple() == (1, 0)
+    assert list(_onezero_candidates(*normalize_hermitian(cone))) == []
+    assert find_good_slice(cone) is None
 
 
 @pytest.mark.parametrize(
@@ -561,15 +635,15 @@ def test_a_dependent_candidate_basis_is_skipped(monkeypatch, family, name):
     cone = fx.FIXTURES[name]()
     want = find_good_slice(cone)
     assert want is not None, name
-    raw = getattr(slicer, family).__wrapped__
+    raw = getattr(slicer, family)
     dependent = np.ones((cone.n, 2), dtype=complex)
     calls = []
 
-    def with_dependent_first(cone0):
-        calls.append(cone0)
-        return chain([(dependent, "dependent")], raw(cone0))
+    def with_dependent_first(*frame):
+        calls.append(frame)
+        return chain([(dependent, "dependent")], raw(*frame))
 
-    monkeypatch.setattr(slicer, family, slicer._slices(with_dependent_first))
+    monkeypatch.setattr(slicer, family, with_dependent_first)
     got = find_good_slice(cone)
     assert calls, f"{name} does not reach {family}"
     assert got is not None, name
