@@ -44,6 +44,7 @@ from .decider import (
     _germ_points,
     decide2,
     jump_demo,
+    normal_frame_verdict,
     verify_discs,
     verify_support,
 )
@@ -52,7 +53,6 @@ from .normalform import (
     RESIDUAL_REL,
     TAGS,
     DegeneracyReport,
-    NormalFormResult,
     NormalFormType,
     classify2,
     real_degeneracy,
@@ -394,11 +394,6 @@ def report_text(obj) -> str:
     return "".join(out)
 
 
-def _emit(report: dict, code: int) -> int:
-    print(report_text(report))
-    return code
-
-
 def _load_spec(args) -> ConeSpec:
     if args.fixture:
         if args.input is not None:
@@ -414,21 +409,28 @@ def _load_spec(args) -> ConeSpec:
 
 def _done(report: dict, t0: float, code: int) -> int:
     report["timings"]["total_s"] = time.perf_counter() - t0
-    return _emit(report, code)
+    print(report_text(report))
+    return code
 
 
-def _classified(command: str, args):
-    """The shared start of classify, decide and verify: (t0, spec, report, classification).
+def _started(command: str, args):
+    """The shared start of classify, decide, verify and slice: (t0, spec, report).
 
-    The classification is None, and the report carries the error, when the
-    cone is not in C^2.
+    A cone of the wrong dimension for the command is a schema error.
     """
     t0 = time.perf_counter()
     spec = _load_spec(args)
-    report = _base_report(command, args, spec)
-    if spec.cone.n != 2:
-        report["error"] = f"{command} handles n = 2; use the slice command for n >= 3"
-        return t0, spec, report, None
+    if command == "slice":
+        if spec.cone.n < 3:
+            raise SchemaError("n", "slice handles n >= 3; use classify/decide for n = 2")
+    elif spec.cone.n != 2:
+        raise SchemaError("n", f"{command} handles n = 2; use the slice command for n >= 3")
+    return t0, spec, _base_report(command, args, spec)
+
+
+def _classified(command: str, args):
+    """_started, then classify2: (t0, spec, report, classification)."""
+    t0, spec, report = _started(command, args)
     res = classify2(spec.cone)
     report["classification"] = _classification_json(res)
     return t0, spec, report, res
@@ -436,15 +438,11 @@ def _classified(command: str, args):
 
 def cmd_classify(args) -> int:
     t0, _, report, res = _classified("classify", args)
-    if res is None:
-        return _emit(report, EXIT_SCHEMA)
     return _done(report, t0, EXIT_DEGENERATE if isinstance(res, DegeneracyReport) else EXIT_OK)
 
 
 def cmd_decide(args) -> int:
     t0, spec, report, res = _classified("decide", args)
-    if res is None:
-        return _emit(report, EXIT_SCHEMA)
     try:
         verdict = decide2(res, spec.cone)
     except VerificationFailed as exc:
@@ -463,8 +461,6 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 def cmd_verify(args) -> int:
     t0, spec, report, res = _classified("verify", args)
-    if res is None:
-        return _emit(report, EXIT_SCHEMA)
     if isinstance(res, DegeneracyReport):
         return _done(report, t0, EXIT_DEGENERATE)
     try:
@@ -512,12 +508,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load_spec(args)
-    report = _base_report("slice", args, spec)
-    if spec.cone.n < 3:
-        report["error"] = "slice handles n >= 3; use classify/decide for n = 2"
-        return _emit(report, EXIT_SCHEMA)
+    t0, spec, report = _started("slice", args)
     degenerate = real_degeneracy(spec.cone)
     if degenerate is not None:
         report["classification"] = _classification_json(degenerate)
@@ -592,21 +583,17 @@ def cmd_atlas(args) -> int:
     grid = args.grid
     rows = []
     for ntype in _atlas_types(args.tag, grid):
-        res = NormalFormResult(
-            ntype=ntype, T=np.eye(2, dtype=complex), lam=1.0, sign=1, residual=0.0
-        )
         row = {"params": _ntype_json(ntype)}
         rows.append(row)
+        verdict = normal_frame_verdict(ntype)
+        if verdict.outcome == "one_sided":
+            row.update(outcome="one_sided", side=verdict.side)
+            continue
         try:
-            verdict = decide2(res, render_cone(ntype))
+            verify_support(render_cone(ntype), verdict.witness)
+            row.update(outcome="two_sided", witness_kind=verdict.witness.kind)
         except VerificationFailed as exc:  # one cell's supporting line fails, not the table
             row.update(outcome="verification_failed", failed=str(exc))
-            continue
-        row["outcome"] = verdict.outcome
-        if verdict.outcome == "one_sided":
-            row["side"] = verdict.side
-        else:
-            row["witness_kind"] = verdict.witness.kind
     report["atlas"] = {"tag": args.tag, "grid": grid, "cells": rows}
     if args.csv:
         cells = [

@@ -430,14 +430,9 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
             "(the cone contains a complex line and is non-minimal)",
         )
 
-    # det S ~ 0: S has rank <= 1
+    # det S ~ 0: S has rank <= 1, and a diagonal entry is far from 0 (were both
+    # below 1e-12 ||S||, |det S| would be about ||S||^2 / 2)
     j = int(np.argmax(np.abs(np.diag(S1))))
-    if abs(S1[j, j]) <= 1e-12 * ns:
-        # both diagonal entries vanish but S != 0 would force rank 2
-        return DegeneracyReport(
-            "UnclassifiedBoundary",
-            "rank analysis of the harmonic part failed at the det S = 0 boundary",
-        )
     w = S1[:, j] / np.sqrt(S1[j, j])
     u, v = w.real, w.imag
     d = u[0] * v[1] - u[1] * v[0]

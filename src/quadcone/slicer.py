@@ -338,10 +338,6 @@ def _structured_candidates(cone0: QuadraticCone):
 def _try_slice(cone: QuadraticCone, slc: Slice) -> SliceResult | None:
     try:
         restricted = restrict(cone, slc.basis)
-        # a restricted cone of rounding size (an inert plane, say) shows no side:
-        # its disc margins would be measured against rounding noise
-        if restricted.scale <= Q_ZERO_REL * cone.scale * mat_norm(slc.basis) ** 2:
-            return None
         cls = classify2(restricted)
     except ConeError:
         return None

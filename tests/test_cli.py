@@ -277,10 +277,8 @@ def test_cmd_verify_degenerate_exit_code(capsys):
     ],
 )
 def test_a_cone_of_the_wrong_dimension_exits_schema(capsys, command, fixture, error):
-    code, report = run_cli(capsys, [command, "--fixture", fixture])
-    assert code == EXIT_SCHEMA
-    assert report["error"] == error
-    assert "classification" not in report and "slice" not in report
+    report = assert_schema_exit(capsys, [command, "--fixture", fixture], "n")
+    assert report == {"error": {"kind": "schema", "message": "n: " + error}}
 
 
 @pytest.mark.parametrize("path", ["does_not_exist.json", "-"])
@@ -364,6 +362,30 @@ def test_cmd_slice_large_scale_two_sided_product_gets_no_slice(capsys, tag, S2, 
     assert report["slice"] is None
     assert report["two_sided_form"]["kind"] == "product"
     assert report["two_sided_form"]["inner"]["normal_form"]["tag"] == tag
+
+
+@pytest.mark.parametrize(
+    "S, H",
+    [
+        (
+            np.diag([8.266e15, -3.944e5 - 1.791e5j, 0, 5.616e6 - 1.226e5j, 0, 6.905e13 - 4.65e13j]),
+            np.diag([0.1756, 2.753, 2.554, -8.773, -0.3132, -1.295]),
+        ),
+        (
+            np.diag([-33.6 + 13.92j, 3.222e5 + 1.105e5j, 0, -6.423e4 + 2.979e4j, 115.7 - 395.9j, 2.036e14]),
+            np.diag([4.759, 0.1619, 1.779, 1.032, 2.922, 0.0]),
+        ),
+    ],
+)
+def test_cmd_slice_certifies_the_axis_slice_of_a_spread_harmonic_part(capsys, S, H):
+    # harmonic coefficients spread over 1e10 and more: the axis plane restricts
+    # the cone to below 1e-10 of its scale, and the discs certified on the
+    # input itself show it one-sided
+    code, report = run_slice_stdin(capsys, S, H, [])
+    assert code == EXIT_OK
+    assert report["slice"]["description"] == "axis slice z_j = 0, j = 3..n"
+    assert report["slice"]["verdict"]["outcome"] == "one_sided"
+    assert report["slice"]["disc_verification"]["min_margin"] > 0
 
 
 def test_cmd_slice_unknown_exit_code(capsys):

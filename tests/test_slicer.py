@@ -258,6 +258,16 @@ def test_find_good_slice_at_extreme_scales(name, scale):
     assert rep.min_margin > 0 and rep.touch_residual > 0
 
 
+@pytest.mark.parametrize("k", range(10, 17))
+def test_find_good_slice_takes_the_axis_slice_beside_a_large_harmonic_term(k):
+    # rho = |z|^2 + 10^k Re(z3^2): the axis plane restricts it to |w|^2 exactly,
+    # 10^-k of the cone's scale, and the discs certified on the input decide it
+    cone = QuadraticCone(np.diag([0.0, 0.0, 10.0**k]).astype(complex), np.eye(3, dtype=complex))
+    res = find_good_slice(cone)
+    assert res is not None and res.slice.description == "axis slice z_j = 0, j = 3..n"
+    assert res.disc_report.min_margin > 0
+
+
 def test_find_good_slice_transformed_fixture():
     rng = np.random.default_rng(97)
     cone = fx.slice_oneone_r_z1z3()
@@ -538,26 +548,27 @@ def test_try_slice_rejects_a_restricted_cone_that_does_not_classify(monkeypatch,
     assert _try_slice(cone, slc) is None
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-6, 1.0, 1e6, 1e150, 1e300])
 def test_try_slice_rejects_a_restricted_cone_of_rounding_size(scale):
-    # example M plus an inert C^2, moved by a GL(4, C) change T: on the inert
-    # plane inv(T)[:, 2:4] the restricted cone is rounding noise (about 1e-17
-    # relative) and must not pass as a one-sided slice
-    S = scale * np.diag([0.5, 1.0 / 3.0, 0.0, 0.0])
-    cone = QuadraticCone(S, scale * np.diag([1.0, -1.0, 0.0, 0.0]))
-    for s in range(40):
-        rng = np.random.default_rng(s)
-        T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        slc = Slice(np.linalg.inv(T)[:, 2:4], "inert plane")
-        moved = apply_change(cone, T)
-        assert _try_slice(moved, slc) is None
+    # example M plus an inert C^(n-2), moved by a GL(n, C) change T: on the
+    # inert plane inv(T)[:, 2:4] the restricted cone is rounding noise (about
+    # 1e-17 relative) and must not pass as a one-sided slice
+    for n in range(4, 9):
+        S = scale * np.diag([0.5, 1.0 / 3.0] + [0.0] * (n - 2))
+        cone = QuadraticCone(S, scale * np.diag([1.0, -1.0] + [0.0] * (n - 2)))
+        for s in range(40):
+            rng = np.random.default_rng(s)
+            T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            slc = Slice(np.linalg.inv(T)[:, 2:4], "inert plane")
+            moved = apply_change(cone, T)
+            assert _try_slice(moved, slc) is None, (n, s)
 
 
 def test_try_slice_rejects_a_slice_whose_hermitian_part_is_rounding_noise():
     # on the plane inv(T)[:, :2] the cone is Re(2e-8 w1^2 + 0.5e-8 w2^2) plus a
     # hermitian part of 1e-17, below the rounding of the moved cone's entries:
-    # the restricted cone passes the rounding-size filter, but its Levi form,
-    # and so its side, is noise.  The discs are certified on the input itself,
+    # the restricted cone is not of rounding size, but its Levi form, and so
+    # its side, is noise.  The discs are certified on the input itself,
     # whose rounding allowance covers that hermitian part.
     cone = QuadraticCone(np.diag([2e-8, 0.5e-8, 1.0]), np.diag([1e-17, 1e-17, 1.0]))
     for s in range(40):
