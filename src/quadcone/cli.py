@@ -17,7 +17,7 @@ Matrix entries are {"re": r, "im": i} objects (missing keys are 0) or bare
 numbers.  Polynomial variables are x1..xn, y1..yn; every monomial must
 have total degree two and a real coefficient.  Symmetrization is applied
 to S/H and the adjustment magnitude echoed in the report; a non-finite
-entry, given or produced by symmetrization, is a schema error.
+entry is a schema error.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .decider import (
     SUPPORT_TOL_REL,
     Verdict,
     VerificationFailed,
-    _disc_points,
-    _germ_points,
     decide2,
     jump_demo,
     normal_frame_verdict,
@@ -196,8 +194,10 @@ def parse_spec(text: str) -> ConeSpec:
     H = _parse_matrix(data["H"], n, "H")
     s_adj = float(np.linalg.norm(S - S.T) / 2)
     h_adj = float(np.linalg.norm(H - H.conj().T) / 2)
-    S = 0.5 * (S + S.T)
-    H = 0.5 * (H + H.conj().T)
+    S = 0.5 * S  # halves first, so a finite S stays finite
+    S = S + S.T
+    H = 0.5 * H
+    H = H + H.conj().T
     _require_finite(S, "S")
     _require_finite(H, "H")
     # S and H are exactly symmetric / hermitian now, so the checked
@@ -285,8 +285,6 @@ def _base_report(command: str, args, spec: ConeSpec | None) -> dict:
     report = {
         "tool": {"name": "quadcone", "version": __version__},
         "command": command,
-        "seed": getattr(args, "seed", None),
-        "samples": getattr(args, "samples", None),
         "tolerances": {
             "support_rel": SUPPORT_TOL_REL,
             "eigenvalue_zero_rel": ZERO_EIG_REL,
@@ -486,21 +484,14 @@ def cmd_verify(args) -> int:
         report["verification"] = {"failed": str(exc)}
         return _done(report, t0, EXIT_VERIFICATION)
     if args.csv:
-        # (eps, points) batches: seeded disc points per eps and at the boundary
-        # eps = 0, or seeded points on each supporting line
-        rng = np.random.default_rng(args.seed)
-        count = min(args.samples, 512)
-        if verdict.outcome == "one_sided":
-            fam = verdict.discs
-            batches = [(eps, fam.map_points(_disc_points(fam, float(eps), count, rng)))
-                       for eps in (*args.eps, 0.0)]
-        else:
-            batches = [(0.0, _germ_points(germ, count, rng))
-                       for germ in (verdict.witness.aplus, verdict.witness.aminus)]
+        # the checked points: one per disc D_eps, then eps = 0 on the limit
+        # disc's lines or on the supporting lines
+        eps = list(args.eps) if verdict.outcome == "one_sided" else []
+        eps += [0.0] * (rep.points_checked - len(eps))
+        Z = np.array(rep.points)
         rows = [
-            [eps, z[0].real, z[0].imag, z[1].real, z[1].imag, float(r)]
-            for eps, Z in batches
-            for z, r in zip(Z, evaluate_many(spec.cone, Z))
+            [e, z[0].real, z[0].imag, z[1].real, z[1].imag, float(r)]
+            for e, z, r in zip(eps, Z, evaluate_many(spec.cone, Z))
         ]
         _write_csv(args.csv, ["eps", "re_z1", "im_z1", "re_z2", "im_z2", "rho"], rows)
         report["csv"] = args.csv
@@ -544,6 +535,7 @@ def cmd_slice(args) -> int:
 def cmd_jump_demo(args) -> int:
     t0 = time.perf_counter()
     report = _base_report("jump-demo", args, None)
+    report["seed"], report["samples"] = args.seed, args.samples
     rep = jump_demo(seed=args.seed, samples=args.samples)
     report["jump"] = {
         "identity_residual": rep.identity_residual,
@@ -688,12 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", nargs="?", default=None, help="spec path or - for stdin")
-            p.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in cone by name")
-        p.add_argument("--seed", default=0)
-        p.add_argument("--samples", default=10_000)
+    def common(p):
+        p.add_argument("input", nargs="?", default=None, help="spec path or - for stdin")
+        p.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in cone by name")
 
     p = sub.add_parser("classify", help="normal form of a cone in C^2")
     common(p)
@@ -707,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eps", default=DEFAULT_EPS)
     p.add_argument("--tol-overrides", default=None)
-    p.add_argument("--csv", default=None, help="dump sampled points to CSV")
+    p.add_argument("--csv", default=None, help="write the checked points to CSV")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("slice", help="find a deciding 2-dimensional slice, n >= 3")
@@ -716,11 +705,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slice)
 
     p = sub.add_parser("jump-demo", help="jump decomposition on the motivating cone")
-    common(p, needs_input=False)
+    p.add_argument("--seed", default=0)
+    p.add_argument("--samples", default=10_000)
     p.set_defaults(func=cmd_jump_demo)
 
     p = sub.add_parser("atlas", help="sweep a normal-form row and tabulate verdicts")
-    common(p, needs_input=False)
     p.add_argument("--tag", required=True, choices=TAGS)
     p.add_argument("--grid", default=DEFAULT_GRID)
     p.add_argument("--csv", default=None)

@@ -122,18 +122,35 @@ class Verdict:
         return None if self.discs is None else self.discs.side
 
 
+def _point_tuple(Z) -> tuple:
+    """The rows of Z as a tuple of tuples of complex, so that reports compare by value."""
+    return tuple(map(tuple, np.asarray(Z, dtype=complex).tolist()))
+
+
 @dataclass(frozen=True)
 class DiscReport:
+    """Certified bounds of a disc family; points: one per eps of the grid, then one per limit-disc line."""
+
     min_margin: float
     touch_residual: float
-    points_checked: int
+    points: tuple
+
+    @property
+    def points_checked(self) -> int:
+        return len(self.points)
 
 
 @dataclass(frozen=True)
 class SupportReport:
+    """Exact line extremes; points: the maximum and minimum point of A+, then of A-."""
+
     plus_min: float
     minus_max: float
-    points_checked: int
+    points: tuple
+
+    @property
+    def points_checked(self) -> int:
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -143,54 +160,12 @@ class JumpReport:
     points_checked: int
 
 
-def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: float) -> np.ndarray:
-    """Points on {w^T c w = eps} with |w| <= radius, via a quadratic solve.
-
-    The coordinate with the larger diagonal coefficient is solved for given
-    polar samples of the other; degenerate leading coefficients fall back to
-    the linear root.
-    """
-    j = 0 if abs(c[0, 0]) >= abs(c[1, 1]) else 1  # the column solved for
-    a = c[j, j]
-    m = count
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, m))
-    free = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, m))
-    b = 2.0 * c[0, 1] * free
-    cc = c[1 - j, 1 - j] * free**2 - eps
-    if abs(a) > 1e-14:
-        sq = np.sqrt(b * b - 4.0 * a * cc)
-        W = np.empty((2, m, 2), dtype=complex)  # the + root's rows, then the - root's
-        W[:, :, 1 - j] = free
-        W[0, :, j] = (-b + sq) / (2 * a)
-        W[1, :, j] = (-b - sq) / (2 * a)
-        W = W.reshape(2 * m, 2)
-    else:
-        mask = np.abs(b) > 1e-14
-        W = np.empty((int(mask.sum()), 2), dtype=complex)
-        W[:, 1 - j] = free[mask]
-        W[:, j] = -cc[mask] / b[mask]
-    keep = np.linalg.norm(W, axis=1) <= radius
-    return W[keep]
-
-
 def _check_finite(vals: np.ndarray, Z: np.ndarray, what: str, eps: float | None = None) -> None:
     """Raise VerificationFailed at the first point of Z whose checked value is not finite."""
     bad = ~np.isfinite(vals)
     if bad.any():
         j = int(np.argmax(bad))
         raise VerificationFailed(f"{what}: rho is not finite at a checked point", eps=eps, z=Z[j])
-
-
-def _disc_points(fam: DiscFamily, eps: float, count: int, rng) -> np.ndarray:
-    if fam.kind == "level_set":
-        return _solve_level_points(fam.c, eps, count, rng, fam.radius)
-    if fam.kind == "affine_line":
-        w1 = fam.shift * eps
-        rmax = np.sqrt(max(fam.radius**2 - abs(w1) ** 2, 0.0))
-        r = rmax * np.sqrt(rng.uniform(0.0, 1.0, count))
-        w2 = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
-        return np.column_stack([np.full(count, w1), w2])
-    raise ConeError(f"unknown disc family kind {fam.kind!r}")
 
 
 def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, np.ndarray]:
@@ -299,9 +274,10 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
 
     Each bound comes with the point that attains it (or, for a multiplier
     bound, the eigenvector's point on D_eps); rho is evaluated there, the
-    value must be finite and at least the bound, and points_checked counts
-    these points.  Both bounds must be positive.  D_eps empty within the
-    radius (eps > sigma_max(c) radius^2 for a level set) fails as well.
+    value must be finite and at least the bound, and the report carries
+    these points in that order.  Both bounds must be positive.  D_eps empty
+    within the radius (eps > sigma_max(c) radius^2 for a level set) fails as
+    well.
     """
     if len(eps_grid) == 0:
         raise ConeError("eps_grid must be nonempty")
@@ -332,9 +308,11 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         raise ConeError("an affine-line family needs its normal-form model")
 
     min_margin = np.inf
+    disc_points = []
     for eps, (bound, w) in zip(eps_grid, minima):
         bound /= fam.lam
         z = fam.map_points(w[None, :])
+        disc_points.append(z[0])
         val = fam.side * evaluate_many(cone, z)
         _check_finite(val, z, f"disc at eps={eps}", eps=eps)
         if not bound <= val[0]:
@@ -377,14 +355,8 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     return DiscReport(
         min_margin=float(min_margin),
         touch_residual=float(bounds[j]),
-        points_checked=len(eps_grid) + len(Z),
+        points=_point_tuple(np.vstack([disc_points, Z])),
     )
-
-
-def _germ_points(germ: LinearGerm, count: int, rng) -> np.ndarray:
-    r = np.sqrt(rng.uniform(0.0, 1.0, count))
-    t = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
-    return np.outer(t, germ.span)
 
 
 def _line_extremes(cone: QuadraticCone, spans: np.ndarray) -> np.ndarray:
@@ -409,7 +381,7 @@ def verify_support(
     tolerance is the tol_rel band around zero (default 1e-12), so witnesses
     inside the cone itself (the non-minimal case) pass, and a non-minimal
     witness must keep |rho| within it.  A non-finite value fails as well.  A
-    failure carries its worst point as `z`.
+    failure carries its worst point as `z`; the report carries the four points.
     """
     scale = max(cone.scale, 1e-300)
     Z = _line_extremes(cone, np.array([witness.aplus.span, witness.aminus.span]))
@@ -430,7 +402,7 @@ def verify_support(
             raise VerificationFailed(
                 f"non-minimal witness leaves the cone (|rho| = {abs(vals[j]):.3e})", z=Z[j]
             )
-    return SupportReport(float(plus_min), float(minus_max), points_checked=len(Z))
+    return SupportReport(float(plus_min), float(minus_max), points=_point_tuple(Z))
 
 
 def _germ(coeffs, label: str) -> LinearGerm:

@@ -407,12 +407,12 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
         return NormalFormType("M11_1", a=0.0, b=0.0)
 
     detS = complex(np.linalg.det(S1))
-    if not _zero_test(margins, "m11_det_s", detS, DETS_ZERO_REL * ns**2):
+    if not _zero_test(margins, "m11_det_s", detS, DETS_ZERO_REL * (ns * ns)):
         theta = -0.25 * np.angle(detS)
         chain.push_T(np.exp(1j * theta) * np.eye(2))  # det S becomes |det S| > 0
         P = chain.S.real
         dp = float(np.linalg.det(P))
-        if not _zero_test(margins, "m11_det_p", dp, DETP_ZERO_REL * ns**2):
+        if not _zero_test(margins, "m11_det_p", dp, DETP_ZERO_REL * (ns * ns)):
             if dp > 0:
                 return _case_m11_2(chain)
             A, B = _case_m11_1(chain)

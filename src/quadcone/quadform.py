@@ -109,18 +109,21 @@ class QuadraticCone:
     def _symmetrized(cls, S, H) -> "QuadraticCone":
         """Cone from internally computed square complex S and H of equal size.
 
-        Applies the constructor's exact 0.5 (X + X^T) / 0.5 (X + X^H)
-        symmetrization and skips its tolerance checks.  For congruences and
+        Applies the constructor's exact symmetrization (X / 2 + (X / 2)^T,
+        and ^H for H) and skips its tolerance checks.  For congruences and
         scalings of a valid cone the asymmetry is rounding only, and the
-        result equals QuadraticCone(0.5 (S + S^T), 0.5 (H + H^H)) exactly.
+        result equals the constructor's on the same S and H exactly.
         """
         cone = object.__new__(cls)
         cone._store(S, H)
         return cone
 
     def _store(self, S, H):
-        S = 0.5 * (S + S.T)
-        H = 0.5 * (H + H.conj().T)
+        # halves first: the sum of two halves of finite entries cannot overflow
+        S = 0.5 * S
+        S = S + S.T
+        H = 0.5 * H
+        H = H + H.conj().T
         S.setflags(write=False)
         H.setflags(write=False)
         object.__setattr__(self, "n", S.shape[0])
@@ -259,7 +262,8 @@ def decompose_real_form(G) -> QuadraticCone:
         raise ConeError("real-form matrix must be square of even size")
     if mat_norm(G - G.T) > SYM_REL * max(mat_norm(G), 1e-300):
         raise NotSymmetric("real-form matrix is not symmetric")
-    G = 0.5 * (G + G.T)
+    G = 0.5 * G  # halves first, so a finite G stays finite
+    G = G + G.T
     n = m // 2
     Gxx, Gyy, Gxy = G[:n, :n], G[n:, n:], G[:n, n:]
     Sr = 0.5 * (Gxx - Gyy)

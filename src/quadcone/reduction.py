@@ -116,7 +116,7 @@ def sl2_reduce_sym(P) -> tuple[np.ndarray, np.ndarray]:
         R = R.copy()
         R[:, 1] = -R[:, 1]
     detP = float(mu[0] * mu[1])
-    thr = SL2_DET_ZERO_REL * npn**2
+    thr = SL2_DET_ZERO_REL * (npn * npn)
 
     def ordered(idx0, idx1):
         # permute eigenpairs keeping det(R) = +1
@@ -174,13 +174,13 @@ def so11_zero_diag(Q) -> tuple[np.ndarray, np.ndarray]:
     chosen (best conditioning of phi(tau)).
     """
     Q = np.asarray(Q, dtype=float)
-    nq = mat_norm(Q)
+    nq = max(mat_norm(Q), 1e-300)
     Q = 0.5 * (Q + Q.T)
     p, q, r = Q[0, 0], Q[0, 1], Q[1, 1]
     detQ = p * r - q * q
-    if detQ > SO11_DET_POS_REL * max(nq, 1e-300) ** 2:
+    if detQ > SO11_DET_POS_REL * (nq * nq):
         raise PositiveDeterminant(f"det Q = {detQ} > 0")
-    tiny = 1e-14 * max(nq, 1e-300)
+    tiny = 1e-14 * nq
 
     candidates: list[float] = []
     if abs(p) <= tiny or abs(r) <= tiny:

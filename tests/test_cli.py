@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quadcone.cli import (
+    DEFAULT_EPS,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -17,7 +18,8 @@ from quadcone.cli import (
     parse_spec,
     spec_to_json,
 )
-from quadcone.quadform import NonHomogeneous, NonReal, QuadraticCone
+from quadcone.fixtures import FIXTURES
+from quadcone.quadform import NonHomogeneous, NonReal, QuadraticCone, evaluate_many
 
 EXAMPLE_M = (
     '{"n":2,"S":[[{"re":0.5},{}],[{},{"re":0.3333333333}]],'
@@ -125,7 +127,8 @@ def test_parse_spec_cone_equals_the_checked_constructor():
             "S": [[{"re": z.real, "im": z.imag} for z in row] for row in S],
             "H": [[{"re": z.real, "im": z.imag} for z in row] for row in H],
         })
-        checked = QuadraticCone(0.5 * (S + S.T), 0.5 * (H + H.conj().T))
+        half_S, half_H = 0.5 * S, 0.5 * H  # symmetrization adds halves
+        checked = QuadraticCone(half_S + half_S.T, half_H + half_H.conj().T)
         cone = parse_spec(text).cone
         assert cone == checked
         assert np.array_equal(np.signbit(cone.S.real), np.signbit(checked.S.real))
@@ -139,9 +142,6 @@ def test_parse_spec_cone_equals_the_checked_constructor():
         ('[[{"re": NaN}, 0], [0, 1]]', "[[1, 0], [0, -1]]", r"S\[0\]\[0\]"),
         ('[[1, {"im": Infinity}], [0, 1]]', "[[1, 0], [0, -1]]", r"S\[0\]\[1\]"),
         ("[[1, 0], [0, 1]]", "[[1, 0], [-Infinity, -1]]", r"H\[0\]\[1\]"),
-        # finite entries whose symmetrization overflows
-        ("[[1, 1e308], [1e308, 1]]", "[[1, 0], [0, -1]]", r"S\[0\]\[1\]"),
-        ("[[1, 0], [0, 1]]", "[[1.7e308, 0], [0, -1]]", r"H\[0\]\[0\]"),
     ],
 )
 def test_parse_rejects_non_finite_matrices(capsys, S, H, path):
@@ -172,6 +172,40 @@ def test_parse_rejects_non_finite_polynomials(capsys, terms, path):
     code, report = run_cli_stdin(capsys, text, ["classify", "-"])
     assert code == EXIT_SCHEMA
     assert report["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "text, entry, value",
+    [
+        ('{"n": 2, "S": [[1.7e308, 0], [0, 1]], "H": [[1, 0], [0, -1]]}', ("S", 0, 0), 1.7e308),
+        ('{"n": 2, "S": [[1, 1e308], [1e308, 1]], "H": [[1, 0], [0, -1]]}', ("S", 0, 1), 1e308),
+        ('{"n": 2, "S": [[1, 0], [0, 1]], "H": [[1.7e308, 0], [0, -1]]}', ("H", 0, 0), 1.7e308),
+        ('{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.7e308}]}', ("H", 0, 0), 0.85e308),
+    ],
+)
+def test_parse_keeps_finite_entries_near_the_float_limit(capsys, text, entry, value):
+    # symmetrization adds halves, so a finite symmetric entry stays finite
+    name, i, j = entry
+    assert getattr(parse_spec(text).cone, name)[i, j] == value
+    code, report = run_cli_stdin(capsys, text, ["classify", "-"])
+    assert code != EXIT_SCHEMA and "error" not in report
+    assert "classification" in report
+
+
+@pytest.mark.parametrize("command", ["classify", "decide"])
+@pytest.mark.parametrize("scale", [1e150, 1e154, 1e155, 1e200, 1e300])
+def test_a_large_harmonic_part_gets_a_report_not_an_overflow(capsys, command, scale):
+    # the squares of ||S|| in the (1,1) zero tests are products: at 1e155 and
+    # above they are inf instead of an OverflowError escaping main
+    text = json.dumps({"n": 2, "S": [[0, scale], [scale, 0]], "H": [[1, 0], [0, -1]]})
+    code, report = run_cli_stdin(capsys, text, [command, "-"])
+    cls = report["classification"]
+    if code == EXIT_OK:
+        assert cls["normal_form"]["tag"] == "M11_2"
+    else:
+        # the degenerate reading of a spread cone, an open defect
+        assert scale > 1e154 and code == EXIT_DEGENERATE
+        assert cls["degenerate"]["reason"] == "UnclassifiedBoundary"
 
 
 @pytest.mark.parametrize(
@@ -252,9 +286,7 @@ def test_cmd_classify_schema_error(capsys):
 
 
 def test_cmd_verify_fixture(capsys):
-    code, report = run_cli(
-        capsys, ["verify", "--fixture", "m20", "--samples", "2000", "--seed", "3"]
-    )
+    code, report = run_cli(capsys, ["verify", "--fixture", "m20"])
     assert code == EXIT_OK
     assert report["verification"]["min_margin"] > 0
 
@@ -287,31 +319,50 @@ def test_fixture_with_an_input_path_exits_schema(capsys, path):
     assert repr(path) in report["error"]["message"]
 
 
-def test_cmd_verify_csv(tmp_path, capsys):
+PLANAR_FIXTURES = [name for name, make in sorted(FIXTURES.items()) if make().n == 2]
+
+
+@pytest.mark.parametrize("fixture", PLANAR_FIXTURES)
+def test_cmd_verify_csv_rows_are_the_checked_points(tmp_path, capsys, fixture):
+    import csv
+
     csv_path = tmp_path / "pts.csv"
-    code, report = run_cli(
-        capsys,
-        ["verify", "--fixture", "m20", "--samples", "1000", "--csv", str(csv_path)],
-    )
-    assert code == EXIT_OK
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "eps,re_z1,im_z1,re_z2,im_z2,rho"
-    assert len(lines) > 100
+    code, report = run_cli(capsys, ["verify", "--fixture", fixture, "--csv", str(csv_path)])
+    assert code == EXIT_OK and report["csv"] == str(csv_path)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["eps", "re_z1", "im_z1", "re_z2", "im_z2", "rho"]
+    ver = report["verification"]
+    assert len(rows) == ver["points_checked"]
+    rows = np.array(rows, dtype=float)
+    eps, rho = rows[:, 0], rows[:, 5]
+    Z = rows[:, 1:5:2] + 1j * rows[:, 2:5:2]
+    cone = FIXTURES[fixture]()
+    np.testing.assert_array_equal(rho, evaluate_many(cone, Z))
+    verdict = report["verdict"]
+    if verdict["outcome"] == "one_sided":
+        # one row per eps of the grid, then one per line of the limit disc
+        k = len(DEFAULT_EPS)
+        assert list(eps) == [*DEFAULT_EPS, *[0.0] * (len(rows) - k)]
+        side_rho = verdict["side"] * rho
+        assert (side_rho[:k] >= ver["min_margin"]).all()
+        assert (side_rho[k:] >= ver["touch_residual"]).all()
+    else:
+        # the maximum and minimum point of A+, then of A-
+        assert len(rows) == 4 and (eps == 0.0).all()
+        normalized = rho / (np.linalg.norm(Z, axis=1) ** 2 * max(cone.scale, 1e-300))
+        assert normalized[1] == ver["plus_min"] and normalized[2] == ver["minus_max"]
 
 
 def test_cmd_slice_fixture(capsys):
-    code, report = run_cli(
-        capsys, ["slice", "--fixture", "slice_pi2_axis", "--budget", "64", "--samples", "3000"]
-    )
+    code, report = run_cli(capsys, ["slice", "--fixture", "slice_pi2_axis", "--budget", "64"])
     assert code == EXIT_OK
     assert report["slice"]["classification"]["normal_form"]["tag"] == "M20"
     assert report["slice"]["verdict"]["outcome"] == "one_sided"
 
 
 def test_cmd_slice_two_sided_forms(capsys):
-    code, report = run_cli(
-        capsys, ["slice", "--fixture", "ts1_k3", "--budget", "24", "--samples", "1000"]
-    )
+    code, report = run_cli(capsys, ["slice", "--fixture", "ts1_k3", "--budget", "24"])
     assert code == EXIT_OK
     assert report["slice"] is None
     assert report["two_sided_form"]["kind"] == "ts1"
@@ -399,7 +450,7 @@ def test_cmd_slice_unknown_exit_code(capsys):
     m = np.array([1.0, 0, delta])
     S = 0.5 * (np.outer(a, l) + np.outer(l, a))
     H = 0.5 * (np.outer(m.conj(), a) + np.outer(a.conj(), m))
-    code, report = run_slice_stdin(capsys, S, H, ["--budget", "12", "--samples", "400"])
+    code, report = run_slice_stdin(capsys, S, H, ["--budget", "12"])
     assert code == EXIT_UNRESOLVED
     assert report["two_sided_form"]["kind"] == "unknown"
 
@@ -415,9 +466,7 @@ def test_cmd_verify_failure_exit_code(capsys):
     # empty, which the verifier reports as a failure (exit 3)
     from quadcone.cli import EXIT_VERIFICATION
 
-    code, report = run_cli(
-        capsys, ["verify", "--fixture", "m20", "--samples", "500", "--eps", "50"]
-    )
+    code, report = run_cli(capsys, ["verify", "--fixture", "m20", "--eps", "50"])
     assert code == EXIT_VERIFICATION
     assert "failed" in report["verification"]
 
@@ -425,8 +474,7 @@ def test_cmd_verify_failure_exit_code(capsys):
 def test_cmd_verify_tol_override_echoed(capsys):
     code, report = run_cli(
         capsys,
-        ["verify", "--fixture", "m11_2", "--samples", "800",
-         "--tol-overrides", "support_rel=1e-10"],
+        ["verify", "--fixture", "m11_2", "--tol-overrides", "support_rel=1e-10"],
     )
     assert code == EXIT_OK
     assert report["tolerances"]["overrides"] == {"support_rel": 1e-10}
@@ -464,19 +512,9 @@ def test_bad_grid_exits_schema(capsys, value):
     assert_schema_exit(capsys, ["atlas", "--tag", "M20", "--grid", value], "--grid")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--fixture", "example_m"],
-        ["decide", "--fixture", "example_m"],
-        ["slice", "--fixture", "ts2"],
-        ["jump-demo"],
-    ],
-    ids=lambda argv: argv[0],
-)
 @pytest.mark.parametrize("value", ["0", "-5", "x", "1.5", ""])
-def test_bad_samples_exits_schema(capsys, argv, value):
-    assert_schema_exit(capsys, [*argv, "--samples", value], "--samples")
+def test_bad_samples_exits_schema(capsys, value):
+    assert_schema_exit(capsys, ["jump-demo", "--samples", value], "--samples")
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x", "2.0"])
@@ -484,26 +522,72 @@ def test_bad_budget_exits_schema(capsys, value):
     assert_schema_exit(capsys, ["slice", "--fixture", "ts2", "--budget", value], "--budget")
 
 
+@pytest.mark.parametrize("value", ["-1", "x", "1.5", ""])
+def test_bad_seed_exits_schema(capsys, value):
+    assert_schema_exit(capsys, ["jump-demo", "--seed", value], "--seed")
+
+
+@pytest.mark.parametrize("option", ["--seed", "--samples"])
 @pytest.mark.parametrize(
     "argv",
     [
+        ["classify", "--fixture", "example_m"],
         ["decide", "--fixture", "example_m"],
         ["verify", "--fixture", "example_m", "--csv", "unused.csv"],
         ["slice", "--fixture", "ts2"],
-        ["jump-demo"],
+        ["atlas", "--tag", "M20"],
     ],
     ids=lambda argv: argv[0],
 )
-@pytest.mark.parametrize("value", ["-1", "x", "1.5", ""])
-def test_bad_seed_exits_schema(capsys, tmp_path, monkeypatch, argv, value):
-    monkeypatch.chdir(tmp_path)  # a parsed seed would let verify write its CSV here
-    assert_schema_exit(capsys, [*argv, "--seed", value], "--seed")
+def test_only_jump_demo_takes_seed_and_samples(capsys, tmp_path, monkeypatch, argv, option):
+    # jump-demo is the one command that samples; the others refuse the
+    # options as a usage error (exit 4), a valid value included
+    monkeypatch.chdir(tmp_path)  # where verify would write its CSV
+    report = assert_schema_exit(capsys, [*argv, option, "1"], "quadcone")
+    assert f"unrecognized arguments: {option}" in report["error"]["message"]
     assert not (tmp_path / "unused.csv").exists()
 
 
+# The options each sub-command reads, as build_parser() declares them; a
+# command refuses any other option as a usage error.
+COMMAND_OPTIONS = {
+    "classify": {"input", "--fixture"},
+    "decide": {"input", "--fixture"},
+    "verify": {"input", "--fixture", "--eps", "--tol-overrides", "--csv"},
+    "slice": {"input", "--fixture", "--budget"},
+    "jump-demo": {"--seed", "--samples"},
+    "atlas": {"--tag", "--grid", "--csv"},
+}
+
+
+def parser_options() -> dict:
+    """{sub-command: its positional names and first option strings}, help left out."""
+    import argparse
+
+    from quadcone.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.option_strings[0] if a.option_strings else a.dest
+               for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_each_command_declares_only_the_options_it_reads(command):
+    assert parser_options()[command] == COMMAND_OPTIONS[command]
+
+
+def test_the_commands_declare_seventeen_options_in_all():
+    options = parser_options()
+    assert set(options) == set(COMMAND_OPTIONS)
+    assert sum(map(len, options.values())) == 17
+
+
 def test_count_options_accept_one(capsys):
-    code, report = run_cli(capsys, ["decide", "--fixture", "m20", "--samples", "1"])
-    assert code == EXIT_OK and report["samples"] == 1
+    code, report = run_cli(capsys, ["jump-demo", "--samples", "1"])
+    assert code == EXIT_OK and report["samples"] == 1 and report["jump"]["points_checked"] == 1
     code, report = run_cli(capsys, ["slice", "--fixture", "slice_pi2_axis", "--budget", "1"])
     assert code == EXIT_OK
 
@@ -541,12 +625,14 @@ def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
     import quadcone.cli as cli
 
     sequence = [
-        ["verify", "--fixture", "m20", "--samples", "500", "--eps", "50"],
-        ["verify", "--fixture", "m20", "--samples", "500"],
+        ["verify", "--fixture", "m20", "--eps", "50"],
+        ["verify", "--fixture", "m20"],
         ["atlas", "--tag", "M11_1", "--grid", "0.5,1.0,1.5"],
         ["atlas", "--tag", "M11_1"],
-        ["slice", "--fixture", "slice_pi2_axis", "--samples", "600", "--budget", "8"],
-        ["slice", "--fixture", "slice_pi2_axis", "--samples", "600"],
+        ["slice", "--fixture", "slice_pi2_axis", "--budget", "8"],
+        ["slice", "--fixture", "slice_pi2_axis"],
+        ["jump-demo", "--samples", "500", "--seed", "3"],
+        ["jump-demo"],
     ]
 
     def report(argv):
@@ -674,7 +760,7 @@ def test_determinism_modulo_timings(capsys):
         return json.dumps(report, sort_keys=True)
 
     for argv in (
-        ["verify", "--fixture", "m11_2", "--samples", "1500", "--seed", "11"],
+        ["verify", "--fixture", "m11_2"],
         ["jump-demo", "--seed", "5"],
     ):
         assert run(argv) == run(argv)
@@ -688,11 +774,9 @@ def test_every_fixture_through_the_cli(capsys):
     for path in sorted(root.glob("*.json")):
         n = json.loads(path.read_text())["n"]
         if n == 2:
-            code, report = run_cli(capsys, ["verify", str(path), "--samples", "600"])
+            code, report = run_cli(capsys, ["verify", str(path)])
         else:
-            code, report = run_cli(
-                capsys, ["slice", str(path), "--budget", "128", "--samples", "600"]
-            )
+            code, report = run_cli(capsys, ["slice", str(path), "--budget", "128"])
         assert code == EXIT_OK, (path.name, report.get("error"))
 
 
@@ -723,19 +807,6 @@ def test_cmd_verify_two_sided_reports_the_exact_line_extremes(capsys):
     scale = np.sqrt(0.25 + 1.0 / 9.0) + np.sqrt(2.0)
     assert ver["plus_min"] == pytest.approx((1.0 - 0.5) / scale, rel=1e-14)
     assert ver["minus_max"] == pytest.approx((-1.0 + 1.0 / 3.0) / scale, rel=1e-14)
-
-
-@pytest.mark.parametrize("samples, rows", [(300, 300), (1000, 512)])
-def test_cmd_verify_two_sided_csv_rows_per_line(tmp_path, capsys, samples, rows):
-    csv_path = tmp_path / "pts.csv"
-    code, report = run_cli(
-        capsys,
-        ["verify", "--fixture", "m11_2", "--samples", str(samples), "--csv", str(csv_path)],
-    )
-    assert code == EXIT_OK
-    assert report["verification"]["points_checked"] == 4
-    lines = csv_path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * rows
 
 
 @pytest.mark.parametrize("command", ["decide", "verify"])
@@ -876,7 +947,7 @@ def test_traced_layer_names_record_spans_through_main(capsys):
         for argv in (
             ["decide", "--fixture", "example_m"],
             ["verify", "--fixture", "example_m"],
-            ["slice", "--fixture", "slice_pi2_axis", "--budget", "8", "--samples", "2500"],
+            ["slice", "--fixture", "slice_pi2_axis", "--budget", "8"],
         ):
             assert cli.main(argv) == EXIT_OK, argv
             capsys.readouterr()

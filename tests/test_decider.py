@@ -14,7 +14,6 @@ from quadcone.cli import DEFAULT_EPS
 from quadcone.decider import (
     DiscFamily,
     VerificationFailed,
-    _disc_points,
     decide2,
     jump_demo,
     normal_frame_verdict,
@@ -33,6 +32,8 @@ from quadcone.normalform import (
 )
 from quadcone.quadform import QuadraticCone, evaluate_many, form_distance, sample_points
 from quadcone.slicer import SLICE_EPS_GRID
+
+from witness_samplers import _disc_points, _germ_points
 
 EPS_GRID = (1e-3, 1e-2, 1e-1)
 
@@ -550,8 +551,6 @@ def _closed_form(cone, v):
     st.sampled_from([1, -1]),
 )
 def test_support_margins_are_the_exact_extremes(ntype, seed, u, sign):
-    from quadcone.decider import _germ_points
-
     rng = np.random.default_rng(seed)
     cone = apply_change(render_cone(ntype), random_gl2(rng, max_cond=8.0), lam=10.0**u, sign=sign)
     res = classify2(cone)
@@ -597,7 +596,7 @@ def test_decide_and_verify_support_evaluate_at_most_four_points_per_witness(monk
 
 
 def test_swapped_witness_fails_at_the_argmin():
-    from quadcone.decider import SupportWitness, _germ_points
+    from quadcone.decider import SupportWitness
 
     cone = apply_change(example_m_cone(), random_gl2(np.random.default_rng(5)), lam=3.0, sign=1)
     v = decide2(classify2(cone), cone)
@@ -641,8 +640,8 @@ def test_decide_rejects_a_residual_beyond_its_bound(ntype):
 
 # Per one-sided family: the sampler's point counts for 10k draws at each eps of
 # the CLI's `verify` grid and then at the limit disc (eps = 0), drawn in that
-# order from one generator seeded with 0 (`verify --csv` and the tests' oracle
-# draw this way), and the certified check's points_checked on the CLI's grid and
+# order from one generator seeded with 0 (the tests' oracle in
+# witness_samplers draws this way), and the certified check's points_checked on the CLI's grid and
 # on find_good_slice's SLICE_EPS_GRID: one attaining point per eps, one per line
 # of the limit disc.  The sampled point sets may move at rounding level, never in size.
 ONE_SIDED_POINT_COUNTS = [
