@@ -15,7 +15,10 @@ tree runs in a subprocess of its own over the same inputs:
   with such a cell, specs with JSON booleans in place of numbers,
   `--tol-overrides` on `decide`, `--fixture` given with an input path,
   fixtures of the wrong dimension for `classify`, `decide`, `verify` and
-  `slice`, and a degenerate cone under `verify`.
+  `slice`, a degenerate cone under `verify` and `decide`, `atlas` grids
+  with values outside the tag's range and with an M11_1 cell a rounding
+  away from A = B, and a polynomial whose real form's sums overflow
+  unless halved first.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Each input is
@@ -58,6 +61,11 @@ POLY = (
 )
 BOOL_ENTRY = '{"n":2,"S":[[true,{"re":false}],[{},{"re":0.5}]],"H":[[1,0],[0,-1]]}'
 DEGENERATE = '{"n": 2, "S": [[0, 0], [0, 0]], "H": [[1, 0], [0, 1]]}'  # definite: a point cone
+# Re(1.7e308 z1^2): Gxx - Gyy of its real form is 3.4e308
+HUGE_POLY = (
+    '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.7e308},'
+    ' {"vars": ["y1", "y1"], "coeff": -1.7e308}]}'
+)
 BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
 EXTRA = (
     ("poly/classify", ["classify", "-"], POLY),
@@ -76,6 +84,13 @@ EXTRA = (
     ("n_mismatch/verify", ["verify", "--fixture", "slice_pi2_axis"], None),
     ("n_mismatch/slice", ["slice", "--fixture", "m20"], None),
     ("degenerate/verify", ["verify", "-"], DEGENERATE),
+    ("degenerate/decide", ["decide", "-"], DEGENERATE),
+    ("out_of_range/atlas_M20", ["atlas", "--tag", "M20", "--grid=-1,0.5,3"], None),
+    ("out_of_range/atlas_M11_1", ["atlas", "--tag", "M11_1", "--grid=-1,0.5,3"], None),
+    ("out_of_range/atlas_M10_1", ["atlas", "--tag", "M10_1", "--grid=-1,0.5,3"], None),
+    ("out_of_range/atlas_M11_2", ["atlas", "--tag", "M11_2", "--grid", "0,1,2"], None),
+    ("near_equal/atlas", ["atlas", "--tag", "M11_1", "--grid=0.25,1,1.0000000000001,2"], None),
+    ("huge_poly/classify", ["classify", "-"], HUGE_POLY),
 )
 
 

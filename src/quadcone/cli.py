@@ -194,16 +194,12 @@ def parse_spec(text: str) -> ConeSpec:
     H = _parse_matrix(data["H"], n, "H")
     s_adj = float(np.linalg.norm(S - S.T) / 2)
     h_adj = float(np.linalg.norm(H - H.conj().T) / 2)
-    S = 0.5 * S  # halves first, so a finite S stays finite
-    S = S + S.T
-    H = 0.5 * H
-    H = H + H.conj().T
-    _require_finite(S, "S")
-    _require_finite(H, "H")
-    # S and H are exactly symmetric / hermitian now, so the checked
-    # constructor's tests cannot fail; _symmetrized repeats the same
-    # symmetrization, which keeps the cone bitwise equal to that constructor's
+    # _symmetrized applies the checked constructor's symmetrization (halves
+    # first, so a finite S stays finite); that constructor's tests cannot fail
+    # on a finite result, so the cone is bitwise the one it would build
     cone = QuadraticCone._symmetrized(S, H)
+    _require_finite(cone.S, "S")
+    _require_finite(cone.H, "H")
     return ConeSpec(cone=cone, s_adjustment=s_adj, h_adjustment=h_adj)
 
 
@@ -270,14 +266,12 @@ def _verdict_json(v: Verdict) -> dict:
             out["disc_family"]["shift"] = _c2j(fam.shift)
         if fam.transform is not None:
             out["disc_family"]["transform"] = _mat2j(fam.transform)
-    elif v.outcome == "two_sided":
+    else:
         out["witness"] = {
             "kind": v.witness.kind,
             "a_plus": _germ_json(v.witness.aplus),
             "a_minus": _germ_json(v.witness.aminus),
         }
-    else:
-        out["degeneracy"] = {"reason": v.degeneracy.reason, "detail": v.degeneracy.detail}
     return out
 
 
@@ -441,13 +435,15 @@ def cmd_classify(args) -> int:
 
 def cmd_decide(args) -> int:
     t0, spec, report, res = _classified("decide", args)
+    if isinstance(res, DegeneracyReport):
+        return _done(report, t0, EXIT_DEGENERATE)
     try:
         verdict = decide2(res, spec.cone)
     except VerificationFailed as exc:
         report["verification"] = {"failed": str(exc)}
         return _done(report, t0, EXIT_VERIFICATION)
     report["verdict"] = _verdict_json(verdict)
-    return _done(report, t0, EXIT_DEGENERATE if verdict.outcome == "degenerate" else EXIT_OK)
+    return _done(report, t0, EXIT_OK)
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
@@ -549,23 +545,21 @@ def cmd_jump_demo(args) -> int:
 
 
 def _atlas_types(tag: str, grid: list) -> list:
-    out = []
+    """The types of the tag's grid cells, in grid order, that NormalFormType accepts."""
     if tag in ("M20", "M11_1"):
-        for a in grid:
-            for b in grid:
-                if b > a:
-                    continue
-                if tag == "M20" and a <= 1:
-                    continue
-                out.append(NormalFormType(tag, a=float(a), b=float(b)))
+        cells = [{"a": a, "b": b} for a in grid for b in grid]
     elif tag == "M11_2":
-        for a in grid:
-            for b in grid:
-                out.append(NormalFormType(tag, a=complex(a, b)))
+        cells = [{"a": complex(a, b)} for a in grid for b in grid]
     elif tag == "M10_1":
-        out.extend(NormalFormType(tag, a=float(a)) for a in grid)
+        cells = [{"a": a} for a in grid]
     else:
-        out.append(NormalFormType(tag))
+        cells = [{}]
+    out = []
+    for cell in cells:
+        try:
+            out.append(NormalFormType(tag, **cell))
+        except ConeError:
+            pass  # outside the tag's parameter range
     return out
 
 

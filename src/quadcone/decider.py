@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fixtures import example_m
-from .normalform import DegeneracyReport, NormalFormResult, NormalFormType, render_cone
+from .normalform import NormalFormResult, NormalFormType, render_cone
 from .quadform import (
     ConeError,
     QuadraticCone,
@@ -34,7 +34,6 @@ from .quadform import (
 )
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
-EQUAL_PARAM_TOL = 1e-9
 A_ONE_BOUNDARY_TOL = 1e-9
 JUMP_IDENTITY_TOL = 1e-12
 # Frozen empirical bound for max |f(z)| / |z| over cone samples in the jump
@@ -111,10 +110,9 @@ class SupportWitness:
 
 @dataclass(frozen=True)
 class Verdict:
-    outcome: str  # "one_sided" | "two_sided" | "degenerate"
+    outcome: str  # "one_sided" | "two_sided"
     discs: DiscFamily | None = None
     witness: SupportWitness | None = None
-    degeneracy: DegeneracyReport | None = None
     note: str = ""
 
     @property
@@ -429,9 +427,9 @@ def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
 
     A one-sided type gets its explicit disc family, a two-sided type its
     pair of supporting lines (one line inside the cone when it is
-    non-minimal).  M11_1 is two-sided when A = B (non-minimal) or A <= 1,
-    within EQUAL_PARAM_TOL and A_ONE_BOUNDARY_TOL; the A = 1 band carries
-    a note.
+    non-minimal).  M11_1 is two-sided when A = B (non-minimal; classify2
+    snaps that stratum exactly) or A <= 1 within A_ONE_BOUNDARY_TOL; the
+    A = 1 band carries a note.
     """
     tag = ntype.tag
     params = ntype.params()
@@ -451,7 +449,7 @@ def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
         return discs("level_set", np.diag([A, 1.0]).astype(complex))
     if tag == "M11_1":
         A, B = params
-        if abs(A - B) <= EQUAL_PARAM_TOL * max(1.0, A):
+        if A == B:
             line = _germ([1j, -1.0], "{z2 = i z1}")  # rho vanishes identically here
             return lines(line, line, "nonminimal")
         if A > 1.0 + A_ONE_BOUNDARY_TOL:
@@ -484,10 +482,7 @@ def _pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness
     return SupportWitness(aplus=ap, aminus=am, kind=w.kind)
 
 
-def decide2(
-    r: NormalFormResult | DegeneracyReport,
-    cone: QuadraticCone | None = None,
-) -> Verdict:
+def decide2(r: NormalFormResult, cone: QuadraticCone | None = None) -> Verdict:
     """Top-level verdict for a classified cone in C^2.
 
     One-sided types get their disc family, two-sided types their pair of
@@ -496,10 +491,9 @@ def decide2(
     A classification whose residual exceeds its bound (RESIDUAL_REL times
     the scale of the rendered normal form) raises VerificationFailed.  When
     `cone` is provided, supporting lines are verified exactly at
-    construction (verify_support).
+    construction (verify_support).  A degenerate cone has no verdict: its
+    DegeneracyReport from classify2 is the answer.
     """
-    if isinstance(r, DegeneracyReport):
-        return Verdict(outcome="degenerate", degeneracy=r)
     if r.residual > r.residual_bound:
         raise VerificationFailed(
             f"{r.tag} classification residual {r.residual:.3e} exceeds {r.residual_bound:.3e}"

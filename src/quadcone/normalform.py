@@ -72,7 +72,7 @@ class NormalFormType:
             if not (0 <= b <= a and a > 1):
                 raise ConeError(f"M20 requires 0 <= B <= A and A > 1, got A={a}, B={b}")
         elif self.tag == "M11_1":
-            if not (0 <= b <= a + 1e-12):
+            if not (0 <= b <= a):
                 raise ConeError(f"M11_1 requires 0 <= B <= A, got A={a}, B={b}")
         elif self.tag == "M11_2":
             a = complex(a)
@@ -198,10 +198,10 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     does not depend on the cone's scale; for (1,1) the first two columns are
     composed with CHOFVAR / 2.  W = I / sqrt(c) when H is within 1e-12
     (relative) of c times its canonical matrix, c the power of four nearest
-    its norm, and n = 2 or the signature is (1,1): such inputs keep their
-    own coordinates up to a power of two.  In C^n, n >= 3, a diagonal H of
-    another signature keeps eigh's order of equal eigenvalues, which the
-    slicer's candidate bases follow.  Flip the sign of rho first when nu > pi.
+    the ratio of their norms, in any C^n: such inputs keep their own
+    coordinates up to a power of two.  Other inputs with equal eigenvalues
+    (H = 2 I, or a non-diagonal H) keep eigh's order of them.  Flip the sign
+    of rho first when nu > pi.
 
     S1 = 0.5 (X + X^T) with X = W^T S W is bitwise the harmonic part of
     apply_change(cone, W); W's columns are orthogonal, so it is nonsingular.
@@ -213,14 +213,16 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
             f"hermitian signature {(pi, nu)} is not canonical; negate the cone first"
         )
     target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
+    t = math.sqrt(pi + nu)  # mat_norm(target)
     if (pi, nu) == (1, 1):
         target[:2, :2] = E_HERM
+        t = math.sqrt(0.5)
     h = mat_norm(cone.H)
-    # r = 1 / sqrt(c), c the power of four nearest h (where W = r I applies, the
-    # target's norm is within 4^(1/4) of 1); scalings by powers of two are exact
-    r = math.ldexp(1.0, -round(math.log2(h) / 2)) if h else 1.0
+    # r = 1 / sqrt(c), c the power of four nearest h / t; scalings by powers of
+    # two are exact, so 4^j times the target gets r = 2^-j
+    r = math.ldexp(1.0, -round(math.log2(h / t) / 2)) if h and t else 1.0
     canonical = mat_norm(r * (r * cone.H) - target) <= 1e-12 * max(r * r * h, 1e-300)
-    if canonical and (n == 2 or (pi, nu) == (1, 1)):
+    if canonical:
         W = r * np.eye(n, dtype=complex)
     else:
         w, V = np.linalg.eigh(cone.H)  # ascending: nu negative, the kernel, pi positive
@@ -479,8 +481,6 @@ def _classify_sig10(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
 def _classify_sig00(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
     tak = takagi2(chain.S)
     d1, d2 = tak.d
-    if d1 <= 0.0:  # rho = 0 is caught by classify2's precheck; a guard, scale-free
-        return DegeneracyReport("DimensionDeficient", "rho is identically zero")
     if _zero_test(margins, "m00_rank", d2, 1e-9 * d1):
         return DegeneracyReport(
             "Reducible", "harmonic part has rank one: Re(c z^2) factors into real linear forms"

@@ -265,11 +265,12 @@ def decompose_real_form(G) -> QuadraticCone:
     G = 0.5 * G  # halves first, so a finite G stays finite
     G = G + G.T
     n = m // 2
-    Gxx, Gyy, Gxy = G[:n, :n], G[n:, n:], G[:n, n:]
-    Sr = 0.5 * (Gxx - Gyy)
-    Hr = 0.5 * (Gxx + Gyy)
-    Si = -0.5 * (Gxy + Gxy.T)
-    Hi = -0.5 * (Gxy - Gxy.T)
+    # halved before the sums and differences, which then cannot overflow
+    Gxx, Gyy, Gxy = 0.5 * G[:n, :n], 0.5 * G[n:, n:], 0.5 * G[:n, n:]
+    Sr = Gxx - Gyy
+    Hr = Gxx + Gyy
+    Si = -(Gxy + Gxy.T)
+    Hi = -(Gxy - Gxy.T)
     return QuadraticCone(Sr + 1j * Si, Hr + 1j * Hi)
 
 

@@ -75,8 +75,6 @@ def takagi2(S) -> TakagiFactorization:
     B = S.conj() @ S  # hermitian PSD; eigenvalues are squared singular values
     w, V = np.linalg.eigh(B)
     sig1 = float(np.sqrt(max(w[1], 0.0)))
-    if sig1 <= 1e-15 * ns:
-        return TakagiFactorization(u=np.eye(2, dtype=complex), d=(0.0, 0.0))
     v1 = V[:, 1]
     w1 = (S @ v1).conj() / sig1
     x = v1 + w1

@@ -459,6 +459,8 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
 
 def _factor_two_sided(inner: NormalFormResult | DegeneracyReport, factor: QuadraticCone) -> bool:
     """Whether a product's C^2 factor has two-sided support, with its supporting lines verified."""
+    if isinstance(inner, DegeneracyReport):
+        return False
     try:
         return decide2(inner, factor).outcome == "two_sided"
     except VerificationFailed:

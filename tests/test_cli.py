@@ -158,9 +158,7 @@ def test_parse_rejects_non_finite_matrices(capsys, S, H, path):
     [
         ('[{"vars": ["x1", "x1"], "coeff": NaN}]', r"poly\[0\]\.coeff"),
         ('[{"vars": ["x1", "y2"], "coeff": {"re": -Infinity}}]', r"poly\[0\]\.coeff"),
-        # finite coefficients whose decomposition overflows
-        ('[{"vars": ["x1", "x1"], "coeff": 1.7e308}, {"vars": ["y1", "y1"], "coeff": -1.7e308}]',
-         "poly"),
+        # finite coefficients whose sum overflows
         ('[{"vars": ["x1", "x1"], "coeff": 1.7e308}, {"vars": ["x1", "x1"], "coeff": 1.7e308},'
          ' {"vars": ["x1", "x1"], "coeff": 1.7e308}]', "poly"),
     ],
@@ -181,6 +179,9 @@ def test_parse_rejects_non_finite_polynomials(capsys, terms, path):
         ('{"n": 2, "S": [[1, 1e308], [1e308, 1]], "H": [[1, 0], [0, -1]]}', ("S", 0, 1), 1e308),
         ('{"n": 2, "S": [[1, 0], [0, 1]], "H": [[1.7e308, 0], [0, -1]]}', ("H", 0, 0), 1.7e308),
         ('{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.7e308}]}', ("H", 0, 0), 0.85e308),
+        # rho = Re(1.7e308 z1^2): the real form's halves are taken before their difference
+        ('{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.7e308},'
+         ' {"vars": ["y1", "y1"], "coeff": -1.7e308}]}', ("S", 0, 0), 1.7e308),
     ],
 )
 def test_parse_keeps_finite_entries_near_the_float_limit(capsys, text, entry, value):
@@ -291,11 +292,15 @@ def test_cmd_verify_fixture(capsys):
     assert report["verification"]["min_margin"] > 0
 
 
-def test_cmd_verify_degenerate_exit_code(capsys):
+@pytest.mark.parametrize("command", ["decide", "verify"])
+def test_cmd_degenerate_exit_code(capsys, command):
+    # the classification alone reports a degenerate cone: no verdict
     spec = '{"n": 2, "S": [[0, 0], [0, 0]], "H": [[1, 0], [0, 1]]}'
-    code, report = run_cli_stdin(capsys, spec, ["verify", "-"])
+    code, report = run_cli_stdin(capsys, spec, [command, "-"])
     assert code == EXIT_DEGENERATE
-    assert report["classification"]["degenerate"]["reason"] == "PointCone"
+    assert report["classification"]["degenerate"] == {
+        "reason": "PointCone", "detail": "rho is definite: the rendered set is {0}"
+    }
     assert "verdict" not in report and "verification" not in report
 
 
@@ -683,6 +688,41 @@ def test_cmd_atlas_matches_decision_table(capsys):
         assert (cell["outcome"] == "two_sided") == expect_two, cell
 
 
+@pytest.mark.parametrize(
+    "tag, grid, params",
+    [
+        ("M20", "-1,0.5,3", [(3.0, 0.5), (3.0, 3.0)]),
+        ("M11_1", "-1,0.5,3", [(0.5, 0.5), (3.0, 0.5), (3.0, 3.0)]),
+        ("M10_1", "-1,0.5,3", [(0.5,), (3.0,)]),
+        ("M11_2", "0,1,2", [(complex(a, b),) for a in (1.0, 2.0) for b in (0.0, 1.0, 2.0)]),
+    ],
+)
+def test_cmd_atlas_tabulates_the_grid_points_in_the_tags_range(capsys, tag, grid, params):
+    # NormalFormType decides the range: the other grid points are left out
+    from quadcone import cli
+    from quadcone.normalform import NormalFormType
+
+    code, report = run_cli(capsys, ["atlas", "--tag", tag, f"--grid={grid}"])
+    assert code == EXIT_OK
+    cells = report["atlas"]["cells"]
+    assert [c["params"] for c in cells] == [
+        cli._ntype_json(NormalFormType(tag, *p)) for p in params
+    ]
+    assert all(c["outcome"] in ("one_sided", "two_sided") for c in cells)
+
+
+def test_cmd_atlas_cell_a_rounding_off_a_equals_b_is_not_on_that_stratum(capsys):
+    # only A == B exactly is non-minimal; (1 + 1e-13, 1) is in the A = 1 band
+    code, report = run_cli(capsys, ["atlas", "--tag", "M11_1", "--grid", "1.0000000000001,1"])
+    assert code == EXIT_OK
+    kinds = [(c["params"]["A"], c["params"]["B"], c["witness_kind"]) for c in report["atlas"]["cells"]]
+    assert kinds == [
+        (1.0000000000001, 1.0000000000001, "nonminimal"),
+        (1.0000000000001, 1.0, "proper"),
+        (1.0, 1.0, "nonminimal"),
+    ]
+
+
 def test_cmd_atlas_csv_has_one_row_per_cell(tmp_path, capsys):
     import csv
 
@@ -787,11 +827,10 @@ def test_fixture_files_match_builtins(tmp_path, capsys):
     from quadcone.fixtures import FIXTURES
 
     root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    for name in ("example_m", "ts2", "slice_pi2_axis"):
-        spec = parse_spec((root / f"{name}.json").read_text())
-        cone = FIXTURES[name]()
-        np.testing.assert_allclose(spec.cone.S, cone.S, atol=1e-15)
-        np.testing.assert_allclose(spec.cone.H, cone.H, atol=1e-15)
+    files = sorted(root.glob("*.json"))
+    assert [f.stem for f in files] == sorted(FIXTURES)
+    for path in files:
+        assert parse_spec(path.read_text()).cone == FIXTURES[path.stem](), path.name
 
 
 # --- exact supporting lines, residual gate, margins ---------------------------

@@ -222,6 +222,21 @@ def test_normalize_hermitian_frames_every_canonical_signature(n):
             assert np.array_equal(S1, apply_change(cone, W).S)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_normalize_hermitian_keeps_canonical_coordinates_up_to_a_power_of_two(n):
+    # 4^j times the canonical matrix gets W = 2^-j I in every C^n, not eigh's
+    # order of its equal eigenvalues; H = 0 has no scale to keep
+    rng = np.random.default_rng(50 + n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for pi, nu in _canonical_signatures(n)[1:]:
+        target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
+        if (pi, nu) == (1, 1):
+            target[:2, :2] = E_HERM
+        for j in (-3, 0, 1, 4):
+            W, _ = normalize_hermitian(QuadraticCone(A + A.T, 4.0**j * target))
+            assert np.array_equal(W, 2.0**-j * np.eye(n)), f"{(pi, nu)}, j = {j}"
+
+
 def test_normalize_hermitian_rejects_nu_above_pi():
     with pytest.raises(ConeError, match="not canonical"):
         normalize_hermitian(QuadraticCone(np.zeros((3, 3)), np.diag([1.0, -1.0, -1.0])))
@@ -251,6 +266,27 @@ def test_classify_already_normal_m20():
     assert res.tag == "M20"
     assert res.ntype.params() == pytest.approx((2.0, 0.0), abs=1e-12)
     np.testing.assert_allclose(res.T, np.eye(2), atol=1e-9)
+
+
+def test_m11_1_results_are_on_the_a_equals_b_stratum_or_clear_of_it():
+    # classify2 snaps A = B exactly, so decide2 tests A == B with no band:
+    # A - B = +-10^-k through GL(2,C) changes of condition <= 8 at scales
+    # 10^-3..10^3 come back with A == B or |A - B| >= 1e-5 max(1, A)
+    rng = np.random.default_rng(71)
+    changes = [(random_gl2(rng, max_cond=8.0), 10.0 ** rng.uniform(-3, 3)) for _ in range(5)]
+    snapped = apart = 0
+    for A in (0.3, 0.7, 1.5, 3.0):
+        for delta in [s * 10.0**-k for k in range(1, 17) for s in (1, -1)]:
+            cone = QuadraticCone(np.diag([A, A - delta]), np.diag([1.0, -1.0]))
+            for T, lam in changes:
+                res = classify2(apply_change(cone, T, lam=lam))
+                if isinstance(res, DegeneracyReport) or res.tag != "M11_1":
+                    continue
+                a, b = res.ntype.params()
+                assert a == b or abs(a - b) >= 1e-5 * max(1.0, a), (A, delta, a, b)
+                snapped += a == b
+                apart += a != b
+    assert snapped and apart
 
 
 def test_classify_round_trip_m11_2():
