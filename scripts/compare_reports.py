@@ -32,6 +32,16 @@ then a count per input group, the inputs whose raw text alone differs, and
 a tally of the differing inputs by field path (list indices as `[]`) and by
 exit-code transition.  Exits 1 on any difference, 0 when every report, raw
 text and exit code is the same.
+
+A field whose two values are floats also gets its relative difference:
+|old - new| over the largest float magnitude in the object that holds it,
+in either report.  That object is the matrix or vector for an entry of one
+(the real and imaginary parts of a complex entry included), and otherwise
+the dict that holds the field: a normal form, a verification block.  The
+field-path tally shows the largest relative difference of each path, and
+an input whose exit code is the same and whose every differing field is a
+float pair with a relative difference below ROUNDING_REL counts as
+differing by rounding only.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -49,6 +60,7 @@ from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MAX_FIELDS = 8  # differing fields printed per input
+ROUNDING_REL = 1e-10  # a float difference below this, relative to its object, is rounding
 TIMINGS = re.compile(r'("timings": \{)([^{}]*)(\})')
 TIMING_VALUE = re.compile(r'(": )[^,\n]+')
 # M11_1 with A = 1 + 5e-10: two-sided by decide2's A = 1 band, and the line
@@ -169,20 +181,61 @@ def _collect(src: str) -> dict:
     return {row["name"]: row for row in rows}
 
 
-def _diff(a, b, path: str = ""):
-    """Paths (dotted) at which two JSON values differ."""
+def _diff(a, b, path: tuple = ()):
+    """Paths (tuples of keys and list indices) at which two JSON values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            sub = f"{path}.{key}" if path else key
             if key not in a or key not in b:
-                yield sub, a.get(key, "<absent>"), b.get(key, "<absent>")
+                yield path + (key,), a.get(key, "<absent>"), b.get(key, "<absent>")
             else:
-                yield from _diff(a[key], b[key], sub)
+                yield from _diff(a[key], b[key], path + (key,))
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from _diff(x, y, f"{path}[{i}]")
+            yield from _diff(x, y, path + (i,))
     elif json.dumps(a) != json.dumps(b):
         yield path, a, b
+
+
+def _path_text(path: tuple) -> str:
+    """A path as dotted text, list indices in brackets: `classification.T[0][1].re`."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (f".{key}" if text else key)
+    return text
+
+
+def _floats(value):
+    """Every float in a JSON value."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _floats(item)
+
+
+def _holder(report, path: tuple):
+    """The object that holds the field at path: its matrix or vector, else its dict."""
+    path = list(path)
+    while path and (isinstance(path[-1], int) or path[-1] in ("re", "im")):
+        path.pop()
+    parent, obj = None, report
+    for key in path:
+        try:
+            parent, obj = obj, obj[key]
+        except (KeyError, IndexError, TypeError):  # absent from this report
+            parent, obj = obj, None
+    return obj if isinstance(obj, list) else parent
+
+
+def _relative(parent: dict, change: dict, path: tuple, x, y) -> float | None:
+    """|x - y| over the largest |float| in the field's holder in either report; None unless both are floats."""
+    if not (type(x) is float and type(y) is float):
+        return None
+    if x == y:  # 0.0 and -0.0
+        return 0.0
+    scale = max((abs(v) for r in (parent, change) for v in _floats(_holder(r, path))), default=0.0)
+    rel = abs(x - y) / scale if scale else math.inf
+    return rel if rel == rel else math.inf
 
 
 def _first_differing_line(a: str, b: str) -> str:
@@ -209,6 +262,7 @@ def main(argv=None) -> int:
         print("the two trees ran different inputs")
         return 1
     total, differ, raw_only, paths, exits = Counter(), Counter(), Counter(), Counter(), Counter()
+    rounding, worst = Counter(), {}
     for name, p in parent.items():
         c = change[name]
         group = name.split("/")[0] + "/" + name.split("/")[-1]
@@ -223,10 +277,20 @@ def main(argv=None) -> int:
             continue
         differ[group] += 1
         exits[f"exit {p['code']} -> {c['code']}"] += 1
-        paths.update({re.sub(r"\[\d+\]", "[]", path) for path, _, _ in fields})
+        rels = [_relative(p["report"], c["report"], path, x, y) for path, x, y in fields]
+        tallied = {}
+        for (path, _, _), rel in zip(fields, rels):
+            key = re.sub(r"\[\d+\]", "[]", _path_text(path))
+            tallied[key] = max(tallied.get(key, 0.0), math.inf if rel is None else rel)
+        paths.update(tallied.keys())
+        for key, rel in tallied.items():
+            worst[key] = max(worst.get(key, 0.0), rel)
+        if p["code"] == c["code"] and all(rel is not None and rel < ROUNDING_REL for rel in rels):
+            rounding[group] += 1
         print(f"{name}: exit {p['code']} -> {c['code']}")
-        for path, x, y in fields[:MAX_FIELDS]:
-            print(f"  {path}: {json.dumps(x)[:200]} -> {json.dumps(y)[:200]}")
+        for (path, x, y), rel in list(zip(fields, rels))[:MAX_FIELDS]:
+            note = "" if rel is None else f"  (relative {rel:.1e})"
+            print(f"  {_path_text(path)}: {json.dumps(x)[:200]} -> {json.dumps(y)[:200]}{note}")
         if len(fields) > MAX_FIELDS:
             print(f"  ... {len(fields) - MAX_FIELDS} more fields")
     print()
@@ -237,10 +301,18 @@ def main(argv=None) -> int:
     for group in sorted(raw_only):
         print(f"  {group}: {raw_only[group]}")
     print(f"  all: {sum(raw_only.values())}")
-    for title, tally in (("field path", paths), ("exit code", exits)):
-        print(f"\ndiffering inputs by {title}:")
-        for key, count in sorted(tally.items()):
-            print(f"  {key}: {count}")
+    print(f"\ninputs that differ by rounding only (same exit code, every differing field a float pair "
+          f"within {ROUNDING_REL:g} of its object's largest magnitude):")
+    for group in sorted(rounding):
+        print(f"  {group}: {rounding[group]}")
+    print(f"  all: {sum(rounding.values())} of {sum(differ.values()) - sum(raw_only.values())}")
+    print("\ndiffering inputs by field path, with the largest relative difference:")
+    for key, count in sorted(paths.items()):
+        rel = "not a finite float pair" if worst[key] == math.inf else f"{worst[key]:.1e}"
+        print(f"  {key}: {count}, {rel}")
+    print("\ndiffering inputs by exit code:")
+    for key, count in sorted(exits.items()):
+        print(f"  {key}: {count}")
     return 1 if differ else 0
 
 

@@ -410,9 +410,8 @@ def _germ(coeffs, label: str) -> LinearGerm:
     return LinearGerm(coeffs=coeffs, span=span, label=label)
 
 
-def _pull_back_germ(germ: LinearGerm, T: np.ndarray) -> LinearGerm:
-    """Image {z = T w : ell(w) = 0} of a germ under the change of variables."""
-    Tinv = np.linalg.inv(T)
+def _pull_back_germ(germ: LinearGerm, T: np.ndarray, Tinv: np.ndarray) -> LinearGerm:
+    """Image {z = T w : ell(w) = 0} of a germ under the change of variables; Tinv is T's inverse."""
     coeffs = Tinv.T @ germ.coeffs
     span = T @ germ.span
     return LinearGerm(
@@ -475,8 +474,9 @@ def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
 
 
 def _pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness:
-    ap = _pull_back_germ(w.aplus, r.T)
-    am = _pull_back_germ(w.aminus, r.T)
+    Tinv = np.linalg.inv(r.T)
+    ap = _pull_back_germ(w.aplus, r.T, Tinv)
+    am = _pull_back_germ(w.aminus, r.T, Tinv)
     if r.sign < 0:
         ap, am = am, ap
     return SupportWitness(aplus=ap, aminus=am, kind=w.kind)

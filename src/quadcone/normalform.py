@@ -16,6 +16,7 @@ builds its two-dimensional candidate slices in the same frame.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,12 +26,23 @@ from .quadform import (
     ConeError,
     QuadraticCone,
     canonical_sign,
-    form_distance,
+    form_norm2,
     hermitian_signature,
     mat_norm,
     real_signature,
 )
-from .reduction import E_HERM, So11Unreachable, ZeroMatrix, sl2_reduce_sym, so11_zero_diag, takagi2
+from .reduction import (
+    E_HERM,
+    eigh2,
+    exponent,
+    norm2,
+    parts,
+    phase,
+    scaled,
+    sl2_reduce_sym,
+    so11_zero_diag,
+    takagi2,
+)
 
 TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 
@@ -38,6 +50,15 @@ TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 # |z1|^2 - |z2|^2 frame: CHOFVAR^* E_HERM CHOFVAR = diag(1, -1), and
 # CHOFVAR is an involution up to the factor 2 (CHOFVAR @ CHOFVAR = 2 I).
 CHOFVAR = np.array([[1.0, 1.0j], [-1.0j, -1.0]], dtype=complex)
+
+# The n = 2 reduction works on Python scalars: a 2x2 matrix M is the tuple
+# (m00, m01, m10, m11), a symmetric one (m00, m01, m11).
+_CHOFVAR = tuple(CHOFVAR.ravel().tolist())
+_HALF_CHOFVAR = tuple((0.5 * CHOFVAR).ravel().tolist())
+_SWAP_NEG = (0j, 1.0 + 0j, 1.0 + 0j, 0j)  # z1 <-> z2
+_ROT90 = (0j, -1.0 + 0j, 1.0 + 0j, 0j)  # SO(2): swaps diagonal entries
+# (h00, h10, h11) of the canonical hermitian matrix of each n = 2 signature
+_CANONICAL2 = {(2, 0): (1.0, 0j, 1.0), (1, 1): (0.0, -0.5j, 0.0), (1, 0): (1.0, 0j, 0.0), (0, 0): (0.0, 0j, 0.0)}
 
 DETS_ZERO_REL = 1e-9  # |det S| <= this * ||S||^2 routes to the rank <= 1 analysis
 DETP_ZERO_REL = 1e-9  # |det P| threshold for the case split on sign(det P)
@@ -126,6 +147,27 @@ class DegeneracyReport:
     detail: str
 
 
+def _table_form(ntype: NormalFormType) -> tuple[tuple, tuple]:
+    """The table's (S, H) for a given type, as (s00, s01, s11) and (h00, h01, h11)."""
+    tag, a, b = ntype.tag, ntype.a, ntype.b
+    if tag == "M20":
+        return (a, 0.0, b), (1.0, 0.0, 1.0)
+    if tag == "M11_1":
+        return (a, 0.0, b), (1.0, 0.0, -1.0)
+    if tag == "M11_2":
+        a = complex(a)
+        return (a, 0.0, a.conjugate()), (0.0, 0.5j, 0.0)  # H = E_HERM
+    if tag == "M11_3":
+        return (1.0, 0.0, 0.0), (0.0, 0.5j, 0.0)
+    if tag == "M10_1":
+        return (a, 0.0, 1.0), (1.0, 0.0, 0.0)
+    if tag == "M10_2":
+        return (0.0, 0.5, 0.0), (1.0, 0.0, 0.0)
+    if tag == "M00_1":
+        return (1.0, 0.0, 1.0), (0.0, 0.0, 0.0)
+    raise ConeError(tag)
+
+
 def render_cone(ntype: NormalFormType) -> QuadraticCone:
     """The table's defining function for a given type, as a cone.
 
@@ -133,25 +175,10 @@ def render_cone(ntype: NormalFormType) -> QuadraticCone:
     the checked constructor; both matrices are complex, as that constructor
     would have made them.
     """
-    tag = ntype.tag
-    if tag == "M20":
-        S, H = np.diag([ntype.a, ntype.b]), np.eye(2)
-    elif tag == "M11_1":
-        S, H = np.diag([ntype.a, ntype.b]), np.diag([1.0, -1.0])
-    elif tag == "M11_2":
-        a = complex(ntype.a)
-        S, H = np.diag([a, np.conj(a)]), E_HERM
-    elif tag == "M11_3":
-        S, H = np.diag([1.0, 0.0]), E_HERM
-    elif tag == "M10_1":
-        S, H = np.diag([ntype.a, 1.0]), np.diag([1.0, 0.0])
-    elif tag == "M10_2":
-        S, H = np.array([[0.0, 0.5], [0.5, 0.0]]), np.diag([1.0, 0.0])
-    elif tag == "M00_1":
-        S, H = np.eye(2), np.zeros((2, 2))
-    else:
-        raise ConeError(tag)
-    return QuadraticCone._symmetrized(S.astype(complex), H.astype(complex))
+    (s00, s01, s11), (h00, h01, h11) = _table_form(ntype)
+    S = np.array([[s00, s01], [s01, s11]], dtype=complex)
+    H = np.array([[h00, h01], [np.conj(h01), h11]], dtype=complex)
+    return QuadraticCone._symmetrized(S, H)
 
 
 def _hadamard_ratio(T: np.ndarray) -> float:
@@ -166,6 +193,44 @@ def _hadamard_ratio(T: np.ndarray) -> float:
         return 0.0
     U = T / big
     return abs(np.linalg.det(U / np.linalg.norm(U, axis=0)))
+
+
+def _hadamard_ratio2(t00: complex, t01: complex, t10: complex, t11: complex) -> float:
+    """_hadamard_ratio of the 2x2 T = [[t00, t01], [t10, t11]], in closed form."""
+    big0 = max(map(abs, parts(t00, t10)))
+    big1 = max(map(abs, parts(t01, t11)))
+    if not (big0 and big1):
+        return 0.0
+    a0, a1, b0, b1 = t00 / big0, t10 / big0, t01 / big1, t11 / big1
+    return abs(a0 * b1 - b0 * a1) / (math.hypot(*parts(a0, a1)) * math.hypot(*parts(b0, b1)))
+
+
+def _mul(A: tuple, B: tuple) -> tuple:
+    """The 2x2 product A B."""
+    a00, a01, a10, a11 = A
+    b00, b01, b10, b11 = B
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _congruence(M: tuple, S: tuple) -> tuple:
+    """0.5 (X + X^T) for X = M^T S M, S symmetric: the harmonic part's congruence."""
+    m00, m01, m10, m11 = M
+    s00, s01, s11 = S
+    a0, b0 = s00 * m00 + s01 * m10, s01 * m00 + s11 * m10  # S M, first column
+    a1, b1 = s00 * m01 + s01 * m11, s01 * m01 + s11 * m11
+    return (m00 * a0 + m10 * b0, 0.5 * ((m00 * a1 + m10 * b1) + (m01 * a0 + m11 * b0)), m01 * a1 + m11 * b1)
+
+
+def _hermitian_congruence(M: tuple, H: tuple) -> tuple:
+    """(y00, y01, y11) of the hermitian part of M^* H M, H = (h00, h01, h11) hermitian."""
+    m00, m01, m10, m11 = M
+    h00, h01, h11 = H
+    h10 = h01.conjugate()
+    a0, b0 = h00 * m00 + h01 * m10, h10 * m00 + h11 * m10  # H M, first column
+    a1, b1 = h00 * m01 + h01 * m11, h10 * m01 + h11 * m11
+    c00, c01, c10, c11 = (m.conjugate() for m in M)
+    x01, x10 = c00 * a1 + c10 * b1, c01 * a0 + c11 * b0
+    return ((c00 * a0 + c10 * b0).real, 0.5 * (x01 + x10.conjugate()), (c01 * a1 + c11 * b1).real)
 
 
 def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> QuadraticCone:
@@ -201,7 +266,8 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     the ratio of their norms, in any C^n: such inputs keep their own
     coordinates up to a power of two.  Other inputs with equal eigenvalues
     (H = 2 I, or a non-diagonal H) keep eigh's order of them.  Flip the sign
-    of rho first when nu > pi.
+    of rho first when nu > pi.  For n = 2, W is computed in closed form
+    (_frame2), with eigh's signs and phases.
 
     S1 = 0.5 (X + X^T) with X = W^T S W is bitwise the harmonic part of
     apply_change(cone, W); W's columns are orthogonal, so it is nonsingular.
@@ -212,6 +278,10 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
         raise UnsupportedSignature(
             f"hermitian signature {(pi, nu)} is not canonical; negate the cone first"
         )
+    if n == 2:
+        W = np.array(_frame2(cone, pi, nu)).reshape(2, 2)
+        X = W.T @ cone.S @ W
+        return W, 0.5 * (X + X.T)
     target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
     t = math.sqrt(pi + nu)  # mat_norm(target)
     if (pi, nu) == (1, 1):
@@ -237,33 +307,77 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     return W, 0.5 * (X + X.T)
 
 
+def _frame2(cone: QuadraticCone, pi: int, nu: int) -> tuple:
+    """normalize_hermitian's W for n = 2 and signature (pi, nu), pi >= nu, in closed form.
+
+    One power of two first brings the entries of H to at most 1, so nothing
+    over- or underflows, and 2^-k H (k even) gets exactly 2^(k/2) W.  The
+    eigenpairs come from eigh2, which keeps LAPACK's signs and phases.
+    """
+    (h00, _), (h10, h11) = cone.H.tolist()
+    h00, h11 = h00.real, h11.real
+    if not (h00 or h10 or h11):
+        return (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    e = exponent(h00, h11, *parts(h10))
+    h00, h11 = math.ldexp(h00, -e), math.ldexp(h11, -e)
+    (h10,) = scaled(-e, h10)
+    # r = 1 / sqrt(c), c the power of four nearest ||H|| / ||target||: c = 4^j
+    t00, t10, t11 = _CANONICAL2[pi, nu]
+    t, h = norm2(t00, t10, t11), norm2(h00, h10, h11)  # ||target||, ||H|| 2^-e
+    j = round((math.log2(h / t) + e) / 2) if t else 0
+    c = math.ldexp(1.0, e - 2 * j)  # r^2 2^e: c h00 is r^2 times the input's entry
+    if norm2(c * h00 - t00, c * h10 - t10, c * h11 - t11) <= 1e-12 * max(c * h, 1e-300):
+        r = complex(math.ldexp(1.0, -j))
+        return (r, 0j, 0j, r)
+    w0, w1, (v00, v01, v10, v11) = eigh2(h00, h10, h11)
+    # eigh's order stays for (0, 0) and for (2, 0) with equal eigenvalues
+    keep = pi == 0 or (pi == 2 and not w1 > w0)
+    # the eigenvalues are 2^e (w0, w1); sqrt takes the even part of e out as f
+    odd = e % 2
+    w0, w1 = abs(w0) * (1 + odd), abs(w1) * (1 + odd)
+    f = math.ldexp(1.0, -(e - odd) // 2)
+    kernel = math.sqrt(max(w0, w1))
+    if keep:  # every column's root is the largest one
+        W = (v00 / kernel * f, v01 / kernel * f, v10 / kernel * f, v11 / kernel * f)
+    else:  # the top eigenvalue first, then the other one or the kernel
+        rb = math.sqrt(w0) if pi + nu == 2 else kernel
+        ra = math.sqrt(w1)
+        W = (v01 / ra * f, v00 / rb * f, v11 / ra * f, v10 / rb * f)
+    return _mul(W, _HALF_CHOFVAR) if (pi, nu) == (1, 1) else W
+
+
 class _Chain:
     """Accumulates (T, lam, sign) while carrying the transformed harmonic part S along.
 
-    Invariant: S is the harmonic part of sign * lam * rho_original(T z).  No
+    Invariant: S is the harmonic part of sign * lam * rho_original(T z).  S
+    = (s00, s01, s11) and T = (t00, t01, t10, t11) are Python scalars.  No
     step reads the hermitian part, and no step builds a cone: _finish pulls
     the input back through the composed T once.
     """
 
-    def __init__(self, S: np.ndarray, T: np.ndarray, sign: int):
+    def __init__(self, S: tuple, T: tuple, sign: int):
         self.S = S
         self.T = T
         self.lam = 1.0
         self.sign = sign
 
-    def push_T(self, M):
-        M = np.asarray(M, dtype=complex)
-        S = M.T @ self.S @ M
-        self.S = 0.5 * (S + S.T)
-        self.T = self.T @ M
+    def push_T(self, M: tuple):
+        self.S = _congruence(M, self.S)
+        self.T = _mul(self.T, M)
 
     def push_scale(self, c: float):
-        self.S = c * self.S
+        self.S = tuple(c * s for s in self.S)
         self.lam *= c
 
     def push_negate(self):
-        self.S = -self.S
+        self.S = tuple(-s for s in self.S)
         self.sign = -self.sign
+
+    def real(self) -> tuple:
+        return tuple(s.real for s in self.S)
+
+    def imag(self) -> tuple:
+        return tuple(s.imag for s in self.S)
 
 
 def _zero_test(margins: dict[str, float], key: str, value, thr: float) -> bool:
@@ -285,21 +399,31 @@ def _finish(
 ) -> NormalFormResult:
     """The result for the reported (T, lam, sign), with its exact residual.
 
-    The input cone is pulled back through the composed T once, which is its
-    one singularity test, and the residual is the largest |difference| of
-    that pullback and the normal form on |z| = 1.
+    The composed T passes apply_change's singularity test, the input cone is
+    pulled back through it once, and the residual is the largest |difference|
+    of that pullback and the normal form on |z| = 1.
     """
-    target = render_cone(ntype)
-    final = apply_change(cone, chain.T, chain.lam, chain.sign)
+    T = chain.T
+    if not _hadamard_ratio2(*T) > CHANGE_HADAMARD_MIN:
+        raise SingularMatrix("change of variables is numerically singular")
+    c = chain.sign * chain.lam
+    (s00, s01), (_, s11) = cone.S.tolist()
+    (h00, h01), (_, h11) = cone.H.tolist()
+    S = _congruence(T, (s00, s01, s11))
+    H = _hermitian_congruence(T, (h00.real, h01, h11.real))
+    St, Ht = _table_form(ntype)
+    scale = norm2(*St) + norm2(*Ht)
+    dS = tuple(c * x - t for x, t in zip(S, St))
+    dH = tuple(c * x - t for x, t in zip(H, Ht))
     margin = float(min(margins.values())) if margins else float("inf")
     return NormalFormResult(
         ntype=ntype,
-        T=chain.T,
+        T=np.array(T).reshape(2, 2),
         lam=chain.lam,
         sign=chain.sign,
-        residual=form_distance(final, target),
+        residual=form_norm2(dS, dH),
         boundary_margin=margin,
-        residual_bound=RESIDUAL_REL * target.scale,
+        residual_bound=RESIDUAL_REL * scale,
     )
 
 
@@ -309,14 +433,9 @@ def _diag_phase_fix(chain: _Chain) -> None:
     Valid in the diag(1,-1) (or any diagonal) hermitian frame: diagonal
     phase matrices are congruence-trivial on the hermitian part.
     """
-    S = chain.S
-    eps = np.exp(-0.5j * np.angle(np.diag(S)))
-    # angle(0) = 0, so zero coefficients are untouched
-    chain.push_T(np.diag(eps))
-
-
-_SWAP_NEG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # z1 <-> z2
-_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # SO(2): swaps diagonal entries
+    s00, _, s11 = chain.S
+    # phase(0) = 0, so zero coefficients are untouched
+    chain.push_T((cmath.rect(1.0, -0.5 * phase(s00)), 0j, 0j, cmath.rect(1.0, -0.5 * phase(s11))))
 
 
 def _classify_sig20(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
@@ -335,91 +454,93 @@ def _classify_sig20(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
 
 def _case_m11_2(chain: _Chain) -> NormalFormType:
     """det P > 0: reduce to Re(A z1^2 + conj(A) z2^2) + Im(z1 conj(z2))."""
-    P = chain.S.real
-    g, canon = sl2_reduce_sym(P)
+    g, canon = sl2_reduce_sym(chain.real())
     chain.push_T(g)
-    s = 1.0 if canon[0, 0] > 0 else -1.0
-    _, K = np.linalg.eigh(chain.S.imag)  # ascending
-    if np.linalg.det(K) < 0:
-        K = K.copy()
-        K[:, 1] = -K[:, 1]
-    K = K[:, ::-1] @ np.diag([1.0, -1.0])  # descending order, det kept at +1
-    chain.push_T(K)
+    s = 1.0 if canon[0] > 0 else -1.0
+    q = chain.imag()
+    e = exponent(*q)
+    q00, q01, q11 = (math.ldexp(x, -e) for x in q)
+    _, _, (k00, k01, k10, k11) = eigh2(q00, complex(q01), q11)  # ascending
+    if (k00 * k11 - k01 * k10).real < 0:
+        k01, k11 = -k01, -k11
+    chain.push_T((k01, -k00, k11, -k10))  # descending order, det kept at +1
     if s < 0:
-        chain.push_T(1j * np.eye(2))  # flips S; hermitian part untouched
+        chain.push_T((1j, 0j, 0j, 1j))  # flips S; hermitian part untouched
         chain.push_T(_ROT90)  # restore Im >= 0 in the first slot
-    S = chain.S
-    a = 0.5 * (S[0, 0] + np.conj(S[1, 1]))
+    s00, _, s11 = chain.S
+    a = 0.5 * (s00 + s11.conjugate())
     a = complex(max(a.real, 1e-300), max(a.imag, 0.0))
     return NormalFormType("M11_2", a=a)
 
 
 def _case_m11_1(chain: _Chain) -> tuple[float, float]:
     """det P < 0 (det S >= 0): reduce to Re(A z1^2 + B z2^2) + |z1|^2 - |z2|^2; returns (A, B)."""
-    P = chain.S.real
-    g, _ = sl2_reduce_sym(P)
+    g, _ = sl2_reduce_sym(chain.real())
     chain.push_T(g)
-    k, _ = so11_zero_diag(chain.S.imag)
+    k, _ = so11_zero_diag(chain.imag())
     chain.push_T(k)
-    chain.push_T(CHOFVAR)  # hermitian part becomes |z1|^2 - |z2|^2
+    chain.push_T(_CHOFVAR)  # hermitian part becomes |z1|^2 - |z2|^2
     _diag_phase_fix(chain)
-    S = chain.S
-    A, B = float(S[0, 0].real), float(S[1, 1].real)
+    A, _, B = chain.real()
     if B > A:
         chain.push_T(_SWAP_NEG)
         chain.push_negate()
         _diag_phase_fix(chain)
-        S = chain.S
-        A, B = float(S[0, 0].real), float(S[1, 1].real)
+        A, _, B = chain.real()
     return max(A, 0.0), min(max(B, 0.0), max(A, 0.0))
 
 
 def _case_m11_1_equal(chain: _Chain) -> NormalFormType:
     """det P ~ 0 with P ~ 0: the A = B stratum of type M11_1."""
-    Q = chain.S.imag
-    g, _ = sl2_reduce_sym(Q)
+    g, _ = sl2_reduce_sym(chain.imag())
     chain.push_T(g)
-    chain.push_T(CHOFVAR)
+    chain.push_T(_CHOFVAR)
     _diag_phase_fix(chain)
-    S = chain.S
-    A = 0.5 * (abs(S[0, 0]) + abs(S[1, 1]))
+    s00, _, s11 = chain.S
+    A = 0.5 * (abs(s00) + abs(s11))
     # force the exact stratum; deviations land in the residual
     return NormalFormType("M11_1", a=float(A), b=float(A))
 
 
-def _case_m11_3(chain: _Chain, w: np.ndarray) -> NormalFormType:
-    """Rank-one S = w w^T with w parallel to a real direction: type M11_3."""
-    j = int(np.argmax(np.abs(w)))
-    u0 = np.real(w * np.exp(-1j * np.angle(w[j])))
-    u0 = u0 / np.linalg.norm(u0)
-    R = np.array([[u0[0], u0[1]], [-u0[1], u0[0]]])  # R @ u0 = e1
-    chain.push_T(R.T.astype(complex))
-    a = chain.S[0, 0]
-    sigma = 1.0 / np.sqrt(a)
-    chain.push_T(np.diag([sigma, 1.0 / np.conj(sigma)]))  # preserves Im(z1 conj(z2))
+def _case_m11_3(chain: _Chain, w: tuple) -> NormalFormType:
+    """Rank-one S = c w w^T, c > 0, with w parallel to a real direction: type M11_3."""
+    w0, w1 = w
+    rot = cmath.rect(1.0, -phase(w0 if abs(w0) >= abs(w1) else w1))
+    u0, u1 = (w0 * rot).real, (w1 * rot).real
+    norm = math.hypot(u0, u1)
+    u0, u1 = u0 / norm, u1 / norm
+    chain.push_T((complex(u0), complex(-u1), complex(u1), complex(u0)))  # R^T, R = [[u0, u1], [-u1, u0]] takes u to e1
+    sigma = 1.0 / cmath.sqrt(chain.S[0])
+    chain.push_T((sigma, 0j, 0j, 1.0 / sigma.conjugate()))  # preserves Im(z1 conj(z2))
     return NormalFormType("M11_3")
 
 
 def _classify_sig11(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
-    S1 = chain.S
-    ns = mat_norm(S1)
-    if ns <= 1e-12:
+    s00, s01, s11 = chain.S
+    if norm2(s00, s01, s11) <= 1e-12:
         # S = 0 against the unit-scale hermitian frame: Im(z1 conj(z2)) alone
-        chain.push_T(CHOFVAR)
+        chain.push_T(_CHOFVAR)
         return NormalFormType("M11_1", a=0.0, b=0.0)
 
-    detS = complex(np.linalg.det(S1))
+    # the tests below read S times an even power of two that brings its
+    # entries to at most 1: det S and det P neither overflow nor underflow,
+    # and their ratios to ||S||^2 do not change
+    e = exponent(*parts(s00, s01, s11))
+    e += e % 2
+    s00, s01, s11 = scaled(-e, s00, s01, s11)
+    ns = norm2(s00, s01, s11)
+    detS = s00 * s11 - s01 * s01
     if not _zero_test(margins, "m11_det_s", detS, DETS_ZERO_REL * (ns * ns)):
-        theta = -0.25 * np.angle(detS)
-        chain.push_T(np.exp(1j * theta) * np.eye(2))  # det S becomes |det S| > 0
-        P = chain.S.real
-        dp = float(np.linalg.det(P))
+        turn = cmath.rect(1.0, -0.25 * phase(detS))
+        chain.push_T((turn, 0j, 0j, turn))  # det S becomes |det S| > 0
+        p00, p01, p11 = (math.ldexp(x, -e) for x in chain.real())
+        dp = p00 * p11 - p01 * p01
         if not _zero_test(margins, "m11_det_p", dp, DETP_ZERO_REL * (ns * ns)):
             if dp > 0:
                 return _case_m11_2(chain)
             A, B = _case_m11_1(chain)
             return NormalFormType("M11_1", a=A, b=B)
-        if _zero_test(margins, "m11_p_zero", mat_norm(P), P_ZERO_REL * ns):
+        if _zero_test(margins, "m11_p_zero", norm2(p00, p01, p11), P_ZERO_REL * ns):
             return _case_m11_1_equal(chain)
         # det S > 0 with det P = 0 but P != 0: rank-one P.  No table row has
         # these invariants (det P and rank P are frame-invariants here), and
@@ -433,13 +554,14 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
         )
 
     # det S ~ 0: S has rank <= 1, and a diagonal entry is far from 0 (were both
-    # below 1e-12 ||S||, |det S| would be about ||S||^2 / 2)
-    j = int(np.argmax(np.abs(np.diag(S1))))
-    w = S1[:, j] / np.sqrt(S1[j, j])
-    u, v = w.real, w.imag
-    d = u[0] * v[1] - u[1] * v[0]
-    wn2 = float(np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)
-    if not _zero_test(margins, "m11_rank1_area", d, 1e-10 * wn2):
+    # below 1e-12 ||S||, |det S| would be about ||S||^2 / 2); S = w w^T
+    # with w its column through that entry, over the entry's square root
+    col, pivot = ((s00, s01), s00) if abs(s00) >= abs(s11) else ((s01, s11), s11)
+    root = cmath.sqrt(pivot)
+    w = (col[0] / root, col[1] / root)
+    d = w[0].real * w[1].imag - w[1].real * w[0].imag
+    wn = math.hypot(*parts(*w))
+    if not _zero_test(margins, "m11_rank1_area", d, 1e-10 * (wn * wn)):
         # det P = -d^2 < 0 and det Q = det P - Re(det S) <= 0: the generic
         # indefinite-P machinery applies and lands on M11_1 with one
         # vanishing coefficient; snap it
@@ -449,19 +571,18 @@ def _classify_sig11(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
 
 
 def _classify_sig10(chain: _Chain, margins) -> NormalFormType | DegeneracyReport:
-    S1 = chain.S
-    A0, B0, C0 = S1[0, 0], S1[0, 1], S1[1, 1]
-    thr = 1e-9 * max(mat_norm(S1), 1e-300)
+    A0, B0, C0 = chain.S
+    thr = 1e-9 * max(norm2(A0, B0, C0), 1e-300)
     if not _zero_test(margins, "m10_c", C0, thr):
         alpha = A0 - B0 * B0 / C0
-        rC = np.sqrt(C0)
-        theta1 = 0.5 * np.angle(alpha) if abs(alpha) > 0 else 0.0
-        W = np.array([[np.exp(1j * theta1), 0.0], [B0 / rC, rC]], dtype=complex)
-        chain.push_T(np.linalg.inv(W))
+        rC = cmath.sqrt(C0)
+        # z = W^-1 z* with W = [[e^(i theta), 0], [B0 / rC, rC]], theta half alpha's phase
+        turn = cmath.rect(1.0, 0.5 * phase(alpha))
+        chain.push_T((1.0 / turn, 0j, -B0 / (rC * rC * turn), 1.0 / rC))
         return NormalFormType("M10_1", a=float(abs(alpha)))
     if not _zero_test(margins, "m10_b", B0, thr):
-        W = np.array([[1.0, 0.0], [A0, 2.0 * B0]], dtype=complex)
-        chain.push_T(np.linalg.inv(W))
+        # W = [[1, 0], [A0, 2 B0]]
+        chain.push_T((1.0 + 0j, 0j, -A0 / (2.0 * B0), 1.0 / (2.0 * B0)))
         return NormalFormType("M10_2")
     absA = abs(A0)
     margins["m10_a_boundary"] = abs(absA - 1.0) / 1e-9
@@ -487,7 +608,7 @@ def _classify_sig00(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
         )
     chain.push_scale(1.0 / d1)
     chain.push_T(tak.u)
-    chain.push_T(np.diag([1.0, np.sqrt(d1 / d2)]).astype(complex))
+    chain.push_T((1.0 + 0j, 0j, 0j, complex(math.sqrt(d1 / d2))))
     return NormalFormType("M00_1")
 
 
@@ -530,17 +651,22 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
 
     margins: dict[str, float] = {}
     # canonical_sign leaves pi >= nu, so n = 2 has these four signatures
-    reduce = _BY_SIGNATURE[hermitian_signature(cone0).as_tuple()]
+    pi, nu = hermitian_signature(cone0).as_tuple()
+    reduce = _BY_SIGNATURE[pi, nu]
     try:
-        T0, S1 = normalize_hermitian(cone0)
-        chain = _Chain(S1, T0, flip)
+        W = _frame2(cone0, pi, nu)
+        (s00, s01), (_, s11) = cone0.S.tolist()
+        chain = _Chain(_congruence(W, (s00, s01, s11)), W, flip)
         ntype = reduce(chain, margins)
         if isinstance(ntype, DegeneracyReport):
             return ntype
         return _finish(cone, chain, ntype, margins)
-    except (SingularMatrix, So11Unreachable, ZeroMatrix, np.linalg.LinAlgError) as exc:
+    except (ConeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # a reduction step passed the scale-invariant routing thresholds but
-        # turned out numerically unusable at this input
+        # turned out numerically unusable at this input: a singular or
+        # unreachable step (ConeError, also a non-finite parameter that the
+        # table rejects), a Python scalar that overflowed or was divided by
+        # zero (ArithmeticError), or a non-finite residual form
         return DegeneracyReport(
             "UnclassifiedBoundary",
             f"ill-conditioned reduction near a case boundary: {exc}",

@@ -232,6 +232,24 @@ def form_distance(a: QuadraticCone, b: QuadraticCone) -> float:
     return float(np.abs(np.linalg.eigvalsh(_interleaved_form(a) - _interleaved_form(b))).max())
 
 
+def form_norm2(S: tuple, H: tuple) -> float:
+    """max over |z| = 1 of |rho(z)| for n = 2, S = (s00, s01, s11) and H = (h00, h01, h11).
+
+    form_distance's spectral norm for a form given by Python scalars, such
+    as the difference of two forms: one eigvalsh of _interleaved_form's
+    matrix, built entry by entry.
+    """
+    (a, ai), (b, bi), (c, ci) = ((s.real, s.imag) for s in S)
+    h00, h, hi, h11 = H[0].real, H[1].real, H[1].imag, H[2].real
+    G = [
+        [h00 + a, -ai, h + b, -(hi + bi)],
+        [-ai, h00 - a, hi - bi, h - b],
+        [h + b, hi - bi, h11 + c, -ci],
+        [-(hi + bi), h - b, -ci, h11 - c],
+    ]
+    return float(np.abs(np.linalg.eigvalsh(np.array(G))).max())
+
+
 def real_form_matrix(cone: QuadraticCone) -> np.ndarray:
     """The 2n x 2n real symmetric matrix G with rho = (x,y)^T G (x,y).
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import pathlib
 import sys
 
@@ -24,7 +25,7 @@ from quadcone.normalform import (
     real_degeneracy,
     render_cone,
 )
-from quadcone.quadform import ConeError, QuadraticCone, evaluate, evaluate_many
+from quadcone.quadform import ConeError, QuadraticCone, evaluate, evaluate_many, hermitian_signature, mat_norm
 from quadcone.reduction import E_HERM
 
 # the one literal copy of the table's tags: the other tests and scripts read
@@ -237,6 +238,104 @@ def test_normalize_hermitian_keeps_canonical_coordinates_up_to_a_power_of_two(n)
             assert np.array_equal(W, 2.0**-j * np.eye(n)), f"{(pi, nu)}, j = {j}"
 
 
+def _eigh_frame(cone):
+    """normalize_hermitian's W by its recipe with np.linalg.eigh: the reference for n = 2."""
+    pi, nu = hermitian_signature(cone).as_tuple()
+    target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (2 - pi - nu)).astype(complex)
+    if (pi, nu) == (1, 1):
+        target = E_HERM
+    t, h = mat_norm(target), mat_norm(cone.H)
+    r = 2.0 ** -round(math.log2(h / t) / 2) if h and t else 1.0
+    if mat_norm(r * (r * cone.H) - target) <= 1e-12 * max(r * r * h, 1e-300):
+        return r * np.eye(2)
+    w, V = np.linalg.eigh(cone.H)
+    order = np.concatenate([2 - pi + np.argsort(-w[2 - pi :], kind="stable"), np.arange(2 - pi)])
+    root = np.sqrt(np.abs(w[order]))
+    root[pi + nu :] = np.sqrt(np.max(np.abs(w))) or 1.0
+    W = V[:, order] / root
+    return W @ (0.5 * CHOFVAR) if (pi, nu) == (1, 1) else W
+
+
+def _random_h(kind, rng):
+    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    H = A + A.conj().T
+    if kind == "real":
+        H = H.real.astype(complex)
+    elif kind == "diagonal":
+        H = np.diag(np.diag(H).real).astype(complex)
+    elif kind == "imaginary_off_diagonal":
+        H[0, 1], H[1, 0] = 1j * H[0, 1].imag, 1j * H[1, 0].imag
+    elif kind.startswith("equal_diagonal"):
+        H[1, 1] = H[0, 0]
+        if kind == "equal_diagonal_real":
+            H = H.real.astype(complex)
+    elif kind == "singular":
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        H = np.outer(v, v.conj())
+    return H
+
+
+def _frame_pair(H):
+    cone = QuadraticCone(np.zeros((2, 2)), H)
+    if hermitian_signature(cone).nu > hermitian_signature(cone).pi:
+        cone = cone.negated()
+    W, _ = normalize_hermitian(cone)
+    return W, _eigh_frame(cone)
+
+
+FRAME_KINDS = ("complex", "real", "diagonal", "imaginary_off_diagonal", "equal_diagonal_real", "singular")
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_the_closed_form_frame_is_eighs_to_rounding(kind):
+    # the n = 2 frame follows LAPACK zheevd's steps, so its signs and phases
+    # are eigh's; the scales 2^-1000..2^1000 cross zheevd's own rescaling
+    rng = np.random.default_rng(60 + FRAME_KINDS.index(kind))
+    for _ in range(400):
+        W, ref = _frame_pair(_random_h(kind, rng) * 2.0 ** int(rng.integers(-1000, 1001)))
+        assert np.abs(W - ref).max() <= 1e-11 * np.abs(ref).max(), kind
+
+
+def test_the_closed_form_frame_differs_from_eigh_by_a_sign_at_equal_diagonal():
+    # h00 == h11 with a non-real h10: zheevd's reflection leaves a rounding
+    # error in h11 whose sign, a matter of the BLAS kernels, decides the sign
+    # of both columns; the closed form keeps h11 == h00 and may give -W
+    rng = np.random.default_rng(71)
+    negated = 0
+    for _ in range(400):
+        W, ref = _frame_pair(_random_h("equal_diagonal", rng) * 2.0 ** int(rng.integers(-1000, 1001)))
+        scale = np.abs(ref).max()
+        same = np.abs(W - ref).max() <= 1e-11 * scale
+        negated += not same
+        assert same or np.abs(W + ref).max() <= 1e-11 * scale
+    assert negated  # the stratum exists
+
+
+def test_the_closed_form_frame_keeps_its_columns_at_every_scale_where_eigh_does_not():
+    # a singular H with an off-diagonal below about 1e-150 of its norm: at
+    # unit scale LAPACK's split test drops that off-diagonal, as the closed
+    # form does at every scale; at other scales zheevd's own rescaling (by
+    # a factor that is not a power of two) keeps it and rotates, which
+    # changes the signs of W's columns
+    H = np.array([[0.0, 1e-160], [1e-160, 1.0]], dtype=complex)
+    W, ref = _frame_pair(H)
+    assert np.array_equal(W, ref)
+    for k, eigh_agrees in ((-1000, True), (-500, True), (500, False), (1000, False)):
+        moved, moved_ref = _frame_pair(2.0**k * H)
+        assert np.array_equal(moved, 2.0 ** (-k // 2) * W), k
+        assert np.allclose(moved_ref, moved, rtol=0, atol=1e-12 * np.abs(moved).max()) == eigh_agrees, k
+
+
+@pytest.mark.parametrize("signature", [(2, 0), (1, 1), (1, 0)])
+def test_the_closed_form_frame_at_zero_and_at_the_canonical_matrix(signature):
+    assert np.array_equal(_frame_pair(np.zeros((2, 2)))[0], np.eye(2))
+    pi, nu = signature
+    target = E_HERM if signature == (1, 1) else np.diag([1.0, -1.0 if nu else float(pi == 2)])
+    for j in (-200, 0, 3):
+        W, ref = _frame_pair(4.0**j * target)
+        assert np.array_equal(W, 2.0**-j * np.eye(2)) and np.array_equal(W, ref)
+
+
 def test_normalize_hermitian_rejects_nu_above_pi():
     with pytest.raises(ConeError, match="not canonical"):
         normalize_hermitian(QuadraticCone(np.zeros((3, 3)), np.diag([1.0, -1.0, -1.0])))
@@ -388,6 +487,14 @@ def _planar_decide_cones(monkeypatch) -> list:
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up here
     spec.loader.exec_module(workloads)
     return [parse_spec(op.spec).cone for op in workloads.planar_decide(1)]
+
+
+def test_classify2_takes_a_phase_whose_atan2_underflows():
+    # alpha = 4 + 5e-324 i: cmath.phase raises OverflowError where atan2
+    # underflows, np.angle and math.atan2 return 0
+    res = classify2(QuadraticCone([[complex(4.0, 5e-324), 0.0], [0.0, 1.0]], np.diag([1.0, 0.0])))
+    assert isinstance(res, NormalFormResult) and res.ntype == NormalFormType("M10_1", a=4.0)
+    assert res.residual <= res.residual_bound
 
 
 def test_classify2_moves_T_exactly_under_power_of_two_scalings(monkeypatch):

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcone.decider import VerificationFailed, decide2, normal_frame_verdict, verify_discs
-from quadcone.normalform import NormalFormType, apply_change, classify2, render_cone
+from quadcone.normalform import (
+    DegeneracyReport,
+    NormalFormResult,
+    NormalFormType,
+    apply_change,
+    classify2,
+    render_cone,
+)
 from quadcone.quadform import QuadraticCone, decompose_real_form, real_form_matrix
 from quadcone.reduction import so11_zero_diag
 
@@ -100,3 +109,34 @@ def test_immutability_of_cone():
         cone.n = 3
     with pytest.raises((ValueError, RuntimeError)):
         cone.S[0, 0] = 5.0
+
+
+# m * 2^e with e anywhere in [-1000, 1000]; small integer mantissas make zero,
+# equal and cancelling entries likely
+spread = st.builds(
+    math.ldexp,
+    st.one_of(st.integers(min_value=-3, max_value=3).map(float), st.floats(min_value=-1.0, max_value=1.0)),
+    st.integers(min_value=-1000, max_value=1000),
+)
+
+
+@st.composite
+def spread_cones(draw):
+    """n = 2 cones with every entry part m * 2^e: H arbitrary, or of rank one."""
+    s00, s01, s11 = (complex(draw(spread), draw(spread)) for _ in range(3))
+    if draw(st.booleans()):
+        h00, h11, h01 = draw(spread), draw(spread), complex(draw(spread), draw(spread))
+    else:  # H = v v^*, singular; v's parts at most 2^500 so that H stays finite
+        half = st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-500, 500))
+        x, y = (complex(draw(half), draw(half)) for _ in range(2))
+        h00, h01, h11 = abs(x) ** 2, x * y.conjugate(), abs(y) ** 2
+    return QuadraticCone([[s00, s01], [s01, s11]], [[h00, h01], [h01.conjugate(), h11]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_cones())
+def test_classify2_returns_a_result_or_a_report_at_any_scale(cone):
+    # the reduction runs on Python scalars, which raise OverflowError,
+    # ZeroDivisionError or ValueError where numpy returned inf or nan
+    res = classify2(cone)
+    assert isinstance(res, (NormalFormResult, DegeneracyReport))

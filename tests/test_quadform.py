@@ -19,6 +19,7 @@ from quadcone.quadform import (
     evaluate,
     evaluate_many,
     form_distance,
+    form_norm2,
     hermitian_signature,
     real_form_matrix,
     mat_norm,
@@ -243,6 +244,16 @@ def test_form_distance_of_two_m20_forms_is_their_coefficient_gap():
     assert form_distance(a, a) == 0.0
     with pytest.raises(ConeError):
         form_distance(a, random_cone(np.random.default_rng(0), n=3))
+
+
+def test_form_norm2_of_the_entry_differences_is_form_distance():
+    # the n = 2 scalar form of the same spectral norm, at scales 1e-150..1e150
+    rng = np.random.default_rng(48)
+    for k in range(-150, 151, 15):
+        a, b = random_cone(rng, scale=10.0**k), random_cone(rng, scale=10.0**k)
+        S, H = a.S - b.S, a.H - b.H
+        got = form_norm2((S[0, 0], S[0, 1], S[1, 1]), (H[0, 0], H[0, 1], H[1, 1]))
+        assert got == pytest.approx(form_distance(a, b), rel=1e-13), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
