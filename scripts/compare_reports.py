@@ -17,8 +17,11 @@ tree runs in a subprocess of its own over the same inputs:
   fixtures of the wrong dimension for `classify`, `decide`, `verify` and
   `slice`, a degenerate cone under `verify` and `decide`, `atlas` grids
   with values outside the tag's range and with an M11_1 cell a rounding
-  away from A = B, and a polynomial whose real form's sums overflow
-  unless halved first.
+  away from A = B, a polynomial whose real form's sums overflow
+  unless halved first, specs with asymmetric S and H (a nonzero
+  symmetrization adjustment) under `decide` and `verify`, a spec with an
+  entry 1e400 (it parses to inf), and two-sided specs at 1e300 and 1e-300
+  under `decide` and `verify`.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Each input is
@@ -78,6 +81,19 @@ HUGE_POLY = (
     '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.7e308},'
     ' {"vars": ["y1", "y1"], "coeff": -1.7e308}]}'
 )
+# S and H off their symmetric and hermitian forms: parse_spec symmetrizes and reports by how much
+ASYMMETRIC = (
+    '{"n": 2, "S": [[0.5, 0.25], [0.15, 0.3]],'
+    ' "H": [[1, {"re": 0.2, "im": 0.1}], [{"re": 0.3, "im": -0.1}, -1]]}'
+)
+NON_FINITE = '{"n": 2, "S": [[1e400, 0], [0, 1]], "H": [[1, 0], [0, -1]]}'
+
+
+def _two_sided_at(s: str) -> str:
+    """S = [[0, s], [s, 0]], H = diag(s, -s): M11_2 with A = 1/2 at any scale s."""
+    return f'{{"n": 2, "S": [[0, {s}], [{s}, 0]], "H": [[{s}, 0], [0, -{s}]]}}'
+
+
 BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
 EXTRA = (
     ("poly/classify", ["classify", "-"], POLY),
@@ -103,6 +119,13 @@ EXTRA = (
     ("out_of_range/atlas_M11_2", ["atlas", "--tag", "M11_2", "--grid", "0,1,2"], None),
     ("near_equal/atlas", ["atlas", "--tag", "M11_1", "--grid=0.25,1,1.0000000000001,2"], None),
     ("huge_poly/classify", ["classify", "-"], HUGE_POLY),
+    ("asymmetric/decide", ["decide", "-"], ASYMMETRIC),
+    ("asymmetric/verify", ["verify", "-"], ASYMMETRIC),
+    ("non_finite/decide", ["decide", "-"], NON_FINITE),
+    ("two_sided_1e300/decide", ["decide", "-"], _two_sided_at("1e300")),
+    ("two_sided_1e300/verify", ["verify", "-"], _two_sided_at("1e300")),
+    ("two_sided_1e-300/decide", ["decide", "-"], _two_sided_at("1e-300")),
+    ("two_sided_1e-300/verify", ["verify", "-"], _two_sided_at("1e-300")),
 )
 
 

@@ -23,6 +23,7 @@ entry is a schema error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import json
@@ -122,7 +123,8 @@ def _indexed(path: str, index) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
 
-def _parse_matrix(data, n: int, path: str) -> np.ndarray:
+def _parse_matrix(data, n: int, path: str) -> list:
+    """The rows of an n x n matrix as lists of Python complex."""
     if not isinstance(data, list) or len(data) != n:
         raise SchemaError(path, f"expected {n} rows")
     rows = []
@@ -130,7 +132,17 @@ def _parse_matrix(data, n: int, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{path}[{i}]", f"expected {n} entries")
         rows.append([_entry_to_complex(v, path, i, j) for j, v in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    return rows
+
+
+def _asymmetry(rows: list, conj: bool) -> float:
+    """||M - M^T||_F / 2 (M^H when conj) of a matrix given by its rows of Python complex."""
+    parts = []
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            d = z - (rows[j][i].conjugate() if conj else rows[j][i])
+            parts += (d.real, d.imag)
+    return 0.5 * math.hypot(*parts)
 
 
 def _require_finite(M: np.ndarray, path: str) -> None:
@@ -192,15 +204,14 @@ def parse_spec(text: str) -> ConeSpec:
         raise SchemaError("$", "need S and H matrices (or poly)")
     S = _parse_matrix(data["S"], n, "S")
     H = _parse_matrix(data["H"], n, "H")
-    s_adj = float(np.linalg.norm(S - S.T) / 2)
-    h_adj = float(np.linalg.norm(H - H.conj().T) / 2)
     # _symmetrized applies the checked constructor's symmetrization (halves
-    # first, so a finite S stays finite); that constructor's tests cannot fail
-    # on a finite result, so the cone is bitwise the one it would build
-    cone = QuadraticCone._symmetrized(S, H)
-    _require_finite(cone.S, "S")
-    _require_finite(cone.H, "H")
-    return ConeSpec(cone=cone, s_adjustment=s_adj, h_adjustment=h_adj)
+    # first, so finite entries stay finite); that constructor's tests cannot
+    # fail on a finite result, so the cone is bitwise the one it would build
+    cone = QuadraticCone._symmetrized(np.array(S, dtype=complex), np.array(H, dtype=complex))
+    if not all(cmath.isfinite(z) for M in (S, H) for row in M for z in row):
+        _require_finite(cone.S, "S")
+        _require_finite(cone.H, "H")
+    return ConeSpec(cone=cone, s_adjustment=_asymmetry(S, False), h_adjustment=_asymmetry(H, True))
 
 
 def _c2j(z) -> dict:

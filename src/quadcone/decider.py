@@ -16,6 +16,8 @@ verify_discs), and rho is evaluated at the point that attains it.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -32,6 +34,7 @@ from .quadform import (
     real_form_matrix,
     sample_points,
 )
+from .reduction import exponent, parts, phase, scaled
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
 A_ONE_BOUNDARY_TOL = 1e-9
@@ -158,12 +161,11 @@ class JumpReport:
     points_checked: int
 
 
-def _check_finite(vals: np.ndarray, Z: np.ndarray, what: str, eps: float | None = None) -> None:
-    """Raise VerificationFailed at the first point of Z whose checked value is not finite."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise VerificationFailed(f"{what}: rho is not finite at a checked point", eps=eps, z=Z[j])
+def _check_finite(vals, Z, what: str, eps: float | None = None) -> None:
+    """Raise VerificationFailed at the first point of Z whose checked value (of a few) is not finite."""
+    for j, val in enumerate(vals):
+        if not math.isfinite(val):
+            raise VerificationFailed(f"{what}: rho is not finite at a checked point", eps=eps, z=Z[j])
 
 
 def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, np.ndarray]:
@@ -372,7 +374,7 @@ def verify_support(
     witness: SupportWitness,
     tol_rel: float = SUPPORT_TOL_REL,
 ) -> SupportReport:
-    """Check A^+ within the closure of {rho >= 0} and A^- within {rho <= 0}.
+    """Check A^+ within the closure of {rho >= 0} and A^- within {rho <= 0}, for a cone in C^2.
 
     Exact: rho is evaluated at the maximum and the minimum point of each
     line (module docstring), normalized by |z|^2 * (||S||_F + ||H||_F).  The
@@ -380,10 +382,20 @@ def verify_support(
     inside the cone itself (the non-minimal case) pass, and a non-minimal
     witness must keep |rho| within it.  A non-finite value fails as well.  A
     failure carries its worst point as `z`; the report carries the four points.
+    The points come from Python complex scalars and go through one
+    evaluate_many call.
     """
     scale = max(cone.scale, 1e-300)
-    Z = _line_extremes(cone, np.array([witness.aplus.span, witness.aminus.span]))
-    vals = evaluate_many(cone, Z) / (np.linalg.norm(Z, axis=1) ** 2 * scale)
+    (s00, s01), (_, s11) = cone.S.tolist()
+    points = []
+    for germ in (witness.aplus, witness.aminus):
+        v0, v1 = np.asarray(germ.span, dtype=complex).tolist()
+        # t^2 a = |a| for a = v^T S v; phase(a) is in [-pi, pi], so t is finite
+        t = cmath.rect(1.0, -0.5 * phase((s00 * v0 + s01 * v1) * v0 + (s01 * v0 + s11 * v1) * v1))
+        it = 1j * t
+        points += [(t * v0, t * v1), (it * v0, it * v1)]
+    Z = np.array(points)
+    vals = (evaluate_many(cone, Z) / (np.linalg.norm(Z, axis=1) ** 2 * scale)).tolist()
     _check_finite(vals, Z, "supporting lines")
     _, plus_min, minus_max, _ = vals
     if plus_min < -tol_rel:
@@ -395,30 +407,18 @@ def verify_support(
             f"A- witness {witness.aminus.label} rises above the cone (rho={minus_max:.3e})", z=Z[2]
         )
     if witness.kind == "nonminimal":
-        j = int(np.argmax(np.abs(vals)))
+        j = max(range(4), key=lambda k: abs(vals[k]))
         if abs(vals[j]) > tol_rel:
             raise VerificationFailed(
                 f"non-minimal witness leaves the cone (|rho| = {abs(vals[j]):.3e})", z=Z[j]
             )
-    return SupportReport(float(plus_min), float(minus_max), points=_point_tuple(Z))
+    return SupportReport(plus_min, minus_max, points=tuple(points))
 
 
-def _germ(coeffs, label: str) -> LinearGerm:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    span = np.array([-coeffs[1], coeffs[0]], dtype=complex)
-    span = span / np.linalg.norm(span)
-    return LinearGerm(coeffs=coeffs, span=span, label=label)
-
-
-def _pull_back_germ(germ: LinearGerm, T: np.ndarray, Tinv: np.ndarray) -> LinearGerm:
-    """Image {z = T w : ell(w) = 0} of a germ under the change of variables; Tinv is T's inverse."""
-    coeffs = Tinv.T @ germ.coeffs
-    span = T @ germ.span
-    return LinearGerm(
-        coeffs=coeffs / np.linalg.norm(coeffs),
-        span=span / np.linalg.norm(span),
-        label=germ.label,
-    )
+def _germ(c0: complex, c1: complex, label: str) -> LinearGerm:
+    """The germ {c0 z1 + c1 z2 = 0}, spanned by the unit vector along (-c1, c0)."""
+    size = math.hypot(*parts(c0, c1))
+    return LinearGerm(coeffs=np.array([c0, c1]), span=np.array([-c1 / size, c0 / size]), label=label)
 
 
 def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
@@ -449,7 +449,7 @@ def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
     if tag == "M11_1":
         A, B = params
         if A == B:
-            line = _germ([1j, -1.0], "{z2 = i z1}")  # rho vanishes identically here
+            line = _germ(1j, -1.0 + 0j, "{z2 = i z1}")  # rho vanishes identically here
             return lines(line, line, "nonminimal")
         if A > 1.0 + A_ONE_BOUNDARY_TOL:
             if B < 1.0:
@@ -457,26 +457,47 @@ def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
             # 1 <= B < A: the level variety A z1^2 + B z2^2 = -eps stays below the cone
             return discs("level_set", -np.diag([A, B]).astype(complex))
         note = "A = 1 boundary: two-sided clause applies" if abs(A - 1.0) <= A_ONE_BOUNDARY_TOL else ""
-        return lines(_germ([0.0, 1.0], "{z2 = 0}"), _germ([1.0, 0.0], "{z1 = 0}"), "proper", note)
+        return lines(_germ(0j, 1.0 + 0j, "{z2 = 0}"), _germ(1.0 + 0j, 0j, "{z1 = 0}"), "proper", note)
     if tag == "M11_2":
         (a,) = params
-        lam1 = np.pi / 2 + np.angle(a)  # solves e^(2 i lam) = -a / conj(a)
-        lam2 = lam1 + np.pi
-        g1 = _germ([np.exp(1j * lam1), -1.0], f"{{z2 = e^(i{lam1:.6f}) z1}}")
-        g2 = _germ([np.exp(1j * lam2), -1.0], f"{{z2 = e^(i{lam2:.6f}) z1}}")
+        lam1 = math.pi / 2 + phase(a)  # solves e^(2 i lam) = -a / conj(a)
+        lam2 = lam1 + math.pi
+        g1 = _germ(cmath.exp(1j * lam1), -1.0 + 0j, f"{{z2 = e^(i{lam1:.6f}) z1}}")
+        g2 = _germ(cmath.exp(1j * lam2), -1.0 + 0j, f"{{z2 = e^(i{lam2:.6f}) z1}}")
         # rho on the line with angle lam is -|z1|^2 sin(lam)
-        return lines(g2, g1, "proper") if np.sin(lam1) > 0 else lines(g1, g2, "proper")
+        return lines(g2, g1, "proper") if math.sin(lam1) > 0 else lines(g1, g2, "proper")
     if tag in ("M11_3", "M10_2"):
-        line = _germ([1.0, 0.0], "{z1 = 0}")
+        line = _germ(1.0 + 0j, 0j, "{z1 = 0}")
         return lines(line, line, "nonminimal")
-    line = _germ([1j, -1.0], "{z2 = i z1}")  # M00_1, the last of normalform.TAGS
+    line = _germ(1j, -1.0 + 0j, "{z2 = i z1}")  # M00_1, the last of normalform.TAGS
     return lines(line, line, "nonminimal")
 
 
 def _pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness:
-    Tinv = np.linalg.inv(r.T)
-    ap = _pull_back_germ(w.aplus, r.T, Tinv)
-    am = _pull_back_germ(w.aminus, r.T, Tinv)
+    """The witness's lines {z = T w : ell(w) = 0} in the cone's coordinates, unit coeffs and span.
+
+    The functional is ell(T^-1 z), with coefficients T^-T ell = adj(T)^T ell
+    / det T.  Both vectors are normalized, so T is first scaled by the power
+    of two that brings its entries to at most 1 (nothing over- or
+    underflows, and 2^k T gives the same germs bitwise), and 1 / det T
+    enters only by its phase.
+    """
+    T = r.T.ravel().tolist()
+    t00, t01, t10, t11 = scaled(-exponent(*parts(*T)), *T)
+    turn = cmath.rect(1.0, -phase(t00 * t11 - t01 * t10))
+
+    def pull(germ: LinearGerm) -> LinearGerm:
+        c0, c1 = germ.coeffs.tolist()
+        v0, v1 = germ.span.tolist()
+        f0, f1 = (t11 * c0 - t10 * c1) * turn, (t00 * c1 - t01 * c0) * turn
+        z0, z1 = t00 * v0 + t01 * v1, t10 * v0 + t11 * v1
+        nf, nz = math.hypot(*parts(f0, f1)), math.hypot(*parts(z0, z1))
+        return LinearGerm(
+            coeffs=np.array([f0 / nf, f1 / nf]), span=np.array([z0 / nz, z1 / nz]), label=germ.label
+        )
+
+    ap = pull(w.aplus)
+    am = ap if w.aminus is w.aplus else pull(w.aminus)  # a non-minimal witness has one line
     if r.sign < 0:
         ap, am = am, ap
     return SupportWitness(aplus=ap, aminus=am, kind=w.kind)

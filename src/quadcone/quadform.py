@@ -188,13 +188,19 @@ def _interleaved_form(cone: QuadraticCone) -> np.ndarray:
 
     That is the order of the float64 view of complex points, so rho(z) =
     x^T G x with x = z.view(float64).  G is exactly symmetric, since S is
-    symmetric and H hermitian bitwise.
+    symmetric and H hermitian bitwise.  For n = 2 it is built from the
+    entries as Python scalars (_form2).
     """
     if cone._G is None:
         n = cone.n
-        # (n, n, 4): Sr, Si, Hr, Hi of each entry (j, k)
-        parts = np.concatenate([M.view(np.float64).reshape(n, n, 2) for M in (cone.S, cone.H)], axis=2)
-        G = (parts @ _FORM_BLOCK).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+        if n == 2:
+            (s00, s01), (_, s11) = cone.S.tolist()
+            (h00, h01), (_, h11) = cone.H.tolist()
+            G = _form2((s00, s01, s11), (h00, h01, h11))
+        else:
+            # (n, n, 4): Sr, Si, Hr, Hi of each entry (j, k)
+            entries = np.concatenate([M.view(np.float64).reshape(n, n, 2) for M in (cone.S, cone.H)], axis=2)
+            G = (entries @ _FORM_BLOCK).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
         G.setflags(write=False)
         object.__setattr__(cone, "_G", G)
     return cone._G
@@ -232,22 +238,30 @@ def form_distance(a: QuadraticCone, b: QuadraticCone) -> float:
     return float(np.abs(np.linalg.eigvalsh(_interleaved_form(a) - _interleaved_form(b))).max())
 
 
-def form_norm2(S: tuple, H: tuple) -> float:
-    """max over |z| = 1 of |rho(z)| for n = 2, S = (s00, s01, s11) and H = (h00, h01, h11).
+def _form2(S: tuple, H: tuple) -> np.ndarray:
+    """rho's real form in _interleaved_form's order for n = 2, S = (s00, s01, s11) and H = (h00, h01, h11).
 
-    form_distance's spectral norm for a form given by Python scalars, such
-    as the difference of two forms: one eigvalsh of _interleaved_form's
-    matrix, built entry by entry.
+    Built entry by entry from Python scalars.  It equals the product with
+    _FORM_BLOCK that builds the form for n >= 3 up to the sign of zero
+    entries.
     """
     (a, ai), (b, bi), (c, ci) = ((s.real, s.imag) for s in S)
     h00, h, hi, h11 = H[0].real, H[1].real, H[1].imag, H[2].real
-    G = [
+    return np.array([
         [h00 + a, -ai, h + b, -(hi + bi)],
         [-ai, h00 - a, hi - bi, h - b],
         [h + b, hi - bi, h11 + c, -ci],
         [-(hi + bi), h - b, -ci, h11 - c],
-    ]
-    return float(np.abs(np.linalg.eigvalsh(np.array(G))).max())
+    ])
+
+
+def form_norm2(S: tuple, H: tuple) -> float:
+    """max over |z| = 1 of |rho(z)| for n = 2, S = (s00, s01, s11) and H = (h00, h01, h11).
+
+    form_distance's spectral norm for a form given by Python scalars, such
+    as the difference of two forms: one eigvalsh of _form2.
+    """
+    return float(np.abs(np.linalg.eigvalsh(_form2(S, H))).max())
 
 
 def real_form_matrix(cone: QuadraticCone) -> np.ndarray:
@@ -321,28 +335,39 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
     return decompose_real_form(G)
 
 
-def _inertia(w: np.ndarray) -> tuple[int, int]:
-    """Counts of the eigenvalues w above +tol and below -tol.
+def _inertia(w: list) -> tuple[int, int]:
+    """Counts of the eigenvalues w, Python floats, above +tol and below -tol.
 
     tol is ZERO_EIG_REL * max |w|, relative to the matrix's spectral norm
     (which its eigenvalues give for free), not to the Frobenius mat_norm
     used for every other tolerance scale.
     """
-    tol = ZERO_EIG_REL * max(np.abs(w).max(), 1e-300)
-    return int(np.sum(w > tol)), int(np.sum(w < -tol))
+    tol = ZERO_EIG_REL * max(max(map(abs, w)), 1e-300)
+    return sum(x > tol for x in w), sum(x < -tol for x in w)
 
 
 def hermitian_signature(cone: QuadraticCone) -> HermitianSignature:
-    """Eigenvalue counts of H above/below +-1e-9 * max |eigenvalue|, computed once and kept."""
+    """Eigenvalue counts of H above/below +-1e-9 * max |eigenvalue|, computed once and kept.
+
+    For n = 2 the eigenvalues are eigh2's of H times the power of two that
+    brings its entries to at most 1, the ones normalform's frame reads.
+    """
     if cone._hsig is None:
-        object.__setattr__(cone, "_hsig", HermitianSignature(*_inertia(np.linalg.eigvalsh(cone.H))))
+        if cone.n == 2:
+            (h00, _), (h10, h11) = cone.H.tolist()
+            e = -exponent(h00.real, h11.real, *parts(h10))
+            w0, w1, _ = eigh2(math.ldexp(h00.real, e), *scaled(e, h10), math.ldexp(h11.real, e))
+            w = [w0, w1]
+        else:
+            w = np.linalg.eigvalsh(cone.H).tolist()
+        object.__setattr__(cone, "_hsig", HermitianSignature(*_inertia(w)))
     return cone._hsig
 
 
 def real_signature(cone: QuadraticCone) -> RealSignature:
     """Inertia of the real form of rho on R^(2n), kept as for hermitian_signature."""
     if cone._rsig is None:
-        w = np.linalg.eigvalsh(_interleaved_form(cone))
+        w = np.linalg.eigvalsh(_interleaved_form(cone)).tolist()
         object.__setattr__(cone, "_rsig", RealSignature(*_inertia(w)))
     return cone._rsig
 
@@ -450,3 +475,6 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
         f"found {found} of {count} requested cone points; rho may be (semi)definite"
     )
 
+
+# reduction builds on this module (ConeError, mat_norm), so its 2x2 kernels come last
+from .reduction import eigh2, exponent, parts, scaled  # noqa: E402

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import quadcone.quadform as quadform
 from quadcone.cli import DEFAULT_EPS
 from quadcone.decider import (
+    SUPPORT_TOL_REL,
     DiscFamily,
     VerificationFailed,
     decide2,
@@ -32,7 +33,13 @@ from quadcone.normalform import (
 from quadcone.quadform import QuadraticCone, evaluate_many, form_distance, sample_points
 from quadcone.slicer import SLICE_EPS_GRID
 
-from witness_samplers import _disc_points, _germ_points
+from witness_samplers import (
+    _disc_points,
+    _germ_points,
+    numpy_line_values,
+    numpy_pull_back_witness,
+    spread_cones2,
+)
 
 EPS_GRID = (1e-3, 1e-2, 1e-1)
 
@@ -356,6 +363,50 @@ def test_verify_support_rejects_a_non_finite_span():
     with pytest.raises(VerificationFailed, match="not finite") as info:
         verify_support(cone, SupportWitness(aplus=germ, aminus=v.witness.aminus, kind="proper"))
     assert np.isnan(info.value.z).all()
+
+
+def test_the_scalar_witness_is_the_numpy_witness_to_rounding():
+    # decide2 pulls the lines back and verify_support finds their extremal
+    # points on Python scalars; the oracle is the numpy form of both
+    # (np.linalg.inv(T), _line_extremes and evaluate_many) on 2,400 cones at
+    # scales 2^-1000..2^1000.  An extremal point is t v or i t v with t^2 a =
+    # |a| for a = v^T S v, so it is defined up to its sign, and up to
+    # u / |a| (a normalized by the scale) where a is a rounding residue
+    u = 2.0**-53
+    two_sided, verdicts_differ = 0, []
+    for i, cone in enumerate(spread_cones2(seed=24, count=2400)):
+        res = classify2(cone)
+        if not (isinstance(res, NormalFormResult) and res.residual <= res.residual_bound):
+            continue
+        v = decide2(res)
+        if v.outcome != "two_sided":
+            continue
+        two_sided += 1
+        ref = numpy_pull_back_witness(normal_frame_verdict(res.ntype).witness, res)
+        cond = np.linalg.cond(res.T)
+        for germ, oracle in ((v.witness.aplus, ref.aplus), (v.witness.aminus, ref.aminus)):
+            assert np.abs(germ.coeffs - oracle.coeffs).max() <= 16 * u * cond, i
+            assert np.abs(germ.span - oracle.span).max() <= 16 * u * cond, i
+        Z, vals = numpy_line_values(cone, v.witness)
+        rep = verify_support(cone, v.witness, tol_rel=np.inf)
+        assert abs(rep.plus_min - vals[1]) <= 16 * u and abs(rep.minus_max - vals[2]) <= 16 * u, i
+        points = np.array(rep.points)
+        for j, germ in enumerate((v.witness.aplus, v.witness.aminus)):
+            a = abs(germ.span @ cone.S @ germ.span) / cone.scale
+            got, want = points[2 * j : 2 * j + 2], Z[2 * j : 2 * j + 2]
+            d = min(np.abs(got - want).max(), np.abs(got + want).max())
+            assert d <= 16 * u * (1 + 1 / max(a, 1e-300)), (i, j)
+        holds = vals[1] >= -SUPPORT_TOL_REL and vals[2] <= SUPPORT_TOL_REL
+        if v.witness.kind == "nonminimal":
+            holds = holds and np.abs(vals).max() <= SUPPORT_TOL_REL
+        try:
+            verify_support(cone, v.witness)
+            passed = True
+        except VerificationFailed:
+            passed = False
+        if passed != holds:
+            verdicts_differ.append(i)
+    assert two_sided >= 600 and verdicts_differ == []
 
 
 def test_verify_support_wrong_angle_fails():

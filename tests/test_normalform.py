@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quadcone.cli import parse_spec
+from quadcone.decider import decide2, verify_support
 from quadcone.fixtures import FIXTURES
 from quadcone.normalform import (
     CHOFVAR,
@@ -517,6 +518,31 @@ def test_classify2_moves_T_exactly_under_power_of_two_scalings(monkeypatch):
                     and got.sign == base.sign and got.ntype == base.ntype):
                 broken.append((i, base.tag, k))
     assert len(cones) == 260 and not broken
+
+
+def test_decide2_keeps_the_witness_exactly_under_power_of_two_scalings(monkeypatch):
+    # the same cones and k as above: with T moved by 2^(k/2), the supporting
+    # lines (coefficients and span) and verify_support's line extremes stay
+    # as they are, bitwise
+    cones = [make() for make in FIXTURES.values()]
+    cones = [cone for cone in cones if cone.n == 2] + _planar_decide_cones(monkeypatch)
+    checked, broken = 0, []
+    for i, cone in enumerate(cones):
+        base = decide2(classify2(cone))
+        if base.outcome != "two_sided":
+            continue
+        rep = verify_support(cone, base.witness)
+        for k in (2, -2, 300, -300, (-1) ** i * (4 + 2 * (37 * i % 148))):
+            scaled = QuadraticCone(2.0**-k * cone.S, 2.0**-k * cone.H)
+            got = decide2(classify2(scaled))
+            got_rep = verify_support(scaled, got.witness)
+            checked += 1
+            for g, b in ((got.witness.aplus, base.witness.aplus), (got.witness.aminus, base.witness.aminus)):
+                if not (np.array_equal(g.coeffs, b.coeffs) and np.array_equal(g.span, b.span)):
+                    broken.append((i, k, g.label))
+            if (got_rep.plus_min, got_rep.minus_max) != (rep.plus_min, rep.minus_max):
+                broken.append((i, k, "extremes"))
+    assert checked >= 700 and not broken
 
 
 @pytest.mark.parametrize("ntype", [NormalFormType("M10_1", a=0.7), NormalFormType("M10_2")])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcone.decider import VerificationFailed, decide2, normal_frame_verdict, verify_discs
+from quadcone.decider import Verdict, VerificationFailed, decide2, normal_frame_verdict, verify_discs, verify_support
 from quadcone.normalform import (
     DegeneracyReport,
     NormalFormResult,
@@ -18,7 +18,13 @@ from quadcone.normalform import (
     classify2,
     render_cone,
 )
-from quadcone.quadform import QuadraticCone, decompose_real_form, real_form_matrix
+from quadcone.quadform import (
+    QuadraticCone,
+    decompose_real_form,
+    hermitian_signature,
+    real_form_matrix,
+    real_signature,
+)
 from quadcone.reduction import so11_zero_diag
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -140,3 +146,25 @@ def test_classify2_returns_a_result_or_a_report_at_any_scale(cone):
     # ZeroDivisionError or ValueError where numpy returned inf or nan
     res = classify2(cone)
     assert isinstance(res, (NormalFormResult, DegeneracyReport))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_cones())
+def test_signatures_decide2_and_verify_support_return_or_fail_verification_at_any_scale(cone):
+    # the signatures, the germs and the line extremes run on Python scalars
+    # too; only a failed check may leave decide2 and verify_support
+    hermitian_signature(cone)
+    real_signature(cone)
+    res = classify2(cone)
+    if not isinstance(res, NormalFormResult):
+        return
+    try:
+        assert isinstance(decide2(res, cone), Verdict)
+    except VerificationFailed:
+        pass
+    verdict = decide2(res) if res.residual <= res.residual_bound else None
+    if verdict is not None and verdict.outcome == "two_sided":
+        try:
+            verify_support(cone, verdict.witness)
+        except VerificationFailed:
+            pass

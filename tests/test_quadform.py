@@ -25,11 +25,14 @@ from quadcone.quadform import (
     mat_norm,
     real_signature,
     sample_points,
+    _inertia,
     _interleaved_form,
 )
 from quadcone.normalform import NormalFormType, apply_change, render_cone
 from quadcone.slicer import Slice, restrict
 from quadcone.reduction import E_HERM
+
+from witness_samplers import numpy_interleaved_form, spread_cones2
 
 
 def example_m():
@@ -525,3 +528,17 @@ def test_tangent_cone_identity():
     Z = rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2))
     for t in (0.1, 2.0, 17.0):
         assert np.all(np.sign(evaluate_many(cone, t * Z)) == np.sign(evaluate_many(cone, Z)))
+
+
+def test_the_n2_signatures_are_the_inertia_of_eigvalsh_at_any_scale():
+    # hermitian_signature reads eigh2's eigenvalues of a prescaled H and
+    # real_signature the eigvalsh of a form built from scalars; the oracle is
+    # eigvalsh of H and of the numpy-built form.  Scales 2^-1000..2^1000,
+    # singular, diagonal and equal-diagonal H
+    differ = []
+    for i, cone in enumerate(spread_cones2(seed=24, count=2400)):
+        h = _inertia(np.linalg.eigvalsh(cone.H).tolist())
+        r = _inertia(np.linalg.eigvalsh(numpy_interleaved_form(cone)).tolist())
+        if (hermitian_signature(cone).as_tuple(), real_signature(cone).as_tuple()) != (h, r):
+            differ.append((i, h, r))
+    assert differ == []
