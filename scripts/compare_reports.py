@@ -20,8 +20,9 @@ tree runs in a subprocess of its own over the same inputs:
   away from A = B, a polynomial whose real form's sums overflow
   unless halved first, specs with asymmetric S and H (a nonzero
   symmetrization adjustment) under `decide` and `verify`, a spec with an
-  entry 1e400 (it parses to inf), and two-sided specs at 1e300 and 1e-300
-  under `decide` and `verify`.
+  entry 1e400 (it parses to inf), two-sided specs at 1e300 and 1e-300
+  under `decide` and `verify`, and one-sided specs at 1e300 and 1e-300
+  under `verify`.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Each input is
@@ -41,6 +42,8 @@ A field whose two values are floats also gets its relative difference:
 in either report.  That object is the matrix or vector for an entry of one
 (the real and imaginary parts of a complex entry included), and otherwise
 the dict that holds the field: a normal form, a verification block.  The
+fields of UNIT_FIELDS are already divided by the cone's scale, so their
+difference is measured against 1 instead.  The
 field-path tally shows the largest relative difference of each path, and
 an input whose exit code is the same and whose every differing field is a
 float pair with a relative difference below ROUNDING_REL counts as
@@ -64,6 +67,9 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MAX_FIELDS = 8  # differing fields printed per input
 ROUNDING_REL = 1e-10  # a float difference below this, relative to its object, is rounding
+# verify_support's line values, normalized by |z|^2 * scale: on a line inside
+# the cone they are rounding residues of 0, which their own dict cannot measure
+UNIT_FIELDS = {("verification", "plus_min"), ("verification", "minus_max")}
 TIMINGS = re.compile(r'("timings": \{)([^{}]*)(\})')
 TIMING_VALUE = re.compile(r'(": )[^,\n]+')
 # M11_1 with A = 1 + 5e-10: two-sided by decide2's A = 1 band, and the line
@@ -92,6 +98,11 @@ NON_FINITE = '{"n": 2, "S": [[1e400, 0], [0, 1]], "H": [[1, 0], [0, -1]]}'
 def _two_sided_at(s: str) -> str:
     """S = [[0, s], [s, 0]], H = diag(s, -s): M11_2 with A = 1/2 at any scale s."""
     return f'{{"n": 2, "S": [[0, {s}], [{s}, 0]], "H": [[{s}, 0], [0, -{s}]]}}'
+
+
+def _one_sided_at(s: str) -> str:
+    """S = diag(s, s), H = diag(s, 0): M10_1 with A = 1, one-sided, at any scale s."""
+    return f'{{"n": 2, "S": [[{s}, 0], [0, {s}]], "H": [[{s}, 0], [0, 0]]}}'
 
 
 BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
@@ -126,6 +137,8 @@ EXTRA = (
     ("two_sided_1e300/verify", ["verify", "-"], _two_sided_at("1e300")),
     ("two_sided_1e-300/decide", ["decide", "-"], _two_sided_at("1e-300")),
     ("two_sided_1e-300/verify", ["verify", "-"], _two_sided_at("1e-300")),
+    ("one_sided_1e300/verify", ["verify", "-"], _one_sided_at("1e300")),
+    ("one_sided_1e-300/verify", ["verify", "-"], _one_sided_at("1e-300")),
 )
 
 
@@ -251,12 +264,18 @@ def _holder(report, path: tuple):
 
 
 def _relative(parent: dict, change: dict, path: tuple, x, y) -> float | None:
-    """|x - y| over the largest |float| in the field's holder in either report; None unless both are floats."""
+    """|x - y| over the largest |float| in the field's holder in either report, or over 1 for UNIT_FIELDS.
+
+    None unless both are floats.
+    """
     if not (type(x) is float and type(y) is float):
         return None
     if x == y:  # 0.0 and -0.0
         return 0.0
-    scale = max((abs(v) for r in (parent, change) for v in _floats(_holder(r, path))), default=0.0)
+    if path in UNIT_FIELDS:
+        scale = 1.0
+    else:
+        scale = max((abs(v) for r in (parent, change) for v in _floats(_holder(r, path))), default=0.0)
     rel = abs(x - y) / scale if scale else math.inf
     return rel if rel == rel else math.inf
 

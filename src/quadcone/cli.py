@@ -103,7 +103,10 @@ def _entry_to_complex(v, path: str, *index: int) -> complex:
     common case, and a matrix has n^2 of them.
     """
     if type(v) in _NUMBER_TYPES:
-        return complex(v)
+        try:
+            return complex(v)
+        except OverflowError:
+            return complex(_float(v))
     if isinstance(v, dict):
         # a key other than re and im: cheaper to count than to collect
         if len(v) > ("re" in v) + ("im" in v):
@@ -113,10 +116,25 @@ def _entry_to_complex(v, path: str, *index: int) -> complex:
         im = v.get("im", 0.0)
         if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
             raise SchemaError(_indexed(path, index), "re/im must be numbers")
-        return complex(re, im)
+        try:
+            return complex(re, im)
+        except OverflowError:
+            return complex(_float(re), _float(im))
     raise SchemaError(
         _indexed(path, index), f"expected number or {{re, im}} object, got {type(v).__name__}"
     )
+
+
+def _float(x) -> float:
+    """float(x), and +-inf for an int beyond the float range, as json reads a float literal beyond it.
+
+    So such an entry is reported as not finite, where the conversion would
+    raise OverflowError.
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _indexed(path: str, index) -> str:
@@ -189,11 +207,12 @@ def parse_spec(text: str) -> ConeSpec:
                 coeff = c.real
             if type(coeff) not in _NUMBER_TYPES:
                 raise SchemaError(f"{path}.coeff", "must be a real number")
+            coeff = _float(coeff)
             if not math.isfinite(coeff):
                 raise SchemaError(f"{path}.coeff", "must be finite")
             if len(vars_) != 2:
                 raise NonHomogeneous(f"{path}: monomial degree {len(vars_)}, expected 2")
-            terms.append((tuple(vars_), float(coeff)))
+            terms.append((tuple(vars_), coeff))
         try:
             cone = decompose_poly(n, terms)
         except ConeError as exc:

@@ -24,16 +24,8 @@ from typing import ClassVar
 import numpy as np
 
 from .fixtures import example_m
-from .normalform import NormalFormResult, NormalFormType, render_cone
-from .quadform import (
-    ConeError,
-    QuadraticCone,
-    evaluate_many,
-    form_distance,
-    mat_norm,
-    real_form_matrix,
-    sample_points,
-)
+from .normalform import NormalFormResult, NormalFormType, _table_form
+from .quadform import ConeError, QuadraticCone, _form2, evaluate_many, form_norm2, sample_points
 from .reduction import exponent, parts, phase, scaled
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
@@ -46,11 +38,13 @@ JUMP_RATIO_BOUND = 10.0
 # Rounding allowance of a disc certificate, per unit of n * lam * m and per unit
 # |w|^2 (verify_discs), m the Frobenius norm of |T|^T (|S| + |H|) |T|, which
 # bounds each entry's sum of absolute products in the pullback T^T S T,
-# T^H H T (at most scale * |T|_F^2).  With u = 2^-53, forming the pullback (two
-# n-term complex products per entry, Higham's gamma_(2n+7)), subtracting two
-# real forms and taking their eigenvalues (backward stable, about 2u) and
+# T^H H T (at most scale * |T|_F^2).  With u = 2^-53, the steps are: forming
+# the pullback entry by entry, S T and H T first (two n-term complex products
+# per entry, Higham's gamma_(2n+4)); scaling it by k = lam * side, subtracting
+# the model's entries and summing the real form of the difference (three
+# roundings, 3u); taking its eigenvalues (backward stable, about 2u); and
 # evaluating rho at a computed point z = T w (two dot products of length 2n,
-# gamma_(4n+1), plus the rounding of T w, 8u) stay below
+# gamma_(4n+1), plus the rounding of w and of T w, 8u).  They stay below
 # sqrt(2) (6n + 18) u <= 11 n * 2^-52 for n >= 2, a real form's Frobenius norm
 # being at most sqrt(2) times its pair's; 16 leaves room for the eigenvalue
 # solver's constant.
@@ -123,11 +117,6 @@ class Verdict:
         return None if self.discs is None else self.discs.side
 
 
-def _point_tuple(Z) -> tuple:
-    """The rows of Z as a tuple of tuples of complex, so that reports compare by value."""
-    return tuple(map(tuple, np.asarray(Z, dtype=complex).tolist()))
-
-
 @dataclass(frozen=True)
 class DiscReport:
     """Certified bounds of a disc family; points: one per eps of the grid, then one per limit-disc line."""
@@ -168,7 +157,47 @@ def _check_finite(vals, Z, what: str, eps: float | None = None) -> None:
             raise VerificationFailed(f"{what}: rho is not finite at a checked point", eps=eps, z=Z[j])
 
 
-def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, np.ndarray]:
+def _turn(a: complex) -> complex:
+    """The unit t with t^2 a = |a|: phase(a) is in [-pi, pi], so t is finite for a finite a."""
+    return cmath.rect(1.0, -0.5 * phase(a))
+
+
+def _abs(z: complex) -> float:
+    """|z| by math.hypot, which gives inf where abs of a complex raises OverflowError."""
+    return math.hypot(z.real, z.imag)
+
+
+def _pullback(cone: QuadraticCone, T: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """T^T S T, T^H H T and |T|^T (|S| + |H|) |T| for an n x 2 T, each as its entries (m00, m01, m11).
+
+    For a cone in C^2 they come from Python scalars, S T and H T first; in
+    C^n, n >= 3, from numpy products in the same order.
+    """
+    if cone.n > 2:
+        S, H, aT = cone.S, cone.H, np.abs(T)
+        (p00, p01), (_, p11) = (T.T @ (S @ T)).tolist()
+        (q00, q01), (_, q11) = (T.conj().T @ (H @ T)).tolist()
+        (m00, m01), (_, m11) = (aT.T @ ((np.abs(S) + np.abs(H)) @ aT)).tolist()
+        return (p00, p01, p11), (q00, q01, q11), (m00, m01, m11)
+    (t00, t01), (t10, t11) = T.tolist()
+    (s00, s01), (_, s11) = cone.S.tolist()
+    (h00, h01), (h10, h11) = cone.H.tolist()
+    # (a, b) is the matrix times T's two columns, in turn S, H and |S| + |H| (times |T|'s)
+    a0, a1 = s00 * t00 + s01 * t10, s01 * t00 + s11 * t10
+    b0, b1 = s00 * t01 + s01 * t11, s01 * t01 + s11 * t11
+    pS = (t00 * a0 + t10 * a1, t00 * b0 + t10 * b1, t01 * b0 + t11 * b1)
+    a0, a1 = h00 * t00 + h01 * t10, h10 * t00 + h11 * t10
+    b0, b1 = h00 * t01 + h01 * t11, h10 * t01 + h11 * t11
+    c00, c01, c10, c11 = t00.conjugate(), t01.conjugate(), t10.conjugate(), t11.conjugate()
+    pH = (c00 * a0 + c10 * a1, c00 * b0 + c10 * b1, c01 * b0 + c11 * b1)
+    g00, g01, g11 = _abs(s00) + _abs(h00), _abs(s01) + _abs(h01), _abs(s11) + _abs(h11)
+    x0, x1, y0, y1 = _abs(t00), _abs(t10), _abs(t01), _abs(t11)
+    a0, a1 = g00 * x0 + g01 * x1, g01 * x0 + g11 * x1
+    b0, b1 = g00 * y0 + g01 * y1, g01 * y0 + g11 * y1
+    return pS, pH, (x0 * a0 + x1 * a1, x0 * b0 + x1 * b1, y0 * b0 + y1 * b1)
+
+
+def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, tuple]:
     """min of q - d |w|^2 over D_eps and |w| <= radius, q = NORMAL_SIDE * rho_model, with its point.
 
     The point attains the minimum when d = 0 (for M10_1 when eps <= radius^2).
@@ -187,41 +216,48 @@ def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, np.nd
         s = complex(fam.shift)
         w1 = s * eps
         free = (1.0 - B - d) * (r2 - abs(w1) ** 2)
-        return (-(A * s * s).real - (1.0 + d) * abs(s) ** 2) * eps**2 + min(0.0, free), np.array([w1, 0.0])
+        return (-(A * s * s).real - (1.0 + d) * abs(s) ** 2) * eps**2 + min(0.0, free), (w1, 0.0)
     tag = fam.model.tag
     if tag == "M20":
         A, _ = fam.model.params()
-        return eps + (1.0 - d) * (eps / A if d <= 1.0 else r2), np.array([np.sqrt(eps / A), 0.0])
+        return eps + (1.0 - d) * (eps / A if d <= 1.0 else r2), (math.sqrt(eps / A), 0.0)
     if tag == "M10_1":
-        return eps - d * r2, np.array([0.0, np.sqrt(eps)])
+        return eps - d * r2, (0.0, math.sqrt(eps))
     A, B = fam.model.params()
     free = (1.0 - d - (1.0 + d) * B / A) * r2
-    return eps * (1.0 - (1.0 + d) / A) + min(0.0, free), np.array([1j * np.sqrt(eps / A), 0.0])
+    return eps * (1.0 - (1.0 + d) / A) + min(0.0, free), (1j * math.sqrt(eps / A), 0.0)
 
 
-def _multiplier_minima(P: QuadraticCone, fam: DiscFamily, eps_grid, guard: float, sigma: float):
+# _form2's interleaved order x1, y1, x2, y2, permuted to real_form_matrix's x1, x2, y1, y2
+_XY = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+
+
+def _multiplier_minima(P: tuple, c: np.ndarray, radius: float, eps_grid: list, guard: float, sigma: float):
     """Lower bounds on rho_P over each level set D_eps = {w^T c w = eps, |w| <= radius}, with points.
 
-    For every real mu, rho_P(w) >= mu Re(w^T c w) + l_mu |w|^2 with l_mu =
+    P is the pair (S, H) of rho_P in C^2 as entries (m00, m01, m11).  For
+    every real mu, rho_P(w) >= mu Re(w^T c w) + l_mu |w|^2 with l_mu =
     lambda_min(G - mu J), G and J the real forms of rho_P and Re(w^T c w).
     On D_eps, |w|^2 lies in [eps / sigma, radius^2] (sigma = sigma_max(c)), so
     mu eps + min(l_mu eps / sigma, l_mu radius^2) bounds rho_P there for any
     mu.  mu = 0 is the eigenvalue bound; for l_mu >= 0 the bound grows with
     mu up to the largest mu with G - mu J >= 0, a real eigenvalue of J^-1 G,
-    so the candidates are 0 and the real parts of those eigenvalues.  Each
-    l_mu is lowered by the rounding allowance guard + CERT_ROUNDING * n *
-    |mu| sigma.  The point comes from the eigenvector of l_mu, scaled onto
-    the level set, or else from the larger diagonal entry of c.
+    so the candidates are 0 and the real parts of those eigenvalues (only 0
+    when det c = 0).  Each l_mu is lowered by the rounding allowance guard +
+    CERT_ROUNDING * 2 * |mu| sigma.  The point comes from the eigenvector of
+    l_mu, scaled onto the level set, or else from the larger diagonal entry
+    of c.  Where G is not finite every bound is nan, at that last point.
     """
-    c = np.asarray(fam.c, dtype=complex)
-    G = real_form_matrix(P)
-    J = real_form_matrix(QuadraticCone._symmetrized(c, np.zeros_like(c)))
-    mus = np.zeros(1)
-    if abs(np.linalg.det(c)) > 0:
-        mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(J, G)).real)
-    ells, vecs = np.linalg.eigh(G - mus[:, None, None] * J)
-    ells = ells[:, 0] - guard - CERT_ROUNDING * P.n * np.abs(mus) * sigma
-    r2 = fam.radius**2
+    (c00, c01), (c10, c11) = c.tolist()
+    G = _form2(*P)[_XY]
+    mus, ells, vecs = np.zeros(1), np.full(1, math.nan), np.zeros((1, 4, 4))
+    if np.isfinite(G).all():
+        J = _form2((c00, c01, c11), (0j, 0j, 0j))[_XY]
+        if c00 * c11 - c01 * c10 != 0:
+            mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(J, G)).real)
+        ells, vecs = np.linalg.eigh(G - mus[:, None, None] * J)
+        ells = ells[:, 0] - guard - CERT_ROUNDING * 2 * np.abs(mus) * sigma
+    r2 = radius**2
     out = []
     for eps in eps_grid:
         bounds = mus * eps + np.minimum(ells * eps / sigma, ells * r2)
@@ -229,27 +265,26 @@ def _multiplier_minima(P: QuadraticCone, fam: DiscFamily, eps_grid, guard: float
         w0 = vecs[k, :2, 0] + 1j * vecs[k, 2:, 0]
         if w0 @ c @ w0 == 0:
             w0 = np.eye(2)[int(np.argmax(np.abs(np.diag(c))))]
-        out.append((float(bounds[k]), np.sqrt(eps / (w0 @ c @ w0)) * w0))
+        out.append((float(bounds[k]), (np.sqrt(eps / (w0 @ c @ w0)) * w0).tolist()))
     return out
 
 
-def _limit_lines(fam: DiscFamily) -> np.ndarray:
-    """Unit rows spanning the complex lines whose union is the limit disc D_0, in the family frame."""
-    if fam.kind == "affine_line":
-        return np.array([[0.0, 1.0]], dtype=complex)
-    (a, b), (_, d) = np.asarray(fam.c, dtype=complex)
+def _limit_lines(a: complex, b: complex, d: complex) -> list[tuple[complex, complex]]:
+    """Unit vectors spanning the complex lines of {w^T c w = 0}, c = [[a, b], [b, d]].
+
+    Their union is the limit disc D_0 of the level set of c, in the family frame.
+    """
     if d != 0:
         # w = (d, x) with x^2 + 2 b x + a d = 0
-        root = np.sqrt(b * b - a * d)
-        rows = [[d, -b + root]] + ([[d, -b - root]] if root != 0 else [])
+        root = cmath.sqrt(b * b - a * d)
+        rows = [(d, -b + root)] + ([(d, -b - root)] if root != 0 else [])
     elif b != 0:
-        rows = [[0.0, 1.0], [1.0, -a / (2 * b)]]
+        rows = [(0j, 1 + 0j), (1 + 0j, -a / (2 * b))]
     elif a != 0:
-        rows = [[0.0, 1.0]]
+        rows = [(0j, 1 + 0j)]
     else:
         raise ConeError("a level-set family needs c != 0")
-    L = np.array(rows, dtype=complex)
-    return L / np.linalg.norm(L, axis=1)[:, None]
+    return [(x / size, y / size) for x, y in rows for size in (math.hypot(*parts(x, y)),)]
 
 
 def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
@@ -259,25 +294,32 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     side * rho over D_eps: for a normal-form family the closed form of
     _normal_minimum, evaluated after pulling the cone back through the
     family's transform T (the pullback P = sign * lam * rho(T w) differs from
-    the model by at most delta |w|^2, delta its form_distance to the model, so
-    the bound is the minimum of the model with delta |w|^2 subtracted,
-    divided by lam); for a family without a model the multiplier bound of
-    _multiplier_minima.  touch_residual is the exact minimum of side * rho
-    over the limit disc D_0 (eps = 0) with |w| >= 1e-3 * fam.radius in the
-    family's own frame: D_0 is one or two complex lines, and on each line
-    side * rho / |w|^2 is smallest at the point _line_extremes gives.  Every
-    bound is lowered by the rounding allowance CERT_ROUNDING * n * lam *
-    |(|T|^T (|S| + |H|) |T|)|_F per unit |w|^2, in the pullback's units.  T
-    may map into a cone in C^n, n >= 3 (a slice basis composed with the
-    change of variables), so the allowance is that of the input, not of a
-    restriction computed from it.
+    the model by at most delta |w|^2, delta the spectral norm of the real
+    form of their difference, so the bound is the minimum of the model with
+    delta |w|^2 subtracted, divided by lam); for a family without a model the
+    multiplier bound of _multiplier_minima.  touch_residual is the exact
+    minimum of side * rho over the limit disc D_0 (eps = 0) with |w| >= 1e-3 *
+    fam.radius in the family's own frame: D_0 is one or two complex lines,
+    and on a line spanned by v, side * rho / |w|^2 is smallest at t v or i t v,
+    t^2 a = |a| for a = v^T (T^T S T) v (module docstring).  Every bound is
+    lowered by the rounding allowance CERT_ROUNDING * n * lam * |(|T|^T (|S|
+    + |H|) |T|)|_F per unit |w|^2, in the pullback's units.  T may map into a
+    cone in C^n, n >= 3 (a slice basis composed with the change of
+    variables), so the allowance is that of the input, not of a restriction
+    computed from it.
 
-    Each bound comes with the point that attains it (or, for a multiplier
-    bound, the eigenvector's point on D_eps); rho is evaluated there, the
-    value must be finite and at least the bound, and the report carries
-    these points in that order.  Both bounds must be positive.  D_eps empty
-    within the radius (eps > sigma_max(c) radius^2 for a level set) fails as
-    well.
+    The 2 x 2 pullback, the allowance, sigma_max(c) (max |c_jj| for a
+    diagonal c) and the closed forms are Python scalars; for n >= 3 the
+    pullback comes from numpy products.  Each bound comes with the point that
+    attains it (for a multiplier bound, the eigenvector's point on D_eps),
+    and one evaluate_many call evaluates rho at the frame's columns T e_1, T
+    e_2, at these points and at each limit line's point at radius fam.radius
+    and 1e-3 fam.radius.  The checks run in this order: the frame's values
+    are finite; D_eps is not empty within the radius (eps <= sigma_max(c)
+    radius^2 for a level set); at each eps the value is finite and at least
+    the bound, and the bound is positive; on the limit disc the same, at the
+    radius where the line's bound is smaller.  The report carries the points
+    of the grid and of the limit disc, in that order.
     """
     if len(eps_grid) == 0:
         raise ConeError("eps_grid must be nonempty")
@@ -285,88 +327,105 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         raise ConeError("eps grid entries must be positive")
     if not fam.lam > 0:
         raise ConeError("lam must be positive")
-    frame = fam.map_points(np.eye(2, dtype=complex))
-    _check_finite(evaluate_many(cone, frame), frame, "disc family frame")
+    side, lam, radius = fam.side, fam.lam, fam.radius
     T = np.eye(2, dtype=complex) if fam.transform is None else np.asarray(fam.transform, dtype=complex)
-    k = fam.lam * fam.side * (1 if fam.model is None else NORMAL_SIDE[fam.model.tag])
-    P = QuadraticCone._symmetrized(k * (T.T @ cone.S @ T), k * (T.conj().T @ cone.H @ T))
-    guard = CERT_ROUNDING * cone.n * fam.lam * mat_norm(abs(T).T @ (abs(cone.S) + abs(cone.H)) @ abs(T))
+    pS, pH, (m00, m01, m11) = _pullback(cone, T)
+    # mat_norm's Frobenius norm, nan where an entry is not finite as there
+    guard = CERT_ROUNDING * cone.n * lam
+    guard *= math.hypot(m00, m01, m01, m11) if math.isfinite(m00 + m01 + m11) else math.nan
+    r2 = radius**2
     if fam.kind == "level_set":
-        sigma = float(np.linalg.norm(fam.c, 2))
-        reach = sigma * fam.radius**2
+        c = np.asarray(fam.c, dtype=complex)
+        (c00, c01), (c10, c11) = c.tolist()
+        sigma = max(_abs(c00), _abs(c11)) if c01 == c10 == 0 else float(np.linalg.norm(c, 2))
+        reach = sigma * r2
     else:
-        reach = fam.radius / abs(fam.shift)
-    for eps in eps_grid:
-        if eps > reach:
-            raise VerificationFailed(f"no disc points found at eps={eps}", eps=eps)
-    if fam.model is not None:
-        d = form_distance(P, render_cone(fam.model)) + guard
-        minima = [_normal_minimum(fam, float(eps), d) for eps in eps_grid]
-    elif fam.kind == "level_set":
-        minima = _multiplier_minima(P, fam, [float(eps) for eps in eps_grid], guard, sigma)
-    else:
+        reach = radius / abs(fam.shift)
+    far = next((eps for eps in eps_grid if eps > reach), None)
+    certified = fam.model is not None or fam.kind == "level_set"  # a family with a bound
+    rows = [(1.0, 0.0), (0.0, 1.0)]  # the frame
+    lines = []  # per limit line, the row of its point at radius; the next row is at 1e-3 radius
+    if far is None and certified:
+        eps_list = [float(eps) for eps in eps_grid]
+        k = lam * side * (1 if fam.model is None else NORMAL_SIDE[fam.model.tag])
+        P = tuple(k * p for p in pS), tuple(k * p for p in pH)
+        if fam.model is not None:
+            St, Ht = _table_form(fam.model)
+            try:
+                d = form_norm2(tuple(p - t for p, t in zip(P[0], St)), tuple(p - t for p, t in zip(P[1], Ht)))
+            except np.linalg.LinAlgError:  # the real form of the difference is not finite
+                d = math.nan
+            minima = [_normal_minimum(fam, eps, d + guard) for eps in eps_list]
+        else:
+            minima = _multiplier_minima(P, c, radius, eps_list, guard, sigma)
+        rows += [w for _, w in minima]
+        small = 1e-3 * radius
+        s00, s01, s11 = pS
+        for u0, u1 in [(0j, 1 + 0j)] if fam.kind == "affine_line" else _limit_lines(c00, c01, c11):
+            # the minimum of side * rho / |w|^2 on the line is at its maximum point for side < 0
+            t = _turn(u0 * (s00 * u0 + s01 * u1) + u1 * (s01 * u0 + s11 * u1))
+            if side > 0:
+                t *= 1j
+            lines.append(len(rows))
+            rows += [(t * u0 * radius, t * u1 * radius), (t * u0 * small, t * u1 * small)]
+    Z = fam.map_points(np.array(rows, dtype=complex))
+    vals = [side * v for v in evaluate_many(cone, Z).tolist()]
+    _check_finite(vals[:2], Z, "disc family frame")
+    if far is not None:
+        raise VerificationFailed(f"no disc points found at eps={far}", eps=far)
+    if not certified:
         raise ConeError("an affine-line family needs its normal-form model")
 
-    min_margin = np.inf
-    disc_points = []
-    for eps, (bound, w) in zip(eps_grid, minima):
-        bound /= fam.lam
-        z = fam.map_points(w[None, :])
-        disc_points.append(z[0])
-        val = fam.side * evaluate_many(cone, z)
-        _check_finite(val, z, f"disc at eps={eps}", eps=eps)
-        if not bound <= val[0]:
+    min_margin = math.inf
+    for j, (eps, (bound, _)) in enumerate(zip(eps_grid, minima), start=2):
+        bound /= lam
+        val = vals[j]
+        _check_finite([val], Z[j:], f"disc at eps={eps}", eps=eps)
+        if not bound <= val:
             raise VerificationFailed(
-                f"disc at eps={eps}: certified bound {bound:.3e} exceeds rho*side={val[0]:.3e} at its point",
+                f"disc at eps={eps}: certified bound {bound:.3e} exceeds rho*side={val:.3e} at its point",
                 eps=eps,
-                z=z[0],
+                z=Z[j],
             )
         if bound <= 0:
             raise VerificationFailed(
                 f"disc at eps={eps} is not certified on the claimed side (bound on rho*side={bound:.3e})",
                 eps=eps,
-                z=z[0],
+                z=Z[j],
             )
         min_margin = min(min_margin, bound)
 
-    U = _limit_lines(fam)
-    # the minimum of side * rho / |w|^2 on each line is at its maximum point for side < 0
-    Z = _line_extremes(cone, fam.map_points(U))[1 if fam.side > 0 else 0 :: 2]
-    kappa = fam.side * evaluate_many(cone, Z) - guard / fam.lam
-    radius = np.where(kappa >= 0, 1e-3, 1.0) * fam.radius
-    Z = Z * radius[:, None]
-    touch = fam.side * evaluate_many(cone, Z)
-    _check_finite(touch, Z, "limit disc", eps=0.0)
-    bounds = kappa * radius**2
-    j = int(np.argmin(bounds - touch))
+    # per line, kappa = side * rho / |w|^2 at its point less the allowance;
+    # kappa |w|^2 is smallest at 1e-3 radius for kappa >= 0, else (nan too) at radius
+    picked, bounds = [], []
+    for j in lines:
+        kappa = vals[j] / r2 - guard / lam
+        at_radius = not kappa >= 0
+        picked.append(j if at_radius else j + 1)
+        size = radius if at_radius else small
+        bounds.append(kappa * size * size)
+    touch = [vals[j] for j in picked]
+    _check_finite(touch, [Z[j] for j in picked], "limit disc", eps=0.0)
+    j = min(range(len(lines)), key=lambda i: bounds[i] - touch[i])
     if bounds[j] > touch[j]:
         raise VerificationFailed(
             f"limit disc: certified bound {bounds[j]:.3e} exceeds rho*side={touch[j]:.3e} at its point",
             eps=0.0,
-            z=Z[j],
+            z=Z[picked[j]],
         )
-    j = int(np.argmin(bounds))
+    j = min(range(len(lines)), key=bounds.__getitem__)
     if bounds[j] <= 0:
         raise VerificationFailed(
             f"limit disc touches the cone away from 0 (bound on rho*side={bounds[j]:.3e})",
             eps=0.0,
-            z=Z[j],
+            z=Z[picked[j]],
         )
+    points = Z.tolist()
     return DiscReport(
         min_margin=float(min_margin),
         touch_residual=float(bounds[j]),
-        points=_point_tuple(np.vstack([disc_points, Z])),
+        points=tuple(map(tuple, points[2 : 2 + len(minima)] + [points[i] for i in picked])),
     )
-
-
-def _line_extremes(cone: QuadraticCone, spans: np.ndarray) -> np.ndarray:
-    """Rows t v at the maximum and then the minimum of rho / |z|^2, per row v of spans.
-
-    With a = v^T S v: t = e^(-i arg(a)/2) gives t^2 a = |a|, i t gives -|a|.
-    """
-    a = np.einsum("ij,jk,ik->i", spans, cone.S, spans)
-    t = np.exp(-0.5j * np.angle(a))
-    return np.stack([t[:, None] * spans, 1j * t[:, None] * spans], axis=1).reshape(-1, cone.n)
 
 
 def verify_support(
@@ -390,8 +449,7 @@ def verify_support(
     points = []
     for germ in (witness.aplus, witness.aminus):
         v0, v1 = np.asarray(germ.span, dtype=complex).tolist()
-        # t^2 a = |a| for a = v^T S v; phase(a) is in [-pi, pi], so t is finite
-        t = cmath.rect(1.0, -0.5 * phase((s00 * v0 + s01 * v1) * v0 + (s01 * v0 + s11 * v1) * v1))
+        t = _turn((s00 * v0 + s01 * v1) * v0 + (s01 * v0 + s11 * v1) * v1)  # a = v^T S v
         it = 1j * t
         points += [(t * v0, t * v1), (it * v0, it * v1)]
     Z = np.array(points)

@@ -192,18 +192,33 @@ def _interleaved_form(cone: QuadraticCone) -> np.ndarray:
     entries as Python scalars (_form2).
     """
     if cone._G is None:
-        n = cone.n
-        if n == 2:
+        if cone.n == 2:
             (s00, s01), (_, s11) = cone.S.tolist()
             (h00, h01), (_, h11) = cone.H.tolist()
             G = _form2((s00, s01, s11), (h00, h01, h11))
         else:
-            # (n, n, 4): Sr, Si, Hr, Hi of each entry (j, k)
-            entries = np.concatenate([M.view(np.float64).reshape(n, n, 2) for M in (cone.S, cone.H)], axis=2)
-            G = (entries @ _FORM_BLOCK).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+            G = _form(cone.S, cone.H)
         G.setflags(write=False)
         object.__setattr__(cone, "_G", G)
     return cone._G
+
+
+def _form(S: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """rho's real form in _interleaved_form's order from complex n x n arrays S and H, any n."""
+    n = S.shape[0]
+    # (n, n, 4): Sr, Si, Hr, Hi of each entry (j, k)
+    entries = np.concatenate([M.view(np.float64).reshape(n, n, 2) for M in (S, H)], axis=2)
+    return (entries @ _FORM_BLOCK).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
+def _scale_exponent(*Ms: np.ndarray) -> int:
+    """The e such that 2^e times complex arrays brings their largest part to at most 1 (0 for zeros)."""
+    return -exponent(*(float(np.abs(M.view(np.float64)).max()) for M in Ms))
+
+
+def _ldexp(M: np.ndarray, e: int) -> np.ndarray:
+    """A copy of the complex array M times 2^e, part by part: exact unless a part underflows."""
+    return np.ldexp(M.view(np.float64), e).view(complex)
 
 
 def evaluate(cone: QuadraticCone, z) -> float:
@@ -335,6 +350,13 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
     return decompose_real_form(G)
 
 
+# The signatures read a copy of S and H scaled by 2^e, e the scale exponent,
+# when |e| exceeds this; closer to 1 they read the cone's own form, whose
+# eigenvalues are those of the copy's times 2^-e, far from _inertia's floor
+# and from overflow.
+PRESCALE_BAND = 500
+
+
 def _inertia(w: list) -> tuple[int, int]:
     """Counts of the eigenvalues w, Python floats, above +tol and below -tol.
 
@@ -350,7 +372,9 @@ def hermitian_signature(cone: QuadraticCone) -> HermitianSignature:
     """Eigenvalue counts of H above/below +-1e-9 * max |eigenvalue|, computed once and kept.
 
     For n = 2 the eigenvalues are eigh2's of H times the power of two that
-    brings its entries to at most 1, the ones normalform's frame reads.
+    brings its entries to at most 1, the ones normalform's frame reads.  For
+    n >= 3 they are eigvalsh's of H, of such a scaled copy when the scale
+    exponent is beyond PRESCALE_BAND.
     """
     if cone._hsig is None:
         if cone.n == 2:
@@ -359,15 +383,32 @@ def hermitian_signature(cone: QuadraticCone) -> HermitianSignature:
             w0, w1, _ = eigh2(math.ldexp(h00.real, e), *scaled(e, h10), math.ldexp(h11.real, e))
             w = [w0, w1]
         else:
-            w = np.linalg.eigvalsh(cone.H).tolist()
+            e = _scale_exponent(cone.H)
+            w = np.linalg.eigvalsh(cone.H if abs(e) <= PRESCALE_BAND else _ldexp(cone.H, e)).tolist()
         object.__setattr__(cone, "_hsig", HermitianSignature(*_inertia(w)))
     return cone._hsig
 
 
 def real_signature(cone: QuadraticCone) -> RealSignature:
-    """Inertia of the real form of rho on R^(2n), kept as for hermitian_signature."""
+    """Inertia of the real form of rho on R^(2n), kept as for hermitian_signature.
+
+    When the scale exponent e of S and H is beyond PRESCALE_BAND, the form
+    is built from copies of S and H times 2^e, so that the form evaluate_many
+    keeps stays the cone's; otherwise it is that kept form.
+    """
     if cone._rsig is None:
-        w = np.linalg.eigvalsh(_interleaved_form(cone)).tolist()
+        G = None
+        if cone.n == 2:
+            (s00, s01), (_, s11) = cone.S.tolist()
+            (h00, h01), (_, h11) = cone.H.tolist()
+            e = -exponent(*parts(s00, s01, s11, h00, h01, h11))
+            if abs(e) > PRESCALE_BAND:
+                G = _form2(scaled(e, s00, s01, s11), scaled(e, h00, h01, h11))
+        else:
+            e = _scale_exponent(cone.S, cone.H)
+            if abs(e) > PRESCALE_BAND:
+                G = _form(_ldexp(cone.S, e), _ldexp(cone.H, e))
+        w = np.linalg.eigvalsh(_interleaved_form(cone) if G is None else G).tolist()
         object.__setattr__(cone, "_rsig", RealSignature(*_inertia(w)))
     return cone._rsig
 

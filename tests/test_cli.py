@@ -172,6 +172,49 @@ def test_parse_rejects_non_finite_polynomials(capsys, terms, path):
     assert report["error"]["kind"] == "schema"
 
 
+BEYOND_FLOAT = "1" + "0" * 400  # a JSON integer that no float holds; json.loads keeps it an int
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f'{{"n": 2, "S": [[{BEYOND_FLOAT}, 0], [0, 1]], "H": [[1, 0], [0, -1]]}}',
+         "S[0][0]: entry is not finite after symmetrization"),
+        (f'{{"n": 2, "S": [[1, 0], [0, 1]], "H": [[1, {{"im": -{BEYOND_FLOAT}}}], [0, -1]]}}',
+         "H[0][1]: entry is not finite after symmetrization"),
+        (f'{{"n": 2, "poly": [{{"vars": ["x1", "x1"], "coeff": {BEYOND_FLOAT}}}]}}',
+         "poly[0].coeff: must be finite"),
+        (f'{{"n": 2, "poly": [{{"vars": ["x1", "x1"], "coeff": {{"re": -{BEYOND_FLOAT}}}}}]}}',
+         "poly[0].coeff: must be finite"),
+    ],
+    ids=["S", "H_im", "poly", "poly_re"],
+)
+def test_an_integer_beyond_the_float_range_is_a_non_finite_entry(capsys, text, message):
+    # the conversion to float raises OverflowError; the entry reads as inf, as 1e400 does
+    code, report = run_cli_stdin(capsys, text, ["decide", "-"])
+    assert code == EXIT_SCHEMA
+    assert report["error"] == {"kind": "schema", "message": message}
+
+
+@pytest.mark.parametrize("s", ["1e-310", "1.7e308"])
+def test_decide_reads_an_m11_2_cone_at_the_ends_of_the_float_range(capsys, s):
+    # S = [[0, s], [s, 0]], H = diag(s, -s) is M11_2 with A = 1/2 at every scale s
+    text = f'{{"n": 2, "S": [[0, {s}], [{s}, 0]], "H": [[{s}, 0], [0, -{s}]]}}'
+    code, report = run_cli_stdin(capsys, text, ["decide", "-"])
+    assert code == EXIT_OK
+    assert report["signatures"] == {"hermitian": [1, 1], "real": [2, 2]}
+    assert report["classification"]["normal_form"]["tag"] == "M11_2"
+    assert report["verdict"]["outcome"] == "two_sided"
+
+
+def test_decide_reads_the_smallest_subnormal_cone_as_zero(capsys):
+    # at s = 5e-324 the symmetrization's halving rounds every entry to 0
+    text = '{"n": 2, "S": [[0, 5e-324], [5e-324, 0]], "H": [[5e-324, 0], [0, -5e-324]]}'
+    code, report = run_cli_stdin(capsys, text, ["decide", "-"])
+    assert code == EXIT_DEGENERATE
+    assert report["classification"]["degenerate"]["reason"] == "DimensionDeficient"
+
+
 @pytest.mark.parametrize(
     "text, entry, value",
     [

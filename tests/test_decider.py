@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadcone.quadform as quadform
-from quadcone.cli import DEFAULT_EPS
+import quadcone.slicer as slicer
+from quadcone.cli import DEFAULT_EPS, parse_spec
 from quadcone.decider import (
+    CERT_ROUNDING,
     SUPPORT_TOL_REL,
     DiscFamily,
     VerificationFailed,
@@ -21,6 +27,7 @@ from quadcone.decider import (
     verify_discs,
     verify_support,
 )
+from quadcone.fixtures import FIXTURES
 from quadcone.fixtures import example_m as example_m_cone
 from quadcone.normalform import (
     TAGS,
@@ -30,7 +37,7 @@ from quadcone.normalform import (
     classify2,
     render_cone,
 )
-from quadcone.quadform import QuadraticCone, evaluate_many, form_distance, sample_points
+from quadcone.quadform import ConeError, QuadraticCone, evaluate_many, form_distance, mat_norm, sample_points
 from quadcone.slicer import SLICE_EPS_GRID
 
 from witness_samplers import (
@@ -38,6 +45,7 @@ from witness_samplers import (
     _germ_points,
     numpy_line_values,
     numpy_pull_back_witness,
+    numpy_verify_discs,
     spread_cones2,
 )
 
@@ -488,6 +496,133 @@ def test_witness_pull_back_margins():
     assert rep.minus_max <= 1e-12 and rep_norm.minus_max <= 1e-12
 
 
+def _benchmark_disc_cases(monkeypatch) -> list:
+    """(name, cone, family, eps grid) of the verify_discs calls on the fixtures and the seed-1 benchmark inputs.
+
+    The one-sided verdicts of the n = 2 fixtures and of the 192 witness_sampling
+    verify ops (80 of them), on the CLI's grid, and the 144 calls the nd_slice
+    searches make, on SLICE_EPS_GRID, recorded from find_good_slice.
+    """
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    cases = []
+    planar = [(f"fixture/{name}", make()) for name, make in sorted(FIXTURES.items())]
+    planar += [(f"witness_sampling/{k}", parse_spec(op.spec).cone)
+               for k, op in enumerate(workloads.witness_sampling(1)) if op.kind == "verify"]
+    for name, cone in planar:
+        if cone.n != 2:
+            continue
+        res = classify2(cone)
+        verdict = decide2(res) if isinstance(res, NormalFormResult) else None
+        if verdict is not None and verdict.outcome == "one_sided":
+            cases.append((name, cone, verdict.discs, DEFAULT_EPS))
+    searched = []
+
+    def recording(cone, fam, eps_grid):
+        searched.append((f"nd_slice/{len(searched)}", cone, fam, eps_grid))
+        return verify_discs(cone, fam, eps_grid)
+
+    monkeypatch.setattr(slicer, "verify_discs", recording)
+    for op in workloads.nd_slice(1):
+        cone = parse_spec(op.spec).cone
+        if not slicer.classify_two_sided_nd(cone).certified:
+            slicer.find_good_slice(cone)
+    return cases + searched
+
+
+def test_the_scalar_disc_certificate_is_the_numpy_one_to_rounding(monkeypatch):
+    # verify_discs reads the pullback, the allowance and sigma_max(c) as
+    # Python scalars and evaluates every point in one call; the oracle is the
+    # numpy form it replaced.  Both pass or fail together with the same
+    # message, check as many points at the same radii, and agree on the
+    # bounds within the certificate's own allowance CERT_ROUNDING * n *
+    # |(|T|^T (|S| + |H|) |T|)|_F, the cone's scale seen through T (each bound
+    # is lowered by it per unit |w|^2, and margins are in the family's units)
+    cases = _benchmark_disc_cases(monkeypatch)
+    counts = {}
+    for name, _, _, _ in cases:
+        counts[name.split("/")[0]] = counts.get(name.split("/")[0], 0) + 1
+    assert counts == {"fixture": 2, "witness_sampling": 80, "nd_slice": 144}
+    passed = 0
+    for name, cone, fam, eps_grid in cases:
+        outcomes = []
+        for certify in (numpy_verify_discs, verify_discs):
+            try:
+                outcomes.append(certify(cone, fam, eps_grid))
+            except ConeError as exc:
+                outcomes.append(exc)
+        want, got = outcomes
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert (type(got), str(got)) == (type(want), str(want)), name
+            continue
+        passed += 1
+        T = np.eye(2) if fam.transform is None else np.asarray(fam.transform)
+        unit = CERT_ROUNDING * cone.n * mat_norm(abs(T).T @ (abs(cone.S) + abs(cone.H)) @ abs(T))
+        assert abs(got.min_margin - want.min_margin) <= unit, name
+        assert abs(got.touch_residual - want.touch_residual) <= unit, name
+        assert got.points_checked == want.points_checked, name
+        # an extremal point of a limit line is t v up to a phase where v^T S v
+        # is a rounding residue; its norm, the radius, is the same
+        norms = [np.linalg.norm(np.array(rep.points), axis=1) for rep in (want, got)]
+        assert np.allclose(norms[1], norms[0], rtol=1e-12, atol=0), name
+    assert passed >= 200
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on these scales by design
+def test_the_scalar_disc_certificate_fails_as_the_numpy_one_at_any_scale():
+    # cones and transforms with parts m * 2^e, |e| <= 1000, and lam = 2^e: the
+    # same verdict and message wherever the numpy oracle gives one, up to
+    # the rounding of the numbers it quotes; where its eigensolver raised
+    # LinAlgError on a pullback that is not finite, the scalar certificate
+    # fails a check instead
+    def text(exc):
+        return re.sub(r"-?\d\.\d{3}e[+-]\d+|nan|-?inf", "#", str(exc))
+
+    rng = np.random.default_rng(25)
+    families = [normal_frame_verdict(t).discs for t in (
+        NormalFormType("M20", a=2.0, b=0.5), NormalFormType("M10_1", a=0.5),
+        NormalFormType("M11_1", a=2.0, b=0.5), NormalFormType("M11_1", a=3.0, b=2.0))]
+    families.append(DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex)))
+    outcomes = {"passed": 0, "failed": 0, "leaked": 0}
+    cases = []
+    for i, cone in enumerate(spread_cones2(seed=25, count=1000)):
+        res = classify2(cone)
+        if isinstance(res, NormalFormResult) and res.residual <= res.residual_bound:
+            if (v := decide2(res)).outcome == "one_sided":
+                cases.append((cone, v.discs))
+        parts = rng.standard_normal(8) * np.exp2(rng.integers(-1000, 1001, size=8))
+        cases.append((cone, replace(
+            families[i % len(families)], transform=(parts[0::2] + 1j * parts[1::2]).reshape(2, 2),
+            side=int(rng.choice((-1, 1))), lam=float(np.exp2(rng.integers(-1000, 1001))),
+        )))
+    for i, (cone, fam) in enumerate(cases):
+        try:
+            want = numpy_verify_discs(cone, fam, EPS_GRID)
+        except np.linalg.LinAlgError:
+            outcomes["leaked"] += 1
+            with pytest.raises(VerificationFailed):
+                verify_discs(cone, fam, EPS_GRID)
+            continue
+        except ConeError as exc:
+            outcomes["failed"] += 1
+            with pytest.raises(type(exc)) as info:
+                verify_discs(cone, fam, EPS_GRID)
+            assert text(info.value) == text(exc), i
+            assert info.value.eps == exc.eps if isinstance(exc, VerificationFailed) else True
+            continue
+        outcomes["passed"] += 1
+        got = verify_discs(cone, fam, EPS_GRID)
+        assert got.points_checked == want.points_checked, i
+        aT = abs(fam.transform)
+        unit = CERT_ROUNDING * cone.n * mat_norm(aT.T @ (abs(cone.S) + abs(cone.H)) @ aT)
+        assert abs(got.min_margin - want.min_margin) <= unit, i
+        assert abs(got.touch_residual - want.touch_residual) <= unit, i
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 def test_disc_margin_scaling_exact():
     # the bounds are taken in the family's own frame, so the original
     # coordinates (the closed form through the classification) and the
@@ -704,6 +839,33 @@ def test_verify_discs_pins_its_point_counts(ntype, kind, sampled, cli_count, sli
     assert [len(_disc_points(fam, float(eps), 10_000, rng)) for eps in (*DEFAULT_EPS, 0.0)] == sampled
     assert verify_discs(cone, fam, eps_grid=DEFAULT_EPS).points_checked == cli_count
     assert verify_discs(cone, fam, eps_grid=SLICE_EPS_GRID).points_checked == slice_count
+
+
+@pytest.mark.parametrize("ntype", [row[0] for row in ONE_SIDED_POINT_COUNTS])
+def test_verify_discs_on_a_model_family_makes_one_eigvalsh_and_one_evaluation(monkeypatch, ntype):
+    # the pullback, the allowance, sigma and the closed forms are scalars: the
+    # model distance is the one eigvalsh, and every point goes through one call
+    import quadcone.decider as decider
+
+    calls = []
+
+    def counting(name, f):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return call
+
+    for name in ("eigvalsh", "eigh", "eigvals", "svd", "norm", "solve", "det", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(decider, "evaluate_many", counting("evaluate_many", decider.evaluate_many))
+    T = np.array([[1.0 + 0.5j, -0.3], [0.2j, 0.8 - 0.4j]])
+    cone = apply_change(render_cone(ntype), T, lam=10.0)
+    fam = decide2(classify2(cone)).discs
+    assert fam.model is not None
+    calls.clear()
+    verify_discs(cone, fam, eps_grid=DEFAULT_EPS)
+    assert sorted(calls) == ["eigvalsh", "evaluate_many"]
 
 
 @pytest.mark.parametrize("seed, candidates", [(0, 16040), (1, 16040), (2, 15976)])

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcone.decider import Verdict, VerificationFailed, decide2, normal_frame_verdict, verify_discs, verify_support
+from quadcone.decider import (
+    DiscFamily,
+    Verdict,
+    VerificationFailed,
+    decide2,
+    normal_frame_verdict,
+    verify_discs,
+    verify_support,
+)
 from quadcone.normalform import (
     DegeneracyReport,
     NormalFormResult,
@@ -19,6 +28,7 @@ from quadcone.normalform import (
     render_cone,
 )
 from quadcone.quadform import (
+    ConeError,
     QuadraticCone,
     decompose_real_form,
     hermitian_signature,
@@ -89,8 +99,6 @@ def test_m11_2_verdict_always_two_sided(re, im):
 def test_verification_failure_carries_location():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.5))
     fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.5)).discs
-    from dataclasses import replace
-
     bad = replace(fam, side=-1)
     with pytest.raises(VerificationFailed) as exc:
         verify_discs(cone, bad, eps_grid=(1e-2,))
@@ -168,3 +176,35 @@ def test_signatures_decide2_and_verify_support_return_or_fail_verification_at_an
             verify_support(cone, verdict.witness)
         except VerificationFailed:
             pass
+
+
+# the one-sided families of the table, and the definite slice's family without a model
+DISC_FAMILIES = [
+    normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.5)).discs,
+    normal_frame_verdict(NormalFormType("M10_1", a=0.5)).discs,
+    normal_frame_verdict(NormalFormType("M11_1", a=2.0, b=0.5)).discs,
+    normal_frame_verdict(NormalFormType("M11_1", a=3.0, b=2.0)).discs,
+    DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on these scales by design
+@settings(max_examples=200, deadline=None)
+@given(
+    spread_cones(),
+    st.lists(spread, min_size=8, max_size=8),
+    st.sampled_from(DISC_FAMILIES),
+    st.sampled_from((-1, 1)),
+    st.integers(min_value=-1000, max_value=1000),
+)
+def test_verify_discs_returns_or_fails_verification_at_any_scale(cone, entries, fam, side, e):
+    # the pullback, the allowance and the closed forms run on Python scalars,
+    # and the model distance and the multiplier bound on numpy eigensolvers,
+    # which raise LinAlgError on a form that is not finite: only a failed
+    # check (VerificationFailed, a ConeError) may leave verify_discs
+    T = (np.array(entries[0::2]) + 1j * np.array(entries[1::2])).reshape(2, 2)
+    fam = replace(fam, transform=T, side=side, lam=math.ldexp(1.0, e))
+    try:
+        verify_discs(cone, fam, eps_grid=(1e-3, 1e-2, 1e-1))
+    except ConeError:
+        pass

@@ -373,6 +373,27 @@ def test_negated_inherits_the_swapped_signatures_and_the_scale():
     assert neg.negated()._hsig == cone._hsig
 
 
+@pytest.mark.parametrize("s", [1e-310, 1.7e308])
+@pytest.mark.parametrize("n", [2, 3])
+def test_signatures_read_a_prescaled_form_at_the_ends_of_the_float_range(n, s):
+    # S = [[0, s], [s, 0]], H = diag(s, -s) (M11_2 at every scale s), plus s |z3|^2
+    # for n = 3: read unscaled, 1e-310 falls below _inertia's 1e-300 floor and
+    # 1.7e308 overflows eigvalsh
+    def at(s):
+        S = np.zeros((n, n), dtype=complex)
+        S[0, 1] = S[1, 0] = s
+        return QuadraticCone(S, np.diag([s, -s] + [s] * (n - 2)).astype(complex))
+
+    cone, unit = at(s), at(1.0)
+    assert hermitian_signature(cone) == hermitian_signature(unit)
+    assert real_signature(cone) == real_signature(unit)
+    assert hermitian_signature(cone).as_tuple() == (n - 1, 1)
+    assert real_signature(cone).as_tuple() == (2 * n - 2, 2)
+    # the prescaled forms are copies: the form evaluate_many keeps is built from the cone itself
+    assert cone._G is None
+    assert np.array_equal(_interleaved_form(cone), numpy_interleaved_form(cone))
+
+
 # --- norms -------------------------------------------------------------------
 
 

@@ -6,9 +6,10 @@ more points, uniformly in the disc parameter, so the tests can confirm
 that no sampled point beats a certified bound.
 
 The library computes the n = 2 signatures, the pulled-back supporting lines
-and their extremal points on Python scalars.  The numpy_* functions compute
-the same from numpy arrays, as the library did before, so the tests can
-compare the two on spread inputs (spread_cones2).
+and their extremal points, and the disc certificate's pullback, allowance
+and points on Python scalars.  The numpy_* functions compute the same from
+numpy arrays, as the library did before, so the tests can compare the two
+on spread inputs (spread_cones2) and on the benchmark's inputs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,26 @@ import math
 
 import numpy as np
 
-from quadcone.decider import DiscFamily, LinearGerm, SupportWitness, _line_extremes
-from quadcone.normalform import NormalFormResult
-from quadcone.quadform import _FORM_BLOCK, ConeError, QuadraticCone, evaluate_many
+from quadcone.decider import (
+    CERT_ROUNDING,
+    NORMAL_SIDE,
+    DiscFamily,
+    DiscReport,
+    LinearGerm,
+    SupportWitness,
+    VerificationFailed,
+    _normal_minimum,
+)
+from quadcone.normalform import NormalFormResult, render_cone
+from quadcone.quadform import (
+    _FORM_BLOCK,
+    ConeError,
+    QuadraticCone,
+    evaluate_many,
+    form_distance,
+    mat_norm,
+    real_form_matrix,
+)
 
 
 def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: float) -> np.ndarray:
@@ -118,7 +136,147 @@ def numpy_pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWi
     return SupportWitness(am, ap, w.kind) if r.sign < 0 else SupportWitness(ap, am, w.kind)
 
 
+def _line_extremes(cone: QuadraticCone, spans: np.ndarray) -> np.ndarray:
+    """Rows t v at the maximum and then the minimum of rho / |z|^2, per row v of spans.
+
+    With a = v^T S v: t = e^(-i arg(a)/2) gives t^2 a = |a|, i t gives -|a|.
+    """
+    a = np.einsum("ij,jk,ik->i", spans, cone.S, spans)
+    t = np.exp(-0.5j * np.angle(a))
+    return np.stack([t[:, None] * spans, 1j * t[:, None] * spans], axis=1).reshape(-1, cone.n)
+
+
 def numpy_line_values(cone: QuadraticCone, w: SupportWitness) -> tuple[np.ndarray, np.ndarray]:
     """(Z, rho(Z) / (|Z|^2 scale)) of verify_support: the maximum and minimum point of A+, then of A-."""
     Z = _line_extremes(cone, np.array([w.aplus.span, w.aminus.span]))
     return Z, evaluate_many(cone, Z) / (np.linalg.norm(Z, axis=1) ** 2 * max(cone.scale, 1e-300))
+
+
+def _numpy_multiplier_minima(P: QuadraticCone, fam: DiscFamily, eps_grid, guard: float, sigma: float):
+    """decider._multiplier_minima on the pullback cone P, its real forms from real_form_matrix."""
+    c = np.asarray(fam.c, dtype=complex)
+    G = real_form_matrix(P)
+    J = real_form_matrix(QuadraticCone._symmetrized(c, np.zeros_like(c)))
+    mus = np.zeros(1)
+    if abs(np.linalg.det(c)) > 0:
+        mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(J, G)).real)
+    ells, vecs = np.linalg.eigh(G - mus[:, None, None] * J)
+    ells = ells[:, 0] - guard - CERT_ROUNDING * P.n * np.abs(mus) * sigma
+    r2 = fam.radius**2
+    out = []
+    for eps in eps_grid:
+        bounds = mus * eps + np.minimum(ells * eps / sigma, ells * r2)
+        k = int(np.argmax(bounds))
+        w0 = vecs[k, :2, 0] + 1j * vecs[k, 2:, 0]
+        if w0 @ c @ w0 == 0:
+            w0 = np.eye(2)[int(np.argmax(np.abs(np.diag(c))))]
+        out.append((float(bounds[k]), np.sqrt(eps / (w0 @ c @ w0)) * w0))
+    return out
+
+
+def _numpy_limit_lines(fam: DiscFamily) -> np.ndarray:
+    """decider._limit_lines as the rows of an array."""
+    if fam.kind == "affine_line":
+        return np.array([[0.0, 1.0]], dtype=complex)
+    (a, b), (_, d) = np.asarray(fam.c, dtype=complex)
+    if d != 0:
+        root = np.sqrt(b * b - a * d)
+        rows = [[d, -b + root]] + ([[d, -b - root]] if root != 0 else [])
+    elif b != 0:
+        rows = [[0.0, 1.0], [1.0, -a / (2 * b)]]
+    elif a != 0:
+        rows = [[0.0, 1.0]]
+    else:
+        raise ConeError("a level-set family needs c != 0")
+    L = np.array(rows, dtype=complex)
+    return L / np.linalg.norm(L, axis=1)[:, None]
+
+
+def numpy_verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
+    """decider.verify_discs from numpy arrays: the pullback T^T S T, T^H H T as a cone, its
+    form_distance to the rendered model, the SVD's sigma_max(c), and evaluate_many per check."""
+    if len(eps_grid) == 0:
+        raise ConeError("eps_grid must be nonempty")
+    if not all(eps > 0 for eps in eps_grid):
+        raise ConeError("eps grid entries must be positive")
+    if not fam.lam > 0:
+        raise ConeError("lam must be positive")
+    frame = fam.map_points(np.eye(2, dtype=complex))
+    vals = evaluate_many(cone, frame)
+    for j, val in enumerate(vals):
+        if not np.isfinite(val):
+            raise VerificationFailed("disc family frame: rho is not finite at a checked point", z=frame[j])
+    T = np.eye(2, dtype=complex) if fam.transform is None else np.asarray(fam.transform, dtype=complex)
+    k = fam.lam * fam.side * (1 if fam.model is None else NORMAL_SIDE[fam.model.tag])
+    P = QuadraticCone._symmetrized(k * (T.T @ cone.S @ T), k * (T.conj().T @ cone.H @ T))
+    guard = CERT_ROUNDING * cone.n * fam.lam * mat_norm(abs(T).T @ (abs(cone.S) + abs(cone.H)) @ abs(T))
+    if fam.kind == "level_set":
+        sigma = float(np.linalg.norm(fam.c, 2))
+        reach = sigma * fam.radius**2
+    else:
+        reach = fam.radius / abs(fam.shift)
+    for eps in eps_grid:
+        if eps > reach:
+            raise VerificationFailed(f"no disc points found at eps={eps}", eps=eps)
+    if fam.model is not None:
+        d = form_distance(P, render_cone(fam.model)) + guard
+        minima = [_normal_minimum(fam, float(eps), d) for eps in eps_grid]
+    elif fam.kind == "level_set":
+        minima = _numpy_multiplier_minima(P, fam, [float(eps) for eps in eps_grid], guard, sigma)
+    else:
+        raise ConeError("an affine-line family needs its normal-form model")
+
+    min_margin = np.inf
+    disc_points = []
+    for eps, (bound, w) in zip(eps_grid, minima):
+        bound /= fam.lam
+        z = fam.map_points(np.asarray(w, dtype=complex)[None, :])
+        disc_points.append(z[0])
+        val = fam.side * evaluate_many(cone, z)
+        if not np.isfinite(val[0]):
+            raise VerificationFailed(
+                f"disc at eps={eps}: rho is not finite at a checked point", eps=eps, z=z[0]
+            )
+        if not bound <= val[0]:
+            raise VerificationFailed(
+                f"disc at eps={eps}: certified bound {bound:.3e} exceeds rho*side={val[0]:.3e} at its point",
+                eps=eps,
+                z=z[0],
+            )
+        if bound <= 0:
+            raise VerificationFailed(
+                f"disc at eps={eps} is not certified on the claimed side (bound on rho*side={bound:.3e})",
+                eps=eps,
+                z=z[0],
+            )
+        min_margin = min(min_margin, bound)
+
+    U = _numpy_limit_lines(fam)
+    Z = _line_extremes(cone, fam.map_points(U))[1 if fam.side > 0 else 0 :: 2]
+    kappa = fam.side * evaluate_many(cone, Z) - guard / fam.lam
+    radius = np.where(kappa >= 0, 1e-3, 1.0) * fam.radius
+    Z = Z * radius[:, None]
+    touch = fam.side * evaluate_many(cone, Z)
+    for j, val in enumerate(touch):
+        if not np.isfinite(val):
+            raise VerificationFailed("limit disc: rho is not finite at a checked point", eps=0.0, z=Z[j])
+    bounds = kappa * radius**2
+    j = int(np.argmin(bounds - touch))
+    if bounds[j] > touch[j]:
+        raise VerificationFailed(
+            f"limit disc: certified bound {bounds[j]:.3e} exceeds rho*side={touch[j]:.3e} at its point",
+            eps=0.0,
+            z=Z[j],
+        )
+    j = int(np.argmin(bounds))
+    if bounds[j] <= 0:
+        raise VerificationFailed(
+            f"limit disc touches the cone away from 0 (bound on rho*side={bounds[j]:.3e})",
+            eps=0.0,
+            z=Z[j],
+        )
+    return DiscReport(
+        min_margin=float(min_margin),
+        touch_residual=float(bounds[j]),
+        points=tuple(map(tuple, np.vstack([disc_points, Z]).tolist())),
+    )
