@@ -21,8 +21,10 @@ tree runs in a subprocess of its own over the same inputs:
   unless halved first, specs with asymmetric S and H (a nonzero
   symmetrization adjustment) under `decide` and `verify`, a spec with an
   entry 1e400 (it parses to inf), two-sided specs at 1e300 and 1e-300
-  under `decide` and `verify`, and one-sided specs at 1e300 and 1e-300
-  under `verify`.
+  under `decide` and `verify`, one-sided specs at 1e300 and 1e-300
+  under `verify`, and one `verify` per disc family shape (the M20 and
+  M10_1 level sets, the M11_1 affine line) at an eps beyond the family's
+  reach, where no disc points exist.
 
 The workload inputs come from this checkout's `perfbench/workloads.py`,
 which uses numpy only, so both trees see the same specs.  Each input is
@@ -93,6 +95,8 @@ ASYMMETRIC = (
     ' "H": [[1, {"re": 0.2, "im": 0.1}], [{"re": 0.3, "im": -0.1}, -1]]}'
 )
 NON_FINITE = '{"n": 2, "S": [[1e400, 0], [0, 1]], "H": [[1, 0], [0, -1]]}'
+# M11_1 with A = 2, B = 0.5: its disc family is the affine line w1 = i eps, within reach for eps <= 1
+AFFINE_LINE = '{"n": 2, "S": [[2, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}'
 
 
 def _two_sided_at(s: str) -> str:
@@ -139,6 +143,9 @@ EXTRA = (
     ("two_sided_1e-300/verify", ["verify", "-"], _two_sided_at("1e-300")),
     ("one_sided_1e300/verify", ["verify", "-"], _one_sided_at("1e300")),
     ("one_sided_1e-300/verify", ["verify", "-"], _one_sided_at("1e-300")),
+    ("reach/m20_level_set", ["verify", "--fixture", "m20", "--eps", "5"], None),
+    ("reach/m10_1_level_set", ["verify", "--fixture", "m10_1", "--eps", "2"], None),
+    ("reach/m11_1_affine_line", ["verify", "-", "--eps", "1.5"], AFFINE_LINE),
 )
 
 

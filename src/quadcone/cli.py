@@ -163,11 +163,12 @@ def _asymmetry(rows: list, conj: bool) -> float:
     return 0.5 * math.hypot(*parts)
 
 
-def _require_finite(M: np.ndarray, path: str) -> None:
-    bad = np.argwhere(~np.isfinite(M))
-    if bad.size:
-        i, j = bad[0]
-        raise SchemaError(f"{path}[{i}][{j}]", "entry is not finite after symmetrization")
+def _require_finite(rows: list, path: str) -> None:
+    """Refuse the first entry in row order that is not finite after symmetrization: M[i][j] or M[j][i] is not."""
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            if not (cmath.isfinite(z) and cmath.isfinite(rows[j][i])):
+                raise SchemaError(f"{path}[{i}][{j}]", "entry is not finite after symmetrization")
 
 
 def parse_spec(text: str) -> ConeSpec:
@@ -223,13 +224,12 @@ def parse_spec(text: str) -> ConeSpec:
         raise SchemaError("$", "need S and H matrices (or poly)")
     S = _parse_matrix(data["S"], n, "S")
     H = _parse_matrix(data["H"], n, "H")
+    _require_finite(S, "S")
+    _require_finite(H, "H")
     # _symmetrized applies the checked constructor's symmetrization (halves
     # first, so finite entries stay finite); that constructor's tests cannot
     # fail on a finite result, so the cone is bitwise the one it would build
     cone = QuadraticCone._symmetrized(np.array(S, dtype=complex), np.array(H, dtype=complex))
-    if not all(cmath.isfinite(z) for M in (S, H) for row in M for z in row):
-        _require_finite(cone.S, "S")
-        _require_finite(cone.H, "H")
     return ConeSpec(cone=cone, s_adjustment=_asymmetry(S, False), h_adjustment=_asymmetry(H, True))
 
 

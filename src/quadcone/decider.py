@@ -64,24 +64,39 @@ class VerificationFailed(ConeError):
 class DiscFamily:
     """Family D_eps in a 2-dimensional frame, mapped into cone coordinates by `transform` (n x 2).
 
-    kind "level_set": D_eps = {w : w^T c w = eps, |w| <= radius};
-    kind "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}, shift = i.
-    `side` is the expected sign of rho on D_eps for eps > 0, in the
-    coordinates of the cone the family is verified against.  A family of a
-    normal form carries it as `model`, with the lam of the classification
-    (NORMAL_SIDE[tag] * side * lam * rho(transform w) is then rho_model(w)
-    up to the classification's residual); a family without a model is a
-    level set certified from the cone's real form alone.
+    kind "level_set": D_eps = {w : w^T c w = eps, |w| <= radius}; kind
+    "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}, shift = i.
+    The model fixes both, with radius 1: the affine line for M11_1 with B <
+    1, else c = diag(A, B) (M20), diag(A, 1) (M10_1), -diag(A, B) (M11_1),
+    or I without a model (a definite slice, certified from the cone's real
+    form alone).  `side` is the expected sign of rho on D_eps for eps > 0,
+    in the coordinates of the cone the family is verified against, and lam
+    the classification's: NORMAL_SIDE[tag] * side * lam * rho(transform w)
+    is rho_model(w) up to the classification's residual.
     """
 
-    kind: str
     side: int
-    c: np.ndarray | None = None
     transform: np.ndarray | None = None
-    radius: float = 1.0
     model: NormalFormType | None = None
     lam: float = 1.0
+    radius: ClassVar[float] = 1.0
     shift: ClassVar[complex] = 1j
+
+    @property
+    def kind(self) -> str:
+        m = self.model
+        return "affine_line" if m is not None and m.tag == "M11_1" and m.b < 1.0 else "level_set"
+
+    @property
+    def c(self) -> np.ndarray | None:
+        m = self.model
+        if m is None:
+            return np.eye(2, dtype=complex)
+        if self.kind == "affine_line":
+            return None
+        A, B = (*m.params(), 1.0)[:2]  # M10_1's B is 1
+        c = np.diag([A, B]).astype(complex)
+        return -c if m.tag == "M11_1" else c
 
     def map_points(self, W: np.ndarray) -> np.ndarray:
         if self.transform is None:
@@ -107,10 +122,15 @@ class SupportWitness:
 
 @dataclass(frozen=True)
 class Verdict:
-    outcome: str  # "one_sided" | "two_sided"
+    """A one-sided verdict carries its disc family, a two-sided one its supporting lines."""
+
     discs: DiscFamily | None = None
     witness: SupportWitness | None = None
     note: str = ""
+
+    @property
+    def outcome(self) -> str:
+        return "two_sided" if self.discs is None else "one_sided"
 
     @property
     def side(self) -> int | None:
@@ -230,60 +250,51 @@ def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, tuple
 
 # _form2's interleaved order x1, y1, x2, y2, permuted to real_form_matrix's x1, x2, y1, y2
 _XY = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+# the real form of Re(w^T w), in real_form_matrix's order
+_J = _form2((1 + 0j, 0j, 1 + 0j), (0j, 0j, 0j))[_XY]
 
 
-def _multiplier_minima(P: tuple, c: np.ndarray, radius: float, eps_grid: list, guard: float, sigma: float):
-    """Lower bounds on rho_P over each level set D_eps = {w^T c w = eps, |w| <= radius}, with points.
+def _multiplier_minima(P: tuple, eps_grid: list, guard: float):
+    """Lower bounds on rho_P over each level set D_eps = {w^T w = eps, |w| <= 1}, with points.
 
     P is the pair (S, H) of rho_P in C^2 as entries (m00, m01, m11).  For
-    every real mu, rho_P(w) >= mu Re(w^T c w) + l_mu |w|^2 with l_mu =
-    lambda_min(G - mu J), G and J the real forms of rho_P and Re(w^T c w).
-    On D_eps, |w|^2 lies in [eps / sigma, radius^2] (sigma = sigma_max(c)), so
-    mu eps + min(l_mu eps / sigma, l_mu radius^2) bounds rho_P there for any
-    mu.  mu = 0 is the eigenvalue bound; for l_mu >= 0 the bound grows with
-    mu up to the largest mu with G - mu J >= 0, a real eigenvalue of J^-1 G,
-    so the candidates are 0 and the real parts of those eigenvalues (only 0
-    when det c = 0).  Each l_mu is lowered by the rounding allowance guard +
-    CERT_ROUNDING * 2 * |mu| sigma.  The point comes from the eigenvector of
-    l_mu, scaled onto the level set, or else from the larger diagonal entry
-    of c.  Where G is not finite every bound is nan, at that last point.
+    every real mu, rho_P(w) >= mu Re(w^T w) + l_mu |w|^2 with l_mu =
+    lambda_min(G - mu J), G and J the real forms of rho_P and Re(w^T w).
+    On D_eps, |w|^2 lies in [eps, 1], so mu eps + min(l_mu eps, l_mu)
+    bounds rho_P there for any mu.  mu = 0 is the eigenvalue bound; for
+    l_mu >= 0 the bound grows with mu up to the largest mu with G - mu J >=
+    0, a real eigenvalue of J^-1 G, so the candidates are 0 and the real
+    parts of those eigenvalues.  Each l_mu is lowered by the rounding
+    allowance guard + CERT_ROUNDING * 2 * |mu|.  The point comes from the
+    eigenvector of l_mu, scaled onto the level set.  Where G is not finite
+    every bound is nan, at the point (sqrt(eps), 0).
     """
-    (c00, c01), (c10, c11) = c.tolist()
     G = _form2(*P)[_XY]
-    mus, ells, vecs = np.zeros(1), np.full(1, math.nan), np.zeros((1, 4, 4))
+    mus, ells, vecs = np.zeros(1), np.full(1, math.nan), np.eye(4)[None]
     if np.isfinite(G).all():
-        J = _form2((c00, c01, c11), (0j, 0j, 0j))[_XY]
-        if c00 * c11 - c01 * c10 != 0:
-            mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(J, G)).real)
-        ells, vecs = np.linalg.eigh(G - mus[:, None, None] * J)
-        ells = ells[:, 0] - guard - CERT_ROUNDING * 2 * np.abs(mus) * sigma
-    r2 = radius**2
+        mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(_J, G)).real)
+        ells, vecs = np.linalg.eigh(G - mus[:, None, None] * _J)
+        ells = ells[:, 0] - guard - CERT_ROUNDING * 2 * np.abs(mus)
     out = []
     for eps in eps_grid:
-        bounds = mus * eps + np.minimum(ells * eps / sigma, ells * r2)
+        bounds = mus * eps + np.minimum(ells * eps, ells)
         k = int(np.argmax(bounds))
         w0 = vecs[k, :2, 0] + 1j * vecs[k, 2:, 0]
-        if w0 @ c @ w0 == 0:
-            w0 = np.eye(2)[int(np.argmax(np.abs(np.diag(c))))]
-        out.append((float(bounds[k]), (np.sqrt(eps / (w0 @ c @ w0)) * w0).tolist()))
+        out.append((float(bounds[k]), (np.sqrt(eps / (w0 @ w0)) * w0).tolist()))
     return out
 
 
 def _limit_lines(a: complex, b: complex, d: complex) -> list[tuple[complex, complex]]:
-    """Unit vectors spanning the complex lines of {w^T c w = 0}, c = [[a, b], [b, d]].
+    """Unit vectors spanning the complex lines of {w^T c w = 0}, c = [[a, b], [b, d]] diagonal and not 0.
 
+    b is a signed zero, kept so that the lines' zero parts follow c's.
     Their union is the limit disc D_0 of the level set of c, in the family frame.
     """
-    if d != 0:
-        # w = (d, x) with x^2 + 2 b x + a d = 0
-        root = cmath.sqrt(b * b - a * d)
-        rows = [(d, -b + root)] + ([(d, -b - root)] if root != 0 else [])
-    elif b != 0:
-        rows = [(0j, 1 + 0j), (1 + 0j, -a / (2 * b))]
-    elif a != 0:
-        rows = [(0j, 1 + 0j)]
-    else:
-        raise ConeError("a level-set family needs c != 0")
+    if d == 0:
+        return [(0j, 1 + 0j)]
+    # w = (d, x) with x^2 + 2 b x + a d = 0
+    root = cmath.sqrt(b * b - a * d)
+    rows = [(d, -b + root)] + ([(d, -b - root)] if root != 0 else [])
     return [(x / size, y / size) for x, y in rows for size in (math.hypot(*parts(x, y)),)]
 
 
@@ -308,18 +319,19 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     variables), so the allowance is that of the input, not of a restriction
     computed from it.
 
-    The 2 x 2 pullback, the allowance, sigma_max(c) (max |c_jj| for a
-    diagonal c) and the closed forms are Python scalars; for n >= 3 the
-    pullback comes from numpy products.  Each bound comes with the point that
-    attains it (for a multiplier bound, the eigenvector's point on D_eps),
-    and one evaluate_many call evaluates rho at the frame's columns T e_1, T
-    e_2, at these points and at each limit line's point at radius fam.radius
-    and 1e-3 fam.radius.  The checks run in this order: the frame's values
-    are finite; D_eps is not empty within the radius (eps <= sigma_max(c)
-    radius^2 for a level set); at each eps the value is finite and at least
-    the bound, and the bound is positive; on the limit disc the same, at the
-    radius where the line's bound is smaller.  The report carries the points
-    of the grid and of the limit disc, in that order.
+    The 2 x 2 pullback, the allowance, the reach of D_eps and the closed
+    forms are Python scalars; for n >= 3 the pullback comes from numpy
+    products.  Each bound comes with the point that attains it (for a
+    multiplier bound, the eigenvector's point on D_eps), and one
+    evaluate_many call evaluates rho at the frame's columns T e_1, T e_2, at
+    these points and at each limit line's point at radius fam.radius and
+    1e-3 fam.radius.  The checks run in this order: the frame's values are
+    finite; D_eps is not empty within the radius (eps <= max |c_jj| radius^2
+    for a level set, c being diagonal, and eps <= radius / |shift| for the
+    affine line); at each eps the value is finite and at least the bound,
+    and the bound is positive; on the limit disc the same on every line, at
+    the radius where the line's bound is smaller.  The report carries the
+    points of the grid and of the limit disc, in that order.
     """
     if len(eps_grid) == 0:
         raise ConeError("eps_grid must be nonempty")
@@ -327,25 +339,22 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         raise ConeError("eps grid entries must be positive")
     if not fam.lam > 0:
         raise ConeError("lam must be positive")
-    side, lam, radius = fam.side, fam.lam, fam.radius
+    side, lam, radius, c = fam.side, fam.lam, fam.radius, fam.c
     T = np.eye(2, dtype=complex) if fam.transform is None else np.asarray(fam.transform, dtype=complex)
     pS, pH, (m00, m01, m11) = _pullback(cone, T)
     # mat_norm's Frobenius norm, nan where an entry is not finite as there
     guard = CERT_ROUNDING * cone.n * lam
     guard *= math.hypot(m00, m01, m01, m11) if math.isfinite(m00 + m01 + m11) else math.nan
     r2 = radius**2
-    if fam.kind == "level_set":
-        c = np.asarray(fam.c, dtype=complex)
-        (c00, c01), (c10, c11) = c.tolist()
-        sigma = max(_abs(c00), _abs(c11)) if c01 == c10 == 0 else float(np.linalg.norm(c, 2))
-        reach = sigma * r2
-    else:
+    if c is None:
         reach = radius / abs(fam.shift)
+    else:
+        (c00, c01), (_, c11) = c.tolist()
+        reach = max(_abs(c00), _abs(c11)) * r2
     far = next((eps for eps in eps_grid if eps > reach), None)
-    certified = fam.model is not None or fam.kind == "level_set"  # a family with a bound
     rows = [(1.0, 0.0), (0.0, 1.0)]  # the frame
     lines = []  # per limit line, the row of its point at radius; the next row is at 1e-3 radius
-    if far is None and certified:
+    if far is None:
         eps_list = [float(eps) for eps in eps_grid]
         k = lam * side * (1 if fam.model is None else NORMAL_SIDE[fam.model.tag])
         P = tuple(k * p for p in pS), tuple(k * p for p in pH)
@@ -357,11 +366,11 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
                 d = math.nan
             minima = [_normal_minimum(fam, eps, d + guard) for eps in eps_list]
         else:
-            minima = _multiplier_minima(P, c, radius, eps_list, guard, sigma)
+            minima = _multiplier_minima(P, eps_list, guard)
         rows += [w for _, w in minima]
         small = 1e-3 * radius
         s00, s01, s11 = pS
-        for u0, u1 in [(0j, 1 + 0j)] if fam.kind == "affine_line" else _limit_lines(c00, c01, c11):
+        for u0, u1 in [(0j, 1 + 0j)] if c is None else _limit_lines(c00, c01, c11):
             # the minimum of side * rho / |w|^2 on the line is at its maximum point for side < 0
             t = _turn(u0 * (s00 * u0 + s01 * u1) + u1 * (s01 * u0 + s11 * u1))
             if side > 0:
@@ -373,8 +382,6 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     _check_finite(vals[:2], Z, "disc family frame")
     if far is not None:
         raise VerificationFailed(f"no disc points found at eps={far}", eps=far)
-    if not certified:
-        raise ConeError("an affine-line family needs its normal-form model")
 
     min_margin = math.inf
     for j, (eps, (bound, _)) in enumerate(zip(eps_grid, minima), start=2):
@@ -406,7 +413,7 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         bounds.append(kappa * size * size)
     touch = [vals[j] for j in picked]
     _check_finite(touch, [Z[j] for j in picked], "limit disc", eps=0.0)
-    j = min(range(len(lines)), key=lambda i: bounds[i] - touch[i])
+    j = max(range(len(lines)), key=lambda i: bounds[i] - touch[i])
     if bounds[j] > touch[j]:
         raise VerificationFailed(
             f"limit disc: certified bound {bounds[j]:.3e} exceeds rho*side={touch[j]:.3e} at its point",
@@ -491,29 +498,21 @@ def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
     tag = ntype.tag
     params = ntype.params()
 
-    def discs(kind: str, c: np.ndarray | None = None) -> Verdict:
-        fam = DiscFamily(kind=kind, side=NORMAL_SIDE[tag], c=c, model=ntype)
-        return Verdict(outcome="one_sided", discs=fam)
+    def discs() -> Verdict:
+        return Verdict(discs=DiscFamily(side=NORMAL_SIDE[tag], model=ntype))
 
     def lines(aplus: LinearGerm, aminus: LinearGerm, kind: str, note: str = "") -> Verdict:
-        return Verdict(outcome="two_sided", witness=SupportWitness(aplus, aminus, kind), note=note)
+        return Verdict(witness=SupportWitness(aplus, aminus, kind), note=note)
 
-    if tag == "M20":
-        A, B = params
-        return discs("level_set", np.diag([A, B]).astype(complex))
-    if tag == "M10_1":
-        (A,) = params
-        return discs("level_set", np.diag([A, 1.0]).astype(complex))
+    if tag in ("M20", "M10_1"):
+        return discs()
     if tag == "M11_1":
         A, B = params
         if A == B:
             line = _germ(1j, -1.0 + 0j, "{z2 = i z1}")  # rho vanishes identically here
             return lines(line, line, "nonminimal")
         if A > 1.0 + A_ONE_BOUNDARY_TOL:
-            if B < 1.0:
-                return discs("affine_line")
-            # 1 <= B < A: the level variety A z1^2 + B z2^2 = -eps stays below the cone
-            return discs("level_set", -np.diag([A, B]).astype(complex))
+            return discs()  # the affine line for B < 1, else the level set of -diag(A, B)
         note = "A = 1 boundary: two-sided clause applies" if abs(A - 1.0) <= A_ONE_BOUNDARY_TOL else ""
         return lines(_germ(0j, 1.0 + 0j, "{z2 = 0}"), _germ(1.0 + 0j, 0j, "{z1 = 0}"), "proper", note)
     if tag == "M11_2":
@@ -579,12 +578,11 @@ def decide2(r: NormalFormResult, cone: QuadraticCone | None = None) -> Verdict:
         )
     v = normal_frame_verdict(r.ntype)
     if v.discs is not None:
-        fam = replace(v.discs, transform=r.T, side=v.discs.side * r.sign, lam=r.lam)
-        return Verdict(outcome="one_sided", discs=fam)
+        return Verdict(discs=replace(v.discs, transform=r.T, side=v.discs.side * r.sign, lam=r.lam))
     witness = _pull_back_witness(v.witness, r)
     if cone is not None:
         verify_support(cone, witness)
-    return Verdict(outcome="two_sided", witness=witness, note=v.note)
+    return Verdict(witness=witness, note=v.note)
 
 
 def jump_demo(seed: int = 0, samples: int = 10_000) -> JumpReport:

@@ -337,7 +337,7 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
             raise ConeError(f"variable {name!r} out of range for n={n}")
         return (j - 1) + (n if kind == "y" else 0)
 
-    G = np.zeros((2 * n, 2 * n))
+    G = [[0.0] * (2 * n) for _ in range(2 * n)]  # Python floats: a sum that overflows is inf, unwarned
     for vars_, coeff in terms:
         if isinstance(coeff, complex) and coeff.imag != 0:
             raise NonReal(f"coefficient {coeff} of {vars_} is not real")
@@ -345,9 +345,9 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
             raise NonHomogeneous(f"monomial {vars_} has degree {len(vars_)}, expected 2")
         i, j = index(vars_[0]), index(vars_[1])
         c = float(np.real(coeff))
-        G[i, j] += c / 2.0
-        G[j, i] += c / 2.0
-    return decompose_real_form(G)
+        G[i][j] += c / 2.0
+        G[j][i] += c / 2.0
+    return decompose_real_form(np.array(G))
 
 
 # The signatures read a copy of S and H scaled by 2^e, e the scale exponent,

@@ -351,9 +351,8 @@ def _try_slice(cone: QuadraticCone, slc: Slice) -> SliceResult | None:
             side = -1
         else:
             return None
-        fam = DiscFamily(kind="level_set", side=side, c=np.eye(2, dtype=complex))
-        verdict = Verdict(outcome="one_sided", discs=fam,
-                          note="definite slice: discs avoid the cone entirely")
+        fam = DiscFamily(side=side)
+        verdict = Verdict(discs=fam, note="definite slice: discs avoid the cone entirely")
     else:
         try:
             verdict = decide2(cls)

@@ -136,6 +136,7 @@ def test_parse_spec_cone_equals_the_checked_constructor():
         assert np.array_equal(np.signbit(cone.H.imag), np.signbit(checked.H.imag))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "S, H, path",
     [
@@ -153,6 +154,7 @@ def test_parse_rejects_non_finite_matrices(capsys, S, H, path):
     assert report["error"]["kind"] == "schema"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "terms, path",
     [
@@ -175,6 +177,7 @@ def test_parse_rejects_non_finite_polynomials(capsys, terms, path):
 BEYOND_FLOAT = "1" + "0" * 400  # a JSON integer that no float holds; json.loads keeps it an int
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -512,6 +515,17 @@ def test_cmd_verify_failure_exit_code(capsys):
     code, report = run_cli(capsys, ["verify", "--fixture", "m20", "--eps", "50"])
     assert code == EXIT_VERIFICATION
     assert "failed" in report["verification"]
+
+
+def test_cmd_verify_reports_an_eps_beyond_the_affine_lines_reach(capsys):
+    # M11_1 (2, 0.5): D_eps = {w1 = i eps, |w| <= 1} is empty for eps > 1
+    from quadcone.cli import EXIT_VERIFICATION
+
+    spec = '{"n": 2, "S": [[2, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}'
+    code, report = run_cli_stdin(capsys, spec, ["verify", "-", "--eps", "1.5"])
+    assert code == EXIT_VERIFICATION
+    assert report["verdict"]["disc_family"]["kind"] == "affine_line"
+    assert report["verification"] == {"failed": "no disc points found at eps=1.5"}
 
 
 def test_cmd_verify_tol_override_echoed(capsys):

@@ -6,7 +6,7 @@ import importlib.util
 import pathlib
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import quadcone.quadform as quadform
 import quadcone.slicer as slicer
-from quadcone.cli import DEFAULT_EPS, parse_spec
+from quadcone.cli import DEFAULT_EPS, DEFAULT_GRID, _atlas_types, parse_spec
 from quadcone.decider import (
     CERT_ROUNDING,
     SUPPORT_TOL_REL,
     DiscFamily,
+    Verdict,
     VerificationFailed,
     decide2,
     jump_demo,
@@ -163,6 +164,56 @@ def test_normal_frame_verdict_disc_shapes():
     assert normal_frame_verdict(NormalFormType("M11_1", a=0.5, b=0.25)).discs is None
 
 
+def _built_kind_and_c(ntype: NormalFormType):
+    """The kind and c normal_frame_verdict once passed to the family's constructor, per tag."""
+    if ntype.tag == "M20":
+        A, B = ntype.params()
+        return "level_set", np.diag([A, B]).astype(complex)
+    if ntype.tag == "M10_1":
+        (A,) = ntype.params()
+        return "level_set", np.diag([A, 1.0]).astype(complex)
+    A, B = ntype.params()
+    return ("affine_line", None) if B < 1.0 else ("level_set", -np.diag([A, B]).astype(complex))
+
+
+@pytest.mark.parametrize("tag", ["M20", "M10_1", "M11_1"])
+def test_disc_family_kind_and_c_follow_the_model_bitwise(tag):
+    # every one-sided cell of the default atlas grid: the derived kind and c
+    # are the constructed ones, signed zeros included (the report's
+    # disc_family.C prints them)
+    families = [v.discs for v in map(normal_frame_verdict, _atlas_types(tag, DEFAULT_GRID)) if v.discs]
+    assert families
+    for fam in families:
+        kind, c = _built_kind_and_c(fam.model)
+        assert fam.kind == kind, fam.model
+        if c is None:
+            assert fam.c is None, fam.model
+        else:
+            assert fam.c.dtype == c.dtype and fam.c.tobytes() == c.tobytes(), fam.model
+        assert fam.radius == 1.0 and fam.shift == 1j
+    if tag == "M11_1":
+        assert {fam.kind for fam in families} == {"level_set", "affine_line"}
+    fam = DiscFamily(side=1)
+    assert fam.kind == "level_set"
+    assert fam.c.tobytes() == np.eye(2, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("given", [{"kind": "level_set"}, {"c": np.eye(2, dtype=complex)}, {"radius": 0.5}])
+def test_disc_family_refuses_what_its_model_fixes(given):
+    with pytest.raises(TypeError):
+        DiscFamily(side=1, **given)
+    with pytest.raises(TypeError):
+        replace(DiscFamily(side=1), **given)
+    assert [f.name for f in fields(DiscFamily)] == ["side", "transform", "model", "lam"]
+    assert [f.name for f in fields(Verdict)] == ["discs", "witness", "note"]
+
+
+def test_a_verdicts_outcome_is_which_witness_it_carries():
+    assert Verdict(discs=DiscFamily(side=-1)).outcome == "one_sided"
+    witness = normal_frame_verdict(NormalFormType("M00_1")).witness
+    assert Verdict(witness=witness).outcome == "two_sided"
+
+
 @pytest.mark.parametrize(
     "ntype",
     [
@@ -213,7 +264,7 @@ def test_verify_discs_analytic_floor_m20():
 def test_verify_discs_wrong_side_fails():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
     fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
-    bad = DiscFamily(kind=fam.kind, side=-fam.side, c=fam.c, transform=fam.transform)
+    bad = replace(fam, side=-fam.side)
     with pytest.raises(VerificationFailed):
         verify_discs(cone, bad, eps_grid=EPS_GRID)
 
@@ -221,7 +272,7 @@ def test_verify_discs_wrong_side_fails():
 def test_verify_discs_rejects_a_non_finite_transform():
     # NaN compares false with 0: without a finiteness check such a family would pass
     fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
-    bad = DiscFamily(kind=fam.kind, side=fam.side, c=fam.c, transform=np.diag([np.nan, 1.0]))
+    bad = replace(fam, transform=np.diag([np.nan, 1.0]))
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
     with pytest.raises(VerificationFailed, match="not finite") as info:
         verify_discs(cone, bad, eps_grid=EPS_GRID)
@@ -242,7 +293,7 @@ def test_verify_discs_rejects_a_definite_slice_family_that_meets_the_cone(s):
     # side * rho = Re(s w1^2) + |w1|^2 >= 0 vanishes on {w1 = 0}, which meets
     # D_eps = {w1^2 + w2^2 = eps} at (0, +-sqrt(eps)): no sample lands there
     cone = QuadraticCone(np.diag([s, 0.0]), np.diag([1.0, 0.0]))
-    fam = DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex))
+    fam = DiscFamily(side=1)
     with pytest.raises(VerificationFailed, match="not certified"):
         verify_discs(cone, fam, eps_grid=(1e-2, 1e-1))
 
@@ -252,10 +303,36 @@ def test_verify_discs_certifies_a_semidefinite_slice_exactly():
     # D_eps rho = |w|^2 + eps >= 2 eps, with equality on the real points, and on
     # the limit disc rho = |w|^2 >= (1e-3)^2
     cone = QuadraticCone(np.eye(2), np.eye(2))
-    fam = DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex))
+    fam = DiscFamily(side=1)
     rep = verify_discs(cone, fam, eps_grid=(1e-2, 1e-1))
     assert rep.min_margin == pytest.approx(2e-2, rel=1e-12)
     assert rep.touch_residual == pytest.approx(1e-6, rel=1e-12)
+
+
+def test_verify_discs_checks_every_limit_line(monkeypatch):
+    # the m20 fixture's limit disc is two lines; one is read below its bound
+    # at its checked point while the other passes, and the check must fail
+    import quadcone.decider as decider
+
+    cone = FIXTURES["m20"]()
+    fam = decide2(classify2(cone), cone).discs
+    evaluate, seen = decider.evaluate_many, []
+    monkeypatch.setattr(decider, "evaluate_many", lambda c, Z: seen.append(Z) or evaluate(c, Z))
+    report = verify_discs(cone, fam, eps_grid=EPS_GRID)
+    # the rows of the points checked on the lines, one per line
+    checked = [r for r, z in enumerate(seen[0].tolist()) if tuple(z) in report.points[len(EPS_GRID) :]]
+    assert len(checked) == 2
+
+    def lowered(c, Z):
+        vals = evaluate(c, Z)
+        vals[checked[0]] *= 0.5  # side * rho at the point, less than its bound kappa |w|^2
+        return vals
+
+    monkeypatch.setattr(decider, "evaluate_many", lowered)
+    with pytest.raises(VerificationFailed, match=r"limit disc: certified bound \S+ exceeds") as info:
+        verify_discs(cone, fam, eps_grid=EPS_GRID)
+    assert info.value.eps == 0.0
+    assert np.array_equal(info.value.z, seen[0][checked[0]])
 
 
 DISC_KINDS = ("M20", "M10_1", "M11_1 level set", "M11_1 affine line", "point", "semidefinite")
@@ -280,7 +357,7 @@ def _oracle_case(kind: str, rng, lam: float, sign: int):
         else:
             H0, S0 = np.eye(2), np.diag([1.0, rng.uniform(0.0, 0.9)])
         cone = apply_change(QuadraticCone(S0, H0), np.linalg.inv(M), lam, sign)
-        return cone, DiscFamily(kind="level_set", side=sign, c=np.eye(2, dtype=complex), transform=M)
+        return cone, DiscFamily(side=sign, transform=M)
     if kind == "M20":
         A = rng.uniform(1.2, 4.0)
         ntype = NormalFormType("M20", a=A, b=A * rng.uniform(0.0, 0.9))
@@ -309,23 +386,23 @@ def test_certified_disc_bounds_hold_against_the_sampler(kind, seed, u, sign):
     rng = np.random.default_rng(seed)
     cone, fam = _oracle_case(kind, rng, 10.0**u, sign)
 
-    def sampled_min(family, eps):
-        W = _disc_points(family, eps, 2000, rng)
+    def sampled_min(eps, radius=fam.radius):
+        W = _disc_points(fam, eps, 2000, rng, radius)
         if eps == 0.0:
-            W = W[np.linalg.norm(W, axis=1) >= 1e-3 * family.radius]
+            W = W[np.linalg.norm(W, axis=1) >= 1e-3 * radius]
         return (fam.side * evaluate_many(cone, fam.map_points(W))).min()
 
     for eps in EPS_GRID:
         rep = verify_discs(cone, fam, eps_grid=(eps,))
-        assert rep.min_margin <= sampled_min(fam, eps)
-        assert rep.touch_residual <= sampled_min(fam, 0.0)
+        assert rep.min_margin <= sampled_min(eps)
+        assert rep.touch_residual <= sampled_min(0.0)
         if fam.model is not None:
             # sampled within twice the smallest |w| on D_eps, near the minimum
             if fam.kind == "level_set":
                 near = 2.0 * np.sqrt(eps / np.linalg.norm(fam.c, 2))
             else:
                 near = 2.0 * abs(fam.shift) * eps
-            assert rep.min_margin >= 0.5 * sampled_min(replace(fam, radius=near), eps)
+            assert rep.min_margin >= 0.5 * sampled_min(eps, radius=near)
 
 
 # --- support witnesses ----------------------------------------------------------
@@ -585,7 +662,7 @@ def test_the_scalar_disc_certificate_fails_as_the_numpy_one_at_any_scale():
     families = [normal_frame_verdict(t).discs for t in (
         NormalFormType("M20", a=2.0, b=0.5), NormalFormType("M10_1", a=0.5),
         NormalFormType("M11_1", a=2.0, b=0.5), NormalFormType("M11_1", a=3.0, b=2.0))]
-    families.append(DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex)))
+    families.append(DiscFamily(side=1))
     outcomes = {"passed": 0, "failed": 0, "leaked": 0}
     cases = []
     for i, cone in enumerate(spread_cones2(seed=25, count=1000)):
@@ -624,10 +701,10 @@ def test_the_scalar_disc_certificate_fails_as_the_numpy_one_at_any_scale():
 
 
 def test_disc_margin_scaling_exact():
-    # the bounds are taken in the family's own frame, so the original
-    # coordinates (the closed form through the classification) and the
-    # normal-form coordinates (the multiplier bound of a family without a
-    # model) give margins that differ by the positive scale lambda
+    # the bounds are taken in the family's own frame, so the family certified
+    # in the original coordinates (through the classification) and the same
+    # family in the normal-form coordinates give margins that differ by the
+    # positive scale lambda
     rng = np.random.default_rng(137)
     ntype = NormalFormType("M20", a=3.0, b=1.0)
     base = render_cone(ntype)
@@ -637,10 +714,19 @@ def test_disc_margin_scaling_exact():
     res = classify2(moved)
     v = decide2(res, moved)
     rep_orig = verify_discs(moved, v.discs, eps_grid=(1e-2,))
-    fam_norm = DiscFamily(kind=v.discs.kind, side=+1, c=v.discs.c)
+    fam_norm = replace(v.discs, transform=None, side=+1, lam=1.0)
     rep_norm = verify_discs(base, fam_norm, eps_grid=(1e-2,))
     assert rep_orig.min_margin * res.lam == pytest.approx(rep_norm.min_margin, abs=1e-10)
     assert rep_orig.touch_residual * res.lam == pytest.approx(rep_norm.touch_residual, abs=1e-10)
+    # the same law for the identity family (the multiplier bound) on a
+    # definite cone moved by a GL(2,C) change: rho_moved(M w) = lam rho0(w)
+    definite = QuadraticCone([[0.3, 0.1], [0.1, -0.2j]], [[2.0, 0.5j], [-0.5j, 1.0]])
+    M = random_gl2(rng)
+    moved = apply_change(definite, np.linalg.inv(M), lam, 1)
+    rep_moved = verify_discs(moved, DiscFamily(side=1, transform=M), eps_grid=(1e-2,))
+    rep_base = verify_discs(definite, DiscFamily(side=1), eps_grid=(1e-2,))
+    assert rep_moved.min_margin == pytest.approx(lam * rep_base.min_margin, abs=1e-10)
+    assert rep_moved.touch_residual == pytest.approx(lam * rep_base.touch_residual, abs=1e-10)
 
 
 def test_one_over_ell_finite_on_positive_side():

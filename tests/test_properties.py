@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadcone.decider import (
@@ -125,23 +125,29 @@ def test_immutability_of_cone():
         cone.S[0, 0] = 5.0
 
 
-# m * 2^e with e anywhere in [-1000, 1000]; small integer mantissas make zero,
-# equal and cancelling entries likely
-spread = st.builds(
-    math.ldexp,
-    st.one_of(st.integers(min_value=-3, max_value=3).map(float), st.floats(min_value=-1.0, max_value=1.0)),
-    st.integers(min_value=-1000, max_value=1000),
-)
+def _spread(e_max: int):
+    """m * 2^e with |e| <= e_max; small integer mantissas make zero, equal and cancelling entries likely."""
+    return st.builds(
+        math.ldexp,
+        st.one_of(st.integers(min_value=-3, max_value=3).map(float), st.floats(min_value=-1.0, max_value=1.0)),
+        st.integers(min_value=-e_max, max_value=e_max),
+    )
+
+
+spread = _spread(1000)
 
 
 @st.composite
-def spread_cones(draw):
-    """n = 2 cones with every entry part m * 2^e: H arbitrary, or of rank one."""
-    s00, s01, s11 = (complex(draw(spread), draw(spread)) for _ in range(3))
+def spread_cones(draw, e_max: int = 1000):
+    """n = 2 cones with every entry part m * 2^e, |e| <= e_max: H arbitrary, or of rank one."""
+    part = _spread(e_max)
+    s00, s01, s11 = (complex(draw(part), draw(part)) for _ in range(3))
     if draw(st.booleans()):
-        h00, h11, h01 = draw(spread), draw(spread), complex(draw(spread), draw(spread))
-    else:  # H = v v^*, singular; v's parts at most 2^500 so that H stays finite
-        half = st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-500, 500))
+        h00, h11, h01 = draw(part), draw(part), complex(draw(part), draw(part))
+    else:  # H = v v^*, singular; v's parts at most 2^(e_max / 2) so that H stays finite
+        half = st.builds(
+            math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-(e_max // 2), e_max // 2)
+        )
         x, y = (complex(draw(half), draw(half)) for _ in range(2))
         h00, h01, h11 = abs(x) ** 2, x * y.conjugate(), abs(y) ** 2
     return QuadraticCone([[s00, s01], [s01, s11]], [[h00, h01], [h01.conjugate(), h11]])
@@ -178,13 +184,71 @@ def test_signatures_decide2_and_verify_support_return_or_fail_verification_at_an
             pass
 
 
+def _decided(res) -> str:
+    """decide2's outcome on a classification, or "verification_failed"."""
+    try:
+        return decide2(res).outcome
+    except VerificationFailed:
+        return "verification_failed"
+
+
+def _moved_exactly(got: np.ndarray, T: np.ndarray, f: float) -> bool:
+    """got == f T in every real and imaginary part that is a normal float at both scales.
+
+    A part below 2^-1022 at either scale (a subnormal, or 0 beside one)
+    carries fewer than 53 bits: a rounding there moves it by up to a few
+    units of 2^-1074 at its own scale, so such parts agree within 4 *
+    2^-1074 * max(1, f).
+    """
+    g, t, w = got.view(float), T.view(float), (f * T).view(float)
+    tiny = np.minimum(np.abs(t), np.abs(w)) < 2.0**-1022
+    return bool(np.all(np.where(tiny, np.abs(g - w) <= 4 * 2.0**-1074 * max(1.0, f), g == w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_cones(e_max=150), st.integers(min_value=-150, max_value=150).map(lambda h: 2 * h))
+# M10_2 cones: T[1][0] = -A0 / (2 B0) h00^(-1/2) of the first moves to
+# -1.09e-308, a subnormal; T[0][1] of the second has an imaginary part of
+# 1.9e-312, a subnormal at both scales
+@example(
+    cone=QuadraticCone(
+        [[2.885707299468856e-222j, 4.2817430781178796e45j], [4.2817430781178796e45j, 0j]],
+        [[4.253529586511731e37, 0j], [0j, 0j]],
+    ),
+    k=-144,
+)
+@example(
+    cone=QuadraticCone(
+        [[4.3440882133631606e-66j, 1j], [1j, 0j]],
+        [[0.002197265625, -9.510946745308514e-126j], [9.510946745308514e-126j, 4.116849003729106e-248]],
+    ),
+    k=4,
+)
+def test_classify2_keeps_the_power_of_two_scaling_law(cone, k):
+    # rho -> 2^-k rho with k even, on inputs the scaling keeps exact: T takes
+    # the factor 2^(k/2) bitwise (_moved_exactly), and tag, parameters, sign
+    # and lambda stay (M00_1 keeps T and moves the scale into lambda); a
+    # degenerate cone keeps its report, and decide2 its outcome
+    scaled = QuadraticCone(2.0**-k * cone.S, 2.0**-k * cone.H)
+    assume(np.array_equal(2.0**k * scaled.S, cone.S) and np.array_equal(2.0**k * scaled.H, cone.H))
+    base, got = classify2(cone), classify2(scaled)
+    if isinstance(base, DegeneracyReport):
+        assert got == base
+        return
+    assert isinstance(got, NormalFormResult)
+    f, lam = (1.0, 2.0**k * base.lam) if base.tag == "M00_1" else (2.0 ** (k // 2), base.lam)
+    assert repr(got.ntype) == repr(base.ntype) and got.sign == base.sign
+    assert got.lam == lam and _moved_exactly(got.T, base.T, f)
+    assert _decided(got) == _decided(base)
+
+
 # the one-sided families of the table, and the definite slice's family without a model
 DISC_FAMILIES = [
     normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.5)).discs,
     normal_frame_verdict(NormalFormType("M10_1", a=0.5)).discs,
     normal_frame_verdict(NormalFormType("M11_1", a=2.0, b=0.5)).discs,
     normal_frame_verdict(NormalFormType("M11_1", a=3.0, b=2.0)).discs,
-    DiscFamily(kind="level_set", side=1, c=np.eye(2, dtype=complex)),
+    DiscFamily(side=1),
 ]
 
 

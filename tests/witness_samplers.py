@@ -70,12 +70,13 @@ def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: floa
     return W[keep]
 
 
-def _disc_points(fam: DiscFamily, eps: float, count: int, rng) -> np.ndarray:
+def _disc_points(fam: DiscFamily, eps: float, count: int, rng, radius: float = DiscFamily.radius) -> np.ndarray:
+    """Points of the family's D_eps within |w| <= radius, in the family frame."""
     if fam.kind == "level_set":
-        return _solve_level_points(fam.c, eps, count, rng, fam.radius)
+        return _solve_level_points(fam.c, eps, count, rng, radius)
     if fam.kind == "affine_line":
         w1 = fam.shift * eps
-        rmax = np.sqrt(max(fam.radius**2 - abs(w1) ** 2, 0.0))
+        rmax = np.sqrt(max(radius**2 - abs(w1) ** 2, 0.0))
         r = rmax * np.sqrt(rng.uniform(0.0, 1.0, count))
         w2 = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
         return np.column_stack([np.full(count, w1), w2])
@@ -261,7 +262,7 @@ def numpy_verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscRe
         if not np.isfinite(val):
             raise VerificationFailed("limit disc: rho is not finite at a checked point", eps=0.0, z=Z[j])
     bounds = kappa * radius**2
-    j = int(np.argmin(bounds - touch))
+    j = int(np.argmax(bounds - touch))
     if bounds[j] > touch[j]:
         raise VerificationFailed(
             f"limit disc: certified bound {bounds[j]:.3e} exceeds rho*side={touch[j]:.3e} at its point",
