@@ -22,15 +22,19 @@ tree runs in a subprocess of its own over the same inputs:
   symmetrization adjustment) under `decide` and `verify`, a spec with an
   entry 1e400 (it parses to inf), two-sided specs at 1e300 and 1e-300
   under `decide` and `verify`, one-sided specs at 1e300 and 1e-300
-  under `verify`, and one `verify` per disc family shape (the M20 and
+  under `verify`, one `verify` per disc family shape (the M20 and
   M10_1 level sets, the M11_1 affine line) at an eps beyond the family's
-  reach, where no disc points exist.
+  reach, where no disc points exist, and a pi >= 2 `slice` input whose
+  axis slice fails its certificate, so that a shear slice decides it;
+- every input of `scripts/scorecard.py`: cones on and near stratum
+  boundaries and at large parameter spreads.
 
-The workload inputs come from this checkout's `perfbench/workloads.py`,
-which uses numpy only, so both trees see the same specs.  Each input is
-compared twice, apart from the report's `timings` values: as parsed JSON,
-and as the raw stdout text, so that a change of spacing, escaping or float
-spelling (`1e-05` vs `1e-5`) shows even where the parsed values agree.
+The workload and scorecard inputs come from this checkout's
+`perfbench/workloads.py`, which uses numpy only, so both trees see the same
+specs.  Each input is compared twice, apart from the report's `timings`
+values: as parsed JSON, and as the raw stdout text, so that a change of
+spacing, escaping or float spelling (`1e-05` vs `1e-5`) shows even where
+the parsed values agree.
 An argparse exit (`SystemExit`) is a result as well: its code and its
 stderr text are compared.  Prints every input whose exit code, report or
 raw text differs, with the differing fields or the first differing line,
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import io
 import json
 import math
@@ -66,7 +69,8 @@ import subprocess
 import sys
 from collections import Counter
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import scorecard  # scripts/, beside this file
+
 MAX_FIELDS = 8  # differing fields printed per input
 ROUNDING_REL = 1e-10  # a float difference below this, relative to its object, is rounding
 # verify_support's line values, normalized by |z|^2 * scale: on a line inside
@@ -97,6 +101,9 @@ ASYMMETRIC = (
 NON_FINITE = '{"n": 2, "S": [[1e400, 0], [0, 1]], "H": [[1, 0], [0, -1]]}'
 # M11_1 with A = 2, B = 0.5: its disc family is the affine line w1 = i eps, within reach for eps <= 1
 AFFINE_LINE = '{"n": 2, "S": [[2, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}'
+# pi = 3 with harmonic coefficients 1e16, 1e8, 1: the axis slice's M20 restriction
+# fails its disc certificate, and the shear slice z3 = 16 z1 decides it
+PI2_SHEAR = '{"n": 3, "S": [[1e16, 0, 0], [0, 1e8, 0], [0, 0, 1]], "H": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
 
 
 def _two_sided_at(s: str) -> str:
@@ -146,16 +153,8 @@ EXTRA = (
     ("reach/m20_level_set", ["verify", "--fixture", "m20", "--eps", "5"], None),
     ("reach/m10_1_level_set", ["verify", "--fixture", "m10_1", "--eps", "2"], None),
     ("reach/m11_1_affine_line", ["verify", "-", "--eps", "1.5"], AFFINE_LINE),
+    ("pi2_shear/slice", ["slice", "-"], PI2_SHEAR),
 )
-
-
-def _workloads():
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def inputs(fixtures: dict, tags: tuple):
@@ -166,13 +165,15 @@ def inputs(fixtures: dict, tags: tuple):
             yield f"fixture/{name}/{command}", [command, "--fixture", name], None
     for tag in tags:
         yield f"atlas/{tag}", ["atlas", "--tag", tag], None
-    wl = _workloads()
+    wl = scorecard.load_workloads()
     for range_name, u_range in (("timed", wl.U_RANGE), ("census", wl.CENSUS_U_RANGE)):
         for workload, make in wl.WORKLOADS.items():
             for k, op in enumerate(make(1, u_range)):
                 yield f"{workload}/{range_name}/{k}/{op.kind}", list(op.argv), op.spec
     for name, argv, text in EXTRA:
         yield f"extra/{name}", argv, text
+    for k, (_, argv, text, _) in enumerate(scorecard.inputs()):
+        yield f"scorecard/{k}/{argv[0]}", argv, text
 
 
 def run_tree(src: str) -> None:

@@ -54,19 +54,24 @@ def slice_pi2_small() -> QuadraticCone:
 
 
 def slice_pi2_shear_a() -> QuadraticCone:
-    """n=3, A=B=1 with a z2 z3 coupling: a shear slice z3 = a z2 is needed."""
+    """n=3, A=B=1 with a z2 z3 coupling, built for the shear slice z3 = a z2.
+
+    The axis slice decides it, as it does the other two shear fixtures: their
+    restriction is semidefinite, and the definite-slice family certifies it.
+    test_pi2_shear_candidates_verify_without_axis checks their shear slices.
+    """
     S = _sym(3, {(0, 0): 1.0, (1, 1): 1.0, (1, 2): 2.0})
     return QuadraticCone(S, np.eye(3))
 
 
 def slice_pi2_shear_c() -> QuadraticCone:
-    """n=3, A=B=1 with a z1 z3 coupling: a shear slice z3 = a z1 is needed."""
+    """n=3, A=B=1 with a z1 z3 coupling, built for the shear z3 = a z1; see slice_pi2_shear_a."""
     S = _sym(3, {(0, 0): 1.0, (1, 1): 1.0, (0, 2): 2.0})
     return QuadraticCone(S, np.eye(3))
 
 
 def slice_pi2_shear_b() -> QuadraticCone:
-    """n=3, A=B=1 with only a z3^2 coupling: complex shear parameter needed."""
+    """n=3, A=B=1 with only a z3^2 coupling, built for a complex shear; see slice_pi2_shear_a."""
     S = _sym(3, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0})
     return QuadraticCone(S, np.diag([1.0, 1.0, -1.0]))
 

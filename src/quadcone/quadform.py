@@ -165,10 +165,6 @@ class QuadraticCone:
             object.__setattr__(neg, "_hsig", HermitianSignature(self._hsig.nu, self._hsig.pi))
         if self._rsig is not None:
             object.__setattr__(neg, "_rsig", RealSignature(self._rsig.q, self._rsig.p))
-        if self._G is not None:
-            G = -self._G
-            G.setflags(write=False)
-            object.__setattr__(neg, "_G", G)
         return neg
 
 

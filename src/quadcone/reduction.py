@@ -7,9 +7,9 @@ congruence zeroing a diagonal entry of an indefinite real symmetric matrix,
 and factorization of linear maps preserving Im(z1 * conj(z2)).
 
 takagi2, sl2_reduce_sym and so11_zero_diag take a symmetric 2x2 matrix as
-an array, or as its entries (m00, m01, m11); they answer in the same form,
-arrays for an array and entry tuples (a 2x2 matrix as (m00, m01, m10, m11))
-for entries.  Both forms run the same closed forms on Python scalars.
+its entries (m00, m01, m11), Python scalars, and answer in entry tuples (a
+2x2 matrix as (m00, m01, m10, m11)).  factor_preserver is the one function
+that takes an array: a general 2x2 map.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadform import ConeError, NotSymmetric, mat_norm
+from .quadform import ConeError, mat_norm
 
 # Hermitian matrix of the form Im(z1 * conj(z2)).
 E_HERM = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
@@ -57,7 +57,9 @@ class So11Unreachable(ConeError):
 
 @dataclass(frozen=True)
 class TakagiFactorization:
-    u: np.ndarray | tuple
+    """u = (u00, u01, u10, u11) unitary and d = (d1, d2) with u^T S u = diag(d1, d2)."""
+
+    u: tuple
     d: tuple[float, float]
 
 
@@ -178,45 +180,18 @@ def eigh2(h00: float, h10: complex, h11: float) -> tuple[float, float, tuple]:
     return w0, w1, (complex(z00), complex(z01), complex(z10), complex(z11))
 
 
-def _sym_entries(M, kind):
-    """(m00, m01, m11) of a symmetric 2x2 matrix and whether it came as an array.
-
-    An array is symmetrized, m01 the mean of its off-diagonal entries.
-    """
-    if isinstance(M, tuple) and len(M) == 3:
-        return tuple(kind(m) for m in M), False
-    M = np.asarray(M, dtype=kind)
-    (m00, m01), (m10, m11) = M.tolist()
-    return (m00, 0.5 * (m01 + m10), m11), True
-
-
-def _as_matrix(m):
-    """A 2x2 matrix given as (m00, m01, m10, m11), as an array."""
-    return np.array(m).reshape(2, 2)
-
-
-def _sym_matrix(m00, m01, m11):
-    return np.array([[m00, m01], [m01, m11]])
-
-
-def takagi2(S) -> TakagiFactorization:
-    """Unitary u and d1 >= d2 >= 0 with u^T S u = diag(d1, d2).
+def takagi2(S: tuple) -> TakagiFactorization:
+    """Unitary u and d1 >= d2 >= 0 with u^T S u = diag(d1, d2), S = (s00, s01, s11).
 
     Works through the hermitian Gram matrix conj(S) S: its unit eigenvector
     v for the top eigenvalue sigma^2 is combined with conj(S v)/sigma, which
     always yields a vector x satisfying S x = sigma * conj(x); the second
     column is the phase-corrected orthogonal complement.  Equal singular
-    values need no special casing under this construction.  An array S is
-    checked for symmetry first.
+    values need no special casing under this construction.
     """
-    (s00, s01, s11), array = _sym_entries(S, complex)
-    if array:
-        S = np.asarray(S, dtype=complex)
-        if mat_norm(S - S.T) > 1e-10 * max(mat_norm(S), 1e-300):
-            raise NotSymmetric("takagi2 requires a symmetric matrix")
+    s00, s01, s11 = S
     if not (s00 or s01 or s11):
-        u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-        return TakagiFactorization(u=_as_matrix(u) if array else u, d=(0.0, 0.0))
+        return TakagiFactorization(u=(1.0 + 0j, 0j, 0j, 1.0 + 0j), d=(0.0, 0.0))
     # an exact power of two brings the entries to at most 1, so conj(S) S
     # neither overflows nor underflows; d is scaled back at the end
     e = exponent(*parts(s00, s01, s11))
@@ -250,11 +225,11 @@ def takagi2(S) -> TakagiFactorization:
     u = (a0, b0, a1, b1)
     if d0 < d1:
         u, d0, d1 = (b0, a0, b1, a1), d1, d0
-    return TakagiFactorization(u=_as_matrix(u) if array else u, d=(_ldexp(d0, e), _ldexp(d1, e)))
+    return TakagiFactorization(u=u, d=(_ldexp(d0, e), _ldexp(d1, e)))
 
 
-def sl2_reduce_sym(P) -> tuple:
-    """g in SL(2,R) with g^T P g in canonical form.
+def sl2_reduce_sym(P: tuple) -> tuple[tuple, tuple]:
+    """(g, g^T P g) for g in SL(2,R) with g^T P g in canonical form, P = (p00, p01, p11) real.
 
     Canonical forms: s*sqrt(det P)*I2 for det P > 0 (s the common eigenvalue
     sign), sqrt(-det P)*diag(1,-1) for det P < 0, and s*diag(1,0) for
@@ -263,7 +238,7 @@ def sl2_reduce_sym(P) -> tuple:
     its threshold are taken on P times one power of two, which brings its
     entries to at most 1, so they neither overflow nor underflow.
     """
-    (p00, p01, p11), array = _sym_entries(P, float)
+    p00, p01, p11 = P
     if not (p00 or p01 or p11):
         raise ZeroMatrix("sl2_reduce_sym requires a nonzero matrix")
     e = exponent(p00, p01, p11)
@@ -299,8 +274,6 @@ def sl2_reduce_sym(P) -> tuple:
             t1 = 1.0 / t0
             canonical = (1.0 if m0 > 0 else -1.0, 0.0, 0.0)
         g = (r00 * t0, r01 * t1, r10 * t0, r11 * t1)
-    if array:
-        return _as_matrix(g), _sym_matrix(*canonical)
     return g, canonical
 
 
@@ -318,11 +291,11 @@ def _positive_roots_quadratic(a: float, b: float, c: float, tiny: float) -> list
     return [u for u in roots if u > tiny]
 
 
-def so11_zero_diag(Q) -> tuple:
+def so11_zero_diag(Q: tuple) -> tuple[tuple, tuple]:
     """(k, k^T Q k) for k = phi(tau) in SO(1,1) such that k^T Q k has a zero diagonal entry.
 
-    With sigma = tau + 1/tau and delta = tau - 1/tau, the transformed
-    diagonal entries are quadratics in u = tau^2:
+    Q = (p, q, r) is real.  With sigma = tau + 1/tau and delta = tau - 1/tau,
+    the transformed diagonal entries are quadratics in u = tau^2:
 
         4 p' * u = (p+2q+r) u^2 + 2(p-r) u + (p-2q+r)
         4 r' * u = (p+2q+r) u^2 - 2(p-r) u + (p-2q+r)
@@ -332,7 +305,7 @@ def so11_zero_diag(Q) -> tuple:
     chosen (best conditioning of phi(tau)).  tau is found on Q times one
     power of two, which brings its entries to at most 1.
     """
-    (p0, q0, r0), array = _sym_entries(Q, float)
+    p0, q0, r0 = Q
     e = exponent(p0, q0, r0)
     p, q, r = (math.ldexp(x, -e) for x in (p0, q0, r0))
     nq = max(norm2(p, q, r), 1e-300)
@@ -359,8 +332,6 @@ def so11_zero_diag(Q) -> tuple:
     # columns of Q k, then k^T Q k
     a0, b0, a1, b1 = p0 * sigma + q0 * delta, q0 * sigma + r0 * delta, p0 * delta + q0 * sigma, q0 * delta + r0 * sigma
     kqk = (sigma * a0 + delta * b0, 0.5 * ((sigma * a1 + delta * b1) + (delta * a0 + sigma * b0)), delta * a1 + sigma * b1)
-    if array:
-        return _as_matrix(k), _sym_matrix(*kqk)
     return k, kqk
 
 

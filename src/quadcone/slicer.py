@@ -150,9 +150,9 @@ def _pi2_candidates(W: np.ndarray, S1: np.ndarray, pi: int, nu: int):
     """Axis slice plus det-criterion-filtered shears, hermitian part (pi>=2)."""
     n = len(W)
     flags = [1] * pi + [-1] * nu + [0] * (n - pi - nu)  # W^* H W = diag(flags)
-    tak = takagi2(S1[:2, :2])
+    (s00, s01), (_, s11) = S1[:2, :2].tolist()  # S1 is exactly symmetric
     U = np.eye(n, dtype=complex)
-    U[:2, :2] = tak.u
+    U[:2, :2] = np.reshape(takagi2((s00, s01, s11)).u, (2, 2))
     W = W @ U
     S1 = U.T @ S1 @ U
     yield W[:, :2], "axis slice z_j = 0, j = 3..n"
@@ -478,8 +478,9 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
         return None
     # S = U2 M U2^T on its range
     U2 = U[:, :2]
-    tk = takagi2(U2.conj().T @ cone.S @ U2.conj())
-    W = U2 @ tk.u.conj()  # S = d_1 W_1 W_1^T + d_2 W_2 W_2^T
+    (m00, m01), (m10, m11) = (U2.conj().T @ cone.S @ U2.conj()).tolist()
+    tk = takagi2((m00, 0.5 * (m01 + m10), m11))  # symmetric up to rounding
+    W = U2 @ np.reshape(tk.u, (2, 2)).conj()  # S = d_1 W_1 W_1^T + d_2 W_2 W_2^T
     r1, r2 = np.sqrt(tk.d)
     cand_a = r1 * W[:, 0] + 1j * r2 * W[:, 1]
     cand_l = r1 * W[:, 0] - 1j * r2 * W[:, 1]

@@ -45,6 +45,7 @@ from quadcone.reduction import (
     takagi2,
 )
 from quadcone.slicer import classify_two_sided_nd, find_good_slice
+from test_reduction import entries, mat
 
 
 def _report(num, label, elapsed, limit):
@@ -147,16 +148,17 @@ def test_criterion_3_matrix_reductions():
     for _ in range(1000):
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         S = (A + A.T) / 2
-        tak = takagi2(S)
+        tak = takagi2(entries(S))
+        u = mat(tak.u)
         ns = np.linalg.norm(S, 2)
-        assert np.linalg.norm(tak.u.T @ S @ tak.u - np.diag(tak.d), 2) <= 1e-10 * ns
-        assert np.linalg.norm(tak.u.conj().T @ tak.u - np.eye(2), 2) <= 1e-12 * 10
+        assert np.linalg.norm(u.T @ S @ u - np.diag(tak.d), 2) <= 1e-10 * ns
+        assert np.linalg.norm(u.conj().T @ u - np.eye(2), 2) <= 1e-12 * 10
         sv = np.linalg.svd(S, compute_uv=False)
         assert np.max(np.abs(np.array(tak.d) - sv)) <= 1e-10 * ns
     for _ in range(1000):
         A = rng.standard_normal((2, 2))
         P = (A + A.T) / 2
-        g, canon = sl2_reduce_sym(P)
+        g, canon = map(mat, sl2_reduce_sym(entries(P)))
         npn = np.linalg.norm(P, 2)
         assert np.linalg.norm(g.T @ P @ g - canon, 2) <= 1e-10 * npn
         assert abs(np.linalg.det(g) - 1.0) <= 1e-12 * 10
@@ -167,7 +169,7 @@ def test_criterion_3_matrix_reductions():
         if np.linalg.det(Q) > 0:
             continue
         done += 1
-        _, Qp = so11_zero_diag(Q)
+        Qp = mat(so11_zero_diag(entries(Q))[1])
         nq = np.linalg.norm(Q, 2)
         assert min(abs(Qp[0, 0]), abs(Qp[1, 1])) <= 1e-8 * nq
         assert abs(np.linalg.det(Qp) - np.linalg.det(Q)) <= 1e-10 * nq**2

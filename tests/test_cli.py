@@ -407,6 +407,17 @@ def test_cmd_slice_fixture(capsys):
     assert report["slice"]["verdict"]["outcome"] == "one_sided"
 
 
+def test_cmd_slice_reaches_the_shear_fallback_when_the_axis_slice_fails(capsys):
+    # the axis slice restricts this cone to an M20 whose disc certificate fails
+    # at large A (its bound is about -106 at eps = 1e-2), so the search goes on
+    # to the shears; a change that makes the axis slice certify it updates this
+    S = np.diag([1e16, 1e8, 1.0]).astype(complex)
+    code, report = run_slice_stdin(capsys, S, np.eye(3, dtype=complex), [])
+    assert code == EXIT_OK
+    assert report["slice"]["description"] == "shear slice z3 = a z1, a = 16+0j"
+    assert report["slice"]["disc_verification"]["min_margin"] > 0
+
+
 def test_cmd_slice_two_sided_forms(capsys):
     code, report = run_cli(capsys, ["slice", "--fixture", "ts1_k3", "--budget", "24"])
     assert code == EXIT_OK

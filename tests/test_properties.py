@@ -36,6 +36,7 @@ from quadcone.quadform import (
     real_signature,
 )
 from quadcone.reduction import so11_zero_diag
+from test_reduction import entries, mat
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -59,7 +60,7 @@ def test_so11_congruence_preserves_determinant(p, q, r):
     nq = np.linalg.norm(Q, 2)
     if nq < 1e-3 or p * r - q * q > -1e-3 * nq**2:
         return  # outside the operation's domain or too close to its boundary
-    k, Qp = so11_zero_diag(Q)
+    k, Qp = map(mat, so11_zero_diag(entries(Q)))
     assert abs(np.linalg.det(k) - 1.0) <= 1e-12 * 10
     assert abs(np.linalg.det(Qp) - np.linalg.det(Q)) <= 1e-10 * nq**2
     assert min(abs(Qp[0, 0]), abs(Qp[1, 1])) <= 1e-8 * nq
