@@ -22,6 +22,11 @@ spreads that perfbench's workloads keep clear of:
   - the `UnclassifiedBoundary` stratum S = [[1, i], [i, 0]],
     H = [[0, i/2], [-i/2, 0]], which contains the complex line {z1 = 0}
     and so is two-sided;
+- the n = 2 fixtures of `quadcone.fixtures` (the table's rows of
+  PLANAR_FIXTURES), each with S and H times 2^k for k = +-300, +-600 and
+  +-1000, run as `decide -` with the row's `planar_verdict` as the truth.
+  Beyond 2^+-500 (`quadform.PRESCALE_BAND`) they read prescaled
+  signatures;
 - one n = 3 class, run as given with `slice -`: S = [[A, 0, 0],
   [0, 0.5, A], [0, A, 0]], H = I, A = 10^k for k = 1..17.  Its axis plane
   restricts it to the one-sided M20 (A, 0.5), so an answer is right when it
@@ -49,6 +54,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTCOMES = ("right", "exit 0 wrong", "exit 2", "exit 3", "exit 5", "other")
 SEEDS = range(5)
 SLICE = "slice"  # the truth of an n >= 3 input: a certified one-sided slice
+# the n = 2 fixtures as rows of the table (example_m is the M11_1 row's cone)
+PLANAR_FIXTURES = {
+    "example_m": ("M11_1", 0.5, 1.0 / 3.0), "m20": ("M20", 2.0, 0.5), "m11_1": ("M11_1", 0.5, 1.0 / 3.0),
+    "m11_2": ("M11_2", 1.0 + 1.0j, None), "m11_3": ("M11_3", None, None), "m10_1": ("M10_1", 0.5, None),
+    "m10_2": ("M10_2", None, None), "m00_1": ("M00_1", None, None),
+}
+FIXTURE_SCALES = (300, -300, 600, -600, 1000, -1000)
 # the UnclassifiedBoundary stratum: rho = Re(z1^2 + 2i z1 z2) + Im(z1 conj z2)
 BOUNDARY_S = np.array([[1.0, 1j], [1j, 0.0]])
 BOUNDARY_H = np.array([[0.0, 0.5j], [-0.5j, 0.0]])
@@ -89,6 +101,11 @@ def inputs():
             for s in SEEDS:
                 T = wl.random_gl(2, np.random.default_rng(s))
                 yield name, ["decide", "-"], wl.spec_json(*wl.pull_back(S, H, T, 1.0, 1)), truth
+    for tag, a, b in PLANAR_FIXTURES.values():
+        S, H = wl.normal_form(tag, a, b)
+        for k in FIXTURE_SCALES:
+            S2, H2 = (np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k) for M in (S, H))
+            yield "n = 2 fixtures at 2^k", ["decide", "-"], wl.spec_json(S2, H2), wl.planar_verdict(tag, a, b)
     for k in range(1, 18):
         A = 10.0**k
         S = np.array([[A, 0, 0], [0, 0.5, A], [0, A, 0]], dtype=complex)

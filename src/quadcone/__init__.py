@@ -1,4 +1,8 @@
-"""quadcone: quadratic cones in C^n, their normal forms, and extension verdicts."""
+"""quadcone: quadratic cones in C^n, their normal forms, and extension verdicts.
+
+Importing the package loads no numpy: the array constants E_HERM and CHOFVAR
+are built when first looked up.
+"""
 
 from .quadform import (
     ConeError,
@@ -19,7 +23,6 @@ from .quadform import (
     sample_points,
 )
 from .reduction import (
-    E_HERM,
     TakagiFactorization,
     factor_preserver,
     sl2_reduce_sym,
@@ -27,7 +30,6 @@ from .reduction import (
     takagi2,
 )
 from .normalform import (
-    CHOFVAR,
     DegeneracyReport,
     NormalFormResult,
     NormalFormType,
@@ -38,3 +40,11 @@ from .normalform import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("E_HERM", "CHOFVAR"):
+        from . import normalform, reduction
+
+        return getattr(reduction if name == "E_HERM" else normalform, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

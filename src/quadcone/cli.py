@@ -32,8 +32,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .decider import (
     JUMP_IDENTITY_TOL,
@@ -64,9 +62,9 @@ from .quadform import (
     NonReal,
     QuadraticCone,
     decompose_poly,
-    evaluate_many,
     hermitian_signature,
     real_signature,
+    rho_at,
 )
 from .slicer import classify_two_sided_nd, find_good_slice
 
@@ -229,7 +227,7 @@ def parse_spec(text: str) -> ConeSpec:
     # _symmetrized applies the checked constructor's symmetrization (halves
     # first, so finite entries stay finite); that constructor's tests cannot
     # fail on a finite result, so the cone is bitwise the one it would build
-    cone = QuadraticCone._symmetrized(np.array(S, dtype=complex), np.array(H, dtype=complex))
+    cone = QuadraticCone._symmetrized(S, H)
     return ConeSpec(cone=cone, s_adjustment=_asymmetry(S, False), h_adjustment=_asymmetry(H, True))
 
 
@@ -239,12 +237,15 @@ def _c2j(z) -> dict:
 
 
 def _mat2j(M) -> list:
-    return [[{"re": z.real, "im": z.imag} for z in row]
-            for row in np.asarray(M, dtype=complex).tolist()]
+    """A matrix, an array or rows of numbers, as rows of {re, im} objects."""
+    rows = M.tolist() if hasattr(M, "tolist") else M
+    return [[{"re": z.real, "im": z.imag} for z in map(complex, row)] for row in rows]
 
 
 def spec_to_json(spec: ConeSpec) -> dict:
-    return {"n": spec.cone.n, "S": _mat2j(spec.cone.S), "H": _mat2j(spec.cone.H)}
+    cone = spec.cone
+    two = cone.n == 2
+    return {"n": cone.n, "S": _mat2j(cone.s2 if two else cone.S), "H": _mat2j(cone.h2 if two else cone.H)}
 
 
 def _ntype_json(ntype: NormalFormType) -> dict:
@@ -265,7 +266,7 @@ def _classification_json(res) -> dict:
         "residual": res.residual,
         "low_confidence": res.low_confidence,
         "boundary_margin": res.boundary_margin
-        if np.isfinite(res.boundary_margin)
+        if math.isfinite(res.boundary_margin)
         else None,
     }
 
@@ -514,10 +515,9 @@ def cmd_verify(args) -> int:
         # disc's lines or on the supporting lines
         eps = list(args.eps) if verdict.outcome == "one_sided" else []
         eps += [0.0] * (rep.points_checked - len(eps))
-        Z = np.array(rep.points)
         rows = [
-            [e, z[0].real, z[0].imag, z[1].real, z[1].imag, float(r)]
-            for e, z, r in zip(eps, Z, evaluate_many(spec.cone, Z))
+            [e, z[0].real, z[0].imag, z[1].real, z[1].imag, r]
+            for e, z, r in zip(eps, rep.points, rho_at(spec.cone, rep.points))
         ]
         _write_csv(args.csv, ["eps", "re_z1", "im_z1", "re_z2", "im_z2", "rho"], rows)
         report["csv"] = args.csv
@@ -551,7 +551,7 @@ def cmd_slice(args) -> int:
         "kind": form.kind,
         "k": form.k,
         "detail": form.detail,
-        "fit_residual": None if np.isnan(form.fit_residual) else form.fit_residual,
+        "fit_residual": None if math.isnan(form.fit_residual) else form.fit_residual,
     }
     if form.inner is not None:
         report["two_sided_form"]["inner"] = _classification_json(form.inner)

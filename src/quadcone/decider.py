@@ -21,11 +21,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
-import numpy as np
-
 from .fixtures import example_m
 from .normalform import NormalFormResult, NormalFormType, _table_form
-from .quadform import ConeError, QuadraticCone, _form2, evaluate_many, form_norm2, sample_points
+from .quadform import ConeError, QuadraticCone, _form2, form_norm2, rho_at, sample_points
 from .reduction import exponent, parts, phase, scaled
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
@@ -54,15 +52,20 @@ NORMAL_SIDE = {"M20": +1, "M10_1": +1, "M11_1": -1}
 
 
 class VerificationFailed(ConeError):
+    """A failed check; z is the point it failed at, a row of complex numbers, when there is one."""
+
     def __init__(self, message: str, eps: float | None = None, z=None):
         super().__init__(message)
         self.eps = eps
-        self.z = None if z is None else np.asarray(z)
+        self.z = z
 
 
 @dataclass(frozen=True)
 class DiscFamily:
     """Family D_eps in a 2-dimensional frame, mapped into cone coordinates by `transform` (n x 2).
+
+    The transform is an array, or for a cone in C^2 rows ((t00, t01), (t10,
+    t11)), as NormalFormResult.T; c is rows of Python complex.
 
     kind "level_set": D_eps = {w : w^T c w = eps, |w| <= radius}; kind
     "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}, shift = i.
@@ -76,7 +79,7 @@ class DiscFamily:
     """
 
     side: int
-    transform: np.ndarray | None = None
+    transform: object = None
     model: NormalFormType | None = None
     lam: float = 1.0
     radius: ClassVar[float] = 1.0
@@ -88,28 +91,23 @@ class DiscFamily:
         return "affine_line" if m is not None and m.tag == "M11_1" and m.b < 1.0 else "level_set"
 
     @property
-    def c(self) -> np.ndarray | None:
+    def c(self) -> tuple | None:
         m = self.model
         if m is None:
-            return np.eye(2, dtype=complex)
+            return (1.0 + 0j, 0j), (0j, 1.0 + 0j)
         if self.kind == "affine_line":
             return None
         A, B = (*m.params(), 1.0)[:2]  # M10_1's B is 1
-        c = np.diag([A, B]).astype(complex)
-        return -c if m.tag == "M11_1" else c
-
-    def map_points(self, W: np.ndarray) -> np.ndarray:
-        if self.transform is None:
-            return W
-        return W @ np.asarray(self.transform).T
+        c = (complex(A), 0j), (0j, complex(B))
+        return tuple((-a, -b) for a, b in c) if m.tag == "M11_1" else c
 
 
 @dataclass(frozen=True)
 class LinearGerm:
-    """Complex line {z : coeffs . z = 0} through 0, spanned by `span`."""
+    """Complex line {z : coeffs . z = 0} through 0, spanned by `span`; both are pairs of complex."""
 
-    coeffs: np.ndarray
-    span: np.ndarray
+    coeffs: tuple
+    span: tuple
     label: str
 
 
@@ -187,21 +185,23 @@ def _abs(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
-def _pullback(cone: QuadraticCone, T: np.ndarray) -> tuple[tuple, tuple, tuple]:
+def _pullback(cone: QuadraticCone, T) -> tuple[tuple, tuple, tuple]:
     """T^T S T, T^H H T and |T|^T (|S| + |H|) |T| for an n x 2 T, each as its entries (m00, m01, m11).
 
     For a cone in C^2 they come from Python scalars, S T and H T first; in
     C^n, n >= 3, from numpy products in the same order.
     """
     if cone.n > 2:
-        S, H, aT = cone.S, cone.H, np.abs(T)
+        import numpy as np
+        S, H, T = cone.S, cone.H, np.asarray(T, dtype=complex)
+        aT = np.abs(T)
         (p00, p01), (_, p11) = (T.T @ (S @ T)).tolist()
         (q00, q01), (_, q11) = (T.conj().T @ (H @ T)).tolist()
         (m00, m01), (_, m11) = (aT.T @ ((np.abs(S) + np.abs(H)) @ aT)).tolist()
         return (p00, p01, p11), (q00, q01, q11), (m00, m01, m11)
-    (t00, t01), (t10, t11) = T.tolist()
-    (s00, s01), (_, s11) = cone.S.tolist()
-    (h00, h01), (h10, h11) = cone.H.tolist()
+    (t00, t01), (t10, t11) = ((complex(t) for t in row) for row in T)
+    (s00, s01), (_, s11) = cone.s2
+    (h00, h01), (h10, h11) = cone.h2
     # (a, b) is the matrix times T's two columns, in turn S, H and |S| + |H| (times |T|'s)
     a0, a1 = s00 * t00 + s01 * t10, s01 * t00 + s11 * t10
     b0, b1 = s00 * t01 + s01 * t11, s01 * t01 + s11 * t11
@@ -249,9 +249,7 @@ def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, tuple
 
 
 # _form2's interleaved order x1, y1, x2, y2, permuted to real_form_matrix's x1, x2, y1, y2
-_XY = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
-# the real form of Re(w^T w), in real_form_matrix's order
-_J = _form2((1 + 0j, 0j, 1 + 0j), (0j, 0j, 0j))[_XY]
+_XY = (0, 2, 1, 3)
 
 
 def _multiplier_minima(P: tuple, eps_grid: list, guard: float):
@@ -269,11 +267,14 @@ def _multiplier_minima(P: tuple, eps_grid: list, guard: float):
     eigenvector of l_mu, scaled onto the level set.  Where G is not finite
     every bound is nan, at the point (sqrt(eps), 0).
     """
-    G = _form2(*P)[_XY]
+    import numpy as np
+    xy = np.ix_(_XY, _XY)
+    G = np.array(_form2(*P))[xy]
+    J = np.array(_form2((1 + 0j, 0j, 1 + 0j), (0j, 0j, 0j)))[xy]  # the real form of Re(w^T w)
     mus, ells, vecs = np.zeros(1), np.full(1, math.nan), np.eye(4)[None]
     if np.isfinite(G).all():
-        mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(_J, G)).real)
-        ells, vecs = np.linalg.eigh(G - mus[:, None, None] * _J)
+        mus = np.append(mus, np.linalg.eigvals(np.linalg.solve(J, G)).real)
+        ells, vecs = np.linalg.eigh(G - mus[:, None, None] * J)
         ells = ells[:, 0] - guard - CERT_ROUNDING * 2 * np.abs(mus)
     out = []
     for eps in eps_grid:
@@ -319,11 +320,11 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     variables), so the allowance is that of the input, not of a restriction
     computed from it.
 
-    The 2 x 2 pullback, the allowance, the reach of D_eps and the closed
-    forms are Python scalars; for n >= 3 the pullback comes from numpy
-    products.  Each bound comes with the point that attains it (for a
-    multiplier bound, the eigenvector's point on D_eps), and one
-    evaluate_many call evaluates rho at the frame's columns T e_1, T e_2, at
+    The 2 x 2 pullback, the allowance, the reach of D_eps, the closed forms
+    and the points T w are Python scalars; for n >= 3 the pullback comes
+    from numpy products.  Each bound comes with the point that attains it
+    (for a multiplier bound, the eigenvector's point on D_eps), and one
+    rho_at call evaluates rho at the frame's columns T e_1, T e_2, at
     these points and at each limit line's point at radius fam.radius and
     1e-3 fam.radius.  The checks run in this order: the frame's values are
     finite; D_eps is not empty within the radius (eps <= max |c_jj| radius^2
@@ -340,7 +341,7 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     if not fam.lam > 0:
         raise ConeError("lam must be positive")
     side, lam, radius, c = fam.side, fam.lam, fam.radius, fam.c
-    T = np.eye(2, dtype=complex) if fam.transform is None else np.asarray(fam.transform, dtype=complex)
+    T = ((1.0, 0.0), (0.0, 1.0)) if fam.transform is None else fam.transform
     pS, pH, (m00, m01, m11) = _pullback(cone, T)
     # mat_norm's Frobenius norm, nan where an entry is not finite as there
     guard = CERT_ROUNDING * cone.n * lam
@@ -349,7 +350,7 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     if c is None:
         reach = radius / abs(fam.shift)
     else:
-        (c00, c01), (_, c11) = c.tolist()
+        (c00, c01), (_, c11) = c
         reach = max(_abs(c00), _abs(c11)) * r2
     far = next((eps for eps in eps_grid if eps > reach), None)
     rows = [(1.0, 0.0), (0.0, 1.0)]  # the frame
@@ -362,7 +363,7 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
             St, Ht = _table_form(fam.model)
             try:
                 d = form_norm2(tuple(p - t for p, t in zip(P[0], St)), tuple(p - t for p, t in zip(P[1], Ht)))
-            except np.linalg.LinAlgError:  # the real form of the difference is not finite
+            except ConeError:  # the real form of the difference is not finite
                 d = math.nan
             minima = [_normal_minimum(fam, eps, d + guard) for eps in eps_list]
         else:
@@ -377,8 +378,15 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
                 t *= 1j
             lines.append(len(rows))
             rows += [(t * u0 * radius, t * u1 * radius), (t * u0 * small, t * u1 * small)]
-    Z = fam.map_points(np.array(rows, dtype=complex))
-    vals = [side * v for v in evaluate_many(cone, Z).tolist()]
+    if cone.n > 2:  # z = T w by numpy products, as the pullback
+        import numpy as np
+        Z = np.array(rows, dtype=complex) @ np.asarray(T).T
+    elif fam.transform is None:
+        Z = [(complex(w0), complex(w1)) for w0, w1 in rows]
+    else:
+        (t00, t01), (t10, t11) = T
+        Z = [(t00 * w0 + t01 * w1, t10 * w0 + t11 * w1) for w0, w1 in rows]
+    vals = [side * v for v in rho_at(cone, Z)]
     _check_finite(vals[:2], Z, "disc family frame")
     if far is not None:
         raise VerificationFailed(f"no disc points found at eps={far}", eps=far)
@@ -427,7 +435,7 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
             eps=0.0,
             z=Z[picked[j]],
         )
-    points = Z.tolist()
+    points = Z.tolist() if cone.n > 2 else Z
     return DiscReport(
         min_margin=float(min_margin),
         touch_residual=float(bounds[j]),
@@ -448,19 +456,18 @@ def verify_support(
     inside the cone itself (the non-minimal case) pass, and a non-minimal
     witness must keep |rho| within it.  A non-finite value fails as well.  A
     failure carries its worst point as `z`; the report carries the four points.
-    The points come from Python complex scalars and go through one
-    evaluate_many call.
+    The points come from Python complex scalars and go through one rho_at
+    call.
     """
     scale = max(cone.scale, 1e-300)
-    (s00, s01), (_, s11) = cone.S.tolist()
-    points = []
+    (s00, s01), (_, s11) = cone.s2
+    Z = []
     for germ in (witness.aplus, witness.aminus):
-        v0, v1 = np.asarray(germ.span, dtype=complex).tolist()
+        v0, v1 = map(complex, germ.span)
         t = _turn((s00 * v0 + s01 * v1) * v0 + (s01 * v0 + s11 * v1) * v1)  # a = v^T S v
         it = 1j * t
-        points += [(t * v0, t * v1), (it * v0, it * v1)]
-    Z = np.array(points)
-    vals = (evaluate_many(cone, Z) / (np.linalg.norm(Z, axis=1) ** 2 * scale)).tolist()
+        Z += [(t * v0, t * v1), (it * v0, it * v1)]
+    vals = [v / (size * size * scale) for v, size in zip(rho_at(cone, Z), (math.hypot(*parts(*z)) for z in Z))]
     _check_finite(vals, Z, "supporting lines")
     _, plus_min, minus_max, _ = vals
     if plus_min < -tol_rel:
@@ -477,13 +484,13 @@ def verify_support(
             raise VerificationFailed(
                 f"non-minimal witness leaves the cone (|rho| = {abs(vals[j]):.3e})", z=Z[j]
             )
-    return SupportReport(plus_min, minus_max, points=tuple(points))
+    return SupportReport(plus_min, minus_max, points=tuple(Z))
 
 
 def _germ(c0: complex, c1: complex, label: str) -> LinearGerm:
     """The germ {c0 z1 + c1 z2 = 0}, spanned by the unit vector along (-c1, c0)."""
     size = math.hypot(*parts(c0, c1))
-    return LinearGerm(coeffs=np.array([c0, c1]), span=np.array([-c1 / size, c0 / size]), label=label)
+    return LinearGerm(coeffs=(c0, c1), span=(-c1 / size, c0 / size), label=label)
 
 
 def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
@@ -539,19 +546,17 @@ def _pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness
     underflows, and 2^k T gives the same germs bitwise), and 1 / det T
     enters only by its phase.
     """
-    T = r.T.ravel().tolist()
+    T = [complex(t) for row in r.T for t in row]
     t00, t01, t10, t11 = scaled(-exponent(*parts(*T)), *T)
     turn = cmath.rect(1.0, -phase(t00 * t11 - t01 * t10))
 
     def pull(germ: LinearGerm) -> LinearGerm:
-        c0, c1 = germ.coeffs.tolist()
-        v0, v1 = germ.span.tolist()
+        c0, c1 = germ.coeffs
+        v0, v1 = germ.span
         f0, f1 = (t11 * c0 - t10 * c1) * turn, (t00 * c1 - t01 * c0) * turn
         z0, z1 = t00 * v0 + t01 * v1, t10 * v0 + t11 * v1
         nf, nz = math.hypot(*parts(f0, f1)), math.hypot(*parts(z0, z1))
-        return LinearGerm(
-            coeffs=np.array([f0 / nf, f1 / nf]), span=np.array([z0 / nz, z1 / nz]), label=germ.label
-        )
+        return LinearGerm(coeffs=(f0 / nf, f1 / nf), span=(z0 / nz, z1 / nz), label=germ.label)
 
     ap = pull(w.aplus)
     am = ap if w.aminus is w.aplus else pull(w.aminus)  # a non-minimal witness has one line
@@ -594,6 +599,7 @@ def jump_demo(seed: int = 0, samples: int = 10_000) -> JumpReport:
     ratio max |f| / |z| stays bounded because |z1| and |z2| are comparable
     on the cone.
     """
+    import numpy as np
     cone = example_m()
     Z = sample_points(cone, seed=seed, count=samples, radius=1.0)
     z1, z2 = Z[:, 0], Z[:, 1]

@@ -2,29 +2,33 @@
 normal-form row, one cone per slicing case, and the two-sided shapes in C^n.
 
 Each entry is a zero-argument constructor so tests and the CLI can request
-fixtures by name without sharing mutable state.
+fixtures by name without sharing mutable state.  The matrices are lists of
+rows, and the cones in C^2 skip the checked constructor, so building them
+needs no numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .normalform import NormalFormType, render_cone
 from .quadform import QuadraticCone
 
 
-def _sym(n, entries) -> np.ndarray:
-    S = np.zeros((n, n), dtype=complex)
+def _sym(n, entries) -> list:
+    S = [[0j] * n for _ in range(n)]
     for (i, j), v in entries.items():
-        S[i, j] += v / (1 if i == j else 2)
+        S[i][j] += v / (1 if i == j else 2)
         if i != j:
-            S[j, i] += v / 2
+            S[j][i] += v / 2
     return S
+
+
+def _diag(*d) -> list:
+    return [[x if i == j else 0.0 for j in range(len(d))] for i, x in enumerate(d)]
 
 
 def example_m() -> QuadraticCone:
     """Re(z1^2/2 + z2^2/3) + |z1|^2 - |z2|^2 = 0."""
-    return QuadraticCone(np.diag([0.5, 1.0 / 3.0]), np.diag([1.0, -1.0]))
+    return QuadraticCone._symmetrized(_diag(0.5, 1.0 / 3.0), _diag(1.0, -1.0))
 
 
 def table_row(tag: str) -> QuadraticCone:
@@ -44,13 +48,13 @@ def table_row(tag: str) -> QuadraticCone:
 def slice_pi2_axis() -> QuadraticCone:
     """n=3, pi>=2, big harmonic coefficient: the axis slice is of type M20."""
     S = _sym(3, {(0, 0): 2.0, (1, 1): 1.0})
-    return QuadraticCone(S, np.eye(3))
+    return QuadraticCone(S, _diag(1.0, 1.0, 1.0))
 
 
 def slice_pi2_small() -> QuadraticCone:
     """n=3, pi>=2, A,B <= 1 with AB < 1: the axis slice is a definite cone."""
     S = _sym(3, {(0, 0): 0.5, (1, 1): 0.25, (2, 2): 1.0})
-    return QuadraticCone(S, np.diag([1.0, 1.0, -1.0]))
+    return QuadraticCone(S, _diag(1.0, 1.0, -1.0))
 
 
 def slice_pi2_shear_a() -> QuadraticCone:
@@ -61,24 +65,24 @@ def slice_pi2_shear_a() -> QuadraticCone:
     test_pi2_shear_candidates_verify_without_axis checks their shear slices.
     """
     S = _sym(3, {(0, 0): 1.0, (1, 1): 1.0, (1, 2): 2.0})
-    return QuadraticCone(S, np.eye(3))
+    return QuadraticCone(S, _diag(1.0, 1.0, 1.0))
 
 
 def slice_pi2_shear_c() -> QuadraticCone:
     """n=3, A=B=1 with a z1 z3 coupling, built for the shear z3 = a z1; see slice_pi2_shear_a."""
     S = _sym(3, {(0, 0): 1.0, (1, 1): 1.0, (0, 2): 2.0})
-    return QuadraticCone(S, np.eye(3))
+    return QuadraticCone(S, _diag(1.0, 1.0, 1.0))
 
 
 def slice_pi2_shear_b() -> QuadraticCone:
     """n=3, A=B=1 with only a z3^2 coupling, built for a complex shear; see slice_pi2_shear_a."""
     S = _sym(3, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0})
-    return QuadraticCone(S, np.diag([1.0, 1.0, -1.0]))
+    return QuadraticCone(S, _diag(1.0, 1.0, -1.0))
 
 
-def _oneone_h(n: int) -> np.ndarray:
-    H = np.zeros((n, n), dtype=complex)
-    H[0, 1], H[1, 0] = 0.5j, -0.5j  # Im(z1 conj(z2))
+def _oneone_h(n: int) -> list:
+    H = _diag(*[0.0] * n)
+    H[0][1], H[1][0] = 0.5j, -0.5j  # Im(z1 conj(z2))
     return H
 
 
@@ -88,8 +92,7 @@ def slice_oneone_r0_onesided() -> QuadraticCone:
     The 2x2 block is the Im(z1 conj(z2))-frame presentation of the cone
     Re(2 z1^2 + 0.5 z2^2) + |z1|^2 - |z2|^2, which extends from one side.
     """
-    S = np.zeros((3, 3), dtype=complex)
-    S[:2, :2] = np.array([[0.375, 0.625j], [0.625j, -0.375]])
+    S = [[0.375, 0.625j, 0.0], [0.625j, -0.375, 0.0], [0.0, 0.0, 0.0]]
     return QuadraticCone(S, _oneone_h(3))
 
 
@@ -132,40 +135,36 @@ def slice_oneone_qnonzero() -> QuadraticCone:
 def slice_onezero_l0() -> QuadraticCone:
     """(1,0) with l = 0 and q = z2^2 + z3^2: axis slice is of type M10_1."""
     S = _sym(3, {(0, 0): 0.5, (1, 1): 1.0, (2, 2): 1.0})
-    return QuadraticCone(S, np.diag([1.0, 0.0, 0.0]))
+    return QuadraticCone(S, _diag(1.0, 0.0, 0.0))
 
 
 def slice_onezero_dq() -> QuadraticCone:
     """(1,0) with l = z2 and a z2^2 term in q."""
     S = _sym(3, {(0, 0): 0.5, (0, 1): 1.0, (1, 1): 1.0, (2, 2): 1.0})
-    return QuadraticCone(S, np.diag([1.0, 0.0, 0.0]))
+    return QuadraticCone(S, _diag(1.0, 0.0, 0.0))
 
 
 def slice_onezero_dq_zero() -> QuadraticCone:
     """(1,0) with l = z2 and q independent of z2: slice in the z1 z3 plane."""
     S = _sym(3, {(0, 0): 0.5, (0, 1): 1.0, (2, 2): 1.0})
-    return QuadraticCone(S, np.diag([1.0, 0.0, 0.0]))
+    return QuadraticCone(S, _diag(1.0, 0.0, 0.0))
 
 
 def product_example_m() -> QuadraticCone:
     """example-M x C: a two-sided product cone in C^3."""
-    S = np.zeros((3, 3), dtype=complex)
-    S[:2, :2] = np.diag([0.5, 1.0 / 3.0])
-    H = np.zeros((3, 3), dtype=complex)
-    H[:2, :2] = np.diag([1.0, -1.0])
-    return QuadraticCone(S, H)
+    return QuadraticCone(_diag(0.5, 1.0 / 3.0, 0.0), _diag(1.0, -1.0, 0.0))
 
 
 def ts1_k3() -> QuadraticCone:
     """Re(z1^2 + z2^2 + z3^2) = 0 in C^3."""
-    return QuadraticCone(np.eye(3, dtype=complex), np.zeros((3, 3)))
+    return QuadraticCone(_diag(1.0, 1.0, 1.0), _diag(0.0, 0.0, 0.0))
 
 
 def ts2() -> QuadraticCone:
     """Re(z1 z2 + z1 conj(z3)) = 0 in C^3."""
     S = _sym(3, {(0, 1): 1.0})
-    H = np.zeros((3, 3), dtype=complex)
-    H[0, 2], H[2, 0] = 0.5, 0.5
+    H = _diag(0.0, 0.0, 0.0)
+    H[0][2], H[2][0] = 0.5, 0.5
     return QuadraticCone(S, H)
 
 

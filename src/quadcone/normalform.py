@@ -20,11 +20,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .quadform import (
     ConeError,
     QuadraticCone,
+    _frozen_array,
     canonical_sign,
     form_norm2,
     hermitian_signature,
@@ -32,7 +31,7 @@ from .quadform import (
     real_signature,
 )
 from .reduction import (
-    E_HERM,
+    E_HERM_ROWS,
     eigh2,
     exponent,
     norm2,
@@ -46,15 +45,14 @@ from .reduction import (
 
 TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 
-# Change of variables between the Im(z1 conj(z2)) frame and the
-# |z1|^2 - |z2|^2 frame: CHOFVAR^* E_HERM CHOFVAR = diag(1, -1), and
-# CHOFVAR is an involution up to the factor 2 (CHOFVAR @ CHOFVAR = 2 I).
-CHOFVAR = np.array([[1.0, 1.0j], [-1.0j, -1.0]], dtype=complex)
-
 # The n = 2 reduction works on Python scalars: a 2x2 matrix M is the tuple
 # (m00, m01, m10, m11), a symmetric one (m00, m01, m11).
-_CHOFVAR = tuple(CHOFVAR.ravel().tolist())
-_HALF_CHOFVAR = tuple((0.5 * CHOFVAR).ravel().tolist())
+# _CHOFVAR changes variables between the Im(z1 conj(z2)) frame and the
+# |z1|^2 - |z2|^2 frame: CHOFVAR^* E_HERM CHOFVAR = diag(1, -1), and CHOFVAR
+# is an involution up to the factor 2 (CHOFVAR @ CHOFVAR = 2 I).  The array
+# CHOFVAR is built on first lookup (__getattr__).
+_CHOFVAR = (1.0 + 0j, 1j, -1j, -1.0 + 0j)
+_HALF_CHOFVAR = tuple(0.5 * z for z in _CHOFVAR)
 _SWAP_NEG = (0j, 1.0 + 0j, 1.0 + 0j, 0j)  # z1 <-> z2
 _ROT90 = (0j, -1.0 + 0j, 1.0 + 0j, 0j)  # SO(2): swaps diagonal entries
 # (h00, h10, h11) of the canonical hermitian matrix of each n = 2 signature
@@ -112,18 +110,20 @@ class NormalFormType:
 
     def params(self) -> tuple:
         if self.tag in ("M20", "M11_1"):
-            return (float(np.real(self.a)), float(self.b))
+            return (float(self.a.real), float(self.b))
         if self.tag == "M11_2":
             return (complex(self.a),)
         if self.tag == "M10_1":
-            return (float(np.real(self.a)),)
+            return (float(self.a.real),)
         return ()
 
 
 @dataclass(frozen=True)
 class NormalFormResult:
+    """T is the change of variables as rows ((t00, t01), (t10, t11)) of Python complex."""
+
     ntype: NormalFormType
-    T: np.ndarray
+    T: tuple
     lam: float
     sign: int
     residual: float
@@ -172,13 +172,10 @@ def render_cone(ntype: NormalFormType) -> QuadraticCone:
     """The table's defining function for a given type, as a cone.
 
     Every table form is symmetric / hermitian by construction, so it skips
-    the checked constructor; both matrices are complex, as that constructor
-    would have made them.
+    the checked constructor.
     """
     (s00, s01, s11), (h00, h01, h11) = _table_form(ntype)
-    S = np.array([[s00, s01], [s01, s11]], dtype=complex)
-    H = np.array([[h00, h01], [np.conj(h01), h11]], dtype=complex)
-    return QuadraticCone._symmetrized(S, H)
+    return QuadraticCone._symmetrized(((s00, s01), (s01, s11)), ((h00, h01), (h01.conjugate(), h11)))
 
 
 def _hadamard_ratio(T: np.ndarray) -> float:
@@ -188,6 +185,7 @@ def _hadamard_ratio(T: np.ndarray) -> float:
     columns.  Each column is divided by its largest entry before its norm is
     taken, so no column norm overflows or underflows.
     """
+    import numpy as np
     big = np.abs(T).max(axis=0)
     if not big.all():
         return 0.0
@@ -238,6 +236,7 @@ def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> Qua
 
     evaluate(result, z) == sign * lam * evaluate(cone, T @ z) identically.
     """
+    import numpy as np
     T = np.asarray(T, dtype=complex)
     if not _hadamard_ratio(T) > CHANGE_HADAMARD_MIN:
         raise SingularMatrix("change of variables is numerically singular")
@@ -272,6 +271,7 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     S1 = 0.5 (X + X^T) with X = W^T S W is bitwise the harmonic part of
     apply_change(cone, W); W's columns are orthogonal, so it is nonsingular.
     """
+    import numpy as np
     n = cone.n
     pi, nu = hermitian_signature(cone).as_tuple()
     if nu > pi:
@@ -285,7 +285,7 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
     t = math.sqrt(pi + nu)  # mat_norm(target)
     if (pi, nu) == (1, 1):
-        target[:2, :2] = E_HERM
+        target[:2, :2] = E_HERM_ROWS
         t = math.sqrt(0.5)
     h = mat_norm(cone.H)
     # r = 1 / sqrt(c), c the power of four nearest h / t; scalings by powers of
@@ -302,7 +302,7 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
         # C-contiguous: the rounding of the products with W depends on its layout
         W = np.ascontiguousarray(V[:, order] / root)
         if (pi, nu) == (1, 1):
-            W[:, :2] = W[:, :2] @ (0.5 * CHOFVAR)
+            W[:, :2] = W[:, :2] @ np.reshape(_HALF_CHOFVAR, (2, 2))
     X = W.T @ cone.S @ W
     return W, 0.5 * (X + X.T)
 
@@ -314,7 +314,7 @@ def _frame2(cone: QuadraticCone, pi: int, nu: int) -> tuple:
     over- or underflows, and 2^-k H (k even) gets exactly 2^(k/2) W.  The
     eigenpairs come from eigh2, which keeps LAPACK's signs and phases.
     """
-    (h00, _), (h10, h11) = cone.H.tolist()
+    (h00, _), (h10, h11) = cone.h2
     h00, h11 = h00.real, h11.real
     if not (h00 or h10 or h11):
         return (1.0 + 0j, 0j, 0j, 1.0 + 0j)
@@ -407,8 +407,8 @@ def _finish(
     if not _hadamard_ratio2(*T) > CHANGE_HADAMARD_MIN:
         raise SingularMatrix("change of variables is numerically singular")
     c = chain.sign * chain.lam
-    (s00, s01), (_, s11) = cone.S.tolist()
-    (h00, h01), (_, h11) = cone.H.tolist()
+    (s00, s01), (_, s11) = cone.s2
+    (h00, h01), (_, h11) = cone.h2
     S = _congruence(T, (s00, s01, s11))
     H = _hermitian_congruence(T, (h00.real, h01, h11.real))
     St, Ht = _table_form(ntype)
@@ -418,7 +418,7 @@ def _finish(
     margin = float(min(margins.values())) if margins else float("inf")
     return NormalFormResult(
         ntype=ntype,
-        T=np.array(T).reshape(2, 2),
+        T=(T[:2], T[2:]),
         lam=chain.lam,
         sign=chain.sign,
         residual=form_norm2(dS, dH),
@@ -655,18 +655,18 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
     reduce = _BY_SIGNATURE[pi, nu]
     try:
         W = _frame2(cone0, pi, nu)
-        (s00, s01), (_, s11) = cone0.S.tolist()
+        (s00, s01), (_, s11) = cone0.s2
         chain = _Chain(_congruence(W, (s00, s01, s11)), W, flip)
         ntype = reduce(chain, margins)
         if isinstance(ntype, DegeneracyReport):
             return ntype
         return _finish(cone, chain, ntype, margins)
-    except (ConeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ConeError, ArithmeticError) as exc:
         # a reduction step passed the scale-invariant routing thresholds but
         # turned out numerically unusable at this input: a singular or
         # unreachable step (ConeError, also a non-finite parameter that the
-        # table rejects), a Python scalar that overflowed or was divided by
-        # zero (ArithmeticError), or a non-finite residual form
+        # table rejects, or a non-finite residual form), or a Python scalar
+        # that overflowed or was divided by zero (ArithmeticError)
         return DegeneracyReport(
             "UnclassifiedBoundary",
             f"ill-conditioned reduction near a case boundary: {exc}",
@@ -689,3 +689,10 @@ def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, floa
         return (0.0 + 0.0j, 0.0, 0.0)
     raise ConeError(f"{ntype.tag} is not a (1,1) type")
 
+
+def __getattr__(name: str):
+    """CHOFVAR, built on first lookup, so that importing the module needs no numpy."""
+    if name == "CHOFVAR":
+        globals()[name] = _frozen_array((_CHOFVAR[:2], _CHOFVAR[2:]))
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,14 +4,17 @@ A cone here is the zero set of rho(z) = Re(z^T S z) + conj(z)^T H z with S
 complex symmetric (the harmonic coefficients) and H hermitian.  The pair
 (S, H) is unique for a given real quadratic polynomial, and every operation
 in the package works on this representation.
+
+A cone in C^2 keeps its entries as Python complex (s2, h2), and everything
+the n = 2 commands compute from them runs on Python scalars; numpy is
+imported by the functions that need arrays (n >= 3, sample_points), on
+their first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Relative eigenvalue threshold below which an eigenvalue counts as zero.
 ZERO_EIG_REL = 1e-9
@@ -47,6 +50,7 @@ def mat_norm(m) -> float:
     The entries are divided by the largest |entry| before squaring, so
     entries anywhere in 1e-300..1e300 neither overflow nor underflow.
     """
+    import numpy as np
     a = np.abs(np.asarray(m))
     big = float(a.max(initial=0.0))
     if not big:
@@ -82,12 +86,16 @@ class QuadraticCone:
 
     S is symmetrized and H hermitized on construction; an asymmetry beyond
     SYM_REL * norm raises NotSymmetric instead of being silently absorbed,
-    and a non-finite entry raises ConeError.
+    and a non-finite entry raises ConeError.  For n = 2, s2 and h2 hold the
+    rows of S and H as Python complex, and the arrays S and H are built from
+    them on first use; for n >= 3 they are None.  The checked constructor
+    uses numpy; _symmetrized builds a cone in C^2 without it.
     """
 
-    __slots__ = ("n", "S", "H", "_scale", "_hsig", "_rsig", "_G")
+    __slots__ = ("n", "s2", "h2", "_S", "_H", "_scale", "_hsig", "_rsig", "_G")
 
     def __init__(self, S, H):
+        import numpy as np
         S = np.array(S, dtype=complex)
         H = np.array(H, dtype=complex)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape != H.shape:
@@ -112,7 +120,8 @@ class QuadraticCone:
         Applies the constructor's exact symmetrization (X / 2 + (X / 2)^T,
         and ^H for H) and skips its tolerance checks.  For congruences and
         scalings of a valid cone the asymmetry is rounding only, and the
-        result equals the constructor's on the same S and H exactly.
+        result equals the constructor's on the same S and H exactly.  For
+        n = 2, S and H may be rows of numbers: such a cone needs no numpy.
         """
         cone = object.__new__(cls)
         cone._store(S, H)
@@ -120,21 +129,47 @@ class QuadraticCone:
 
     def _store(self, S, H):
         # halves first: the sum of two halves of finite entries cannot overflow
-        S = 0.5 * S
-        S = S + S.T
-        H = 0.5 * H
-        H = H + H.conj().T
-        S.setflags(write=False)
-        H.setflags(write=False)
-        object.__setattr__(self, "n", S.shape[0])
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "H", H)
+        if len(S) == 2:  # n = 2: the same steps on Python complex
+            S, H = (M.tolist() if hasattr(M, "tolist") else M for M in (S, H))
+            (a00, a01), (a10, a11) = ((0.5 * complex(z) for z in row) for row in S)
+            (b00, b01), (b10, b11) = ((0.5 * complex(z) for z in row) for row in H)
+            S2 = (a00 + a00, a01 + a10), (a10 + a01, a11 + a11)
+            H2 = (b00 + b00.conjugate(), b01 + b10.conjugate()), (b10 + b01.conjugate(), b11 + b11.conjugate())
+            S = H = None
+        else:
+            import numpy as np
+            S = 0.5 * np.asarray(S, dtype=complex)
+            S = S + S.T
+            H = 0.5 * np.asarray(H, dtype=complex)
+            H = H + H.conj().T
+            S.setflags(write=False)
+            H.setflags(write=False)
+            S2 = H2 = None
+        object.__setattr__(self, "n", 2 if S is None else S.shape[0])
+        object.__setattr__(self, "s2", S2)
+        object.__setattr__(self, "h2", H2)
+        object.__setattr__(self, "_S", S)
+        object.__setattr__(self, "_H", H)
         object.__setattr__(self, "_scale", None)
         # signatures, kept by hermitian_signature / real_signature
         object.__setattr__(self, "_hsig", None)
         object.__setattr__(self, "_rsig", None)
         # interleaved real form, kept by _interleaved_form
         object.__setattr__(self, "_G", None)
+
+    @property
+    def S(self):
+        """S as a read-only complex array; for n = 2 built from s2 on first use and kept."""
+        if self._S is None:
+            object.__setattr__(self, "_S", _frozen_array(self.s2))
+        return self._S
+
+    @property
+    def H(self):
+        """H as a read-only complex array; for n = 2 built from h2 on first use and kept."""
+        if self._H is None:
+            object.__setattr__(self, "_H", _frozen_array(self.h2))
+        return self._H
 
     def __setattr__(self, *a):  # immutability, safe to share across threads
         raise AttributeError("QuadraticCone is immutable")
@@ -145,6 +180,9 @@ class QuadraticCone:
     def __eq__(self, other):
         if not isinstance(other, QuadraticCone):
             return NotImplemented
+        if self.n == other.n == 2:
+            return self.s2 == other.s2 and self.h2 == other.h2
+        import numpy as np
         return self.n == other.n and np.array_equal(self.S, other.S) and np.array_equal(self.H, other.H)
 
     @property
@@ -154,12 +192,21 @@ class QuadraticCone:
         Computed on first use and kept; concurrent first uses store the same value.
         """
         if self._scale is None:
-            object.__setattr__(self, "_scale", mat_norm(self.S) + mat_norm(self.H))
+            if self.n == 2:
+                (s00, s01), (_, s11) = self.s2
+                (h00, h01), (_, h11) = self.h2
+                scale = norm2(s00, s01, s11) + norm2(h00, h01, h11)
+            else:
+                scale = mat_norm(self.S) + mat_norm(self.H)
+            object.__setattr__(self, "_scale", scale)
         return self._scale
 
     def negated(self) -> "QuadraticCone":
         """The cone of -rho; it inherits the scale and the swapped signatures."""
-        neg = QuadraticCone._symmetrized(-self.S, -self.H)
+        if self.n == 2:
+            neg = QuadraticCone._symmetrized(*(tuple((-a, -b) for a, b in M) for M in (self.s2, self.h2)))
+        else:
+            neg = QuadraticCone._symmetrized(-self.S, -self.H)
         object.__setattr__(neg, "_scale", self._scale)
         if self._hsig is not None:
             object.__setattr__(neg, "_hsig", HermitianSignature(self._hsig.nu, self._hsig.pi))
@@ -173,69 +220,92 @@ class QuadraticCone:
 # (j, k), read row by row (x_j x_k, x_j y_k, y_j x_k, y_j y_k).  That block is
 # [[Hr + Sr, -(Hi + Si)], [Hi - Si, Hr - Sr]].  Each entry adds two parts, so
 # the product with it is exact up to the sign of zeros.
-_FORM_BLOCK = np.array(
-    [[1.0, 0.0, 0.0, -1.0], [0.0, -1.0, -1.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]]
-)
-_FORM_BLOCK.setflags(write=False)
+_FORM_BLOCK = ((1.0, 0.0, 0.0, -1.0), (0.0, -1.0, -1.0, 0.0), (1.0, 0.0, 0.0, 1.0), (0.0, -1.0, 1.0, 0.0))
 
 
-def _interleaved_form(cone: QuadraticCone) -> np.ndarray:
+def _frozen_array(rows):
+    """A read-only complex array of the given rows."""
+    import numpy as np
+    M = np.array(rows, dtype=complex)
+    M.setflags(write=False)
+    return M
+
+
+def _interleaved_form(cone: QuadraticCone):
     """rho's real form G in the order x_1, y_1, x_2, y_2, ... (z_j = x_j + i y_j), kept read-only.
 
     That is the order of the float64 view of complex points, so rho(z) =
     x^T G x with x = z.view(float64).  G is exactly symmetric, since S is
-    symmetric and H hermitian bitwise.  For n = 2 it is built from the
-    entries as Python scalars (_form2).
+    symmetric and H hermitian bitwise.
     """
     if cone._G is None:
-        if cone.n == 2:
-            (s00, s01), (_, s11) = cone.S.tolist()
-            (h00, h01), (_, h11) = cone.H.tolist()
-            G = _form2((s00, s01, s11), (h00, h01, h11))
-        else:
-            G = _form(cone.S, cone.H)
+        G = _form(cone.S, cone.H)
         G.setflags(write=False)
         object.__setattr__(cone, "_G", G)
     return cone._G
 
 
-def _form(S: np.ndarray, H: np.ndarray) -> np.ndarray:
+def _form(S, H):
     """rho's real form in _interleaved_form's order from complex n x n arrays S and H, any n."""
+    import numpy as np
     n = S.shape[0]
     # (n, n, 4): Sr, Si, Hr, Hi of each entry (j, k)
     entries = np.concatenate([M.view(np.float64).reshape(n, n, 2) for M in (S, H)], axis=2)
     return (entries @ _FORM_BLOCK).reshape(n, n, 2, 2).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
 
-def _scale_exponent(*Ms: np.ndarray) -> int:
+def _scale_exponent(*Ms) -> int:
     """The e such that 2^e times complex arrays brings their largest part to at most 1 (0 for zeros)."""
-    return -exponent(*(float(np.abs(M.view(np.float64)).max()) for M in Ms))
+    return -exponent(*(float(abs(M.view(float)).max()) for M in Ms))
 
 
-def _ldexp(M: np.ndarray, e: int) -> np.ndarray:
+def _ldexp_array(M, e: int):
     """A copy of the complex array M times 2^e, part by part: exact unless a part underflows."""
+    import numpy as np
     return np.ldexp(M.view(np.float64), e).view(complex)
 
 
 def evaluate(cone: QuadraticCone, z) -> float:
     """rho(z) = Re(z^T S z) + conj(z)^T H z at a single point, through evaluate_many."""
+    import numpy as np
     return float(evaluate_many(cone, np.reshape(z, (1, -1)))[0])
 
 
-def evaluate_many(cone: QuadraticCone, Z) -> np.ndarray:
+def evaluate_many(cone: QuadraticCone, Z):
     """rho over the rows of Z (shape (m, n)), as x^T G x per row.
 
     x is the float64 view (Re z_1, Im z_1, Re z_2, ...) of a row and G the
     cone's real form in that order (real_form_matrix, permuted), built once
     per cone, so each call is one real (m, 2n) x (2n, 2n) product.  Every
-    evaluation of rho in the package goes through here.  A row agrees with
-    Re(z^T S z) + conj(z)^T H z up to rounding of order n * 2^-52 *
-    cone.scale * |z|^2.  Z may be any array-like of complex or real numbers
-    with n columns; it is copied only when it is not a C-contiguous
-    complex128 array.
+    array evaluation of rho in the package goes through here; rho_at
+    evaluates a few points.  A row agrees with Re(z^T S z) + conj(z)^T H z
+    up to rounding of order n * 2^-52 * cone.scale * |z|^2.  Z may be any
+    array-like of complex or real numbers with n columns; it is copied only
+    when it is not a C-contiguous complex128 array.
     """
+    import numpy as np
     X = np.ascontiguousarray(Z, dtype=complex).view(np.float64)
     return np.einsum("ij,ij->i", X @ _interleaved_form(cone), X)
+
+
+def rho_at(cone: QuadraticCone, Z) -> list:
+    """rho at a few points, the rows of Z, as a list of Python floats.
+
+    For n = 2 each value is x^T (G x) on Python floats, G the real form
+    (_form2) and x = (Re z_1, Im z_1, Re z_2, Im z_2): the sums and error
+    bound of evaluate_many, whose rows it equals to rounding.  For n >= 3
+    it is evaluate_many's.
+    """
+    if cone.n > 2:
+        return evaluate_many(cone, Z).tolist()
+    (s00, s01), (_, s11) = cone.s2
+    (h00, h01), (_, h11) = cone.h2
+    G = _form2((s00, s01, s11), (h00, h01, h11))
+    out = []
+    for z0, z1 in Z:
+        x = (z0.real, z0.imag, z1.real, z1.imag)
+        out.append(sum(xj * (x[0] * g[0] + x[1] * g[1] + x[2] * g[2] + x[3] * g[3]) for xj, g in zip(x, G)))
+    return out
 
 
 def form_distance(a: QuadraticCone, b: QuadraticCone) -> float:
@@ -244,38 +314,98 @@ def form_distance(a: QuadraticCone, b: QuadraticCone) -> float:
     |z| = 1 is |x| = 1 for the float64 view x of z, so the maximum is the
     spectral norm of the difference of the two real forms: one eigvalsh.
     """
+    import numpy as np
     if a.n != b.n:
         raise ConeError(f"cones in C^{a.n} and C^{b.n} have no distance")
     return float(np.abs(np.linalg.eigvalsh(_interleaved_form(a) - _interleaved_form(b))).max())
 
 
-def _form2(S: tuple, H: tuple) -> np.ndarray:
+def _form2(S: tuple, H: tuple) -> list:
     """rho's real form in _interleaved_form's order for n = 2, S = (s00, s01, s11) and H = (h00, h01, h11).
 
-    Built entry by entry from Python scalars.  It equals the product with
-    _FORM_BLOCK that builds the form for n >= 3 up to the sign of zero
-    entries.
+    Its rows as lists of Python floats, built entry by entry.  It equals
+    the product with _FORM_BLOCK that builds the form for every n up to the
+    sign of zero entries.
     """
     (a, ai), (b, bi), (c, ci) = ((s.real, s.imag) for s in S)
     h00, h, hi, h11 = H[0].real, H[1].real, H[1].imag, H[2].real
-    return np.array([
+    return [
         [h00 + a, -ai, h + b, -(hi + bi)],
         [-ai, h00 - a, hi - bi, h - b],
         [h + b, hi - bi, h11 + c, -ci],
         [-(hi + bi), h - b, -ci, h11 - c],
-    ])
+    ]
+
+
+# (p, q, r, s) of each rotation of a cyclic Jacobi sweep on a 4 x 4 matrix: it
+# zeroes the entry (p, q) and mixes the columns p and q of the rows r and s
+_SWEEP = tuple((p, q, *(r for r in range(4) if r not in (p, q))) for p in range(3) for q in range(p + 1, 4))
+
+
+def _jacobi4(S: tuple, H: tuple) -> tuple[list, int]:
+    """(w, e): the eigenvalues of the real form of (S, H) (n = 2, as for _form2) are 2^e w.
+
+    Beyond PRESCALE_BAND the form is built from S and H times 2^-e, the
+    power of two that brings their largest part to at most 1, so no entry
+    over- or underflows; within it e = 0.  Cyclic Jacobi rotations
+    (Rutishauser's formulas) run until a sweep finds every off-diagonal
+    entry at most 2^-55 ||G||_F: what is left off the diagonal is then below
+    u ||G||_F (u = 2^-53), and each eigenvalue is within about 5 u ||G||_F of
+    the exact one.  A rotated entry exceeds that bound, so |theta| stays
+    below 2^55 and no step over- or underflows.  A part that is not finite
+    raises ConeError, with eigvalsh's message.
+    """
+    ps = parts(*S, *H)
+    if not all(map(math.isfinite, ps)):
+        raise ConeError("Array must not contain infs or NaNs")
+    e = exponent(*ps)
+    if abs(e) > PRESCALE_BAND:
+        S, H = scaled(-e, *S), scaled(-e, *H)
+    else:
+        e = 0
+    a = _form2(S, H)
+    tol = 2.0**-55 * math.hypot(*a[0], *a[1], *a[2], *a[3])
+    for _ in range(64):
+        turned = False
+        for p, q, r, s in _SWEEP:
+            ap, aq = a[p], a[q]
+            apq = ap[q]
+            if not abs(apq) > tol:
+                continue
+            turned = True
+            theta = (aq[q] - ap[p]) / (apq + apq)
+            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            sn = t * c
+            ap[p] -= t * apq
+            aq[q] += t * apq
+            ap[q] = aq[p] = 0.0
+            ar, at = a[r], a[s]
+            x, y = ar[p], ar[q]
+            ar[p] = ap[r] = c * x - sn * y
+            ar[q] = aq[r] = sn * x + c * y
+            x, y = at[p], at[q]
+            at[p] = ap[s] = c * x - sn * y
+            at[q] = aq[s] = sn * x + c * y
+        if not turned:
+            break
+    return [a[0][0], a[1][1], a[2][2], a[3][3]], e
 
 
 def form_norm2(S: tuple, H: tuple) -> float:
     """max over |z| = 1 of |rho(z)| for n = 2, S = (s00, s01, s11) and H = (h00, h01, h11).
 
     form_distance's spectral norm for a form given by Python scalars, such
-    as the difference of two forms: one eigvalsh of _form2.
+    as the difference of two forms: the largest |eigenvalue| of _jacobi4,
+    inf where it overflows.
     """
-    return float(np.abs(np.linalg.eigvalsh(_form2(S, H))).max())
+    w, e = _jacobi4(S, H)
+    return _ldexp(max(map(abs, w)), e)
 
 
-def real_form_matrix(cone: QuadraticCone) -> np.ndarray:
+def real_form_matrix(cone: QuadraticCone):
     """The 2n x 2n real symmetric matrix G with rho = (x,y)^T G (x,y).
 
     Coordinates are ordered x_1..x_n, y_1..y_n.  With S = Sr+i*Si and
@@ -285,6 +415,7 @@ def real_form_matrix(cone: QuadraticCone) -> np.ndarray:
 
     A writable copy of the kept form of evaluate_many, reordered.
     """
+    import numpy as np
     order = np.arange(2 * cone.n).reshape(cone.n, 2).T.ravel()  # 0, 2, ..., then 1, 3, ...
     return _interleaved_form(cone)[np.ix_(order, order)]
 
@@ -294,6 +425,7 @@ def decompose_real_form(G) -> QuadraticCone:
 
     G must be a real symmetric 2n x 2n matrix in x_1..x_n, y_1..y_n order.
     """
+    import numpy as np
     G = np.asarray(G)
     if not np.isfinite(G).all():
         raise ConeError("real-form matrix has non-finite entries")
@@ -340,16 +472,16 @@ def decompose_poly(n: int, terms) -> QuadraticCone:
         if len(vars_) != 2:
             raise NonHomogeneous(f"monomial {vars_} has degree {len(vars_)}, expected 2")
         i, j = index(vars_[0]), index(vars_[1])
-        c = float(np.real(coeff))
+        c = float(coeff.real)
         G[i][j] += c / 2.0
         G[j][i] += c / 2.0
-    return decompose_real_form(np.array(G))
+    return decompose_real_form(G)
 
 
-# The signatures read a copy of S and H scaled by 2^e, e the scale exponent,
-# when |e| exceeds this; closer to 1 they read the cone's own form, whose
-# eigenvalues are those of the copy's times 2^-e, far from _inertia's floor
-# and from overflow.
+# For n >= 3 the signatures read a copy of S and H scaled by 2^e, e the scale
+# exponent, when |e| exceeds this; closer to 1 they read the cone's own form,
+# whose eigenvalues are those of the copy's times 2^-e, far from _inertia's
+# floor and from overflow.  For n = 2 they always read such a copy.
 PRESCALE_BAND = 500
 
 
@@ -374,13 +506,14 @@ def hermitian_signature(cone: QuadraticCone) -> HermitianSignature:
     """
     if cone._hsig is None:
         if cone.n == 2:
-            (h00, _), (h10, h11) = cone.H.tolist()
+            (h00, _), (h10, h11) = cone.h2
             e = -exponent(h00.real, h11.real, *parts(h10))
             w0, w1, _ = eigh2(math.ldexp(h00.real, e), *scaled(e, h10), math.ldexp(h11.real, e))
             w = [w0, w1]
         else:
+            import numpy as np
             e = _scale_exponent(cone.H)
-            w = np.linalg.eigvalsh(cone.H if abs(e) <= PRESCALE_BAND else _ldexp(cone.H, e)).tolist()
+            w = np.linalg.eigvalsh(cone.H if abs(e) <= PRESCALE_BAND else _ldexp_array(cone.H, e)).tolist()
         object.__setattr__(cone, "_hsig", HermitianSignature(*_inertia(w)))
     return cone._hsig
 
@@ -388,23 +521,22 @@ def hermitian_signature(cone: QuadraticCone) -> HermitianSignature:
 def real_signature(cone: QuadraticCone) -> RealSignature:
     """Inertia of the real form of rho on R^(2n), kept as for hermitian_signature.
 
-    When the scale exponent e of S and H is beyond PRESCALE_BAND, the form
-    is built from copies of S and H times 2^e, so that the form evaluate_many
-    keeps stays the cone's; otherwise it is that kept form.
+    For n = 2 the eigenvalues are _jacobi4's, of the form of S and H times a
+    power of two.  For n >= 3 they are eigvalsh's: when the scale exponent e
+    of S and H is beyond PRESCALE_BAND, of the form built from copies of S
+    and H times 2^e, so that the form evaluate_many keeps stays the cone's;
+    otherwise of that kept form.
     """
     if cone._rsig is None:
-        G = None
         if cone.n == 2:
-            (s00, s01), (_, s11) = cone.S.tolist()
-            (h00, h01), (_, h11) = cone.H.tolist()
-            e = -exponent(*parts(s00, s01, s11, h00, h01, h11))
-            if abs(e) > PRESCALE_BAND:
-                G = _form2(scaled(e, s00, s01, s11), scaled(e, h00, h01, h11))
+            (s00, s01), (_, s11) = cone.s2
+            (h00, h01), (_, h11) = cone.h2
+            w, _ = _jacobi4((s00, s01, s11), (h00, h01, h11))
         else:
+            import numpy as np
             e = _scale_exponent(cone.S, cone.H)
-            if abs(e) > PRESCALE_BAND:
-                G = _form(_ldexp(cone.S, e), _ldexp(cone.H, e))
-        w = np.linalg.eigvalsh(_interleaved_form(cone) if G is None else G).tolist()
+            G = _form(_ldexp_array(cone.S, e), _ldexp_array(cone.H, e)) if abs(e) > PRESCALE_BAND else None
+            w = np.linalg.eigvalsh(_interleaved_form(cone) if G is None else G).tolist()
         object.__setattr__(cone, "_rsig", RealSignature(*_inertia(w)))
     return cone._rsig
 
@@ -427,6 +559,7 @@ def _real_roots(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Row-major: by row, then root.  The stable quadratic formula, with the
     linear root where a is negligible.
     """
+    import numpy as np
     disc = b * b - 4.0 * a * c
     # column k = root k of the row's equation; masked-out entries may hold inf or nan
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -458,6 +591,7 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
     of the equivalent per-point loop up to rounding, not bitwise.  Results
     are reproducible at fixed numpy and BLAS builds.
     """
+    import numpy as np
     if count < 1:
         raise ConeError("count must be >= 1")
     if radius <= 0:
@@ -514,4 +648,4 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
 
 
 # reduction builds on this module (ConeError, mat_norm), so its 2x2 kernels come last
-from .reduction import eigh2, exponent, parts, scaled  # noqa: E402
+from .reduction import _ldexp, eigh2, exponent, norm2, parts, scaled  # noqa: E402

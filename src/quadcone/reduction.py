@@ -18,12 +18,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .quadform import ConeError, _frozen_array, mat_norm
 
-from .quadform import ConeError, mat_norm
-
-# Hermitian matrix of the form Im(z1 * conj(z2)).
-E_HERM = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
+# Hermitian matrix of the form Im(z1 * conj(z2)), as rows; E_HERM is its array.
+E_HERM_ROWS = ((0j, 0.5j), (-0.5j, 0j))
 
 SL2_DET_ZERO_REL = 1e-9  # |det P| <= this * ||P||^2 routes to the rank-1 branch
 SO11_DET_POS_REL = 1e-9  # det Q above this * ||Q||^2 is rejected
@@ -342,6 +340,8 @@ def factor_preserver(k) -> tuple[float, np.ndarray]:
     (theta + pi, -g) ambiguity, so the sign of g is whatever that range
     dictates.
     """
+    import numpy as np
+    E_HERM = np.array(E_HERM_ROWS)
     k = np.asarray(k, dtype=complex)
     if mat_norm(k.conj().T @ E_HERM @ k - E_HERM) > PRESERVER_REL * max(mat_norm(k) ** 2, 1e-300):
         raise NotPreserver("matrix does not preserve Im(z1 conj(z2))")
@@ -355,3 +355,11 @@ def factor_preserver(k) -> tuple[float, np.ndarray]:
         raise NotPreserver("factorization did not produce a real matrix")
     return float(theta), np.real(g)
 
+
+
+def __getattr__(name: str):
+    """E_HERM, built on first lookup, so that importing the module needs no numpy."""
+    if name == "E_HERM":
+        globals()[name] = _frozen_array(E_HERM_ROWS)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice
 
-import numpy as np
-
 from .decider import DiscFamily, DiscReport, Verdict, VerificationFailed, decide2, verify_discs
-from .normalform import CHOFVAR, DegeneracyReport, NormalFormResult, classify2, normalize_hermitian
+from .normalform import _CHOFVAR, DegeneracyReport, NormalFormResult, classify2, normalize_hermitian
 from .quadform import (
     ConeError,
     QuadraticCone,
@@ -64,6 +62,7 @@ class Slice:
     description: str
 
     def __post_init__(self):
+        import numpy as np
         B = np.asarray(self.basis, dtype=complex)
         object.__setattr__(self, "basis", B)
         norms = np.linalg.norm(B, axis=0)
@@ -98,6 +97,7 @@ class TwoSidedForm:
 
 def restrict(cone: QuadraticCone, B: np.ndarray) -> QuadraticCone:
     """The cone M pulled back through an n x m basis B, a cone in C^m (M on span(B))."""
+    import numpy as np
     if B.ndim != 2 or B.shape[0] != cone.n:
         raise ConeError(f"basis must be {cone.n} x m, got {B.shape}")
     S = B.T @ cone.S @ B
@@ -113,6 +113,7 @@ def _extension_margin(S) -> float:
     The margin is min(|det S| - 1/4, -det Re(S')): positive when the
     criterion holds, <= 0 when it fails, and -1 when |det S| < 1e-12.
     """
+    import numpy as np
     S = np.asarray(S, dtype=complex)
     d = complex(np.linalg.det(S))
     if abs(d) < 1e-12:
@@ -124,6 +125,7 @@ def _extension_margin(S) -> float:
 def _alpha_grid(phase_order=range(16)):
     """Deterministic alpha scan: moduli 2^0, 2^1, 2^-1, ..., 2^-20, each with
     the phases exp(2 pi i k / 16) taken in phase_order."""
+    import numpy as np
     powers = [0]
     for k in range(1, 21):
         powers.extend([k, -k])
@@ -135,12 +137,14 @@ def _alpha_grid(phase_order=range(16)):
 
 
 def _embed2(n: int, v2) -> np.ndarray:
+    import numpy as np
     out = np.zeros(n, dtype=complex)
     out[:2] = v2
     return out
 
 
 def _embed_zprime(n: int, v) -> np.ndarray:
+    import numpy as np
     out = np.zeros(n, dtype=complex)
     out[2:] = v
     return out
@@ -148,6 +152,7 @@ def _embed_zprime(n: int, v) -> np.ndarray:
 
 def _pi2_candidates(W: np.ndarray, S1: np.ndarray, pi: int, nu: int):
     """Axis slice plus det-criterion-filtered shears, hermitian part (pi>=2)."""
+    import numpy as np
     n = len(W)
     flags = [1] * pi + [-1] * nu + [0] * (n - pi - nu)  # W^* H W = diag(flags)
     (s00, s01), (_, s11) = S1[:2, :2].tolist()  # S1 is exactly symmetric
@@ -177,11 +182,13 @@ def _pi2_candidates(W: np.ndarray, S1: np.ndarray, pi: int, nu: int):
 
 def _dual_vectors(L: np.ndarray):
     """v3, v4 with L @ v_i = e_i for the bilinear functionals in L's rows."""
+    import numpy as np
     sol, *_ = np.linalg.lstsq(L, np.eye(2, dtype=complex), rcond=None)
     return sol[:, 0], sol[:, 1]
 
 
 def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
+    import numpy as np
     n = len(W)
     scale = max(mat_norm(S1), 1e-300)
     St = S1[:2, :2]
@@ -191,7 +198,7 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
     if mat_norm(Qp) > Q_ZERO_REL * scale:
         # quadratic z' part present: slice down to a |z1|^2-definite frame
         Md = np.eye(n, dtype=complex)
-        Md[:2, :2] = CHOFVAR  # hermitian block becomes diag(1, -1)
+        Md[:2, :2] = _CHOFVAR[:2], _CHOFVAR[2:]  # hermitian block becomes diag(1, -1)
         Wd = W @ Md
         probes = _quadratic_support_probes(Qp)
         for v in probes:
@@ -282,6 +289,7 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
 
 def _quadratic_support_probes(Qp: np.ndarray):
     """Directions v with v^T Qp v != 0, tried in a deterministic order."""
+    import numpy as np
     m = Qp.shape[0]
     tol = 1e-10 * max(mat_norm(Qp), 1e-300)
     probes = []
@@ -302,6 +310,7 @@ def _quadratic_support_probes(Qp: np.ndarray):
 
 
 def _onezero_candidates(W: np.ndarray, S1: np.ndarray):
+    import numpy as np
     n = len(W)
     Qp = S1[1:, 1:]
     if mat_norm(Qp) <= Q_ZERO_REL * max(mat_norm(S1), 1e-300):
@@ -418,6 +427,7 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     `certified`: such a cone has two-sided support, so it has no one-sided
     slice to search for.
     """
+    import numpy as np
     if cone.n < 3:
         raise ConeError("classify_two_sided_nd expects n >= 3")
     n = cone.n
@@ -468,6 +478,7 @@ def _factor_two_sided(inner: NormalFormResult | DegeneracyReport, factor: Quadra
 
 def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
     """Fit rho = Re((lambda(z) + conj(mu(z))) alpha(z)) with independent forms."""
+    import numpy as np
     scale = max(cone.scale, 1e-300)
     if hermitian_signature(cone).as_tuple() != (1, 1):
         return None

@@ -19,7 +19,7 @@ from quadcone.cli import (
     spec_to_json,
 )
 from quadcone.fixtures import FIXTURES
-from quadcone.quadform import NonHomogeneous, NonReal, QuadraticCone, evaluate_many
+from quadcone.quadform import NonHomogeneous, NonReal, QuadraticCone, rho_at
 
 EXAMPLE_M = (
     '{"n":2,"S":[[{"re":0.5},{}],[{},{"re":0.3333333333}]],'
@@ -384,7 +384,7 @@ def test_cmd_verify_csv_rows_are_the_checked_points(tmp_path, capsys, fixture):
     eps, rho = rows[:, 0], rows[:, 5]
     Z = rows[:, 1:5:2] + 1j * rows[:, 2:5:2]
     cone = FIXTURES[fixture]()
-    np.testing.assert_array_equal(rho, evaluate_many(cone, Z))
+    np.testing.assert_array_equal(rho, rho_at(cone, Z))
     verdict = report["verdict"]
     if verdict["outcome"] == "one_sided":
         # one row per eps of the grid, then one per line of the limit disc
@@ -978,13 +978,13 @@ def test_cmd_verify_evaluates_each_supporting_line_once(capsys, monkeypatch):
     import quadcone.decider as decider
 
     points = []
-    evaluate_rows = decider.evaluate_many
+    evaluate_rows = decider.rho_at
 
-    def counting_evaluate_many(cone, Z):
+    def counting_rho_at(cone, Z):
         points.append(len(Z))
         return evaluate_rows(cone, Z)
 
-    monkeypatch.setattr(decider, "evaluate_many", counting_evaluate_many)
+    monkeypatch.setattr(decider, "rho_at", counting_rho_at)
     code, report = run_cli(capsys, ["verify", "--fixture", "example_m"])
     assert code == EXIT_OK
     assert sum(points) == report["verification"]["points_checked"] == 4
@@ -1065,3 +1065,66 @@ def test_traced_layer_names_record_spans_through_main(capsys):
     ):
         assert name in names, name
     assert cli.main.__module__ == "quadcone.cli" and not hasattr(cli.main, "__wrapped__")
+
+
+# --- a numpy-free n = 2 process ------------------------------------------------
+
+# Every command a process runs on a cone in C^2, with its exit code at the
+# commit before the n = 2 path became numpy-free; the specs come on stdin.
+_SPECS = {
+    "asymmetric": '{"n": 2, "S": [[0.5, 0.25], [0.25, 0.3]],'
+    ' "H": [[1, {"re": 0.2, "im": 0.1}], [{"re": 0.2, "im": -0.1}, -1]]}',
+    "point_cone": '{"n": 2, "S": [[0, 0], [0, 0]], "H": [[1, 0], [0, 1]]}',
+    "a_one_band": '{"n": 2, "S": [[1.0000000005, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}',
+}
+_SPEC_EXITS = {"asymmetric": (0, 0, 0), "point_cone": (2, 2, 2), "a_one_band": (0, 3, 3)}
+_NUMPY_FREE_RUN = """
+import contextlib, io, json, sys
+from quadcone.cli import main
+runs, specs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+codes = []
+for argv, spec in runs:
+    sys.stdin = io.StringIO(specs.get(spec, ""))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _process(tmp_path, code: str, *args: str) -> str:
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_n2_commands_run_to_exit_without_numpy(tmp_path):
+    # classify, decide, verify (with and without --csv) on every n = 2
+    # fixture and on specs from stdin, then atlas on every tag, in one fresh
+    # process: each exits as before, and numpy is not in sys.modules at the end
+    runs, want = [], []
+    for name in PLANAR_FIXTURES:
+        for argv in (["classify"], ["decide"], ["verify"], ["verify", "--csv", str(tmp_path / "p.csv")]):
+            runs.append((argv + ["--fixture", name], None))
+            want.append(EXIT_OK)
+    for spec, codes in _SPEC_EXITS.items():
+        runs += [([cmd, "-"], spec) for cmd in ("classify", "decide", "verify")]
+        want += codes
+    runs += [(["atlas", "--tag", tag], None) for tag in ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")]
+    want += [EXIT_OK] * 7
+    got = json.loads(_process(tmp_path, _NUMPY_FREE_RUN, json.dumps(runs), json.dumps(_SPECS)))
+    assert got["codes"] == want
+    assert got["numpy"] is False
+
+
+def test_slice_and_jump_demo_still_run_in_a_fresh_process(tmp_path):
+    runs = [(["slice", "--fixture", "slice_pi2_axis"], None), (["jump-demo"], None)]
+    got = json.loads(_process(tmp_path, _NUMPY_FREE_RUN, json.dumps(runs), "{}"))
+    assert got["codes"] == [EXIT_OK, EXIT_OK] and got["numpy"] is True

@@ -44,6 +44,7 @@ from quadcone.slicer import SLICE_EPS_GRID
 from witness_samplers import (
     _disc_points,
     _germ_points,
+    map_points,
     numpy_line_values,
     numpy_pull_back_witness,
     numpy_verify_discs,
@@ -189,13 +190,13 @@ def test_disc_family_kind_and_c_follow_the_model_bitwise(tag):
         if c is None:
             assert fam.c is None, fam.model
         else:
-            assert fam.c.dtype == c.dtype and fam.c.tobytes() == c.tobytes(), fam.model
+            assert np.asarray(fam.c).dtype == c.dtype and np.asarray(fam.c).tobytes() == c.tobytes(), fam.model
         assert fam.radius == 1.0 and fam.shift == 1j
     if tag == "M11_1":
         assert {fam.kind for fam in families} == {"level_set", "affine_line"}
     fam = DiscFamily(side=1)
     assert fam.kind == "level_set"
-    assert fam.c.tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert np.asarray(fam.c).tobytes() == np.eye(2, dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("given", [{"kind": "level_set"}, {"c": np.eye(2, dtype=complex)}, {"radius": 0.5}])
@@ -316,11 +317,11 @@ def test_verify_discs_checks_every_limit_line(monkeypatch):
 
     cone = FIXTURES["m20"]()
     fam = decide2(classify2(cone), cone).discs
-    evaluate, seen = decider.evaluate_many, []
-    monkeypatch.setattr(decider, "evaluate_many", lambda c, Z: seen.append(Z) or evaluate(c, Z))
+    evaluate, seen = decider.rho_at, []
+    monkeypatch.setattr(decider, "rho_at", lambda c, Z: seen.append(Z) or evaluate(c, Z))
     report = verify_discs(cone, fam, eps_grid=EPS_GRID)
     # the rows of the points checked on the lines, one per line
-    checked = [r for r, z in enumerate(seen[0].tolist()) if tuple(z) in report.points[len(EPS_GRID) :]]
+    checked = [r for r, z in enumerate(seen[0]) if tuple(z) in report.points[len(EPS_GRID) :]]
     assert len(checked) == 2
 
     def lowered(c, Z):
@@ -328,7 +329,7 @@ def test_verify_discs_checks_every_limit_line(monkeypatch):
         vals[checked[0]] *= 0.5  # side * rho at the point, less than its bound kappa |w|^2
         return vals
 
-    monkeypatch.setattr(decider, "evaluate_many", lowered)
+    monkeypatch.setattr(decider, "rho_at", lowered)
     with pytest.raises(VerificationFailed, match=r"limit disc: certified bound \S+ exceeds") as info:
         verify_discs(cone, fam, eps_grid=EPS_GRID)
     assert info.value.eps == 0.0
@@ -390,7 +391,7 @@ def test_certified_disc_bounds_hold_against_the_sampler(kind, seed, u, sign):
         W = _disc_points(fam, eps, 2000, rng, radius)
         if eps == 0.0:
             W = W[np.linalg.norm(W, axis=1) >= 1e-3 * radius]
-        return (fam.side * evaluate_many(cone, fam.map_points(W))).min()
+        return (fam.side * evaluate_many(cone, map_points(fam, W))).min()
 
     for eps in EPS_GRID:
         rep = verify_discs(cone, fam, eps_grid=(eps,))
@@ -693,7 +694,7 @@ def test_the_scalar_disc_certificate_fails_as_the_numpy_one_at_any_scale():
         outcomes["passed"] += 1
         got = verify_discs(cone, fam, EPS_GRID)
         assert got.points_checked == want.points_checked, i
-        aT = abs(fam.transform)
+        aT = abs(np.asarray(fam.transform))
         unit = CERT_ROUNDING * cone.n * mat_norm(aT.T @ (abs(cone.S) + abs(cone.H)) @ aT)
         assert abs(got.min_margin - want.min_margin) <= unit, i
         assert abs(got.touch_residual - want.touch_residual) <= unit, i
@@ -803,6 +804,7 @@ def _normalized(cone, Z):
 
 def _closed_form(cone, v):
     """(v^H H v - |v^T S v|, v^H H v + |v^T S v|) / (|v|^2 scale): the range on the line."""
+    v = np.asarray(v)
     a = abs(v @ cone.S @ v)
     h = (v.conj() @ cone.H @ v).real
     return np.array([h - a, h + a]) / (np.linalg.norm(v) ** 2 * cone.scale)
@@ -838,13 +840,13 @@ def test_decide_and_verify_support_evaluate_at_most_four_points_per_witness(monk
     changes = [np.eye(2)] + [random_gl2(rng) for _ in range(3)]
     forms = TWO_SIDED_FORMS + [NormalFormType("M20", a=2.0, b=0.5), NormalFormType("M10_1", a=0.7)]
     points = []
-    evaluate_rows = decider.evaluate_many
+    evaluate_rows = decider.rho_at
 
-    def counting_evaluate_many(cone, Z):
+    def counting_rho_at(cone, Z):
         points.append(len(Z))
         return evaluate_rows(cone, Z)
 
-    monkeypatch.setattr(decider, "evaluate_many", counting_evaluate_many)
+    monkeypatch.setattr(decider, "rho_at", counting_rho_at)
     for ntype in forms:
         for T in changes:
             for sign in (1, -1):
@@ -868,7 +870,7 @@ def test_swapped_witness_fails_at_the_argmin():
     swapped = SupportWitness(aplus=v.witness.aminus, aminus=v.witness.aplus, kind="proper")
     with pytest.raises(VerificationFailed) as exc:
         verify_support(cone, swapped)
-    z = exc.value.z
+    z = np.asarray(exc.value.z)
     value = float(_normalized(cone, z[None, :])[0])
     assert f"rho={value:.3e}" in str(exc.value)
     assert value == pytest.approx(_closed_form(cone, swapped.aplus.span)[0], abs=ROUNDING)
@@ -928,9 +930,9 @@ def test_verify_discs_pins_its_point_counts(ntype, kind, sampled, cli_count, sli
 
 
 @pytest.mark.parametrize("ntype", [row[0] for row in ONE_SIDED_POINT_COUNTS])
-def test_verify_discs_on_a_model_family_makes_one_eigvalsh_and_one_evaluation(monkeypatch, ntype):
-    # the pullback, the allowance, sigma and the closed forms are scalars: the
-    # model distance is the one eigvalsh, and every point goes through one call
+def test_verify_discs_on_a_model_family_makes_no_numpy_call_and_one_evaluation(monkeypatch, ntype):
+    # the pullback, the allowance, sigma, the closed forms and the model
+    # distance are scalars, and every point goes through one call
     import quadcone.decider as decider
 
     calls = []
@@ -944,14 +946,14 @@ def test_verify_discs_on_a_model_family_makes_one_eigvalsh_and_one_evaluation(mo
 
     for name in ("eigvalsh", "eigh", "eigvals", "svd", "norm", "solve", "det", "inv"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(decider, "evaluate_many", counting("evaluate_many", decider.evaluate_many))
+    monkeypatch.setattr(decider, "rho_at", counting("rho_at", decider.rho_at))
     T = np.array([[1.0 + 0.5j, -0.3], [0.2j, 0.8 - 0.4j]])
     cone = apply_change(render_cone(ntype), T, lam=10.0)
     fam = decide2(classify2(cone)).discs
     assert fam.model is not None
     calls.clear()
     verify_discs(cone, fam, eps_grid=DEFAULT_EPS)
-    assert sorted(calls) == ["eigvalsh", "evaluate_many"]
+    assert calls == ["rho_at"]
 
 
 @pytest.mark.parametrize("seed, candidates", [(0, 16040), (1, 16040), (2, 15976)])

@@ -410,7 +410,7 @@ def test_classification_residual_meaning():
     res = classify2(cone)
     normal = render_cone(res.ntype)
     Z = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
-    lhs = res.sign * res.lam * evaluate_many(cone, Z @ res.T.T)
+    lhs = res.sign * res.lam * evaluate_many(cone, Z @ np.asarray(res.T).T)
     rhs = evaluate_many(normal, Z)
     assert np.max(np.abs(lhs - rhs)) <= 1e-7 * np.max(np.linalg.norm(Z, axis=1) ** 2)
 
@@ -513,7 +513,7 @@ def test_classify2_moves_T_exactly_under_power_of_two_scalings(monkeypatch):
             if base.tag == "M00_1":
                 T, lam = base.T, 2.0**k * base.lam
             else:
-                T, lam = 2.0 ** (k // 2) * base.T, base.lam
+                T, lam = 2.0 ** (k // 2) * np.asarray(base.T), base.lam
             if not (np.array_equal(got.T, T) and got.lam == lam
                     and got.sign == base.sign and got.ntype == base.ntype):
                 broken.append((i, base.tag, k))

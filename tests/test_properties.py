@@ -28,9 +28,14 @@ from quadcone.normalform import (
     render_cone,
 )
 from quadcone.quadform import (
+    ZERO_EIG_REL,
     ConeError,
     QuadraticCone,
+    _form2,
+    _inertia,
+    _jacobi4,
     decompose_real_form,
+    form_norm2,
     hermitian_signature,
     real_form_matrix,
     real_signature,
@@ -104,7 +109,7 @@ def test_verification_failure_carries_location():
     with pytest.raises(VerificationFailed) as exc:
         verify_discs(cone, bad, eps_grid=(1e-2,))
     assert exc.value.eps == pytest.approx(1e-2)
-    assert exc.value.z is not None and exc.value.z.shape == (2,)
+    assert exc.value.z is not None and np.shape(exc.value.z) == (2,)
 
 
 def test_rho_sign_partition_consistency():
@@ -201,6 +206,7 @@ def _moved_exactly(got: np.ndarray, T: np.ndarray, f: float) -> bool:
     units of 2^-1074 at its own scale, so such parts agree within 4 *
     2^-1074 * max(1, f).
     """
+    got, T = np.asarray(got, dtype=complex), np.asarray(T, dtype=complex)
     g, t, w = got.view(float), T.view(float), (f * T).view(float)
     tiny = np.minimum(np.abs(t), np.abs(w)) < 2.0**-1022
     return bool(np.all(np.where(tiny, np.abs(g - w) <= 4 * 2.0**-1074 * max(1.0, f), g == w)))
@@ -273,3 +279,116 @@ def test_verify_discs_returns_or_fails_verification_at_any_scale(cone, entries, 
         verify_discs(cone, fam, eps_grid=(1e-3, 1e-2, 1e-1))
     except ConeError:
         pass
+
+
+# --- the pure-Python Jacobi of the n = 2 real form ------------------------------
+
+# The Jacobi's eigenvalues lie within 5 u ||G||_F of the exact ones (u =
+# 2^-53, G the 4 x 4 real form; measured against mpmath on 3,000 forms), and
+# eigvalsh's within about 10 u ||G||_F on forms of one scale: the two agree
+# within JACOBI_C u ||G||_F, plus a few units of 2^-1074 where G is near the
+# subnormal range.  On forms whose entries span hundreds of orders of
+# magnitude eigvalsh can be off by percents (S = (-2.5e264i, 1.3e67i,
+# -2.9e-211i), H = (6.2e26, 1.3e103, -2.2e-70) gives +-2.468e264 for
+# +-2.517e264); there the exact eigenvalues, from mpmath, are the reference.
+JACOBI_C = 32
+
+
+def _exact_eigenvalues(G) -> np.ndarray:
+    import mpmath
+
+    with mpmath.workdps(60):
+        return np.sort([float(x) for x in mpmath.eigsy(mpmath.matrix(G.tolist()))[0]])
+
+
+@st.composite
+def n2_forms(draw, e_max: int = 1000):
+    """(S, H) as entries (s00, s01, s11), (h00, h01, h11), every part m * 2^e with |e| <= e_max."""
+    part = _spread(e_max)
+    S = tuple(complex(draw(part), draw(part)) for _ in range(3))
+    return S, (complex(draw(part)), complex(draw(part), draw(part)), complex(draw(part)))
+
+
+_TWO = (1.0 + 0j, 0j, 1.0 + 0j)
+_ZERO = (0j, 0j, 0j)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n2_forms())
+@example(form=(_ZERO, _ZERO))  # G = 0
+@example(form=((0.5 + 0j, 0j, -0.25 + 0j), (1.0 + 0j, 0j, 2.0 + 0j)))  # diagonal G
+@example(form=(_ZERO, _TWO))  # G = I: a fourfold eigenvalue
+@example(form=((0j, 0.5 + 0.5j, 0j), _TWO))  # repeated pairs
+@example(form=(tuple(math.ldexp(1.0, 1000) * z for z in (1 + 1j, 0.5j, -1 + 0j)), (0j, 0j, 0j)))
+@example(form=(tuple(math.ldexp(1.0, -1000) * z for z in (1 + 1j, 0.5j, -1 + 0j)), _TWO))
+@example(form=((math.ldexp(1.0, 1000) + 0j, 0j, 0j), (math.ldexp(1.0, -1000) + 0j, 0j, 0j)))
+def test_the_jacobi_eigenvalues_are_eigvalsh_s_to_rounding(form):
+    # _jacobi4's eigenvalues, the inertia the real signature reads from them
+    # and form_norm2 against eigvalsh of the same form; on Python floats the
+    # Jacobi never raises OverflowError or ZeroDivisionError
+    S, H = form
+    G = np.array(_form2(S, H))
+    ref = np.linalg.eigvalsh(G)
+    w, e = _jacobi4(S, H)
+    got = np.sort([math.ldexp(x, e) for x in w])
+    bound = JACOBI_C * 2.0**-53 * math.hypot(*G.ravel()) + 4 * 2.0**-1074
+    if not np.abs(got - ref).max() <= bound:  # eigvalsh's own error: the exact eigenvalues decide
+        ref = _exact_eigenvalues(G)
+        assert np.abs(got - ref).max() <= bound
+    assert abs(form_norm2(S, H) - np.abs(ref).max()) <= bound
+    thr = ZERO_EIG_REL * np.abs(ref).max()
+    if all(abs(abs(x) - thr) > bound for x in ref):
+        assert _inertia(w) == (int(np.sum(ref > thr)), int(np.sum(ref < -thr)))
+
+
+# --- the power-of-two scaling law of the certificates ---------------------------
+
+
+def _same_float(got: float, base: float) -> bool:
+    """got == base bitwise, or within 4 * 2^-1074 where either is below 2^-1022 (as _moved_exactly)."""
+    if min(abs(got), abs(base)) < 2.0**-1022:
+        return abs(got - base) <= 4 * 2.0**-1074
+    return got == base or (got != got and base != base)
+
+
+def _certified(cone, verdict):
+    """verify_discs' (min_margin, touch_residual), or the failure's type and text."""
+    try:
+        rep = verify_discs(cone, verdict.discs, eps_grid=(1e-3, 1e-2, 1e-1))
+    except ConeError as exc:
+        return type(exc), str(exc)
+    return rep.min_margin, rep.touch_residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_cones(e_max=150), st.integers(min_value=-150, max_value=150).map(lambda h: 2 * h))
+def test_the_certificates_keep_the_power_of_two_scaling_law(cone, k):
+    # rho -> 2^-k rho with k even, on inputs the scaling keeps exact and
+    # whose T moves exactly, with no part below 2^-1022 at either scale: a
+    # one-sided verdict's verify_discs gives the same min_margin and
+    # touch_residual (or fails with the same message), and a two-sided
+    # verdict's pulled-back lines keep their coefficients and span, bitwise
+    # apart from parts below 2^-1022 at either scale (_moved_exactly's
+    # rule).  Where T has a part below 2^-1022 at one scale, its rounding
+    # reaches the germs: the M10_2 cone S = [[0, c], [c, 0]], c = 1 +
+    # 2.254e-303i, H = diag(0, 0.25) at k = -34 moves the span's imaginary
+    # part -2.254392565328908e-303 by one unit
+    scaled = QuadraticCone(2.0**-k * cone.S, 2.0**-k * cone.H)
+    assume(np.array_equal(2.0**k * scaled.S, cone.S) and np.array_equal(2.0**k * scaled.H, cone.H))
+    base, got = classify2(cone), classify2(scaled)
+    assume(isinstance(base, NormalFormResult) and base.residual <= base.residual_bound)
+    f = 1.0 if base.tag == "M00_1" else 2.0 ** (k // 2)
+    Tb, Tg = (np.asarray(r.T, dtype=complex).view(float) for r in (base, got))
+    assume(np.array_equal(Tg, f * Tb) and not np.any((np.abs(Tb) < 2.0**-1022) & (Tb != 0)))
+    assume(not np.any((np.abs(Tg) < 2.0**-1022) & (Tg != 0)))
+    vb, vg = decide2(base), decide2(got)
+    assert vg.outcome == vb.outcome
+    if vb.outcome == "one_sided":
+        want, have = _certified(cone, vb), _certified(scaled, vg)
+        if isinstance(want[0], type):
+            assert have == want
+        else:
+            assert all(map(_same_float, have, want)), (have, want)
+        return
+    for g, b in ((vg.witness.aplus, vb.witness.aplus), (vg.witness.aminus, vb.witness.aminus)):
+        assert _moved_exactly(g.coeffs, b.coeffs, 1.0) and _moved_exactly(g.span, b.span, 1.0)

@@ -21,10 +21,11 @@ CLASS_SIZES = {
     "M10_1, A = 10^k": 75,
     "M11_1, A = 10^k, B = A/2": 75,
     "UnclassifiedBoundary stratum": 5,
+    "n = 2 fixtures at 2^k": 48,
     "n = 3 class": 17,
 }
 MAX_WRONG_EXIT_0 = 44  # at the scorecard's introduction; lower it as classes are mended
-COMPLETE = ("M11_1, A = 10^k, B = A/2",)  # classes whose every answer is right
+COMPLETE = ("M11_1, A = 10^k, B = A/2", "n = 2 fixtures at 2^k")  # classes whose every answer is right
 
 
 def test_scorecard_ratchet():

@@ -73,7 +73,7 @@ def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: floa
 def _disc_points(fam: DiscFamily, eps: float, count: int, rng, radius: float = DiscFamily.radius) -> np.ndarray:
     """Points of the family's D_eps within |w| <= radius, in the family frame."""
     if fam.kind == "level_set":
-        return _solve_level_points(fam.c, eps, count, rng, radius)
+        return _solve_level_points(np.asarray(fam.c), eps, count, rng, radius)
     if fam.kind == "affine_line":
         w1 = fam.shift * eps
         rmax = np.sqrt(max(radius**2 - abs(w1) ** 2, 0.0))
@@ -81,6 +81,11 @@ def _disc_points(fam: DiscFamily, eps: float, count: int, rng, radius: float = D
         w2 = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
         return np.column_stack([np.full(count, w1), w2])
     raise ConeError(f"unknown disc family kind {fam.kind!r}")
+
+
+def map_points(fam: DiscFamily, W: np.ndarray) -> np.ndarray:
+    """The rows of W, points in the family frame, in cone coordinates."""
+    return W if fam.transform is None else W @ np.asarray(fam.transform).T
 
 
 def _germ_points(germ: LinearGerm, count: int, rng) -> np.ndarray:
@@ -127,10 +132,11 @@ def numpy_interleaved_form(cone: QuadraticCone) -> np.ndarray:
 
 def numpy_pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness:
     """decider._pull_back_witness through np.linalg.inv(T)."""
-    Tinv = np.linalg.inv(r.T)
+    T = np.asarray(r.T)
+    Tinv = np.linalg.inv(T)
 
     def pull(germ: LinearGerm) -> LinearGerm:
-        coeffs, span = Tinv.T @ germ.coeffs, r.T @ germ.span
+        coeffs, span = Tinv.T @ np.asarray(germ.coeffs), T @ np.asarray(germ.span)
         return LinearGerm(coeffs / np.linalg.norm(coeffs), span / np.linalg.norm(span), germ.label)
 
     ap, am = pull(w.aplus), pull(w.aminus)
@@ -202,7 +208,7 @@ def numpy_verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscRe
         raise ConeError("eps grid entries must be positive")
     if not fam.lam > 0:
         raise ConeError("lam must be positive")
-    frame = fam.map_points(np.eye(2, dtype=complex))
+    frame = map_points(fam, np.eye(2, dtype=complex))
     vals = evaluate_many(cone, frame)
     for j, val in enumerate(vals):
         if not np.isfinite(val):
@@ -231,7 +237,7 @@ def numpy_verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscRe
     disc_points = []
     for eps, (bound, w) in zip(eps_grid, minima):
         bound /= fam.lam
-        z = fam.map_points(np.asarray(w, dtype=complex)[None, :])
+        z = map_points(fam, np.asarray(w, dtype=complex)[None, :])
         disc_points.append(z[0])
         val = fam.side * evaluate_many(cone, z)
         if not np.isfinite(val[0]):
@@ -253,7 +259,7 @@ def numpy_verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscRe
         min_margin = min(min_margin, bound)
 
     U = _numpy_limit_lines(fam)
-    Z = _line_extremes(cone, fam.map_points(U))[1 if fam.side > 0 else 0 :: 2]
+    Z = _line_extremes(cone, map_points(fam, U))[1 if fam.side > 0 else 0 :: 2]
     kappa = fam.side * evaluate_many(cone, Z) - guard / fam.lam
     radius = np.where(kappa >= 0, 1e-3, 1.0) * fam.radius
     Z = Z * radius[:, None]
