@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .decider import (
@@ -87,8 +86,7 @@ class SchemaError(ConeError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(NamedTuple):
     cone: QuadraticCone
     s_adjustment: float
     h_adjustment: float
@@ -478,6 +476,8 @@ def cmd_decide(args) -> int:
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
+    import csv  # only verify --csv and atlas --csv write one
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import NamedTuple
 
 from .fixtures import example_m
 from .normalform import NormalFormResult, NormalFormType, _table_form
-from .quadform import ConeError, QuadraticCone, _form2, form_norm2, rho_at, sample_points
+from .quadform import ConeError, QuadraticCone, _form2, form_norm2, replace, rho_at, sample_points
 from .reduction import exponent, parts, phase, scaled
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
@@ -60,8 +59,7 @@ class VerificationFailed(ConeError):
         self.z = z
 
 
-@dataclass(frozen=True)
-class DiscFamily:
+class DiscFamily(NamedTuple):
     """Family D_eps in a 2-dimensional frame, mapped into cone coordinates by `transform` (n x 2).
 
     The transform is an array, or for a cone in C^2 rows ((t00, t01), (t10,
@@ -82,8 +80,8 @@ class DiscFamily:
     transform: object = None
     model: NormalFormType | None = None
     lam: float = 1.0
-    radius: ClassVar[float] = 1.0
-    shift: ClassVar[complex] = 1j
+    radius = 1.0  # unannotated, so a class attribute and not a field
+    shift = 1j
 
     @property
     def kind(self) -> str:
@@ -102,8 +100,7 @@ class DiscFamily:
         return tuple((-a, -b) for a, b in c) if m.tag == "M11_1" else c
 
 
-@dataclass(frozen=True)
-class LinearGerm:
+class LinearGerm(NamedTuple):
     """Complex line {z : coeffs . z = 0} through 0, spanned by `span`; both are pairs of complex."""
 
     coeffs: tuple
@@ -111,15 +108,13 @@ class LinearGerm:
     label: str
 
 
-@dataclass(frozen=True)
-class SupportWitness:
+class SupportWitness(NamedTuple):
     aplus: LinearGerm
     aminus: LinearGerm
     kind: str  # "proper" | "nonminimal"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A one-sided verdict carries its disc family, a two-sided one its supporting lines."""
 
     discs: DiscFamily | None = None
@@ -135,8 +130,7 @@ class Verdict:
         return None if self.discs is None else self.discs.side
 
 
-@dataclass(frozen=True)
-class DiscReport:
+class DiscReport(NamedTuple):
     """Certified bounds of a disc family; points: one per eps of the grid, then one per limit-disc line."""
 
     min_margin: float
@@ -148,8 +142,7 @@ class DiscReport:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     """Exact line extremes; points: the maximum and minimum point of A+, then of A-."""
 
     plus_min: float
@@ -161,8 +154,7 @@ class SupportReport:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(NamedTuple):
     identity_residual: float
     continuity_ratio: float
     points_checked: int

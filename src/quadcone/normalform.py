@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quadform import (
     ConeError,
@@ -75,15 +75,19 @@ class UnsupportedSignature(ConeError):
     pass
 
 
-@dataclass(frozen=True)
-class NormalFormType:
-    """A table entry: tag plus its parameters, validated against the ranges."""
-
+class _NormalFormFields(NamedTuple):
     tag: str
     a: complex | float | None = None
     b: float | None = None
 
-    def __post_init__(self):
+
+class NormalFormType(_NormalFormFields):
+    """A table entry: tag plus its parameters, validated against the ranges."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.tag not in TAGS:
             raise ConeError(f"unknown normal form tag {self.tag!r}")
         a, b = self.a, self.b
@@ -107,6 +111,7 @@ class NormalFormType:
         else:
             if a is not None or b is not None:
                 raise ConeError(f"{self.tag} takes no parameters")
+        return self
 
     def params(self) -> tuple:
         if self.tag in ("M20", "M11_1"):
@@ -118,8 +123,7 @@ class NormalFormType:
         return ()
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
+class NormalFormResult(NamedTuple):
     """T is the change of variables as rows ((t00, t01), (t10, t11)) of Python complex."""
 
     ntype: NormalFormType
@@ -141,8 +145,7 @@ class NormalFormResult:
         return bool(self.boundary_margin < LOW_CONFIDENCE_FACTOR)
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     reason: str  # DimensionDeficient | Reducible | PointCone | UnclassifiedBoundary
     detail: str
 

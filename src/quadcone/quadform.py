@@ -14,7 +14,7 @@ their first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Relative eigenvalue threshold below which an eigenvalue counts as zero.
 ZERO_EIG_REL = 1e-9
@@ -59,8 +59,16 @@ def mat_norm(m) -> float:
     return big * math.sqrt(np.vdot(a, a))
 
 
-@dataclass(frozen=True)
-class HermitianSignature:
+def replace(record, **changes):
+    """A copy of a record (the package's NamedTuples) with the given fields changed.
+
+    The copy is built by the record's constructor, so its checks run again,
+    which NamedTuple._replace skips; an unknown field raises TypeError.
+    """
+    return type(record)(**{**record._asdict(), **changes})
+
+
+class HermitianSignature(NamedTuple):
     """Counts of positive/negative eigenvalues of the hermitian part."""
 
     pi: int
@@ -70,8 +78,7 @@ class HermitianSignature:
         return (self.pi, self.nu)
 
 
-@dataclass(frozen=True)
-class RealSignature:
+class RealSignature(NamedTuple):
     """Inertia (p, q) of rho viewed as a real quadratic form on R^(2n)."""
 
     p: int

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quadform import ConeError, _frozen_array, mat_norm
 
@@ -53,8 +53,7 @@ class So11Unreachable(ConeError):
     """
 
 
-@dataclass(frozen=True)
-class TakagiFactorization:
+class TakagiFactorization(NamedTuple):
     """u = (u00, u01, u10, u11) unitary and d = (d1, d2) with u^T S u = diag(d1, d2)."""
 
     u: tuple

@@ -27,8 +27,8 @@ exactly before being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice
+from typing import NamedTuple
 
 from .decider import DiscFamily, DiscReport, Verdict, VerificationFailed, decide2, verify_discs
 from .normalform import _CHOFVAR, DegeneracyReport, NormalFormResult, classify2, normalize_hermitian
@@ -40,6 +40,7 @@ from .quadform import (
     hermitian_signature,
     mat_norm,
     real_signature,
+    replace,
 )
 from .reduction import takagi2
 
@@ -56,15 +57,17 @@ class DegenerateBasis(ConeError):
     pass
 
 
-@dataclass(frozen=True)
-class Slice:
+class _SliceFields(NamedTuple):
     basis: np.ndarray  # n x 2, columns span L
     description: str
 
-    def __post_init__(self):
+
+class Slice(_SliceFields):
+    __slots__ = ()
+
+    def __new__(cls, basis, description: str):
         import numpy as np
-        B = np.asarray(self.basis, dtype=complex)
-        object.__setattr__(self, "basis", B)
+        B = np.asarray(basis, dtype=complex)
         norms = np.linalg.norm(B, axis=0)
         if not np.all(norms > 0):
             raise DegenerateBasis("slice basis is numerically dependent")
@@ -73,10 +76,10 @@ class Slice:
         # in [0, 1] whatever the scale of the basis
         if abs(np.linalg.det(U.conj().T @ U)) < GRAM_DET_MIN:
             raise DegenerateBasis("slice basis is numerically dependent")
+        return super().__new__(cls, B, description)
 
 
-@dataclass(frozen=True)
-class SliceResult:
+class SliceResult(NamedTuple):
     slice: Slice
     restricted: QuadraticCone
     classification: NormalFormResult | DegeneracyReport
@@ -84,8 +87,7 @@ class SliceResult:
     disc_report: DiscReport
 
 
-@dataclass(frozen=True)
-class TwoSidedForm:
+class TwoSidedForm(NamedTuple):
     kind: str  # "product" | "ts1" | "ts2" | "unknown"
     inner: NormalFormResult | DegeneracyReport | None = None
     k: int | None = None

@@ -913,10 +913,9 @@ def test_cmd_verify_two_sided_reports_the_exact_line_extremes(capsys):
 
 @pytest.mark.parametrize("command", ["decide", "verify"])
 def test_a_residual_beyond_its_bound_is_reported_in_full(capsys, monkeypatch, command):
-    from dataclasses import replace
-
     import quadcone.cli as cli
     from quadcone.cli import EXIT_VERIFICATION
+    from quadcone.quadform import replace
 
     classify = cli.classify2
 
@@ -1078,16 +1077,20 @@ _SPECS = {
     "a_one_band": '{"n": 2, "S": [[1.0000000005, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}',
 }
 _SPEC_EXITS = {"asymmetric": (0, 0, 0), "point_cone": (2, 2, 2), "a_one_band": (0, 3, 3)}
+# loaded: which of numpy, dataclasses and inspect are in sys.modules after the
+# import, then after each run
 _NUMPY_FREE_RUN = """
 import contextlib, io, json, sys
 from quadcone.cli import main
 runs, specs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-codes = []
+watched = ("numpy", "dataclasses", "inspect")
+codes, loaded = [], [[m for m in watched if m in sys.modules]]
 for argv, spec in runs:
     sys.stdin = io.StringIO(specs.get(spec, ""))
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+    loaded.append([m for m in watched if m in sys.modules])
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "loaded": loaded}))
 """
 
 
@@ -1108,7 +1111,8 @@ def _process(tmp_path, code: str, *args: str) -> str:
 def test_the_n2_commands_run_to_exit_without_numpy(tmp_path):
     # classify, decide, verify (with and without --csv) on every n = 2
     # fixture and on specs from stdin, then atlas on every tag, in one fresh
-    # process: each exits as before, and numpy is not in sys.modules at the end
+    # process: each exits as before, and numpy is not in sys.modules at the
+    # end, nor dataclasses or inspect after the import or after any run
     runs, want = [], []
     for name in PLANAR_FIXTURES:
         for argv in (["classify"], ["decide"], ["verify"], ["verify", "--csv", str(tmp_path / "p.csv")]):
@@ -1122,6 +1126,7 @@ def test_the_n2_commands_run_to_exit_without_numpy(tmp_path):
     got = json.loads(_process(tmp_path, _NUMPY_FREE_RUN, json.dumps(runs), json.dumps(_SPECS)))
     assert got["codes"] == want
     assert got["numpy"] is False
+    assert got["loaded"] == [[]] * (len(runs) + 1)
 
 
 def test_slice_and_jump_demo_still_run_in_a_fresh_process(tmp_path):

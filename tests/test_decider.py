@@ -6,7 +6,6 @@ import importlib.util
 import pathlib
 import re
 import sys
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,7 +37,15 @@ from quadcone.normalform import (
     classify2,
     render_cone,
 )
-from quadcone.quadform import ConeError, QuadraticCone, evaluate_many, form_distance, mat_norm, sample_points
+from quadcone.quadform import (
+    ConeError,
+    QuadraticCone,
+    evaluate_many,
+    form_distance,
+    mat_norm,
+    replace,
+    sample_points,
+)
 from quadcone.slicer import SLICE_EPS_GRID
 
 from witness_samplers import (
@@ -205,8 +212,8 @@ def test_disc_family_refuses_what_its_model_fixes(given):
         DiscFamily(side=1, **given)
     with pytest.raises(TypeError):
         replace(DiscFamily(side=1), **given)
-    assert [f.name for f in fields(DiscFamily)] == ["side", "transform", "model", "lam"]
-    assert [f.name for f in fields(Verdict)] == ["discs", "witness", "note"]
+    assert list(DiscFamily._fields) == ["side", "transform", "model", "lam"]
+    assert list(Verdict._fields) == ["discs", "witness", "note"]
 
 
 def test_a_verdicts_outcome_is_which_witness_it_carries():
@@ -880,8 +887,6 @@ def test_swapped_witness_fails_at_the_argmin():
 
 def _nudged(res, cone):
     """res with T moved by 1e-6, and the residual that T really has."""
-    from dataclasses import replace
-
     T = res.T @ np.diag([1.0 + 1e-6, 1.0])
     residual = form_distance(apply_change(cone, T, res.lam, res.sign), render_cone(res.ntype))
     return replace(res, T=T, residual=residual)

@@ -26,7 +26,15 @@ from quadcone.normalform import (
     real_degeneracy,
     render_cone,
 )
-from quadcone.quadform import ConeError, QuadraticCone, evaluate, evaluate_many, hermitian_signature, mat_norm
+from quadcone.quadform import (
+    ConeError,
+    QuadraticCone,
+    evaluate,
+    evaluate_many,
+    hermitian_signature,
+    mat_norm,
+    replace,
+)
 from quadcone.reduction import E_HERM
 
 # the one literal copy of the table's tags: the other tests and scripts read
@@ -80,6 +88,19 @@ def test_type_ranges_enforced():
         NormalFormType("M10_1", a=-0.5)
     with pytest.raises(ConeError):
         NormalFormType("M00_1", a=1.0)
+
+
+def test_replace_reruns_the_type_range_checks():
+    ntype = NormalFormType("M20", a=2.0, b=0.5)
+    assert replace(ntype, b=1.5) == NormalFormType("M20", a=2.0, b=1.5)
+    with pytest.raises(ConeError):
+        replace(ntype, b=3.0)  # needs B <= A
+    with pytest.raises(ConeError):
+        replace(ntype, tag="M00_1")  # takes no parameters
+    with pytest.raises(TypeError):
+        replace(ntype, c=1.0)
+    with pytest.raises(AttributeError):
+        ntype.a = 3.0
 
 
 def test_tags_are_pinned():

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from quadcone.quadform import (
     hermitian_signature,
     real_form_matrix,
     real_signature,
+    replace,
 )
 from quadcone.reduction import so11_zero_diag
 from test_reduction import entries, mat
@@ -129,6 +130,28 @@ def test_immutability_of_cone():
         cone.n = 3
     with pytest.raises((ValueError, RuntimeError)):
         cone.S[0, 0] = 5.0
+
+
+# constructor arguments of the records that check them; any values build the others
+_RECORD_ARGS = {"NormalFormType": ("M20", 2.0, 0.5), "Slice": (np.eye(3, 2), "axis")}
+
+
+@pytest.mark.parametrize("module", ["cli", "decider", "normalform", "quadform", "reduction", "slicer"])
+def test_records_are_read_only_and_replace_refuses_unknown_fields(module):
+    mod = importlib.import_module(f"quadcone.{module}")
+    records = [v for v in vars(mod).values() if isinstance(v, type) and issubclass(v, tuple)
+               and v.__module__ == mod.__name__ and not v.__name__.startswith("_")]
+    assert records
+    for cls in records:
+        rec = cls(*_RECORD_ARGS.get(cls.__name__, range(len(cls._fields))))
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            rec.extra = None
+        with pytest.raises(TypeError):
+            replace(rec, extra=None)
+        assert type(replace(rec)) is cls
 
 
 def _spread(e_max: int):

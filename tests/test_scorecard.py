@@ -17,6 +17,7 @@ CLASS_SIZES = {
     "M11_1, A = 2 + d": 55,
     "M11_1, A = 0.5 + d": 55,
     "M11_1, A = 1 + d": 55,
+    "M11_2, A = d + i": 55,
     "M20, A = 10^k": 75,
     "M10_1, A = 10^k": 75,
     "M11_1, A = 10^k, B = A/2": 75,

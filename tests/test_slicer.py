@@ -24,6 +24,7 @@ from quadcone.quadform import (
     evaluate_many,
     form_distance,
     hermitian_signature,
+    replace,
 )
 from quadcone.slicer import (
     EXTENSION_MARGIN,
@@ -140,6 +141,18 @@ def test_restrict_rejects_dependent_basis():
         with pytest.raises(DegenerateBasis):
             Slice(scale * np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), "zero column")
         Slice(scale * np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]]), "independent")
+
+
+def test_replace_reruns_the_slice_basis_checks():
+    slc = Slice(np.eye(3, 2), "axis")
+    moved = replace(slc, basis=[[1, 0], [0, 1], [0, 1]])
+    assert moved.basis.dtype == complex and moved.basis.shape == (3, 2) and moved.description == "axis"
+    with pytest.raises(DegenerateBasis):
+        replace(slc, basis=[[1, 1], [0, 0], [0, 0]])
+    with pytest.raises(TypeError):
+        replace(slc, cone=None)
+    with pytest.raises(AttributeError):
+        slc.basis = np.eye(3, 2)
 
 
 def test_restrict_takes_any_number_of_columns():
@@ -506,8 +519,6 @@ def test_slice_result_hermitian_frames():
 
 
 def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatch):
-    from dataclasses import replace
-
     import quadcone.slicer as slicer
     from quadcone.normalform import render_cone
 
