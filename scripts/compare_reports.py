@@ -24,8 +24,9 @@ tree runs in a subprocess of its own over the same inputs:
   under `decide` and `verify`, one-sided specs at 1e300 and 1e-300
   under `verify`, one `verify` per disc family shape (the M20 and
   M10_1 level sets, the M11_1 affine line) at an eps beyond the family's
-  reach, where no disc points exist, and a pi >= 2 `slice` input whose
-  axis slice fails its certificate, so that a shear slice decides it;
+  reach, where no disc points exist, a pi >= 2 `slice` input whose
+  axis slice fails its certificate, so that a shear slice decides it,
+  and `verify --csv` on m20 and example_m and `atlas --tag M11_1 --csv`;
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -34,7 +35,10 @@ The workload and scorecard inputs come from this checkout's
 specs.  Each input is compared twice, apart from the report's `timings`
 values: as parsed JSON, and as the raw stdout text, so that a change of
 spacing, escaping or float spelling (`1e-05` vs `1e-5`) shows even where
-the parsed values agree.
+the parsed values agree.  Each tree runs in a temporary working directory
+of its own, so that a report's relative `csv` path is the same in both; the
+text of every file an input leaves there is appended to its raw text, and
+a difference in a CSV file shows as a raw-text difference.
 An argparse exit (`SystemExit`) is a result as well: its code and its
 stderr text are compared.  Prints every input whose exit code, report or
 raw text differs, with the differing fields or the first differing line,
@@ -67,6 +71,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import scorecard  # scripts/, beside this file
@@ -154,6 +159,9 @@ EXTRA = (
     ("reach/m10_1_level_set", ["verify", "--fixture", "m10_1", "--eps", "2"], None),
     ("reach/m11_1_affine_line", ["verify", "-", "--eps", "1.5"], AFFINE_LINE),
     ("pi2_shear/slice", ["slice", "-"], PI2_SHEAR),
+    ("csv/verify_m20", ["verify", "--fixture", "m20", "--csv", "points.csv"], None),
+    ("csv/verify_example_m", ["verify", "--fixture", "example_m", "--csv", "points.csv"], None),
+    ("csv/atlas_M11_1", ["atlas", "--tag", "M11_1", "--csv", "cells.csv"], None),
 )
 
 
@@ -177,7 +185,13 @@ def inputs(fixtures: dict, tags: tuple):
 
 
 def run_tree(src: str) -> None:
-    """Print one JSON line per input: its name, exit code and report without `timings`."""
+    """Print one JSON line per input: its name, exit code and report without `timings`.
+
+    Runs in a fresh temporary working directory; the files an input writes
+    there are appended to its raw text, then removed.
+    """
+    src = os.path.abspath(src)
+    os.chdir(tempfile.mkdtemp(prefix="compare_reports_"))
     sys.path.insert(0, src)
     import quadcone.cli
     from quadcone.fixtures import FIXTURES
@@ -205,8 +219,14 @@ def run_tree(src: str) -> None:
             report = {"unparsed": raw}
         if isinstance(report, dict):
             report.pop("timings", None)
-        row = {"name": name, "code": code, "report": report, "raw": _mask_timings(raw)}
+        raw = _mask_timings(raw)
+        for path in sorted(os.listdir()):
+            with open(path, encoding="utf-8") as fh:
+                raw += f"\n--- {path} ---\n" + fh.read()
+            os.remove(path)
+        row = {"name": name, "code": code, "report": report, "raw": raw}
         print(json.dumps(row, sort_keys=True))
+    os.rmdir(os.getcwd())
 
 
 def _mask_timings(raw: str) -> str:

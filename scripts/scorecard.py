@@ -16,7 +16,8 @@ spreads that perfbench's workloads keep clear of:
   and run as `decide -`.  An answer is right when it exits 0 with
   `planar_verdict`'s outcome and side:
   - M11_1 with A = 2 + d, B = 2; with A = 0.5 + d, B = 0.5; and with
-    A = 1 + d, B = 0.5; for d = 10^-4..10^-14;
+    A = 1 + d and A = 1 - d, B = 0.5, on either side of A = 1; for
+    d = 10^-4..10^-14;
   - M11_2 with A = d + i for d = 10^-4..10^-14, near det P = 0 (there
     det P = Re(A)^2), and two-sided;
   - M20 with A = 10^k, B = 0.5; M10_1 with A = 10^k; and M11_1 with
@@ -89,6 +90,7 @@ def _planar_classes(wl):
     yield "M11_1, A = 2 + d", [row("M11_1", 2.0 + d, 2.0) for d in ds]
     yield "M11_1, A = 0.5 + d", [row("M11_1", 0.5 + d, 0.5) for d in ds]
     yield "M11_1, A = 1 + d", [row("M11_1", 1.0 + d, 0.5) for d in ds]
+    yield "M11_1, A = 1 - d", [row("M11_1", 1.0 - d, 0.5) for d in ds]
     yield "M11_2, A = d + i", [row("M11_2", complex(d, 1.0)) for d in ds]
     yield "M20, A = 10^k", [row("M20", a, 0.5) for a in big]
     yield "M10_1, A = 10^k", [row("M10_1", a) for a in big]

@@ -1,7 +1,6 @@
 """quadcone: quadratic cones in C^n, their normal forms, and extension verdicts.
 
-Importing the package loads no numpy: the array constants E_HERM and CHOFVAR
-are built when first looked up.
+Importing the package loads no numpy.
 """
 
 from .quadform import (
@@ -15,7 +14,6 @@ from .quadform import (
     canonical_sign,
     decompose_poly,
     decompose_real_form,
-    evaluate,
     evaluate_many,
     hermitian_signature,
     real_form_matrix,
@@ -40,11 +38,3 @@ from .normalform import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name in ("E_HERM", "CHOFVAR"):
-        from . import normalform, reduction
-
-        return getattr(reduction if name == "E_HERM" else normalform, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -537,7 +537,7 @@ def cmd_slice(args) -> int:
         report["slice"] = {
             "description": res.slice.description,
             "basis": _mat2j(res.slice.basis),
-            "restricted": {"S": _mat2j(res.restricted.S), "H": _mat2j(res.restricted.H)},
+            "restricted": {"S": _mat2j(res.restricted.s2), "H": _mat2j(res.restricted.h2)},
             "classification": _classification_json(res.classification),
             "verdict": _verdict_json(res.verdict),
             "disc_verification": {

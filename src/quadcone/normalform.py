@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .quadform import (
     ConeError,
     QuadraticCone,
-    _frozen_array,
     canonical_sign,
     form_norm2,
     hermitian_signature,
@@ -49,8 +48,7 @@ TAGS = ("M20", "M11_1", "M11_2", "M11_3", "M10_1", "M10_2", "M00_1")
 # (m00, m01, m10, m11), a symmetric one (m00, m01, m11).
 # _CHOFVAR changes variables between the Im(z1 conj(z2)) frame and the
 # |z1|^2 - |z2|^2 frame: CHOFVAR^* E_HERM CHOFVAR = diag(1, -1), and CHOFVAR
-# is an involution up to the factor 2 (CHOFVAR @ CHOFVAR = 2 I).  The array
-# CHOFVAR is built on first lookup (__getattr__).
+# is an involution up to the factor 2 (CHOFVAR @ CHOFVAR = 2 I).
 _CHOFVAR = (1.0 + 0j, 1j, -1j, -1.0 + 0j)
 _HALF_CHOFVAR = tuple(0.5 * z for z in _CHOFVAR)
 _SWAP_NEG = (0j, 1.0 + 0j, 1.0 + 0j, 0j)  # z1 <-> z2
@@ -159,7 +157,7 @@ def _table_form(ntype: NormalFormType) -> tuple[tuple, tuple]:
         return (a, 0.0, b), (1.0, 0.0, -1.0)
     if tag == "M11_2":
         a = complex(a)
-        return (a, 0.0, a.conjugate()), (0.0, 0.5j, 0.0)  # H = E_HERM
+        return (a, 0.0, a.conjugate()), (0.0, 0.5j, 0.0)  # H = E_HERM_ROWS
     if tag == "M11_3":
         return (1.0, 0.0, 0.0), (0.0, 0.5j, 0.0)
     if tag == "M10_1":
@@ -237,7 +235,7 @@ def _hermitian_congruence(M: tuple, H: tuple) -> tuple:
 def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> QuadraticCone:
     """Pull rho back through z -> T z and rescale: the congruence action.
 
-    evaluate(result, z) == sign * lam * evaluate(cone, T @ z) identically.
+    The result's rho at z is sign * lam * rho(T z), identically.
     """
     import numpy as np
     T = np.asarray(T, dtype=complex)
@@ -691,11 +689,3 @@ def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, floa
     if ntype.tag == "M11_3":
         return (0.0 + 0.0j, 0.0, 0.0)
     raise ConeError(f"{ntype.tag} is not a (1,1) type")
-
-
-def __getattr__(name: str):
-    """CHOFVAR, built on first lookup, so that importing the module needs no numpy."""
-    if name == "CHOFVAR":
-        globals()[name] = _frozen_array((_CHOFVAR[:2], _CHOFVAR[2:]))
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -272,12 +272,6 @@ def _ldexp_array(M, e: int):
     return np.ldexp(M.view(np.float64), e).view(complex)
 
 
-def evaluate(cone: QuadraticCone, z) -> float:
-    """rho(z) = Re(z^T S z) + conj(z)^T H z at a single point, through evaluate_many."""
-    import numpy as np
-    return float(evaluate_many(cone, np.reshape(z, (1, -1)))[0])
-
-
 def evaluate_many(cone: QuadraticCone, Z):
     """rho over the rows of Z (shape (m, n)), as x^T G x per row.
 

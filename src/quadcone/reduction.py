@@ -18,9 +18,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .quadform import ConeError, _frozen_array, mat_norm
+from .quadform import ConeError, mat_norm
 
-# Hermitian matrix of the form Im(z1 * conj(z2)), as rows; E_HERM is its array.
+# Hermitian matrix of the form Im(z1 * conj(z2)), as rows
 E_HERM_ROWS = ((0j, 0.5j), (-0.5j, 0j))
 
 SL2_DET_ZERO_REL = 1e-9  # |det P| <= this * ||P||^2 routes to the rank-1 branch
@@ -353,12 +353,3 @@ def factor_preserver(k) -> tuple[float, np.ndarray]:
     if mat_norm(np.imag(g)) > PRESERVER_REL * max(mat_norm(k), 1e-300):
         raise NotPreserver("factorization did not produce a real matrix")
     return float(theta), np.real(g)
-
-
-
-def __getattr__(name: str):
-    """E_HERM, built on first lookup, so that importing the module needs no numpy."""
-    if name == "E_HERM":
-        globals()[name] = _frozen_array(E_HERM_ROWS)
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

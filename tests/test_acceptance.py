@@ -38,7 +38,6 @@ from quadcone.quadform import (
     sample_points,
 )
 from quadcone.reduction import (
-    E_HERM,
     factor_preserver,
     sl2_reduce_sym,
     so11_zero_diag,
@@ -46,6 +45,7 @@ from quadcone.reduction import (
 )
 from quadcone.slicer import classify_two_sided_nd, find_good_slice
 from test_reduction import entries, mat
+from witness_samplers import E_HERM
 
 
 def _report(num, label, elapsed, limit):

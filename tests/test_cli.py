@@ -13,6 +13,7 @@ from quadcone.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_UNRESOLVED,
+    ConeSpec,
     SchemaError,
     main,
     parse_spec,
@@ -869,31 +870,19 @@ def test_determinism_modulo_timings(capsys):
         assert run(argv) == run(argv)
 
 
-def test_every_fixture_through_the_cli(capsys):
-    # each shipped fixture runs cleanly through the matching command
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    for path in sorted(root.glob("*.json")):
-        n = json.loads(path.read_text())["n"]
-        if n == 2:
+def test_every_fixture_through_the_cli(tmp_path, capsys):
+    # each fixture, written out as an input file, parses back to the same cone
+    # and runs cleanly through the matching command
+    for name, make in sorted(FIXTURES.items()):
+        cone = make()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec_to_json(ConeSpec(cone, 0.0, 0.0))), encoding="utf-8")
+        assert parse_spec(path.read_text()).cone == cone, name
+        if cone.n == 2:
             code, report = run_cli(capsys, ["verify", str(path)])
         else:
             code, report = run_cli(capsys, ["slice", str(path), "--budget", "128"])
-        assert code == EXIT_OK, (path.name, report.get("error"))
-
-
-def test_fixture_files_match_builtins(tmp_path, capsys):
-    # the shipped JSON fixture files parse to the same cones
-    import pathlib
-
-    from quadcone.fixtures import FIXTURES
-
-    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    files = sorted(root.glob("*.json"))
-    assert [f.stem for f in files] == sorted(FIXTURES)
-    for path in files:
-        assert parse_spec(path.read_text()).cone == FIXTURES[path.stem](), path.name
+        assert code == EXIT_OK, (name, report.get("error"))
 
 
 # --- exact supporting lines, residual gate, margins ---------------------------

@@ -14,7 +14,6 @@ from quadcone.cli import parse_spec
 from quadcone.decider import decide2, verify_support
 from quadcone.fixtures import FIXTURES
 from quadcone.normalform import (
-    CHOFVAR,
     DegeneracyReport,
     NormalFormResult,
     NormalFormType,
@@ -29,13 +28,13 @@ from quadcone.normalform import (
 from quadcone.quadform import (
     ConeError,
     QuadraticCone,
-    evaluate,
     evaluate_many,
     hermitian_signature,
     mat_norm,
     replace,
 )
-from quadcone.reduction import E_HERM
+
+from witness_samplers import CHOFVAR, E_HERM
 
 # the one literal copy of the table's tags: the other tests and scripts read
 # normalform.TAGS, and the TAGS.index seeds below rely on this order
@@ -480,7 +479,7 @@ def test_unclassified_boundary_stratum():
     assert res.reason == "UnclassifiedBoundary"
     for t in (0.3, 0.8 + 0.1j):
         z = np.array([t, -t])
-        assert abs(evaluate(cone, z)) <= 1e-12 * abs(t) ** 2 * cone.scale
+        assert abs(evaluate_many(cone, [z])[0]) <= 1e-12 * abs(t) ** 2 * cone.scale
 
 
 # --- scale invariance ----------------------------------------------------------

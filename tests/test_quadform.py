@@ -16,7 +16,6 @@ from quadcone.quadform import (
     canonical_sign,
     decompose_poly,
     decompose_real_form,
-    evaluate,
     evaluate_many,
     form_distance,
     form_norm2,
@@ -30,9 +29,8 @@ from quadcone.quadform import (
 )
 from quadcone.normalform import NormalFormType, apply_change, render_cone
 from quadcone.slicer import Slice, restrict
-from quadcone.reduction import E_HERM
 
-from witness_samplers import numpy_interleaved_form, spread_cones2
+from witness_samplers import E_HERM, numpy_interleaved_form, spread_cones2
 
 
 def example_m():
@@ -132,8 +130,8 @@ def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
 
 def test_evaluate_example_points():
     cone = example_m()
-    assert evaluate(cone, [1, 0]) == pytest.approx(1.5)
-    assert evaluate(cone, [0, 1]) == pytest.approx(-2.0 / 3.0)
+    assert evaluate_many(cone, [[1, 0]])[0] == pytest.approx(1.5)
+    assert evaluate_many(cone, [[0, 1]])[0] == pytest.approx(-2.0 / 3.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,8 +143,8 @@ def test_homogeneity(t, seed):
     rng = np.random.default_rng(seed)
     cone = random_cone(rng)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = evaluate(cone, t * z)
-    rhs = t**2 * evaluate(cone, z)
+    lhs = evaluate_many(cone, [t * z])[0]
+    rhs = t**2 * evaluate_many(cone, [z])[0]
     assert abs(lhs - rhs) <= 1e-10 * t**2 * np.linalg.norm(z) ** 2 * cone.scale + 1e-300
 
 
@@ -181,7 +179,7 @@ def test_evaluate_many_agrees_with_the_einsum_reference(n, k, seed):
     got, ref = evaluate_many(cone, Z), _reference_rho(cone, Z)
     bound = 64 * 2.0**-52 * cone.scale * np.linalg.norm(Z, axis=1) ** 2
     assert np.all(np.abs(got - ref) <= bound)
-    assert evaluate(cone, Z[0]) == evaluate_many(cone, Z[:1])[0]
+    assert evaluate_many(cone, [Z[0]])[0] == evaluate_many(cone, Z[:1])[0]
 
 
 def test_evaluate_many_accepts_every_input_layout():
@@ -310,7 +308,7 @@ def _real_form_by_polarization(cone):
     for i in range(n2):
         for j in range(n2):
             G[i, j] = 0.25 * (
-                evaluate(cone, emb(i) + emb(j)) - evaluate(cone, emb(i) - emb(j))
+                evaluate_many(cone, [emb(i) + emb(j)])[0] - evaluate_many(cone, [emb(i) - emb(j)])[0]
             )
     return G
 
@@ -493,11 +491,11 @@ def _reference_sample_points(cone, seed, count, radius=1.0):
                     continue
                 p = p * (radius * scales[(2 * i + k) % (2 * batch)] / norm)
                 dv = V[i] * (radius / max(np.linalg.norm(V[i]), 1e-300))
-                r0 = evaluate(cone, p)
-                g = evaluate(cone, p + 1e-7 * dv) - r0
+                r0 = evaluate_many(cone, [p])[0]
+                g = evaluate_many(cone, [p + 1e-7 * dv])[0] - r0
                 if abs(g) > 1e-300:
                     p = p - (r0 * 1e-7 / g) * dv
-                res = abs(evaluate(cone, p))
+                res = abs(evaluate_many(cone, [p])[0])
                 if res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(p) ** 2 * max(cone.scale, 1.0):
                     out.append(p)
                     if len(out) == count:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcone.reduction import (
-    E_HERM,
     NotPreserver,
     PositiveDeterminant,
     So11Unreachable,
@@ -18,6 +17,8 @@ from quadcone.reduction import (
     so11_zero_diag,
     takagi2,
 )
+
+from witness_samplers import E_HERM
 
 
 def entries(M):

@@ -17,6 +17,7 @@ CLASS_SIZES = {
     "M11_1, A = 2 + d": 55,
     "M11_1, A = 0.5 + d": 55,
     "M11_1, A = 1 + d": 55,
+    "M11_1, A = 1 - d": 55,
     "M11_2, A = d + i": 55,
     "M20, A = 10^k": 75,
     "M10_1, A = 10^k": 75,
@@ -26,7 +27,7 @@ CLASS_SIZES = {
     "n = 3 class": 17,
 }
 MAX_WRONG_EXIT_0 = 44  # at the scorecard's introduction; lower it as classes are mended
-COMPLETE = ("M11_1, A = 10^k, B = A/2", "n = 2 fixtures at 2^k")  # classes whose every answer is right
+COMPLETE = ("M11_1, A = 1 - d", "M11_1, A = 10^k, B = A/2", "n = 2 fixtures at 2^k")  # classes whose every answer is right
 
 
 def test_scorecard_ratchet():

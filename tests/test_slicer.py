@@ -196,7 +196,7 @@ def test_check_extension_criterion_consistency_with_classifier():
     # cor2-true harmonic data classifies to M11_1 with A >= 1, A != B, and
     # the verdict is one-sided from below
     from quadcone.decider import decide2
-    from quadcone.reduction import E_HERM
+    from witness_samplers import E_HERM
 
     rng = np.random.default_rng(89)
     found = 0
@@ -320,7 +320,7 @@ def test_dual_slices_have_determinant_two(name):
     # with det S* = 2, which passes the extension criterion
     from quadcone.slicer import _oneone_candidates
     from quadcone.quadform import canonical_sign
-    from quadcone.reduction import E_HERM
+    from witness_samplers import E_HERM
 
     cone0, _ = canonical_sign(fx.FIXTURES[name]())
     basis, description = next(_oneone_candidates(*normalize_hermitian(cone0)))

@@ -10,6 +10,10 @@ and their extremal points, and the disc certificate's pullback, allowance
 and points on Python scalars.  The numpy_* functions compute the same from
 numpy arrays, as the library did before, so the tests can compare the two
 on spread inputs (spread_cones2) and on the benchmark's inputs.
+
+E_HERM and CHOFVAR are the arrays of the library's row constants: the
+hermitian matrix of Im(z1 conj(z2)), and the change of variables from its
+frame to the |z1|^2 - |z2|^2 frame (CHOFVAR^* E_HERM CHOFVAR = diag(1, -1)).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from quadcone.decider import (
     VerificationFailed,
     _normal_minimum,
 )
-from quadcone.normalform import NormalFormResult, render_cone
+from quadcone.normalform import _CHOFVAR, NormalFormResult, render_cone
 from quadcone.quadform import (
     _FORM_BLOCK,
     ConeError,
@@ -38,6 +42,12 @@ from quadcone.quadform import (
     mat_norm,
     real_form_matrix,
 )
+from quadcone.reduction import E_HERM_ROWS
+
+E_HERM = np.array(E_HERM_ROWS)
+CHOFVAR = np.reshape(_CHOFVAR, (2, 2))
+E_HERM.setflags(write=False)
+CHOFVAR.setflags(write=False)
 
 
 def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: float) -> np.ndarray:
