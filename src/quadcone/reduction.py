@@ -47,9 +47,12 @@ class NotPreserver(ConeError):
 class So11Unreachable(ConeError):
     """No SO(1,1) congruence zeroes a diagonal entry.
 
-    Happens exactly on the boundary stratum Q = c*[[1, s],[s, 1]], s = +-1
-    (a rank-one matrix whose kernel is lightlike for diag(1,-1)); the group
-    {+-phi(tau)} rescales such Q without ever touching the diagonal.
+    Happens exactly on two strata.  On the boundary Q = c*[[1, s],[s, 1]],
+    s = +-1 (a rank-one matrix whose kernel is lightlike for diag(1,-1)), the
+    group {+-phi(tau)} rescales Q without ever touching the diagonal.  And
+    Q = c*diag(1,-1), c != 0, is the form the group preserves, so every
+    k^T Q k equals Q.  The M11_1 reduction never meets the second stratum: its
+    real part is then a multiple of diag(1,-1) as well, and det S would be < 0.
     """
 
 
@@ -321,7 +324,7 @@ def so11_zero_diag(Q: tuple) -> tuple[tuple, tuple]:
             candidates.append(math.sqrt(u))
     if not candidates:
         raise So11Unreachable(
-            "no SO(1,1) element zeroes a diagonal entry (lightlike rank-one boundary)"
+            "no SO(1,1) element zeroes a diagonal entry of a lightlike rank-one Q or of c*diag(1,-1)"
         )
     tau = min(candidates, key=lambda t: abs(math.log(t)))
     sigma, delta = 0.5 * (tau + 1.0 / tau), 0.5 * (tau - 1.0 / tau)

@@ -41,7 +41,7 @@ from quadcone.quadform import (
     real_signature,
     replace,
 )
-from quadcone.reduction import so11_zero_diag
+from quadcone.reduction import So11Unreachable, so11_zero_diag
 from test_reduction import entries, mat
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -66,6 +66,12 @@ def test_so11_congruence_preserves_determinant(p, q, r):
     nq = np.linalg.norm(Q, 2)
     if nq < 1e-3 or p * r - q * q > -1e-3 * nq**2:
         return  # outside the operation's domain or too close to its boundary
+    if max(abs(p + r), abs(q)) <= 1e-3 * nq:
+        # at or near c*diag(1,-1), which every SO(1,1) element fixes
+        if p + r == 0 and q == 0:
+            with pytest.raises(So11Unreachable):
+                so11_zero_diag((p, q, r))
+        return
     k, Qp = map(mat, so11_zero_diag(entries(Q)))
     assert abs(np.linalg.det(k) - 1.0) <= 1e-12 * 10
     assert abs(np.linalg.det(Qp) - np.linalg.det(Q)) <= 1e-10 * nq**2

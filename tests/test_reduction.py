@@ -205,6 +205,13 @@ def test_so11_lightlike_boundary_unreachable():
         so11_zero_diag(entries(np.array([[1.0, 1.0], [1.0, 1.0]])))
 
 
+def test_so11_invariant_form_unreachable():
+    # Q = c*diag(1,-1) is the form SO(1,1) preserves: k^T Q k = Q for every k
+    for c in (0.25, -3.0):
+        with pytest.raises(So11Unreachable):
+            so11_zero_diag((c, 0.0, -c))
+
+
 def test_so11_random_indefinite():
     rng = np.random.default_rng(13)
     done = 0
