@@ -10,23 +10,24 @@ tree runs in a subprocess of its own over the same inputs:
 - `atlas` for each of the seven tags;
 - every seed-1 op of the three workloads in `perfbench/workloads.py`, in
   its `U_RANGE` and its `CENSUS_U_RANGE`;
-- the inputs of EXTRA: a polynomial spec, an M11_1 spec inside decide2's
-  A = 1 band whose supporting line dips below the cone, an `atlas` grid
-  with such a cell, specs with JSON booleans in place of numbers,
-  `--tol-overrides` on `decide`, `--fixture` given with an input path,
-  fixtures of the wrong dimension for `classify`, `decide`, `verify` and
-  `slice`, a degenerate cone under `verify` and `decide`, `atlas` grids
-  with values outside the tag's range and with an M11_1 cell a rounding
-  away from A = B, a polynomial whose real form's sums overflow
+- the inputs of EXTRA: a polynomial spec in C^2 and one in C^3 under
+  `slice`, a polynomial whose summed x1 x1 coefficient overflows, an M11_1
+  spec inside decide2's A = 1 band whose supporting line dips below the
+  cone, an `atlas` grid with such a cell, specs with JSON booleans in
+  place of numbers, `--tol-overrides` on `decide`, `--fixture` given with
+  an input path, fixtures of the wrong dimension for `classify`, `decide`,
+  `verify` and `slice`, a degenerate cone under `verify` and `decide`,
+  `atlas` grids with values outside the tag's range and with an M11_1 cell
+  a rounding away from A = B, a polynomial whose real form's sums overflow
   unless halved first, specs with asymmetric S and H (a nonzero
   symmetrization adjustment) under `decide` and `verify`, a spec with an
   entry 1e400 (it parses to inf), two-sided specs at 1e300 and 1e-300
-  under `decide` and `verify`, one-sided specs at 1e300 and 1e-300
-  under `verify`, one `verify` per disc family shape (the M20 and
-  M10_1 level sets, the M11_1 affine line) at an eps beyond the family's
-  reach, where no disc points exist, a pi >= 2 `slice` input whose
-  axis slice fails its certificate, so that a shear slice decides it,
-  and `verify --csv` on m20 and example_m and `atlas --tag M11_1 --csv`;
+  under `decide` and `verify`, one-sided specs at 1e300 and 1e-300 under
+  `verify`, one `verify` per disc family shape (the M20 and M10_1 level
+  sets, the M11_1 affine line) at an eps beyond the family's reach, where
+  no disc points exist, a pi >= 2 `slice` input whose axis slice fails its
+  certificate, so that a shear slice decides it, and `verify --csv` on m20
+  and example_m and `atlas --tag M11_1 --csv`;
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -91,6 +92,16 @@ POLY = (
     ' {"vars": ["x2", "x2"], "coeff": -0.6}, {"vars": ["y2", "y2"], "coeff": -1.4},'
     ' {"vars": ["x1", "y2"], "coeff": {"re": 0.25}}]}'
 )
+# Re(2 z1^2) + |z|^2 in C^3 plus x1 y3 / 4, given as a polynomial
+POLY3 = (
+    '{"n": 3, "poly": [{"vars": ["x1", "x1"], "coeff": 3}, {"vars": ["y1", "y1"], "coeff": -1},'
+    ' {"vars": ["x2", "x2"], "coeff": 1}, {"vars": ["y2", "y2"], "coeff": 1}, {"vars": ["x3", "x3"], "coeff": 1},'
+    ' {"vars": ["y3", "y3"], "coeff": 1}, {"vars": ["x1", "y3"], "coeff": 0.25}]}'
+)
+# two x1 x1 terms of 1.7e308: their sum in the real form is inf
+OVERFLOW_POLY = (
+    '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.7e308}, {"vars": ["x1", "x1"], "coeff": 1.7e308}]}'
+)
 BOOL_ENTRY = '{"n":2,"S":[[true,{"re":false}],[{},{"re":0.5}]],"H":[[1,0],[0,-1]]}'
 DEGENERATE = '{"n": 2, "S": [[0, 0], [0, 0]], "H": [[1, 0], [0, 1]]}'  # definite: a point cone
 # Re(1.7e308 z1^2): Gxx - Gyy of its real form is 3.4e308
@@ -126,6 +137,8 @@ EXTRA = (
     ("poly/classify", ["classify", "-"], POLY),
     ("poly/decide", ["decide", "-"], POLY),
     ("poly/verify", ["verify", "-"], POLY),
+    ("poly3/slice", ["slice", "-"], POLY3),
+    ("overflow_poly/decide", ["decide", "-"], OVERFLOW_POLY),
     ("a_one_band/decide", ["decide", "-"], A_ONE_BAND),
     ("a_one_band/verify", ["verify", "-"], A_ONE_BAND),
     ("a_one_band/verify_support_rel", ["verify", "-", "--tol-overrides", "support_rel=1e-9"], A_ONE_BAND),

@@ -16,7 +16,6 @@ from .quadform import (
     decompose_real_form,
     evaluate_many,
     hermitian_signature,
-    real_form_matrix,
     real_signature,
     sample_points,
 )
@@ -31,7 +30,6 @@ from .normalform import (
     DegeneracyReport,
     NormalFormResult,
     NormalFormType,
-    apply_change,
     classify2,
     normalize_hermitian,
     render_cone,

@@ -530,7 +530,8 @@ def cmd_slice(args) -> int:
     if degenerate is not None:
         report["classification"] = _classification_json(degenerate)
         return _done(report, t0, EXIT_DEGENERATE)
-    # a certified two-sided shape has no one-sided slice: skip the search
+    # a certified shape carries a checked two-sided witness, so no slice is
+    # one-sided: skip the search.  Any other shape is searched first.
     form = classify_two_sided_nd(spec.cone)
     res = None if form.certified else find_good_slice(spec.cone, budget=args.budget)
     if res is not None:

@@ -240,7 +240,7 @@ def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, tuple
     return eps * (1.0 - (1.0 + d) / A) + min(0.0, free), (1j * math.sqrt(eps / A), 0.0)
 
 
-# _form2's interleaved order x1, y1, x2, y2, permuted to real_form_matrix's x1, x2, y1, y2
+# _form2's interleaved order x1, y1, x2, y2, permuted to x1, x2, y1, y2: a vector's Re w, then its Im w
 _XY = (0, 2, 1, 3)
 
 

@@ -9,9 +9,10 @@ variables z = T z*, a positive scale and a sign such that
 Degenerate inputs (the rendered set is a point, a lower-dimensional set, or
 a union of two real hyperplanes) get a structured report instead.
 
-normalize_hermitian puts the hermitian (Levi) part of a cone in any C^n in
-its canonical position.  classify2 starts from that frame, and the slicer
-builds its two-dimensional candidate slices in the same frame.
+normalize_hermitian puts the hermitian (Levi) part of a cone in C^n, n >= 3,
+in its canonical position, and the slicer builds its two-dimensional
+candidate slices in that frame.  classify2 starts from the same frame in
+C^2, computed in closed form (_frame2).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ _CANONICAL2 = {(2, 0): (1.0, 0j, 1.0), (1, 1): (0.0, -0.5j, 0.0), (1, 0): (1.0, 
 DETS_ZERO_REL = 1e-9  # |det S| <= this * ||S||^2 routes to the rank <= 1 analysis
 DETP_ZERO_REL = 1e-9  # |det P| threshold for the case split on sign(det P)
 P_ZERO_REL = 1e-6  # ||P|| below this * ||S|| counts as P = 0 in the det P = 0 case
-M20_BOUNDARY_TOL = 1e-9  # A <= 1 + tol is dimension-deficient for type M20
+M20_BOUNDARY_TOL = 1e-9  # A <= 1 + tol is dimension-deficient: M20's A and (1,0)'s |A| with B = C = 0
 RESIDUAL_REL = 1e-8
 LOW_CONFIDENCE_FACTOR = 10.0
 CHANGE_HADAMARD_MIN = 1e-12  # |det T| / prod |t_j| at or below this: T is singular
@@ -179,23 +180,13 @@ def render_cone(ntype: NormalFormType) -> QuadraticCone:
     return QuadraticCone._symmetrized(((s00, s01), (s01, s11)), ((h00, h01), (h01.conjugate(), h11)))
 
 
-def _hadamard_ratio(T: np.ndarray) -> float:
-    """|det T| / prod |t_j|, the |det| of T with unit columns.
+def _hadamard_ratio2(t00: complex, t01: complex, t10: complex, t11: complex) -> float:
+    """|det T| / prod |t_j| of T = [[t00, t01], [t10, t11]], the |det| of T with unit columns.
 
     In [0, 1] and 0 iff T is singular, whatever the scale of T or of single
-    columns.  Each column is divided by its largest entry before its norm is
+    columns: each column is divided by its largest part before its norm is
     taken, so no column norm overflows or underflows.
     """
-    import numpy as np
-    big = np.abs(T).max(axis=0)
-    if not big.all():
-        return 0.0
-    U = T / big
-    return abs(np.linalg.det(U / np.linalg.norm(U, axis=0)))
-
-
-def _hadamard_ratio2(t00: complex, t01: complex, t10: complex, t11: complex) -> float:
-    """_hadamard_ratio of the 2x2 T = [[t00, t01], [t10, t11]], in closed form."""
     big0 = max(map(abs, parts(t00, t10)))
     big1 = max(map(abs, parts(t01, t11)))
     if not (big0 and big1):
@@ -232,26 +223,8 @@ def _hermitian_congruence(M: tuple, H: tuple) -> tuple:
     return ((c00 * a0 + c10 * b0).real, 0.5 * (x01 + x10.conjugate()), (c01 * a1 + c11 * b1).real)
 
 
-def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> QuadraticCone:
-    """Pull rho back through z -> T z and rescale: the congruence action.
-
-    The result's rho at z is sign * lam * rho(T z), identically.
-    """
-    import numpy as np
-    T = np.asarray(T, dtype=complex)
-    if not _hadamard_ratio(T) > CHANGE_HADAMARD_MIN:
-        raise SingularMatrix("change of variables is numerically singular")
-    if lam <= 0:
-        raise ConeError("lambda must be positive")
-    if sign not in (1, -1):
-        raise ConeError("sign must be +1 or -1")
-    S = sign * lam * (T.T @ cone.S @ T)
-    H = sign * lam * (T.conj().T @ cone.H @ T)
-    return QuadraticCone._symmetrized(S, H)
-
-
 def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
-    """(W, S1): W with W^* H W canonical, and S1 the harmonic part pulled back through W.
+    """(W, S1), n >= 3: W with W^* H W canonical, and S1 the harmonic part pulled back through W.
 
     The canonical matrix is diag(1, ..., 1, -1, ..., -1, 0, ..., 0) with the
     counts of hermitian_signature, or Im(z1 conj(z2)) + 0 for signature
@@ -263,26 +236,23 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     does not depend on the cone's scale; for (1,1) the first two columns are
     composed with CHOFVAR / 2.  W = I / sqrt(c) when H is within 1e-12
     (relative) of c times its canonical matrix, c the power of four nearest
-    the ratio of their norms, in any C^n: such inputs keep their own
-    coordinates up to a power of two.  Other inputs with equal eigenvalues
-    (H = 2 I, or a non-diagonal H) keep eigh's order of them.  Flip the sign
-    of rho first when nu > pi.  For n = 2, W is computed in closed form
-    (_frame2), with eigh's signs and phases.
+    the ratio of their norms: such inputs keep their own coordinates up to a
+    power of two.  Other inputs with equal eigenvalues (H = 2 I, or a
+    non-diagonal H) keep eigh's order of them.  Flip the sign of rho first
+    when nu > pi.  For n = 2, classify2 reads the same frame from _frame2.
 
-    S1 = 0.5 (X + X^T) with X = W^T S W is bitwise the harmonic part of
-    apply_change(cone, W); W's columns are orthogonal, so it is nonsingular.
+    S1 = 0.5 (X + X^T) with X = W^T S W, the harmonic part of rho(W z); W's
+    columns are orthogonal, so it is nonsingular.
     """
     import numpy as np
     n = cone.n
+    if n < 3:
+        raise ConeError("normalize_hermitian expects n >= 3")
     pi, nu = hermitian_signature(cone).as_tuple()
     if nu > pi:
         raise UnsupportedSignature(
             f"hermitian signature {(pi, nu)} is not canonical; negate the cone first"
         )
-    if n == 2:
-        W = np.array(_frame2(cone, pi, nu)).reshape(2, 2)
-        X = W.T @ cone.S @ W
-        return W, 0.5 * (X + X.T)
     target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
     t = math.sqrt(pi + nu)  # mat_norm(target)
     if (pi, nu) == (1, 1):
@@ -309,8 +279,9 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frame2(cone: QuadraticCone, pi: int, nu: int) -> tuple:
-    """normalize_hermitian's W for n = 2 and signature (pi, nu), pi >= nu, in closed form.
+    """The hermitian frame W of a cone in C^2 with signature (pi, nu), pi >= nu, in closed form.
 
+    normalize_hermitian's recipe for n = 2, as entries (w00, w01, w10, w11).
     One power of two first brings the entries of H to at most 1, so nothing
     over- or underflows, and 2^-k H (k even) gets exactly 2^(k/2) W.  The
     eigenpairs come from eigh2, which keeps LAPACK's signs and phases.
@@ -400,7 +371,7 @@ def _finish(
 ) -> NormalFormResult:
     """The result for the reported (T, lam, sign), with its exact residual.
 
-    The composed T passes apply_change's singularity test, the input cone is
+    The composed T passes the singularity test _hadamard_ratio2, the input cone is
     pulled back through it once, and the residual is the largest |difference|
     of that pullback and the normal form on |z| = 1.
     """
@@ -586,8 +557,8 @@ def _classify_sig10(chain: _Chain, margins) -> NormalFormType | DegeneracyReport
         chain.push_T((1.0 + 0j, 0j, -A0 / (2.0 * B0), 1.0 / (2.0 * B0)))
         return NormalFormType("M10_2")
     absA = abs(A0)
-    margins["m10_a_boundary"] = abs(absA - 1.0) / 1e-9
-    if absA <= 1.0 + 1e-9:
+    margins["m10_a_boundary"] = abs(absA - 1.0) / M20_BOUNDARY_TOL
+    if absA <= 1.0 + M20_BOUNDARY_TOL:
         return DegeneracyReport(
             "DimensionDeficient",
             f"hermitian signature (1,0) with B = C = 0 and |A| = {absA:.12g} <= 1: "
@@ -672,20 +643,3 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
             "UnclassifiedBoundary",
             f"ill-conditioned reduction near a case boundary: {exc}",
         )
-
-
-def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, float]:
-    """(det S, det P, det Q) of the type's representative in the Im(z1 conj(z2)) frame.
-
-    Only meaningful for the (1,1) tags, where it is the same for every
-    presentation of one cone.
-    """
-    if ntype.tag == "M11_1":
-        A, B = ntype.params()
-        return (complex(A * B / 4.0), -((A - B) ** 2) / 16.0, -((A + B) ** 2) / 16.0)
-    if ntype.tag == "M11_2":
-        (a,) = ntype.params()
-        return (complex(abs(a) ** 2), a.real**2, -(a.imag**2))
-    if ntype.tag == "M11_3":
-        return (0.0 + 0.0j, 0.0, 0.0)
-    raise ConeError(f"{ntype.tag} is not a (1,1) type")

@@ -13,6 +13,7 @@ their first call.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -276,10 +277,10 @@ def evaluate_many(cone: QuadraticCone, Z):
     """rho over the rows of Z (shape (m, n)), as x^T G x per row.
 
     x is the float64 view (Re z_1, Im z_1, Re z_2, ...) of a row and G the
-    cone's real form in that order (real_form_matrix, permuted), built once
-    per cone, so each call is one real (m, 2n) x (2n, 2n) product.  Every
-    array evaluation of rho in the package goes through here; rho_at
-    evaluates a few points.  A row agrees with Re(z^T S z) + conj(z)^T H z
+    cone's real form in that order (_interleaved_form), built once per
+    cone, so each call is one real (m, 2n) x (2n, 2n) product.  Every array
+    evaluation of rho in the package goes through here; rho_at evaluates a
+    few points.  A row agrees with Re(z^T S z) + conj(z)^T H z
     up to rounding of order n * 2^-52 * cone.scale * |z|^2.  Z may be any
     array-like of complex or real numbers with n columns; it is copied only
     when it is not a C-contiguous complex128 array.
@@ -406,48 +407,35 @@ def form_norm2(S: tuple, H: tuple) -> float:
     return _ldexp(max(map(abs, w)), e)
 
 
-def real_form_matrix(cone: QuadraticCone):
-    """The 2n x 2n real symmetric matrix G with rho = (x,y)^T G (x,y).
-
-    Coordinates are ordered x_1..x_n, y_1..y_n.  With S = Sr+i*Si and
-    H = Hr+i*Hi the identity is
-
-        rho = x^T (Sr+Hr) x + y^T (Hr-Sr) y - 2 x^T (Si+Hi) y.
-
-    A writable copy of the kept form of evaluate_many, reordered.
-    """
-    import numpy as np
-    order = np.arange(2 * cone.n).reshape(cone.n, 2).T.ravel()  # 0, 2, ..., then 1, 3, ...
-    return _interleaved_form(cone)[np.ix_(order, order)]
-
-
 def decompose_real_form(G) -> QuadraticCone:
     """Unique (S, H) with Re(z^T S z) + conj(z)^T H z = (x,y)^T G (x,y).
 
-    G must be a real symmetric 2n x 2n matrix in x_1..x_n, y_1..y_n order.
+    G must be a real symmetric 2n x 2n matrix in x_1..x_n, y_1..y_n order, as
+    rows of numbers or an array.  It is read on Python scalars, so a cone in
+    C^2 needs no numpy; S and H come out exactly symmetric and hermitian.
     """
-    import numpy as np
-    G = np.asarray(G)
-    if not np.isfinite(G).all():
+    rows = G.tolist() if hasattr(G, "tolist") else G
+    flat = [x for row in rows for x in (row if isinstance(row, (list, tuple)) else [row])]
+    if not all(map(cmath.isfinite, flat)):
         raise ConeError("real-form matrix has non-finite entries")
-    if np.iscomplexobj(G) and mat_norm(G.imag) > SYM_REL * max(mat_norm(G), 1e-300):
+    imag, norm = math.hypot(*(x.imag for x in flat)), math.hypot(*parts(*flat))
+    if any(isinstance(x, complex) for x in flat) and imag > SYM_REL * max(norm, 1e-300):
         raise NonReal("real-form matrix has non-real entries")
-    G = np.asarray(G.real, dtype=float)
-    m = G.shape[0]
-    if G.ndim != 2 or G.shape[1] != m or m % 2:
+    m, n = len(rows), len(rows) // 2
+    if not m or m % 2 or not all(isinstance(row, (list, tuple)) and len(row) == m for row in rows):
         raise ConeError("real-form matrix must be square of even size")
-    if mat_norm(G - G.T) > SYM_REL * max(mat_norm(G), 1e-300):
+    G = [[float(x.real) for x in row] for row in rows]
+    asym = math.hypot(*(G[i][j] - G[j][i] for i in range(m) for j in range(m)))
+    if asym > SYM_REL * max(math.hypot(*(g for row in G for g in row)), 1e-300):
         raise NotSymmetric("real-form matrix is not symmetric")
-    G = 0.5 * G  # halves first, so a finite G stays finite
-    G = G + G.T
-    n = m // 2
-    # halved before the sums and differences, which then cannot overflow
-    Gxx, Gyy, Gxy = 0.5 * G[:n, :n], 0.5 * G[n:, n:], 0.5 * G[:n, n:]
-    Sr = Gxx - Gyy
-    Hr = Gxx + Gyy
-    Si = -(Gxy + Gxy.T)
-    Hi = -(Gxy - Gxy.T)
-    return QuadraticCone(Sr + 1j * Si, Hr + 1j * Hi)
+    if n < 2:
+        raise ConeError("dimension must be at least 2")
+    # halves first, so a finite G stays finite; halved again before the sums
+    # and differences below, which then cannot overflow
+    G = [[0.5 * (0.5 * G[i][j] + 0.5 * G[j][i]) for j in range(m)] for i in range(m)]
+    S = [[(G[i][j] - G[n + i][n + j]) + 1j * -(G[i][n + j] + G[j][n + i]) for j in range(n)] for i in range(n)]
+    H = [[(G[i][j] + G[n + i][n + j]) + 1j * -(G[i][n + j] - G[j][n + i]) for j in range(n)] for i in range(n)]
+    return QuadraticCone._symmetrized(S, H)
 
 
 def decompose_poly(n: int, terms) -> QuadraticCone:

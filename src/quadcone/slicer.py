@@ -93,7 +93,7 @@ class TwoSidedForm(NamedTuple):
     k: int | None = None
     fit_residual: float = float("nan")
     detail: str = ""
-    # True when the shape proves two-sided support, so no slice can be one-sided
+    # True when the shape carries a checked two-sided witness, so no slice can be one-sided
     certified: bool = False
 
 
@@ -424,10 +424,11 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
     before being returned: its model rho, as a cone, lies within
     FIT_VERIFY_REL (times 10 for ts1 and ts2) of the cone's scale in
     form_distance, which is the fit_residual.  Anything else comes back as
-    "unknown" rather than a guess.  ts1, ts2 and a product whose C^2 factor
-    decides two-sided (supporting lines verified on the factor) are
-    `certified`: such a cone has two-sided support, so it has no one-sided
-    slice to search for.
+    "unknown" rather than a guess.  Only a product whose C^2 factor decides
+    two-sided with its supporting lines verified on the factor is
+    `certified`: that checked witness proves two-sided support, so the cone
+    has no one-sided slice to search for.  ts1 and ts2 rest on a fit
+    tolerance, not a witness, and are not certified.
     """
     import numpy as np
     if cone.n < 3:
@@ -459,7 +460,7 @@ def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
         if resid <= FIT_VERIFY_REL * scale * 10:
             return TwoSidedForm(
                 kind="ts1", k=k, fit_residual=resid,
-                detail=f"purely harmonic with rank {k} >= 3", certified=True,
+                detail=f"purely harmonic with rank {k} >= 3",
             )
 
     form = _ts2_fit(cone)
@@ -515,6 +516,5 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
             return TwoSidedForm(
                 kind="ts2", fit_residual=resid,
                 detail="rho = Re((lambda + conj(mu)) alpha) with independent linear forms",
-                certified=True,
             )
     return None

@@ -25,9 +25,7 @@ from quadcone.fixtures import example_m as example_m_cone
 from quadcone.normalform import (
     TAGS,
     NormalFormType,
-    apply_change,
     classify2,
-    oneone_frame_invariants,
     render_cone,
 )
 from quadcone.quadform import (
@@ -45,7 +43,7 @@ from quadcone.reduction import (
 )
 from quadcone.slicer import classify_two_sided_nd, find_good_slice
 from test_reduction import entries, mat
-from witness_samplers import E_HERM
+from witness_samplers import E_HERM, apply_change, oneone_frame_invariants
 
 
 def _report(num, label, elapsed, limit):

@@ -21,6 +21,7 @@ from quadcone.cli import (
 )
 from quadcone.fixtures import FIXTURES
 from quadcone.quadform import NonHomogeneous, NonReal, QuadraticCone, rho_at
+from quadcone.slicer import find_good_slice
 
 EXAMPLE_M = (
     '{"n":2,"S":[[{"re":0.5},{}],[{},{"re":0.3333333333}]],'
@@ -434,11 +435,18 @@ def test_cmd_slice_two_sided_forms(capsys):
 def test_cmd_slice_skips_the_search_on_certified_two_sided_shapes(
     capsys, monkeypatch, fixture, kind, k, inner_tag
 ):
-    def no_search(*args, **kwargs):
-        raise AssertionError("find_good_slice called on a certified two-sided cone")
+    # only the product carries a checked witness, its C^2 factor's lines; ts1
+    # and ts2 rest on a fit, so the search runs on them and finds no slice
+    searched = []
 
-    monkeypatch.setattr("quadcone.cli.find_good_slice", no_search)
+    def search(cone, budget):
+        assert kind != "product", "find_good_slice called on a certified two-sided cone"
+        searched.append(find_good_slice(cone, budget=budget))
+        return searched[-1]
+
+    monkeypatch.setattr("quadcone.cli.find_good_slice", search)
     code, report = run_cli(capsys, ["slice", "--fixture", fixture])
+    assert searched == ([] if kind == "product" else [None])
     assert code == EXIT_OK
     assert report["slice"] is None
     form = report["two_sided_form"]
@@ -1116,6 +1124,20 @@ def test_the_n2_commands_run_to_exit_without_numpy(tmp_path):
     assert got["codes"] == want
     assert got["numpy"] is False
     assert got["loaded"] == [[]] * (len(runs) + 1)
+
+
+def test_the_n2_poly_commands_run_to_exit_without_numpy(tmp_path):
+    # a polynomial spec in C^2 is decomposed on Python scalars, so classify,
+    # decide and verify on it leave numpy unloaded as well
+    poly = (
+        '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1.5}, {"vars": ["y1", "y1"], "coeff": 0.5},'
+        ' {"vars": ["x2", "x2"], "coeff": -0.6}, {"vars": ["y2", "y2"], "coeff": -1.4},'
+        ' {"vars": ["x1", "y2"], "coeff": {"re": 0.25}}]}'
+    )
+    runs = [([cmd, "-"], "poly") for cmd in ("classify", "decide", "verify")]
+    got = json.loads(_process(tmp_path, _NUMPY_FREE_RUN, json.dumps(runs), json.dumps({"poly": poly})))
+    assert got["codes"] == [EXIT_OK] * 3
+    assert got["numpy"] is False
 
 
 def test_slice_and_jump_demo_still_run_in_a_fresh_process(tmp_path):

@@ -33,7 +33,6 @@ from quadcone.normalform import (
     TAGS,
     NormalFormResult,
     NormalFormType,
-    apply_change,
     classify2,
     render_cone,
 )
@@ -51,6 +50,7 @@ from quadcone.slicer import SLICE_EPS_GRID
 from witness_samplers import (
     _disc_points,
     _germ_points,
+    apply_change,
     map_points,
     numpy_line_values,
     numpy_pull_back_witness,

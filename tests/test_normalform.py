@@ -18,10 +18,9 @@ from quadcone.normalform import (
     NormalFormResult,
     NormalFormType,
     SingularMatrix,
-    apply_change,
+    _frame2,
     classify2,
     normalize_hermitian,
-    oneone_frame_invariants,
     real_degeneracy,
     render_cone,
 )
@@ -34,7 +33,7 @@ from quadcone.quadform import (
     replace,
 )
 
-from witness_samplers import CHOFVAR, E_HERM
+from witness_samplers import CHOFVAR, E_HERM, apply_change, oneone_frame_invariants
 
 # the one literal copy of the table's tags: the other tests and scripts read
 # normalform.TAGS, and the TAGS.index seeds below rely on this order
@@ -202,21 +201,33 @@ def test_apply_change_rejects_parallel_or_zero_columns(T):
         apply_change(QuadraticCone(np.eye(n), np.eye(n)), T)
 
 
-# --- normalize_hermitian ------------------------------------------------------
+# --- the hermitian frame: _frame2 for n = 2, normalize_hermitian beyond --------
+
+
+def hermitian_frame(cone):
+    """(W, S1) of a cone with pi >= nu, S1 = 0.5 (X + X^T) for X = W^T S W.
+
+    W is classify2's closed-form _frame2 for n = 2 and normalize_hermitian's for n >= 3.
+    """
+    if cone.n > 2:
+        return normalize_hermitian(cone)
+    W = np.array(_frame2(cone, *hermitian_signature(cone).as_tuple())).reshape(2, 2)
+    X = W.T @ cone.S @ W
+    return W, 0.5 * (X + X.T)
 
 
 def test_normalize_hermitian_targets():
     # (1,1): diag(1,-1) pulled back to the Im(z1 conj(z2)) matrix
     c = example_m()
-    W, _ = normalize_hermitian(c)
+    W, _ = hermitian_frame(c)
     np.testing.assert_allclose(W.conj().T @ c.H @ W, E_HERM, atol=1e-12)
     # (2,0) already canonical
     c = QuadraticCone(np.zeros((2, 2)), np.eye(2))
-    W, _ = normalize_hermitian(c)
+    W, _ = hermitian_frame(c)
     np.testing.assert_allclose(W, np.eye(2))
     # (1,0) rescale
     c = QuadraticCone(np.zeros((2, 2)), np.diag([4.0, 0.0]))
-    W, _ = normalize_hermitian(c)
+    W, _ = hermitian_frame(c)
     np.testing.assert_allclose(W.conj().T @ c.H @ W, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -239,7 +250,7 @@ def test_normalize_hermitian_frames_every_canonical_signature(n):
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for H in (target, np.diag(flags), T.conj().T @ np.diag(flags) @ T):
             cone = QuadraticCone(A + A.T, 0.5 * (H + H.conj().T))
-            W, S1 = normalize_hermitian(cone)
+            W, S1 = hermitian_frame(cone)
             np.testing.assert_allclose(W.conj().T @ cone.H @ W, target, atol=1e-12, err_msg=f"{(pi, nu)}")
             assert np.array_equal(S1, apply_change(cone, W).S)
 
@@ -255,7 +266,7 @@ def test_normalize_hermitian_keeps_canonical_coordinates_up_to_a_power_of_two(n)
         if (pi, nu) == (1, 1):
             target[:2, :2] = E_HERM
         for j in (-3, 0, 1, 4):
-            W, _ = normalize_hermitian(QuadraticCone(A + A.T, 4.0**j * target))
+            W, _ = hermitian_frame(QuadraticCone(A + A.T, 4.0**j * target))
             assert np.array_equal(W, 2.0**-j * np.eye(n)), f"{(pi, nu)}, j = {j}"
 
 
@@ -300,7 +311,7 @@ def _frame_pair(H):
     cone = QuadraticCone(np.zeros((2, 2)), H)
     if hermitian_signature(cone).nu > hermitian_signature(cone).pi:
         cone = cone.negated()
-    W, _ = normalize_hermitian(cone)
+    W, _ = hermitian_frame(cone)
     return W, _eigh_frame(cone)
 
 
@@ -360,6 +371,12 @@ def test_the_closed_form_frame_at_zero_and_at_the_canonical_matrix(signature):
 def test_normalize_hermitian_rejects_nu_above_pi():
     with pytest.raises(ConeError, match="not canonical"):
         normalize_hermitian(QuadraticCone(np.zeros((3, 3)), np.diag([1.0, -1.0, -1.0])))
+
+
+def test_normalize_hermitian_refuses_n2():
+    # classify2 reads the C^2 frame from _frame2 alone
+    with pytest.raises(ConeError, match="n >= 3"):
+        normalize_hermitian(example_m())
 
 
 def test_chofvar_maps_frames():

@@ -23,7 +23,6 @@ from quadcone.normalform import (
     DegeneracyReport,
     NormalFormResult,
     NormalFormType,
-    apply_change,
     classify2,
     render_cone,
 )
@@ -37,12 +36,12 @@ from quadcone.quadform import (
     decompose_real_form,
     form_norm2,
     hermitian_signature,
-    real_form_matrix,
     real_signature,
     replace,
 )
 from quadcone.reduction import So11Unreachable, so11_zero_diag
 from test_reduction import entries, mat
+from witness_samplers import apply_change, real_form_matrix
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 

@@ -20,17 +20,16 @@ from quadcone.quadform import (
     form_distance,
     form_norm2,
     hermitian_signature,
-    real_form_matrix,
     mat_norm,
     real_signature,
     sample_points,
     _inertia,
     _interleaved_form,
 )
-from quadcone.normalform import NormalFormType, apply_change, render_cone
+from quadcone.normalform import NormalFormType, render_cone
 from quadcone.slicer import Slice, restrict
 
-from witness_samplers import E_HERM, numpy_interleaved_form, spread_cones2
+from witness_samplers import E_HERM, apply_change, numpy_interleaved_form, real_form_matrix, spread_cones2
 
 
 def example_m():

@@ -1,4 +1,9 @@
-"""The tests' oracles: seeded point samplers and the numpy forms of the n = 2 scalar code.
+"""The tests' cone builder and oracles: seeded point samplers and the numpy forms of the n = 2 scalar code.
+
+apply_change builds the tests' cones: it pulls a cone back through a
+change of variables, in any C^n.  real_form_matrix and
+oneone_frame_invariants are the reference forms that the tests compare
+the library's answers with.
 
 The library checks a witness at the points that attain its certified bounds
 (decider.verify_discs, decider.verify_support).  The samplers draw many
@@ -32,15 +37,22 @@ from quadcone.decider import (
     VerificationFailed,
     _normal_minimum,
 )
-from quadcone.normalform import _CHOFVAR, NormalFormResult, render_cone
+from quadcone.normalform import (
+    _CHOFVAR,
+    CHANGE_HADAMARD_MIN,
+    NormalFormResult,
+    NormalFormType,
+    SingularMatrix,
+    render_cone,
+)
 from quadcone.quadform import (
     _FORM_BLOCK,
     ConeError,
     QuadraticCone,
+    _interleaved_form,
     evaluate_many,
     form_distance,
     mat_norm,
-    real_form_matrix,
 )
 from quadcone.reduction import E_HERM_ROWS
 
@@ -48,6 +60,68 @@ E_HERM = np.array(E_HERM_ROWS)
 CHOFVAR = np.reshape(_CHOFVAR, (2, 2))
 E_HERM.setflags(write=False)
 CHOFVAR.setflags(write=False)
+
+
+def _hadamard_ratio(T: np.ndarray) -> float:
+    """|det T| / prod |t_j|, the |det| of T with unit columns.
+
+    In [0, 1] and 0 iff T is singular, whatever the scale of T or of single
+    columns.  Each column is divided by its largest entry before its norm is
+    taken, so no column norm overflows or underflows.
+    """
+    big = np.abs(T).max(axis=0)
+    if not big.all():
+        return 0.0
+    U = T / big
+    return abs(np.linalg.det(U / np.linalg.norm(U, axis=0)))
+
+
+def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> QuadraticCone:
+    """Pull rho back through z -> T z and rescale: the congruence action.
+
+    The result's rho at z is sign * lam * rho(T z), identically.
+    """
+    T = np.asarray(T, dtype=complex)
+    if not _hadamard_ratio(T) > CHANGE_HADAMARD_MIN:
+        raise SingularMatrix("change of variables is numerically singular")
+    if lam <= 0:
+        raise ConeError("lambda must be positive")
+    if sign not in (1, -1):
+        raise ConeError("sign must be +1 or -1")
+    S = sign * lam * (T.T @ cone.S @ T)
+    H = sign * lam * (T.conj().T @ cone.H @ T)
+    return QuadraticCone._symmetrized(S, H)
+
+
+def real_form_matrix(cone: QuadraticCone):
+    """The 2n x 2n real symmetric matrix G with rho = (x,y)^T G (x,y).
+
+    Coordinates are ordered x_1..x_n, y_1..y_n.  With S = Sr+i*Si and
+    H = Hr+i*Hi the identity is
+
+        rho = x^T (Sr+Hr) x + y^T (Hr-Sr) y - 2 x^T (Si+Hi) y.
+
+    A writable copy of the kept form of evaluate_many, reordered.
+    """
+    order = np.arange(2 * cone.n).reshape(cone.n, 2).T.ravel()  # 0, 2, ..., then 1, 3, ...
+    return _interleaved_form(cone)[np.ix_(order, order)]
+
+
+def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, float]:
+    """(det S, det P, det Q) of the type's representative in the Im(z1 conj(z2)) frame.
+
+    Only meaningful for the (1,1) tags, where it is the same for every
+    presentation of one cone.
+    """
+    if ntype.tag == "M11_1":
+        A, B = ntype.params()
+        return (complex(A * B / 4.0), -((A - B) ** 2) / 16.0, -((A + B) ** 2) / 16.0)
+    if ntype.tag == "M11_2":
+        (a,) = ntype.params()
+        return (complex(abs(a) ** 2), a.real**2, -(a.imag**2))
+    if ntype.tag == "M11_3":
+        return (0.0 + 0.0j, 0.0, 0.0)
+    raise ConeError(f"{ntype.tag} is not a (1,1) type")
 
 
 def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: float) -> np.ndarray:
