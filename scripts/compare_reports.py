@@ -26,8 +26,10 @@ tree runs in a subprocess of its own over the same inputs:
   `verify`, one `verify` per disc family shape (the M20 and M10_1 level
   sets, the M11_1 affine line) at an eps beyond the family's reach, where
   no disc points exist, a pi >= 2 `slice` input whose axis slice fails its
-  certificate, so that a shear slice decides it, and `verify --csv` on m20
-  and example_m and `atlas --tag M11_1 --csv`;
+  certificate, so that a shear slice decides it, `verify --csv` on m20
+  and example_m and `atlas --tag M11_1 --csv`, and `jump-demo` at the
+  edges of `sample_points`' 256-row chunks (1, 2 and 257 samples, the
+  last at seed 3) and at 20,000 samples;
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -175,6 +177,10 @@ EXTRA = (
     ("csv/verify_m20", ["verify", "--fixture", "m20", "--csv", "points.csv"], None),
     ("csv/verify_example_m", ["verify", "--fixture", "example_m", "--csv", "points.csv"], None),
     ("csv/atlas_M11_1", ["atlas", "--tag", "M11_1", "--csv", "cells.csv"], None),
+    ("jump/samples_1", ["jump-demo", "--samples", "1"], None),
+    ("jump/samples_2", ["jump-demo", "--samples", "2"], None),
+    ("jump/samples_257_seed_3", ["jump-demo", "--samples", "257", "--seed", "3"], None),
+    ("jump/samples_20000", ["jump-demo", "--samples", "20000"], None),
 )
 
 

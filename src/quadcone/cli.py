@@ -65,7 +65,7 @@ from .quadform import (
     real_signature,
     rho_at,
 )
-from .slicer import classify_two_sided_nd, find_good_slice
+from .slicer import classify_two_sided_nd, find_good_slice, product_test
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -530,10 +530,13 @@ def cmd_slice(args) -> int:
     if degenerate is not None:
         report["classification"] = _classification_json(degenerate)
         return _done(report, t0, EXIT_DEGENERATE)
-    # a certified shape carries a checked two-sided witness, so no slice is
-    # one-sided: skip the search.  Any other shape is searched first.
-    form = classify_two_sided_nd(spec.cone)
-    res = None if form.certified else find_good_slice(spec.cone, budget=args.budget)
+    # a certified product carries a checked two-sided witness, so no slice
+    # is one-sided: skip the search.  Any other cone is searched first, and
+    # its two-sided shape is fitted, from the product test's SVD, only when
+    # the search finds nothing.
+    product = product_test(spec.cone)
+    certified = product.form is not None and product.form.certified
+    res = None if certified else find_good_slice(spec.cone, budget=args.budget)
     if res is not None:
         report["slice"] = {
             "description": res.slice.description,
@@ -548,6 +551,7 @@ def cmd_slice(args) -> int:
         }
         return _done(report, t0, EXIT_OK)
     report["slice"] = None
+    form = classify_two_sided_nd(spec.cone, product)
     report["two_sided_form"] = {
         "kind": form.kind,
         "k": form.k,

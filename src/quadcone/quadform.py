@@ -113,11 +113,9 @@ class QuadraticCone:
             raise ConeError("dimension must be at least 2")
         if not (np.isfinite(S).all() and np.isfinite(H).all()):
             raise ConeError("S and H must have finite entries")
-        s_scale = mat_norm(S)
-        h_scale = mat_norm(H)
-        if mat_norm(S - S.T) > SYM_REL * max(s_scale, 1e-300):
+        if _asymmetric(S, hermitian=False):
             raise NotSymmetric("S is not symmetric within tolerance")
-        if mat_norm(H - H.conj().T) > SYM_REL * max(h_scale, 1e-300):
+        if _asymmetric(H, hermitian=True):
             raise NotSymmetric("H is not hermitian within tolerance")
         self._store(S, H)
 
@@ -229,6 +227,20 @@ class QuadraticCone:
 # [[Hr + Sr, -(Hi + Si)], [Hi - Si, Hr - Sr]].  Each entry adds two parts, so
 # the product with it is exact up to the sign of zeros.
 _FORM_BLOCK = ((1.0, 0.0, 0.0, -1.0), (0.0, -1.0, -1.0, 0.0), (1.0, 0.0, 0.0, 1.0), (0.0, -1.0, 1.0, 0.0))
+
+
+def _asymmetric(M, hermitian: bool) -> bool:
+    """Whether ||M - M^T|| (M^H if hermitian) exceeds SYM_REL * max(||M||, 1e-300), Frobenius.
+
+    Both sides are computed on M times the power of two 2^e that brings its
+    largest part to at most 1, and the floor is scaled to match: the answer
+    is that of the unscaled comparison, but neither norm nor the difference
+    can overflow to inf or nan, which would compare False and let any
+    asymmetry through.
+    """
+    e = _scale_exponent(M)
+    M = _ldexp_array(M, e)
+    return mat_norm(M - (M.conj().T if hermitian else M.T)) > SYM_REL * max(mat_norm(M), math.ldexp(1e-300, e))
 
 
 def _frozen_array(rows):
@@ -418,16 +430,21 @@ def decompose_real_form(G) -> QuadraticCone:
     flat = [x for row in rows for x in (row if isinstance(row, (list, tuple)) else [row])]
     if not all(map(cmath.isfinite, flat)):
         raise ConeError("real-form matrix has non-finite entries")
-    imag, norm = math.hypot(*(x.imag for x in flat)), math.hypot(*parts(*flat))
-    if any(isinstance(x, complex) for x in flat) and imag > SYM_REL * max(norm, 1e-300):
+    # both tests read the entries times 2^e, the largest part at most 1, and
+    # a floor scaled to match, as _asymmetric does: the answers of the
+    # unscaled tests, but no norm or difference can overflow to inf
+    e = -exponent(*parts(*flat))
+    unit, floor = scaled(e, *flat), math.ldexp(1e-300, e)
+    imag, norm = math.hypot(*(x.imag for x in unit)), math.hypot(*parts(*unit))
+    if any(isinstance(x, complex) for x in flat) and imag > SYM_REL * max(norm, floor):
         raise NonReal("real-form matrix has non-real entries")
     m, n = len(rows), len(rows) // 2
     if not m or m % 2 or not all(isinstance(row, (list, tuple)) and len(row) == m for row in rows):
         raise ConeError("real-form matrix must be square of even size")
-    G = [[float(x.real) for x in row] for row in rows]
-    asym = math.hypot(*(G[i][j] - G[j][i] for i in range(m) for j in range(m)))
-    if asym > SYM_REL * max(math.hypot(*(g for row in G for g in row)), 1e-300):
+    asym = math.hypot(*(unit[i * m + j].real - unit[j * m + i].real for i in range(m) for j in range(m)))
+    if asym > SYM_REL * max(math.hypot(*(x.real for x in unit)), floor):
         raise NotSymmetric("real-form matrix is not symmetric")
+    G = [[float(x.real) for x in row] for row in rows]
     if n < 2:
         raise ConeError("dimension must be at least 2")
     # halves first, so a finite G stays finite; halved again before the sums
@@ -562,6 +579,12 @@ def _real_roots(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, k, roots[i, k]
 
 
+# The fewest directions sample_points solves and polishes at a time: a chunk
+# of at least this many rows gets from evaluate_many's matrix product the
+# same rho per row as the whole batch would.
+SAMPLE_CHUNK_MIN = 256
+
+
 def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
     """Deterministic points on the cone as a (count, n) array, from random real 2-plane sections.
 
@@ -575,10 +598,16 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
     `seed`.  Each batch of max(count, 256) directions makes the same draws
     in the same order (U, then V, then the rescale factors), and candidates
     are taken in the order direction, then root, until `count` are found
-    or 64 batches are spent.  Each batch is processed as arrays, with rho
-    evaluated by evaluate_many's real matrix product, so points equal those
-    of the equivalent per-point loop up to rounding, not bitwise.  Results
-    are reproducible at fixed numpy and BLAS builds.
+    or 64 batches are spent.  A batch's directions are solved and polished
+    in order, a chunk at a time, and the work stops once `count` points
+    pass: a direction gives at most two roots, so a chunk holds about half
+    the points still needed, never fewer than SAMPLE_CHUNK_MIN directions,
+    and takes in the rest of the batch rather than leave a shorter tail.
+    Every step works row by row (rho by evaluate_many's real matrix
+    product, whose rows do not depend on the other rows of a product of
+    that many rows), so the points are bitwise those of solving the whole
+    batch at once, and equal those of the equivalent per-point loop up to
+    rounding.  Results are reproducible at fixed numpy and BLAS builds.
     """
     import numpy as np
     if count < 1:
@@ -598,42 +627,54 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
             W.real = rng.standard_normal((batch, n))
             W.imag = rng.standard_normal((batch, n))
         scales = rng.uniform(0.05, 1.0, size=2 * batch)
-        a = evaluate_many(cone, V)
-        c = evaluate_many(cone, U)
-        # b, the real polarization term: rho(u + t v) = a t^2 + b t + c
-        i, k, t = _real_roots(a, evaluate_many(cone, U + V) - a - c, c)
-        # full-size arrays are made in place and dropped once used, so the
-        # heap reuses their pages instead of faulting in new ones
-        P = t[:, None] * V[i]
-        P += U[i]
-        del U, a, c
-        norm = np.linalg.norm(P, axis=1)
-        far = ~(norm < 1e-9)
-        if not far.all():
-            i, k, P, norm = i[far], k[far], P[far], norm[far]
-        P *= (radius * scales[2 * i + k] / norm)[:, None]
-        # one Newton polish along V to keep the residual at rounding level
-        vnorm = np.maximum(np.linalg.norm(V, axis=1), 1e-300)
-        dv = V[i] * (radius / vnorm[i])[:, None]
-        del V
-        r0 = evaluate_many(cone, P)
-        probe = dv * 1e-7
-        probe += P
-        g = evaluate_many(cone, probe) - r0
-        del probe
-        step = np.divide(r0 * 1e-7, g, out=np.zeros_like(g), where=np.abs(g) > 1e-300)
-        dv *= step[:, None]
-        P -= dv
-        del dv
-        res = np.abs(evaluate_many(cone, P))
-        ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
-        points.append(P if ok.all() else P[ok])
-        found += len(points[-1])
-        if found >= count:
-            return (points[0] if len(points) == 1 else np.concatenate(points))[:count]
+        lo = 0
+        while lo < batch:
+            hi = lo + max(-(-(count - found) // 2), SAMPLE_CHUNK_MIN)
+            if batch - hi < SAMPLE_CHUNK_MIN:
+                hi = batch
+            P = _chunk_points(cone, U[lo:hi], V[lo:hi], scales[2 * lo : 2 * hi], radius, scale)
+            points.append(P)
+            found += len(P)
+            if found >= count:
+                return (points[0] if len(points) == 1 else np.concatenate(points))[:count]
+            lo = hi
     raise InsufficientSamples(
         f"found {found} of {count} requested cone points; rho may be (semi)definite"
     )
+
+
+def _chunk_points(cone: QuadraticCone, U, V, scales, radius: float, scale: float):
+    """sample_points' points from the directions U, V (row i takes scales[2 i + k] for root k), in order."""
+    import numpy as np
+    a = evaluate_many(cone, V)
+    c = evaluate_many(cone, U)
+    # b, the real polarization term: rho(u + t v) = a t^2 + b t + c
+    i, k, t = _real_roots(a, evaluate_many(cone, U + V) - a - c, c)
+    # candidate-size arrays are made in place and dropped once used, so the
+    # heap reuses their pages instead of faulting in new ones
+    P = t[:, None] * V[i]
+    P += U[i]
+    del a, c
+    norm = np.linalg.norm(P, axis=1)
+    far = ~(norm < 1e-9)
+    if not far.all():
+        i, k, P, norm = i[far], k[far], P[far], norm[far]
+    P *= (radius * scales[2 * i + k] / norm)[:, None]
+    # one Newton polish along V to keep the residual at rounding level
+    vnorm = np.maximum(np.linalg.norm(V, axis=1), 1e-300)
+    dv = V[i] * (radius / vnorm[i])[:, None]
+    r0 = evaluate_many(cone, P)
+    probe = dv * 1e-7
+    probe += P
+    g = evaluate_many(cone, probe) - r0
+    del probe
+    step = np.divide(r0 * 1e-7, g, out=np.zeros_like(g), where=np.abs(g) > 1e-300)
+    dv *= step[:, None]
+    P -= dv
+    del dv
+    res = np.abs(evaluate_many(cone, P))
+    ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
+    return P if ok.all() else P[ok]
 
 
 # reduction builds on this module (ConeError, mat_norm), so its 2x2 kernels come last

@@ -22,7 +22,8 @@ Every candidate is validated end to end, and one whose basis is numerically
 dependent is skipped; the search is deterministic and tries nothing beyond
 these families.  Cones with two-sided support are classified separately
 into product / harmonic-rank / bilinear-factor forms, each verified
-exactly before being reported.
+exactly before being reported; the product test comes first, as only a
+product can carry a checked two-sided witness.
 """
 
 from __future__ import annotations
@@ -408,53 +409,77 @@ def find_good_slice(cone: QuadraticCone, budget: int = 256) -> SliceResult | Non
     return None
 
 
-def classify_two_sided_nd(cone: QuadraticCone) -> TwoSidedForm:
-    """Recognize the two-sided normal shapes in C^n, n >= 3.
+class ProductTest(NamedTuple):
+    """The SVD of the stacked pair [S; H] and the product shape read from it."""
 
-    Detects, in order: a product with an inert C^(n-2) factor (joint kernel
-    of the coefficient pair has complex dimension n-2), a purely harmonic
-    cone Re(z1^2 + ... + zk^2) with k > 2, and the bilinear-factor shape
-    Re((z2 + conj(z3)) z1).  The product and ts1 read one SVD of the
-    stacked pair [S; H]: the product's factor is spanned by its top two
-    right singular vectors, and ts1's model is the rank-k part S V V^H of
-    S, V the top k = n - (kernel dimension) of them.  ts2 (_ts2_fit) writes
-    S = U2 M U2^T over the range U2 of S, splits M into two Takagi terms,
-    and solves H = (conj(m) a^T + conj(a) m^T) / 2 for m in closed form.
-    Every recognized form is verified exactly
-    before being returned: its model rho, as a cone, lies within
-    FIT_VERIFY_REL (times 10 for ts1 and ts2) of the cone's scale in
-    form_distance, which is the fit_residual.  Anything else comes back as
-    "unknown" rather than a guess.  Only a product whose C^2 factor decides
-    two-sided with its supporting lines verified on the factor is
-    `certified`: that checked witness proves two-sided support, so the cone
-    has no one-sided slice to search for.  ts1 and ts2 rest on a fit
-    tolerance, not a witness, and are not certified.
+    kdim: int  # complex dimension of the joint kernel of S and H
+    vh: np.ndarray  # right singular vectors of [S; H], largest singular value first
+    form: TwoSidedForm | None  # the verified product shape, or None
+
+
+def product_test(cone: QuadraticCone) -> ProductTest:
+    """Whether rho is a product with an inert C^(n-2) factor, n >= 3.
+
+    The factor is spanned by the top two right singular vectors of the
+    stacked pair [S; H] when its joint kernel has complex dimension n - 2.
+    The product is verified exactly: the model rho(Bc Bc^H z), Bc those two
+    vectors, lies within FIT_VERIFY_REL of the cone's scale in
+    form_distance, which is the fit_residual.  It is `certified` when its
+    C^2 factor decides two-sided with its supporting lines verified on the
+    factor: that checked witness proves two-sided support, so the cone has
+    no one-sided slice to search for.  classify_two_sided_nd takes the
+    result, so that one SVD serves both.
     """
     import numpy as np
     if cone.n < 3:
-        raise ConeError("classify_two_sided_nd expects n >= 3")
-    n = cone.n
-    scale = max(cone.scale, 1e-300)
-
-    stacked = np.vstack([cone.S, cone.H])
-    _, sv, vh = np.linalg.svd(stacked)
+        raise ConeError("the two-sided shapes expect n >= 3")
+    _, sv, vh = np.linalg.svd(np.vstack([cone.S, cone.H]))
     kdim = int(np.sum(sv <= 1e-9 * max(sv[0], 1e-300)))
-    if kdim == n - 2:
+    form = None
+    if kdim == cone.n - 2:
         Bc = vh[:2].conj().T  # orthonormal, so rho_factor(Bc^H z) = rho(Bc Bc^H z)
         factor = restrict(cone, Bc)
         model = restrict(factor, Bc.conj().T)
         resid = form_distance(cone, model)
-        if resid <= FIT_VERIFY_REL * scale:
+        if resid <= FIT_VERIFY_REL * max(cone.scale, 1e-300):
             inner = classify2(factor)
-            return TwoSidedForm(
+            form = TwoSidedForm(
                 kind="product", inner=inner, fit_residual=resid,
                 detail="rho is independent of an (n-2)-dimensional complex factor",
                 certified=_factor_two_sided(inner, factor),
             )
+    return ProductTest(kdim, vh, form)
 
-    k = n - kdim
+
+def classify_two_sided_nd(cone: QuadraticCone, product: ProductTest | None = None) -> TwoSidedForm:
+    """Recognize the two-sided normal shapes in C^n, n >= 3.
+
+    Detects, in order: a product with an inert C^(n-2) factor
+    (product_test, whose result may be passed in), a purely harmonic cone
+    Re(z1^2 + ... + zk^2) with k > 2, and the bilinear-factor shape
+    Re((z2 + conj(z3)) z1).  ts1 reads the product test's SVD of the
+    stacked pair [S; H]: its model is the rank-k part S V V^H of S, V the
+    top k = n - (kernel dimension) right singular vectors.  ts2 (_ts2_fit)
+    writes S = U2 M U2^T over the range U2 of S, splits M into two Takagi
+    terms, and solves H = (conj(m) a^T + conj(a) m^T) / 2 for m in closed
+    form.  Every recognized form is verified exactly before being
+    returned: its model rho, as a cone, lies within FIT_VERIFY_REL (times
+    10 for ts1 and ts2) of the cone's scale in form_distance, which is the
+    fit_residual.  Anything else comes back as "unknown" rather than a
+    guess.  Only a certified product proves two-sided support (see
+    product_test); ts1 and ts2 rest on a fit tolerance, not a witness, and
+    are not certified.
+    """
+    import numpy as np
+    if product is None:
+        product = product_test(cone)
+    if product.form is not None:
+        return product.form
+    n = cone.n
+    scale = max(cone.scale, 1e-300)
+    k = n - product.kdim
     if k > 2 and mat_norm(cone.H) <= 1e-10 * scale:
-        V = vh[:k].conj().T  # orthonormal, spans the complement of the joint kernel
+        V = product.vh[:k].conj().T  # orthonormal, spans the complement of the joint kernel
         model = QuadraticCone._symmetrized(cone.S @ V @ V.conj().T, np.zeros((n, n), dtype=complex))
         resid = form_distance(cone, model)
         if resid <= FIT_VERIFY_REL * scale * 10:

@@ -21,7 +21,7 @@ from quadcone.cli import (
 )
 from quadcone.fixtures import FIXTURES
 from quadcone.quadform import NonHomogeneous, NonReal, QuadraticCone, rho_at
-from quadcone.slicer import find_good_slice
+from quadcone.slicer import classify_two_sided_nd, find_good_slice
 
 EXAMPLE_M = (
     '{"n":2,"S":[[{"re":0.5},{}],[{},{"re":0.3333333333}]],'
@@ -452,6 +452,40 @@ def test_cmd_slice_skips_the_search_on_certified_two_sided_shapes(
     form = report["two_sided_form"]
     assert form["kind"] == kind and form["k"] == k
     assert form.get("inner", {}).get("normal_form", {}).get("tag") == inner_tag
+
+
+@pytest.mark.parametrize(
+    "fixture, fitted",
+    [("slice_pi2_axis", False), ("slice_oneone_r_z1z3", False), ("product_example_m", True),
+     ("ts1_k3", True), ("ts2", True)],
+)
+def test_cmd_slice_fits_two_sided_shapes_only_when_the_search_finds_nothing(
+    capsys, monkeypatch, fixture, fitted
+):
+    # the product test comes first; the ts1 and ts2 fits run after a search
+    # that found no slice, and one SVD of [S; H] serves the whole op
+    import quadcone.cli as cli
+
+    n = FIXTURES[fixture]().n
+    fits, stacked = [], []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if a.shape == (2 * n, n):
+            stacked.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def fit(cone, product):
+        fits.append(product.kdim)
+        return classify_two_sided_nd(cone, product)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cli, "classify_two_sided_nd", fit)
+    code, report = run_cli(capsys, ["slice", "--fixture", fixture])
+    assert code == EXIT_OK
+    assert (report["slice"] is None) == fitted
+    assert len(fits) == int(fitted)
+    assert len(stacked) == 1
 
 
 @pytest.mark.parametrize(
@@ -1046,6 +1080,7 @@ def test_traced_layer_names_record_spans_through_main(capsys):
             ["decide", "--fixture", "example_m"],
             ["verify", "--fixture", "example_m"],
             ["slice", "--fixture", "slice_pi2_axis", "--budget", "8"],
+            ["slice", "--fixture", "ts2"],
         ):
             assert cli.main(argv) == EXIT_OK, argv
             capsys.readouterr()

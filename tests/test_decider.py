@@ -961,10 +961,19 @@ def test_verify_discs_on_a_model_family_makes_no_numpy_call_and_one_evaluation(m
     assert calls == ["rho_at"]
 
 
-@pytest.mark.parametrize("seed, candidates", [(0, 16040), (1, 16040), (2, 15976)])
-def test_sample_points_pins_its_point_and_direction_counts(monkeypatch, seed, candidates):
-    # one batch of 10k directions, three evaluations of it, then three of the
-    # candidate points it gives: a change in the draws or the filters shows here
+@pytest.mark.parametrize(
+    "seed, chunks",
+    [
+        (0, [(5000, 8090), (955, 1516), (256, 402)]),
+        (1, [(5000, 7970), (1015, 1628), (256, 412)]),
+        (2, [(5000, 8000), (1000, 1638), (256, 388)]),
+    ],
+)
+def test_sample_points_pins_its_point_and_direction_counts(monkeypatch, seed, chunks):
+    # one batch of 10k directions, taken in chunks of about half the points
+    # still needed: three evaluations of a chunk's directions, then three of
+    # the candidate points it gives.  A change in the draws, the filters or
+    # the chunk sizes shows here
     rows = []
     evaluate_rows = quadform.evaluate_many
 
@@ -974,4 +983,4 @@ def test_sample_points_pins_its_point_and_direction_counts(monkeypatch, seed, ca
 
     monkeypatch.setattr(quadform, "evaluate_many", counting)
     assert len(sample_points(example_m_cone(), seed, 10_000)) == 10_000
-    assert rows == [10_000] * 3 + [candidates] * 3
+    assert rows == [m for directions, candidates in chunks for m in [directions] * 3 + [candidates] * 3]

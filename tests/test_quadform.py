@@ -11,6 +11,7 @@ from quadcone.quadform import (
     SAMPLE_RESIDUAL_REL,
     ConeError,
     InsufficientSamples,
+    NonReal,
     NotSymmetric,
     QuadraticCone,
     canonical_sign,
@@ -26,10 +27,18 @@ from quadcone.quadform import (
     _inertia,
     _interleaved_form,
 )
+from quadcone.fixtures import FIXTURES
 from quadcone.normalform import NormalFormType, render_cone
 from quadcone.slicer import Slice, restrict
 
-from witness_samplers import E_HERM, apply_change, numpy_interleaved_form, real_form_matrix, spread_cones2
+from witness_samplers import (
+    E_HERM,
+    apply_change,
+    numpy_interleaved_form,
+    real_form_matrix,
+    spread_cones2,
+    whole_batch_sample_points,
+)
 
 
 def example_m():
@@ -86,6 +95,32 @@ def test_constructor_rejects_asymmetry():
         QuadraticCone(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(NotSymmetric):
         QuadraticCone(np.zeros((2, 2)), np.array([[1.0, 1j], [1j, 0.0]]))
+
+
+def test_asymmetry_is_rejected_where_its_norm_would_overflow():
+    # S - S^T and the norms of these inputs overflow in a direct test, and
+    # inf or nan compare False, which would pass the antisymmetric part
+    # silently; the test must neither overflow nor pass them
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(NotSymmetric):
+            QuadraticCone([[1, 1.7e308], [-1.7e308, 1]], np.eye(2))
+        with pytest.raises(NotSymmetric):
+            QuadraticCone([[1.7e308, 1.0e308], [-0.5e308, 1.7e308]], np.eye(2))
+        with pytest.raises(NotSymmetric):
+            QuadraticCone(np.eye(2), [[1, 1.7e308j], [1.7e308j, 1]])
+        G = np.eye(4).tolist()
+        G[0][1], G[1][0] = 1.7e308, -1.7e308
+        with pytest.raises(NotSymmetric):
+            decompose_real_form(G)
+        # imaginary parts 1e-8 of the entries, next to real parts whose norm overflows
+        G = [[1.7e308 + 1e300j, 1.7e308, 0, 0], [1.7e308, 1.7e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        with pytest.raises(NonReal):
+            decompose_real_form(G)
+        # symmetric inputs at that size still pass
+        assert QuadraticCone([[1.7e308, 1.7e308], [1.7e308, 1.7e308]], [[1, 1.7e308], [1.7e308, 1]]).n == 2
+        G = np.eye(4).tolist()
+        G[0][1] = G[1][0] = 1.7e308
+        assert decompose_real_form(G).n == 2
 
 
 def test_constructor_rejects_non_finite_entries():
@@ -520,6 +555,24 @@ def test_sample_points_match_per_point_reference(seed, count, radius):
         res = np.abs(evaluate_many(cone, pts))
         bound = SAMPLE_RESIDUAL_REL * np.linalg.norm(pts, axis=1) ** 2 * max(cone.scale, 1.0)
         assert np.all(res <= bound)
+
+
+def _chunking_cones():
+    yield "example_m", example_m()
+    yield "slice_oneone_r_z1z3", FIXTURES["slice_oneone_r_z1z3"]()
+    rng = np.random.default_rng(32)
+    for n in range(2, 7):
+        yield f"random n = {n}", random_cone(rng, n=n, scale=float(rng.uniform(0.5, 5.0)))
+
+
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 257, 1000, 10_000])
+def test_chunked_sample_points_equal_the_whole_batch(count):
+    # the chunks' row counts, the 256-row floor and the tail rule: none of
+    # them may change a bit of the points
+    for name, cone in _chunking_cones():
+        for seed in (0, 3):
+            ref = whole_batch_sample_points(cone, seed, count)
+            assert np.array_equal(sample_points(cone, seed, count), ref), (name, seed)
 
 
 def test_sample_cone_point_cone_fails():

@@ -3,7 +3,8 @@
 apply_change builds the tests' cones: it pulls a cone back through a
 change of variables, in any C^n.  real_form_matrix and
 oneone_frame_invariants are the reference forms that the tests compare
-the library's answers with.
+the library's answers with, and whole_batch_sample_points the reference
+that sample_points must equal bitwise.
 
 The library checks a witness at the points that attain its certified bounds
 (decider.verify_discs, decider.verify_support).  The samplers draw many
@@ -47,9 +48,12 @@ from quadcone.normalform import (
 )
 from quadcone.quadform import (
     _FORM_BLOCK,
+    SAMPLE_RESIDUAL_REL,
     ConeError,
+    InsufficientSamples,
     QuadraticCone,
     _interleaved_form,
+    _real_roots,
     evaluate_many,
     form_distance,
     mat_norm,
@@ -122,6 +126,51 @@ def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, floa
     if ntype.tag == "M11_3":
         return (0.0 + 0.0j, 0.0, 0.0)
     raise ConeError(f"{ntype.tag} is not a (1,1) type")
+
+
+def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
+    """quadform.sample_points as it was before it took its directions in chunks: the reference it must equal bitwise.
+
+    It solves every direction of a batch and polishes every candidate,
+    then keeps the first `count` points that pass.
+    """
+    if count < 1:
+        raise ConeError("count must be >= 1")
+    if radius <= 0:
+        raise ConeError("radius must be positive")
+    rng = np.random.default_rng(seed)
+    n = cone.n
+    batch = max(count, 256)
+    scale = max(cone.scale, 1.0)
+    points = []
+    found = 0
+    for _ in range(64):
+        U, V = np.empty((2, batch, n), dtype=complex)
+        for W in (U, V):
+            W.real = rng.standard_normal((batch, n))
+            W.imag = rng.standard_normal((batch, n))
+        scales = rng.uniform(0.05, 1.0, size=2 * batch)
+        a = evaluate_many(cone, V)
+        c = evaluate_many(cone, U)
+        i, k, t = _real_roots(a, evaluate_many(cone, U + V) - a - c, c)
+        P = t[:, None] * V[i] + U[i]
+        norm = np.linalg.norm(P, axis=1)
+        far = ~(norm < 1e-9)
+        i, k, P, norm = i[far], k[far], P[far], norm[far]
+        P *= (radius * scales[2 * i + k] / norm)[:, None]
+        vnorm = np.maximum(np.linalg.norm(V, axis=1), 1e-300)
+        dv = V[i] * (radius / vnorm[i])[:, None]
+        r0 = evaluate_many(cone, P)
+        g = evaluate_many(cone, P + dv * 1e-7) - r0
+        step = np.divide(r0 * 1e-7, g, out=np.zeros_like(g), where=np.abs(g) > 1e-300)
+        P -= dv * step[:, None]
+        res = np.abs(evaluate_many(cone, P))
+        ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
+        points.append(P[ok])
+        found += len(points[-1])
+        if found >= count:
+            return np.concatenate(points)[:count]
+    raise InsufficientSamples(f"found {found} of {count} requested cone points")
 
 
 def _solve_level_points(c: np.ndarray, eps: float, count: int, rng, radius: float) -> np.ndarray:
