@@ -29,7 +29,8 @@ tree runs in a subprocess of its own over the same inputs:
   certificate, so that a shear slice decides it, `verify --csv` on m20
   and example_m and `atlas --tag M11_1 --csv`, and `jump-demo` at the
   edges of `sample_points`' 256-row chunks (1, 2 and 257 samples, the
-  last at seed 3) and at 20,000 samples;
+  last at seed 3) and at 20,000 samples, and a spec of the smallest
+  subnormals under `decide` and `verify`;
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -134,6 +135,9 @@ def _one_sided_at(s: str) -> str:
     return f'{{"n": 2, "S": [[{s}, 0], [0, {s}]], "H": [[{s}, 0], [0, 0]]}}'
 
 
+# 2^-1074 times S = diag(2, 1), H = diag(2, -2) (M11_1, A = 1, B = 0.5): the
+# smallest subnormals, which a halves-first symmetrization would round to 0
+SUBNORMAL = '{"n": 2, "S": [[1e-323, 0], [0, 5e-324]], "H": [[1e-323, 0], [0, -1e-323]]}'
 BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
 EXTRA = (
     ("poly/classify", ["classify", "-"], POLY),
@@ -181,6 +185,8 @@ EXTRA = (
     ("jump/samples_2", ["jump-demo", "--samples", "2"], None),
     ("jump/samples_257_seed_3", ["jump-demo", "--samples", "257", "--seed", "3"], None),
     ("jump/samples_20000", ["jump-demo", "--samples", "20000"], None),
+    ("subnormal/decide", ["decide", "-"], SUBNORMAL),
+    ("subnormal/verify", ["verify", "-"], SUBNORMAL),
 )
 
 

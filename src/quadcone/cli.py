@@ -331,6 +331,7 @@ def _base_report(command: str, args, spec: ConeSpec | None) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_repr = float.__repr__  # json's spelling of a finite float
 
 
 def _float_text(x: float) -> str:
@@ -341,7 +342,7 @@ def _float_text(x: float) -> str:
         return "Infinity"
     if x == -math.inf:
         return "-Infinity"
-    return float.__repr__(x)
+    return _repr(x)
 
 
 def _scalar_text(v) -> str:
@@ -368,16 +369,20 @@ def _write(o, nl: str, out: list) -> None:
     """Append to out the text of o as json.dumps(o, indent=2, sort_keys=True) spells it.
 
     nl is the newline and indent of o's own line.  Dict keys must be strings.
+    A complex number {"re": x, "im": y} of finite floats, the most common
+    leaf of a report, is spelled by one f-string, inline where it is a list
+    item, which matrices and vectors are made of.
     """
     if isinstance(o, dict):
         if not o:
             out.append("{}")
             return
         inner = nl + "  "
-        if len(o) == 2 and type(o.get("re")) is float and type(o.get("im")) is float:
-            # a complex number, the most common leaf of a report
-            out.append(f'{{{inner}"im": {_float_text(o["im"])},{inner}"re": {_float_text(o["re"])}{nl}}}')
-            return
+        if len(o) == 2:
+            re, im = o.get("re"), o.get("im")
+            if type(re) is float is type(im) and math.isfinite(re) and math.isfinite(im):
+                out.append(f'{{{inner}"im": {_repr(im)},{inner}"re": {_repr(re)}{nl}}}')
+                return
         sep = "{"
         for k in sorted(o):
             if not isinstance(k, str):
@@ -395,8 +400,15 @@ def _write(o, nl: str, out: list) -> None:
             out.append("[]")
             return
         inner = nl + "  "
+        leaf = inner + "  "
         sep = "["
         for v in o:
+            if type(v) is dict and len(v) == 2:
+                re, im = v.get("re"), v.get("im")
+                if type(re) is float is type(im) and math.isfinite(re) and math.isfinite(im):
+                    out.append(f'{sep}{inner}{{{leaf}"im": {_repr(im)},{leaf}"re": {_repr(re)}{inner}}}')
+                    sep = ","
+                    continue
             if isinstance(v, _CONTAINERS):
                 out.append(sep + inner)
                 _write(v, inner, out)

@@ -124,10 +124,12 @@ class QuadraticCone:
         """Cone from internally computed square complex S and H of equal size.
 
         Applies the constructor's exact symmetrization (X / 2 + (X / 2)^T,
-        and ^H for H) and skips its tolerance checks.  For congruences and
-        scalings of a valid cone the asymmetry is rounding only, and the
-        result equals the constructor's on the same S and H exactly.  For
-        n = 2, S and H may be rows of numbers: such a cone needs no numpy.
+        and ^H for H, but an entry that equals its mirror where that sum
+        rounds a subnormal part) and skips its tolerance checks.  For
+        congruences and scalings of a valid cone the asymmetry is rounding
+        only, and the result equals the constructor's on the same S and H
+        exactly.  For n = 2, S and H may be rows of numbers: such a cone
+        needs no numpy.
         """
         cone = object.__new__(cls)
         cone._store(S, H)
@@ -137,17 +139,34 @@ class QuadraticCone:
         # halves first: the sum of two halves of finite entries cannot overflow
         if len(S) == 2:  # n = 2: the same steps on Python complex
             S, H = (M.tolist() if hasattr(M, "tolist") else M for M in (S, H))
-            (a00, a01), (a10, a11) = ((0.5 * complex(z) for z in row) for row in S)
-            (b00, b01), (b10, b11) = ((0.5 * complex(z) for z in row) for row in H)
-            S2 = (a00 + a00, a01 + a10), (a10 + a01, a11 + a11)
-            H2 = (b00 + b00.conjugate(), b01 + b10.conjugate()), (b10 + b01.conjugate(), b11 + b11.conjugate())
+            x00, x01, x10, x11, y00, y01, y10, y11 = map(complex, (*S[0], *S[1], *H[0], *H[1]))
+            a00, a01, a10, a11, b00, b01, b10, b11 = (0.5 * z for z in (x00, x01, x10, x11, y00, y01, y10, y11))
+            s00, s01, s10, s11 = a00 + a00, a01 + a10, a10 + a01, a11 + a11
+            h00, h01 = b00 + b00.conjugate(), b01 + b10.conjugate()
+            h10, h11 = b10 + b01.conjugate(), b11 + b11.conjugate()
+            # where a halving rounded (a part below 2^-1021), an entry that equals its
+            # mirror is stored as given; S's diagonal is its own mirror
+            s00 = s00 if s00 == x00 else x00
+            s11 = s11 if s11 == x11 else x11
+            if s01 != x01 == x10:
+                s01 = s10 = x01
+            h00 = h00 if h00 == y00 or y00.imag else y00
+            h11 = h11 if h11 == y11 or y11.imag else y11
+            if h01 != y01 == y10.conjugate():
+                h01, h10 = y01, y10
+            S2, H2 = ((s00, s01), (s10, s11)), ((h00, h01), (h10, h11))
             S = H = None
         else:
             import numpy as np
-            S = 0.5 * np.asarray(S, dtype=complex)
+            S0, H0 = np.asarray(S, dtype=complex), np.asarray(H, dtype=complex)
+            S = 0.5 * S0
             S = S + S.T
-            H = 0.5 * np.asarray(H, dtype=complex)
+            H = 0.5 * H0
             H = H + H.conj().T
+            for M, M0, mirror in ((S, S0, S0.T), (H, H0, H0.conj().T)):
+                if M.tobytes() != M0.tobytes():  # else nothing was rounded; as for n = 2
+                    given = (M != M0) & (M0 == mirror)
+                    M[given] = M0[given]
             S.setflags(write=False)
             H.setflags(write=False)
             S2 = H2 = None
@@ -306,19 +325,29 @@ def rho_at(cone: QuadraticCone, Z) -> list:
     """rho at a few points, the rows of Z, as a list of Python floats.
 
     For n = 2 each value is x^T (G x) on Python floats, G the real form
-    (_form2) and x = (Re z_1, Im z_1, Re z_2, Im z_2): the sums and error
-    bound of evaluate_many, whose rows it equals to rounding.  For n >= 3
-    it is evaluate_many's.
+    (_form2) and x = (Re z_1, Im z_1, Re z_2, Im z_2), written out term by
+    term: the sums and error bound of evaluate_many, whose rows it equals
+    to rounding.  For n >= 3 it is evaluate_many's.
     """
     if cone.n > 2:
         return evaluate_many(cone, Z).tolist()
     (s00, s01), (_, s11) = cone.s2
     (h00, h01), (_, h11) = cone.h2
-    G = _form2((s00, s01, s11), (h00, h01, h11))
+    # G is symmetric bitwise, so its upper triangle gives every row
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = _form2(
+        (s00, s01, s11), (h00, h01, h11)
+    )
     out = []
     for z0, z1 in Z:
-        x = (z0.real, z0.imag, z1.real, z1.imag)
-        out.append(sum(xj * (x[0] * g[0] + x[1] * g[1] + x[2] * g[2] + x[3] * g[3]) for xj, g in zip(x, G)))
+        x0, x1, x2, x3 = z0.real, z0.imag, z1.real, z1.imag
+        # the terms in the order of a sum() from its start 0, which turns a first term -0.0 into 0.0
+        out.append(
+            0
+            + x0 * (x0 * g00 + x1 * g01 + x2 * g02 + x3 * g03)
+            + x1 * (x0 * g01 + x1 * g11 + x2 * g12 + x3 * g13)
+            + x2 * (x0 * g02 + x1 * g12 + x2 * g22 + x3 * g23)
+            + x3 * (x0 * g03 + x1 * g13 + x2 * g23 + x3 * g33)
+        )
     return out
 
 
@@ -351,9 +380,18 @@ def _form2(S: tuple, H: tuple) -> list:
     ]
 
 
-# (p, q, r, s) of each rotation of a cyclic Jacobi sweep on a 4 x 4 matrix: it
-# zeroes the entry (p, q) and mixes the columns p and q of the rows r and s
-_SWEEP = tuple((p, q, *(r for r in range(4) if r not in (p, q))) for p in range(3) for q in range(p + 1, 4))
+def _rotate(app: float, aqq: float, apq: float, xp: float, xq: float, yp: float, yq: float) -> tuple:
+    """Rutishauser's Jacobi rotation that zeroes apq of a symmetric matrix.
+
+    The new app and aqq, then the entries (p, q) of two other rows, x and y.
+    """
+    theta = (aqq - app) / (apq + apq)
+    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+    if theta < 0.0:
+        t = -t
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    s = t * c
+    return app - t * apq, aqq + t * apq, c * xp - s * xq, s * xp + c * xq, c * yp - s * yq, s * yp + c * yq
 
 
 def _jacobi4(S: tuple, H: tuple) -> tuple[list, int]:
@@ -367,7 +405,10 @@ def _jacobi4(S: tuple, H: tuple) -> tuple[list, int]:
     u ||G||_F (u = 2^-53), and each eigenvalue is within about 5 u ||G||_F of
     the exact one.  A rotated entry exceeds that bound, so |theta| stays
     below 2^55 and no step over- or underflows.  A part that is not finite
-    raises ConeError, with eigvalsh's message.
+    raises ConeError, with eigvalsh's message.  The form is symmetric, so
+    its diagonal d_p and upper triangle g_pq are local scalars; a sweep
+    zeroes (p, q) in the order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+    (2, 3), each rotation mixing the columns p and q of the other two rows.
     """
     ps = parts(*S, *H)
     if not all(map(math.isfinite, ps)):
@@ -377,35 +418,31 @@ def _jacobi4(S: tuple, H: tuple) -> tuple[list, int]:
         S, H = scaled(-e, *S), scaled(-e, *H)
     else:
         e = 0
-    a = _form2(S, H)
+    (d0, g01, g02, g03), (_, d1, g12, g13), (_, _, d2, g23), (_, _, _, d3) = a = _form2(S, H)
     tol = 2.0**-55 * math.hypot(*a[0], *a[1], *a[2], *a[3])
     for _ in range(64):
         turned = False
-        for p, q, r, s in _SWEEP:
-            ap, aq = a[p], a[q]
-            apq = ap[q]
-            if not abs(apq) > tol:
-                continue
-            turned = True
-            theta = (aq[q] - ap[p]) / (apq + apq)
-            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            sn = t * c
-            ap[p] -= t * apq
-            aq[q] += t * apq
-            ap[q] = aq[p] = 0.0
-            ar, at = a[r], a[s]
-            x, y = ar[p], ar[q]
-            ar[p] = ap[r] = c * x - sn * y
-            ar[q] = aq[r] = sn * x + c * y
-            x, y = at[p], at[q]
-            at[p] = ap[s] = c * x - sn * y
-            at[q] = aq[s] = sn * x + c * y
+        if abs(g01) > tol:
+            d0, d1, g02, g12, g03, g13 = _rotate(d0, d1, g01, g02, g12, g03, g13)
+            g01, turned = 0.0, True
+        if abs(g02) > tol:
+            d0, d2, g01, g12, g03, g23 = _rotate(d0, d2, g02, g01, g12, g03, g23)
+            g02, turned = 0.0, True
+        if abs(g03) > tol:
+            d0, d3, g01, g13, g02, g23 = _rotate(d0, d3, g03, g01, g13, g02, g23)
+            g03, turned = 0.0, True
+        if abs(g12) > tol:
+            d1, d2, g01, g02, g13, g23 = _rotate(d1, d2, g12, g01, g02, g13, g23)
+            g12, turned = 0.0, True
+        if abs(g13) > tol:
+            d1, d3, g01, g03, g12, g23 = _rotate(d1, d3, g13, g01, g03, g12, g23)
+            g13, turned = 0.0, True
+        if abs(g23) > tol:
+            d2, d3, g02, g03, g12, g13 = _rotate(d2, d3, g23, g02, g03, g12, g13)
+            g23, turned = 0.0, True
         if not turned:
             break
-    return [a[0][0], a[1][1], a[2][2], a[3][3]], e
+    return [d0, d1, d2, d3], e
 
 
 def form_norm2(S: tuple, H: tuple) -> float:

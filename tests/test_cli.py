@@ -201,9 +201,10 @@ def test_an_integer_beyond_the_float_range_is_a_non_finite_entry(capsys, text, m
     assert report["error"] == {"kind": "schema", "message": message}
 
 
-@pytest.mark.parametrize("s", ["1e-310", "1.7e308"])
+@pytest.mark.parametrize("s", ["5e-324", "1e-310", "1.7e308"])
 def test_decide_reads_an_m11_2_cone_at_the_ends_of_the_float_range(capsys, s):
-    # S = [[0, s], [s, 0]], H = diag(s, -s) is M11_2 with A = 1/2 at every scale s
+    # S = [[0, s], [s, 0]], H = diag(s, -s) is M11_2 with A = 1/2 at every scale s,
+    # the smallest subnormal included: its symmetric entries are stored as given
     text = f'{{"n": 2, "S": [[0, {s}], [{s}, 0]], "H": [[{s}, 0], [0, -{s}]]}}'
     code, report = run_cli_stdin(capsys, text, ["decide", "-"])
     assert code == EXIT_OK
@@ -212,12 +213,21 @@ def test_decide_reads_an_m11_2_cone_at_the_ends_of_the_float_range(capsys, s):
     assert report["verdict"]["outcome"] == "two_sided"
 
 
-def test_decide_reads_the_smallest_subnormal_cone_as_zero(capsys):
-    # at s = 5e-324 the symmetrization's halving rounds every entry to 0
-    text = '{"n": 2, "S": [[0, 5e-324], [5e-324, 0]], "H": [[5e-324, 0], [0, -5e-324]]}'
-    code, report = run_cli_stdin(capsys, text, ["decide", "-"])
-    assert code == EXIT_DEGENERATE
-    assert report["classification"]["degenerate"]["reason"] == "DimensionDeficient"
+def test_a_subnormal_cone_classifies_like_its_normal_twin(capsys):
+    # 2^-1074 times S = diag(2, 1), H = diag(2, -2): a halves-first symmetrization
+    # would round S11 = 5e-324 to 0 and read B = 0 with no adjustment reported
+    tiny = '{"n": 2, "S": [[1e-323, 0], [0, 5e-324]], "H": [[1e-323, 0], [0, -1e-323]]}'
+    twin = '{"n": 2, "S": [[1, 0], [0, 0.5]], "H": [[1, 0], [0, -1]]}'
+    assert parse_spec(tiny).cone.s2 == ((1e-323 + 0j, 0j), (0j, 5e-324 + 0j))
+    (code, report), (twin_code, twin_report) = (run_cli_stdin(capsys, t, ["decide", "-"]) for t in (tiny, twin))
+    assert code == twin_code == EXIT_OK
+    assert report["input"]["symmetrization_adjustment"] == {"S": 0.0, "H": 0.0}
+    assert report["input"]["S"][1][1] == {"re": 5e-324, "im": 0.0}
+    nf, twin_nf = report["classification"]["normal_form"], twin_report["classification"]["normal_form"]
+    assert nf["tag"] == twin_nf["tag"] == "M11_1"
+    assert twin_nf["A"] == 1.0 and twin_nf["B"] == 0.5
+    assert nf["A"] == pytest.approx(1.0, rel=1e-12) and nf["B"] == pytest.approx(0.5, rel=1e-12)
+    assert report["verdict"]["outcome"] == twin_report["verdict"]["outcome"]
 
 
 @pytest.mark.parametrize(

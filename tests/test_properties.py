@@ -27,6 +27,7 @@ from quadcone.normalform import (
     render_cone,
 )
 from quadcone.quadform import (
+    PRESCALE_BAND,
     ZERO_EIG_REL,
     ConeError,
     QuadraticCone,
@@ -38,10 +39,11 @@ from quadcone.quadform import (
     hermitian_signature,
     real_signature,
     replace,
+    rho_at,
 )
 from quadcone.reduction import So11Unreachable, so11_zero_diag
 from test_reduction import entries, mat
-from witness_samplers import apply_change, real_form_matrix
+from witness_samplers import apply_change, list_jacobi4, real_form_matrix, summed_rho_at2
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -369,6 +371,89 @@ def test_the_jacobi_eigenvalues_are_eigvalsh_s_to_rounding(form):
         assert _inertia(w) == (int(np.sum(ref > thr)), int(np.sum(ref < -thr)))
 
 
+# --- the scalar n = 2 kernels against the code they replaced --------------------
+
+# exponents at 2^+-1000 and on both sides of PRESCALE_BAND, where _jacobi4 prescales
+_KERNEL_EXPONENTS = st.one_of(
+    st.integers(min_value=-1000, max_value=1000),
+    st.sampled_from([-1000, 1000, *(sign * (PRESCALE_BAND + d) for sign in (1, -1) for d in range(-3, 4))]),
+)
+# zero parts of either sign, and m * 2^e as _spread draws them
+_KERNEL_PART = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        math.ldexp,
+        st.one_of(st.integers(min_value=-3, max_value=3).map(float), st.floats(min_value=-1.0, max_value=1.0)),
+        _KERNEL_EXPONENTS,
+    ),
+)
+
+
+@st.composite
+def kernel_forms(draw):
+    """(S, H) as entries (s00, s01, s11), (h00, h01, h11), every part a _KERNEL_PART."""
+    S = tuple(complex(draw(_KERNEL_PART), draw(_KERNEL_PART)) for _ in range(3))
+    h00, h11 = complex(draw(_KERNEL_PART)), complex(draw(_KERNEL_PART))
+    return S, (h00, complex(draw(_KERNEL_PART), draw(_KERNEL_PART)), h11)
+
+
+def _hexes(xs) -> list:
+    """Each float's bits, the sign of a zero included."""
+    return [float.hex(x) for x in xs]
+
+
+def _band_form(e: int):
+    """A form with no zero entry whose largest part is 2^(e - 1), so that quadform's exponent is e."""
+    f = math.ldexp(1.0, e - 1)
+    return (f * (0.5 + 0.25j), f * (-0.75 + 0.125j), f * (1 + 0j)), (f * (0.5 + 0j), f * (0.25 - 0.5j), f * (-1 + 0j))
+
+
+_NEG_ZEROS = (complex(-0.0, -0.0),) * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_forms())
+@example(form=(_ZERO, _ZERO))
+@example(form=(_NEG_ZEROS, _NEG_ZEROS))
+@example(form=(_NEG_ZEROS, (complex(-0.0), 1j, complex(-0.0))))
+@example(form=_band_form(PRESCALE_BAND))  # the band's edge: no prescale
+@example(form=_band_form(PRESCALE_BAND + 1))  # just beyond it
+@example(form=_band_form(-PRESCALE_BAND))
+@example(form=_band_form(-PRESCALE_BAND - 1))
+@example(form=_band_form(1000))
+@example(form=_band_form(-1000))
+def test_jacobi4_is_bitwise_the_list_of_lists_jacobi(form):
+    S, H = form
+    w, e = _jacobi4(S, H)
+    ref_w, ref_e = list_jacobi4(S, H)
+    assert e == ref_e
+    assert _hexes(w) == _hexes(ref_w)
+
+
+def test_the_band_forms_fall_on_both_sides_of_the_prescale_band():
+    # the @examples above reach both branches of _jacobi4's prescale
+    for k, prescaled in ((PRESCALE_BAND, False), (PRESCALE_BAND + 1, True), (-PRESCALE_BAND - 1, True)):
+        assert (list_jacobi4(*_band_form(k))[1] != 0) is prescaled
+
+
+_KERNEL_POINTS = st.lists(
+    st.tuples(*(st.builds(complex, _KERNEL_PART, _KERNEL_PART) for _ in range(2))), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_forms(), _KERNEL_POINTS)
+@example(form=(_ZERO, _ZERO), Z=[(complex(-0.0, -0.0), complex(-0.0, -0.0))])
+@example(form=(_NEG_ZEROS, (complex(-0.0), 1j, complex(-0.0))), Z=[(complex(-0.0, 1.0), complex(1.0, -0.0))])
+@example(form=_band_form(1000), Z=[(1 + 1j, -1 + 0.5j), (complex(-0.0), 1e-300j)])
+@example(form=_band_form(-1000), Z=[(math.ldexp(1.0, 1000) + 0j, 1j), (0j, complex(-0.0, 2.0))])
+def test_rho_at_is_bitwise_the_summed_rho_at(form, Z):
+    # the values, infinities, nans and signs of zero of the sum()-based kernel
+    (s00, s01, s11), (h00, h01, h11) = form
+    cone = QuadraticCone._symmetrized(((s00, s01), (s01, s11)), ((h00, h01), (h01.conjugate(), h11)))
+    assert _hexes(rho_at(cone, Z)) == _hexes(summed_rho_at2(cone, Z))
+
+
 # --- the power-of-two scaling law of the certificates ---------------------------
 
 
@@ -407,7 +492,9 @@ def test_the_certificates_keep_the_power_of_two_scaling_law(cone, k):
     assume(isinstance(base, NormalFormResult) and base.residual <= base.residual_bound)
     f = 1.0 if base.tag == "M00_1" else 2.0 ** (k // 2)
     Tb, Tg = (np.asarray(r.T, dtype=complex).view(float) for r in (base, got))
-    assume(np.array_equal(Tg, f * Tb) and not np.any((np.abs(Tb) < 2.0**-1022) & (Tb != 0)))
+    # both ways: f * Tb rounds a part that f takes below 2^-1022 (to 0, say)
+    assume(np.array_equal(Tg, f * Tb) and np.array_equal(Tg / f, Tb))
+    assume(not np.any((np.abs(Tb) < 2.0**-1022) & (Tb != 0)))
     assume(not np.any((np.abs(Tg) < 2.0**-1022) & (Tg != 0)))
     vb, vg = decide2(base), decide2(got)
     assert vg.outcome == vb.outcome

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,42 @@ def test_internally_built_cones_are_exact_and_match_the_checked_constructor():
         assert np.array_equal(built.H, built.H.conj().T)
         assert built == reference
         assert built.scale == mat_norm(built.S) + mat_norm(built.H)
+
+
+def _halves_first(M, hermitian: bool):
+    """M / 2 + (M / 2)^T (^H if hermitian) in numpy: the symmetrization whose bits _store keeps."""
+    M = 0.5 * np.asarray(M, dtype=complex)
+    return M + (M.conj().T if hermitian else M.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.one_of(st.integers(min_value=-1074, max_value=1000), st.integers(min_value=-1074, max_value=-1018)),
+)
+def test_symmetrization_stores_mirror_equal_entries_as_given_at_every_scale(n, seed, k):
+    # parts m 2^k with m in -3..3 and either sign of zero: subnormal for k < -1022,
+    # where a halving rounds; (0, 1) in S and (1, 0) in H lose their mirror
+    rng = np.random.default_rng(seed)
+
+    def entries():
+        m = rng.integers(-3, 4, (n, n, 2)).astype(float) * rng.choice([-1.0, 1.0], (n, n, 2))
+        return np.ldexp(m, k).view(complex)[..., 0]
+
+    S, H = np.triu(entries()), np.triu(entries(), 1)
+    S = S + np.triu(S, 1).T
+    H = H + H.conj().T + np.diag(entries().real.diagonal())
+    S[0, 1] += math.ldexp(rng.integers(1, 4), k)
+    H[1, 0] += complex(0.0, math.ldexp(rng.integers(1, 4), k))
+    cone = QuadraticCone._symmetrized(S, H)
+    for M, stored, mirror in ((S, cone.S, S.T), (H, cone.H, H.conj().T)):
+        given = M == mirror
+        assert not given.all()
+        np.testing.assert_array_equal(stored[given], M[given])
+    if k >= -1021:  # no part rounds when halved: the bits of the halves-first sums, signs of zero too
+        assert cone.S.tobytes() == _halves_first(S, False).tobytes()
+        assert cone.H.tobytes() == _halves_first(H, True).tobytes()
 
 
 # --- evaluation --------------------------------------------------------------

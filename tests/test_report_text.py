@@ -106,6 +106,28 @@ def test_writer_matches_json_on_json_like_trees(tree):
     assert cli.report_text(tree) == reference(tree)
 
 
+# parts of a complex leaf: the writer spells one of two finite floats inline,
+# and every other pair as json does
+LEAF_PARTS = [0.5, -0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf, np.float64(0.25), SubFloat(0.75), 1, True]
+LEAF_IDS = ["0.5", "-0.0", "1e-05", "5e-324", "nan", "inf", "-inf", "float64", "SubFloat", "int", "bool"]
+
+
+@pytest.mark.parametrize("im", LEAF_PARTS, ids=LEAF_IDS)
+@pytest.mark.parametrize("re", LEAF_PARTS, ids=LEAF_IDS)
+def test_complex_leaves_are_spelled_as_json_spells_them(re, im):
+    leaf = {"re": re, "im": im}
+    third = {"im": im, "re": re, "x": 1.5}
+    for tree in (
+        [leaf, leaf],  # list items: the inline path
+        [[leaf, -1.0], [None, leaf]],
+        [third, {"re": re, "x": im}, {"im": im, "x": re}],  # a third key, or a key other than re or im
+        {"z": leaf, "w": [leaf], "v": third},  # a leaf that stands alone as a member
+        leaf,
+        third,
+    ):
+        assert cli.report_text(tree) == reference(tree)
+
+
 @pytest.mark.parametrize(
     "obj",
     [object(), {"a": [1, object()]}, {"a": {1, 2}}, [np.int64(1)], {"re": 1.0, "im": 1j}, {1: 2.0}],

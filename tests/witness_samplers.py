@@ -4,7 +4,9 @@ apply_change builds the tests' cones: it pulls a cone back through a
 change of variables, in any C^n.  real_form_matrix and
 oneone_frame_invariants are the reference forms that the tests compare
 the library's answers with, and whole_batch_sample_points the reference
-that sample_points must equal bitwise.
+that sample_points must equal bitwise.  list_jacobi4 and summed_rho_at2
+are the list-of-lists Jacobi and the sum()-based n = 2 rho_at that
+quadform's scalar kernels replaced, which those must equal bitwise.
 
 The library checks a witness at the points that attain its certified bounds
 (decider.verify_discs, decider.verify_support).  The samplers draw many
@@ -48,17 +50,19 @@ from quadcone.normalform import (
 )
 from quadcone.quadform import (
     _FORM_BLOCK,
+    PRESCALE_BAND,
     SAMPLE_RESIDUAL_REL,
     ConeError,
     InsufficientSamples,
     QuadraticCone,
+    _form2,
     _interleaved_form,
     _real_roots,
     evaluate_many,
     form_distance,
     mat_norm,
 )
-from quadcone.reduction import E_HERM_ROWS
+from quadcone.reduction import E_HERM_ROWS, exponent, parts, scaled
 
 E_HERM = np.array(E_HERM_ROWS)
 CHOFVAR = np.reshape(_CHOFVAR, (2, 2))
@@ -126,6 +130,68 @@ def oneone_frame_invariants(ntype: NormalFormType) -> tuple[complex, float, floa
     if ntype.tag == "M11_3":
         return (0.0 + 0.0j, 0.0, 0.0)
     raise ConeError(f"{ntype.tag} is not a (1,1) type")
+
+
+# (p, q, r, s) of each rotation of list_jacobi4's cyclic sweep: it zeroes the
+# entry (p, q) and mixes the columns p and q of the rows r and s
+_SWEEP = tuple((p, q, *(r for r in range(4) if r not in (p, q))) for p in range(3) for q in range(p + 1, 4))
+
+
+def list_jacobi4(S: tuple, H: tuple) -> tuple[list, int]:
+    """quadform._jacobi4 as it was on a 4 x 4 list of lists: the reference it must equal bitwise."""
+    ps = parts(*S, *H)
+    if not all(map(math.isfinite, ps)):
+        raise ConeError("Array must not contain infs or NaNs")
+    e = exponent(*ps)
+    if abs(e) > PRESCALE_BAND:
+        S, H = scaled(-e, *S), scaled(-e, *H)
+    else:
+        e = 0
+    a = _form2(S, H)
+    tol = 2.0**-55 * math.hypot(*a[0], *a[1], *a[2], *a[3])
+    for _ in range(64):
+        turned = False
+        for p, q, r, s in _SWEEP:
+            ap, aq = a[p], a[q]
+            apq = ap[q]
+            if not abs(apq) > tol:
+                continue
+            turned = True
+            theta = (aq[q] - ap[p]) / (apq + apq)
+            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            sn = t * c
+            ap[p] -= t * apq
+            aq[q] += t * apq
+            ap[q] = aq[p] = 0.0
+            ar, at = a[r], a[s]
+            x, y = ar[p], ar[q]
+            ar[p] = ap[r] = c * x - sn * y
+            ar[q] = aq[r] = sn * x + c * y
+            x, y = at[p], at[q]
+            at[p] = ap[s] = c * x - sn * y
+            at[q] = aq[s] = sn * x + c * y
+        if not turned:
+            break
+    return [a[0][0], a[1][1], a[2][2], a[3][3]], e
+
+
+def summed_rho_at2(cone: QuadraticCone, Z) -> list:
+    """quadform.rho_at for n = 2 as it was, x^T (G x) by sum(): the reference it must equal bitwise.
+
+    sum() adds from its start 0 left to right on Python 3.11, as the
+    unrolled kernel does; later Pythons sum floats with compensation.
+    """
+    (s00, s01), (_, s11) = cone.s2
+    (h00, h01), (_, h11) = cone.h2
+    G = _form2((s00, s01, s11), (h00, h01, h11))
+    out = []
+    for z0, z1 in Z:
+        x = (z0.real, z0.imag, z1.real, z1.imag)
+        out.append(sum(xj * (x[0] * g[0] + x[1] * g[1] + x[2] * g[2] + x[3] * g[3]) for xj, g in zip(x, G)))
+    return out
 
 
 def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
