@@ -29,8 +29,14 @@ tree runs in a subprocess of its own over the same inputs:
   certificate, so that a shear slice decides it, `verify --csv` on m20
   and example_m and `atlas --tag M11_1 --csv`, and `jump-demo` at the
   edges of `sample_points`' 256-row chunks (1, 2 and 257 samples, the
-  last at seed 3) and at 20,000 samples, and a spec of the smallest
-  subnormals under `decide` and `verify`;
+  last at seed 3) and at 20,000 samples, a spec of the smallest
+  subnormals under `decide` and `verify`, the eight `parse_spec`
+  rejections that no other input reaches (an unknown key in an entry and
+  at the top level, too few rows, a top level that is not an object, poly
+  given with S, a term with a third key, vars that are not a list, no H),
+  a spec whose asymmetry z - mirror overflows (its
+  `symmetrization_adjustment` is finite) and `atlas --tag M11_2 --csv`,
+  the one CSV whose `params` hold a complex number;
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -138,6 +144,19 @@ def _one_sided_at(s: str) -> str:
 # 2^-1074 times S = diag(2, 1), H = diag(2, -2) (M11_1, A = 1, B = 0.5): the
 # smallest subnormals, which a halves-first symmetrization would round to 0
 SUBNORMAL = '{"n": 2, "S": [[1e-323, 0], [0, 5e-324]], "H": [[1e-323, 0], [0, -1e-323]]}'
+# S - S^T is 2e308 off the diagonal, which overflows; ||S - S^T||_F / 2 is 1.414e308
+OVERFLOW_ASYMMETRY = '{"n": 2, "S": [[1, 1e308], [-1e308, 1]], "H": [[1, 0], [0, -1]]}'
+# specs that parse_spec rejects, one per message
+REJECTED = (
+    ("entry_key", '{"n": 2, "S": [[{"x": 1}, 0], [0, 1]], "H": [[1, 0], [0, -1]]}'),
+    ("rows", '{"n": 2, "S": [[1, 0]], "H": [[1, 0], [0, -1]]}'),
+    ("top_level", "[1, 2]"),
+    ("top_key", '{"n": 2, "S": [[1, 0], [0, 1]], "H": [[1, 0], [0, -1]], "T": 0}'),
+    ("poly_and_matrices", '{"n": 2, "poly": [], "S": [[1, 0], [0, 1]]}'),
+    ("term_key", '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1, "x": 0}]}'),
+    ("vars", '{"n": 2, "poly": [{"vars": "x1 x1", "coeff": 1}]}'),
+    ("no_H", '{"n": 2, "S": [[1, 0], [0, 1]]}'),
+)
 BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
 EXTRA = (
     ("poly/classify", ["classify", "-"], POLY),
@@ -187,6 +206,9 @@ EXTRA = (
     ("jump/samples_20000", ["jump-demo", "--samples", "20000"], None),
     ("subnormal/decide", ["decide", "-"], SUBNORMAL),
     ("subnormal/verify", ["verify", "-"], SUBNORMAL),
+    *((f"rejected/{name}", ["classify", "-"], text) for name, text in REJECTED),
+    ("overflow_asymmetry/classify", ["classify", "-"], OVERFLOW_ASYMMETRY),
+    ("csv/atlas_M11_2", ["atlas", "--tag", "M11_2", "--csv", "cells.csv"], None),
 )
 
 

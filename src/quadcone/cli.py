@@ -150,13 +150,13 @@ def _parse_matrix(data, n: int, path: str) -> list:
 
 
 def _asymmetry(rows: list, conj: bool) -> float:
-    """||M - M^T||_F / 2 (M^H when conj) of a matrix given by its rows of Python complex."""
+    """||M - M^T||_F / 2 (M^H when conj) of rows of Python complex; halves first, so nothing overflows."""
     parts = []
     for i, row in enumerate(rows):
         for j, z in enumerate(row):
-            d = z - (rows[j][i].conjugate() if conj else rows[j][i])
+            d = 0.5 * z - 0.5 * (rows[j][i].conjugate() if conj else rows[j][i])
             parts += (d.real, d.imag)
-    return 0.5 * math.hypot(*parts)
+    return math.hypot(*parts)
 
 
 def _require_finite(rows: list, path: str) -> None:
@@ -229,28 +229,20 @@ def parse_spec(text: str) -> ConeSpec:
     return ConeSpec(cone=cone, s_adjustment=_asymmetry(S, False), h_adjustment=_asymmetry(H, True))
 
 
-def _c2j(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def _mat2j(M) -> list:
-    """A matrix, an array or rows of numbers, as rows of {re, im} objects."""
-    rows = M.tolist() if hasattr(M, "tolist") else M
-    return [[{"re": z.real, "im": z.imag} for z in map(complex, row)] for row in rows]
+    """A matrix, an array or rows of real or complex numbers, as rows of Python complex."""
+    return [list(map(complex, row)) for row in (M.tolist() if hasattr(M, "tolist") else M)]
 
 
 def spec_to_json(spec: ConeSpec) -> dict:
+    """The cone's n, S and H, the matrices as rows of Python complex."""
     cone = spec.cone
     two = cone.n == 2
-    return {"n": cone.n, "S": _mat2j(cone.s2 if two else cone.S), "H": _mat2j(cone.h2 if two else cone.H)}
+    return {"n": cone.n, "S": cone.s2 if two else _mat2j(cone.S), "H": cone.h2 if two else _mat2j(cone.H)}
 
 
 def _ntype_json(ntype: NormalFormType) -> dict:
-    out = {"tag": ntype.tag}
-    for name, p in zip("AB", ntype.params()):
-        out[name] = _c2j(p) if isinstance(p, complex) else p
-    return out
+    return dict(zip("AB", ntype.params()), tag=ntype.tag)
 
 
 def _classification_json(res) -> dict:
@@ -258,7 +250,7 @@ def _classification_json(res) -> dict:
         return {"degenerate": {"reason": res.reason, "detail": res.detail}}
     return {
         "normal_form": _ntype_json(res.ntype),
-        "T": _mat2j(res.T),
+        "T": res.T,
         "lambda": res.lam,
         "sign": res.sign,
         "residual": res.residual,
@@ -272,8 +264,8 @@ def _classification_json(res) -> dict:
 def _germ_json(germ) -> dict:
     return {
         "label": germ.label,
-        "functional": [_c2j(c) for c in germ.coeffs],
-        "span": [_c2j(c) for c in germ.span],
+        "functional": germ.coeffs,
+        "span": germ.span,
     }
 
 
@@ -290,9 +282,9 @@ def _verdict_json(v: Verdict) -> dict:
             "radius": fam.radius,
         }
         if fam.kind == "level_set":
-            out["disc_family"]["C"] = _mat2j(fam.c)
+            out["disc_family"]["C"] = fam.c
         else:
-            out["disc_family"]["shift"] = _c2j(fam.shift)
+            out["disc_family"]["shift"] = fam.shift
         if fam.transform is not None:
             out["disc_family"]["transform"] = _mat2j(fam.transform)
     else:
@@ -324,31 +316,36 @@ def _base_report(command: str, args, spec: ConeSpec | None) -> dict:
             "H": spec.h_adjustment,
         }
         report["signatures"] = {
-            "hermitian": list(hermitian_signature(spec.cone).as_tuple()),
-            "real": list(real_signature(spec.cone).as_tuple()),
+            "hermitian": hermitian_signature(spec.cone),
+            "real": real_signature(spec.cone),
         }
     return report
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 _repr = float.__repr__  # json's spelling of a finite float
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float.__repr__ to json
 
 
-def _float_text(x: float) -> str:
-    """json's spelling of a float: its repr, or NaN, Infinity or -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return _repr(x)
+def _complex_json(z: complex) -> dict:
+    """json's default for a complex leaf: the object that report_text spells for it."""
+    return {"re": z.real, "im": z.imag}
 
 
-def _scalar_text(v) -> str:
-    """json's text of a scalar, subclasses of float, str and int included."""
+def _leaf_text(v, nl: str) -> str:
+    """json's text of a leaf on a line indented by nl: a scalar, or a complex as _complex_json.
+
+    Subclasses of float, str, int and complex are spelled as their base
+    type.  A float is its repr, or NaN, Infinity or -Infinity.
+    """
+    if isinstance(v, complex):
+        re, im, inner = v.real, v.imag, nl + "  "
+        if math.isfinite(re) and math.isfinite(im):
+            return f'{{{inner}"im": {_repr(im)},{inner}"re": {_repr(re)}{nl}}}'
+        return f'{{{inner}"im": {_leaf_text(im, nl)},{inner}"re": {_leaf_text(re, nl)}{nl}}}'
     if isinstance(v, float):
-        return _float_text(v)
+        text = _repr(v)
+        return _NON_FINITE.get(text, text)
     if isinstance(v, str):
         return _encode_str(v)
     if v is None:
@@ -366,23 +363,16 @@ _CONTAINERS = (dict, list, tuple)  # json writes a tuple as a list
 
 
 def _write(o, nl: str, out: list) -> None:
-    """Append to out the text of o as json.dumps(o, indent=2, sort_keys=True) spells it.
+    """Append to out report_text's text of o; nl is the newline and indent of o's own line.
 
-    nl is the newline and indent of o's own line.  Dict keys must be strings.
-    A complex number {"re": x, "im": y} of finite floats, the most common
-    leaf of a report, is spelled by one f-string, inline where it is a list
-    item, which matrices and vectors are made of.
+    Dict keys must be strings.  Every leaf, a complex number included, is
+    spelled by one _leaf_text call.
     """
     if isinstance(o, dict):
         if not o:
             out.append("{}")
             return
         inner = nl + "  "
-        if len(o) == 2:
-            re, im = o.get("re"), o.get("im")
-            if type(re) is float is type(im) and math.isfinite(re) and math.isfinite(im):
-                out.append(f'{{{inner}"im": {_repr(im)},{inner}"re": {_repr(re)}{nl}}}')
-                return
         sep = "{"
         for k in sorted(o):
             if not isinstance(k, str):
@@ -392,7 +382,7 @@ def _write(o, nl: str, out: list) -> None:
                 out.append(f"{sep}{inner}{_encode_str(k)}: ")
                 _write(v, inner, out)
             else:
-                out.append(f"{sep}{inner}{_encode_str(k)}: {_scalar_text(v)}")
+                out.append(f"{sep}{inner}{_encode_str(k)}: {_leaf_text(v, inner)}")
             sep = ","
         out.append(nl + "}")
     elif isinstance(o, _CONTAINERS):
@@ -400,28 +390,21 @@ def _write(o, nl: str, out: list) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        leaf = inner + "  "
         sep = "["
         for v in o:
-            if type(v) is dict and len(v) == 2:
-                re, im = v.get("re"), v.get("im")
-                if type(re) is float is type(im) and math.isfinite(re) and math.isfinite(im):
-                    out.append(f'{sep}{inner}{{{leaf}"im": {_repr(im)},{leaf}"re": {_repr(re)}{inner}}}')
-                    sep = ","
-                    continue
             if isinstance(v, _CONTAINERS):
                 out.append(sep + inner)
                 _write(v, inner, out)
             else:
-                out.append(f"{sep}{inner}{_scalar_text(v)}")
+                out.append(f"{sep}{inner}{_leaf_text(v, inner)}")
             sep = ","
         out.append(nl + "]")
     else:
-        out.append(_scalar_text(o))
+        out.append(_leaf_text(o, nl))
 
 
 def report_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, without its pure-Python encoder."""
+    """json.dumps(obj, indent=2, sort_keys=True, default=_complex_json) to the byte, without json's encoder."""
     out = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -553,7 +536,7 @@ def cmd_slice(args) -> int:
         report["slice"] = {
             "description": res.slice.description,
             "basis": _mat2j(res.slice.basis),
-            "restricted": {"S": _mat2j(res.restricted.s2), "H": _mat2j(res.restricted.h2)},
+            "restricted": {"S": res.restricted.s2, "H": res.restricted.h2},
             "classification": _classification_json(res.classification),
             "verdict": _verdict_json(res.verdict),
             "disc_verification": {
@@ -630,7 +613,7 @@ def cmd_atlas(args) -> int:
     report["atlas"] = {"tag": args.tag, "grid": grid, "cells": rows}
     if args.csv:
         cells = [
-            [args.tag, json.dumps(row["params"], sort_keys=True), row["outcome"],
+            [args.tag, json.dumps(row["params"], sort_keys=True, default=_complex_json), row["outcome"],
              row.get("side", row.get("witness_kind"))]
             for row in rows
         ]

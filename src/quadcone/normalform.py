@@ -248,7 +248,7 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
     n = cone.n
     if n < 3:
         raise ConeError("normalize_hermitian expects n >= 3")
-    pi, nu = hermitian_signature(cone).as_tuple()
+    pi, nu = hermitian_signature(cone)
     if nu > pi:
         raise UnsupportedSignature(
             f"hermitian signature {(pi, nu)} is not canonical; negate the cone first"
@@ -623,7 +623,7 @@ def classify2(cone: QuadraticCone) -> NormalFormResult | DegeneracyReport:
 
     margins: dict[str, float] = {}
     # canonical_sign leaves pi >= nu, so n = 2 has these four signatures
-    pi, nu = hermitian_signature(cone0).as_tuple()
+    pi, nu = hermitian_signature(cone0)
     reduce = _BY_SIGNATURE[pi, nu]
     try:
         W = _frame2(cone0, pi, nu)

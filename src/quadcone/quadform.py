@@ -75,18 +75,12 @@ class HermitianSignature(NamedTuple):
     pi: int
     nu: int
 
-    def as_tuple(self):
-        return (self.pi, self.nu)
-
 
 class RealSignature(NamedTuple):
     """Inertia (p, q) of rho viewed as a real quadratic form on R^(2n)."""
 
     p: int
     q: int
-
-    def as_tuple(self):
-        return (self.p, self.q)
 
 
 class QuadraticCone:

@@ -330,7 +330,7 @@ def _structured_candidates(cone0: QuadraticCone):
     A family yields (basis, description) pairs in the frame of normalize_hermitian;
     a dependent basis is skipped, not the rest of the search.
     """
-    pi, nu = hermitian_signature(cone0).as_tuple()
+    pi, nu = hermitian_signature(cone0)
     if pi == 0:
         return  # (0, 0): a harmonic-only cone has two-sided support; no candidates
     W, S1 = normalize_hermitian(cone0)
@@ -508,9 +508,9 @@ def _ts2_fit(cone: QuadraticCone) -> TwoSidedForm | None:
     """Fit rho = Re((lambda(z) + conj(mu(z))) alpha(z)) with independent forms."""
     import numpy as np
     scale = max(cone.scale, 1e-300)
-    if hermitian_signature(cone).as_tuple() != (1, 1):
+    if hermitian_signature(cone) != (1, 1):
         return None
-    if real_signature(cone).as_tuple() != (2, 2):
+    if real_signature(cone) != (2, 2):
         return None
     U, s_sv, _ = np.linalg.svd(cone.S)
     if int(np.sum(s_sv > 1e-9 * max(s_sv[0], 1e-300))) != 2:

@@ -15,6 +15,7 @@ from quadcone.cli import (
     EXIT_UNRESOLVED,
     ConeSpec,
     SchemaError,
+    _complex_json,
     main,
     parse_spec,
     spec_to_json,
@@ -71,7 +72,7 @@ def test_parse_example_m():
 
 def test_parse_round_trip():
     spec = parse_spec(EXAMPLE_M)
-    again = parse_spec(json.dumps(spec_to_json(spec)))
+    again = parse_spec(json.dumps(spec_to_json(spec), default=_complex_json))
     np.testing.assert_allclose(again.cone.S, spec.cone.S)
     np.testing.assert_allclose(again.cone.H, spec.cone.H)
 
@@ -279,6 +280,43 @@ def test_parse_rejects_booleans_as_numbers(capsys, text, path):
     code, report = run_cli_stdin(capsys, text, ["classify", "-"])
     assert code == EXIT_SCHEMA
     assert report["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 2, "S": [[{"x": 1}, 0], [0, 1]], "H": [[1, 0], [0, -1]]}', "S[0][0]: unknown keys ['x']"),
+        ('{"n": 2, "S": [[1, 0]], "H": [[1, 0], [0, -1]]}', "S: expected 2 rows"),
+        ("[1, 2]", "$: top level must be an object"),
+        ('{"n": 2, "S": [[1, 0], [0, 1]], "H": [[1, 0], [0, -1]], "T": 0}', "$: unknown keys ['T']"),
+        ('{"n": 2, "poly": [], "S": [[1, 0], [0, 1]]}', "$: give either poly or S/H, not both"),
+        ('{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1, "x": 0}]}', "poly[0]: term must be {vars, coeff}"),
+        ('{"n": 2, "poly": [{"vars": "x1 x1", "coeff": 1}]}', "poly[0].vars: must be a list of variable names"),
+        ('{"n": 2, "S": [[1, 0], [0, 1]]}', "$: need S and H matrices (or poly)"),
+    ],
+    ids=["entry_key", "rows", "top_level", "top_key", "poly_and_matrices", "term_key", "vars", "no_H"],
+)
+def test_parse_spec_rejections_are_schema_errors(capsys, text, message):
+    code, report = run_cli_stdin(capsys, text, ["classify", "-"])
+    assert code == EXIT_SCHEMA
+    assert report["error"] == {"kind": "schema", "message": message}
+
+
+@pytest.mark.parametrize(
+    "text, adjustment",
+    [
+        ('{"n": 2, "S": [[1, 1e308], [-1e308, 1]], "H": [[1, 0], [0, -1]]}',
+         {"S": 1.4142135623730951e308, "H": 0.0}),
+        ('{"n": 2, "S": [[1, 0], [0, 1]], "H": [[1, {"im": 1e308}], [{"im": 1e308}, -1]]}',
+         {"S": 0.0, "H": 1.4142135623730951e308}),
+    ],
+    ids=["S", "H"],
+)
+def test_the_symmetrization_adjustment_is_finite_where_a_difference_would_overflow(capsys, text, adjustment):
+    # ||M - M^T||_F / 2 from the halves: z - mirror = 2e308 overflows, z/2 - mirror/2 does not
+    code, report = run_cli_stdin(capsys, text, ["classify", "-"])
+    assert code != EXIT_SCHEMA and "error" not in report
+    assert report["input"]["symmetrization_adjustment"] == adjustment
 
 
 # --- commands and exit codes ----------------------------------------------------
@@ -822,7 +860,7 @@ def test_cmd_atlas_tabulates_the_grid_points_in_the_tags_range(capsys, tag, grid
     assert code == EXIT_OK
     cells = report["atlas"]["cells"]
     assert [c["params"] for c in cells] == [
-        cli._ntype_json(NormalFormType(tag, *p)) for p in params
+        json.loads(cli.report_text(cli._ntype_json(NormalFormType(tag, *p)))) for p in params
     ]
     assert all(c["outcome"] in ("one_sided", "two_sided") for c in cells)
 
@@ -928,7 +966,8 @@ def test_every_fixture_through_the_cli(tmp_path, capsys):
     for name, make in sorted(FIXTURES.items()):
         cone = make()
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(spec_to_json(ConeSpec(cone, 0.0, 0.0))), encoding="utf-8")
+        text = json.dumps(spec_to_json(ConeSpec(cone, 0.0, 0.0)), default=_complex_json)
+        path.write_text(text, encoding="utf-8")
         assert parse_spec(path.read_text()).cone == cone, name
         if cone.n == 2:
             code, report = run_cli(capsys, ["verify", str(path)])

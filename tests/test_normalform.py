@@ -211,7 +211,7 @@ def hermitian_frame(cone):
     """
     if cone.n > 2:
         return normalize_hermitian(cone)
-    W = np.array(_frame2(cone, *hermitian_signature(cone).as_tuple())).reshape(2, 2)
+    W = np.array(_frame2(cone, *hermitian_signature(cone))).reshape(2, 2)
     X = W.T @ cone.S @ W
     return W, 0.5 * (X + X.T)
 
@@ -272,7 +272,7 @@ def test_normalize_hermitian_keeps_canonical_coordinates_up_to_a_power_of_two(n)
 
 def _eigh_frame(cone):
     """normalize_hermitian's W by its recipe with np.linalg.eigh: the reference for n = 2."""
-    pi, nu = hermitian_signature(cone).as_tuple()
+    pi, nu = hermitian_signature(cone)
     target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (2 - pi - nu)).astype(complex)
     if (pi, nu) == (1, 1):
         target = E_HERM

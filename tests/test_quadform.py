@@ -347,9 +347,9 @@ def test_form_distance_is_symmetric_and_bounds_every_sampled_difference(n):
 
 
 def test_hermitian_signature_examples():
-    assert hermitian_signature(example_m()).as_tuple() == (1, 1)
+    assert hermitian_signature(example_m()) == (1, 1)
     zero = QuadraticCone(np.eye(2, dtype=complex), np.zeros((2, 2)))
-    assert hermitian_signature(zero).as_tuple() == (0, 0)
+    assert hermitian_signature(zero) == (0, 0)
 
 
 def test_hermitian_signature_im_z1z2bar():
@@ -361,7 +361,7 @@ def test_hermitian_signature_im_z1z2bar():
     oracle = sorted([((tr + disc) / 2).real, ((tr - disc) / 2).real])
     assert oracle == [-0.5, 0.5]
     cone = QuadraticCone(np.zeros((2, 2)), E_HERM)
-    assert hermitian_signature(cone).as_tuple() == (1, 1)
+    assert hermitian_signature(cone) == (1, 1)
 
 
 def _real_form_by_polarization(cone):
@@ -387,9 +387,9 @@ def _real_form_by_polarization(cone):
 
 def test_real_signature_examples():
     harmonic = QuadraticCone(np.eye(2, dtype=complex), np.zeros((2, 2)))
-    assert real_signature(harmonic).as_tuple() == (2, 2)  # x1^2-y1^2+x2^2-y2^2
+    assert real_signature(harmonic) == (2, 2)  # x1^2-y1^2+x2^2-y2^2
     hermitian = QuadraticCone(np.zeros((2, 2)), np.eye(2))
-    assert real_signature(hermitian).as_tuple() == (4, 0)
+    assert real_signature(hermitian) == (4, 0)
 
 
 def test_real_signature_example_m_oracle():
@@ -398,7 +398,7 @@ def test_real_signature_example_m_oracle():
     w = np.linalg.eigvalsh(G)
     oracle = (int(np.sum(w > 1e-12)), int(np.sum(w < -1e-12)))
     assert oracle == (2, 2)  # frozen from this oracle
-    assert real_signature(cone).as_tuple() == oracle
+    assert real_signature(cone) == oracle
     np.testing.assert_allclose(G, real_form_matrix(cone), atol=1e-12)
 
 
@@ -410,8 +410,8 @@ def test_signature_congruence_invariance():
         if abs(np.linalg.det(T)) < 1e-3:
             continue
         moved = apply_change(cone, T, lam=float(np.exp(rng.uniform(-1, 1))), sign=1)
-        assert hermitian_signature(moved).as_tuple() == hermitian_signature(cone).as_tuple()
-        assert real_signature(moved).as_tuple() == real_signature(cone).as_tuple()
+        assert hermitian_signature(moved) == hermitian_signature(cone)
+        assert real_signature(moved) == real_signature(cone)
 
 
 def test_default_signatures_are_cached_and_equal_a_fresh_computation():
@@ -426,18 +426,18 @@ def test_default_signatures_are_cached_and_equal_a_fresh_computation():
                 assert real_signature(c) == real_signature(fresh)
                 assert hermitian_signature(c) is hermitian_signature(c)  # kept on the cone
                 assert real_signature(c) is real_signature(c)
-            assert hermitian_signature(neg).as_tuple() == hermitian_signature(cone).as_tuple()[::-1]
-            assert real_signature(neg).as_tuple() == real_signature(cone).as_tuple()[::-1]
+            assert hermitian_signature(neg) == hermitian_signature(cone)[::-1]
+            assert real_signature(neg) == real_signature(cone)[::-1]
 
 
 def test_negated_inherits_the_swapped_signatures_and_the_scale():
     cone = QuadraticCone(np.diag([0.1, 0.2]).astype(complex), np.diag([3.0, 2.0]))
-    assert hermitian_signature(cone).as_tuple() == (2, 0)
-    assert real_signature(cone).as_tuple() == (4, 0)
+    assert hermitian_signature(cone) == (2, 0)
+    assert real_signature(cone) == (4, 0)
     scale = cone.scale
     neg = cone.negated()
     # handed over, not recomputed: a negated cone computes no eigenvalues
-    assert neg._hsig.as_tuple() == (0, 2) and neg._rsig.as_tuple() == (0, 4)
+    assert neg._hsig == (0, 2) and neg._rsig == (0, 4)
     assert neg._scale == scale
     assert neg.negated()._hsig == cone._hsig
 
@@ -456,8 +456,8 @@ def test_signatures_read_a_prescaled_form_at_the_ends_of_the_float_range(n, s):
     cone, unit = at(s), at(1.0)
     assert hermitian_signature(cone) == hermitian_signature(unit)
     assert real_signature(cone) == real_signature(unit)
-    assert hermitian_signature(cone).as_tuple() == (n - 1, 1)
-    assert real_signature(cone).as_tuple() == (2 * n - 2, 2)
+    assert hermitian_signature(cone) == (n - 1, 1)
+    assert real_signature(cone) == (2 * n - 2, 2)
     # the prescaled forms are copies: the form evaluate_many keeps is built from the cone itself
     assert cone._G is None
     assert np.array_equal(_interleaved_form(cone), numpy_interleaved_form(cone))
@@ -492,7 +492,7 @@ def test_canonical_sign_flips_negative():
     cone = QuadraticCone(np.eye(2, dtype=complex), -np.eye(2))
     fixed, sign = canonical_sign(cone)
     assert sign == -1
-    assert hermitian_signature(fixed).as_tuple() == (2, 0)
+    assert hermitian_signature(fixed) == (2, 0)
 
 
 def test_canonical_sign_keeps_balanced_and_positive():
@@ -647,6 +647,6 @@ def test_the_n2_signatures_are_the_inertia_of_eigvalsh_at_any_scale():
     for i, cone in enumerate(spread_cones2(seed=24, count=2400)):
         h = _inertia(np.linalg.eigvalsh(cone.H).tolist())
         r = _inertia(np.linalg.eigvalsh(numpy_interleaved_form(cone)).tolist())
-        if (hermitian_signature(cone).as_tuple(), real_signature(cone).as_tuple()) != (h, r):
+        if (hermitian_signature(cone), real_signature(cone)) != (h, r):
             differ.append((i, h, r))
     assert differ == []

@@ -1,4 +1,7 @@
-"""The CLI's report writer spells every report as json.dumps(indent=2, sort_keys=True) does."""
+"""The CLI's report writer spells every report as json.dumps(indent=2, sort_keys=True) does.
+
+A complex leaf is spelled as json's default={"re": z.real, "im": z.imag} would spell it.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from quadcone.normalform import TAGS
 
 
 def reference(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda z: {"re": z.real, "im": z.imag})
 
 
 def _cli_argvs():
@@ -73,6 +76,9 @@ FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 5e-324, 2.5e-310, 1.7e308, -1.7e308, 1e-5, 1e16, math.nan, math.inf, -math.inf]),
 )
+# the parts of a drawn complex leaf
+PARTS = st.sampled_from([0.5, -0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf])
+COMPLEX = st.builds(complex, PARTS, PARTS)
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -83,7 +89,10 @@ SCALARS = st.one_of(
     st.integers().map(SubInt),
     TEXT,
     TEXT.map(SubStr),
-    # complex leaves, and dicts that only look like one
+    COMPLEX,
+    COMPLEX.map(np.complex128),
+    st.builds(complex, FLOATS, FLOATS),
+    # dicts that look like a complex leaf
     st.fixed_dictionaries({"re": FLOATS, "im": FLOATS}),
     st.fixed_dictionaries({"re": st.one_of(st.integers(), st.booleans(), FLOATS), "im": FLOATS}),
     st.fixed_dictionaries({"re": FLOATS, "im": FLOATS, "x": st.integers()}),
@@ -106,8 +115,8 @@ def test_writer_matches_json_on_json_like_trees(tree):
     assert cli.report_text(tree) == reference(tree)
 
 
-# parts of a complex leaf: the writer spells one of two finite floats inline,
-# and every other pair as json does
+# parts of a complex leaf, and of a dict that looks like one: the writer spells
+# a complex of two finite parts with one f-string, and every other leaf as json does
 LEAF_PARTS = [0.5, -0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf, np.float64(0.25), SubFloat(0.75), 1, True]
 LEAF_IDS = ["0.5", "-0.0", "1e-05", "5e-324", "nan", "inf", "-inf", "float64", "SubFloat", "int", "bool"]
 
@@ -116,9 +125,14 @@ LEAF_IDS = ["0.5", "-0.0", "1e-05", "5e-324", "nan", "inf", "-inf", "float64", "
 @pytest.mark.parametrize("re", LEAF_PARTS, ids=LEAF_IDS)
 def test_complex_leaves_are_spelled_as_json_spells_them(re, im):
     leaf = {"re": re, "im": im}
+    z = complex(re, im)
     third = {"im": im, "re": re, "x": 1.5}
     for tree in (
-        [leaf, leaf],  # list items: the inline path
+        [z, z],  # list items, which matrices and vectors are made of
+        [[z, -1.0], [None, leaf]],
+        {"z": z, "w": (z, leaf)},  # a member, and a tuple as a list
+        z,
+        [leaf, leaf],
         [[leaf, -1.0], [None, leaf]],
         [third, {"re": re, "x": im}, {"im": im, "x": re}],  # a third key, or a key other than re or im
         {"z": leaf, "w": [leaf], "v": third},  # a leaf that stands alone as a member
@@ -130,8 +144,8 @@ def test_complex_leaves_are_spelled_as_json_spells_them(re, im):
 
 @pytest.mark.parametrize(
     "obj",
-    [object(), {"a": [1, object()]}, {"a": {1, 2}}, [np.int64(1)], {"re": 1.0, "im": 1j}, {1: 2.0}],
-    ids=["object", "nested object", "set", "numpy int", "complex value", "int key"],
+    [object(), {"a": [1, object()]}, {"a": {1, 2}}, [np.int64(1)], {1: 2.0}],
+    ids=["object", "nested object", "set", "numpy int", "int key"],
 )
 def test_unsupported_values_raise_type_error(obj):
     with pytest.raises(TypeError):

@@ -563,7 +563,7 @@ def test_slice_result_hermitian_frames():
     cone = fx.slice_oneone_r_z1z3()
     res = find_good_slice(cone, budget=64)
     got = hermitian_signature(res.restricted)
-    assert got.as_tuple() == (1, 1)
+    assert got == (1, 1)
 
 
 def test_try_slice_rejects_a_classification_beyond_its_residual_bound(monkeypatch):
@@ -667,7 +667,7 @@ def test_slicer_frame_flags_follow_the_hermitian_signature():
     # signature counts it negative, so the frame and the shears must as well
     H = np.diag([1.0] * 9 + [-2e-9])
     cone = QuadraticCone(np.diag([2.0, 1.0] + [0.0] * 8), H)
-    assert hermitian_signature(cone).as_tuple() == (9, 1)
+    assert hermitian_signature(cone) == (9, 1)
     W, _ = normalize_hermitian(cone)
     np.testing.assert_allclose(W.conj().T @ cone.H @ W, np.diag([1.0] * 9 + [-1.0]), atol=1e-12)
     # z10 has no harmonic coupling: only a nonzero flag makes its shears candidates
@@ -682,7 +682,7 @@ def test_onezero_cone_containing_a_coordinate_plane_has_no_candidates(s22):
     # slice through the support of that block is tried
     S = np.array([[1.0, 0.5, 0.0], [0.5, s22, 0.0], [0.0, 0.0, 0.0]])
     cone = QuadraticCone(S, np.diag([1.0, 0.0, 0.0]))
-    assert hermitian_signature(cone).as_tuple() == (1, 0)
+    assert hermitian_signature(cone) == (1, 0)
     assert list(_onezero_candidates(*normalize_hermitian(cone))) == []
     assert find_good_slice(cone) is None
 

@@ -5,7 +5,7 @@ change of variables, in any C^n.  real_form_matrix and
 oneone_frame_invariants are the reference forms that the tests compare
 the library's answers with, and whole_batch_sample_points the reference
 that sample_points must equal bitwise.  list_jacobi4 and summed_rho_at2
-are the list-of-lists Jacobi and the sum()-based n = 2 rho_at that
+are the list-of-lists Jacobi and the summed n = 2 rho_at that
 quadform's scalar kernels replaced, which those must equal bitwise.
 
 The library checks a witness at the points that attain its certified bounds
@@ -179,10 +179,12 @@ def list_jacobi4(S: tuple, H: tuple) -> tuple[list, int]:
 
 
 def summed_rho_at2(cone: QuadraticCone, Z) -> list:
-    """quadform.rho_at for n = 2 as it was, x^T (G x) by sum(): the reference it must equal bitwise.
+    """quadform.rho_at for n = 2 as it was, x^T (G x) summed term by term: the reference it must equal bitwise.
 
-    sum() adds from its start 0 left to right on Python 3.11, as the
-    unrolled kernel does; later Pythons sum floats with compensation.
+    The outer sum is written as the loop that sum() ran on Python 3.11, left
+    to right from the int start 0 (so a first term -0.0 gives 0.0), as the
+    unrolled kernel adds; from Python 3.12 on, sum() adds floats with
+    compensation, which would make the reference depend on the version.
     """
     (s00, s01), (_, s11) = cone.s2
     (h00, h01), (_, h11) = cone.h2
@@ -190,7 +192,10 @@ def summed_rho_at2(cone: QuadraticCone, Z) -> list:
     out = []
     for z0, z1 in Z:
         x = (z0.real, z0.imag, z1.real, z1.imag)
-        out.append(sum(xj * (x[0] * g[0] + x[1] * g[1] + x[2] * g[2] + x[3] * g[3]) for xj, g in zip(x, G)))
+        total = 0
+        for xj, g in zip(x, G):
+            total += xj * (x[0] * g[0] + x[1] * g[1] + x[2] * g[2] + x[3] * g[3])
+        out.append(total)
     return out
 
 
