@@ -35,8 +35,10 @@ tree runs in a subprocess of its own over the same inputs:
   at the top level, too few rows, a top level that is not an object, poly
   given with S, a term with a third key, vars that are not a list, no H),
   a spec whose asymmetry z - mirror overflows (its
-  `symmetrization_adjustment` is finite) and `atlas --tag M11_2 --csv`,
-  the one CSV whose `params` hold a complex number;
+  `symmetrization_adjustment` is finite), `atlas --tag M11_2 --csv`,
+  the one CSV whose `params` hold a complex number, and a spec whose one
+  asymmetric entry is the smallest subnormal (its adjustment, 3.5e-324,
+  rounds to 5e-324, but to 0 from the rounded halves);
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -146,6 +148,8 @@ def _one_sided_at(s: str) -> str:
 SUBNORMAL = '{"n": 2, "S": [[1e-323, 0], [0, 5e-324]], "H": [[1e-323, 0], [0, -1e-323]]}'
 # S - S^T is 2e308 off the diagonal, which overflows; ||S - S^T||_F / 2 is 1.414e308
 OVERFLOW_ASYMMETRY = '{"n": 2, "S": [[1, 1e308], [-1e308, 1]], "H": [[1, 0], [0, -1]]}'
+# S01 - S10 = 5e-324: ||S - S^T||_F / 2 = 3.5e-324, where 0.5 * 5e-324 rounds to 0
+SUBNORMAL_ASYMMETRY = '{"n": 2, "S": [[1, 5e-324], [0, 0.5]], "H": [[1, 0], [0, -1]]}'
 # specs that parse_spec rejects, one per message
 REJECTED = (
     ("entry_key", '{"n": 2, "S": [[{"x": 1}, 0], [0, 1]], "H": [[1, 0], [0, -1]]}'),
@@ -209,6 +213,7 @@ EXTRA = (
     *((f"rejected/{name}", ["classify", "-"], text) for name, text in REJECTED),
     ("overflow_asymmetry/classify", ["classify", "-"], OVERFLOW_ASYMMETRY),
     ("csv/atlas_M11_2", ["atlas", "--tag", "M11_2", "--csv", "cells.csv"], None),
+    ("subnormal_asymmetry/classify", ["classify", "-"], SUBNORMAL_ASYMMETRY),
 )
 
 

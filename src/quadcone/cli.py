@@ -150,13 +150,25 @@ def _parse_matrix(data, n: int, path: str) -> list:
 
 
 def _asymmetry(rows: list, conj: bool) -> float:
-    """||M - M^T||_F / 2 (M^H when conj) of rows of Python complex; halves first, so nothing overflows."""
+    """||M - M^T||_F / 2 (M^H when conj) of rows of Python complex; halved last, so no subnormal half rounds.
+
+    Below 2^-1021, where the halving rounds, the differences are exact multiples of 2^-1074 and the result
+    is rounded once from their integer squares; where they overflow, the entries are halved first.
+    """
     parts = []
     for i, row in enumerate(rows):
         for j, z in enumerate(row):
-            d = 0.5 * z - 0.5 * (rows[j][i].conjugate() if conj else rows[j][i])
+            d = z - (rows[j][i].conjugate() if conj else rows[j][i])
             parts += (d.real, d.imag)
-    return math.hypot(*parts)
+    h = math.hypot(*parts)
+    if h == math.inf:
+        return 2.0 * _asymmetry([[0.5 * z for z in row] for row in rows], conj)
+    if 0.0 < h < 2.0**-1021:
+        # sqrt(4 sum k^2) / 2^1076 with k = 2^1074 x, rounded once: r + 1/2 for a root in (r, r + 1)
+        sq = 4 * sum(int(math.ldexp(x, 1074)) ** 2 for x in parts)
+        r = math.isqrt(sq)
+        return (2 * r + (r * r < sq)) / (1 << 1077)
+    return 0.5 * h
 
 
 def _require_finite(rows: list, path: str) -> None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .fixtures import example_m
 from .normalform import NormalFormResult, NormalFormType, _table_form
-from .quadform import ConeError, QuadraticCone, _form2, form_norm2, replace, rho_at, sample_points
+from .quadform import ConeError, QuadraticCone, _form2, _row_norms, form_norm2, replace, rho_at, sample_points
 from .reduction import exponent, parts, phase, scaled
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
@@ -600,7 +600,7 @@ def jump_demo(seed: int = 0, samples: int = 10_000) -> JumpReport:
     f_plus = z2**2 / z1
     f_minus = z1**2 / z2
     identity_residual = float(np.max(np.abs(f_plus[safe] - f_minus[safe] - f[safe])))
-    norms = np.linalg.norm(Z, axis=1)
+    norms = _row_norms(Z)
     ratio = float(np.max(np.abs(f) / norms))
     return JumpReport(
         identity_residual=identity_residual,

@@ -606,8 +606,17 @@ def _real_roots(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         roots = np.column_stack([np.where(linear, -c / b, qq / a), c / qq])
     real = ~(disc < 0)
     valid = np.column_stack([real & (~linear | (np.abs(b) > 0)), real & ~linear & (np.abs(qq) > 0)])
-    i, k = np.nonzero(valid)
-    return i, k, roots[i, k]
+    f = np.flatnonzero(valid)  # 2 i + k, on the flat (row, root) order
+    return f >> 1, f & 1, roots.take(f)
+
+
+def _row_norms(Z):
+    """np.linalg.norm(Z, axis=1) bitwise: its squares, summed in order below 8 columns and pairwise from 8."""
+    import numpy as np
+    s = (Z.conj() * Z).real
+    if s.shape[1] >= 8:
+        return np.sqrt(np.add.reduce(s, axis=1))
+    return np.sqrt(sum((s[:, j] for j in range(1, s.shape[1])), s[:, 0]))
 
 
 # The fewest directions sample_points solves and polishes at a time: a chunk
@@ -638,7 +647,12 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
     product, whose rows do not depend on the other rows of a product of
     that many rows), so the points are bitwise those of solving the whole
     batch at once, and equal those of the equivalent per-point loop up to
-    rounding.  Results are reproducible at fixed numpy and BLAS builds.
+    rounding.  The bits rest on numpy's complex multiply, which may use FMA
+    (so no real-view x*x + y*y stands in for it), and on its row norms:
+    _row_norms adds a row's squares as np.linalg.norm does, in order, and
+    for n >= 8 in numpy's pairwise order.  Gathers and root indices move
+    values without arithmetic.  Results are reproducible at fixed numpy
+    and BLAS builds.
     """
     import numpy as np
     if count < 1:
@@ -683,17 +697,18 @@ def _chunk_points(cone: QuadraticCone, U, V, scales, radius: float, scale: float
     i, k, t = _real_roots(a, evaluate_many(cone, U + V) - a - c, c)
     # candidate-size arrays are made in place and dropped once used, so the
     # heap reuses their pages instead of faulting in new ones
-    P = t[:, None] * V[i]
-    P += U[i]
+    dv = V.take(i, axis=0)
+    P = t[:, None] * dv
+    P += U.take(i, axis=0)
     del a, c
-    norm = np.linalg.norm(P, axis=1)
+    norm = _row_norms(P)
     far = ~(norm < 1e-9)
     if not far.all():
-        i, k, P, norm = i[far], k[far], P[far], norm[far]
+        i, k, P, norm, dv = i[far], k[far], P[far], norm[far], dv[far]
     P *= (radius * scales[2 * i + k] / norm)[:, None]
     # one Newton polish along V to keep the residual at rounding level
-    vnorm = np.maximum(np.linalg.norm(V, axis=1), 1e-300)
-    dv = V[i] * (radius / vnorm[i])[:, None]
+    vnorm = np.maximum(_row_norms(V), 1e-300)
+    dv *= (radius / vnorm[i])[:, None]
     r0 = evaluate_many(cone, P)
     probe = dv * 1e-7
     probe += P
@@ -704,7 +719,7 @@ def _chunk_points(cone: QuadraticCone, U, V, scales, radius: float, scale: float
     P -= dv
     del dv
     res = np.abs(evaluate_many(cone, P))
-    ok = res <= SAMPLE_RESIDUAL_REL * np.linalg.norm(P, axis=1) ** 2 * scale
+    ok = res <= SAMPLE_RESIDUAL_REL * _row_norms(P) ** 2 * scale
     return P if ok.all() else P[ok]
 
 

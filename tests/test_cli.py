@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from quadcone.cli import (
     EXIT_UNRESOLVED,
     ConeSpec,
     SchemaError,
+    _asymmetry,
     _complex_json,
     main,
     parse_spec,
@@ -317,6 +319,67 @@ def test_the_symmetrization_adjustment_is_finite_where_a_difference_would_overfl
     code, report = run_cli_stdin(capsys, text, ["classify", "-"])
     assert code != EXIT_SCHEMA and "error" not in report
     assert report["input"]["symmetrization_adjustment"] == adjustment
+
+
+@pytest.mark.parametrize(
+    "text, adjustment",
+    [
+        ('{"n": 2, "S": [[1, 5e-324], [0, 0.5]], "H": [[1, 0], [0, -1]]}', {"S": 5e-324, "H": 0.0}),
+        ('{"n": 2, "S": [[1, 1e-310], [0, 0.5]], "H": [[1, 0], [0, -1]]}', {"S": 7.0710678118656e-311, "H": 0.0}),
+        ('{"n": 2, "S": [[1, 0], [0, 0.5]], "H": [[1, {"im": 5e-324}], [0, -1]]}', {"S": 0.0, "H": 5e-324}),
+    ],
+    ids=["S_5e-324", "S_1e-310", "H_5e-324"],
+)
+def test_the_symmetrization_adjustment_is_correctly_rounded_below_the_normal_range(capsys, text, adjustment):
+    # ||S - S^T||_F / 2 of the first is 5e-324 / sqrt(2) = 3.5e-324, which
+    # rounds to 5e-324; halving 5e-324 before the norm rounds it to 0
+    code, report = run_cli_stdin(capsys, text, ["classify", "-"])
+    assert code == EXIT_OK
+    assert report["input"]["symmetrization_adjustment"] == adjustment
+    if adjustment["S"] == 5e-324:  # the stored entry is the rounded half, as before
+        assert report["input"]["S"][0][1] == report["input"]["S"][1][0] == {"re": 0.0, "im": 0.0}
+
+
+def _halves_first_asymmetry(rows, conj):
+    """||M - M^T||_F / 2 from the halved entries, as parse_spec reported it where no half rounds."""
+    return math.hypot(*(x for i, row in enumerate(rows) for j, z in enumerate(row)
+                        for d in [0.5 * z - 0.5 * (rows[j][i].conjugate() if conj else rows[j][i])]
+                        for x in (d.real, d.imag)))
+
+
+def test_the_asymmetry_is_correctly_rounded_and_unchanged_where_no_half_rounds():
+    from fractions import Fraction
+
+    from mpmath import mp
+
+    rng = np.random.default_rng(35)
+    for _ in range(400):  # parts k 2^-1074: every halving may round, the result is subnormal
+        n, conj = int(rng.integers(2, 5)), bool(rng.integers(2))
+        ks = rng.integers(-(2**20), 2**20, size=(n, n, 2)) * (rng.random((n, n, 2)) < 0.6)
+        rows = [[complex(math.ldexp(int(re), -1074), math.ldexp(int(im), -1074)) for re, im in row] for row in ks]
+        sq = 0
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                w = rows[j][i].conjugate() if conj else rows[j][i]
+                sq += sum(int((Fraction(x) - Fraction(y)) * 2**1074) ** 2 for x, y in ((z.real, w.real), (z.imag, w.imag)))
+        with mp.workprec(200):  # the half of sqrt(sq), in units of 2^-1074, to the nearest unit
+            want = math.ldexp(int(mp.floor(mp.sqrt(sq) / 2 + mp.mpf(0.5))), -1074)
+        assert _asymmetry(rows, conj) == want, (rows, conj)
+    for _ in range(400):  # parts 0 or at least 2^-1021: no half rounds, and the value is the halves' norm
+        n, conj = int(rng.integers(2, 5)), bool(rng.integers(2))
+        exps = rng.integers(-1020, 1021, size=(n, n, 2)) * (rng.random((n, n, 2)) < 0.5)
+        parts = rng.standard_normal((n, n, 2)) * np.exp2(exps) * (rng.random((n, n, 2)) > 0.2)
+        parts = np.where(np.abs(parts) < 2.0**-1021, np.sign(parts) * 2.0**-1021, parts)
+        rows = [[complex(re, im) for re, im in row] for row in parts.tolist()]
+        if rng.random() < 0.5:  # mirrors equal, or an ulp apart
+            for i in range(n):
+                for j in range(i):
+                    rows[j][i] = rows[i][j].conjugate() if conj else rows[i][j]
+                    rows[j][i] += math.ulp(rows[j][i].real) * int(rng.integers(-1, 2)) * (rows[j][i].real != 0)
+        with np.errstate(over="ignore"):
+            want = _halves_first_asymmetry(rows, conj)
+        if want >= 2.0**-1021:
+            assert _asymmetry(rows, conj) == want, (rows, conj)
 
 
 # --- commands and exit codes ----------------------------------------------------

@@ -28,6 +28,8 @@ from quadcone.quadform import (
     sample_points,
     _inertia,
     _interleaved_form,
+    _real_roots,
+    _row_norms,
 )
 from quadcone.fixtures import FIXTURES
 from quadcone.normalform import NormalFormType, render_cone
@@ -38,6 +40,7 @@ from witness_samplers import (
     apply_change,
     numpy_interleaved_form,
     real_form_matrix,
+    reference_real_roots,
     spread_cones2,
     whole_batch_sample_points,
 )
@@ -611,6 +614,52 @@ def test_chunked_sample_points_equal_the_whole_batch(count):
         for seed in (0, 3):
             ref = whole_batch_sample_points(cone, seed, count)
             assert np.array_equal(sample_points(cone, seed, count), ref), (name, seed)
+
+
+def test_row_norms_are_numpys_row_norms_bitwise():
+    # below 8 columns numpy adds a row's squares in order, from 8 up
+    # pairwise; a numpy whose reduction order changes fails here
+    rng = np.random.default_rng(35)
+    exps = np.array([0, -1000, -600, -537, 511, 512, 600, 1000])
+    for n in range(1, 13):
+        parts = rng.standard_normal((2, 400, n))
+        parts[:, 200:] *= np.exp2(rng.choice(exps, size=(2, 200, n)))
+        parts[:, ::7] = 0.0
+        parts[:, 3::7] = -0.0
+        parts[:, 5::11, ::2] *= 0.0
+        Z = parts[0] + 1j * parts[1]
+        Z[2::14] = np.exp2(rng.choice([-1000, 1000], size=n))  # squares that overflow or underflow
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(Z, axis=1)
+            got = _row_norms(Z)
+        assert np.isinf(want).any() and (want[::7] == 0).all()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+def _root_rows(rng):
+    """Coefficient rows (a, b, c): random ones, then every degenerate kind."""
+    a, b, c = rng.standard_normal((3, 2000)) * np.exp2(rng.integers(-60, 61, size=(3, 2000)))
+    for j, x in enumerate((a, b, c)):  # one coefficient 0, then two
+        x[j::5] = 0.0
+        x[3 + j // 2::50] = 0.0
+    c[4::5] = np.abs(c[4::5]) * np.sign(a[4::5])  # disc = b^2 - 4ac < 0 where b is small
+    b[4::10] *= 1e-3
+    thr = 1e-14 * (np.abs(b) + np.abs(c) + 1e-300)
+    a[6::9] = np.nextafter(thr[6::9], 0.0)  # |a| just under the linear threshold
+    a[7::9] = -np.nextafter(thr[7::9], 0.0)
+    a[8::9] = thr[8::9]  # and at it
+    a[10::37], b[10::37], c[10::37] = 2.0**-500, 2.0**-499, 2.0**-500  # disc = 0
+    a[11::37], b[11::37], c[11::37] = 2.0**-500 * (1 + 2.0**-52), 2.0**-499, 2.0**-500  # disc just below 0
+    return a, b, c
+
+
+def test_real_roots_equal_the_reference_bitwise():
+    a, b, c = _root_rows(np.random.default_rng(35))
+    linear = np.abs(a) < 1e-14 * (np.abs(b) + np.abs(c) + 1e-300)
+    assert linear.sum() > 100 and (b * b - 4.0 * a * c < 0).sum() > 100
+    got, want = _real_roots(a, b, c), reference_real_roots(a, b, c)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_sample_cone_point_cone_fails():

@@ -4,9 +4,11 @@ apply_change builds the tests' cones: it pulls a cone back through a
 change of variables, in any C^n.  real_form_matrix and
 oneone_frame_invariants are the reference forms that the tests compare
 the library's answers with, and whole_batch_sample_points the reference
-that sample_points must equal bitwise.  list_jacobi4 and summed_rho_at2
-are the list-of-lists Jacobi and the summed n = 2 rho_at that
-quadform's scalar kernels replaced, which those must equal bitwise.
+that sample_points must equal bitwise.  It keeps numpy's general paths:
+np.linalg.norm, fancy row gathers and reference_real_roots, its own copy
+of quadform._real_roots with 2-D np.nonzero indices.  list_jacobi4 and
+summed_rho_at2 are the list-of-lists Jacobi and the summed n = 2 rho_at
+that quadform's scalar kernels replaced, which those must equal bitwise.
 
 The library checks a witness at the points that attain its certified bounds
 (decider.verify_discs, decider.verify_support).  The samplers draw many
@@ -57,7 +59,6 @@ from quadcone.quadform import (
     QuadraticCone,
     _form2,
     _interleaved_form,
-    _real_roots,
     evaluate_many,
     form_distance,
     mat_norm,
@@ -199,6 +200,20 @@ def summed_rho_at2(cone: QuadraticCone, Z) -> list:
     return out
 
 
+def reference_real_roots(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """quadform._real_roots as it was, with 2-D np.nonzero indices: the reference it must equal bitwise."""
+    disc = b * b - 4.0 * a * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(disc)
+        linear = np.abs(a) < 1e-14 * (np.abs(b) + np.abs(c) + 1e-300)
+        qq = -0.5 * (b + np.copysign(sq, b))
+        roots = np.column_stack([np.where(linear, -c / b, qq / a), c / qq])
+    real = ~(disc < 0)
+    valid = np.column_stack([real & (~linear | (np.abs(b) > 0)), real & ~linear & (np.abs(qq) > 0)])
+    i, k = np.nonzero(valid)
+    return i, k, roots[i, k]
+
+
 def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
     """quadform.sample_points as it was before it took its directions in chunks: the reference it must equal bitwise.
 
@@ -223,7 +238,7 @@ def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int, radius
         scales = rng.uniform(0.05, 1.0, size=2 * batch)
         a = evaluate_many(cone, V)
         c = evaluate_many(cone, U)
-        i, k, t = _real_roots(a, evaluate_many(cone, U + V) - a - c, c)
+        i, k, t = reference_real_roots(a, evaluate_many(cone, U + V) - a - c, c)
         P = t[:, None] * V[i] + U[i]
         norm = np.linalg.norm(P, axis=1)
         far = ~(norm < 1e-9)
