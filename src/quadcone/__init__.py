@@ -21,7 +21,6 @@ from .quadform import (
 )
 from .reduction import (
     TakagiFactorization,
-    factor_preserver,
     sl2_reduce_sym,
     so11_zero_diag,
     takagi2,

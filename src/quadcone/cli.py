@@ -137,29 +137,47 @@ def _indexed(path: str, index) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
 
-def _parse_matrix(data, n: int, path: str) -> list:
-    """The rows of an n x n matrix as lists of Python complex."""
+def _read_matrix(data, n: int, path: str, conj: bool) -> tuple[list, list]:
+    """The rows of an n x n matrix as lists of Python complex, and _asymmetry's parts of M - M^T (M^H when conj).
+
+    One pass per row: its entries, then their differences from their mirrors so far, each at both of its
+    places in row order (_asymmetry reads only their magnitudes).
+    """
     if not isinstance(data, list) or len(data) != n:
         raise SchemaError(path, f"expected {n} rows")
-    rows = []
+    rows, parts = [], [0.0] * (2 * n * n)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{path}[{i}]", f"expected {n} entries")
-        rows.append([_entry_to_complex(v, path, i, j) for j, v in enumerate(row)])
-    return rows
+        out = []
+        for j, v in enumerate(row):
+            if type(v) is dict and len(v) == 2:
+                re, im = v.get("re"), v.get("im")
+                if type(re) is float and type(im) is float:
+                    out.append(complex(re, im))
+                    continue
+            out.append(_entry_to_complex(v, path, i, j))
+        rows.append(out)
+        for j, z in enumerate(out[: i + 1]):
+            d = z - (rows[j][i].conjugate() if conj else rows[j][i])
+            k, m = 2 * (i * n + j), 2 * (j * n + i)
+            parts[k] = parts[m] = d.real
+            parts[k + 1] = parts[m + 1] = d.imag
+    return rows, parts
 
 
-def _asymmetry(rows: list, conj: bool) -> float:
-    """||M - M^T||_F / 2 (M^H when conj) of rows of Python complex; halved last, so no subnormal half rounds.
+def _asymmetry(rows: list, conj: bool, parts: list | None = None) -> float:
+    """||M - M^T||_F / 2 (M^H when conj) of rows of Python complex (or _read_matrix's parts of it); halved last.
 
     Below 2^-1021, where the halving rounds, the differences are exact multiples of 2^-1074 and the result
     is rounded once from their integer squares; where they overflow, the entries are halved first.
     """
-    parts = []
-    for i, row in enumerate(rows):
-        for j, z in enumerate(row):
-            d = z - (rows[j][i].conjugate() if conj else rows[j][i])
-            parts += (d.real, d.imag)
+    if parts is None:
+        parts = []
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                d = z - (rows[j][i].conjugate() if conj else rows[j][i])
+                parts += (d.real, d.imag)
     h = math.hypot(*parts)
     if h == math.inf:
         return 2.0 * _asymmetry([[0.5 * z for z in row] for row in rows], conj)
@@ -230,15 +248,16 @@ def parse_spec(text: str) -> ConeSpec:
 
     if "S" not in data or "H" not in data:
         raise SchemaError("$", "need S and H matrices (or poly)")
-    S = _parse_matrix(data["S"], n, "S")
-    H = _parse_matrix(data["H"], n, "H")
-    _require_finite(S, "S")
-    _require_finite(H, "H")
+    (S, s_parts), (H, h_parts) = _read_matrix(data["S"], n, "S", False), _read_matrix(data["H"], n, "H", True)
+    for rows, parts, path in ((S, s_parts, "S"), (H, h_parts, "H")):
+        # each entry is in a difference, so one that is not finite makes the sum inf or nan
+        if not math.isfinite(sum(parts)):
+            _require_finite(rows, path)
     # _symmetrized applies the checked constructor's symmetrization (halves
     # first, so finite entries stay finite); that constructor's tests cannot
     # fail on a finite result, so the cone is bitwise the one it would build
     cone = QuadraticCone._symmetrized(S, H)
-    return ConeSpec(cone=cone, s_adjustment=_asymmetry(S, False), h_adjustment=_asymmetry(H, True))
+    return ConeSpec(cone=cone, s_adjustment=_asymmetry(S, False, s_parts), h_adjustment=_asymmetry(H, True, h_parts))
 
 
 def _mat2j(M) -> list:
@@ -351,10 +370,8 @@ def _leaf_text(v, nl: str) -> str:
     type.  A float is its repr, or NaN, Infinity or -Infinity.
     """
     if isinstance(v, complex):
-        re, im, inner = v.real, v.imag, nl + "  "
-        if math.isfinite(re) and math.isfinite(im):
-            return f'{{{inner}"im": {_repr(im)},{inner}"re": {_repr(re)}{nl}}}'
-        return f'{{{inner}"im": {_leaf_text(im, nl)},{inner}"re": {_leaf_text(re, nl)}{nl}}}'
+        inner = nl + "  "
+        return f'{{{inner}"im": {_leaf_text(v.imag, nl)},{inner}"re": {_leaf_text(v.real, nl)}{nl}}}'
     if isinstance(v, float):
         text = _repr(v)
         return _NON_FINITE.get(text, text)
@@ -372,47 +389,50 @@ def _leaf_text(v, nl: str) -> str:
 
 
 _CONTAINERS = (dict, list, tuple)  # json writes a tuple as a list
+_KEY_TEXT = {}  # a str key's '"key": ', spelled on its first use
 
 
 def _write(o, nl: str, out: list) -> None:
     """Append to out report_text's text of o; nl is the newline and indent of o's own line.
 
-    Dict keys must be strings.  Every leaf, a complex number included, is
-    spelled by one _leaf_text call.
+    A member or item of the exact type float or complex is spelled here,
+    containers recurse, and every other leaf (subclasses included) is
+    spelled by _leaf_text.  Each str key's text is spelled once and kept.
     """
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{"
-        for k in sorted(o):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            v = o[k]
-            if isinstance(v, _CONTAINERS):
-                out.append(f"{sep}{inner}{_encode_str(k)}: ")
-                _write(v, inner, out)
-            else:
-                out.append(f"{sep}{inner}{_encode_str(k)}: {_leaf_text(v, inner)}")
-            sep = ","
-        out.append(nl + "}")
-    elif isinstance(o, _CONTAINERS):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "["
-        for v in o:
-            if isinstance(v, _CONTAINERS):
-                out.append(sep + inner)
-                _write(v, inner, out)
-            else:
-                out.append(f"{sep}{inner}{_leaf_text(v, inner)}")
-            sep = ","
-        out.append(nl + "]")
-    else:
+    keyed = isinstance(o, dict)
+    if not (keyed or isinstance(o, _CONTAINERS)):
         out.append(_leaf_text(o, nl))
+        return
+    if not o:
+        out.append("{}" if keyed else "[]")
+        return
+    inner = nl + "  "
+    sep, key = "{" if keyed else "[", ""
+    for v in sorted(o) if keyed else o:
+        if keyed:
+            key = _KEY_TEXT.get(v)
+            if key is None:
+                if not isinstance(v, str):
+                    raise TypeError(f"keys must be str, not {type(v).__name__}")
+                key = f"{_encode_str(v)}: "
+                if len(_KEY_TEXT) < 1024:  # a report's keys are a few dozen names
+                    _KEY_TEXT[v] = key
+            v = o[v]
+        t = type(v)
+        if t is complex:
+            im, re = _repr(v.imag), _repr(v.real)
+            im, re = _NON_FINITE.get(im, im), _NON_FINITE.get(re, re)
+            out.append(f'{sep}{inner}{key}{{{inner}  "im": {im},{inner}  "re": {re}{inner}}}')
+        elif t is float:
+            text = _repr(v)
+            out.append(f"{sep}{inner}{key}{_NON_FINITE.get(text, text)}")
+        elif isinstance(v, _CONTAINERS):
+            out.append(f"{sep}{inner}{key}")
+            _write(v, inner, out)
+        else:
+            out.append(f"{sep}{inner}{key}{_leaf_text(v, inner)}")
+        sep = ","
+    out.append(nl + ("}" if keyed else "]"))
 
 
 def report_text(obj) -> str:

@@ -379,6 +379,8 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         (t00, t01), (t10, t11) = T
         Z = [(t00 * w0 + t01 * w1, t10 * w0 + t11 * w1) for w0, w1 in rows]
     vals = [side * v for v in rho_at(cone, Z)]
+    if cone.n > 2:
+        Z = Z.tolist()  # the checks below and the report read rows of Python complex
     _check_finite(vals[:2], Z, "disc family frame")
     if far is not None:
         raise VerificationFailed(f"no disc points found at eps={far}", eps=far)
@@ -427,11 +429,10 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
             eps=0.0,
             z=Z[picked[j]],
         )
-    points = Z.tolist() if cone.n > 2 else Z
     return DiscReport(
         min_margin=float(min_margin),
         touch_residual=float(bounds[j]),
-        points=tuple(map(tuple, points[2 : 2 + len(minima)] + [points[i] for i in picked])),
+        points=tuple(map(tuple, Z[2 : 2 + len(minima)] + [Z[i] for i in picked])),
     )
 
 

@@ -56,6 +56,7 @@ _SWAP_NEG = (0j, 1.0 + 0j, 1.0 + 0j, 0j)  # z1 <-> z2
 _ROT90 = (0j, -1.0 + 0j, 1.0 + 0j, 0j)  # SO(2): swaps diagonal entries
 # (h00, h10, h11) of the canonical hermitian matrix of each n = 2 signature
 _CANONICAL2 = {(2, 0): (1.0, 0j, 1.0), (1, 1): (0.0, -0.5j, 0.0), (1, 0): (1.0, 0j, 0.0), (0, 0): (0.0, 0j, 0.0)}
+_TARGETS = {}  # normalize_hermitian's canonical target and its mat_norm per (n, pi, nu), built on first use
 
 DETS_ZERO_REL = 1e-9  # |det S| <= this * ||S||^2 routes to the rank <= 1 analysis
 DETP_ZERO_REL = 1e-9  # |det P| threshold for the case split on sign(det P)
@@ -253,11 +254,13 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
         raise UnsupportedSignature(
             f"hermitian signature {(pi, nu)} is not canonical; negate the cone first"
         )
-    target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
-    t = math.sqrt(pi + nu)  # mat_norm(target)
-    if (pi, nu) == (1, 1):
-        target[:2, :2] = E_HERM_ROWS
-        t = math.sqrt(0.5)
+    if (n, pi, nu) not in _TARGETS:
+        target = np.diag([1.0] * pi + [-1.0] * nu + [0.0] * (n - pi - nu)).astype(complex)
+        if (pi, nu) == (1, 1):
+            target[:2, :2] = E_HERM_ROWS
+        target.setflags(write=False)  # kept with its mat_norm
+        _TARGETS[n, pi, nu] = target, math.sqrt(0.5 if (pi, nu) == (1, 1) else pi + nu)
+    target, t = _TARGETS[n, pi, nu]
     h = mat_norm(cone.H)
     # r = 1 / sqrt(c), c the power of four nearest h / t; scalings by powers of
     # two are exact, so 4^j times the target gets r = 2^-j
@@ -267,9 +270,10 @@ def normalize_hermitian(cone: QuadraticCone) -> tuple[np.ndarray, np.ndarray]:
         W = r * np.eye(n, dtype=complex)
     else:
         w, V = np.linalg.eigh(cone.H)  # ascending: nu negative, the kernel, pi positive
-        order = np.concatenate([n - pi + np.argsort(-w[n - pi :], kind="stable"), np.arange(n - pi)])
-        root = np.sqrt(np.abs(w[order]))
-        root[pi + nu :] = np.sqrt(np.max(np.abs(w))) or 1.0
+        w = w.tolist()
+        order = sorted(range(n - pi, n), key=lambda k: -w[k]) + list(range(n - pi))  # a stable sort
+        kernel = math.sqrt(max(-w[0], w[-1])) or 1.0
+        root = [math.sqrt(abs(w[k])) for k in order[: pi + nu]] + [kernel] * (n - pi - nu)
         # C-contiguous: the rounding of the products with W depends on its layout
         W = np.ascontiguousarray(V[:, order] / root)
         if (pi, nu) == (1, 1):

@@ -281,6 +281,8 @@ def _interleaved_form(cone: QuadraticCone):
 def _form(S, H):
     """rho's real form in _interleaved_form's order from complex n x n arrays S and H, any n."""
     import numpy as np
+    global _FORM_BLOCK
+    _FORM_BLOCK = np.asarray(_FORM_BLOCK)  # an array from the first call on; importing the module loads no numpy
     n = S.shape[0]
     # (n, n, 4): Sr, Si, Hr, Hi of each entry (j, k)
     entries = np.concatenate([M.view(np.float64).reshape(n, n, 2) for M in (S, H)], axis=2)

@@ -3,13 +3,11 @@
 Contents: the eigendecomposition of a hermitian 2x2 matrix in closed form,
 Takagi factorization of a complex symmetric 2x2 matrix, SL(2,R) congruence
 reduction of a real symmetric matrix to its canonical form, SO(1,1)
-congruence zeroing a diagonal entry of an indefinite real symmetric matrix,
-and factorization of linear maps preserving Im(z1 * conj(z2)).
+congruence zeroing a diagonal entry of an indefinite real symmetric matrix.
 
 takagi2, sl2_reduce_sym and so11_zero_diag take a symmetric 2x2 matrix as
 its entries (m00, m01, m11), Python scalars, and answer in entry tuples (a
-2x2 matrix as (m00, m01, m10, m11)).  factor_preserver is the one function
-that takes an array: a general 2x2 map.
+2x2 matrix as (m00, m01, m10, m11)).
 """
 
 from __future__ import annotations
@@ -18,14 +16,13 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .quadform import ConeError, mat_norm
+from .quadform import ConeError
 
 # Hermitian matrix of the form Im(z1 * conj(z2)), as rows
 E_HERM_ROWS = ((0j, 0.5j), (-0.5j, 0j))
 
 SL2_DET_ZERO_REL = 1e-9  # |det P| <= this * ||P||^2 routes to the rank-1 branch
 SO11_DET_POS_REL = 1e-9  # det Q above this * ||Q||^2 is rejected
-PRESERVER_REL = 1e-10
 
 # LAPACK's dlamch("E") and dlamch("S"), as its 2x2 eigensolver uses them
 _EPS = 2.0**-53
@@ -37,10 +34,6 @@ class ZeroMatrix(ConeError):
 
 
 class PositiveDeterminant(ConeError):
-    pass
-
-
-class NotPreserver(ConeError):
     pass
 
 
@@ -333,26 +326,3 @@ def so11_zero_diag(Q: tuple) -> tuple[tuple, tuple]:
     a0, b0, a1, b1 = p0 * sigma + q0 * delta, q0 * sigma + r0 * delta, p0 * delta + q0 * sigma, q0 * delta + r0 * sigma
     kqk = (sigma * a0 + delta * b0, 0.5 * ((sigma * a1 + delta * b1) + (delta * a0 + sigma * b0)), delta * a1 + sigma * b1)
     return k, kqk
-
-
-def factor_preserver(k) -> tuple[float, np.ndarray]:
-    """Write a preserver of Im(z1 conj(z2)) as e^(i theta) g, g in SL(2,R).
-
-    theta is normalized to [0, pi); this uses up the (theta, g) vs
-    (theta + pi, -g) ambiguity, so the sign of g is whatever that range
-    dictates.
-    """
-    import numpy as np
-    E_HERM = np.array(E_HERM_ROWS)
-    k = np.asarray(k, dtype=complex)
-    if mat_norm(k.conj().T @ E_HERM @ k - E_HERM) > PRESERVER_REL * max(mat_norm(k) ** 2, 1e-300):
-        raise NotPreserver("matrix does not preserve Im(z1 conj(z2))")
-    det = np.linalg.det(k)
-    theta = 0.5 * np.angle(det)
-    g = np.exp(-1j * theta) * k
-    if theta < 0:
-        theta += np.pi
-        g = -g
-    if mat_norm(np.imag(g)) > PRESERVER_REL * max(mat_norm(k), 1e-300):
-        raise NotPreserver("factorization did not produce a real matrix")
-    return float(theta), np.real(g)

@@ -69,13 +69,18 @@ class Slice(_SliceFields):
     def __new__(cls, basis, description: str):
         import numpy as np
         B = np.asarray(basis, dtype=complex)
-        norms = np.linalg.norm(B, axis=0)
-        if not np.all(norms > 0):
-            raise DegenerateBasis("slice basis is numerically dependent")
-        U = B / norms
-        # the unit columns' Gram determinant is the Hadamard ratio det G / prod G_ii:
-        # in [0, 1] whatever the scale of the basis
-        if abs(np.linalg.det(U.conj().T @ U)) < GRAM_DET_MIN:
+        # det G / prod G_ii of the columns' Gram matrix G (the Hadamard ratio, in [0, 1] at any scale), summed
+        # on Python floats: within (8n + 32) 2^-53 of the exact ratio, as numpy's LU of the unit columns' G is.
+        # That LU decides where a sum leaves [2^-500, 2^500] or the ratio is within n 2^-40 of GRAM_DET_MIN
+        b0, b1 = B.T.tolist()
+        g00, g11 = (sum(z.real * z.real + z.imag * z.imag for z in b) for b in (b0, b1))
+        g01 = sum(x.conjugate() * y for x, y in zip(b0, b1))
+        ratio = abs(g00 * g11 - (g01.real * g01.real + g01.imag * g01.imag)) / (g00 * g11 or 1.0)
+        normal = 2.0**-500 <= min(g00, g11) <= max(g00, g11) <= 2.0**500
+        if not (normal and abs(ratio - GRAM_DET_MIN) > len(B) * 2.0**-40):
+            norms = np.linalg.norm(B, axis=0)
+            ratio = abs(np.linalg.det((B / norms).conj().T @ (B / norms))) if np.all(norms > 0) else 0.0
+        if ratio < GRAM_DET_MIN:
             raise DegenerateBasis("slice basis is numerically dependent")
         return super().__new__(cls, B, description)
 
@@ -100,7 +105,6 @@ class TwoSidedForm(NamedTuple):
 
 def restrict(cone: QuadraticCone, B: np.ndarray) -> QuadraticCone:
     """The cone M pulled back through an n x m basis B, a cone in C^m (M on span(B))."""
-    import numpy as np
     if B.ndim != 2 or B.shape[0] != cone.n:
         raise ConeError(f"basis must be {cone.n} x m, got {B.shape}")
     S = B.T @ cone.S @ B
@@ -159,11 +163,12 @@ def _pi2_candidates(W: np.ndarray, S1: np.ndarray, pi: int, nu: int):
     n = len(W)
     flags = [1] * pi + [-1] * nu + [0] * (n - pi - nu)  # W^* H W = diag(flags)
     (s00, s01), (_, s11) = S1[:2, :2].tolist()  # S1 is exactly symmetric
+    u00, u01, u10, u11 = takagi2((s00, s01, s11)).u
     U = np.eye(n, dtype=complex)
-    U[:2, :2] = np.reshape(takagi2((s00, s01, s11)).u, (2, 2))
+    U[:2, :2] = (u00, u01), (u10, u11)
     W = W @ U
-    S1 = U.T @ S1 @ U
     yield W[:, :2], "axis slice z_j = 0, j = 3..n"
+    S1 = U.T @ S1 @ U
     for j in range(2, n):
         coupled = max(abs(S1[0, j]), abs(S1[1, j]), abs(S1[j, j]))
         if coupled <= 1e-13 * max(mat_norm(S1), 1e-300) and flags[j] == 0:
@@ -198,17 +203,16 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
     L = S1[:2, 2:]
     Qp = S1[2:, 2:]
 
-    if mat_norm(Qp) > Q_ZERO_REL * scale:
+    qnorm = mat_norm(Qp)
+    if qnorm > Q_ZERO_REL * scale:
         # quadratic z' part present: slice down to a |z1|^2-definite frame
         Md = np.eye(n, dtype=complex)
         Md[:2, :2] = _CHOFVAR[:2], _CHOFVAR[2:]  # hermitian block becomes diag(1, -1)
         Wd = W @ Md
-        probes = _quadratic_support_probes(Qp)
-        for v in probes:
-            ve = _embed_zprime(n, v)
+        for v in islice(_quadratic_support_probes(Qp, qnorm), 8):
+            b2 = Wd @ _embed_zprime(n, v)
             for al in (0.0, 0.5, 2.0, -0.5, -2.0, 0.5j, 2j, -0.5j, -2j, 0.25, 4.0):
                 b1 = Wd @ (_embed2(n, [1.0, al]))
-                b2 = Wd @ ve
                 yield np.column_stack([b1, b2]), f"line slice z2 = a z1, a = {al:.4g}"
         return
 
@@ -290,35 +294,35 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
             yield np.column_stack([b1, b2]), f"line slice z3 = a z2, a = {al:.6g}"
 
 
-def _quadratic_support_probes(Qp: np.ndarray):
-    """Directions v with v^T Qp v != 0, tried in a deterministic order."""
+def _quadratic_support_probes(Qp: np.ndarray, qnorm: float):
+    """Directions v with v^T Qp v != 0 (qnorm = mat_norm(Qp)), e_i then e_i + w e_j, made as tried."""
     import numpy as np
     m = Qp.shape[0]
-    tol = 1e-10 * max(mat_norm(Qp), 1e-300)
-    probes = []
+    tol = 1e-10 * max(qnorm, 1e-300)
+    Q = Qp.tolist()
     for i in range(m):
-        e = np.zeros(m, dtype=complex)
-        e[i] = 1.0
-        if abs(Qp[i, i]) > tol:
-            probes.append(e)
+        if abs(Q[i][i]) > tol:
+            e = np.zeros(m, dtype=complex)
+            e[i] = 1.0
+            yield e
     for i in range(m):
         for j in range(i + 1, m):
-            if abs(Qp[i, j]) > tol:
+            if abs(Q[i][j]) > tol:
                 for w in (1.0, 1j):
                     v = np.zeros(m, dtype=complex)
                     v[i], v[j] = 1.0, w
                     if abs(v @ Qp @ v) > tol:
-                        probes.append(v)
-    return probes[:8] if probes else []
+                        yield v
 
 
 def _onezero_candidates(W: np.ndarray, S1: np.ndarray):
     import numpy as np
     n = len(W)
     Qp = S1[1:, 1:]
-    if mat_norm(Qp) <= Q_ZERO_REL * max(mat_norm(S1), 1e-300):
+    qnorm = mat_norm(Qp)
+    if qnorm <= Q_ZERO_REL * max(mat_norm(S1), 1e-300):
         return  # {z1 = 0} lies inside the cone: non-minimal
-    for v in _quadratic_support_probes(Qp):
+    for v in islice(_quadratic_support_probes(Qp, qnorm), 8):
         ve = np.zeros(n, dtype=complex)
         ve[1:] = v
         yield np.column_stack([W[:, 0], W @ ve]), "quadratic-support slice"

@@ -36,14 +36,13 @@ from quadcone.quadform import (
     sample_points,
 )
 from quadcone.reduction import (
-    factor_preserver,
     sl2_reduce_sym,
     so11_zero_diag,
     takagi2,
 )
 from quadcone.slicer import classify_two_sided_nd, find_good_slice
 from test_reduction import entries, mat
-from witness_samplers import E_HERM, apply_change, oneone_frame_invariants
+from witness_samplers import E_HERM, apply_change, factor_preserver, oneone_frame_invariants
 
 
 def _report(num, label, elapsed, limit):

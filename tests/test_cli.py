@@ -116,29 +116,72 @@ def test_parse_errors_have_paths():
         parse_spec('{"n":2,"poly":[{"vars":["x1","x1"],"coeff":{"re":1,"im":2}}]}')
 
 
+def _json_entry(z: complex, style: int):
+    """z as a spec entry of one of the reader's shapes; the styles past 0 hold only some z (see _spec_value)."""
+    if style == 0:
+        return {"re": z.real, "im": z.imag}
+    if style == 1:  # a bare float
+        return z.real
+    if style == 2:  # a bare int
+        return int(z.real)
+    if style == 3:  # re only
+        return {"re": z.real}
+    if style == 4:  # im only
+        return {"im": z.imag}
+    return {"im": z.imag, "re": int(z.real)}  # an int re, keys in the other order
+
+
+def _spec_value(z: complex, style: int) -> complex:
+    """The value that entry style `style` can hold nearest z, as the reader makes it."""
+    return [z, complex(z.real), complex(int(z.real)), complex(z.real, 0.0), complex(0.0, z.imag),
+            complex(int(z.real), z.imag)][style]
+
+
 def test_parse_spec_cone_equals_the_checked_constructor():
     # parse_spec builds its cone without the constructor's checks; the bits
     # are those of the checked constructor on the symmetrized matrices,
-    # signed zeros included
+    # signed zeros included.  The first matrices of each n are {re, im}
+    # objects with signed zeros where the two agree on every sign; the others
+    # mix every shape an entry may take (an {re, im} object, a bare float or
+    # int, an object with re or im missing, an int re) with signed zeros
+    # anywhere, whose signs are those of the one symmetrization parse_spec
+    # applies, the halves' sum
     rng = np.random.default_rng(5)
-    for n in (2, 3, 4):
-        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        S[0, 1] = S[1, 0] = complex(-0.0, -1.0)
-        H[0, 1], H[1, 0] = complex(-0.0, -2.0), complex(-0.0, 2.0)
-        H[0, 0] = complex(-0.0, -0.0)
-        text = json.dumps({
-            "n": n,
-            "S": [[{"re": z.real, "im": z.imag} for z in row] for row in S],
-            "H": [[{"re": z.real, "im": z.imag} for z in row] for row in H],
-        })
-        half_S, half_H = 0.5 * S, 0.5 * H  # symmetrization adds halves
-        checked = QuadraticCone(half_S + half_S.T, half_H + half_H.conj().T)
-        cone = parse_spec(text).cone
-        assert cone == checked
-        assert np.array_equal(np.signbit(cone.S.real), np.signbit(checked.S.real))
-        assert np.array_equal(np.signbit(cone.H.real), np.signbit(checked.H.real))
-        assert np.array_equal(np.signbit(cone.H.imag), np.signbit(checked.H.imag))
+    zeros = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 0j]
+    for n in range(2, 9):
+        for rep in range(4):
+            S = rng.standard_normal((n, n)) * 4 + 1j * rng.standard_normal((n, n))
+            H = rng.standard_normal((n, n)) * 4 + 1j * rng.standard_normal((n, n))
+            S[0, 1] = S[1, 0] = complex(-0.0, -1.0)
+            H[0, 1], H[1, 0] = complex(-0.0, -2.0), complex(-0.0, 2.0)
+            H[0, 0] = complex(-0.0, -0.0)
+            entries = {}
+            for M, name in ((S, "S"), (H, "H")):
+                for (i, j), z in np.ndenumerate(M):
+                    style = 0 if rep == 0 or (i, j) in ((0, 1), (1, 0), (0, 0)) else int(rng.integers(6))
+                    if style and rng.random() < 0.15:
+                        z, style = zeros[rng.integers(4)], 0
+                    M[i, j] = _spec_value(complex(z), style)
+                    entries[name, i, j] = _json_entry(complex(M[i, j]), style)
+            text = json.dumps({
+                "n": n,
+                **{name: [[entries[name, i, j] for j in range(n)] for i in range(n)] for name in "SH"},
+            })
+            half_S, half_H = 0.5 * S, 0.5 * H  # symmetrization adds halves
+            checked = QuadraticCone(half_S + half_S.T, half_H + half_H.conj().T)
+            spec = parse_spec(text)
+            cone = spec.cone
+            assert cone == checked
+            if rep == 0:
+                assert np.array_equal(np.signbit(cone.S.real), np.signbit(checked.S.real))
+                assert np.array_equal(np.signbit(cone.H.real), np.signbit(checked.H.real))
+                assert np.array_equal(np.signbit(cone.H.imag), np.signbit(checked.H.imag))
+            for got, want in ((cone.S, half_S + half_S.T), (cone.H, half_H + half_H.conj().T)):
+                assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+            # the one-pass reader's adjustments are those of the rows read entry by entry
+            assert spec.s_adjustment == _asymmetry(S.tolist(), False)
+            assert spec.h_adjustment == _asymmetry(H.tolist(), True)
+            assert n == 2 or spec.s_adjustment > 0 and spec.h_adjustment > 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcone.reduction import (
-    NotPreserver,
     PositiveDeterminant,
     So11Unreachable,
     ZeroMatrix,
-    factor_preserver,
     sl2_reduce_sym,
     so11_zero_diag,
     takagi2,
 )
 
-from witness_samplers import E_HERM
+from witness_samplers import E_HERM, NotPreserver, factor_preserver
 
 
 def entries(M):

@@ -5,9 +5,11 @@ A complex leaf is spelled as json's default={"re": z.real, "im": z.imag} would s
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -44,6 +46,41 @@ def test_cli_reports_are_spelled_as_json_spells_them(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "report_text", recording)
     cli.main(argv)
     (report,) = written
+    assert capsys.readouterr().out == reference(report) + "\n"
+
+
+def _nd_slice_sample() -> list:
+    """(n, class, spec) of the first one-sided and two-sided nd_slice seed-1 input of each n = 3..8."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up here
+    try:
+        spec.loader.exec_module(workloads)
+        ops = workloads.nd_slice(1)
+    finally:
+        del sys.modules[spec.name]
+    sample = {}
+    for op in ops:
+        sample.setdefault((json.loads(op.spec)["n"], op.cls), op.spec)
+    return [pytest.param(n, cls, sample[n, cls], id=f"n={n} {cls}")
+            for n in range(3, 9) for cls in ("slice_onesided", "slice_twosided")]
+
+
+@pytest.mark.parametrize("n, cls, spec", _nd_slice_sample())
+def test_nd_slice_reports_are_spelled_as_json_spells_them(monkeypatch, capsys, n, cls, spec):
+    # the fixtures stop at n = 4: these are the benchmark's slice reports up to n = 8, of both classes
+    written, write = [], cli.report_text
+
+    def recording(obj):
+        written.append(obj)
+        return write(obj)
+
+    monkeypatch.setattr(cli, "report_text", recording)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+    assert cli.main(["slice", "-"]) == cli.EXIT_OK
+    (report,) = written
+    assert report["input"]["n"] == n and (report["slice"] is None) == (cls == "slice_twosided")
     assert capsys.readouterr().out == reference(report) + "\n"
 
 

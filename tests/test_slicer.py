@@ -30,6 +30,7 @@ from quadcone.quadform import (
 )
 from quadcone.slicer import (
     EXTENSION_MARGIN,
+    GRAM_DET_MIN,
     DegenerateBasis,
     Slice,
     classify_two_sided_nd,
@@ -146,6 +147,43 @@ def test_restrict_rejects_dependent_basis():
         with pytest.raises(DegenerateBasis):
             Slice(scale * np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), "zero column")
         Slice(scale * np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]]), "independent")
+
+
+def _numpy_gram_test(B) -> bool:
+    """Whether numpy's LU of the unit columns' Gram matrix finds the basis dependent, as Slice once tested."""
+    norms = np.linalg.norm(B, axis=0)
+    if not np.all(norms > 0):
+        return True
+    U = B / norms
+    return bool(abs(np.linalg.det(U.conj().T @ U)) < GRAM_DET_MIN)
+
+
+def test_slice_basis_test_is_that_of_numpys_lu():
+    # Slice sums the Gram matrix on Python floats and leaves to numpy's LU the
+    # bases whose ratio lies near GRAM_DET_MIN or whose columns are far from
+    # unit scale: over ratios around the threshold and scales out to 2^+-700,
+    # the verdict is numpy's
+    rng = np.random.default_rng(37)
+    for _ in range(600):
+        n = int(rng.integers(3, 9))
+        b0, w = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        w -= (np.vdot(b0, w) / np.vdot(b0, b0)) * b0  # orthogonal to b0
+        # ratio t^2 |w|^2 / (|b0|^2 + t^2 |w|^2) for b1 = b0 + t w: within Slice's margin
+        # n 2^-40 of GRAM_DET_MIN, just outside it or far from it
+        ratio = GRAM_DET_MIN + rng.choice([-12.0, -1.01, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.01, 2.0, 1e3]) * n * 2.0**-40
+        ratio = ratio if rng.random() < 0.9 else 0.1
+        t = np.sqrt(ratio / (1 - ratio) * np.vdot(b0, b0).real / np.vdot(w, w).real)
+        B = np.column_stack([b0, b0 + t * w]) * 2.0 ** int(rng.choice([0, 0, 0, -700, -450, 450, 700]))
+        if rng.random() < 0.1:
+            B[:, int(rng.integers(2))] = 0.0
+        with np.errstate(over="ignore"):  # at 2^700 the norms overflow, and every basis reads dependent
+            dependent = _numpy_gram_test(B)
+            try:
+                Slice(B, "probe")
+            except DegenerateBasis:
+                assert dependent, B
+            else:
+                assert not dependent, B
 
 
 def test_replace_reruns_the_slice_basis_checks():

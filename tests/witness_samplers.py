@@ -1,9 +1,10 @@
 """The tests' cone builder and oracles: seeded point samplers and the numpy forms of the n = 2 scalar code.
 
 apply_change builds the tests' cones: it pulls a cone back through a
-change of variables, in any C^n.  real_form_matrix and
-oneone_frame_invariants are the reference forms that the tests compare
-the library's answers with, and whole_batch_sample_points the reference
+change of variables, in any C^n.  factor_preserver writes a preserver of
+Im(z1 conj(z2)) as a phase times a real matrix; no command needs it.
+real_form_matrix and oneone_frame_invariants are the reference forms that
+the tests compare the library's answers with, and whole_batch_sample_points the reference
 that sample_points must equal bitwise.  It keeps numpy's general paths:
 np.linalg.norm, fancy row gathers and reference_real_roots, its own copy
 of quadform._real_roots with 2-D np.nonzero indices.  list_jacobi4 and
@@ -69,6 +70,32 @@ E_HERM = np.array(E_HERM_ROWS)
 CHOFVAR = np.reshape(_CHOFVAR, (2, 2))
 E_HERM.setflags(write=False)
 CHOFVAR.setflags(write=False)
+PRESERVER_REL = 1e-10
+
+
+class NotPreserver(ConeError):
+    pass
+
+
+def factor_preserver(k) -> tuple[float, np.ndarray]:
+    """Write a preserver of Im(z1 conj(z2)) as e^(i theta) g, g in SL(2,R).
+
+    theta is normalized to [0, pi); this uses up the (theta, g) vs
+    (theta + pi, -g) ambiguity, so the sign of g is whatever that range
+    dictates.
+    """
+    k = np.asarray(k, dtype=complex)
+    if mat_norm(k.conj().T @ E_HERM @ k - E_HERM) > PRESERVER_REL * max(mat_norm(k) ** 2, 1e-300):
+        raise NotPreserver("matrix does not preserve Im(z1 conj(z2))")
+    det = np.linalg.det(k)
+    theta = 0.5 * np.angle(det)
+    g = np.exp(-1j * theta) * k
+    if theta < 0:
+        theta += np.pi
+        g = -g
+    if mat_norm(np.imag(g)) > PRESERVER_REL * max(mat_norm(k), 1e-300):
+        raise NotPreserver("factorization did not produce a real matrix")
+    return float(theta), np.real(g)
 
 
 def _hadamard_ratio(T: np.ndarray) -> float:
