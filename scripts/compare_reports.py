@@ -38,7 +38,10 @@ tree runs in a subprocess of its own over the same inputs:
   `symmetrization_adjustment` is finite), `atlas --tag M11_2 --csv`,
   the one CSV whose `params` hold a complex number, and a spec whose one
   asymmetric entry is the smallest subnormal (its adjustment, 3.5e-324,
-  rounds to 5e-324, but to 0 from the rounded halves);
+  rounds to 5e-324, but to 0 from the rounded halves), and three inputs
+  that cannot be read or written: a directory as the input path, a spec
+  nested deeper than json's recursion limit, and a directory as the
+  `--csv` path;
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -214,6 +217,9 @@ EXTRA = (
     ("overflow_asymmetry/classify", ["classify", "-"], OVERFLOW_ASYMMETRY),
     ("csv/atlas_M11_2", ["atlas", "--tag", "M11_2", "--csv", "cells.csv"], None),
     ("subnormal_asymmetry/classify", ["classify", "-"], SUBNORMAL_ASYMMETRY),
+    ("unreadable/directory_input", ["classify", "."], None),
+    ("unreadable/deep_nesting", ["classify", "-"], "[" * 100_000),
+    ("unreadable/csv_directory", ["verify", "--fixture", "m20", "--csv", "."], None),
 )
 
 

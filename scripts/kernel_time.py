@@ -1,4 +1,4 @@
-"""In-process CPU times of the jump-demo point pipeline and of the n >= 3 slice op, for two source trees.
+"""In-process CPU times of the jump-demo point pipeline, the n >= 3 slice op and the verify op, for two source trees.
 
     python3 scripts/kernel_time.py PARENT_SRC CHANGE_SRC [-n 40] [--json PATH]
 
@@ -12,7 +12,10 @@ both trees read the same specs), each input timed on its own and the
 inputs' times summed, and counts as their mean: `parse_spec` of the spec,
 `find_good_slice` of a cone parsed before the clock starts (so no
 signature is kept from an earlier call), and `main(["slice", "-"])` with
-the spec on stdin.  The trees alternate call by call, and which goes first
+the spec on stdin.  A verify call is `main(["verify", "-"])` over the
+verify inputs of perfbench's witness_sampling workload at seed s, its disc
+certificate or its supporting-line check, and counts as the mean in the
+same way.  The trees alternate call by call, and which goes first
 alternates round by round, so a drift of the machine's speed reaches both
 alike.  BLAS and OpenMP run on one thread, as in perfbench.  Prints the
 best and median ms per call and tree and the change's best over the
@@ -38,6 +41,7 @@ CALLS = (
     "parse_spec, nd_slice seed s one-sided",
     "find_good_slice, nd_slice seed s one-sided",
     "slice -, nd_slice seed s one-sided",
+    "verify -, witness_sampling seed s",
 )
 CHILD = """\
 import contextlib, io, sys, time
@@ -56,15 +60,19 @@ def timed(f, *args):
     t0 = clock(); f(*args); return clock() - t0
 
 
+def inputs(workload, cls, s):
+    if (cls, s) not in specs:
+        specs[cls, s] = [op.spec for op in getattr(workloads, workload)(s) if op.cls == cls]
+    return specs[cls, s]
+
+
 def one_sided(s):
-    if s not in specs:
-        specs[s] = [op.spec for op in workloads.nd_slice(s) if op.cls == "slice_onesided"]
-    return specs[s]
+    return inputs("nd_slice", "slice_onesided", s)
 
 
-def slice_op(spec):
+def cli_op(command, spec):
     sys.stdin = io.StringIO(spec)
-    return timed(main, ["slice", "-"])
+    return timed(main, [command, "-"])
 
 
 RUN = (
@@ -73,7 +81,9 @@ RUN = (
     lambda s: timed(main, ["jump-demo", "--samples", "10000", "--seed", str(s)]),
     lambda s: sum(timed(parse_spec, spec) for spec in one_sided(s)) / len(one_sided(s)),
     lambda s: sum(timed(find_good_slice, parse_spec(spec).cone) for spec in one_sided(s)) / len(one_sided(s)),
-    lambda s: sum(slice_op(spec) for spec in one_sided(s)) / len(one_sided(s)),
+    lambda s: sum(cli_op("slice", spec) for spec in one_sided(s)) / len(one_sided(s)),
+    lambda s: sum(cli_op("verify", spec) for spec in inputs("witness_sampling", "verify", s))
+    / len(inputs("witness_sampling", "verify", s)),
 )
 for line in sys.stdin:
     call, s = map(int, line.split())

@@ -201,7 +201,7 @@ def parse_spec(text: str) -> ConeSpec:
     """Validate a JSON cone spec and build the cone, symmetrizing S and H."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested deeper than json's limit
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("$", "top level must be an object")
@@ -788,7 +788,7 @@ def main(argv=None) -> int:
             if isinstance(value, str):
                 setattr(args, name, parse(value))
         return args.func(args)
-    except (SchemaError, NonReal, NonHomogeneous, FileNotFoundError) as exc:
+    except (SchemaError, NonReal, NonHomogeneous, OSError, UnicodeDecodeError) as exc:
         print(report_text({"error": {"kind": "schema", "message": str(exc)}}))
         return EXIT_SCHEMA
     except VerificationFailed as exc:

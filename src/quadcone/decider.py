@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .fixtures import example_m
 from .normalform import NormalFormResult, NormalFormType, _table_form
-from .quadform import ConeError, QuadraticCone, _form2, _row_norms, form_norm2, replace, rho_at, sample_points
+from .quadform import ConeError, QuadraticCone, _form2, _row_norms, evaluate_many, form_norm2, rho_at, sample_points
 from .reduction import exponent, parts, phase, scaled
 
 SUPPORT_TOL_REL = 1e-12  # witness sign tolerance, relative to |z|^2 * cone.scale
@@ -63,17 +63,20 @@ class DiscFamily(NamedTuple):
     """Family D_eps in a 2-dimensional frame, mapped into cone coordinates by `transform` (n x 2).
 
     The transform is an array, or for a cone in C^2 rows ((t00, t01), (t10,
-    t11)), as NormalFormResult.T; c is rows of Python complex.
+    t11)), as NormalFormResult.T; verify_discs requires one.  c is rows of
+    Python complex.
 
     kind "level_set": D_eps = {w : w^T c w = eps, |w| <= radius}; kind
-    "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}, shift = i.
-    The model fixes both, with radius 1: the affine line for M11_1 with B <
-    1, else c = diag(A, B) (M20), diag(A, 1) (M10_1), -diag(A, B) (M11_1),
-    or I without a model (a definite slice, certified from the cone's real
-    form alone).  `side` is the expected sign of rho on D_eps for eps > 0,
-    in the coordinates of the cone the family is verified against, and lam
-    the classification's: NORMAL_SIDE[tag] * side * lam * rho(transform w)
-    is rho_model(w) up to the classification's residual.
+    "affine_line": D_eps = {w : w1 = shift * eps, |w| <= radius}.  The model
+    fixes both: the affine line for M11_1 with B < 1, else c = diag(A, B)
+    (M20), diag(A, 1) (M10_1), -diag(A, B) (M11_1), or I without a model (a
+    definite slice, certified from the cone's real form alone).  radius = 1
+    and shift = i are constants that the report echoes; verify_discs is
+    written for them and reads neither.  `side` is the expected sign of rho
+    on D_eps for eps > 0, in the coordinates of the cone the family is
+    verified against, and lam the classification's: NORMAL_SIDE[tag] * side
+    * lam * rho(transform w) is rho_model(w) up to the classification's
+    residual.
     """
 
     side: int
@@ -210,33 +213,30 @@ def _pullback(cone: QuadraticCone, T) -> tuple[tuple, tuple, tuple]:
 
 
 def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, tuple]:
-    """min of q - d |w|^2 over D_eps and |w| <= radius, q = NORMAL_SIDE * rho_model, with its point.
+    """min of q - d |w|^2 over D_eps and |w| <= 1, q = NORMAL_SIDE * rho_model, with its point.
 
-    The point attains the minimum when d = 0 (for M10_1 when eps <= radius^2).
+    The point attains the minimum when d = 0 (for M10_1 when eps <= 1).
     On each family q has a closed form:
     - M20 (c = diag(A, B), A > 1, B <= A): q = eps + |w|^2 and |w|^2 >= eps / A;
     - M10_1 (c = diag(A, 1)): q = eps + |w1|^2, so the perturbation costs at
-      most d radius^2;
+      most d;
     - M11_1 level set (c = -diag(A, B), 1 <= B < A): q = eps - |w1|^2 + |w2|^2
       and A |w1|^2 = |eps + B w2^2| <= eps + B |w2|^2;
-    - M11_1 affine line w1 = shift eps (B < 1): q = (-Re(A shift^2) -
-      |shift|^2) eps^2 - Re(B w2^2) + |w2|^2, and -Re(B w2^2) >= -B |w2|^2.
+    - M11_1 affine line w1 = i eps (B < 1): q = (A - 1) eps^2 - Re(B w2^2) +
+      |w2|^2, and -Re(B w2^2) >= -B |w2|^2.
     """
-    r2 = fam.radius**2
     if fam.kind == "affine_line":
         A, B = fam.model.params()
-        s = complex(fam.shift)
-        w1 = s * eps
-        free = (1.0 - B - d) * (r2 - abs(w1) ** 2)
-        return (-(A * s * s).real - (1.0 + d) * abs(s) ** 2) * eps**2 + min(0.0, free), (w1, 0.0)
+        free = (1.0 - B - d) * (1.0 - eps**2)
+        return (A - (1.0 + d)) * eps**2 + min(0.0, free), (1j * eps, 0.0)
     tag = fam.model.tag
     if tag == "M20":
         A, _ = fam.model.params()
-        return eps + (1.0 - d) * (eps / A if d <= 1.0 else r2), (math.sqrt(eps / A), 0.0)
+        return eps + (1.0 - d) * (eps / A if d <= 1.0 else 1.0), (math.sqrt(eps / A), 0.0)
     if tag == "M10_1":
-        return eps - d * r2, (0.0, math.sqrt(eps))
+        return eps - d, (0.0, math.sqrt(eps))
     A, B = fam.model.params()
-    free = (1.0 - d - (1.0 + d) * B / A) * r2
+    free = 1.0 - d - (1.0 + d) * B / A
     return eps * (1.0 - (1.0 + d) / A) + min(0.0, free), (1j * math.sqrt(eps / A), 0.0)
 
 
@@ -302,8 +302,8 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     form of their difference, so the bound is the minimum of the model with
     delta |w|^2 subtracted, divided by lam); for a family without a model the
     multiplier bound of _multiplier_minima.  touch_residual is the exact
-    minimum of side * rho over the limit disc D_0 (eps = 0) with |w| >= 1e-3 *
-    fam.radius in the family's own frame: D_0 is one or two complex lines,
+    minimum of side * rho over the limit disc D_0 (eps = 0) with |w| >= 1e-3
+    in the family's own frame: D_0 is one or two complex lines,
     and on a line spanned by v, side * rho / |w|^2 is smallest at t v or i t v,
     t^2 a = |a| for a = v^T (T^T S T) v (module docstring).  Every bound is
     lowered by the rounding allowance CERT_ROUNDING * n * lam * |(|T|^T (|S|
@@ -312,16 +312,17 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
     variables), so the allowance is that of the input, not of a restriction
     computed from it.
 
-    The 2 x 2 pullback, the allowance, the reach of D_eps, the closed forms
-    and the points T w are Python scalars; for n >= 3 the pullback comes
-    from numpy products.  Each bound comes with the point that attains it
-    (for a multiplier bound, the eigenvector's point on D_eps), and one
-    rho_at call evaluates rho at the frame's columns T e_1, T e_2, at
-    these points and at each limit line's point at radius fam.radius and
-    1e-3 fam.radius.  The checks run in this order: the frame's values are
-    finite; D_eps is not empty within the radius (eps <= max |c_jj| radius^2
-    for a level set, c being diagonal, and eps <= radius / |shift| for the
-    affine line); at each eps the value is finite and at least the bound,
+    The family's transform is required (ConeError without one).  The 2 x 2
+    pullback, the allowance, the reach of D_eps, the closed forms and the
+    points T w are Python scalars; for n >= 3 the pullback and T w come from
+    numpy products.  Each bound comes with the point that attains it (for a
+    multiplier bound, the eigenvector's point on D_eps), and one call (rho_at,
+    or evaluate_many for n >= 3) evaluates rho at the frame's columns T e_1,
+    T e_2, at these points and at each limit line's point at radius 1 and
+    1e-3.  The checks run in this order: the frame's values are finite;
+    D_eps is not empty within the unit radius (eps <= max |c_jj| for a level
+    set, c being diagonal, and eps <= 1 for the affine line w1 = i eps); at
+    each eps the value is finite and at least the bound,
     and the bound is positive; on the limit disc the same on every line, at
     the radius where the line's bound is smaller.  The report carries the
     points of the grid and of the limit disc, in that order.
@@ -332,21 +333,21 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         raise ConeError("eps grid entries must be positive")
     if not fam.lam > 0:
         raise ConeError("lam must be positive")
-    side, lam, radius, c = fam.side, fam.lam, fam.radius, fam.c
-    T = ((1.0, 0.0), (0.0, 1.0)) if fam.transform is None else fam.transform
+    if fam.transform is None:
+        raise ConeError("the disc family has no transform")
+    side, lam, c, T = fam.side, fam.lam, fam.c, fam.transform
     pS, pH, (m00, m01, m11) = _pullback(cone, T)
     # mat_norm's Frobenius norm, nan where an entry is not finite as there
     guard = CERT_ROUNDING * cone.n * lam
     guard *= math.hypot(m00, m01, m01, m11) if math.isfinite(m00 + m01 + m11) else math.nan
-    r2 = radius**2
     if c is None:
-        reach = radius / abs(fam.shift)
+        reach = 1.0
     else:
         (c00, c01), (_, c11) = c
-        reach = max(_abs(c00), _abs(c11)) * r2
+        reach = max(_abs(c00), _abs(c11))
     far = next((eps for eps in eps_grid if eps > reach), None)
     rows = [(1.0, 0.0), (0.0, 1.0)]  # the frame
-    lines = []  # per limit line, the row of its point at radius; the next row is at 1e-3 radius
+    lines = []  # per limit line, the row of its point at radius 1; the next row is at 1e-3
     if far is None:
         eps_list = [float(eps) for eps in eps_grid]
         k = lam * side * (1 if fam.model is None else NORMAL_SIDE[fam.model.tag])
@@ -361,7 +362,6 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         else:
             minima = _multiplier_minima(P, eps_list, guard)
         rows += [w for _, w in minima]
-        small = 1e-3 * radius
         s00, s01, s11 = pS
         for u0, u1 in [(0j, 1 + 0j)] if c is None else _limit_lines(c00, c01, c11):
             # the minimum of side * rho / |w|^2 on the line is at its maximum point for side < 0
@@ -369,18 +369,16 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
             if side > 0:
                 t *= 1j
             lines.append(len(rows))
-            rows += [(t * u0 * radius, t * u1 * radius), (t * u0 * small, t * u1 * small)]
-    if cone.n > 2:  # z = T w by numpy products, as the pullback
+            rows += [(t * u0, t * u1), (t * u0 * 1e-3, t * u1 * 1e-3)]
+    if cone.n > 2:  # z = T w and rho by numpy products, as the pullback
         import numpy as np
         Z = np.array(rows, dtype=complex) @ np.asarray(T).T
-    elif fam.transform is None:
-        Z = [(complex(w0), complex(w1)) for w0, w1 in rows]
+        vals = [side * v for v in evaluate_many(cone, Z).tolist()]
+        Z = Z.tolist()  # the checks below and the report read rows of Python complex
     else:
         (t00, t01), (t10, t11) = T
         Z = [(t00 * w0 + t01 * w1, t10 * w0 + t11 * w1) for w0, w1 in rows]
-    vals = [side * v for v in rho_at(cone, Z)]
-    if cone.n > 2:
-        Z = Z.tolist()  # the checks below and the report read rows of Python complex
+        vals = [side * v for v in rho_at(cone, Z)]
     _check_finite(vals[:2], Z, "disc family frame")
     if far is not None:
         raise VerificationFailed(f"no disc points found at eps={far}", eps=far)
@@ -404,15 +402,14 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
             )
         min_margin = min(min_margin, bound)
 
-    # per line, kappa = side * rho / |w|^2 at its point less the allowance;
-    # kappa |w|^2 is smallest at 1e-3 radius for kappa >= 0, else (nan too) at radius
+    # per line, kappa = side * rho / |w|^2 at its point at radius 1 less the
+    # allowance; kappa |w|^2 is smallest at 1e-3 for kappa >= 0, else (nan too) at 1
     picked, bounds = [], []
     for j in lines:
-        kappa = vals[j] / r2 - guard / lam
+        kappa = vals[j] - guard / lam
         at_radius = not kappa >= 0
         picked.append(j if at_radius else j + 1)
-        size = radius if at_radius else small
-        bounds.append(kappa * size * size)
+        bounds.append(kappa if at_radius else kappa * 1e-3 * 1e-3)
     touch = [vals[j] for j in picked]
     _check_finite(touch, [Z[j] for j in picked], "limit disc", eps=0.0)
     j = max(range(len(lines)), key=lambda i: bounds[i] - touch[i])
@@ -576,7 +573,7 @@ def decide2(r: NormalFormResult, cone: QuadraticCone | None = None) -> Verdict:
         )
     v = normal_frame_verdict(r.ntype)
     if v.discs is not None:
-        return Verdict(discs=replace(v.discs, transform=r.T, side=v.discs.side * r.sign, lam=r.lam))
+        return Verdict(discs=v.discs._replace(transform=r.T, side=v.discs.side * r.sign, lam=r.lam))
     witness = _pull_back_witness(v.witness, r)
     if cone is not None:
         verify_support(cone, witness)
@@ -594,7 +591,7 @@ def jump_demo(seed: int = 0, samples: int = 10_000) -> JumpReport:
     """
     import numpy as np
     cone = example_m()
-    Z = sample_points(cone, seed=seed, count=samples, radius=1.0)
+    Z = sample_points(cone, seed=seed, count=samples)
     z1, z2 = Z[:, 0], Z[:, 1]
     safe = np.minimum(np.abs(z1), np.abs(z2)) >= 1e-2
     f = (z2**3 - z1**3) / (z1 * z2)  # same function, different rounding path

@@ -131,10 +131,8 @@ class NormalFormResult(NamedTuple):
     lam: float
     sign: int
     residual: float
-    boundary_margin: float = float("inf")
-    # RESIDUAL_REL * scale of the rendered normal form, set by classify2;
-    # decide2 rejects a larger residual.  A hand-built result has no bound.
-    residual_bound: float = float("inf")
+    boundary_margin: float
+    residual_bound: float  # RESIDUAL_REL * scale of the rendered normal form; decide2 rejects a larger residual
 
     @property
     def tag(self) -> str:

@@ -60,15 +60,6 @@ def mat_norm(m) -> float:
     return big * math.sqrt(np.vdot(a, a))
 
 
-def replace(record, **changes):
-    """A copy of a record (the package's NamedTuples) with the given fields changed.
-
-    The copy is built by the record's constructor, so its checks run again,
-    which NamedTuple._replace skips; an unknown field raises TypeError.
-    """
-    return type(record)(**{**record._asdict(), **changes})
-
-
 class HermitianSignature(NamedTuple):
     """Counts of positive/negative eigenvalues of the hermitian part."""
 
@@ -307,7 +298,7 @@ def evaluate_many(cone: QuadraticCone, Z):
     cone's real form in that order (_interleaved_form), built once per
     cone, so each call is one real (m, 2n) x (2n, 2n) product.  Every array
     evaluation of rho in the package goes through here; rho_at evaluates a
-    few points.  A row agrees with Re(z^T S z) + conj(z)^T H z
+    few points in C^2.  A row agrees with Re(z^T S z) + conj(z)^T H z
     up to rounding of order n * 2^-52 * cone.scale * |z|^2.  Z may be any
     array-like of complex or real numbers with n columns; it is copied only
     when it is not a C-contiguous complex128 array.
@@ -318,15 +309,12 @@ def evaluate_many(cone: QuadraticCone, Z):
 
 
 def rho_at(cone: QuadraticCone, Z) -> list:
-    """rho at a few points, the rows of Z, as a list of Python floats.
+    """rho at a few points of a cone in C^2, the rows of Z, as a list of Python floats.
 
-    For n = 2 each value is x^T (G x) on Python floats, G the real form
-    (_form2) and x = (Re z_1, Im z_1, Re z_2, Im z_2), written out term by
-    term: the sums and error bound of evaluate_many, whose rows it equals
-    to rounding.  For n >= 3 it is evaluate_many's.
+    Each value is x^T (G x) on Python floats, G the real form (_form2) and
+    x = (Re z_1, Im z_1, Re z_2, Im z_2), written out term by term: the
+    sums and error bound of evaluate_many, whose rows it equals to rounding.
     """
-    if cone.n > 2:
-        return evaluate_many(cone, Z).tolist()
     (s00, s01), (_, s11) = cone.s2
     (h00, h01), (_, h11) = cone.h2
     # G is symmetric bitwise, so its upper triangle gives every row
@@ -627,12 +615,12 @@ def _row_norms(Z):
 SAMPLE_CHUNK_MIN = 256
 
 
-def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
+def sample_points(cone: QuadraticCone, seed: int, count: int) -> np.ndarray:
     """Deterministic points on the cone as a (count, n) array, from random real 2-plane sections.
 
     Draws real directions u, v, solves the real quadratic rho(u + t v) = 0
-    for t, keeps real roots and rescales each point into |z| <= radius (the
-    cone is homogeneous, so rescaling stays on it), then applies one Newton
+    for t, keeps real roots and rescales each point into |z| <= 1 (the cone
+    is homogeneous, so rescaling stays on it), then applies one Newton
     step along v.  A point is returned only if its residual |rho(p)| is at
     most SAMPLE_RESIDUAL_REL * |p|^2 * max(scale, 1).
 
@@ -659,8 +647,6 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
     import numpy as np
     if count < 1:
         raise ConeError("count must be >= 1")
-    if radius <= 0:
-        raise ConeError("radius must be positive")
     rng = np.random.default_rng(seed)
     n = cone.n
     batch = max(count, 256)
@@ -679,7 +665,7 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
             hi = lo + max(-(-(count - found) // 2), SAMPLE_CHUNK_MIN)
             if batch - hi < SAMPLE_CHUNK_MIN:
                 hi = batch
-            P = _chunk_points(cone, U[lo:hi], V[lo:hi], scales[2 * lo : 2 * hi], radius, scale)
+            P = _chunk_points(cone, U[lo:hi], V[lo:hi], scales[2 * lo : 2 * hi], scale)
             points.append(P)
             found += len(P)
             if found >= count:
@@ -690,7 +676,7 @@ def sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.
     )
 
 
-def _chunk_points(cone: QuadraticCone, U, V, scales, radius: float, scale: float):
+def _chunk_points(cone: QuadraticCone, U, V, scales, scale: float):
     """sample_points' points from the directions U, V (row i takes scales[2 i + k] for root k), in order."""
     import numpy as np
     a = evaluate_many(cone, V)
@@ -707,10 +693,10 @@ def _chunk_points(cone: QuadraticCone, U, V, scales, radius: float, scale: float
     far = ~(norm < 1e-9)
     if not far.all():
         i, k, P, norm, dv = i[far], k[far], P[far], norm[far], dv[far]
-    P *= (radius * scales[2 * i + k] / norm)[:, None]
+    P *= (scales[2 * i + k] / norm)[:, None]
     # one Newton polish along V to keep the residual at rounding level
     vnorm = np.maximum(_row_norms(V), 1e-300)
-    dv *= (radius / vnorm[i])[:, None]
+    dv *= (1.0 / vnorm[i])[:, None]
     r0 = evaluate_many(cone, P)
     probe = dv * 1e-7
     probe += P
@@ -725,5 +711,5 @@ def _chunk_points(cone: QuadraticCone, U, V, scales, radius: float, scale: float
     return P if ok.all() else P[ok]
 
 
-# reduction builds on this module (ConeError, mat_norm), so its 2x2 kernels come last
+# reduction builds on this module (ConeError), so its 2x2 kernels come last
 from .reduction import _ldexp, eigh2, exponent, norm2, parts, scaled  # noqa: E402

@@ -41,7 +41,6 @@ from .quadform import (
     hermitian_signature,
     mat_norm,
     real_signature,
-    replace,
 )
 from .reduction import takagi2
 
@@ -380,7 +379,7 @@ def _try_slice(cone: QuadraticCone, slc: Slice) -> SliceResult | None:
     # certified on the input itself: the family's frame maps through the basis
     T = slc.basis if fam.transform is None else slc.basis @ fam.transform
     try:
-        report = verify_discs(cone, replace(fam, transform=T), eps_grid=SLICE_EPS_GRID)
+        report = verify_discs(cone, fam._replace(transform=T), eps_grid=SLICE_EPS_GRID)
     except VerificationFailed:
         return None
     return SliceResult(
@@ -455,11 +454,11 @@ def product_test(cone: QuadraticCone) -> ProductTest:
     return ProductTest(kdim, vh, form)
 
 
-def classify_two_sided_nd(cone: QuadraticCone, product: ProductTest | None = None) -> TwoSidedForm:
+def classify_two_sided_nd(cone: QuadraticCone, product: ProductTest) -> TwoSidedForm:
     """Recognize the two-sided normal shapes in C^n, n >= 3.
 
     Detects, in order: a product with an inert C^(n-2) factor
-    (product_test, whose result may be passed in), a purely harmonic cone
+    (product_test, whose result is passed in), a purely harmonic cone
     Re(z1^2 + ... + zk^2) with k > 2, and the bilinear-factor shape
     Re((z2 + conj(z3)) z1).  ts1 reads the product test's SVD of the
     stacked pair [S; H]: its model is the rank-k part S V V^H of S, V the
@@ -475,8 +474,6 @@ def classify_two_sided_nd(cone: QuadraticCone, product: ProductTest | None = Non
     are not certified.
     """
     import numpy as np
-    if product is None:
-        product = product_test(cone)
     if product.form is not None:
         return product.form
     n = cone.n

@@ -40,9 +40,9 @@ from quadcone.reduction import (
     so11_zero_diag,
     takagi2,
 )
-from quadcone.slicer import classify_two_sided_nd, find_good_slice
+from quadcone.slicer import classify_two_sided_nd, find_good_slice, product_test
 from test_reduction import entries, mat
-from witness_samplers import E_HERM, apply_change, factor_preserver, oneone_frame_invariants
+from witness_samplers import E_HERM, apply_change, factor_preserver, oneone_frame_invariants, own_frame
 
 
 def _report(num, label, elapsed, limit):
@@ -277,7 +277,7 @@ def test_criterion_7_slicer_suite():
         cone = fx.FIXTURES[name]()
         res = find_good_slice(cone, budget=256)
         assert res is not None, name
-        rep = verify_discs(res.restricted, res.verdict.discs, eps_grid=(1e-2, 1e-1))
+        rep = verify_discs(res.restricted, own_frame(res.verdict.discs), eps_grid=(1e-2, 1e-1))
         assert rep.min_margin > 0 and rep.touch_residual > 0, name
     # the independent-coupling fixture uses the documented slice with
     # det S* = 3 and det P = -1
@@ -291,11 +291,11 @@ def test_criterion_7_slicer_suite():
     assert abs(np.linalg.det(got.S) - 3.0) <= 1e-9
     assert abs(np.linalg.det(got.S.real) + 1.0) <= 1e-9
 
-    form = classify_two_sided_nd(fx.product_example_m())
+    form = classify_two_sided_nd(cone := fx.product_example_m(), product_test(cone))
     assert form.kind == "product" and form.inner.tag == "M11_1"
-    form = classify_two_sided_nd(fx.ts1_k3())
+    form = classify_two_sided_nd(cone := fx.ts1_k3(), product_test(cone))
     assert form.kind == "ts1" and form.k == 3
-    form = classify_two_sided_nd(fx.ts2())
+    form = classify_two_sided_nd(cone := fx.ts2(), product_test(cone))
     assert form.kind == "ts2"
     _report(7, "all slicing fixtures resolved within budget 256",
             time.perf_counter() - t0, 60.0)

@@ -338,13 +338,31 @@ def test_parse_rejects_booleans_as_numbers(capsys, text, path):
         ('{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": 1, "x": 0}]}', "poly[0]: term must be {vars, coeff}"),
         ('{"n": 2, "poly": [{"vars": "x1 x1", "coeff": 1}]}', "poly[0].vars: must be a list of variable names"),
         ('{"n": 2, "S": [[1, 0], [0, 1]]}', "$: need S and H matrices (or poly)"),
+        # nested beyond json's recursion limit, which raises RecursionError, not JSONDecodeError
+        ("[" * 100_000, "$: invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
     ],
-    ids=["entry_key", "rows", "top_level", "top_key", "poly_and_matrices", "term_key", "vars", "no_H"],
+    ids=["entry_key", "rows", "top_level", "top_key", "poly_and_matrices", "term_key", "vars", "no_H", "deep_nesting"],
 )
 def test_parse_spec_rejections_are_schema_errors(capsys, text, message):
     code, report = run_cli_stdin(capsys, text, ["classify", "-"])
     assert code == EXIT_SCHEMA
     assert report["error"] == {"kind": "schema", "message": message}
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "csv_directory"])
+def test_a_path_that_cannot_be_read_or_written_is_a_schema_error(capsys, tmp_path, kind):
+    # the csv case computes its report first, and the error replaces it
+    argv, message = ["classify", str(tmp_path)], f"[Errno 21] Is a directory: {str(tmp_path)!r}"
+    if kind == "not_utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n": 2, "S": "\u00e9"}'.encode("latin-1"))
+        argv = ["classify", str(path)]
+        message = "'utf-8' codec can't decode byte 0xe9 in position 15: invalid continuation byte"
+    elif kind == "csv_directory":
+        argv = ["verify", "--fixture", "m20", "--csv", str(tmp_path)]
+    code, report = run_cli(capsys, argv)
+    assert code == EXIT_SCHEMA
+    assert report == {"error": {"kind": "schema", "message": message}}
 
 
 @pytest.mark.parametrize(
@@ -1101,7 +1119,7 @@ def test_cmd_verify_two_sided_reports_the_exact_line_extremes(capsys):
 def test_a_residual_beyond_its_bound_is_reported_in_full(capsys, monkeypatch, command):
     import quadcone.cli as cli
     from quadcone.cli import EXIT_VERIFICATION
-    from quadcone.quadform import replace
+    from witness_samplers import replace
 
     classify = cli.classify2
 

@@ -42,7 +42,6 @@ from quadcone.quadform import (
     evaluate_many,
     form_distance,
     mat_norm,
-    replace,
     sample_points,
 )
 from quadcone.slicer import SLICE_EPS_GRID
@@ -55,6 +54,8 @@ from witness_samplers import (
     numpy_line_values,
     numpy_pull_back_witness,
     numpy_verify_discs,
+    own_frame,
+    replace,
     spread_cones2,
 )
 
@@ -62,7 +63,10 @@ EPS_GRID = (1e-3, 1e-2, 1e-1)
 
 
 def synth_result(ntype):
-    return NormalFormResult(ntype=ntype, T=np.eye(2, dtype=complex), lam=1.0, sign=1, residual=0.0)
+    return NormalFormResult(
+        ntype=ntype, T=np.eye(2, dtype=complex), lam=1.0, sign=1, residual=0.0,
+        boundary_margin=float("inf"), residual_bound=float("inf"),
+    )
 
 
 def random_gl2(rng, max_cond=25.0):
@@ -210,8 +214,8 @@ def test_disc_family_kind_and_c_follow_the_model_bitwise(tag):
 def test_disc_family_refuses_what_its_model_fixes(given):
     with pytest.raises(TypeError):
         DiscFamily(side=1, **given)
-    with pytest.raises(TypeError):
-        replace(DiscFamily(side=1), **given)
+    with pytest.raises(ValueError):
+        DiscFamily(side=1)._replace(**given)
     assert list(DiscFamily._fields) == ["side", "transform", "model", "lam"]
     assert list(Verdict._fields) == ["discs", "witness", "note"]
 
@@ -264,14 +268,14 @@ def test_verify_discs_at_any_input_scale(ntype, k):
 def test_verify_discs_analytic_floor_m20():
     # on the level variety the defining function equals eps + |z1|^2 + |z2|^2
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
-    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
+    fam = own_frame(normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs)
     rep = verify_discs(cone, fam, eps_grid=EPS_GRID)
     assert rep.min_margin >= min(EPS_GRID)
 
 
 def test_verify_discs_wrong_side_fails():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
-    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs
+    fam = own_frame(normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs)
     bad = replace(fam, side=-fam.side)
     with pytest.raises(VerificationFailed):
         verify_discs(cone, bad, eps_grid=EPS_GRID)
@@ -296,12 +300,19 @@ def test_verify_discs_empty_grid_rejected():
         verify_discs(cone, fam, eps_grid=())
 
 
+def test_verify_discs_requires_the_familys_transform():
+    cone = render_cone(NormalFormType("M20", a=2.0, b=0.0))
+    for fam in (normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.0)).discs, DiscFamily(side=1)):
+        with pytest.raises(ConeError, match="the disc family has no transform"):
+            verify_discs(cone, fam, eps_grid=EPS_GRID)
+
+
 @pytest.mark.parametrize("s", [0.0, 0.5, -0.9, 0.3 + 0.4j])
 def test_verify_discs_rejects_a_definite_slice_family_that_meets_the_cone(s):
     # side * rho = Re(s w1^2) + |w1|^2 >= 0 vanishes on {w1 = 0}, which meets
     # D_eps = {w1^2 + w2^2 = eps} at (0, +-sqrt(eps)): no sample lands there
     cone = QuadraticCone(np.diag([s, 0.0]), np.diag([1.0, 0.0]))
-    fam = DiscFamily(side=1)
+    fam = DiscFamily(side=1, transform=np.eye(2))
     with pytest.raises(VerificationFailed, match="not certified"):
         verify_discs(cone, fam, eps_grid=(1e-2, 1e-1))
 
@@ -311,7 +322,7 @@ def test_verify_discs_certifies_a_semidefinite_slice_exactly():
     # D_eps rho = |w|^2 + eps >= 2 eps, with equality on the real points, and on
     # the limit disc rho = |w|^2 >= (1e-3)^2
     cone = QuadraticCone(np.eye(2), np.eye(2))
-    fam = DiscFamily(side=1)
+    fam = DiscFamily(side=1, transform=np.eye(2))
     rep = verify_discs(cone, fam, eps_grid=(1e-2, 1e-1))
     assert rep.min_margin == pytest.approx(2e-2, rel=1e-12)
     assert rep.touch_residual == pytest.approx(1e-6, rel=1e-12)
@@ -435,6 +446,35 @@ def test_verify_support_m11_2_lines():
         assert rep.minus_max < 0
         lam1 = np.pi / 2 + np.angle(complex(a))
         assert abs(np.exp(2j * lam1) + a / np.conj(a)) <= 1e-12
+
+
+def test_verify_support_fails_an_aminus_line_above_the_cone():
+    # on example_m, rho(z1, 0) = Re(z1^2) / 2 + |z1|^2 > 0: {z2 = 0} as A- rises
+    # to 3/2 |z|^2 at its maximum point z = (1, 0), which the failure carries
+    from quadcone.decider import LinearGerm, SupportWitness
+
+    cone = FIXTURES["example_m"]()
+    above = LinearGerm(coeffs=(0j, 1 + 0j), span=(1 + 0j, 0j), label="{z2 = 0}")
+    with pytest.raises(VerificationFailed) as info:
+        verify_support(cone, SupportWitness(aplus=above, aminus=above, kind="proper"))
+    assert str(info.value) == f"A- witness {{z2 = 0}} rises above the cone (rho={1.5 / cone.scale:.3e})"
+    assert info.value.z == (1.0, 0.0)
+
+
+def test_verify_support_fails_a_nonminimal_witness_off_the_cone():
+    # the proper lines of example_m, {z2 = 0} above and {z1 = 0} below, given as
+    # non-minimal: rho / |z|^2 on them is 3/2, 1/2, -2/3 and -4/3 at their
+    # extreme points, and the largest |rho|, at z = (1, 0), fails the check
+    from quadcone.decider import LinearGerm, SupportWitness
+
+    cone = FIXTURES["example_m"]()
+    aplus = LinearGerm(coeffs=(0j, 1 + 0j), span=(1 + 0j, 0j), label="{z2 = 0}")
+    aminus = LinearGerm(coeffs=(1 + 0j, 0j), span=(0j, 1 + 0j), label="{z1 = 0}")
+    verify_support(cone, SupportWitness(aplus=aplus, aminus=aminus, kind="proper"))
+    with pytest.raises(VerificationFailed) as info:
+        verify_support(cone, SupportWitness(aplus=aplus, aminus=aminus, kind="nonminimal"))
+    assert str(info.value) == f"non-minimal witness leaves the cone (|rho| = {1.5 / cone.scale:.3e})"
+    assert info.value.z == (1.0, 0.0)
 
 
 def test_verify_support_swapped_fails():
@@ -613,7 +653,7 @@ def _benchmark_disc_cases(monkeypatch) -> list:
     monkeypatch.setattr(slicer, "verify_discs", recording)
     for op in workloads.nd_slice(1):
         cone = parse_spec(op.spec).cone
-        if not slicer.classify_two_sided_nd(cone).certified:
+        if not slicer.classify_two_sided_nd(cone, slicer.product_test(cone)).certified:
             slicer.find_good_slice(cone)
     return cases + searched
 
@@ -644,7 +684,7 @@ def test_the_scalar_disc_certificate_is_the_numpy_one_to_rounding(monkeypatch):
             assert (type(got), str(got)) == (type(want), str(want)), name
             continue
         passed += 1
-        T = np.eye(2) if fam.transform is None else np.asarray(fam.transform)
+        T = np.asarray(fam.transform)
         unit = CERT_ROUNDING * cone.n * mat_norm(abs(T).T @ (abs(cone.S) + abs(cone.H)) @ abs(T))
         assert abs(got.min_margin - want.min_margin) <= unit, name
         assert abs(got.touch_residual - want.touch_residual) <= unit, name
@@ -722,7 +762,7 @@ def test_disc_margin_scaling_exact():
     res = classify2(moved)
     v = decide2(res, moved)
     rep_orig = verify_discs(moved, v.discs, eps_grid=(1e-2,))
-    fam_norm = replace(v.discs, transform=None, side=+1, lam=1.0)
+    fam_norm = replace(v.discs, transform=np.eye(2), side=+1, lam=1.0)
     rep_norm = verify_discs(base, fam_norm, eps_grid=(1e-2,))
     assert rep_orig.min_margin * res.lam == pytest.approx(rep_norm.min_margin, abs=1e-10)
     assert rep_orig.touch_residual * res.lam == pytest.approx(rep_norm.touch_residual, abs=1e-10)
@@ -732,7 +772,7 @@ def test_disc_margin_scaling_exact():
     M = random_gl2(rng)
     moved = apply_change(definite, np.linalg.inv(M), lam, 1)
     rep_moved = verify_discs(moved, DiscFamily(side=1, transform=M), eps_grid=(1e-2,))
-    rep_base = verify_discs(definite, DiscFamily(side=1), eps_grid=(1e-2,))
+    rep_base = verify_discs(definite, DiscFamily(side=1, transform=np.eye(2)), eps_grid=(1e-2,))
     assert rep_moved.min_margin == pytest.approx(lam * rep_base.min_margin, abs=1e-10)
     assert rep_moved.touch_residual == pytest.approx(lam * rep_base.touch_residual, abs=1e-10)
 
@@ -926,7 +966,7 @@ ONE_SIDED_POINT_COUNTS = [
 
 @pytest.mark.parametrize("ntype, kind, sampled, cli_count, slice_count", ONE_SIDED_POINT_COUNTS)
 def test_verify_discs_pins_its_point_counts(ntype, kind, sampled, cli_count, slice_count):
-    cone, fam = render_cone(ntype), normal_frame_verdict(ntype).discs
+    cone, fam = render_cone(ntype), own_frame(normal_frame_verdict(ntype).discs)
     assert fam.kind == kind
     rng = np.random.default_rng(0)
     assert [len(_disc_points(fam, float(eps), 10_000, rng)) for eps in (*DEFAULT_EPS, 0.0)] == sampled

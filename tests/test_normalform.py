@@ -30,10 +30,9 @@ from quadcone.quadform import (
     evaluate_many,
     hermitian_signature,
     mat_norm,
-    replace,
 )
 
-from witness_samplers import CHOFVAR, E_HERM, apply_change, oneone_frame_invariants
+from witness_samplers import CHOFVAR, E_HERM, apply_change, oneone_frame_invariants, replace
 
 # the one literal copy of the table's tags: the other tests and scripts read
 # normalform.TAGS, and the TAGS.index seeds below rely on this order

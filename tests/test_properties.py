@@ -38,12 +38,11 @@ from quadcone.quadform import (
     form_norm2,
     hermitian_signature,
     real_signature,
-    replace,
     rho_at,
 )
 from quadcone.reduction import So11Unreachable, so11_zero_diag
 from test_reduction import entries, mat
-from witness_samplers import apply_change, list_jacobi4, real_form_matrix, summed_rho_at2
+from witness_samplers import apply_change, list_jacobi4, own_frame, real_form_matrix, replace, summed_rho_at2
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -112,7 +111,7 @@ def test_m11_2_verdict_always_two_sided(re, im):
 
 def test_verification_failure_carries_location():
     cone = render_cone(NormalFormType("M20", a=2.0, b=0.5))
-    fam = normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.5)).discs
+    fam = own_frame(normal_frame_verdict(NormalFormType("M20", a=2.0, b=0.5)).discs)
     bad = replace(fam, side=-1)
     with pytest.raises(VerificationFailed) as exc:
         verify_discs(cone, bad, eps_grid=(1e-2,))

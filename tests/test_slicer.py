@@ -26,7 +26,6 @@ from quadcone.quadform import (
     evaluate_many,
     form_distance,
     hermitian_signature,
-    replace,
 )
 from quadcone.slicer import (
     EXTENSION_MARGIN,
@@ -35,6 +34,7 @@ from quadcone.slicer import (
     Slice,
     classify_two_sided_nd,
     find_good_slice,
+    product_test,
     restrict,
     _extension_margin,
     _onezero_candidates,
@@ -44,7 +44,7 @@ from quadcone.slicer import (
 )
 
 from test_scorecard import scorecard
-from witness_samplers import apply_change
+from witness_samplers import apply_change, own_frame, replace
 
 # fixture -> the start of its winning slice's description, for the (1,1)
 # fixtures whose coupling case picks the structured candidate
@@ -269,7 +269,7 @@ def test_find_good_slice_fixtures(name, description):
     if description is not None:
         assert res.slice.description.startswith(description), res.slice.description
     # soundness: re-verify the discs on the restricted cone over the CLI's eps grid
-    rep = verify_discs(cone=res.restricted, fam=res.verdict.discs, eps_grid=(1e-3, 1e-2, 1e-1))
+    rep = verify_discs(cone=res.restricted, fam=own_frame(res.verdict.discs), eps_grid=(1e-3, 1e-2, 1e-1))
     assert rep.min_margin > 0 and rep.touch_residual > 0
 
 
@@ -310,7 +310,7 @@ def test_find_good_slice_at_extreme_scales(name, scale):
     cone = fx.FIXTURES[name]()
     res = find_good_slice(QuadraticCone(scale * cone.S, scale * cone.H))
     assert res is not None, name
-    rep = verify_discs(res.restricted, res.verdict.discs, eps_grid=(1e-3, 1e-2, 1e-1))
+    rep = verify_discs(res.restricted, own_frame(res.verdict.discs), eps_grid=(1e-3, 1e-2, 1e-1))
     assert rep.min_margin > 0 and rep.touch_residual > 0
 
 
@@ -408,8 +408,13 @@ def test_definite_slice_note():
 # --- classify_two_sided_nd ----------------------------------------------------------
 
 
+def _two_sided(cone):
+    """classify_two_sided_nd after the product test, as the slice command runs them."""
+    return classify_two_sided_nd(cone, product_test(cone))
+
+
 def test_two_sided_product():
-    form = classify_two_sided_nd(fx.product_example_m())
+    form = _two_sided(fx.product_example_m())
     assert form.kind == "product" and form.certified
     assert form.inner.tag == "M11_1"
     A, B = form.inner.ntype.params()
@@ -418,14 +423,14 @@ def test_two_sided_product():
 
 def test_two_sided_product_with_one_sided_factor_is_not_certified():
     # rho does not depend on z3, but its C^2 factor is one-sided (a slice exists)
-    form = classify_two_sided_nd(fx.slice_oneone_r0_onesided())
+    form = _two_sided(fx.slice_oneone_r0_onesided())
     assert form.kind == "product" and not form.certified
     assert find_good_slice(fx.slice_oneone_r0_onesided()) is not None
 
 
 def test_two_sided_product_with_a_degenerate_factor_is_not_certified():
     # rho = |z1|^2 + |z2|^2 does not depend on z3, and its C^2 factor is definite
-    form = classify_two_sided_nd(QuadraticCone(np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])))
+    form = _two_sided(QuadraticCone(np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])))
     assert form.kind == "product" and not form.certified
     assert isinstance(form.inner, DegeneracyReport) and form.inner.reason == "PointCone"
 
@@ -436,18 +441,18 @@ def test_two_sided_product_whose_factor_fails_its_line_check_is_not_certified():
     S, H = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
     base = render_cone(NormalFormType("M11_1", a=1.0 + 5e-10, b=0.5))
     S[:2, :2], H[:2, :2] = base.S, base.H
-    form = classify_two_sided_nd(QuadraticCone(S, H))
+    form = _two_sided(QuadraticCone(S, H))
     assert form.kind == "product" and not form.certified
     assert form.inner.tag == "M11_1"
 
 
 def test_two_sided_ts1():
-    form = classify_two_sided_nd(fx.ts1_k3())
+    form = _two_sided(fx.ts1_k3())
     assert form.kind == "ts1" and form.k == 3 and not form.certified
 
 
 def test_two_sided_ts2():
-    form = classify_two_sided_nd(fx.ts2())
+    form = _two_sided(fx.ts2())
     assert form.kind == "ts2" and not form.certified
     assert form.fit_residual <= 1e-10
 
@@ -466,7 +471,7 @@ def test_two_sided_forms_transformed():
     for make, kind in ((fx.product_example_m, "product"), (fx.ts1_k3, "ts1"), (fx.ts2, "ts2")):
         cone = make()
         moved = apply_change(cone, random_gl(rng, 3), 2.0, 1)
-        form = classify_two_sided_nd(moved)
+        form = _two_sided(moved)
         assert form.kind == kind, (make.__name__, form.kind, form.detail)
         assert form.certified == (kind == "product"), make.__name__
 
@@ -474,14 +479,14 @@ def test_two_sided_forms_transformed():
 def test_two_sided_unknown_is_sound():
     # a one-sided cone must never be claimed product/ts1/ts2
     cone = fx.slice_pi2_axis()
-    form = classify_two_sided_nd(cone)
+    form = _two_sided(cone)
     assert form.kind == "unknown" and not form.certified
 
 
 @pytest.mark.parametrize("name", sorted(n for n, make in fx.FIXTURES.items() if make().n >= 3))
 def test_no_fixture_is_certified_two_sided_and_has_a_one_sided_slice(name):
     cone = fx.FIXTURES[name]()
-    form = classify_two_sided_nd(cone)
+    form = _two_sided(cone)
     assert form.certified == (name == "product_example_m"), (name, form.kind)
     if form.certified:
         assert find_good_slice(cone) is None
@@ -494,7 +499,7 @@ def test_no_scorecard_n3_input_is_certified_two_sided_and_has_a_one_sided_slice(
     cones = [parse_spec(text).cone for name, _, text, _ in scorecard.inputs() if name == "n = 3 class"]
     assert len(cones) == 17
     for k, cone in enumerate(cones, 1):
-        if classify_two_sided_nd(cone).certified:
+        if _two_sided(cone).certified:
             assert find_good_slice(cone) is None, k
 
 
@@ -526,7 +531,7 @@ def _drawn_cone(n: int, kind: str, seed: int, e: int) -> QuadraticCone:
 )
 def test_no_drawn_cone_is_certified_two_sided_and_has_a_one_sided_slice(n, kind, seed, e):
     cone = _drawn_cone(n, kind, seed, e)
-    if classify_two_sided_nd(cone).certified:
+    if _two_sided(cone).certified:
         assert find_good_slice(cone) is None
 
 
@@ -541,14 +546,14 @@ def test_high_dimensional_products_and_harmonic_ranks():
         H[:2, :2] = np.diag([1.0, -1.0])
         moved = apply_change(QuadraticCone(S, H), random_gl(rng, n), 1.4, -1)
         assert find_good_slice(moved, budget=48) is None
-        form = classify_two_sided_nd(moved)
+        form = _two_sided(moved)
         assert form.kind == "product" and form.inner.tag == "M11_1"
     for k in (3, 4, 5):
         S = np.zeros((5, 5), dtype=complex)
         S[:k, :k] = np.eye(k)
         moved = apply_change(QuadraticCone(S, np.zeros((5, 5))), random_gl(rng, 5), 2.0, 1)
         assert find_good_slice(moved, budget=48) is None
-        form = classify_two_sided_nd(moved)
+        form = _two_sided(moved)
         assert form.kind == "ts1" and form.k == k
     for n in (4, 5):
         # Re((z2 + conj(z3)) z1), padded
@@ -558,7 +563,7 @@ def test_high_dimensional_products_and_harmonic_ranks():
         H[0, 2] = H[2, 0] = 0.5
         moved = apply_change(QuadraticCone(S, H), random_gl(rng, n), 0.7, -1)
         assert find_good_slice(moved, budget=48) is None
-        form = classify_two_sided_nd(moved)
+        form = _two_sided(moved)
         assert form.kind == "ts2" and not form.certified
 
 
@@ -573,7 +578,7 @@ def test_two_sided_forms_are_recognized_at_every_scale(make, kind, k):
     for _ in range(5):
         T = random_gl(rng, 3)
         for e in range(-300, 301, 10):
-            form = classify_two_sided_nd(apply_change(make(), T, 10.0**e, 1))
+            form = _two_sided(apply_change(make(), T, 10.0**e, 1))
             assert (form.kind, form.k, form.certified) == (kind, k, kind == "product"), (e, form.detail)
 
 

@@ -1,7 +1,10 @@
 """The tests' cone builder and oracles: seeded point samplers and the numpy forms of the n = 2 scalar code.
 
 apply_change builds the tests' cones: it pulls a cone back through a
-change of variables, in any C^n.  factor_preserver writes a preserver of
+change of variables, in any C^n.  replace copies a record with fields
+changed through its constructor, so the constructor's checks run again;
+own_frame gives a family without a transform (a normal form's own, a
+definite slice's) the identity, for verify_discs in the family's frame.  factor_preserver writes a preserver of
 Im(z1 conj(z2)) as a phase times a real matrix; no command needs it.
 real_form_matrix and oneone_frame_invariants are the reference forms that
 the tests compare the library's answers with, and whole_batch_sample_points the reference
@@ -110,6 +113,20 @@ def _hadamard_ratio(T: np.ndarray) -> float:
         return 0.0
     U = T / big
     return abs(np.linalg.det(U / np.linalg.norm(U, axis=0)))
+
+
+def replace(record, **changes):
+    """A copy of a record (the package's NamedTuples) with the given fields changed.
+
+    The copy is built by the record's constructor, so its checks run again,
+    which NamedTuple._replace skips; an unknown field raises TypeError.
+    """
+    return type(record)(**{**record._asdict(), **changes})
+
+
+def own_frame(fam: DiscFamily) -> DiscFamily:
+    """The family with the identity transform where it has none, else the family itself."""
+    return fam if fam.transform is not None else replace(fam, transform=np.eye(2))
 
 
 def apply_change(cone: QuadraticCone, T, lam: float = 1.0, sign: int = 1) -> QuadraticCone:
@@ -241,7 +258,7 @@ def reference_real_roots(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, k, roots[i, k]
 
 
-def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int, radius: float = 1.0) -> np.ndarray:
+def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int) -> np.ndarray:
     """quadform.sample_points as it was before it took its directions in chunks: the reference it must equal bitwise.
 
     It solves every direction of a batch and polishes every candidate,
@@ -249,8 +266,6 @@ def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int, radius
     """
     if count < 1:
         raise ConeError("count must be >= 1")
-    if radius <= 0:
-        raise ConeError("radius must be positive")
     rng = np.random.default_rng(seed)
     n = cone.n
     batch = max(count, 256)
@@ -270,9 +285,9 @@ def whole_batch_sample_points(cone: QuadraticCone, seed: int, count: int, radius
         norm = np.linalg.norm(P, axis=1)
         far = ~(norm < 1e-9)
         i, k, P, norm = i[far], k[far], P[far], norm[far]
-        P *= (radius * scales[2 * i + k] / norm)[:, None]
+        P *= (scales[2 * i + k] / norm)[:, None]
         vnorm = np.maximum(np.linalg.norm(V, axis=1), 1e-300)
-        dv = V[i] * (radius / vnorm[i])[:, None]
+        dv = V[i] * (1.0 / vnorm[i])[:, None]
         r0 = evaluate_many(cone, P)
         g = evaluate_many(cone, P + dv * 1e-7) - r0
         step = np.divide(r0 * 1e-7, g, out=np.zeros_like(g), where=np.abs(g) > 1e-300)
