@@ -10,38 +10,8 @@ tree runs in a subprocess of its own over the same inputs:
 - `atlas` for each of the seven tags;
 - every seed-1 op of the three workloads in `perfbench/workloads.py`, in
   its `U_RANGE` and its `CENSUS_U_RANGE`;
-- the inputs of EXTRA: a polynomial spec in C^2 and one in C^3 under
-  `slice`, a polynomial whose summed x1 x1 coefficient overflows, an M11_1
-  spec inside decide2's A = 1 band whose supporting line dips below the
-  cone, an `atlas` grid with such a cell, specs with JSON booleans in
-  place of numbers, `--tol-overrides` on `decide`, `--fixture` given with
-  an input path, fixtures of the wrong dimension for `classify`, `decide`,
-  `verify` and `slice`, a degenerate cone under `verify` and `decide`,
-  `atlas` grids with values outside the tag's range and with an M11_1 cell
-  a rounding away from A = B, a polynomial whose real form's sums overflow
-  unless halved first, specs with asymmetric S and H (a nonzero
-  symmetrization adjustment) under `decide` and `verify`, a spec with an
-  entry 1e400 (it parses to inf), two-sided specs at 1e300 and 1e-300
-  under `decide` and `verify`, one-sided specs at 1e300 and 1e-300 under
-  `verify`, one `verify` per disc family shape (the M20 and M10_1 level
-  sets, the M11_1 affine line) at an eps beyond the family's reach, where
-  no disc points exist, a pi >= 2 `slice` input whose axis slice fails its
-  certificate, so that a shear slice decides it, `verify --csv` on m20
-  and example_m and `atlas --tag M11_1 --csv`, and `jump-demo` at the
-  edges of `sample_points`' 256-row chunks (1, 2 and 257 samples, the
-  last at seed 3) and at 20,000 samples, a spec of the smallest
-  subnormals under `decide` and `verify`, the eight `parse_spec`
-  rejections that no other input reaches (an unknown key in an entry and
-  at the top level, too few rows, a top level that is not an object, poly
-  given with S, a term with a third key, vars that are not a list, no H),
-  a spec whose asymmetry z - mirror overflows (its
-  `symmetrization_adjustment` is finite), `atlas --tag M11_2 --csv`,
-  the one CSV whose `params` hold a complex number, and a spec whose one
-  asymmetric entry is the smallest subnormal (its adjustment, 3.5e-324,
-  rounds to 5e-324, but to 0 from the rounded halves), and three inputs
-  that cannot be read or written: a directory as the input path, a spec
-  nested deeper than json's recursion limit, and a directory as the
-  `--csv` path;
+- the inputs of EXTRA, each named for the edge case or branch it reaches,
+  with a comment at its spec where the name does not say enough;
 - every input of `scripts/scorecard.py`: cones on and near stratum
   boundaries and at large parameter spreads.
 
@@ -164,6 +134,18 @@ REJECTED = (
     ("vars", '{"n": 2, "poly": [{"vars": "x1 x1", "coeff": 1}]}'),
     ("no_H", '{"n": 2, "S": [[1, 0], [0, 1]]}'),
 )
+# S = 0, H = I in C^3: rho = |z|^2 renders a point, which `slice` reports as degenerate
+POINT_CONE3 = '{"n": 3, "S": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "H": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+# S = 0, H = diag(1, -1): M11_1 with A = B = 0, Im(z1 conj(z2)) alone in its frame
+ZERO_S = '{"n": 2, "S": [[0, 0], [0, 0]], "H": [[1, 0], [0, -1]]}'
+# M20 with B = 0: the limit disc of its level set is the one line w1 = 0
+M20_B0 = '{"n": 2, "S": [[2, 0], [0, 0]], "H": [[1, 0], [0, 1]]}'
+# signature (1,1) in C^4 whose z' block of S, [[0, 1], [1, 0]], has a zero diagonal:
+# the slice search probes it along e_3 + w e_4
+OFF_DIAGONAL_Q = (
+    '{"n": 4, "S": [[0.5, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],'
+    ' "H": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}'
+)
 BOOL_COEFF = '{"n": 2, "poly": [{"vars": ["x1", "x1"], "coeff": true}, {"vars": ["y2", "y2"], "coeff": -1}]}'
 EXTRA = (
     ("poly/classify", ["classify", "-"], POLY),
@@ -220,6 +202,11 @@ EXTRA = (
     ("unreadable/directory_input", ["classify", "."], None),
     ("unreadable/deep_nesting", ["classify", "-"], "[" * 100_000),
     ("unreadable/csv_directory", ["verify", "--fixture", "m20", "--csv", "."], None),
+    ("point_cone3/slice", ["slice", "-"], POINT_CONE3),
+    ("zero_s/decide", ["decide", "-"], ZERO_S),
+    ("zero_s/verify", ["verify", "-"], ZERO_S),
+    ("m20_b0/verify", ["verify", "-"], M20_B0),
+    ("off_diagonal_q/slice", ["slice", "-"], OFF_DIAGONAL_Q),
 )
 
 

@@ -27,6 +27,7 @@ import cmath
 import functools
 import json
 import math
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -99,10 +100,7 @@ def _entry_to_complex(v, path: str, *index: int) -> complex:
     common case, and a matrix has n^2 of them.
     """
     if type(v) in _NUMBER_TYPES:
-        try:
-            return complex(v)
-        except OverflowError:
-            return complex(_float(v))
+        return complex(_float(v))
     if isinstance(v, dict):
         # a key other than re and im: cheaper to count than to collect
         if len(v) > ("re" in v) + ("im" in v):
@@ -112,10 +110,7 @@ def _entry_to_complex(v, path: str, *index: int) -> complex:
         im = v.get("im", 0.0)
         if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
             raise SchemaError(_indexed(path, index), "re/im must be numbers")
-        try:
-            return complex(re, im)
-        except OverflowError:
-            return complex(_float(re), _float(im))
+        return complex(_float(re), _float(im))
     raise SchemaError(
         _indexed(path, index), f"expected number or {{re, im}} object, got {type(v).__name__}"
     )
@@ -782,21 +777,29 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        for name, parse in _OPTION_PARSERS.items():
-            value = getattr(args, name, None)
-            if isinstance(value, str):
-                setattr(args, name, parse(value))
-        return args.func(args)
-    except (SchemaError, NonReal, NonHomogeneous, OSError, UnicodeDecodeError) as exc:
-        print(report_text({"error": {"kind": "schema", "message": str(exc)}}))
-        return EXIT_SCHEMA
-    except VerificationFailed as exc:
-        print(report_text({"error": {"kind": "verification", "message": str(exc)}}))
-        return EXIT_VERIFICATION
-    except ConeError as exc:
-        print(report_text({"error": {"kind": "cone", "message": str(exc)}}))
-        return EXIT_DEGENERATE
+        try:
+            args = _parser().parse_args(argv)
+            for name, parse in _OPTION_PARSERS.items():
+                value = getattr(args, name, None)
+                if isinstance(value, str):
+                    setattr(args, name, parse(value))
+            code = args.func(args)
+        except BrokenPipeError:  # a closed stdout is no schema error
+            raise
+        except (SchemaError, NonReal, NonHomogeneous, OSError, UnicodeDecodeError) as exc:
+            print(report_text({"error": {"kind": "schema", "message": str(exc)}}))
+            code = EXIT_SCHEMA
+        except VerificationFailed as exc:
+            print(report_text({"error": {"kind": "verification", "message": str(exc)}}))
+            code = EXIT_VERIFICATION
+        except ConeError as exc:
+            print(report_text({"error": {"kind": "cone", "message": str(exc)}}))
+            code = EXIT_DEGENERATE
+        sys.stdout.flush()  # a closed stdout shows here at the latest
+        return code
+    except BrokenPipeError:  # stdout's reader is gone: exit 1 quietly, devnull taking the last flush (Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

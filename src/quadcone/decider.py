@@ -98,7 +98,7 @@ class DiscFamily(NamedTuple):
             return (1.0 + 0j, 0j), (0j, 1.0 + 0j)
         if self.kind == "affine_line":
             return None
-        A, B = (*m.params(), 1.0)[:2]  # M10_1's B is 1
+        A, _, B = _table_form(m)[0]
         c = (complex(A), 0j), (0j, complex(B))
         return tuple((-a, -b) for a, b in c) if m.tag == "M11_1" else c
 
@@ -170,9 +170,10 @@ def _check_finite(vals, Z, what: str, eps: float | None = None) -> None:
             raise VerificationFailed(f"{what}: rho is not finite at a checked point", eps=eps, z=Z[j])
 
 
-def _turn(a: complex) -> complex:
-    """The unit t with t^2 a = |a|: phase(a) is in [-pi, pi], so t is finite for a finite a."""
-    return cmath.rect(1.0, -0.5 * phase(a))
+def _turn(S: tuple, v0: complex, v1: complex) -> complex:
+    """The unit t with t^2 a = |a| for a = v^T S v, S = (s00, s01, s11): phase(a) is in [-pi, pi], so t is finite."""
+    s00, s01, s11 = S
+    return cmath.rect(1.0, -0.5 * phase(v0 * (s00 * v0 + s01 * v1) + v1 * (s01 * v0 + s11 * v1)))
 
 
 def _abs(z: complex) -> float:
@@ -225,17 +226,14 @@ def _normal_minimum(fam: DiscFamily, eps: float, d: float) -> tuple[float, tuple
     - M11_1 affine line w1 = i eps (B < 1): q = (A - 1) eps^2 - Re(B w2^2) +
       |w2|^2, and -Re(B w2^2) >= -B |w2|^2.
     """
+    tag, A, B = fam.model
     if fam.kind == "affine_line":
-        A, B = fam.model.params()
         free = (1.0 - B - d) * (1.0 - eps**2)
         return (A - (1.0 + d)) * eps**2 + min(0.0, free), (1j * eps, 0.0)
-    tag = fam.model.tag
     if tag == "M20":
-        A, _ = fam.model.params()
         return eps + (1.0 - d) * (eps / A if d <= 1.0 else 1.0), (math.sqrt(eps / A), 0.0)
     if tag == "M10_1":
         return eps - d, (0.0, math.sqrt(eps))
-    A, B = fam.model.params()
     free = 1.0 - d - (1.0 + d) * B / A
     return eps * (1.0 - (1.0 + d) / A) + min(0.0, free), (1j * math.sqrt(eps / A), 0.0)
 
@@ -362,10 +360,9 @@ def verify_discs(cone: QuadraticCone, fam: DiscFamily, eps_grid) -> DiscReport:
         else:
             minima = _multiplier_minima(P, eps_list, guard)
         rows += [w for _, w in minima]
-        s00, s01, s11 = pS
         for u0, u1 in [(0j, 1 + 0j)] if c is None else _limit_lines(c00, c01, c11):
             # the minimum of side * rho / |w|^2 on the line is at its maximum point for side < 0
-            t = _turn(u0 * (s00 * u0 + s01 * u1) + u1 * (s01 * u0 + s11 * u1))
+            t = _turn(pS, u0, u1)
             if side > 0:
                 t *= 1j
             lines.append(len(rows))
@@ -454,7 +451,7 @@ def verify_support(
     Z = []
     for germ in (witness.aplus, witness.aminus):
         v0, v1 = map(complex, germ.span)
-        t = _turn((s00 * v0 + s01 * v1) * v0 + (s01 * v0 + s11 * v1) * v1)  # a = v^T S v
+        t = _turn((s00, s01, s11), v0, v1)
         it = 1j * t
         Z += [(t * v0, t * v1), (it * v0, it * v1)]
     vals = [v / (size * size * scale) for v, size in zip(rho_at(cone, Z), (math.hypot(*parts(*z)) for z in Z))]
@@ -492,39 +489,26 @@ def normal_frame_verdict(ntype: NormalFormType) -> Verdict:
     snaps that stratum exactly) or A <= 1 within A_ONE_BOUNDARY_TOL; the
     A = 1 band carries a note.
     """
-    tag = ntype.tag
-    params = ntype.params()
-
-    def discs() -> Verdict:
+    tag, A, B = ntype
+    proper = tag == "M11_1" and A != B  # A = B: rho vanishes on {z2 = i z1}
+    if tag in ("M20", "M10_1") or proper and A > 1.0 + A_ONE_BOUNDARY_TOL:
+        # M11_1 gets the affine line for B < 1, else the level set of -diag(A, B)
         return Verdict(discs=DiscFamily(side=NORMAL_SIDE[tag], model=ntype))
-
-    def lines(aplus: LinearGerm, aminus: LinearGerm, kind: str, note: str = "") -> Verdict:
-        return Verdict(witness=SupportWitness(aplus, aminus, kind), note=note)
-
-    if tag in ("M20", "M10_1"):
-        return discs()
-    if tag == "M11_1":
-        A, B = params
-        if A == B:
-            line = _germ(1j, -1.0 + 0j, "{z2 = i z1}")  # rho vanishes identically here
-            return lines(line, line, "nonminimal")
-        if A > 1.0 + A_ONE_BOUNDARY_TOL:
-            return discs()  # the affine line for B < 1, else the level set of -diag(A, B)
+    if proper:
         note = "A = 1 boundary: two-sided clause applies" if abs(A - 1.0) <= A_ONE_BOUNDARY_TOL else ""
-        return lines(_germ(0j, 1.0 + 0j, "{z2 = 0}"), _germ(1.0 + 0j, 0j, "{z1 = 0}"), "proper", note)
+        witness = SupportWitness(_germ(0j, 1.0 + 0j, "{z2 = 0}"), _germ(1.0 + 0j, 0j, "{z1 = 0}"), "proper")
+        return Verdict(witness=witness, note=note)
     if tag == "M11_2":
-        (a,) = params
-        lam1 = math.pi / 2 + phase(a)  # solves e^(2 i lam) = -a / conj(a)
+        lam1 = math.pi / 2 + phase(A)  # solves e^(2 i lam) = -A / conj(A)
         lam2 = lam1 + math.pi
         g1 = _germ(cmath.exp(1j * lam1), -1.0 + 0j, f"{{z2 = e^(i{lam1:.6f}) z1}}")
         g2 = _germ(cmath.exp(1j * lam2), -1.0 + 0j, f"{{z2 = e^(i{lam2:.6f}) z1}}")
         # rho on the line with angle lam is -|z1|^2 sin(lam)
-        return lines(g2, g1, "proper") if math.sin(lam1) > 0 else lines(g1, g2, "proper")
-    if tag in ("M11_3", "M10_2"):
-        line = _germ(1.0 + 0j, 0j, "{z1 = 0}")
-        return lines(line, line, "nonminimal")
-    line = _germ(1j, -1.0 + 0j, "{z2 = i z1}")  # M00_1, the last of normalform.TAGS
-    return lines(line, line, "nonminimal")
+        aplus, aminus = (g2, g1) if math.sin(lam1) > 0 else (g1, g2)
+        return Verdict(witness=SupportWitness(aplus, aminus, "proper"))
+    # non-minimal: one line inside the cone, {z1 = 0} for M11_3 and M10_2, else {z2 = i z1}
+    line = _germ(1.0 + 0j, 0j, "{z1 = 0}") if tag in ("M11_3", "M10_2") else _germ(1j, -1.0 + 0j, "{z2 = i z1}")
+    return Verdict(witness=SupportWitness(line, line, "nonminimal"))
 
 
 def _pull_back_witness(w: SupportWitness, r: NormalFormResult) -> SupportWitness:

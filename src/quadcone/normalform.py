@@ -82,45 +82,38 @@ class _NormalFormFields(NamedTuple):
 
 
 class NormalFormType(_NormalFormFields):
-    """A table entry: tag plus its parameters, validated against the ranges."""
+    """A table entry: tag plus its parameters, validated against the ranges and stored as params() returns them."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.tag not in TAGS:
-            raise ConeError(f"unknown normal form tag {self.tag!r}")
-        a, b = self.a, self.b
-        if self.tag == "M20":
+    def __new__(cls, tag, a=None, b=None):
+        if tag not in TAGS:
+            raise ConeError(f"unknown normal form tag {tag!r}")
+        if tag == "M20":
             if not (0 <= b <= a and a > 1):
                 raise ConeError(f"M20 requires 0 <= B <= A and A > 1, got A={a}, B={b}")
-        elif self.tag == "M11_1":
+        elif tag == "M11_1":
             if not (0 <= b <= a):
                 raise ConeError(f"M11_1 requires 0 <= B <= A, got A={a}, B={b}")
-        elif self.tag == "M11_2":
+        elif tag == "M11_2":
             a = complex(a)
             if not (a.real > 0 and a.imag >= 0):
                 raise ConeError(f"M11_2 requires Re A > 0 and Im A >= 0, got A={a}")
             if b is not None:
                 raise ConeError("M11_2 takes a single complex parameter")
-        elif self.tag == "M10_1":
+        elif tag == "M10_1":
             if not (a >= 0):
                 raise ConeError(f"M10_1 requires A >= 0, got A={a}")
             if b is not None:
                 raise ConeError("M10_1 takes a single real parameter")
-        else:
-            if a is not None or b is not None:
-                raise ConeError(f"{self.tag} takes no parameters")
-        return self
+        elif a is not None or b is not None:
+            raise ConeError(f"{tag} takes no parameters")
+        if tag in ("M20", "M11_1", "M10_1"):
+            a, b = float(a), None if b is None else float(b)
+        return super().__new__(cls, tag, a, b)
 
     def params(self) -> tuple:
-        if self.tag in ("M20", "M11_1"):
-            return (float(self.a.real), float(self.b))
-        if self.tag == "M11_2":
-            return (complex(self.a),)
-        if self.tag == "M10_1":
-            return (float(self.a.real),)
-        return ()
+        return tuple(x for x in self[1:] if x is not None)
 
 
 class NormalFormResult(NamedTuple):
@@ -156,7 +149,6 @@ def _table_form(ntype: NormalFormType) -> tuple[tuple, tuple]:
     if tag == "M11_1":
         return (a, 0.0, b), (1.0, 0.0, -1.0)
     if tag == "M11_2":
-        a = complex(a)
         return (a, 0.0, a.conjugate()), (0.0, 0.5j, 0.0)  # H = E_HERM_ROWS
     if tag == "M11_3":
         return (1.0, 0.0, 0.0), (0.0, 0.5j, 0.0)

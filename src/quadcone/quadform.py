@@ -98,9 +98,9 @@ class QuadraticCone:
             raise ConeError("dimension must be at least 2")
         if not (np.isfinite(S).all() and np.isfinite(H).all()):
             raise ConeError("S and H must have finite entries")
-        if _asymmetric(S, hermitian=False):
+        if _asymmetric(S.tolist(), hermitian=False):
             raise NotSymmetric("S is not symmetric within tolerance")
-        if _asymmetric(H, hermitian=True):
+        if _asymmetric(H.tolist(), hermitian=True):
             raise NotSymmetric("H is not hermitian within tolerance")
         self._store(S, H)
 
@@ -233,8 +233,8 @@ class QuadraticCone:
 _FORM_BLOCK = ((1.0, 0.0, 0.0, -1.0), (0.0, -1.0, -1.0, 0.0), (1.0, 0.0, 0.0, 1.0), (0.0, -1.0, 1.0, 0.0))
 
 
-def _asymmetric(M, hermitian: bool) -> bool:
-    """Whether ||M - M^T|| (M^H if hermitian) exceeds SYM_REL * max(||M||, 1e-300), Frobenius.
+def _asymmetric(rows, hermitian: bool) -> bool:
+    """Whether ||M - M^T|| (M^H if hermitian) exceeds SYM_REL * max(||M||, 1e-300), Frobenius, M as rows of numbers.
 
     Both sides are computed on M times the power of two 2^e that brings its
     largest part to at most 1, and the floor is scaled to match: the answer
@@ -242,9 +242,11 @@ def _asymmetric(M, hermitian: bool) -> bool:
     can overflow to inf or nan, which would compare False and let any
     asymmetry through.
     """
-    e = _scale_exponent(M)
-    M = _ldexp_array(M, e)
-    return mat_norm(M - (M.conj().T if hermitian else M.T)) > SYM_REL * max(mat_norm(M), math.ldexp(1e-300, e))
+    e = -exponent(*parts(*(z for row in rows for z in row)))
+    M = [scaled(e, *row) for row in rows]
+    d = [z - (M[j][i].conjugate() if hermitian else M[j][i]) for i, row in enumerate(M) for j, z in enumerate(row)]
+    norm = math.hypot(*parts(*(z for row in M for z in row)))
+    return math.hypot(*parts(*d)) > SYM_REL * max(norm, math.ldexp(1e-300, e))
 
 
 def _frozen_array(rows):
@@ -451,21 +453,18 @@ def decompose_real_form(G) -> QuadraticCone:
     flat = [x for row in rows for x in (row if isinstance(row, (list, tuple)) else [row])]
     if not all(map(cmath.isfinite, flat)):
         raise ConeError("real-form matrix has non-finite entries")
-    # both tests read the entries times 2^e, the largest part at most 1, and
-    # a floor scaled to match, as _asymmetric does: the answers of the
-    # unscaled tests, but no norm or difference can overflow to inf
-    e = -exponent(*parts(*flat))
-    unit, floor = scaled(e, *flat), math.ldexp(1e-300, e)
-    imag, norm = math.hypot(*(x.imag for x in unit)), math.hypot(*parts(*unit))
-    if any(isinstance(x, complex) for x in flat) and imag > SYM_REL * max(norm, floor):
-        raise NonReal("real-form matrix has non-real entries")
+    if any(isinstance(x, complex) for x in flat):
+        # scaled as _asymmetric scales, so that no norm overflows
+        e = -exponent(*parts(*flat))
+        unit = scaled(e, *flat)
+        if math.hypot(*(x.imag for x in unit)) > SYM_REL * max(math.hypot(*parts(*unit)), math.ldexp(1e-300, e)):
+            raise NonReal("real-form matrix has non-real entries")
     m, n = len(rows), len(rows) // 2
     if not m or m % 2 or not all(isinstance(row, (list, tuple)) and len(row) == m for row in rows):
         raise ConeError("real-form matrix must be square of even size")
-    asym = math.hypot(*(unit[i * m + j].real - unit[j * m + i].real for i in range(m) for j in range(m)))
-    if asym > SYM_REL * max(math.hypot(*(x.real for x in unit)), floor):
-        raise NotSymmetric("real-form matrix is not symmetric")
     G = [[float(x.real) for x in row] for row in rows]
+    if _asymmetric(G, hermitian=False):
+        raise NotSymmetric("real-form matrix is not symmetric")
     if n < 2:
         raise ConeError("dimension must be at least 2")
     # halves first, so a finite G stays finite; halved again before the sums

@@ -142,17 +142,11 @@ def _alpha_grid(phase_order=range(16)):
             yield m * ph
 
 
-def _embed2(n: int, v2) -> np.ndarray:
+def _embed(n: int, v, start: int) -> np.ndarray:
+    """v in C^n from coordinate `start` on (0 for z1, z2; 2 for the z' part), zeros elsewhere."""
     import numpy as np
     out = np.zeros(n, dtype=complex)
-    out[:2] = v2
-    return out
-
-
-def _embed_zprime(n: int, v) -> np.ndarray:
-    import numpy as np
-    out = np.zeros(n, dtype=complex)
-    out[2:] = v
+    out[start : start + len(v)] = v
     return out
 
 
@@ -187,13 +181,6 @@ def _pi2_candidates(W: np.ndarray, S1: np.ndarray, pi: int, nu: int):
                     yield basis, f"shear slice z{j + 1} = a z{i + 1}, a = {al:.6g}"
 
 
-def _dual_vectors(L: np.ndarray):
-    """v3, v4 with L @ v_i = e_i for the bilinear functionals in L's rows."""
-    import numpy as np
-    sol, *_ = np.linalg.lstsq(L, np.eye(2, dtype=complex), rcond=None)
-    return sol[:, 0], sol[:, 1]
-
-
 def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
     import numpy as np
     n = len(W)
@@ -209,9 +196,9 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
         Md[:2, :2] = _CHOFVAR[:2], _CHOFVAR[2:]  # hermitian block becomes diag(1, -1)
         Wd = W @ Md
         for v in islice(_quadratic_support_probes(Qp, qnorm), 8):
-            b2 = Wd @ _embed_zprime(n, v)
+            b2 = Wd @ _embed(n, v, 2)
             for al in (0.0, 0.5, 2.0, -0.5, -2.0, 0.5j, 2j, -0.5j, -2j, 0.25, 4.0):
-                b1 = Wd @ (_embed2(n, [1.0, al]))
+                b1 = Wd @ (_embed(n, [1.0, al], 0))
                 yield np.column_stack([b1, b2]), f"line slice z2 = a z1, a = {al:.4g}"
         return
 
@@ -228,8 +215,8 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
             alpha, beta = -(a + np.conj(c)) / 2.0, -b + 1j * np.sqrt(abs(c) ** 2 + 2.0)
         coef = [beta, beta]
         coef[k] = alpha
-        ve = _embed_zprime(n, v)
-        yield np.column_stack([W @ (_embed2(n, G[:, i]) + coef[i] * ve) for i in (0, 1)]), description
+        ve = _embed(n, v, 2)
+        yield np.column_stack([W @ (_embed(n, G[:, i], 0) + coef[i] * ve) for i in (0, 1)]), description
 
     sv = np.linalg.svd(L, compute_uv=False) if L.size else np.array([0.0])
     lrank = int(np.sum(sv > 1e-10 * max(scale, 1.0)))
@@ -240,13 +227,14 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
     A, B, C = St[0, 0], St[0, 1], St[1, 1]
     I2 = np.eye(2)
     if lrank == 2:
-        v3, v4 = _dual_vectors(L)
+        # v3, v4 with L @ v_i = e_i for the bilinear functionals in L's rows
+        v3, v4 = np.linalg.lstsq(L, np.eye(2, dtype=complex), rcond=None)[0].T
         yield from dual(I2, St, 0, v3, "dual slice z3 = a z1 + b z2")
         yield from dual(I2, St, 1, v4, "dual slice z3 = a z2 + b z1")
         if abs(A) <= 1e-10 * scale and abs(C) <= 1e-10 * scale:
             # both quadratic coefficients vanish: the explicit two-direction slice
-            c1 = _embed2(n, [1.0, 0.0]) + 0.5 * _embed_zprime(n, v3) + (-B / 2 + 1j) * _embed_zprime(n, v4)
-            c2 = _embed2(n, [0.0, 1.0]) + (-B / 2 + 1j) * _embed_zprime(n, v3) - 0.5 * _embed_zprime(n, v4)
+            c1 = _embed(n, [1.0, 0.0], 0) + 0.5 * _embed(n, v3, 2) + (-B / 2 + 1j) * _embed(n, v4, 2)
+            c2 = _embed(n, [0.0, 1.0], 0) + (-B / 2 + 1j) * _embed(n, v3, 2) - 0.5 * _embed(n, v4, 2)
             yield np.column_stack([W @ c1, W @ c2]), "independent-coupling slice"
         return
 
@@ -284,12 +272,12 @@ def _oneone_candidates(W: np.ndarray, S1: np.ndarray):
         range(16),
         key=lambda k: 0 if np.sin(2 * np.pi * k / 16 + np.angle(c) - argA) * sin_c < 0 else 1,
     )
-    v3e = _embed_zprime(n, v3)
+    v3e = _embed(n, v3, 2)
     for al in _alpha_grid(phase_order):
         s_star = St + al * T_coupling  # coupling normalized through v3
         if _extension_margin(s_star) >= EXTENSION_MARGIN:
-            b1 = W @ _embed2(n, [1.0, 0.0])
-            b2 = W @ (_embed2(n, [0.0, 1.0]) + al * v3e)
+            b1 = W @ _embed(n, [1.0, 0.0], 0)
+            b2 = W @ (_embed(n, [0.0, 1.0], 0) + al * v3e)
             yield np.column_stack([b1, b2]), f"line slice z3 = a z2, a = {al:.6g}"
 
 

@@ -365,6 +365,27 @@ def test_a_path_that_cannot_be_read_or_written_is_a_schema_error(capsys, tmp_pat
     assert report == {"error": {"kind": "schema", "message": message}}
 
 
+@pytest.mark.parametrize("argv", [["decide", "--fixture", "m20"], ["classify", "."]], ids=["report", "schema_error"])
+def test_a_closed_stdout_ends_quietly_with_exit_1(tmp_path, argv):
+    # stdout is a pipe whose read end is closed before the run starts, so
+    # every write to it fails with EPIPE: that is no schema error, and no
+    # traceback or "Exception ignored" note reaches stderr
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quadcone.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 @pytest.mark.parametrize(
     "text, adjustment",
     [

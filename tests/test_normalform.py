@@ -87,6 +87,20 @@ def test_type_ranges_enforced():
         NormalFormType("M00_1", a=1.0)
 
 
+def test_type_parameters_are_stored_as_params_returns_them():
+    # an int A or B is stored as a float, M11_2's A as a complex
+    for ntype, fields in [
+        (NormalFormType("M20", a=2, b=1), (2.0, 1.0)),
+        (NormalFormType("M11_1", a=1, b=0), (1.0, 0.0)),
+        (NormalFormType("M11_2", a=1), (1 + 0j, None)),
+        (NormalFormType("M10_1", a=0), (0.0, None)),
+        (NormalFormType("M10_2"), (None, None)),
+    ]:
+        assert (ntype.a, ntype.b) == fields
+        assert [type(x) for x in ntype[1:]] == [type(x) for x in fields]
+        assert ntype.params() == tuple(x for x in fields if x is not None)
+
+
 def test_replace_reruns_the_type_range_checks():
     ntype = NormalFormType("M20", a=2.0, b=0.5)
     assert replace(ntype, b=1.5) == NormalFormType("M20", a=2.0, b=1.5)

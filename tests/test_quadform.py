@@ -96,10 +96,18 @@ def test_decompose_render_round_trip():
 
 
 def test_constructor_rejects_asymmetry():
-    with pytest.raises(NotSymmetric):
-        QuadraticCone(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-    with pytest.raises(NotSymmetric):
-        QuadraticCone(np.zeros((2, 2)), np.array([[1.0, 1j], [1j, 0.0]]))
+    # the checked constructor and decompose_real_form share one symmetry test,
+    # which reads the entries at unit scale: the pairs fail it at 2^+-1000 too
+    pairs = (([[0.0, 1.0], [0.0, 0.0]], np.eye(2)), (np.zeros((2, 2)), [[1.0, 1j], [1j, 0.0]]))
+    for scale in (1.0, 2.0**1000, 2.0**-1000):
+        for S, H in pairs:
+            S, H = scale * np.asarray(S, dtype=complex), scale * np.asarray(H, dtype=complex)
+            with pytest.raises(NotSymmetric):
+                QuadraticCone(S, H)
+            # Re(z^T S z) + Re(conj(z)^T H z) as (x, y)^T G (x, y): G is asymmetric where S or H is
+            G = np.block([[S.real + H.real, -S.imag - H.imag], [H.imag - S.imag, H.real - S.real]])
+            with pytest.raises(NotSymmetric):
+                decompose_real_form(G)
 
 
 def test_asymmetry_is_rejected_where_its_norm_would_overflow():
